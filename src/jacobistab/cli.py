@@ -4,8 +4,10 @@ Subcommands configure a system (built-in by name, or custom via metric /
 potential expression strings), run experiments, verify the identity
 suite, and emit CSV / JSON / gnuplot-ready data files.
 
-Exit codes: 0 success, 1 identity failure, 2 configuration error,
-3 numerical failure (chart exit, forbidden region, energy drift).
+Exit codes: 0 success, 1 identity failure, 2 configuration or input error
+(including values rejected by validation, such as a negative step),
+3 numerical failure (chart exit, forbidden region, energy drift, an
+expression undefined at a point).
 """
 
 from __future__ import annotations
@@ -223,8 +225,8 @@ def _write_json(path, payload) -> None:
 def cmd_simulate(exp: Experiment, args) -> int:
     traj = integrate_newton(exp.sys, exp.q0, exp.v0, exp.t_span, exp.step,
                             drift_bound=exp.drift_bound)
-    drift = max(abs(exp.sys.energy(q, v) - traj.energy)
-                for q, v in zip(traj.points[::50], traj.velocities[::50]))
+    drift = float(np.max(np.abs(exp.sys.energy(traj.points[::50], traj.velocities[::50])
+                                - traj.energy)))
     out = _out_dir(exp, args)
     traj.write_csv(os.path.join(out, "trajectory.csv"))
     meta = traj.to_dict()
@@ -410,7 +412,10 @@ def cmd_report(exp, args) -> int:
         if not name.endswith(".json"):
             continue
         with open(os.path.join(out, name)) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"malformed report {name}: {exc}") from None
         if isinstance(data, list):
             for rec in data:
                 if "identity" in rec:
@@ -478,6 +483,9 @@ def main(argv=None) -> int:
         return fn(exp, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

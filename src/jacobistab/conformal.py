@@ -18,18 +18,19 @@ import numpy as np
 from . import geometry as geo
 from .errors import DegenerateMetricError
 from .geometry import (ChartMetric, SampledCurve, TangentVector, VectorField,
-                       christoffel, cov_derivative_along, field_cov_derivative,
-                       riemann)
-from .numdiff import central_diff, cumulative_simpson, local_derivative
+                       _first_point, _mv, _shaped, christoffel,
+                       cov_derivative_along, field_cov_derivative, riemann)
+from .numdiff import central_diff, central_diff2, cumulative_simpson, local_derivative
 
 
 @dataclass(frozen=True)
 class ConformalFactor:
     """Positive scalar factor with optional analytic derivative data.
 
-    ``df(p)`` returns the (n,) partials of f, ``d2f(p)`` the (n, n) second
-    partials.  ``F_eval``, when given, overrides the derived components of
-    ``F = grad ln f``.
+    All evaluators take points ``(..., n)``: ``f(p)`` returns ``(...)``
+    values, ``df(p)`` the ``(..., n)`` partials of f, ``d2f(p)`` the
+    ``(..., n, n)`` second partials.  ``F_eval``, when given, overrides the
+    derived components ``(..., n)`` of ``F = grad ln f``.
     """
 
     f: Callable[[np.ndarray], float]
@@ -39,40 +40,47 @@ class ConformalFactor:
     fd_step: float = geo.FD_STEP
     fd_step2: float = geo.FD_STEP2
 
-    def value(self, p) -> float:
-        v = float(self.f(np.asarray(p, dtype=float)))
-        if not np.isfinite(v) or v <= 0.0:
-            raise DegenerateMetricError(f"conformal factor not positive at {np.asarray(p).tolist()}")
+    def _raw(self, p) -> np.ndarray:
+        return _shaped(self.f(p), p.shape[:-1])
+
+    def value(self, p) -> np.ndarray:
+        """Factor values ``(...)``; raises unless every one is finite and positive."""
+        p = np.asarray(p, dtype=float)
+        v = self._raw(p)
+        bad = ~(np.isfinite(v) & (v > 0.0))
+        if bad.any():
+            raise DegenerateMetricError(f"conformal factor not positive at {_first_point(p, bad)}")
         return v
 
     def partials(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         if self.df is not None:
-            return np.asarray(self.df(p), dtype=float)
-        return central_diff(lambda q: float(self.f(q)), p, self.fd_step)
+            return _shaped(self.df(p), p.shape)
+        return central_diff(self._raw, p, self.fd_step)
+
+    def second_partials(self, p) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
+        if self.d2f is not None:
+            return _shaped(self.d2f(p), p.shape + p.shape[-1:])
+        if self.df is not None:
+            return central_diff(self.partials, p, self.fd_step2)
+        return central_diff2(self._raw, p, self.fd_step2)
 
     def log_partials(self, p) -> np.ndarray:
-        return self.partials(p) / self.value(p)
+        return self.partials(p) / self.value(p)[..., None]
 
     def log_second_partials(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        v = self.value(p)
+        v = self.value(p)[..., None, None]
         dv = self.partials(p)
-        if self.d2f is not None:
-            d2v = np.asarray(self.d2f(p), dtype=float)
-        elif self.df is not None:
-            d2v = central_diff(self.df, p, self.fd_step2)
-        else:
-            from .numdiff import central_diff2
-            d2v = central_diff2(lambda q: float(self.f(q)), p, self.fd_step2)
-        return d2v / v - np.outer(dv, dv) / v**2
+        return self.second_partials(p) / v - (dv[..., :, None] * dv[..., None, :]) / v**2
 
     def F_components(self, metric: ChartMetric, p) -> np.ndarray:
         """Components of ``F = grad ln f`` with respect to the base metric."""
         p = np.asarray(p, dtype=float)
         if self.F_eval is not None:
-            return np.asarray(self.F_eval(p), dtype=float)
-        return metric.g_inv(p) @ self.log_partials(p)
+            return _shaped(self.F_eval(p), p.shape)
+        return _mv(metric.g_inv(p), self.log_partials(p))
 
     def F_field(self, metric: ChartMetric) -> VectorField:
         """``F`` as a vector field, with an analytic Jacobian when available."""
@@ -89,24 +97,18 @@ class ConformalFactor:
             q = np.asarray(q, dtype=float)
             ginv = metric.g_inv(q)
             dg = metric.dg(q)
-            dginv = -np.einsum('la,kab,bm->klm', ginv, dg, ginv)
+            dginv = -np.einsum('...la,...kab,...bm->...klm', ginv, dg, ginv)
             lp = self.log_partials(q)
             l2p = self.log_second_partials(q)
-            # out[k, i] = d_k F^i
-            return np.einsum('kim,m->ki', dginv, lp) + np.einsum('im,km->ki', ginv, l2p)
+            # out[..., k, i] = d_k F^i
+            return (np.einsum('...kim,...m->...ki', dginv, lp)
+                    + np.einsum('...im,...km->...ki', ginv, l2p))
 
         return VectorField(comp=comp, jac=jac, fd_step=self.fd_step)
 
 
 def constant_factor(value: float = 1.0) -> ConformalFactor:
-    def df(p):
-        return np.zeros(np.asarray(p).size)
-
-    def d2f(p):
-        n = np.asarray(p).size
-        return np.zeros((n, n))
-
-    return ConformalFactor(f=lambda p: value, df=df, d2f=d2f)
+    return ConformalFactor(f=lambda p: value, df=lambda p: 0.0, d2f=lambda p: 0.0)
 
 
 def conformal_rescale(metric: ChartMetric, cf: ConformalFactor,
@@ -119,35 +121,35 @@ def conformal_rescale(metric: ChartMetric, cf: ConformalFactor,
     metric falls back to finite differences of its own components.
     """
 
+    def factor(p, k):
+        """Factor values shaped to broadcast against k trailing axes."""
+        return cf.value(p)[(...,) + (None,) * k]
+
     def g_eval(p):
-        return cf.value(p) * metric.g(p)
+        return factor(p, 2) * metric.g(p)
 
     def guard(p):
-        if not metric.contains(p):
-            return False
-        if extra_guard is not None and not extra_guard(p):
-            return False
-        try:
-            cf.value(p)
-        except DegenerateMetricError:
-            return False
-        return True
+        v = cf._raw(p)
+        ok = metric.contains(p) & np.isfinite(v) & (v > 0.0)
+        if extra_guard is not None:
+            ok = ok & extra_guard(p)
+        return ok
 
     dg_eval = None
     d2g_eval = None
     if metric.dg_eval is not None and cf.df is not None:
         def dg_eval(p):
-            return (np.einsum('k,ij->kij', cf.partials(p), metric.g(p))
-                    + cf.value(p) * metric.dg(p))
+            return (np.einsum('...k,...ij->...kij', cf.partials(p), metric.g(p))
+                    + factor(p, 3) * metric.dg(p))
 
         if metric.d2g_eval is not None and cf.d2f is not None:
             def d2g_eval(p):
                 dfv = cf.partials(p)
                 dgv = metric.dg(p)
-                return (np.einsum('kl,ij->klij', np.asarray(cf.d2f(p), dtype=float), metric.g(p))
-                        + np.einsum('k,lij->klij', dfv, dgv)
-                        + np.einsum('l,kij->klij', dfv, dgv)
-                        + cf.value(p) * metric.d2g(p))
+                return (np.einsum('...kl,...ij->...klij', cf.second_partials(p), metric.g(p))
+                        + np.einsum('...k,...lij->...klij', dfv, dgv)
+                        + np.einsum('...l,...kij->...klij', dfv, dgv)
+                        + factor(p, 4) * metric.d2g(p))
 
     return ChartMetric(dim=metric.dim, g_eval=g_eval, dg_eval=dg_eval,
                        d2g_eval=d2g_eval, domain_guard=guard,
@@ -291,7 +293,7 @@ def reparam_cov(metric: ChartMetric, f_along_curve, curve: SampledCurve,
     else:
         dlnf = local_derivative(curve.params, np.log(np.abs(f)), m=1, width=7)
 
-    gammas = geo.christoffel_along(metric, curve.points)
+    gammas = christoffel(metric, curve.points)
     nab_x = cov_derivative_along(metric, curve, field, order=order, gammas=gammas)
     nab_g = cov_derivative_along(metric, curve, curve.tangents, order=order, gammas=gammas)
     nab2_x = cov_derivative_along(metric, curve, nab_x, order=order, gammas=gammas)
@@ -355,10 +357,10 @@ def _lemma2_window(metric, cf, p, w, coeff, step, order):
     m = 17
     ts = (np.arange(m) - m // 2) * step
     pts = p[None, :] + ts[:, None] * w[None, :]
-    if not all(metric.contains(q) for q in pts):
+    if not np.all(metric.contains(pts)):
         return None
     try:
-        f = np.array([cf.value(q) for q in pts])
+        f = cf.value(pts)
     except DegenerateMetricError:
         return None
     curve = SampledCurve(ts, pts, np.tile(w, (m, 1)))
@@ -368,7 +370,7 @@ def _lemma2_window(metric, cf, p, w, coeff, step, order):
 
     # Direct side: differentiate with respect to the accumulated s-parameter.
     s = cumulative_simpson(f, ts)
-    gammas = geo.christoffel_along(metric, pts)
+    gammas = christoffel(metric, pts)
     dgds = local_derivative(s, pts, m=1, width=7)
     curve_s = SampledCurve(s, pts, dgds)
     d1 = cov_derivative_along(metric, curve_s, field, order=4, gammas=gammas)

@@ -22,13 +22,18 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ChartDomainError, EnergyDriftError
-from .geometry import (ChartMetric, SampledCurve, ScalarField, christoffel,
-                       christoffel_along, cov_derivative_along, hessian_form,
-                       riemann)
+from .geometry import (ChartMetric, SampledCurve, ScalarField, _christoffel, _mv, _quad,
+                       christoffel, cov_derivative_along, hessian_form, riemann)
 
 @dataclass(frozen=True)
 class MechanicalSystem:
-    """Metric plus potential; derivative evaluators of U are optional."""
+    """Metric plus potential; derivative evaluators of U are optional.
+
+    ``U``, ``dU`` and ``d2U`` follow the evaluator contract of
+    :class:`~jacobistab.geometry.ScalarField`: points ``(..., n)`` to
+    ``(...)``, ``(..., n)`` and ``(..., n, n)``.  Every method below takes
+    a single point or a batch.
+    """
 
     metric: ChartMetric
     U: Callable[[np.ndarray], float]
@@ -41,24 +46,33 @@ class MechanicalSystem:
         return ScalarField(value=self.U, partials=self.dU, second_partials=self.d2U,
                            fd_step=self.metric.fd_step, fd_step2=self.metric.fd_step2)
 
-    def energy(self, q, v) -> float:
+    def energy(self, q, v):
         q = np.asarray(q, dtype=float)
         v = np.asarray(v, dtype=float)
-        return 0.5 * float(v @ self.metric.g(q) @ v) + self.potential(q)
+        return (0.5 * _quad(self.metric.g(q), v, v) + self.potential(q))[()]
 
-    def grad_potential(self, q) -> np.ndarray:
-        """Raised gradient components ``g^{ij} d_j U``."""
+    def grad_potential(self, q, ginv=None) -> np.ndarray:
+        """Raised gradient components ``g^{ij} d_j U``; ``ginv`` reuses an
+        inverse metric already evaluated at ``q``."""
         q = np.asarray(q, dtype=float)
-        return self.metric.g_inv(q) @ self.potential.grad_components(q)
+        if ginv is None:
+            ginv = self.metric.g_inv(q)
+        return _mv(ginv, self.potential.grad_components(q))
 
-    def hess_potential_raised(self, q) -> np.ndarray:
-        """Matrix ``A^i_l`` with ``(nabla_V grad U)^i = A^i_l V^l``."""
+    def hess_potential_raised(self, q, ginv=None, gamma=None) -> np.ndarray:
+        """Matrix ``A^i_l`` with ``(nabla_V grad U)^i = A^i_l V^l``; ``ginv``
+        and ``gamma`` reuse data already evaluated at ``q``."""
         q = np.asarray(q, dtype=float)
-        return self.metric.g_inv(q) @ hessian_form(self.metric, self.potential, q)
+        if ginv is None:
+            ginv = self.metric.g_inv(q)
+        return ginv @ hessian_form(self.metric, self.potential, q, gamma=gamma)
 
     def acceleration(self, q, v) -> np.ndarray:
-        gam = christoffel(self.metric, q)
-        return -np.einsum('ijk,j,k->i', gam, v, v) - self.grad_potential(q)
+        q = self.metric.check_point(q)
+        ginv = self.metric.g_inv(q)
+        gam = _christoffel(self.metric, q, ginv)
+        return (-np.einsum('...ijk,...j,...k->...i', gam, v, v)
+                - self.grad_potential(q, ginv))
 
 
 def energy_of(sys: MechanicalSystem, q, v) -> float:
@@ -172,13 +186,13 @@ def _rk4(rhs, y0, t0, n_steps, h):
     return out
 
 
-def integrate_newton(sys: MechanicalSystem, q0, v0, t_span, step,
-                     drift_bound: float = 1e-6) -> Trajectory:
-    """Fixed-step RK4 solution of the equations of motion.
+def _newton_flow(sys: MechanicalSystem, q0, v0, t_span, step, drift_bound):
+    """Fixed-step RK4 solutions of the equations of motion for a batch of
+    initial data ``(..., n)``, advanced together.
 
-    Halts with a chart-domain error if the solution leaves the chart and
-    with an energy-drift error if the conserved energy moves by more than
-    ``drift_bound`` (relative).
+    Returns ``(times, h, e0, ys)``: the sample times, the step used, the
+    initial energies ``(...)`` and the states ``(N + 1, ..., 2n)``.  Raises
+    at the first sample where any run leaves the chart or drifts in energy.
     """
     q0 = sys.metric.check_point(q0)
     v0 = np.asarray(v0, dtype=float)
@@ -188,34 +202,62 @@ def integrate_newton(sys: MechanicalSystem, q0, v0, t_span, step,
     n_steps = max(1, int(round((t1 - t0) / step)))
     h = (t1 - t0) / n_steps
     e0 = sys.energy(q0, v0)
-    n = q0.size
+    n = q0.shape[-1]
 
     def rhs(t, y):
-        q, v = y[:n], y[n:]
+        q, v = y[..., :n], y[..., n:]
         try:
             acc = sys.acceleration(q, v)
         except ChartDomainError as exc:
             raise ChartDomainError(f"left chart domain at t={t:.6g}") from exc
-        return np.concatenate([v, acc])
+        return np.concatenate([v, acc], axis=-1)
 
-    ys = _rk4(rhs, np.concatenate([q0, v0]), t0, n_steps, h)
+    ys = _rk4(rhs, np.concatenate([q0, v0], axis=-1), t0, n_steps, h)
     times = t0 + h * np.arange(n_steps + 1)
-    points, velocities = ys[:, :n], ys[:, n:]
-    for k in range(n_steps + 1):
-        if not sys.metric.contains(points[k]):
-            raise ChartDomainError(f"left chart domain at t={times[k]:.6g}")
-        drift = abs(sys.energy(points[k], velocities[k]) - e0) / max(1.0, abs(e0))
-        if drift > drift_bound:
-            raise EnergyDriftError(
-                f"energy drift {drift:.3e} exceeded bound {drift_bound:.3e} at t={times[k]:.6g}")
-    return Trajectory(times, points, velocities, energy=e0, step=h)
+    _check_flow(sys, times, ys[..., :n], ys[..., n:], e0, drift_bound)
+    return times, h, e0, ys
+
+
+def _check_flow(sys, times, points, velocities, e0, drift_bound):
+    """Domain and energy checks over all samples in one batched pass.
+
+    Errors are reported at the earliest sample: a domain exit there, or an
+    energy drift above ``drift_bound`` (relative) or not finite before it.
+    """
+    inside = sys.metric.contains(points).reshape(len(times), -1).all(axis=1)
+    n_in = int(np.argmin(inside)) if not inside.all() else len(times)
+    energy = sys.energy(points[:n_in], velocities[:n_in])
+    drift = np.abs(energy - e0) / np.maximum(1.0, np.abs(e0))
+    over = ~(drift <= drift_bound)
+    if np.any(over):
+        k = int(np.argmax(over.reshape(n_in, -1).any(axis=1)))
+        raise EnergyDriftError(
+            f"energy drift {np.max(drift[k]):.3e} exceeded bound {drift_bound:.3e} "
+            f"at t={times[k]:.6g}")
+    if n_in < len(times):
+        raise ChartDomainError(f"left chart domain at t={times[n_in]:.6g}")
+
+
+def integrate_newton(sys: MechanicalSystem, q0, v0, t_span, step,
+                     drift_bound: float = 1e-6) -> Trajectory:
+    """Fixed-step RK4 solution of the equations of motion.
+
+    Halts with a chart-domain error if the solution leaves the chart and
+    with an energy-drift error if the conserved energy moves by more than
+    ``drift_bound`` (relative) or stops being finite.
+    """
+    times, h, e0, ys = _newton_flow(sys, q0, v0, t_span, step, drift_bound)
+    n = ys.shape[-1] // 2
+    return Trajectory(times, ys[:, :n], ys[:, n:], energy=float(e0), step=h)
 
 
 class CurveGeometry:
     """Metric and potential data cached along a batch of points.
 
-    Evaluating Christoffel symbols and curvature once per trajectory keeps
-    repeated operator evaluations cheap.
+    Each field is evaluated once per trajectory in one vectorized pass over
+    all points, and the Christoffel symbols, curvature and potential terms
+    share one inverse metric, which keeps repeated operator evaluations
+    cheap.
     """
 
     def __init__(self, metric: ChartMetric, points, sys: Optional[MechanicalSystem] = None):
@@ -225,31 +267,32 @@ class CurveGeometry:
 
     @cached_property
     def g(self):
-        return np.stack([self.metric.g(q) for q in self.points])
+        return self.metric.g(self.points)
 
     @cached_property
     def g_inv(self):
-        return np.stack([self.metric.g_inv(q) for q in self.points])
+        return self.metric.g_inv(self.points)
 
     @cached_property
     def gamma(self):
-        return christoffel_along(self.metric, self.points)
+        return christoffel(self.metric, self.points, self.g_inv)
 
     @cached_property
     def riem(self):
-        return np.stack([riemann(self.metric, q) for q in self.points])
+        return riemann(self.metric, self.points, gamma=self.gamma, ginv=self.g_inv)
 
     @cached_property
     def grad_U(self):
-        return np.stack([self.sys.grad_potential(q) for q in self.points])
+        return self.sys.grad_potential(self.points, ginv=self.g_inv)
 
     @cached_property
     def hess_U_raised(self):
-        return np.stack([self.sys.hess_potential_raised(q) for q in self.points])
+        return self.sys.hess_potential_raised(self.points, ginv=self.g_inv,
+                                              gamma=self.gamma)
 
     @cached_property
     def U(self):
-        return np.array([self.sys.potential(q) for q in self.points])
+        return self.sys.potential(self.points)
 
 
 def _check_attached(traj: Trajectory, dev: DeviationField):
@@ -276,14 +319,16 @@ def hessian_operator(sys: MechanicalSystem, traj: Trajectory, dev: DeviationFiel
     return term1 + term2 + term3
 
 
-def _component_splines(times, arrays):
-    """Cubic interpolation of sampled tensor components along the trajectory."""
-    flat = arrays.reshape(len(times), -1)
-    spline = CubicSpline(times, flat, axis=0)
-    shape = arrays.shape[1:]
+def _joint_spline(times, arrays):
+    """One cubic spline through several sampled tensors along a trajectory;
+    the returned callable gives every tensor at a time from one evaluation."""
+    spline = CubicSpline(times, np.concatenate(
+        [a.reshape(len(times), -1) for a in arrays], axis=1), axis=0)
+    shapes = [a.shape[1:] for a in arrays]
+    cuts = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
 
     def at(t):
-        return spline(t).reshape(shape)
+        return [part.reshape(s) for part, s in zip(np.split(spline(t), cuts), shapes)]
 
     return at
 
@@ -299,18 +344,15 @@ def integrate_deviation(sys: MechanicalSystem, traj: Trajectory, V0, DV0,
     cache = cache or CurveGeometry(sys.metric, traj.points, sys)
     times = traj.times
     n = traj.dim
-    gamma_at = _component_splines(times, cache.gamma)
-    riem_at = _component_splines(times, cache.riem)
-    hess_at = _component_splines(times, cache.hess_U_raised)
-    vel_spline = CubicSpline(times, traj.velocities, axis=0)
+    coeffs_at = _joint_spline(times, (cache.gamma, cache.riem, cache.hess_U_raised,
+                                      traj.velocities))
 
     def rhs(t, y):
         V, W = y[:n], y[n:]
-        gam = gamma_at(t)
-        vel = vel_spline(t)
+        gam, riem, hess, vel = coeffs_at(t)
         dV = W - np.einsum('ijk,j,k->i', gam, vel, V)
-        curv = np.einsum('labc,a,b,c->l', riem_at(t), vel, V, vel)
-        force = hess_at(t) @ V
+        curv = np.einsum('labc,a,b,c->l', riem, vel, V, vel)
+        force = hess @ V
         dW = -curv - force - np.einsum('ijk,j,k->i', gam, vel, W)
         return np.concatenate([dV, dW])
 
@@ -327,16 +369,19 @@ def brute_force_deviation(sys: MechanicalSystem, q0, v0, dq, dv, alpha,
     and returns ``(γ_+ - γ_-) / (2 alpha)`` sampled on the base grid.  This
     is the independent oracle for :func:`integrate_deviation`; the matching
     initial data there are ``V0 = dq`` and
-    ``DV0 = dv + Γ(q0)(v0, dq)``.
+    ``DV0 = dv + Γ(q0)(v0, dq)``.  The three runs advance together as one
+    ``(3, 2n)`` ensemble.
     """
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     dq = np.asarray(dq, dtype=float)
     dv = np.asarray(dv, dtype=float)
-    base = integrate_newton(sys, q0, v0, t_span, step)
-    plus = integrate_newton(sys, q0 + alpha * dq, v0 + alpha * dv, t_span, step)
-    minus = integrate_newton(sys, q0 - alpha * dq, v0 - alpha * dv, t_span, step)
-    V = (plus.points - minus.points) / (2.0 * alpha)
+    qs = np.stack([q0, q0 + alpha * dq, q0 - alpha * dq])
+    vs = np.stack([v0, v0 + alpha * dv, v0 - alpha * dv])
+    times, h, e0, ys = _newton_flow(sys, qs, vs, t_span, step, drift_bound=1e-6)
+    n = q0.size
+    base = Trajectory(times, ys[:, 0, :n], ys[:, 0, n:], energy=float(e0[0]), step=h)
+    V = (ys[:, 1, :n] - ys[:, 2, :n]) / (2.0 * alpha)
     DV = cov_derivative_along(sys.metric, base.as_curve(), V, order=2)
     return DeviationField(base, V, DV)
 

@@ -4,7 +4,9 @@ Supports ``+ - * / ^``, the functions ``sin cos exp ln``, numeric
 literals, ``pi``, and chart variables ``q1..qn``.  Expressions are parsed
 with Python's ``ast`` module against a strict node whitelist (``^`` is
 rewritten to ``**`` first), then compiled once and evaluated with empty
-builtins.
+builtins.  Evaluation uses numpy ufuncs on whole point batches
+(``q1 = P[..., 0]``), so compiled expressions meet the evaluator contract
+of :mod:`jacobistab.geometry` directly.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ChartDomainError, ConfigError
 from .geometry import ChartMetric, ScalarField
 
-_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log}
 _CONSTANTS = {"pi": math.pi}
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -57,7 +59,11 @@ def _validate(node: ast.AST, dim: int, src: str) -> None:
 
 
 def compile_expression(src: str, dim: int):
-    """Compile an expression string into ``point -> float``."""
+    """Compile an expression string into ``points (..., dim) -> values (...)``.
+
+    ``ln`` of a value <= 0, division by zero and overflow raise
+    :class:`ChartDomainError` instead of yielding NaN or inf.
+    """
     text = src.replace("^", "**")
     try:
         tree = ast.parse(text, mode="eval")
@@ -71,8 +77,13 @@ def compile_expression(src: str, dim: int):
 
     def fn(p):
         p = np.asarray(p, dtype=float)
-        scope = {f"q{i+1}": float(p[i]) for i in range(dim)}
-        return float(eval(code, env, scope))
+        scope = {f"q{i+1}": p[..., i] for i in range(dim)}
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                val = np.asarray(eval(code, env, scope), dtype=float)
+        except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
+            raise ChartDomainError(f"expression {src!r} undefined: {exc}") from None
+        return np.broadcast_to(val, p.shape[:-1])[()]
 
     return fn
 
@@ -93,14 +104,18 @@ def metric_from_exprs(entries: dict, dim: int) -> ChartMetric:
     for (i, j), src in entries.items():
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise ConfigError(f"metric index ({i},{j}) out of range for dim={dim}")
-        fn = compile_expression(src, dim)
-        compiled[(i - 1, j - 1)] = fn
-        compiled.setdefault((j - 1, i - 1), fn)
+        compiled[(i - 1, j - 1)] = compile_expression(src, dim)
+    # each expression is evaluated once and fills its missing mirror entry too
+    slots = [(fn, [(a, b)] + ([(b, a)] if (b, a) not in compiled else []))
+             for (a, b), fn in compiled.items()]
 
     def g_eval(p):
-        out = np.eye(dim)
-        for (a, b), fn in compiled.items():
-            out[a, b] = fn(p)
+        out = np.empty(p.shape[:-1] + (dim, dim))
+        out[...] = np.eye(dim)
+        for fn, cells in slots:
+            val = fn(p)
+            for a, b in cells:
+                out[..., a, b] = val
         return out
 
     return ChartMetric(dim=dim, g_eval=g_eval, name="custom")

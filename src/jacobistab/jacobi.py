@@ -30,7 +30,8 @@ from .conformal import ConformalFactor, conformal_rescale
 from .dynamics import (CurveGeometry, DeviationField, MechanicalSystem,
                        Trajectory, _rk4, hessian_operator, integrate_newton)
 from .errors import ChartDomainError, ForbiddenRegionError
-from .geometry import ChartMetric, SampledCurve, christoffel, cov_derivative_along
+from .geometry import (ChartMetric, SampledCurve, _first_point, christoffel,
+                       cov_derivative_along)
 from .numdiff import cumulative_simpson, local_derivative
 
 
@@ -44,25 +45,29 @@ class JacobiMetric:
     factor: ConformalFactor
     h: ChartMetric
 
-    def clearance(self, p) -> float:
-        """E - U at a point."""
-        return self.E - self.system.potential(np.asarray(p, dtype=float))
+    def clearance(self, p):
+        """E - U at each point of a batch ``(..., n)``."""
+        return self.E - self.system.potential(p)
+
+    def _forbidden(self, c):
+        """Mask of clearances at or below the margin, or not finite."""
+        return ~(np.isfinite(c) & (c > self.margin))
 
     def check_clear(self, p) -> None:
-        c = self.clearance(p)
-        if not np.isfinite(c) or c <= self.margin:
+        c = np.asarray(self.clearance(p))
+        bad = self._forbidden(c)
+        if bad.any():
             raise ForbiddenRegionError(
-                f"forbidden region: E - U = {c:.3e} <= margin {self.margin:.3e} "
-                f"at {np.asarray(p).tolist()}")
+                f"forbidden region: E - U = {c[bad][0]:.3e} <= margin {self.margin:.3e} "
+                f"at {_first_point(p, bad)}")
 
     def factor_values(self, points) -> np.ndarray:
         """``2 (E - U)`` sampled along a batch of points, margin enforced."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        w = np.array([self.clearance(q) for q in points])
-        bad = np.nonzero(w <= self.margin)[0]
+        w = np.asarray(self.clearance(points))
+        bad = np.flatnonzero(self._forbidden(w))
         if bad.size:
             raise ForbiddenRegionError(
-                f"forbidden region: E - U = {w[bad[0]]:.3e} <= margin "
+                f"forbidden region: E - U = {w.flat[bad[0]]:.3e} <= margin "
                 f"{self.margin:.3e} at sample {int(bad[0])}")
         return 2.0 * w
 
@@ -81,8 +86,8 @@ def jacobi_metric(sys: MechanicalSystem, E: float, margin: Optional[float] = Non
     def f(p):
         return 2.0 * (E - pot(p))
 
-    df = None if sys.dU is None else (lambda p: -2.0 * np.asarray(sys.dU(p), dtype=float))
-    d2f = None if sys.d2U is None else (lambda p: -2.0 * np.asarray(sys.d2U(p), dtype=float))
+    df = None if sys.dU is None else (lambda p: -2.0 * pot.grad_components(p))
+    d2f = None if sys.d2U is None else (lambda p: -2.0 * pot.hess_components(p))
     factor = ConformalFactor(f=f, df=df, d2f=d2f,
                              fd_step=sys.metric.fd_step, fd_step2=sys.metric.fd_step2)
 
@@ -388,7 +393,7 @@ def _geodesic_positions_at_times(jm: JacobiMetric, geo: GeodesicRecord, times):
         for _ in range(6):
             ys = sol(s)
             t_err = ys[2 * n] - times
-            w2 = np.array([2.0 * jm.clearance(q) for q in ys[:n].T])
+            w2 = 2.0 * jm.clearance(ys[:n].T)
             s = np.clip(s - t_err * w2, geo.s[0], geo.s[-1])
         return sol(s)[:n].T
     s = PchipInterpolator(geo.t_of_s, geo.s)(times)

@@ -17,42 +17,42 @@ import numpy as np
 
 
 def central_diff(fn, p, step):
-    """Central-difference partials of ``fn`` at ``p``.
+    """Central-difference partials of ``fn`` at each point of a batch.
 
-    Returns an array whose axis 0 is the derivative index:
-    ``out[k] = d fn / d p_k``.
+    ``p`` is ``(..., n)`` and ``fn`` maps ``(..., n)`` points to values
+    ``(..., *s)``.  All 2n stencil points are evaluated in one call of
+    ``fn``.  The derivative index follows the batch axes:
+    ``out[..., k, *s] = d fn / d p_k``.
     """
     p = np.asarray(p, dtype=float)
-    rows = []
-    for k in range(p.size):
-        e = np.zeros(p.size)
-        e[k] = step
-        rows.append((np.asarray(fn(p + e), dtype=float)
-                     - np.asarray(fn(p - e), dtype=float)) / (2.0 * step))
-    return np.stack(rows)
+    n = p.shape[-1]
+    e = step * np.eye(n)
+    stencil = np.concatenate([p[..., None, :] + e, p[..., None, :] - e], axis=-2)
+    f = np.moveaxis(np.asarray(fn(stencil), dtype=float), p.ndim - 1, 0)
+    return np.moveaxis((f[:n] - f[n:]) / (2.0 * step), 0, p.ndim - 1)
 
 
 def central_diff2(fn, p, step):
-    """Second central-difference partials, ``out[k, l] = d^2 fn / dp_k dp_l``."""
+    """Second central-difference partials at each point of a batch,
+    ``out[..., k, l, *s] = d^2 fn / dp_k dp_l``, from one call of ``fn``."""
     p = np.asarray(p, dtype=float)
-    n = p.size
-    f0 = np.asarray(fn(p), dtype=float)
+    n = p.shape[-1]
+    e = step * np.eye(n)
+    k, l = np.triu_indices(n, 1)
+    ek, el = e[k], e[l]
+    offsets = np.concatenate([np.zeros((1, n)), e, -e,
+                              ek + el, ek - el, -ek + el, -ek - el])
+    f = np.moveaxis(np.asarray(fn(p[..., None, :] + offsets), dtype=float),
+                    p.ndim - 1, 0)
+    f0, fp, fm = f[0], f[1:n + 1], f[n + 1:2 * n + 1]
+    fpp, fpm, fmp, fmm = np.split(f[2 * n + 1:], 4)
     out = np.empty((n, n) + f0.shape)
-    for k in range(n):
-        ek = np.zeros(n)
-        ek[k] = step
-        out[k, k] = (np.asarray(fn(p + ek), dtype=float) - 2.0 * f0
-                     + np.asarray(fn(p - ek), dtype=float)) / step**2
-        for l in range(k + 1, n):
-            el = np.zeros(n)
-            el[l] = step
-            mixed = (np.asarray(fn(p + ek + el), dtype=float)
-                     - np.asarray(fn(p + ek - el), dtype=float)
-                     - np.asarray(fn(p - ek + el), dtype=float)
-                     + np.asarray(fn(p - ek - el), dtype=float)) / (4.0 * step**2)
-            out[k, l] = mixed
-            out[l, k] = mixed
-    return out
+    diag = np.arange(n)
+    out[diag, diag] = (fp - 2.0 * f0 + fm) / step**2
+    mixed = (fpp - fpm - fmp + fmm) / (4.0 * step**2)
+    out[k, l] = mixed
+    out[l, k] = mixed
+    return np.moveaxis(out, (0, 1), (p.ndim - 1, p.ndim))
 
 
 def local_derivative(x, y, m=1, width=7):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MechanicalSystem
-from .geometry import flat_metric, hyperbolic_metric, sphere_metric
+from .geometry import _dot, flat_metric, hyperbolic_metric, sphere_metric
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,9 @@ class SystemSetup:
     sample_box: tuple = ((-1.0, -1.0), (1.0, 1.0))
 
 
+# Potentials follow the evaluator contract: points (..., n) to values (...),
+# partials (..., n) and second partials (..., n, n); constants broadcast.
+
 def _zero_potential(dim):
     return dict(U=lambda q: 0.0,
                 dU=lambda q: np.zeros(dim),
@@ -46,8 +49,8 @@ def flat_free() -> SystemSetup:
 
 def flat_harmonic() -> SystemSetup:
     sys = MechanicalSystem(flat_metric(2),
-                           U=lambda q: 0.5 * float(q @ q),
-                           dU=lambda q: np.asarray(q, dtype=float),
+                           U=lambda q: 0.5 * _dot(q, q),
+                           dU=lambda q: q,
                            d2U=lambda q: np.eye(2),
                            name="flat-harmonic")
     return SystemSetup("flat-harmonic", sys, energy=1.0,
@@ -57,7 +60,7 @@ def flat_harmonic() -> SystemSetup:
 
 def uniform_gravity() -> SystemSetup:
     sys = MechanicalSystem(flat_metric(2),
-                           U=lambda q: float(q[0]),
+                           U=lambda q: q[..., 0],
                            dU=lambda q: np.array([1.0, 0.0]),
                            d2U=lambda q: np.zeros((2, 2)),
                            name="uniform-gravity")
@@ -76,11 +79,18 @@ def sphere_free() -> SystemSetup:
 
 
 def sphere_cosine() -> SystemSetup:
-    sys = MechanicalSystem(sphere_metric(),
-                           U=lambda q: float(np.cos(q[0])),
-                           dU=lambda q: np.array([-np.sin(q[0]), 0.0]),
-                           d2U=lambda q: np.array([[-np.cos(q[0]), 0.0], [0.0, 0.0]]),
-                           name="sphere-cos")
+    def dU(q):
+        out = np.zeros(q.shape)
+        out[..., 0] = -np.sin(q[..., 0])
+        return out
+
+    def d2U(q):
+        out = np.zeros(q.shape + (2,))
+        out[..., 0, 0] = -np.cos(q[..., 0])
+        return out
+
+    sys = MechanicalSystem(sphere_metric(), U=lambda q: np.cos(q[..., 0]),
+                           dU=dU, d2U=d2U, name="sphere-cos")
     # theta oscillates between pi/2 and ~2.47; E - U stays >= 0.5
     return SystemSetup("sphere-cos", sys, energy=0.5,
                        q0=np.array([np.pi / 2.0, 0.0]), v0=np.array([0.0, 1.0]),

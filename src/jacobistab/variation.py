@@ -34,7 +34,7 @@ from scipy.integrate import simpson
 
 from .dynamics import (CurveGeometry, DeviationField, MechanicalSystem,
                        Trajectory, _write_text_atomic, hessian_operator)
-from .geometry import cov_derivative_along
+from .geometry import _quad, cov_derivative_along
 from .jacobi import (JacobiMetric, geodesic_from_trajectory, jacobi_metric,
                      jacobi_operator_direct, equal_energy_projection)
 
@@ -274,8 +274,8 @@ def action_of_displaced(sys: MechanicalSystem, traj: Trajectory, var: ProperVari
     """Mechanical action of the coordinate-displaced curve ``γ + ξ V``."""
     pts = traj.points + xi * var.values
     vel = traj.velocities + xi * var.dvalues
-    kin = 0.5 * np.array([v @ sys.metric.g(q) @ v for q, v in zip(pts, vel)])
-    pot = np.array([sys.potential(q) for q in pts])
+    kin = 0.5 * _quad(sys.metric.g(pts), vel, vel)
+    pot = sys.potential(pts)
     return float(simpson(kin - pot, x=traj.times))
 
 

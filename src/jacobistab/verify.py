@@ -20,7 +20,7 @@ from .conformal import ConformalFactor, lemma_residuals
 from .dynamics import (CurveGeometry, DeviationField, brute_force_deviation,
                        integrate_deviation, integrate_newton,
                        linearization_initial_data)
-from .geometry import ChartMetric, cov_derivative_along, metric_by_name
+from .geometry import ChartMetric, _dot, cov_derivative_along, metric_by_name
 from .jacobi import (geodesic_from_trajectory, jacobi_metric,
                      jacobi_operator_direct, jacobi_operator_via_g,
                      equal_energy_projection, maupertuis_roundtrip,
@@ -142,17 +142,16 @@ def _contexts(system_names=None):
 
 def exp2x_factor() -> ConformalFactor:
     def f(p):
-        return float(np.exp(2.0 * p[0]))
+        return np.exp(2.0 * p[..., 0])
 
     def df(p):
-        out = np.zeros(np.asarray(p).size)
-        out[0] = 2.0 * np.exp(2.0 * p[0])
+        out = np.zeros(p.shape)
+        out[..., 0] = 2.0 * np.exp(2.0 * p[..., 0])
         return out
 
     def d2f(p):
-        n = np.asarray(p).size
-        out = np.zeros((n, n))
-        out[0, 0] = 4.0 * np.exp(2.0 * p[0])
+        out = np.zeros(p.shape + p.shape[-1:])
+        out[..., 0, 0] = 4.0 * np.exp(2.0 * p[..., 0])
         return out
 
     return ConformalFactor(f=f, df=df, d2f=d2f)
@@ -162,12 +161,10 @@ def jacobi_harmonic_factor(E: float = 5.0) -> ConformalFactor:
     """Jacobi-style factor ``2(E - U)`` for a harmonic potential."""
 
     def f(p):
-        p = np.asarray(p, dtype=float)
-        return float(2.0 * (E - 0.5 * p @ p))
+        return 2.0 * (E - 0.5 * _dot(p, p))
 
-    return ConformalFactor(f=f,
-                           df=lambda p: -2.0 * np.asarray(p, dtype=float),
-                           d2f=lambda p: -2.0 * np.eye(np.asarray(p).size))
+    return ConformalFactor(f=f, df=lambda p: -2.0 * p,
+                           d2f=lambda p: -2.0 * np.eye(p.shape[-1]))
 
 
 _LEMMA_BOXES = {
@@ -381,8 +378,8 @@ def check_energy_drift(tolerances=None, n_steps: int = 1000, step: float = 1e-3,
     for su in setups:
         traj = integrate_newton(su.system, su.q0, su.v0,
                                 (su.t_span[0], su.t_span[0] + n_steps * step), step)
-        drift = max(abs(su.system.energy(q, v) - traj.energy)
-                    for q, v in zip(traj.points[::25], traj.velocities[::25]))
+        drift = np.max(np.abs(su.system.energy(traj.points[::25], traj.velocities[::25])
+                              - traj.energy))
         drift_rel = drift / max(1.0, abs(traj.energy))
         results.append(_result(f"energy-drift-{su.name}", drift_rel, tol["energy-drift"],
                                steps=n_steps, step=step))

@@ -83,6 +83,22 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg.as_posix(),
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_invalid_step_exit_2(self, harmonic_cfg, tmp_path, capsys):
+        code = main(["simulate", "--config", harmonic_cfg, "--step", "-1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "step > 0" in err
+
+    def test_undefined_expression_is_numerical_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "log.cfg"
+        cfg.write_text("system = custom\npotential = ln(q1)\n"
+                       "q0 = -1.0, 0.0\nv0 = 0.0, 1.0\n")
+        assert main(["simulate", "--config", cfg.as_posix(),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "undefined" in capsys.readouterr().err
+
     def test_custom_system_from_expressions(self, tmp_path):
         cfg = tmp_path / "custom.cfg"
         cfg.write_text("system = custom\nmetric.dim = 2\n"
@@ -194,6 +210,13 @@ class TestVerify:
         names = {v["identity"] for v in verdicts}
         assert {"roundtrip-harmonic", "roundtrip-gravity",
                 "equal-energy-identity", "equal-energy-correction"} <= names
+
+    def test_report_malformed_json_exit_2(self, tmp_path, capsys):
+        (tmp_path / "broken.json").write_text("{not json")
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "broken.json" in err
 
     def test_report_lists_outputs(self, tmp_path, capsys):
         out = tmp_path / "v"

@@ -16,17 +16,16 @@ SPHERE = sphere_metric()
 
 def exp2x_factor():
     def f(p):
-        return float(np.exp(2.0 * p[0]))
+        return np.exp(2.0 * p[..., 0])
 
     def df(p):
-        out = np.zeros(np.asarray(p).size)
-        out[0] = 2.0 * np.exp(2.0 * p[0])
+        out = np.zeros(p.shape)
+        out[..., 0] = 2.0 * np.exp(2.0 * p[..., 0])
         return out
 
     def d2f(p):
-        n = np.asarray(p).size
-        out = np.zeros((n, n))
-        out[0, 0] = 4.0 * np.exp(2.0 * p[0])
+        out = np.zeros(p.shape + p.shape[-1:])
+        out[..., 0, 0] = 4.0 * np.exp(2.0 * p[..., 0])
         return out
 
     return ConformalFactor(f=f, df=df, d2f=d2f)
@@ -34,10 +33,17 @@ def exp2x_factor():
 
 def sphere_energy_factor(E=2.0):
     # 2(E - cos theta) on the sphere chart
-    return ConformalFactor(
-        f=lambda p: float(2.0 * (E - np.cos(p[0]))),
-        df=lambda p: np.array([2.0 * np.sin(p[0]), 0.0]),
-        d2f=lambda p: np.array([[2.0 * np.cos(p[0]), 0.0], [0.0, 0.0]]))
+    def df(p):
+        out = np.zeros(p.shape)
+        out[..., 0] = 2.0 * np.sin(p[..., 0])
+        return out
+
+    def d2f(p):
+        out = np.zeros(p.shape + (2,))
+        out[..., 0, 0] = 2.0 * np.cos(p[..., 0])
+        return out
+
+    return ConformalFactor(f=lambda p: 2.0 * (E - np.cos(p[..., 0])), df=df, d2f=d2f)
 
 
 class TestConformalFactor:

@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from jacobistab.dynamics import (DeviationField, brute_force_deviation,
-                                 energy_of, hessian_operator,
+from jacobistab.dynamics import (DeviationField, MechanicalSystem,
+                                 brute_force_deviation, energy_of, hessian_operator,
                                  integrate_deviation, integrate_newton,
                                  linearization_initial_data)
 from jacobistab.errors import ChartDomainError, EnergyDriftError
-from jacobistab.geometry import cov_derivative_along
+from jacobistab.geometry import cov_derivative_along, flat_metric
 from jacobistab.systems import builtin_setup
 
 FREE = builtin_setup("flat-free")
@@ -45,6 +45,15 @@ class TestIntegrateNewton:
         with pytest.raises(EnergyDriftError):
             integrate_newton(HARMONIC.system, [1.0, 0.0], [0.0, 1.0],
                              (0.0, 1.0), 1e-3, drift_bound=1e-18)
+
+    def test_nonfinite_energy_is_drift(self):
+        # U turns NaN past x = 0.5 while its (analytic) gradient stays 0, so
+        # the motion goes on and only the energy check can notice
+        sys_ = MechanicalSystem(flat_metric(2),
+                                U=lambda q: np.where(q[..., 0] > 0.5, np.nan, 0.0),
+                                dU=lambda q: np.zeros(2), d2U=lambda q: np.zeros((2, 2)))
+        with pytest.raises(EnergyDriftError, match="nan"):
+            integrate_newton(sys_, [0.0, 0.0], [1.0, 0.0], (0.0, 1.0), 1e-2)
 
     def test_csv_and_json_roundtrip(self, tmp_path):
         traj = integrate_newton(FREE.system, [0.0, 0.0], [1.0, 0.0], (0.0, 0.1), 1e-2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jacobistab.errors import ConfigError
+from jacobistab.errors import ChartDomainError, ConfigError
 from jacobistab.expressions import (compile_expression, metric_from_exprs,
                                     scalar_field_from_expr)
 
@@ -59,3 +59,39 @@ def test_metric_from_exprs_symmetric_fill():
     metric = metric_from_exprs({(1, 2): "q1"}, dim=2)
     g = metric.g([0.25, 0.0])
     assert g[0, 1] == g[1, 0] == pytest.approx(0.25)
+
+
+def test_batch_evaluation_matches_points():
+    fn = compile_expression("sin(q1)^2 + q2 / (1 + q1^2) - 2", dim=2)
+    pts = np.random.default_rng(0).uniform(-2.0, 2.0, (7, 3, 2))
+    out = fn(pts)
+    assert out.shape == (7, 3)
+    want = np.array([[fn(p) for p in row] for row in pts])
+    assert np.array_equal(out, want)
+
+
+def test_constant_expression_broadcasts_over_batch():
+    assert compile_expression("pi / 2", dim=2)(np.zeros((4, 2))).shape == (4,)
+
+
+@pytest.mark.parametrize("src,point", [
+    ("ln(q1)", [0.0]),          # ln of zero
+    ("ln(q1)", [-1.0]),         # ln of a negative value
+    ("1 / q1", [0.0]),          # division by zero
+    ("exp(q1)", [1000.0]),      # overflow
+])
+def test_undefined_values_raise_domain_error(src, point):
+    fn = compile_expression(src, dim=1)
+    with pytest.raises(ChartDomainError, match="undefined"):
+        fn(point)
+    with pytest.raises(ChartDomainError):
+        fn(np.array([[0.5], point]))
+
+
+def test_metric_from_exprs_batch():
+    metric = metric_from_exprs({(2, 2): "sin(q1)^2", (1, 2): "0.1*q2"}, dim=2)
+    pts = np.array([[0.3, 0.2], [1.1, -0.4]])
+    g = metric.g(pts)
+    assert g.shape == (2, 2, 2)
+    assert np.array_equal(g, np.stack([metric.g(p) for p in pts]))
+    assert np.array_equal(g, np.swapaxes(g, -1, -2))

@@ -132,7 +132,7 @@ class TestSectionalTensor:
 
 class TestGradScalar:
     def test_flat_quadratic(self):
-        out = grad_scalar(FLAT, lambda p: p[0] ** 2 + p[1] ** 2, [1.0, 2.0])
+        out = grad_scalar(FLAT, lambda p: p[..., 0] ** 2 + p[..., 1] ** 2, [1.0, 2.0])
         assert out.components == pytest.approx([2.0, 4.0], abs=1e-8)
 
     def test_constant_is_zero(self):
@@ -140,11 +140,11 @@ class TestGradScalar:
         assert np.allclose(out.components, 0.0, atol=1e-9)
 
     def test_sphere_cos_theta(self):
-        out = grad_scalar(SPHERE, lambda p: np.cos(p[0]), [np.pi / 4, 0.0])
+        out = grad_scalar(SPHERE, lambda p: np.cos(p[..., 0]), [np.pi / 4, 0.0])
         assert out.components == pytest.approx([-np.sin(np.pi / 4), 0.0], abs=1e-9)
 
     def test_duality_with_differential(self):
-        field = ScalarField(value=lambda p: np.sin(p[0]) * p[1])
+        field = ScalarField(value=lambda p: np.sin(p[..., 0]) * p[..., 1])
         rng = np.random.default_rng(3)
         for _ in range(10):
             p = rng.uniform([0.5, -1.0], [2.5, 1.0])
@@ -157,16 +157,16 @@ class TestGradScalar:
 class TestHessianForm:
     def test_flat_harmonic_identity(self):
         for p in ([0.0, 0.0], [2.0, -1.0]):
-            h = hessian_form(FLAT, lambda q: 0.5 * (q[0] ** 2 + q[1] ** 2), p)
+            h = hessian_form(FLAT, lambda q: 0.5 * (q[..., 0] ** 2 + q[..., 1] ** 2), p)
             assert np.allclose(h, np.eye(2), atol=1e-7)
 
     def test_linear_function_zero(self):
-        h = hessian_form(FLAT, lambda q: 3.0 * q[0] - q[1], [0.4, 0.9])
+        h = hessian_form(FLAT, lambda q: 3.0 * q[..., 0] - q[..., 1], [0.4, 0.9])
         assert np.allclose(h, 0.0, atol=1e-7)
 
     def test_sphere_cos_theta(self):
         p = [np.pi / 4, 0.0]
-        h = hessian_form(SPHERE, lambda q: np.cos(q[0]), p)
+        h = hessian_form(SPHERE, lambda q: np.cos(q[..., 0]), p)
         c = np.cos(np.pi / 4)
         want = np.diag([-c, -np.sin(np.pi / 4) ** 2 * c])
         assert np.allclose(h, want, atol=1e-7)
@@ -174,9 +174,9 @@ class TestHessianForm:
     def test_agrees_with_connection_derivative_of_gradient(self):
         # hessian(f)(X, Y) = <nabla_X grad f, Y>, checked numerically
         field = ScalarField(
-            value=lambda p: np.cos(p[0]) * np.cos(p[1]),
-            partials=lambda p: np.array([-np.sin(p[0]) * np.cos(p[1]),
-                                         -np.cos(p[0]) * np.sin(p[1])]))
+            value=lambda p: np.cos(p[..., 0]) * np.cos(p[..., 1]),
+            partials=lambda p: np.stack([-np.sin(p[..., 0]) * np.cos(p[..., 1]),
+                                         -np.cos(p[..., 0]) * np.sin(p[..., 1])], axis=-1))
         grad_field = VectorField(comp=lambda q: grad_scalar(SPHERE, field, q).components)
         rng = np.random.default_rng(4)
         for _ in range(5):

@@ -37,7 +37,7 @@ def test_local_derivative_rejects_short_input():
 
 def test_central_diff_matches_gradient():
     def f(p):
-        return p[0] ** 2 * p[1] + np.exp(p[1])
+        return p[..., 0] ** 2 * p[..., 1] + np.exp(p[..., 1])
 
     p = np.array([1.2, -0.3])
     d = central_diff(f, p, 1e-5)
@@ -47,7 +47,7 @@ def test_central_diff_matches_gradient():
 
 def test_central_diff2_symmetric():
     def f(p):
-        return np.sin(p[0]) * p[1] ** 3
+        return np.sin(p[..., 0]) * p[..., 1] ** 3
 
     p = np.array([0.7, 1.1])
     h = central_diff2(f, p, 1e-4)
