@@ -12,12 +12,13 @@ from .conformal import (ConformalFactor, conformal_connection,
                         conformal_curvature, conformal_rescale,
                         conformal_second_cov, lemma_residuals, reparam_cov)
 from .dynamics import (DeviationField, MechanicalSystem, Trajectory,
-                       brute_force_deviation, energy_of, hessian_operator,
+                       brute_force_deviation, hessian_operator,
                        integrate_deviation, integrate_newton)
-from .jacobi import (GeodesicRecord, JacobiMetric, geodesic_from_trajectory,
-                     integrate_geodesic, jacobi_metric, jacobi_operator_direct,
-                     jacobi_operator_via_g, equal_energy_projection,
-                     maupertuis_roundtrip, relation_equal_energy, s_of_t)
+from .jacobi import (STENCIL_PAD, GeodesicRecord, JacobiMetric, OrbitBundle,
+                     geodesic_from_trajectory, integrate_geodesic, jacobi_metric,
+                     jacobi_operator_direct, jacobi_operator_via_g,
+                     equal_energy_projection, maupertuis_roundtrip,
+                     relation_equal_energy, s_of_t)
 from .variation import (FunctionalReport, ProperVariation,
                         action_second_difference, evaluate_functionals,
                         make_proper_variation, orthogonal_identity_residual,

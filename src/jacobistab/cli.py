@@ -5,9 +5,10 @@ potential expression strings), run experiments, verify the identity
 suite, and emit CSV / JSON / gnuplot-ready data files.
 
 Exit codes: 0 success, 1 identity failure, 2 configuration or input error
-(including values rejected by validation, such as a negative step),
-3 numerical failure (chart exit, forbidden region, energy drift, an
-expression undefined at a point).
+(including values rejected by validation, such as a negative step, and an
+output directory that cannot be created or read), 3 numerical failure
+(chart exit, forbidden region, energy drift, an expression undefined at a
+point).
 """
 
 from __future__ import annotations
@@ -20,22 +21,21 @@ import sys
 
 import numpy as np
 
-from .dynamics import (CurveGeometry, DeviationField, MechanicalSystem,
+from .dynamics import (MechanicalSystem,
                        _write_csv_atomic, _write_text_atomic,
                        brute_force_deviation, integrate_deviation,
                        integrate_newton, linearization_initial_data)
 from .errors import ConfigError, GeometryError
 from .expressions import metric_from_exprs, scalar_field_from_expr
-from .geometry import BUILTIN_METRICS, cov_derivative_along, metric_by_name
-from .jacobi import (geodesic_from_trajectory, integrate_geodesic,
-                     jacobi_metric, jacobi_operator_direct,
-                     jacobi_operator_via_g, equal_energy_projection,
-                     relation_equal_energy, s_of_t)
-from .numdiff import local_derivative
+from .geometry import BUILTIN_METRICS, metric_by_name, orthogonal_part
+from .jacobi import (STENCIL_PAD, OrbitBundle, equal_energy_projection,
+                     integrate_geodesic, jacobi_metric, relation_equal_energy,
+                     s_of_t)
 from .systems import BUILTIN_SYSTEMS, builtin_setup
 from .variation import (evaluate_functionals, make_proper_variation,
                         write_sweep_csv)
-from .verify import DEFAULT_TOLERANCES, check_lemma_suite, run_verification
+from .verify import (DEFAULT_TOLERANCES, check_lemma_suite, operator_identity_sup,
+                     run_verification)
 
 _METRIC_ENTRY = re.compile(r"^metric\.g\.(\d+)\.(\d+)$")
 
@@ -181,8 +181,9 @@ class Experiment:
         field = scalar_field_from_expr(potential, dim)
         return MechanicalSystem(metric, U=field.value, name="custom")
 
-    def tolerance_overrides(self, args) -> dict:
-        return tolerance_overrides(self.cfg, args)
+    def bundle(self, pad: int = 0) -> OrbitBundle:
+        return OrbitBundle(self.sys, self.energy, self.q0, self.v0, self.t_span,
+                           self.step, pad=pad, drift_bound=self.drift_bound)
 
 
 def tolerance_overrides(cfg: dict, args) -> dict:
@@ -279,48 +280,19 @@ def cmd_deviation(exp: Experiment, args) -> int:
 
 
 def cmd_compare_operators(exp: Experiment, args) -> int:
-    tol = exp.tolerance_overrides(args)
-    tolerances = {**DEFAULT_TOLERANCES, **tol}
-    pad = 10
-    t0, t1 = exp.t_span
-    traj = integrate_newton(exp.sys, exp.q0, exp.v0,
-                            (t0 - pad * exp.step, t1 + pad * exp.step), exp.step,
-                            drift_bound=exp.drift_bound)
-    core = slice(pad, len(traj) - pad)
-    cache = CurveGeometry(exp.sys.metric, traj.points, exp.sys)
-    jm = jacobi_metric(exp.sys, exp.energy)
-    geo = geodesic_from_trajectory(jm, traj)
-    h_cache = CurveGeometry(jm.h, geo.points)
-
+    tolerances = {**DEFAULT_TOLERANCES, **tolerance_overrides(exp.cfg, args)}
+    b = exp.bundle(pad=STENCIL_PAD)
+    traj, core = b.traj, b.core
     rng = np.random.default_rng(exp.seed)
-    span = traj.times[-1] - traj.times[0]
-    phase = np.pi * (traj.times - traj.times[0]) / span
-    identity_sup = 0.0
-    for _ in range(exp.var_count):
-        coeff = rng.uniform(-1.0, 1.0, size=(exp.var_modes, traj.dim))
-        v = np.zeros_like(traj.points)
-        for k, row in enumerate(coeff, start=1):
-            v += np.sin(k * phase)[:, None] * row[None, :]
-        dv = cov_derivative_along(exp.sys.metric, traj.as_curve(), v, order=4,
-                                  gammas=cache.gamma)
-        dev = DeviationField(traj, v, dv)
-        lhs = jacobi_operator_direct(jm, geo, v, cache=h_cache)
-        rhs = jacobi_operator_via_g(exp.sys, exp.energy, traj, dev, cache=cache, jm=jm)
-        identity_sup = max(identity_sup, float(np.max(np.abs((lhs - rhs)[core]))))
+    identity_sup = operator_identity_sup(b, rng, exp.var_count, exp.var_modes)
 
     # equal-energy restriction on an orthogonal field
-    speed2 = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, traj.velocities)
-    raw = np.sin(phase)[:, None] * rng.uniform(-1.0, 1.0, traj.dim)[None, :]
-    mu = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, raw) / speed2
-    vperp = raw - mu[:, None] * traj.velocities
-    dev = equal_energy_projection(exp.sys, traj, vperp, cache=cache)
+    raw = make_proper_variation(traj, coefficients=rng.uniform(-1.0, 1.0, (1, traj.dim)))
+    vperp = orthogonal_part(b.cache.g, traj.velocities, raw.values)
+    dev = equal_energy_projection(exp.sys, traj, vperp, cache=b.cache)
     rep = relation_equal_energy(exp.sys, exp.energy, traj, dev,
-                                cache=cache, jm=jm, h_cache=h_cache)
-
-    w = 0.5 * jm.factor_values(traj.points)
-    v_dot_gu = np.einsum('nij,ni,nj->n', cache.g, dev.V, cache.grad_U)
-    dscal = local_derivative(traj.times, v_dot_gu / w, m=1, width=7)
-    corr = np.abs(dscal[:, None] * traj.velocities / (2.0 * w[:, None]) ** 2).max(axis=1)
+                                cache=b.cache, jm=b.jm, h_cache=b.h_cache)
+    corr = np.abs(rep["correction"]).max(axis=1)
 
     out = _out_dir(exp, args)
     lines = ["# t  correction_magnitude"]
@@ -345,22 +317,17 @@ def cmd_compare_operators(exp: Experiment, args) -> int:
 
 
 def cmd_second_variation(exp: Experiment, args) -> int:
-    traj = integrate_newton(exp.sys, exp.q0, exp.v0, exp.t_span, exp.step,
-                            drift_bound=exp.drift_bound)
-    cache = CurveGeometry(exp.sys.metric, traj.points, exp.sys)
-    jm = jacobi_metric(exp.sys, exp.energy)
-    geo = geodesic_from_trajectory(jm, traj)
-    h_cache = CurveGeometry(jm.h, geo.points)
+    b = exp.bundle()
     reports = []
     for k in range(exp.var_count):
-        var = make_proper_variation(traj, modes=exp.var_modes, seed=exp.seed + k,
+        var = make_proper_variation(b.traj, modes=exp.var_modes, seed=exp.seed + k,
                                     amplitude=exp.var_amplitude)
-        orth = make_proper_variation(traj, modes=exp.var_modes, seed=exp.seed + 1000 + k,
+        orth = make_proper_variation(b.traj, modes=exp.var_modes, seed=exp.seed + 1000 + k,
                                      amplitude=exp.var_amplitude, orthogonal=True,
-                                     sys=exp.sys, cache=cache)
-        reports.append(evaluate_functionals(exp.sys, exp.energy, traj, var,
-                                            orth_var=orth, cache=cache, jm=jm,
-                                            h_cache=h_cache))
+                                     sys=exp.sys, cache=b.cache)
+        reports.append(evaluate_functionals(exp.sys, exp.energy, b.traj, var,
+                                            orth_var=orth, cache=b.cache, jm=b.jm,
+                                            h_cache=b.h_cache))
     out = _out_dir(exp, args)
     write_sweep_csv(os.path.join(out, "second_variation.csv"), reports)
     payload = {"system": exp.name, "E": exp.energy, "count": len(reports),
@@ -490,6 +457,9 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,14 +29,12 @@ class ConformalFactor:
 
     All evaluators take points ``(..., n)``: ``f(p)`` returns ``(...)``
     values, ``df(p)`` the ``(..., n)`` partials of f, ``d2f(p)`` the
-    ``(..., n, n)`` second partials.  ``F_eval``, when given, overrides the
-    derived components ``(..., n)`` of ``F = grad ln f``.
+    ``(..., n, n)`` second partials.
     """
 
     f: Callable[[np.ndarray], float]
     df: Optional[Callable[[np.ndarray], np.ndarray]] = None
     d2f: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    F_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = geo.FD_STEP
     fd_step2: float = geo.FD_STEP2
 
@@ -78,14 +76,11 @@ class ConformalFactor:
     def F_components(self, metric: ChartMetric, p) -> np.ndarray:
         """Components of ``F = grad ln f`` with respect to the base metric."""
         p = np.asarray(p, dtype=float)
-        if self.F_eval is not None:
-            return _shaped(self.F_eval(p), p.shape)
         return _mv(metric.g_inv(p), self.log_partials(p))
 
     def F_field(self, metric: ChartMetric) -> VectorField:
         """``F`` as a vector field, with an analytic Jacobian when available."""
-        analytic = (self.F_eval is None and self.df is not None
-                    and metric.dg_eval is not None)
+        analytic = self.df is not None and metric.dg_eval is not None
 
         def comp(q):
             return self.F_components(metric, q)

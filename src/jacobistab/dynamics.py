@@ -75,11 +75,6 @@ class MechanicalSystem:
                 - self.grad_potential(q, ginv))
 
 
-def energy_of(sys: MechanicalSystem, q, v) -> float:
-    """Mechanical energy ``(1/2) g_ij v^i v^j + U(q)``."""
-    return sys.energy(q, v)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Time-sampled solution of the equations of motion."""
@@ -169,18 +164,30 @@ def _write_csv_atomic(path, header, rows) -> None:
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _rk4(rhs, y0, t0, n_steps, h):
-    """Classical fixed-step RK4; returns samples including y0."""
+def _rk4(rhs, y0, t0, n_steps, h, check=None):
+    """Classical fixed-step RK4; returns samples including y0.
+
+    With ``check``, every new state is passed to it, and a chart-domain
+    error raised by a stage or by ``check`` ends the run early: the samples
+    up to the last accepted state are returned.
+    """
     out = np.empty((n_steps + 1,) + np.shape(y0))
     out[0] = y0
     y = np.asarray(y0, dtype=float)
     t = t0
     for k in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        try:
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if check is not None:
+                check(y)
+        except ChartDomainError:
+            if check is None:
+                raise
+            return out[:k + 1]
         t = t0 + (k + 1) * h
         out[k + 1] = y
     return out

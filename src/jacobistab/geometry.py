@@ -369,6 +369,13 @@ def cov_derivative_along(metric: ChartMetric, curve: SampledCurve, field,
     return dv + corr
 
 
+def orthogonal_part(g, u, v) -> np.ndarray:
+    """Samples ``(N, n)`` of v minus their g-projection on u, where g holds
+    the metric ``(N, n, n)`` at each sample."""
+    mu = np.einsum('nij,ni,nj->n', g, u, v) / np.einsum('nij,ni,nj->n', g, u, u)
+    return v - mu[:, None] * u
+
+
 def field_cov_derivative(metric: ChartMetric, x, z: VectorField, p) -> np.ndarray:
     """``nabla_X Z`` at p for a vector field Z; X may be a TangentVector or field."""
     p = np.asarray(p, dtype=float)

@@ -25,8 +25,7 @@ conversely".
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,9 +33,10 @@ from scipy.integrate import simpson
 
 from .dynamics import (CurveGeometry, DeviationField, MechanicalSystem,
                        Trajectory, _write_text_atomic, hessian_operator)
-from .geometry import _quad, cov_derivative_along
+from .geometry import _quad, cov_derivative_along, orthogonal_part
 from .jacobi import (JacobiMetric, geodesic_from_trajectory, jacobi_metric,
-                     jacobi_operator_direct, equal_energy_projection)
+                     jacobi_operator_direct)
+from .numdiff import local_derivative
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,9 @@ def make_proper_variation(traj: Trajectory, coefficients=None, modes: int = 3,
         if sys is None:
             raise ValueError("orthogonal projection needs the mechanical system")
         cache = cache or CurveGeometry(sys.metric, traj.points, sys)
-        speed2 = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, traj.velocities)
-        mu = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, values) / speed2
-        values = values - mu[:, None] * traj.velocities
+        values = orthogonal_part(cache.g, traj.velocities, values)
         values[0] = 0.0
         values[-1] = 0.0
-        from .numdiff import local_derivative
         dvalues = local_derivative(traj.times, values, m=1, width=7)
 
     return ProperVariation(traj.times, values, dvalues, coefficients, seed=seed)
@@ -117,14 +114,6 @@ def variation_as_deviation(sys: MechanicalSystem, traj: Trajectory,
     cache = cache or CurveGeometry(sys.metric, traj.points, sys)
     corr = np.einsum('nijk,nj,nk->ni', cache.gamma, traj.velocities, var.values)
     return DeviationField(traj, var.values, var.dvalues + corr)
-
-
-def equal_energy_variation(sys: MechanicalSystem, traj: Trajectory,
-                           var: ProperVariation,
-                           cache: Optional[CurveGeometry] = None) -> DeviationField:
-    """Equal-energy completion of an orthogonal variation (loses the endpoint
-    zero at t1 in general)."""
-    return equal_energy_projection(sys, traj, var.values, cache=cache)
 
 
 def _check_grid(traj: Trajectory, var: ProperVariation):
@@ -172,12 +161,70 @@ def second_variation_LJ(sys: MechanicalSystem, E: float, traj: Trajectory,
     jm = jm or jacobi_metric(sys, E)
     geo = geodesic_from_trajectory(jm, traj)
     h_cache = h_cache or CurveGeometry(jm.h, geo.points)
-    tang2 = np.einsum('nij,ni,nj->n', h_cache.g, geo.tangents, geo.tangents)
-    mu = np.einsum('nij,ni,nj->n', h_cache.g, geo.tangents, var.values) / tang2
-    vperp = var.values - mu[:, None] * geo.tangents
+    vperp = orthogonal_part(h_cache.g, geo.tangents, var.values)
     dj_v = jacobi_operator_direct(jm, geo, vperp, cache=h_cache)
     integrand = -np.einsum('nij,ni,nj->n', h_cache.g, dj_v, vperp)
     return float(simpson(integrand, x=geo.s))
+
+
+def _bracket_correction(sys: MechanicalSystem, traj: Trajectory,
+                        var: ProperVariation, cache: CurveGeometry,
+                        jm: JacobiMetric):
+    """t-quadrature of the squared bracket
+    ``[<qdot, nabla_dot V> - <nabla_dot qdot, V>]^2 / (2(E-U))`` and the
+    minimum of its integrand.
+
+    The bracket is evaluated from sampled covariant derivatives (no
+    equations-of-motion substitution), so the integrand is pointwise
+    nonnegative up to rounding.
+    """
+    dev = variation_as_deviation(sys, traj, var, cache=cache)
+    w = 0.5 * jm.factor_values(traj.points)
+    acc = cov_derivative_along(sys.metric, traj.as_curve(), traj.velocities,
+                               order=4, gammas=cache.gamma)
+    bracket = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
+               - np.einsum('nij,ni,nj->n', cache.g, acc, var.values))
+    integrand = bracket**2 / (2.0 * w)
+    return float(simpson(integrand, x=traj.times)), float(np.min(integrand))
+
+
+def _theorem1(sys, traj, var, cache, jm, d2s0j: float, d2s: float) -> dict:
+    """:func:`theorem1_residual` from its two functionals."""
+    dev = variation_as_deviation(sys, traj, var, cache=cache)
+    w = 0.5 * jm.factor_values(traj.points)
+    f_vec = -cache.grad_U / w[:, None]          # F = grad ln(2(E-U))
+    qdot_dv = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
+    f_dot_v = np.einsum('nij,ni,nj->n', cache.g, f_vec, var.values)
+    correction = float(simpson(2.0 * qdot_dv * f_dot_v, x=traj.times))
+    rhs = d2s + correction
+    return {"lhs": d2s0j, "rhs": rhs, "residual": abs(d2s0j - rhs),
+            "d2S": d2s, "correction": correction}
+
+
+def _theorem2(sys, traj, var, cache, jm, d2lj: float, d2s: float) -> dict:
+    """:func:`theorem2_residual` from its two functionals."""
+    correction, integrand_min = _bracket_correction(sys, traj, var, cache, jm)
+    rhs = d2s - correction
+    return {"lhs": d2lj, "rhs": rhs, "residual": abs(d2lj - rhs),
+            "d2S": d2s, "correction": correction, "integrand_min": integrand_min}
+
+
+def _orthogonal(sys, traj, var, cache, jm, d2s: float, d2lj: float,
+                orth_tol: float = 1e-8) -> dict:
+    """:func:`orthogonal_identity_residual` from its two functionals."""
+    orth = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, var.values)
+    if np.max(np.abs(orth)) > orth_tol * max(1.0, float(np.max(np.abs(var.values)))):
+        raise ValueError("variation is not orthogonal to the velocity")
+    geo = geodesic_from_trajectory(jm, traj)
+    w = 0.5 * jm.factor_values(traj.points)
+    # <F_h, V>_h = -<grad U, V>_g / (E - U)
+    phi = -np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, var.values) / w
+    correction = float(simpson(phi**2, x=geo.s))
+    rhs = d2lj + correction
+    bracket = _bracket_correction(sys, traj, var, cache, jm)[0]
+    return {"lhs": d2s, "rhs": rhs, "residual": abs(d2s - rhs),
+            "correction": correction, "d2LJ": d2lj,
+            "pathway_delta": abs(correction - bracket)}
 
 
 def theorem1_residual(sys: MechanicalSystem, E: float, traj: Trajectory,
@@ -193,17 +240,9 @@ def theorem1_residual(sys: MechanicalSystem, E: float, traj: Trajectory,
     """
     cache = cache or CurveGeometry(sys.metric, traj.points, sys)
     jm = jm or jacobi_metric(sys, E)
-    lhs = second_variation_S0J(sys, E, traj, var, jm=jm, h_cache=h_cache)
-    d2s = second_variation_S(sys, traj, var, cache=cache)
-    dev = variation_as_deviation(sys, traj, var, cache=cache)
-    w = 0.5 * jm.factor_values(traj.points)
-    f_vec = -cache.grad_U / w[:, None]
-    qdot_dv = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
-    f_dot_v = np.einsum('nij,ni,nj->n', cache.g, f_vec, var.values)
-    correction = float(simpson(2.0 * qdot_dv * f_dot_v, x=traj.times))
-    rhs = d2s + correction
-    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-            "d2S": d2s, "correction": correction}
+    return _theorem1(sys, traj, var, cache, jm,
+                     second_variation_S0J(sys, E, traj, var, jm=jm, h_cache=h_cache),
+                     second_variation_S(sys, traj, var, cache=cache))
 
 
 def theorem2_residual(sys: MechanicalSystem, E: float, traj: Trajectory,
@@ -214,26 +253,14 @@ def theorem2_residual(sys: MechanicalSystem, E: float, traj: Trajectory,
     """Length identity with the squared-bracket correction.
 
     The correction integrand ``[<qdot, nabla_dot V> - <nabla_dot qdot, V>]^2
-    / (2(E-U))`` is evaluated from sampled covariant derivatives (no
-    equations-of-motion substitution) and is pointwise nonnegative, so
-    ``d2S >= d2LJ`` up to quadrature error.
+    / (2(E-U))`` is pointwise nonnegative, so ``d2S >= d2LJ`` up to
+    quadrature error.
     """
     cache = cache or CurveGeometry(sys.metric, traj.points, sys)
     jm = jm or jacobi_metric(sys, E)
-    lhs = second_variation_LJ(sys, E, traj, var, jm=jm, h_cache=h_cache)
-    d2s = second_variation_S(sys, traj, var, cache=cache)
-    dev = variation_as_deviation(sys, traj, var, cache=cache)
-    w = 0.5 * jm.factor_values(traj.points)
-    acc = cov_derivative_along(sys.metric, traj.as_curve(), traj.velocities,
-                               order=4, gammas=cache.gamma)
-    bracket = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
-               - np.einsum('nij,ni,nj->n', cache.g, acc, var.values))
-    integrand = bracket**2 / (2.0 * w)
-    correction = float(simpson(integrand, x=traj.times))
-    rhs = d2s - correction
-    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-            "d2S": d2s, "correction": correction,
-            "integrand_min": float(np.min(integrand))}
+    return _theorem2(sys, traj, var, cache, jm,
+                     second_variation_LJ(sys, E, traj, var, jm=jm, h_cache=h_cache),
+                     second_variation_S(sys, traj, var, cache=cache))
 
 
 def orthogonal_identity_residual(sys: MechanicalSystem, E: float, traj: Trajectory,
@@ -251,22 +278,10 @@ def orthogonal_identity_residual(sys: MechanicalSystem, E: float, traj: Trajecto
     """
     cache = cache or CurveGeometry(sys.metric, traj.points, sys)
     jm = jm or jacobi_metric(sys, E)
-    orth = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, var.values)
-    if np.max(np.abs(orth)) > orth_tol * max(1.0, float(np.max(np.abs(var.values)))):
-        raise ValueError("variation is not orthogonal to the velocity")
-
-    lhs = second_variation_S(sys, traj, var, cache=cache)
-    d2lj = second_variation_LJ(sys, E, traj, var, jm=jm, h_cache=h_cache)
-    geo = geodesic_from_trajectory(jm, traj)
-    w = 0.5 * jm.factor_values(traj.points)
-    # <F_h, V>_h = -<grad U, V>_g / (E - U)
-    phi = -np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, var.values) / w
-    correction = float(simpson(phi**2, x=geo.s))
-    rhs = d2lj + correction
-    thm2 = theorem2_residual(sys, E, traj, var, cache=cache, jm=jm, h_cache=h_cache)
-    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-            "correction": correction, "d2LJ": d2lj,
-            "pathway_delta": abs(correction - thm2["correction"])}
+    return _orthogonal(sys, traj, var, cache, jm,
+                       second_variation_S(sys, traj, var, cache=cache),
+                       second_variation_LJ(sys, E, traj, var, jm=jm, h_cache=h_cache),
+                       orth_tol)
 
 
 def action_of_displaced(sys: MechanicalSystem, traj: Trajectory, var: ProperVariation,
@@ -302,15 +317,11 @@ class FunctionalReport:
     thm2_correction: float
     thm1_residual: float
     thm2_residual: float
+    integrand_min: float
     orth_residual: Optional[float]
+    pathway_delta: Optional[float]
     grid_size: int
     step: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1)
-
-    def write_json(self, path) -> None:
-        _write_text_atomic(path, self.to_json())
 
 
 SWEEP_COLUMNS = ("system", "E", "seed", "d2S", "d2S0J", "d2LJ",
@@ -339,22 +350,31 @@ def evaluate_functionals(sys: MechanicalSystem, E: float, traj: Trajectory,
                          cache: Optional[CurveGeometry] = None,
                          jm: Optional[JacobiMetric] = None,
                          h_cache: Optional[CurveGeometry] = None) -> FunctionalReport:
-    """Evaluate all three functionals and identity residuals for one variation."""
+    """Evaluate the three functionals of a variation and the identity
+    residuals, plus the orthogonal identity of ``orth_var`` when given.
+
+    Each functional of each field is evaluated once: d2S, d2S0J and d2LJ of
+    ``var``, d2S and d2LJ of ``orth_var``.
+    """
     cache = cache or CurveGeometry(sys.metric, traj.points, sys)
     jm = jm or jacobi_metric(sys, E)
-    if h_cache is None:
-        geo = geodesic_from_trajectory(jm, traj)
-        h_cache = CurveGeometry(jm.h, geo.points)
-    t1 = theorem1_residual(sys, E, traj, var, cache=cache, jm=jm, h_cache=h_cache)
-    t2 = theorem2_residual(sys, E, traj, var, cache=cache, jm=jm, h_cache=h_cache)
-    orth_res = None
+    h_cache = h_cache or CurveGeometry(jm.h, traj.points)
+    d2s = second_variation_S(sys, traj, var, cache=cache)
+    t1 = _theorem1(sys, traj, var, cache, jm,
+                   second_variation_S0J(sys, E, traj, var, jm=jm, h_cache=h_cache), d2s)
+    t2 = _theorem2(sys, traj, var, cache, jm,
+                   second_variation_LJ(sys, E, traj, var, jm=jm, h_cache=h_cache), d2s)
+    orth = {"residual": None, "pathway_delta": None}
     if orth_var is not None:
-        orth = orthogonal_identity_residual(sys, E, traj, orth_var,
-                                            cache=cache, jm=jm, h_cache=h_cache)
-        orth_res = orth["residual"]
+        orth = _orthogonal(sys, traj, orth_var, cache, jm,
+                           second_variation_S(sys, traj, orth_var, cache=cache),
+                           second_variation_LJ(sys, E, traj, orth_var, jm=jm,
+                                               h_cache=h_cache))
     return FunctionalReport(
         system=sys.name, E=E, seed=var.seed,
-        d2S=t1["d2S"], d2S0J=t1["lhs"], d2LJ=t2["lhs"],
+        d2S=d2s, d2S0J=t1["lhs"], d2LJ=t2["lhs"],
         thm1_correction=t1["correction"], thm2_correction=t2["correction"],
         thm1_residual=t1["residual"], thm2_residual=t2["residual"],
-        orth_residual=orth_res, grid_size=len(traj), step=traj.step)
+        integrand_min=t2["integrand_min"],
+        orth_residual=orth["residual"], pathway_delta=orth["pathway_delta"],
+        grid_size=len(traj), step=traj.step)

@@ -9,7 +9,6 @@ tests and the ``verify-all`` CLI command.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -17,18 +16,17 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .conformal import ConformalFactor, lemma_residuals
-from .dynamics import (CurveGeometry, DeviationField, brute_force_deviation,
+from .dynamics import (DeviationField, brute_force_deviation,
                        integrate_deviation, integrate_newton,
                        linearization_initial_data)
 from .geometry import ChartMetric, _dot, cov_derivative_along, metric_by_name
-from .jacobi import (geodesic_from_trajectory, jacobi_metric,
-                     jacobi_operator_direct, jacobi_operator_via_g,
-                     equal_energy_projection, maupertuis_roundtrip,
-                     relation_equal_energy)
+from .jacobi import (STENCIL_PAD, OrbitBundle, jacobi_operator_direct,
+                     jacobi_operator_via_g, equal_energy_projection,
+                     maupertuis_roundtrip, relation_equal_energy)
 from .systems import all_setups, builtin_setup
-from .variation import (action_second_difference, make_proper_variation,
-                        orthogonal_identity_residual, second_variation_LJ,
-                        second_variation_S, theorem2_residual)
+from .variation import (action_second_difference, evaluate_functionals,
+                        make_proper_variation, second_variation_LJ,
+                        second_variation_S)
 
 DEFAULT_TOLERANCES = {
     "lemma-analytic": 1e-7,
@@ -73,67 +71,12 @@ def _result(name, value, tol, comparison="<", **detail):
                        passed=bool(passed), comparison=comparison, detail=detail)
 
 
-class SystemContext:
-    """Lazily integrated trajectories and geometry caches for one system.
-
-    The padded trajectory extends the requested span by a few steps on
-    each side so that operator stencils are centered everywhere on the
-    core window.
-    """
-
-    def __init__(self, setup, pad_steps: int = 10):
-        self.setup = setup
-        self.sys = setup.system
-        self.E = setup.energy
-        self.pad_steps = pad_steps
-
-    @cached_property
-    def traj(self):
-        su = self.setup
-        return integrate_newton(self.sys, su.q0, su.v0, su.t_span, su.step)
-
-    @cached_property
-    def cache(self):
-        return CurveGeometry(self.sys.metric, self.traj.points, self.sys)
-
-    @cached_property
-    def jm(self):
-        return jacobi_metric(self.sys, self.E)
-
-    @cached_property
-    def geo(self):
-        return geodesic_from_trajectory(self.jm, self.traj)
-
-    @cached_property
-    def h_cache(self):
-        return CurveGeometry(self.jm.h, self.geo.points)
-
-    @cached_property
-    def padded_traj(self):
-        su = self.setup
-        pad = self.pad_steps * su.step
-        return integrate_newton(self.sys, su.q0, su.v0,
-                                (su.t_span[0] - pad, su.t_span[1] + pad), su.step)
-
-    @cached_property
-    def padded_cache(self):
-        return CurveGeometry(self.sys.metric, self.padded_traj.points, self.sys)
-
-    @cached_property
-    def padded_geo(self):
-        return geodesic_from_trajectory(self.jm, self.padded_traj)
-
-    @cached_property
-    def padded_h_cache(self):
-        return CurveGeometry(self.jm.h, self.padded_geo.points)
-
-    def core(self):
-        return slice(self.pad_steps, len(self.padded_traj) - self.pad_steps)
+def _setups(system_names=None):
+    return all_setups() if system_names is None else [builtin_setup(n) for n in system_names]
 
 
-def _contexts(system_names=None):
-    setups = all_setups() if system_names is None else [builtin_setup(n) for n in system_names]
-    return [SystemContext(su) for su in setups]
+def _bundle(su, pad: int = 0) -> OrbitBundle:
+    return OrbitBundle(su.system, su.energy, su.q0, su.v0, su.t_span, su.step, pad=pad)
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +169,22 @@ def check_roundtrip(tolerances=None):
     return results
 
 
-def _random_field(rng, times, dim, modes=3):
-    t0, t1 = times[0], times[-1]
-    phase = np.pi * (times - t0) / (t1 - t0)
-    coeff = rng.uniform(-1.0, 1.0, size=(modes, dim))
-    out = np.zeros((len(times), dim))
-    for k, row in enumerate(coeff, start=1):
-        out += np.sin(k * phase)[:, None] * row[None, :]
-    return out
+def operator_identity_sup(b: OrbitBundle, rng, n_fields: int, modes: int = 3) -> float:
+    """Worst residual on the core of ``b`` of the deviation operator of h,
+    computed directly, against its g-expressed formula, over ``n_fields``
+    sine-bump fields with coefficients drawn from ``rng``."""
+    traj = b.traj
+    worst = 0.0
+    for _ in range(n_fields):
+        v = make_proper_variation(
+            traj, coefficients=rng.uniform(-1.0, 1.0, (modes, traj.dim))).values
+        dv = cov_derivative_along(b.sys.metric, traj.as_curve(), v,
+                                  order=4, gammas=b.cache.gamma)
+        lhs = jacobi_operator_direct(b.jm, b.geo, v, cache=b.h_cache)
+        rhs = jacobi_operator_via_g(b.sys, b.E, traj, DeviationField(traj, v, dv),
+                                    cache=b.cache, jm=b.jm)
+        worst = max(worst, float(np.max(np.abs((lhs - rhs)[b.core]))))
+    return worst
 
 
 def check_operator_identity(tolerances=None, n_fields: int = 20, seed: int = 7,
@@ -242,23 +193,12 @@ def check_operator_identity(tolerances=None, n_fields: int = 20, seed: int = 7,
     formula, random deviation fields on every built-in system."""
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     results = []
-    for ctx in _contexts(system_names):
-        rng = np.random.default_rng(seed)
-        traj = ctx.padded_traj
-        core = ctx.core()
-        worst = 0.0
-        for _ in range(n_fields):
-            v = _random_field(rng, traj.times, traj.dim)
-            dv = cov_derivative_along(ctx.sys.metric, traj.as_curve(), v,
-                                      order=4, gammas=ctx.padded_cache.gamma)
-            dev = DeviationField(traj, v, dv)
-            lhs = jacobi_operator_direct(ctx.jm, ctx.padded_geo, v, cache=ctx.padded_h_cache)
-            rhs = jacobi_operator_via_g(ctx.sys, ctx.E, traj, dev,
-                                        cache=ctx.padded_cache, jm=ctx.jm)
-            worst = max(worst, float(np.max(np.abs((lhs - rhs)[core]))))
-        results.append(_result(f"operator-identity-{ctx.setup.name}", worst,
+    for su in _setups(system_names):
+        worst = operator_identity_sup(_bundle(su, pad=STENCIL_PAD),
+                                      np.random.default_rng(seed), n_fields)
+        results.append(_result(f"operator-identity-{su.name}", worst,
                                tol["operator-identity"], fields=n_fields, seed=seed,
-                               step=ctx.setup.step))
+                               step=su.step))
     return results
 
 
@@ -267,14 +207,15 @@ def check_equal_energy(tolerances=None):
     radial case: the identity holds and its correction term stays large."""
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     su = builtin_setup("flat-harmonic")
-    pad = 10 * su.step
-    t0 = -pad
-    q0 = np.array([np.cos(t0), np.sin(t0)])
-    v0 = np.array([-np.sin(t0), np.cos(t0)])
-    traj = integrate_newton(su.system, q0, v0, (t0, 2.0 * np.pi + pad), su.step)
+    t0 = -STENCIL_PAD * su.step          # the circle, parametrized by its angle
+    b = OrbitBundle(su.system, su.energy, np.array([np.cos(t0), np.sin(t0)]),
+                    np.array([-np.sin(t0), np.cos(t0)]), (0.0, 2.0 * np.pi), su.step,
+                    pad=STENCIL_PAD)
+    traj = b.traj
     vperp = np.sin(traj.times)[:, None] * traj.points   # radial field on the circle
-    dev = equal_energy_projection(su.system, traj, vperp)
-    rep = relation_equal_energy(su.system, su.energy, traj, dev)
+    dev = equal_energy_projection(su.system, traj, vperp, cache=b.cache)
+    rep = relation_equal_energy(su.system, su.energy, traj, dev,
+                                jm=b.jm, cache=b.cache, h_cache=b.h_cache)
     return [
         _result("equal-energy-constraint", rep["constraint_sup"],
                 tol["equal-energy-constraint"]),
@@ -288,42 +229,30 @@ def check_equal_energy(tolerances=None):
 def check_theorems(tolerances=None, n_variations: int = 10, seed: int = 11,
                    system_names=None):
     """Free-action and length identities over seeded proper variations."""
-    from .variation import FunctionalReport, theorem1_residual
-
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    worst1 = worst2 = worst_orth = worst_path = 0.0
-    int_min = np.inf
     reports = []
-    for ctx in _contexts(system_names):
+    for su in _setups(system_names):
+        b = _bundle(su)
         for k in range(n_variations):
-            var = make_proper_variation(ctx.traj, modes=3, seed=seed + k)
-            t1 = theorem1_residual(ctx.sys, ctx.E, ctx.traj, var,
-                                   cache=ctx.cache, jm=ctx.jm, h_cache=ctx.h_cache)
-            t2 = theorem2_residual(ctx.sys, ctx.E, ctx.traj, var,
-                                   cache=ctx.cache, jm=ctx.jm, h_cache=ctx.h_cache)
-            ovar = make_proper_variation(ctx.traj, modes=3, seed=seed + 1000 + k,
-                                         orthogonal=True, sys=ctx.sys, cache=ctx.cache)
-            orth = orthogonal_identity_residual(ctx.sys, ctx.E, ctx.traj, ovar,
-                                                cache=ctx.cache, jm=ctx.jm,
-                                                h_cache=ctx.h_cache)
-            worst1 = max(worst1, t1["residual"])
-            worst2 = max(worst2, t2["residual"])
-            worst_orth = max(worst_orth, orth["residual"])
-            worst_path = max(worst_path, orth["pathway_delta"])
-            int_min = min(int_min, t2["integrand_min"])
-            reports.append(FunctionalReport(
-                system=ctx.sys.name, E=ctx.E, seed=seed + k,
-                d2S=t1["d2S"], d2S0J=t1["lhs"], d2LJ=t2["lhs"],
-                thm1_correction=t1["correction"], thm2_correction=t2["correction"],
-                thm1_residual=t1["residual"], thm2_residual=t2["residual"],
-                orth_residual=orth["residual"], grid_size=len(ctx.traj),
-                step=ctx.traj.step))
+            var = make_proper_variation(b.traj, modes=3, seed=seed + k)
+            ovar = make_proper_variation(b.traj, modes=3, seed=seed + 1000 + k,
+                                         orthogonal=True, sys=b.sys, cache=b.cache)
+            reports.append(evaluate_functionals(b.sys, b.E, b.traj, var, orth_var=ovar,
+                                                cache=b.cache, jm=b.jm, h_cache=b.h_cache))
+
+    def worst(key):
+        return max((getattr(r, key) for r in reports), default=0.0)
+
+    worst_path = worst("pathway_delta")
+    int_min = min((r.integrand_min for r in reports), default=np.inf)
     return [
-        _result("theorem1", worst1, tol["theorem1"], variations=n_variations, seed=seed),
-        _result("theorem2", worst2, tol["theorem2"], variations=n_variations, seed=seed),
+        _result("theorem1", worst("thm1_residual"), tol["theorem1"],
+                variations=n_variations, seed=seed),
+        _result("theorem2", worst("thm2_residual"), tol["theorem2"],
+                variations=n_variations, seed=seed),
         _result("theorem2-integrand", int_min, tol["theorem2-integrand-min"],
                 comparison=">"),
-        _result("orthogonal-identity", max(worst_orth, worst_path),
+        _result("orthogonal-identity", max(worst("orth_residual"), worst_path),
                 tol["orthogonal-identity"], pathway_delta=worst_path),
     ], reports
 
@@ -355,8 +284,7 @@ def check_linearization(tolerances=None, alpha: float = 1e-4, seed: int = 3,
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     rng = np.random.default_rng(seed)
     results = []
-    for ctx in _contexts(system_names):
-        su = ctx.setup
+    for su in _setups(system_names):
         dq = rng.uniform(-1.0, 1.0, su.system.metric.dim)
         dv = rng.uniform(-1.0, 1.0, su.system.metric.dim)
         oracle = brute_force_deviation(su.system, su.q0, su.v0, dq, dv,
@@ -374,8 +302,7 @@ def check_energy_drift(tolerances=None, n_steps: int = 1000, step: float = 1e-3,
     """Relative energy drift over a thousand RK4 steps."""
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     results = []
-    setups = all_setups() if system_names is None else [builtin_setup(n) for n in system_names]
-    for su in setups:
+    for su in _setups(system_names):
         traj = integrate_newton(su.system, su.q0, su.v0,
                                 (su.t_span[0], su.t_span[0] + n_steps * step), step)
         drift = np.max(np.abs(su.system.energy(traj.points[::25], traj.velocities[::25])
@@ -397,11 +324,12 @@ def check_action_consistency(tolerances=None, seed: int = 5, xi: float = 3e-4,
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     results = []
-    for ctx in _contexts(system_names):
-        var = make_proper_variation(ctx.traj, modes=3, seed=seed, amplitude=0.5)
-        quad = second_variation_S(ctx.sys, ctx.traj, var, cache=ctx.cache)
-        brute = action_second_difference(ctx.sys, ctx.traj, var, xi=xi)
-        results.append(_result(f"action-consistency-{ctx.setup.name}",
+    for su in _setups(system_names):
+        b = _bundle(su)
+        var = make_proper_variation(b.traj, modes=3, seed=seed, amplitude=0.5)
+        quad = second_variation_S(b.sys, b.traj, var, cache=b.cache)
+        brute = action_second_difference(b.sys, b.traj, var, xi=xi)
+        results.append(_result(f"action-consistency-{su.name}",
                                abs(quad - brute), tol["action-consistency"],
                                d2S=quad, oracle=brute, xi=xi))
     return results

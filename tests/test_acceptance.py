@@ -5,6 +5,8 @@ captured output of a failing run) and asserts the criterion.  Tolerances
 come from the package's verification defaults and are not relaxed here.
 """
 
+import json
+import pathlib
 import time
 
 import pytest
@@ -16,7 +18,17 @@ from jacobistab.verify import (DEFAULT_TOLERANCES, check_action_consistency,
                                check_roundtrip, check_theorems)
 
 
+# Residuals of the full-size checks as first recorded; a change to the code
+# may leave each "<" residual where it is or lower it, never raise it.
+RECORDED = json.loads((pathlib.Path(__file__).parent / "data" / "verify_residuals.json")
+                      .read_text())
+
+
 def _report(criterion, results, elapsed=None, budget=None):
+    for r in results:
+        if r.comparison == "<":
+            assert r.value <= RECORDED[r.name] + 1e-12, (
+                f"{r.name} = {r.value!r} is above its recorded {RECORDED[r.name]!r}")
     ok = all(r.passed for r in results)
     timing = ""
     if elapsed is not None:

@@ -1,0 +1,45 @@
+"""The benchmark's traced run wraps names of the package from outside it
+(``bench/tracer.py``): functions, methods, cached properties and argument
+names.  This test installs that tracer over the package, runs one short
+traced round and uninstalls it, so that a change which removes or renames
+a name the benchmark binds fails here rather than in a benchmark run."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+from jacobistab import verify
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+@pytest.fixture
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_round_binds_every_name(tracer_module):
+    tr = tracer_module.Tracer()
+    tr.install()
+    try:
+        tr.begin_round()
+        results = (verify.check_energy_drift(system_names=["flat-harmonic"])
+                   + verify.check_action_consistency(system_names=["flat-free"]))
+        tr.end_round()
+    finally:
+        tr.uninstall()
+    assert all(r.passed for r in results)
+    st = tr.rounds[0]
+    assert st.calls["dynamics.integrate_newton"] == 2
+    assert st.count["rk4.steps"] > 1000
+    assert st.calls["dynamics.CurveGeometry.__init__"] >= 1
+    assert st.calls["variation.second_variation_S"] == 1
+    metrics = tracer_module.round_metrics(st, (), ())
+    assert metrics["variation.functionals.distinct_ratio"] == 1.0
+    # uninstalled: the package's own functions are back in place
+    assert verify.integrate_newton.__module__ == "jacobistab.dynamics"
+    assert not hasattr(verify.integrate_newton, "__wrapped__")

@@ -152,6 +152,18 @@ class TestCompareOperators:
         assert data["correction_sup"] > 1e-2
         assert data["constraint_sup"] < 1e-8
 
+    def test_sphere_cos_equal_energy_holds_on_core(self, tmp_path):
+        # the equal-energy residual is reported on the core between the
+        # stencil pads, where the operator identity is also taken
+        cfg = tmp_path / "sphere.cfg"
+        cfg.write_text("system = sphere-cos\nt_span = 0.0, 2.0\nstep = 0.002\n")
+        out = tmp_path / "run"
+        assert main(["compare-operators", "--config", cfg.as_posix(),
+                     "--out", str(out)]) == 0
+        data = json.loads((out / "compare_operators.json").read_text())
+        assert data["equal_energy_identity_sup"] < 1e-6
+        assert data["correction_sup"] > 1e-2
+
     def test_constant_potential_correction_vanishes(self, tmp_path):
         cfg = tmp_path / "free.cfg"
         cfg.write_text("system = flat-free\nt_span = 0.0, 2.0\nvariation.count = 2\n")
@@ -226,3 +238,20 @@ class TestVerify:
         text = capsys.readouterr().out
         assert "roundtrip-harmonic" in text
         assert "PASS" in text
+
+
+class TestOutputErrors:
+    def test_report_missing_dir_exit_2(self, tmp_path, capsys):
+        assert main(["report", "--out", str(tmp_path / "missing")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "missing" in err
+
+    def test_out_under_regular_file_exit_2(self, harmonic_cfg, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["simulate", "--config", harmonic_cfg,
+                     "--out", str(blocker / "run")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "output error" in err

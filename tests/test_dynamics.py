@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jacobistab.dynamics import (DeviationField, MechanicalSystem,
-                                 brute_force_deviation, energy_of, hessian_operator,
+                                 brute_force_deviation, hessian_operator,
                                  integrate_deviation, integrate_newton,
                                  linearization_initial_data)
 from jacobistab.errors import ChartDomainError, EnergyDriftError
@@ -69,14 +69,14 @@ class TestIntegrateNewton:
 
 class TestEnergyOf:
     def test_flat_free(self):
-        assert energy_of(FREE.system, [0.0, 0.0], [1.0, 0.0]) == pytest.approx(0.5)
+        assert FREE.system.energy([0.0, 0.0], [1.0, 0.0]) == pytest.approx(0.5)
 
     def test_flat_harmonic(self):
-        assert energy_of(HARMONIC.system, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
+        assert HARMONIC.system.energy([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
 
     def test_sphere_with_potential(self):
         su = builtin_setup("sphere-cos")
-        val = energy_of(su.system, [np.pi / 2, 0.0], [0.0, 1.0])
+        val = su.system.energy([np.pi / 2, 0.0], [0.0, 1.0])
         # (1/2) sin^2(pi/2) * 1 + cos(pi/2)
         assert val == pytest.approx(0.5, abs=1e-14)
 

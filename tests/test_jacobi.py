@@ -68,6 +68,9 @@ class TestIntegrateGeodesic:
         geo = integrate_geodesic(jm, [0.0, 0.0], [1.0, 0.0], (0.0, 0.4), 1e-3)
         assert geo.truncated
         assert geo.s[-1] < 0.34
+        # the record ends at the last step that stays clear, as first recorded
+        assert len(geo) == 334
+        assert geo.points[-1].tolist() == [0.4949395459388092, 0.0]
 
     def test_adaptive_method_matches_fixed_step(self):
         jm = jacobi_metric(HARMONIC.system, 1.0)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from jacobistab.dynamics import CurveGeometry, integrate_newton
-from jacobistab.jacobi import jacobi_metric
+from jacobistab.jacobi import equal_energy_projection, jacobi_metric
 from jacobistab.systems import builtin_setup
 from jacobistab.variation import (FunctionalReport, action_second_difference,
-                                  equal_energy_variation, evaluate_functionals,
+                                  evaluate_functionals,
                                   make_proper_variation,
                                   orthogonal_identity_residual,
                                   second_variation_LJ, second_variation_S,
@@ -253,7 +253,7 @@ class TestEqualEnergyVariation:
         traj = _traj(HARMONIC)
         var = make_proper_variation(traj, modes=2, seed=41, orthogonal=True,
                                     sys=HARMONIC.system)
-        dev = equal_energy_variation(HARMONIC.system, traj, var)
+        dev = equal_energy_projection(HARMONIC.system, traj, var.values)
         g = np.stack([HARMONIC.system.metric.g(q) for q in traj.points])
         resid = (np.einsum('nij,ni,nj->n', g, traj.velocities, dev.DV)
                  + np.einsum('nij,ni,nj->n', g, traj.points, dev.V))
@@ -276,5 +276,26 @@ class TestReports:
         assert lines[0] == ("system,E,seed,d2S,d2S0J,d2LJ,"
                             "thm1_residual,thm2_residual,orth_residual")
         assert len(lines) == 2
-        rep.write_json(tmp_path / "rep.json")
-        assert (tmp_path / "rep.json").exists()
+
+    def test_each_functional_evaluated_once_per_field(self, monkeypatch):
+        import inspect
+
+        from jacobistab import variation
+        from jacobistab.verify import check_theorems
+
+        calls = []
+
+        def counting(name):
+            fn = getattr(variation, name)
+            sig = inspect.signature(fn)
+
+            def wrapped(*args, **kwargs):
+                calls.append((name, sig.bind(*args, **kwargs).arguments["var"].seed))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("second_variation_S", "second_variation_S0J", "second_variation_LJ"):
+            monkeypatch.setattr(variation, name, counting(name))
+        check_theorems(n_variations=2, system_names=["flat-harmonic"])
+        assert len(calls) == 10                 # 5 per variation pair
+        assert len(set(calls)) == len(calls)
