@@ -14,17 +14,15 @@ from .conformal import (ConformalFactor, conformal_connection,
 from .dynamics import (DeviationField, MechanicalSystem, Trajectory,
                        brute_force_deviation, hessian_operator,
                        integrate_deviation, integrate_newton)
-from .jacobi import (STENCIL_PAD, GeodesicRecord, JacobiMetric, OrbitBundle,
+from .jacobi import (STENCIL_CORE, STENCIL_PAD, GeodesicRecord, JacobiMetric,
                      geodesic_from_trajectory, integrate_geodesic, jacobi_metric,
                      jacobi_operator_direct, jacobi_operator_via_g,
-                     equal_energy_projection, maupertuis_roundtrip,
-                     relation_equal_energy, s_of_t)
+                     equal_energy_projection, maupertuis_roundtrip, padded_span,
+                     relation_equal_energy)
 from .variation import (FunctionalReport, ProperVariation,
                         action_second_difference, evaluate_functionals,
-                        make_proper_variation, orthogonal_identity_residual,
-                        second_variation_LJ, second_variation_S,
-                        second_variation_S0J, theorem1_residual,
-                        theorem2_residual)
+                        make_proper_variation, second_variation_LJ,
+                        second_variation_S, second_variation_S0J)
 from .systems import BUILTIN_SYSTEMS, SystemSetup, builtin_setup
 
 __version__ = "0.1.0"

@@ -25,12 +25,12 @@ from .dynamics import (MechanicalSystem,
                        _write_csv_atomic, _write_text_atomic,
                        brute_force_deviation, integrate_deviation,
                        integrate_newton, linearization_initial_data)
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, DegenerateMetricError, GeometryError
 from .expressions import metric_from_exprs, scalar_field_from_expr
-from .geometry import BUILTIN_METRICS, metric_by_name, orthogonal_part
-from .jacobi import (STENCIL_PAD, OrbitBundle, equal_energy_projection,
-                     integrate_geodesic, jacobi_metric, relation_equal_energy,
-                     s_of_t)
+from .geometry import (BUILTIN_METRICS, metric_by_name, orthogonal_part,
+                       validate_metric_at)
+from .jacobi import (STENCIL_CORE, equal_energy_projection, integrate_geodesic,
+                     jacobi_metric, padded_span, relation_equal_energy)
 from .systems import BUILTIN_SYSTEMS, builtin_setup
 from .variation import (evaluate_functionals, make_proper_variation,
                         write_sweep_csv)
@@ -155,6 +155,22 @@ class Experiment:
         self.var_count = _get_int(cfg, "variation.count", 5)
         self.var_orthogonal = _get_bool(cfg, "variation.orthogonal", False)
 
+        n = self.sys.metric.dim
+        for key in ("q0", "v0", "dq", "dv", "direction"):
+            value = getattr(self, key)
+            if value is not None and len(value) != n:
+                raise ConfigError(f"{key}: expected {n} entries, got {len(value)}")
+        for key in ("t_span", "s_span"):
+            span = getattr(self, key)
+            if span is not None and not (len(span) == 2 and span[0] < span[1]):
+                raise ConfigError(f"{key}: expected two increasing numbers, "
+                                  f"got {cfg[key]!r}")
+        if name == "custom":
+            try:
+                validate_metric_at(self.sys.metric, self.q0)
+            except DegenerateMetricError as exc:
+                raise ConfigError(str(exc)) from None
+
         derived = self.sys.energy(self.q0, self.v0)
         stated = _get_float(cfg, "energy")
         if stated is not None and abs(stated - derived) > 1e-10:
@@ -165,6 +181,8 @@ class Experiment:
     @staticmethod
     def _custom_system(cfg) -> MechanicalSystem:
         dim = _get_int(cfg, "metric.dim", 2)
+        if dim < 1:
+            raise ConfigError(f"metric.dim: expected a positive integer, got {dim}")
         entries = {}
         for key, value in cfg.items():
             m = _METRIC_ENTRY.match(key)
@@ -181,9 +199,10 @@ class Experiment:
         field = scalar_field_from_expr(potential, dim)
         return MechanicalSystem(metric, U=field.value, name="custom")
 
-    def bundle(self, pad: int = 0) -> OrbitBundle:
-        return OrbitBundle(self.sys, self.energy, self.q0, self.v0, self.t_span,
-                           self.step, pad=pad, drift_bound=self.drift_bound)
+    def orbit(self, t_span=None):
+        """The configured trajectory, over ``t_span`` if given."""
+        return integrate_newton(self.sys, self.q0, self.v0, t_span or self.t_span,
+                                self.step, drift_bound=self.drift_bound)
 
 
 def tolerance_overrides(cfg: dict, args) -> dict:
@@ -206,12 +225,6 @@ def tolerance_overrides(cfg: dict, args) -> dict:
     return tol
 
 
-def _out_dir(exp, args) -> str:
-    out = args.out or (exp.cfg.get("out") if exp else None) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=1, sort_keys=True))
@@ -223,12 +236,10 @@ def _write_json(path, payload) -> None:
     _write_text_atomic(path, json.dumps(payload, indent=1, sort_keys=True))
 
 
-def cmd_simulate(exp: Experiment, args) -> int:
-    traj = integrate_newton(exp.sys, exp.q0, exp.v0, exp.t_span, exp.step,
-                            drift_bound=exp.drift_bound)
+def cmd_simulate(exp: Experiment, args, out) -> int:
+    traj = exp.orbit()
     drift = float(np.max(np.abs(exp.sys.energy(traj.points[::50], traj.velocities[::50])
                                 - traj.energy)))
-    out = _out_dir(exp, args)
     traj.write_csv(os.path.join(out, "trajectory.csv"))
     meta = traj.to_dict()
     meta.update({"system": exp.name, "energy_drift": drift / max(1.0, abs(traj.energy)),
@@ -239,17 +250,14 @@ def cmd_simulate(exp: Experiment, args) -> int:
     return 0
 
 
-def cmd_geodesic(exp: Experiment, args) -> int:
+def cmd_geodesic(exp: Experiment, args, out) -> int:
     jm = jacobi_metric(exp.sys, exp.energy)
     direction = exp.direction if exp.direction is not None else exp.v0
     if exp.s_span is not None:
         s_span = tuple(exp.s_span)
     else:
-        traj = integrate_newton(exp.sys, exp.q0, exp.v0, exp.t_span, exp.step,
-                                drift_bound=exp.drift_bound)
-        s_span = (0.0, float(s_of_t(jm, traj).s[-1]))
+        s_span = (0.0, float(exp.orbit().geo.s[-1]))
     geo = integrate_geodesic(jm, exp.q0, direction, s_span, exp.step)
-    out = _out_dir(exp, args)
     n = geo.points.shape[1]
     header = (["s"] + [f"q{i+1}" for i in range(n)]
               + [f"u{i+1}" for i in range(n)] + ["t"])
@@ -263,13 +271,12 @@ def cmd_geodesic(exp: Experiment, args) -> int:
     return 0
 
 
-def cmd_deviation(exp: Experiment, args) -> int:
+def cmd_deviation(exp: Experiment, args, out) -> int:
     oracle = brute_force_deviation(exp.sys, exp.q0, exp.v0, exp.dq, exp.dv,
                                    exp.alpha, exp.t_span, exp.step)
     v0, dv0 = linearization_initial_data(exp.sys, exp.q0, exp.v0, exp.dq, exp.dv)
-    lin = integrate_deviation(exp.sys, oracle.trajectory, v0, dv0)
+    lin = integrate_deviation(oracle.trajectory, v0, dv0)
     sup = float(np.max(np.abs(oracle.V - lin.V)))
-    out = _out_dir(exp, args)
     lin.write_csv(os.path.join(out, "deviation.csv"))
     meta = {"system": exp.name, "alpha": exp.alpha, "oracle_sup": sup,
             "samples": len(oracle.trajectory), "seed": exp.seed}
@@ -279,24 +286,20 @@ def cmd_deviation(exp: Experiment, args) -> int:
     return 0
 
 
-def cmd_compare_operators(exp: Experiment, args) -> int:
+def cmd_compare_operators(exp: Experiment, args, out) -> int:
     tolerances = {**DEFAULT_TOLERANCES, **tolerance_overrides(exp.cfg, args)}
-    b = exp.bundle(pad=STENCIL_PAD)
-    traj, core = b.traj, b.core
+    traj = exp.orbit(padded_span(exp.t_span, exp.step))
     rng = np.random.default_rng(exp.seed)
-    identity_sup = operator_identity_sup(b, rng, exp.var_count, exp.var_modes)
+    identity_sup = operator_identity_sup(traj, rng, exp.var_count, exp.var_modes)
 
     # equal-energy restriction on an orthogonal field
     raw = make_proper_variation(traj, coefficients=rng.uniform(-1.0, 1.0, (1, traj.dim)))
-    vperp = orthogonal_part(b.cache.g, traj.velocities, raw.values)
-    dev = equal_energy_projection(exp.sys, traj, vperp, cache=b.cache)
-    rep = relation_equal_energy(exp.sys, exp.energy, traj, dev,
-                                cache=b.cache, jm=b.jm, h_cache=b.h_cache)
+    vperp = orthogonal_part(traj.cache.g, traj.velocities, raw.values)
+    rep = relation_equal_energy(traj, equal_energy_projection(traj, vperp))
     corr = np.abs(rep["correction"]).max(axis=1)
 
-    out = _out_dir(exp, args)
     lines = ["# t  correction_magnitude"]
-    for t, c in zip(traj.times[core], corr[core]):
+    for t, c in zip(traj.times[STENCIL_CORE], corr[STENCIL_CORE]):
         lines.append(f"{t:.17g} {c:.17g}")
     _write_text_atomic(os.path.join(out, "compare_operators.dat"), "\n".join(lines) + "\n")
 
@@ -305,7 +308,7 @@ def cmd_compare_operators(exp: Experiment, args) -> int:
                "equal_energy_identity_sup": rep["sup_norm"],
                "correction_sup": rep["correction_sup"],
                "constraint_sup": rep["constraint_sup"],
-               "fields": exp.var_count, "grid_size": int(core.stop - core.start)}
+               "fields": exp.var_count, "grid_size": len(traj.times[STENCIL_CORE])}
     _write_json(os.path.join(out, "compare_operators.json"), payload)
     ok = (identity_sup < tolerances["operator-identity"]
           and rep["sup_norm"] < tolerances["equal-energy-identity"])
@@ -316,19 +319,15 @@ def cmd_compare_operators(exp: Experiment, args) -> int:
     return 0 if ok else 1
 
 
-def cmd_second_variation(exp: Experiment, args) -> int:
-    b = exp.bundle()
+def cmd_second_variation(exp: Experiment, args, out) -> int:
+    traj = exp.orbit()
     reports = []
     for k in range(exp.var_count):
-        var = make_proper_variation(b.traj, modes=exp.var_modes, seed=exp.seed + k,
+        var = make_proper_variation(traj, modes=exp.var_modes, seed=exp.seed + k,
                                     amplitude=exp.var_amplitude)
-        orth = make_proper_variation(b.traj, modes=exp.var_modes, seed=exp.seed + 1000 + k,
-                                     amplitude=exp.var_amplitude, orthogonal=True,
-                                     sys=exp.sys, cache=b.cache)
-        reports.append(evaluate_functionals(exp.sys, exp.energy, b.traj, var,
-                                            orth_var=orth, cache=b.cache, jm=b.jm,
-                                            h_cache=b.h_cache))
-    out = _out_dir(exp, args)
+        orth = make_proper_variation(traj, modes=exp.var_modes, seed=exp.seed + 1000 + k,
+                                     amplitude=exp.var_amplitude, orthogonal=True)
+        reports.append(evaluate_functionals(traj, var, orth_var=orth))
     write_sweep_csv(os.path.join(out, "second_variation.csv"), reports)
     payload = {"system": exp.name, "E": exp.energy, "count": len(reports),
                "max_thm1_residual": max(r.thm1_residual for r in reports),
@@ -344,8 +343,7 @@ def cmd_second_variation(exp: Experiment, args) -> int:
 
 def _verdict_output(args, results, out, filename) -> int:
     payload = [r.to_dict() for r in results]
-    if out is not None:
-        _write_json(os.path.join(out, filename), payload)
+    _write_json(os.path.join(out, filename), payload)
     if args.json:
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
@@ -357,23 +355,20 @@ def _verdict_output(args, results, out, filename) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_verify_lemmas(exp, args) -> int:
+def cmd_verify_lemmas(exp, args, out) -> int:
     tol = tolerance_overrides(exp.cfg if exp else {}, args)
     results = check_lemma_suite(tolerances=tol, fault=args.inject_fault)
-    out = _out_dir(exp, args)
     return _verdict_output(args, results, out, "verify_lemmas.json")
 
 
-def cmd_verify_all(exp, args) -> int:
+def cmd_verify_all(exp, args, out) -> int:
     tol = tolerance_overrides(exp.cfg if exp else {}, args)
     checks = args.checks.split(",") if args.checks else None
     results = run_verification(tolerances=tol, fault=args.inject_fault, checks=checks)
-    out = _out_dir(exp, args)
     return _verdict_output(args, results, out, "verify_all.json")
 
 
-def cmd_report(exp, args) -> int:
-    out = args.out or (exp.cfg.get("out") if exp else None) or "."
+def cmd_report(exp, args, out) -> int:
     rows = []
     for name in sorted(os.listdir(out)):
         if not name.endswith(".json"):
@@ -447,7 +442,10 @@ def main(argv=None) -> int:
             exp = Experiment(cfg, args)
         else:
             exp = Experiment(cfg, args) if cfg else None
-        return fn(exp, args)
+        out = args.out or cfg.get("out") or "."
+        if fn is not cmd_report:        # report reads a directory that must exist
+            os.makedirs(out, exist_ok=True)
+        return fn(exp, args, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -77,13 +77,20 @@ class MechanicalSystem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-sampled solution of the equations of motion."""
+    """Time-sampled solution of the equations of motion of ``system``.
+
+    The trajectory is the context of every identity along it: it builds on
+    first use, and keeps, its g-cache ``cache``, its Jacobi metric ``jm`` at
+    its own energy and its view ``geo`` as an h-geodesic record, whose own
+    ``cache`` is the h-cache.
+    """
 
     times: np.ndarray
     points: np.ndarray
     velocities: np.ndarray
     energy: float
     step: float
+    system: MechanicalSystem = field(repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -96,6 +103,20 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def cache(self) -> CurveGeometry:
+        return CurveGeometry(self.system.metric, self.points, self.system)
+
+    @cached_property
+    def jm(self):
+        from . import jacobi
+        return jacobi.jacobi_metric(self.system, self.energy)
+
+    @cached_property
+    def geo(self):
+        from . import jacobi
+        return jacobi.geodesic_from_trajectory(self)
 
     def as_curve(self) -> SampledCurve:
         return SampledCurve(self.times, self.points, self.velocities)
@@ -255,7 +276,7 @@ def integrate_newton(sys: MechanicalSystem, q0, v0, t_span, step,
     """
     times, h, e0, ys = _newton_flow(sys, q0, v0, t_span, step, drift_bound)
     n = ys.shape[-1] // 2
-    return Trajectory(times, ys[:, :n], ys[:, n:], energy=float(e0), step=h)
+    return Trajectory(times, ys[:, :n], ys[:, n:], energy=float(e0), step=h, system=sys)
 
 
 class CurveGeometry:
@@ -309,8 +330,7 @@ def _check_attached(traj: Trajectory, dev: DeviationField):
             raise ValueError("mismatched sampling grids between trajectory and deviation field")
 
 
-def hessian_operator(sys: MechanicalSystem, traj: Trajectory, dev: DeviationField,
-                     cache: Optional[CurveGeometry] = None, order: int = 4) -> np.ndarray:
+def hessian_operator(traj: Trajectory, dev: DeviationField) -> np.ndarray:
     """Evaluate the stability operator on a sampled deviation field.
 
     Returns ``nabla_dot DV + K_dot(V) + nabla_V grad U`` at every sample,
@@ -318,9 +338,9 @@ def hessian_operator(sys: MechanicalSystem, traj: Trajectory, dev: DeviationFiel
     happens here).
     """
     _check_attached(traj, dev)
-    cache = cache or CurveGeometry(sys.metric, traj.points, sys)
-    curve = traj.as_curve()
-    term1 = cov_derivative_along(sys.metric, curve, dev.DV, order=order, gammas=cache.gamma)
+    cache = traj.cache
+    term1 = cov_derivative_along(traj.system.metric, traj.as_curve(), dev.DV, order=4,
+                                 gammas=cache.gamma)
     term2 = np.einsum('nlabc,na,nb,nc->nl', cache.riem, traj.velocities, dev.V, traj.velocities)
     term3 = np.einsum('nij,nj->ni', cache.hess_U_raised, dev.V)
     return term1 + term2 + term3
@@ -340,15 +360,14 @@ def _joint_spline(times, arrays):
     return at
 
 
-def integrate_deviation(sys: MechanicalSystem, traj: Trajectory, V0, DV0,
-                        cache: Optional[CurveGeometry] = None) -> DeviationField:
+def integrate_deviation(traj: Trajectory, V0, DV0) -> DeviationField:
     """Integrate the linearized flow ``op(V) = 0`` along a stored trajectory.
 
     The first-order system in ``(V, W = nabla_dot V)`` is advanced by RK4
     with the trajectory's own step; Christoffel, curvature and potential
     coefficients are cubic-interpolated between the stored samples.
     """
-    cache = cache or CurveGeometry(sys.metric, traj.points, sys)
+    cache = traj.cache
     times = traj.times
     n = traj.dim
     coeffs_at = _joint_spline(times, (cache.gamma, cache.riem, cache.hess_U_raised,
@@ -387,7 +406,8 @@ def brute_force_deviation(sys: MechanicalSystem, q0, v0, dq, dv, alpha,
     vs = np.stack([v0, v0 + alpha * dv, v0 - alpha * dv])
     times, h, e0, ys = _newton_flow(sys, qs, vs, t_span, step, drift_bound=1e-6)
     n = q0.size
-    base = Trajectory(times, ys[:, 0, :n], ys[:, 0, n:], energy=float(e0[0]), step=h)
+    base = Trajectory(times, ys[:, 0, :n], ys[:, 0, n:], energy=float(e0[0]), step=h,
+                      system=sys)
     V = (ys[:, 1, :n] - ys[:, 2, :n]) / (2.0 * alpha)
     DV = cov_derivative_along(sys.metric, base.as_curve(), V, order=2)
     return DeviationField(base, V, DV)

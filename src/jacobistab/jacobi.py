@@ -101,16 +101,18 @@ def jacobi_metric(sys: MechanicalSystem, E: float, margin: Optional[float] = Non
 
 @dataclass(frozen=True)
 class GeodesicRecord:
-    """Arc-length samples of a Jacobi-metric geodesic.
+    """Arc-length samples of a geodesic of the Jacobi metric ``metric``.
 
     ``t_of_s`` pairs every arc-length sample with the dynamical time
-    accumulated through ``dt/ds = 1 / (2(E-U))``.
+    accumulated through ``dt/ds = 1 / (2(E-U))``; ``cache``, the h-cache,
+    is built on first use.
     """
 
     s: np.ndarray
     points: np.ndarray
     tangents: np.ndarray
     t_of_s: np.ndarray
+    metric: ChartMetric = field(repr=False, compare=False)
     truncated: bool = False
     dense: object = field(default=None, repr=False, compare=False)
 
@@ -125,6 +127,10 @@ class GeodesicRecord:
 
     def as_curve(self) -> SampledCurve:
         return SampledCurve(self.s, self.points, self.tangents)
+
+    @cached_property
+    def cache(self) -> CurveGeometry:
+        return CurveGeometry(self.metric, self.points)
 
 
 def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
@@ -169,90 +175,44 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
         n_samples = max(2, int(round((s_end - s0) / step)) + 1)
         s = np.linspace(s0, s_end, n_samples)
         ys = sol.sol(s).T
-        return GeodesicRecord(s, ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n],
+        return GeodesicRecord(s, ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n], jm.h,
                               truncated=truncated, dense=sol)
 
     n_steps = max(1, int(round((s1 - s0) / step)))
     h = (s1 - s0) / n_steps
     ys = _rk4(rhs, y0, s0, n_steps, h, check=lambda y: jm.check_clear(y[:n]))
     return GeodesicRecord(s0 + h * np.arange(len(ys)), ys[:, :n], ys[:, n:2 * n],
-                          ys[:, 2 * n], truncated=len(ys) <= n_steps)
+                          ys[:, 2 * n], jm.h, truncated=len(ys) <= n_steps)
 
 
-@dataclass(frozen=True)
-class ParameterMap:
-    """Monotone pairing of dynamical time and arc length on a trajectory."""
+def geodesic_from_trajectory(traj: Trajectory) -> GeodesicRecord:
+    """View a trajectory as a geodesic record of its Jacobi metric.
 
-    t: np.ndarray
-    s: np.ndarray
-
-
-def s_of_t(jm: JacobiMetric, traj: Trajectory) -> ParameterMap:
-    """Arc length along a trajectory, ``s(t) = ∫ 2(E - U) dτ`` by Simpson.
-
-    The trajectory's energy must match the Jacobi metric's to 1e-10.
+    The s-grid is the arc length ``s(t) = ∫ 2(E - U) dτ`` by Simpson;
+    points are shared, and ``γ' = qdot / (2(E-U))`` is exact at every
+    sample.  :attr:`Trajectory.geo` keeps the record.
     """
-    if abs(traj.energy - jm.E) > 1e-10:
-        raise ValueError(f"energy mismatch: trajectory E={traj.energy!r}, metric E={jm.E!r}")
+    jm = traj.jm
     w2 = jm.factor_values(traj.points)
     s = cumulative_simpson(w2, traj.times)
-    return ParameterMap(t=traj.times.copy(), s=s)
-
-
-def geodesic_from_trajectory(jm: JacobiMetric, traj: Trajectory) -> GeodesicRecord:
-    """View a trajectory as an h-geodesic record on its induced s-grid.
-
-    Points are shared; only the parameter changes, with
-    ``γ' = qdot / (2(E-U))`` exact at every sample.
-    """
-    pm = s_of_t(jm, traj)
-    w2 = jm.factor_values(traj.points)
-    return GeodesicRecord(pm.s, traj.points, traj.velocities / w2[:, None],
-                          traj.times.copy())
+    return GeodesicRecord(s, traj.points, traj.velocities / w2[:, None],
+                          traj.times.copy(), jm.h)
 
 
 STENCIL_PAD = 10
 """Samples added on each side of a span.  The operator stencils, chained,
 reach 6 samples; on the core between the pads they are centered everywhere."""
 
-
-class OrbitBundle:
-    """A trajectory at energy E with the data the identity checks read.
-
-    The trajectory starts from ``(q0, v0)`` at ``t_span[0] - pad * step`` and
-    ends at ``t_span[1] + pad * step``, so ``core`` selects the samples of
-    ``t_span``; ``pad`` is 0 or :data:`STENCIL_PAD`.  The g-cache, the Jacobi
-    metric, the geodesic record and its h-cache are built on first use.
-    """
-
-    def __init__(self, sys: MechanicalSystem, E: float, q0, v0, t_span, step,
-                 pad: int = 0, drift_bound: float = 1e-6):
-        self.sys = sys
-        self.E = E
-        self.traj = integrate_newton(sys, q0, v0, (t_span[0] - pad * step,
-                                                   t_span[1] + pad * step),
-                                     step, drift_bound=drift_bound)
-        self.core = slice(pad, len(self.traj) - pad)
-
-    @cached_property
-    def cache(self) -> CurveGeometry:
-        return CurveGeometry(self.sys.metric, self.traj.points, self.sys)
-
-    @cached_property
-    def jm(self) -> JacobiMetric:
-        return jacobi_metric(self.sys, self.E)
-
-    @cached_property
-    def geo(self) -> GeodesicRecord:
-        return geodesic_from_trajectory(self.jm, self.traj)
-
-    @cached_property
-    def h_cache(self) -> CurveGeometry:
-        return CurveGeometry(self.jm.h, self.geo.points)
+STENCIL_CORE = slice(STENCIL_PAD, -STENCIL_PAD)
+"""The samples of a trajectory integrated over :func:`padded_span`."""
 
 
-def jacobi_operator_direct(jm: JacobiMetric, geo: GeodesicRecord, dev,
-                           cache: Optional[CurveGeometry] = None) -> np.ndarray:
+def padded_span(t_span, step):
+    """``t_span`` widened by :data:`STENCIL_PAD` steps on each side."""
+    return (t_span[0] - STENCIL_PAD * step, t_span[1] + STENCIL_PAD * step)
+
+
+def jacobi_operator_direct(geo: GeodesicRecord, dev) -> np.ndarray:
     """Geodesic-deviation operator of h evaluated purely with h-quantities.
 
     Returns ``nabla'_h nabla'_h V + K^h(V)`` on the record's s-grid for a
@@ -261,29 +221,24 @@ def jacobi_operator_direct(jm: JacobiMetric, geo: GeodesicRecord, dev,
     dev = np.asarray(dev, dtype=float)
     if dev.shape != geo.points.shape:
         raise ValueError("grid mismatch: deviation samples must match the geodesic record")
-    cache = cache or CurveGeometry(jm.h, geo.points)
+    cache = geo.cache
     curve = geo.as_curve()
-    w1 = cov_derivative_along(jm.h, curve, dev, order=4, gammas=cache.gamma)
-    w2 = cov_derivative_along(jm.h, curve, w1, order=4, gammas=cache.gamma)
+    w1 = cov_derivative_along(geo.metric, curve, dev, order=4, gammas=cache.gamma)
+    w2 = cov_derivative_along(geo.metric, curve, w1, order=4, gammas=cache.gamma)
     curv = np.einsum('nlabc,na,nb,nc->nl', cache.riem, geo.tangents, dev, geo.tangents)
     return w2 + curv
 
 
-def jacobi_operator_via_g(sys: MechanicalSystem, E: float, traj: Trajectory,
-                          dev: DeviationField,
-                          cache: Optional[CurveGeometry] = None,
-                          jm: Optional[JacobiMetric] = None) -> np.ndarray:
+def jacobi_operator_via_g(traj: Trajectory, dev: DeviationField) -> np.ndarray:
     """Geodesic-deviation operator of h expressed through g and t-quantities.
 
-    Valid along solutions of energy E; the time derivative in the middle
+    Valid along solutions of the equations of motion, with h the Jacobi
+    metric at the trajectory's energy; the time derivative in the middle
     term is taken by central differencing of the sampled scalar.
     """
-    jm = jm or jacobi_metric(sys, E)
-    if abs(traj.energy - E) > 1e-10:
-        raise ValueError(f"energy mismatch: trajectory E={traj.energy!r} vs {E!r}")
-    cache = cache or CurveGeometry(sys.metric, traj.points, sys)
-    w = 0.5 * jm.factor_values(traj.points)          # E - U, margin enforced
-    delta_v = hessian_operator(sys, traj, dev, cache=cache, order=4)
+    cache = traj.cache
+    w = 0.5 * traj.jm.factor_values(traj.points)     # E - U, margin enforced
+    delta_v = hessian_operator(traj, dev)
     grad_u = cache.grad_U
     v_dot_gu = np.einsum('nij,ni,nj->n', cache.g, dev.V, grad_u)
     qdot_dv = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
@@ -293,8 +248,7 @@ def jacobi_operator_via_g(sys: MechanicalSystem, E: float, traj: Trajectory,
     return out / (2.0 * w[:, None]) ** 2
 
 
-def equal_energy_projection(sys: MechanicalSystem, traj: Trajectory, vperp,
-                            cache: Optional[CurveGeometry] = None,
+def equal_energy_projection(traj: Trajectory, vperp,
                             orth_tol: float = 1e-8) -> DeviationField:
     """Complete an orthogonal field to an equal-energy variation.
 
@@ -311,7 +265,7 @@ def equal_energy_projection(sys: MechanicalSystem, traj: Trajectory, vperp,
     vperp = np.asarray(vperp, dtype=float)
     if vperp.shape != traj.points.shape:
         raise ValueError("grid mismatch: orthogonal field must match the trajectory grid")
-    cache = cache or CurveGeometry(sys.metric, traj.points, sys)
+    cache = traj.cache
     speed2 = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, traj.velocities)
     if np.min(speed2) <= 1e-12:
         raise ForbiddenRegionError("turning point on interval: |qdot| vanishes")
@@ -320,7 +274,7 @@ def equal_energy_projection(sys: MechanicalSystem, traj: Trajectory, vperp,
     if np.max(np.abs(orth)) > orth_tol * scale:
         raise ValueError("input field is not orthogonal to the velocity")
 
-    dvperp = cov_derivative_along(sys.metric, traj.as_curve(), vperp,
+    dvperp = cov_derivative_along(traj.system.metric, traj.as_curve(), vperp,
                                   order=4, gammas=cache.gamma)
     num = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dvperp)
            + np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, vperp))
@@ -334,12 +288,8 @@ def equal_energy_projection(sys: MechanicalSystem, traj: Trajectory, vperp,
     return DeviationField(traj, v, dv)
 
 
-def relation_equal_energy(sys: MechanicalSystem, E: float, traj: Trajectory,
-                          dev: DeviationField,
-                          constraint_tol: float = 1e-6,
-                          jm: Optional[JacobiMetric] = None,
-                          cache: Optional[CurveGeometry] = None,
-                          h_cache: Optional[CurveGeometry] = None) -> dict:
+def relation_equal_energy(traj: Trajectory, dev: DeviationField,
+                          constraint_tol: float = 1e-6) -> dict:
     """Check the equal-energy operator relation and size its correction term.
 
     Both sides are evaluated independently: the deviation operator of h by
@@ -357,33 +307,30 @@ def relation_equal_energy(sys: MechanicalSystem, E: float, traj: Trajectory,
     """
     if len(traj) <= 2 * STENCIL_PAD:
         raise ValueError(f"grid too coarse: need more than {2 * STENCIL_PAD} nodes")
-    jm = jm or jacobi_metric(sys, E)
-    cache = cache or CurveGeometry(sys.metric, traj.points, sys)
-    w = 0.5 * jm.factor_values(traj.points)
+    cache = traj.cache
+    w = 0.5 * traj.jm.factor_values(traj.points)
     constraint = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
                   + np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, dev.V))
     if np.max(np.abs(constraint)) > constraint_tol:
         raise ValueError(
             f"equal-energy constraint violated: max residual {np.max(np.abs(constraint)):.3e}")
 
-    geo = geodesic_from_trajectory(jm, traj)
-    lhs = jacobi_operator_direct(jm, geo, dev.V, cache=h_cache)
+    lhs = jacobi_operator_direct(traj.geo, dev.V)
 
-    delta_v = hessian_operator(sys, traj, dev, cache=cache, order=4)
+    delta_v = hessian_operator(traj, dev)
     v_dot_gu = np.einsum('nij,ni,nj->n', cache.g, dev.V, cache.grad_U)
     dscal = local_derivative(traj.times, v_dot_gu / w, m=1, width=7)
     correction = -dscal[:, None] * traj.velocities / (2.0 * w[:, None]) ** 2
     rhs = delta_v / (2.0 * w[:, None]) ** 2 + correction
-    core = slice(STENCIL_PAD, len(traj) - STENCIL_PAD)
 
     return {
-        "system": sys.name,
-        "E": E,
+        "system": traj.system.name,
+        "E": traj.energy,
         "t_span": [float(traj.times[0]), float(traj.times[-1])],
         "step": traj.step,
         "quantity": "equal-energy operator relation",
-        "sup_norm": float(np.max(np.abs(lhs - rhs)[core])),
-        "correction_sup": float(np.max(np.abs(correction[core]))),
+        "sup_norm": float(np.max(np.abs(lhs - rhs)[STENCIL_CORE])),
+        "correction_sup": float(np.max(np.abs(correction[STENCIL_CORE]))),
         "constraint_sup": float(np.max(np.abs(constraint))),
         "correction": correction,
         "grid_size": len(traj),
@@ -427,10 +374,9 @@ def maupertuis_roundtrip(sys: MechanicalSystem, E: float, q0, v0, t_span,
     e0 = sys.energy(q0, v0)
     if abs(e0 - E) > 1e-10:
         raise ValueError(f"energy mismatch: initial data give E={e0!r}, requested {E!r}")
-    jm = jacobi_metric(sys, E)
     traj = integrate_newton(sys, q0, v0, t_span, step, drift_bound=drift_bound)
-    pm = s_of_t(jm, traj)
-    geo = integrate_geodesic(jm, q0, v0, (0.0, float(pm.s[-1])), step,
+    jm = traj.jm
+    geo = integrate_geodesic(jm, q0, v0, (0.0, float(traj.geo.s[-1])), step,
                              method=geodesic_method)
     t_max = float(geo.t_of_s[-1])
     mask = traj.times <= t_max + 1e-12

@@ -31,11 +31,9 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from .dynamics import (CurveGeometry, DeviationField, MechanicalSystem,
-                       Trajectory, _write_text_atomic, hessian_operator)
+from .dynamics import DeviationField, Trajectory, _write_text_atomic, hessian_operator
 from .geometry import _quad, cov_derivative_along, orthogonal_part
-from .jacobi import (JacobiMetric, geodesic_from_trajectory, jacobi_metric,
-                     jacobi_operator_direct)
+from .jacobi import jacobi_operator_direct
 from .numdiff import local_derivative
 
 
@@ -61,16 +59,14 @@ class ProperVariation:
 
 def make_proper_variation(traj: Trajectory, coefficients=None, modes: int = 3,
                           seed: Optional[int] = None, amplitude: float = 1.0,
-                          orthogonal: bool = False,
-                          sys: Optional[MechanicalSystem] = None,
-                          cache: Optional[CurveGeometry] = None) -> ProperVariation:
+                          orthogonal: bool = False) -> ProperVariation:
     """Build a proper variation from sine-bump basis coefficients.
 
     The basis is ``sin(k pi (t - t0) / (t1 - t0))`` per coordinate, so the
     endpoint zeros are exact.  Either pass explicit ``coefficients`` of
     shape (modes, n) or a seed from which they are drawn uniformly.  With
     ``orthogonal=True`` the field is pointwise projected g-orthogonal to
-    the velocity (requires ``sys``).
+    the velocity.
     """
     if len(traj) < 9:
         raise ValueError("grid too coarse: need at least 9 nodes")
@@ -96,10 +92,7 @@ def make_proper_variation(traj: Trajectory, coefficients=None, modes: int = 3,
     values[-1] = 0.0
 
     if orthogonal:
-        if sys is None:
-            raise ValueError("orthogonal projection needs the mechanical system")
-        cache = cache or CurveGeometry(sys.metric, traj.points, sys)
-        values = orthogonal_part(cache.g, traj.velocities, values)
+        values = orthogonal_part(traj.cache.g, traj.velocities, values)
         values[0] = 0.0
         values[-1] = 0.0
         dvalues = local_derivative(traj.times, values, m=1, width=7)
@@ -107,12 +100,9 @@ def make_proper_variation(traj: Trajectory, coefficients=None, modes: int = 3,
     return ProperVariation(traj.times, values, dvalues, coefficients, seed=seed)
 
 
-def variation_as_deviation(sys: MechanicalSystem, traj: Trajectory,
-                           var: ProperVariation,
-                           cache: Optional[CurveGeometry] = None) -> DeviationField:
+def variation_as_deviation(traj: Trajectory, var: ProperVariation) -> DeviationField:
     """Attach a variation to its trajectory with ``DV = dV/dt + Γ(qdot, V)``."""
-    cache = cache or CurveGeometry(sys.metric, traj.points, sys)
-    corr = np.einsum('nijk,nj,nk->ni', cache.gamma, traj.velocities, var.values)
+    corr = np.einsum('nijk,nj,nk->ni', traj.cache.gamma, traj.velocities, var.values)
     return DeviationField(traj, var.values, var.dvalues + corr)
 
 
@@ -127,49 +117,34 @@ def _check_grid(traj: Trajectory, var: ProperVariation):
         raise ValueError("variation must vanish at both endpoints")
 
 
-def second_variation_S(sys: MechanicalSystem, traj: Trajectory, var: ProperVariation,
-                       cache: Optional[CurveGeometry] = None) -> float:
+def second_variation_S(traj: Trajectory, var: ProperVariation) -> float:
     """Quadrature of ``-<op(V), V>`` over dynamical time."""
     _check_grid(traj, var)
-    cache = cache or CurveGeometry(sys.metric, traj.points, sys)
-    dev = variation_as_deviation(sys, traj, var, cache=cache)
-    delta_v = hessian_operator(sys, traj, dev, cache=cache, order=4)
-    integrand = -np.einsum('nij,ni,nj->n', cache.g, delta_v, var.values)
+    delta_v = hessian_operator(traj, variation_as_deviation(traj, var))
+    integrand = -np.einsum('nij,ni,nj->n', traj.cache.g, delta_v, var.values)
     return float(simpson(integrand, x=traj.times))
 
 
-def second_variation_S0J(sys: MechanicalSystem, E: float, traj: Trajectory,
-                         var: ProperVariation,
-                         jm: Optional[JacobiMetric] = None,
-                         h_cache: Optional[CurveGeometry] = None) -> float:
+def second_variation_S0J(traj: Trajectory, var: ProperVariation) -> float:
     """Quadrature of ``-<devop(V), V>_h`` over arc length."""
     _check_grid(traj, var)
-    jm = jm or jacobi_metric(sys, E)
-    geo = geodesic_from_trajectory(jm, traj)
-    h_cache = h_cache or CurveGeometry(jm.h, geo.points)
-    dj_v = jacobi_operator_direct(jm, geo, var.values, cache=h_cache)
-    integrand = -np.einsum('nij,ni,nj->n', h_cache.g, dj_v, var.values)
+    geo = traj.geo
+    dj_v = jacobi_operator_direct(geo, var.values)
+    integrand = -np.einsum('nij,ni,nj->n', geo.cache.g, dj_v, var.values)
     return float(simpson(integrand, x=geo.s))
 
 
-def second_variation_LJ(sys: MechanicalSystem, E: float, traj: Trajectory,
-                        var: ProperVariation,
-                        jm: Optional[JacobiMetric] = None,
-                        h_cache: Optional[CurveGeometry] = None) -> float:
+def second_variation_LJ(traj: Trajectory, var: ProperVariation) -> float:
     """Length-functional second variation: only the h-orthogonal part of V counts."""
     _check_grid(traj, var)
-    jm = jm or jacobi_metric(sys, E)
-    geo = geodesic_from_trajectory(jm, traj)
-    h_cache = h_cache or CurveGeometry(jm.h, geo.points)
-    vperp = orthogonal_part(h_cache.g, geo.tangents, var.values)
-    dj_v = jacobi_operator_direct(jm, geo, vperp, cache=h_cache)
-    integrand = -np.einsum('nij,ni,nj->n', h_cache.g, dj_v, vperp)
+    geo = traj.geo
+    vperp = orthogonal_part(geo.cache.g, geo.tangents, var.values)
+    dj_v = jacobi_operator_direct(geo, vperp)
+    integrand = -np.einsum('nij,ni,nj->n', geo.cache.g, dj_v, vperp)
     return float(simpson(integrand, x=geo.s))
 
 
-def _bracket_correction(sys: MechanicalSystem, traj: Trajectory,
-                        var: ProperVariation, cache: CurveGeometry,
-                        jm: JacobiMetric):
+def _bracket_correction(traj: Trajectory, var: ProperVariation):
     """t-quadrature of the squared bracket
     ``[<qdot, nabla_dot V> - <nabla_dot qdot, V>]^2 / (2(E-U))`` and the
     minimum of its integrand.
@@ -178,9 +153,10 @@ def _bracket_correction(sys: MechanicalSystem, traj: Trajectory,
     equations-of-motion substitution), so the integrand is pointwise
     nonnegative up to rounding.
     """
-    dev = variation_as_deviation(sys, traj, var, cache=cache)
-    w = 0.5 * jm.factor_values(traj.points)
-    acc = cov_derivative_along(sys.metric, traj.as_curve(), traj.velocities,
+    cache = traj.cache
+    dev = variation_as_deviation(traj, var)
+    w = 0.5 * traj.jm.factor_values(traj.points)
+    acc = cov_derivative_along(traj.system.metric, traj.as_curve(), traj.velocities,
                                order=4, gammas=cache.gamma)
     bracket = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
                - np.einsum('nij,ni,nj->n', cache.g, acc, var.values))
@@ -188,105 +164,35 @@ def _bracket_correction(sys: MechanicalSystem, traj: Trajectory,
     return float(simpson(integrand, x=traj.times)), float(np.min(integrand))
 
 
-def _theorem1(sys, traj, var, cache, jm, d2s0j: float, d2s: float) -> dict:
-    """:func:`theorem1_residual` from its two functionals."""
-    dev = variation_as_deviation(sys, traj, var, cache=cache)
-    w = 0.5 * jm.factor_values(traj.points)
+def _free_action_correction(traj: Trajectory, var: ProperVariation) -> float:
+    """t-quadrature of ``2<qdot, nabla_dot V><F, V>`` with
+    ``F = grad ln(2(E-U)) = -grad U / (E-U)``: d2S0J = d2S + this."""
+    cache = traj.cache
+    dev = variation_as_deviation(traj, var)
+    w = 0.5 * traj.jm.factor_values(traj.points)
     f_vec = -cache.grad_U / w[:, None]          # F = grad ln(2(E-U))
     qdot_dv = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
     f_dot_v = np.einsum('nij,ni,nj->n', cache.g, f_vec, var.values)
-    correction = float(simpson(2.0 * qdot_dv * f_dot_v, x=traj.times))
-    rhs = d2s + correction
-    return {"lhs": d2s0j, "rhs": rhs, "residual": abs(d2s0j - rhs),
-            "d2S": d2s, "correction": correction}
+    return float(simpson(2.0 * qdot_dv * f_dot_v, x=traj.times))
 
 
-def _theorem2(sys, traj, var, cache, jm, d2lj: float, d2s: float) -> dict:
-    """:func:`theorem2_residual` from its two functionals."""
-    correction, integrand_min = _bracket_correction(sys, traj, var, cache, jm)
-    rhs = d2s - correction
-    return {"lhs": d2lj, "rhs": rhs, "residual": abs(d2lj - rhs),
-            "d2S": d2s, "correction": correction, "integrand_min": integrand_min}
-
-
-def _orthogonal(sys, traj, var, cache, jm, d2s: float, d2lj: float,
-                orth_tol: float = 1e-8) -> dict:
-    """:func:`orthogonal_identity_residual` from its two functionals."""
+def _orthogonal_correction(traj: Trajectory, var: ProperVariation,
+                           orth_tol: float = 1e-8) -> float:
+    """s-quadrature of ``(<F_h, V>_h)^2`` for a g-orthogonal V, with ``F_h``
+    the h-gradient of ``ln(2(E-U))``: d2S = d2LJ + this."""
+    cache = traj.cache
     orth = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, var.values)
     if np.max(np.abs(orth)) > orth_tol * max(1.0, float(np.max(np.abs(var.values)))):
         raise ValueError("variation is not orthogonal to the velocity")
-    geo = geodesic_from_trajectory(jm, traj)
-    w = 0.5 * jm.factor_values(traj.points)
+    w = 0.5 * traj.jm.factor_values(traj.points)
     # <F_h, V>_h = -<grad U, V>_g / (E - U)
     phi = -np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, var.values) / w
-    correction = float(simpson(phi**2, x=geo.s))
-    rhs = d2lj + correction
-    bracket = _bracket_correction(sys, traj, var, cache, jm)[0]
-    return {"lhs": d2s, "rhs": rhs, "residual": abs(d2s - rhs),
-            "correction": correction, "d2LJ": d2lj,
-            "pathway_delta": abs(correction - bracket)}
+    return float(simpson(phi**2, x=traj.geo.s))
 
 
-def theorem1_residual(sys: MechanicalSystem, E: float, traj: Trajectory,
-                      var: ProperVariation,
-                      cache: Optional[CurveGeometry] = None,
-                      jm: Optional[JacobiMetric] = None,
-                      h_cache: Optional[CurveGeometry] = None) -> dict:
-    """Free-action identity: both sides evaluated by independent paths.
-
-    The left side integrates the h-deviation operator in arc length; the
-    right side adds to d2S the t-quadrature of ``2<qdot, nabla_dot V><F, V>``
-    with ``F = grad ln(2(E-U)) = -grad U / (E-U)``.
-    """
-    cache = cache or CurveGeometry(sys.metric, traj.points, sys)
-    jm = jm or jacobi_metric(sys, E)
-    return _theorem1(sys, traj, var, cache, jm,
-                     second_variation_S0J(sys, E, traj, var, jm=jm, h_cache=h_cache),
-                     second_variation_S(sys, traj, var, cache=cache))
-
-
-def theorem2_residual(sys: MechanicalSystem, E: float, traj: Trajectory,
-                      var: ProperVariation,
-                      cache: Optional[CurveGeometry] = None,
-                      jm: Optional[JacobiMetric] = None,
-                      h_cache: Optional[CurveGeometry] = None) -> dict:
-    """Length identity with the squared-bracket correction.
-
-    The correction integrand ``[<qdot, nabla_dot V> - <nabla_dot qdot, V>]^2
-    / (2(E-U))`` is pointwise nonnegative, so ``d2S >= d2LJ`` up to
-    quadrature error.
-    """
-    cache = cache or CurveGeometry(sys.metric, traj.points, sys)
-    jm = jm or jacobi_metric(sys, E)
-    return _theorem2(sys, traj, var, cache, jm,
-                     second_variation_LJ(sys, E, traj, var, jm=jm, h_cache=h_cache),
-                     second_variation_S(sys, traj, var, cache=cache))
-
-
-def orthogonal_identity_residual(sys: MechanicalSystem, E: float, traj: Trajectory,
-                                 var: ProperVariation,
-                                 cache: Optional[CurveGeometry] = None,
-                                 jm: Optional[JacobiMetric] = None,
-                                 h_cache: Optional[CurveGeometry] = None,
-                                 orth_tol: float = 1e-8) -> dict:
-    """Orthogonal-variation identity with the h-gradient correction.
-
-    For g-orthogonal V the action second variation satisfies
-    ``d2S = d2LJ + ∫ (<F_h, V>_h)^2 ds`` where ``F_h`` is the gradient of
-    ``ln(2(E-U))`` taken in the Jacobi metric.  The same correction must
-    agree with the squared-bracket pathway, which is also reported.
-    """
-    cache = cache or CurveGeometry(sys.metric, traj.points, sys)
-    jm = jm or jacobi_metric(sys, E)
-    return _orthogonal(sys, traj, var, cache, jm,
-                       second_variation_S(sys, traj, var, cache=cache),
-                       second_variation_LJ(sys, E, traj, var, jm=jm, h_cache=h_cache),
-                       orth_tol)
-
-
-def action_of_displaced(sys: MechanicalSystem, traj: Trajectory, var: ProperVariation,
-                        xi: float) -> float:
+def action_of_displaced(traj: Trajectory, var: ProperVariation, xi: float) -> float:
     """Mechanical action of the coordinate-displaced curve ``γ + ξ V``."""
+    sys = traj.system
     pts = traj.points + xi * var.values
     vel = traj.velocities + xi * var.dvalues
     kin = 0.5 * _quad(sys.metric.g(pts), vel, vel)
@@ -294,12 +200,12 @@ def action_of_displaced(sys: MechanicalSystem, traj: Trajectory, var: ProperVari
     return float(simpson(kin - pot, x=traj.times))
 
 
-def action_second_difference(sys: MechanicalSystem, traj: Trajectory,
-                             var: ProperVariation, xi: float = 1e-3) -> float:
+def action_second_difference(traj: Trajectory, var: ProperVariation,
+                             xi: float = 1e-3) -> float:
     """Independent oracle for d2S: central second difference of the action."""
-    s_plus = action_of_displaced(sys, traj, var, xi)
-    s_zero = action_of_displaced(sys, traj, var, 0.0)
-    s_minus = action_of_displaced(sys, traj, var, -xi)
+    s_plus = action_of_displaced(traj, var, xi)
+    s_zero = action_of_displaced(traj, var, 0.0)
+    s_minus = action_of_displaced(traj, var, -xi)
     return (s_plus - 2.0 * s_zero + s_minus) / xi**2
 
 
@@ -344,37 +250,34 @@ def write_sweep_csv(path, reports) -> None:
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def evaluate_functionals(sys: MechanicalSystem, E: float, traj: Trajectory,
-                         var: ProperVariation,
-                         orth_var: Optional[ProperVariation] = None,
-                         cache: Optional[CurveGeometry] = None,
-                         jm: Optional[JacobiMetric] = None,
-                         h_cache: Optional[CurveGeometry] = None) -> FunctionalReport:
+def evaluate_functionals(traj: Trajectory, var: ProperVariation,
+                         orth_var: Optional[ProperVariation] = None) -> FunctionalReport:
     """Evaluate the three functionals of a variation and the identity
     residuals, plus the orthogonal identity of ``orth_var`` when given.
 
     Each functional of each field is evaluated once: d2S, d2S0J and d2LJ of
-    ``var``, d2S and d2LJ of ``orth_var``.
+    ``var``, d2S and d2LJ of ``orth_var``.  For ``orth_var`` the
+    h-gradient correction must agree with the squared-bracket one;
+    ``pathway_delta`` is their difference.
     """
-    cache = cache or CurveGeometry(sys.metric, traj.points, sys)
-    jm = jm or jacobi_metric(sys, E)
-    h_cache = h_cache or CurveGeometry(jm.h, traj.points)
-    d2s = second_variation_S(sys, traj, var, cache=cache)
-    t1 = _theorem1(sys, traj, var, cache, jm,
-                   second_variation_S0J(sys, E, traj, var, jm=jm, h_cache=h_cache), d2s)
-    t2 = _theorem2(sys, traj, var, cache, jm,
-                   second_variation_LJ(sys, E, traj, var, jm=jm, h_cache=h_cache), d2s)
-    orth = {"residual": None, "pathway_delta": None}
+    d2s = second_variation_S(traj, var)
+    d2s0j = second_variation_S0J(traj, var)
+    d2lj = second_variation_LJ(traj, var)
+    thm1_correction = _free_action_correction(traj, var)
+    thm2_correction, integrand_min = _bracket_correction(traj, var)
+    orth_residual = pathway_delta = None
     if orth_var is not None:
-        orth = _orthogonal(sys, traj, orth_var, cache, jm,
-                           second_variation_S(sys, traj, orth_var, cache=cache),
-                           second_variation_LJ(sys, E, traj, orth_var, jm=jm,
-                                               h_cache=h_cache))
+        orth_d2s = second_variation_S(traj, orth_var)
+        orth_d2lj = second_variation_LJ(traj, orth_var)
+        correction = _orthogonal_correction(traj, orth_var)
+        orth_residual = abs(orth_d2s - (orth_d2lj + correction))
+        pathway_delta = abs(correction - _bracket_correction(traj, orth_var)[0])
     return FunctionalReport(
-        system=sys.name, E=E, seed=var.seed,
-        d2S=d2s, d2S0J=t1["lhs"], d2LJ=t2["lhs"],
-        thm1_correction=t1["correction"], thm2_correction=t2["correction"],
-        thm1_residual=t1["residual"], thm2_residual=t2["residual"],
-        integrand_min=t2["integrand_min"],
-        orth_residual=orth["residual"], pathway_delta=orth["pathway_delta"],
+        system=traj.system.name, E=traj.energy, seed=var.seed,
+        d2S=d2s, d2S0J=d2s0j, d2LJ=d2lj,
+        thm1_correction=thm1_correction, thm2_correction=thm2_correction,
+        thm1_residual=abs(d2s0j - (d2s + thm1_correction)),
+        thm2_residual=abs(d2lj - (d2s - thm2_correction)),
+        integrand_min=integrand_min,
+        orth_residual=orth_residual, pathway_delta=pathway_delta,
         grid_size=len(traj), step=traj.step)

@@ -20,9 +20,9 @@ from .dynamics import (DeviationField, brute_force_deviation,
                        integrate_deviation, integrate_newton,
                        linearization_initial_data)
 from .geometry import ChartMetric, _dot, cov_derivative_along, metric_by_name
-from .jacobi import (STENCIL_PAD, OrbitBundle, jacobi_operator_direct,
+from .jacobi import (STENCIL_CORE, STENCIL_PAD, jacobi_operator_direct,
                      jacobi_operator_via_g, equal_energy_projection,
-                     maupertuis_roundtrip, relation_equal_energy)
+                     maupertuis_roundtrip, padded_span, relation_equal_energy)
 from .systems import all_setups, builtin_setup
 from .variation import (action_second_difference, evaluate_functionals,
                         make_proper_variation, second_variation_LJ,
@@ -75,8 +75,8 @@ def _setups(system_names=None):
     return all_setups() if system_names is None else [builtin_setup(n) for n in system_names]
 
 
-def _bundle(su, pad: int = 0) -> OrbitBundle:
-    return OrbitBundle(su.system, su.energy, su.q0, su.v0, su.t_span, su.step, pad=pad)
+def _orbit(su, t_span=None):
+    return integrate_newton(su.system, su.q0, su.v0, t_span or su.t_span, su.step)
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +169,20 @@ def check_roundtrip(tolerances=None):
     return results
 
 
-def operator_identity_sup(b: OrbitBundle, rng, n_fields: int, modes: int = 3) -> float:
-    """Worst residual on the core of ``b`` of the deviation operator of h,
-    computed directly, against its g-expressed formula, over ``n_fields``
-    sine-bump fields with coefficients drawn from ``rng``."""
-    traj = b.traj
+def operator_identity_sup(traj, rng, n_fields: int, modes: int = 3) -> float:
+    """Worst residual of the deviation operator of h, computed directly,
+    against its g-expressed formula, over ``n_fields`` sine-bump fields with
+    coefficients drawn from ``rng``; taken on :data:`STENCIL_CORE` of a
+    trajectory integrated over a :func:`padded_span`."""
     worst = 0.0
     for _ in range(n_fields):
         v = make_proper_variation(
             traj, coefficients=rng.uniform(-1.0, 1.0, (modes, traj.dim))).values
-        dv = cov_derivative_along(b.sys.metric, traj.as_curve(), v,
-                                  order=4, gammas=b.cache.gamma)
-        lhs = jacobi_operator_direct(b.jm, b.geo, v, cache=b.h_cache)
-        rhs = jacobi_operator_via_g(b.sys, b.E, traj, DeviationField(traj, v, dv),
-                                    cache=b.cache, jm=b.jm)
-        worst = max(worst, float(np.max(np.abs((lhs - rhs)[b.core]))))
+        dv = cov_derivative_along(traj.system.metric, traj.as_curve(), v,
+                                  order=4, gammas=traj.cache.gamma)
+        lhs = jacobi_operator_direct(traj.geo, v)
+        rhs = jacobi_operator_via_g(traj, DeviationField(traj, v, dv))
+        worst = max(worst, float(np.max(np.abs((lhs - rhs)[STENCIL_CORE]))))
     return worst
 
 
@@ -194,7 +193,7 @@ def check_operator_identity(tolerances=None, n_fields: int = 20, seed: int = 7,
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     results = []
     for su in _setups(system_names):
-        worst = operator_identity_sup(_bundle(su, pad=STENCIL_PAD),
+        worst = operator_identity_sup(_orbit(su, padded_span(su.t_span, su.step)),
                                       np.random.default_rng(seed), n_fields)
         results.append(_result(f"operator-identity-{su.name}", worst,
                                tol["operator-identity"], fields=n_fields, seed=seed,
@@ -208,14 +207,11 @@ def check_equal_energy(tolerances=None):
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     su = builtin_setup("flat-harmonic")
     t0 = -STENCIL_PAD * su.step          # the circle, parametrized by its angle
-    b = OrbitBundle(su.system, su.energy, np.array([np.cos(t0), np.sin(t0)]),
-                    np.array([-np.sin(t0), np.cos(t0)]), (0.0, 2.0 * np.pi), su.step,
-                    pad=STENCIL_PAD)
-    traj = b.traj
+    traj = integrate_newton(su.system, np.array([np.cos(t0), np.sin(t0)]),
+                            np.array([-np.sin(t0), np.cos(t0)]),
+                            padded_span((0.0, 2.0 * np.pi), su.step), su.step)
     vperp = np.sin(traj.times)[:, None] * traj.points   # radial field on the circle
-    dev = equal_energy_projection(su.system, traj, vperp, cache=b.cache)
-    rep = relation_equal_energy(su.system, su.energy, traj, dev,
-                                jm=b.jm, cache=b.cache, h_cache=b.h_cache)
+    rep = relation_equal_energy(traj, equal_energy_projection(traj, vperp))
     return [
         _result("equal-energy-constraint", rep["constraint_sup"],
                 tol["equal-energy-constraint"]),
@@ -232,13 +228,12 @@ def check_theorems(tolerances=None, n_variations: int = 10, seed: int = 11,
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     reports = []
     for su in _setups(system_names):
-        b = _bundle(su)
+        traj = _orbit(su)
         for k in range(n_variations):
-            var = make_proper_variation(b.traj, modes=3, seed=seed + k)
-            ovar = make_proper_variation(b.traj, modes=3, seed=seed + 1000 + k,
-                                         orthogonal=True, sys=b.sys, cache=b.cache)
-            reports.append(evaluate_functionals(b.sys, b.E, b.traj, var, orth_var=ovar,
-                                                cache=b.cache, jm=b.jm, h_cache=b.h_cache))
+            var = make_proper_variation(traj, modes=3, seed=seed + k)
+            ovar = make_proper_variation(traj, modes=3, seed=seed + 1000 + k,
+                                         orthogonal=True)
+            reports.append(evaluate_functionals(traj, var, orth_var=ovar))
 
     def worst(key):
         return max((getattr(r, key) for r in reports), default=0.0)
@@ -261,16 +256,15 @@ def check_conjugate_point(tolerances=None):
     """First conjugate point of the unit-sphere equator at arc length pi."""
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     su = builtin_setup("sphere-free")
-    sys_ = su.system
-    traj = integrate_newton(sys_, su.q0, su.v0, (0.0, 3.5), su.step)
-    dev = integrate_deviation(sys_, traj, np.zeros(2), np.array([1.0, 0.0]))
+    traj = _orbit(su, (0.0, 3.5))
+    dev = integrate_deviation(traj, np.zeros(2), np.array([1.0, 0.0]))
     comp = CubicSpline(traj.times, dev.V[:, 0])
     zero = brentq(comp, 2.9, 3.3)
     arc_err = abs(zero - np.pi)
 
-    traj_pi = integrate_newton(sys_, su.q0, su.v0, (0.0, np.pi), su.step)
+    traj_pi = _orbit(su, (0.0, np.pi))
     var = make_proper_variation(traj_pi, coefficients=[[1.0, 0.0]])
-    value = abs(second_variation_LJ(sys_, su.energy, traj_pi, var))
+    value = abs(second_variation_LJ(traj_pi, var))
     return [
         _result("conjugate-point-arc", arc_err, tol["conjugate-point-arc"],
                 first_zero=zero),
@@ -290,7 +284,7 @@ def check_linearization(tolerances=None, alpha: float = 1e-4, seed: int = 3,
         oracle = brute_force_deviation(su.system, su.q0, su.v0, dq, dv,
                                        alpha, su.t_span, su.step)
         v0, dv0 = linearization_initial_data(su.system, su.q0, su.v0, dq, dv)
-        lin = integrate_deviation(su.system, oracle.trajectory, v0, dv0)
+        lin = integrate_deviation(oracle.trajectory, v0, dv0)
         sup = float(np.max(np.abs(oracle.V - lin.V)))
         results.append(_result(f"linearization-{su.name}", sup, tol["linearization"],
                                alpha=alpha, seed=seed))
@@ -325,10 +319,10 @@ def check_action_consistency(tolerances=None, seed: int = 5, xi: float = 3e-4,
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     results = []
     for su in _setups(system_names):
-        b = _bundle(su)
-        var = make_proper_variation(b.traj, modes=3, seed=seed, amplitude=0.5)
-        quad = second_variation_S(b.sys, b.traj, var, cache=b.cache)
-        brute = action_second_difference(b.sys, b.traj, var, xi=xi)
+        traj = _orbit(su)
+        var = make_proper_variation(traj, modes=3, seed=seed, amplitude=0.5)
+        quad = second_variation_S(traj, var)
+        brute = action_second_difference(traj, var, xi=xi)
         results.append(_result(f"action-consistency-{su.name}",
                                abs(quad - brute), tol["action-consistency"],
                                d2S=quad, oracle=brute, xi=xi))

@@ -43,3 +43,22 @@ def test_traced_round_binds_every_name(tracer_module):
     # uninstalled: the package's own functions are back in place
     assert verify.integrate_newton.__module__ == "jacobistab.dynamics"
     assert not hasattr(verify.integrate_newton, "__wrapped__")
+
+
+def test_traced_theorems_bind_functional_arguments(tracer_module):
+    # the tracer binds ``traj`` and ``var`` of all three second variations
+    tr = tracer_module.Tracer()
+    tr.install()
+    try:
+        tr.begin_round()
+        results, _ = verify.check_theorems(n_variations=1, system_names=["flat-harmonic"])
+        tr.end_round()
+    finally:
+        tr.uninstall()
+    assert all(r.passed for r in results)
+    st = tr.rounds[0]
+    assert st.calls["variation.second_variation_S"] == 2
+    assert st.calls["variation.second_variation_S0J"] == 1
+    assert st.calls["variation.second_variation_LJ"] == 2
+    assert len(st.keys["functionals"]) == 5
+    assert st.calls["dynamics.CurveGeometry.__init__"] == 2

@@ -255,3 +255,55 @@ class TestOutputErrors:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "output error" in err
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("command, lines, needle", [
+        ("simulate", "t_span = 1.0\n", "t_span"),
+        ("simulate", "t_span = 0.0, 1.0, 2.0\n", "t_span"),
+        ("simulate", "t_span = 2.0, 1.0\n", "t_span"),
+        ("geodesic", "s_span = 0.0\n", "s_span"),
+        ("simulate", "q0 = 1.0, 0.0, 0.0\n", "q0"),
+        ("simulate", "v0 = 0.0\n", "v0"),
+        ("deviation", "dq = 1.0, 0.0, 0.0\n", "dq"),
+        ("deviation", "dv = 1.0\n", "dv"),
+        ("geodesic", "direction = 0.0, 1.0, 0.0\n", "direction"),
+    ])
+    def test_bad_list_length_exit_2(self, tmp_path, capsys, command, lines, needle):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("system = flat-harmonic\n" + lines)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg.as_posix(), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {needle}")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_zero_dimension_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "dim0.cfg"
+        cfg.write_text("system = custom\nmetric.dim = 0\nq0 = 0.0\nv0 = 1.0\n")
+        assert main(["simulate", "--config", cfg.as_posix(),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "metric.dim" in err[0]
+
+    @pytest.mark.parametrize("entries", ["metric.g.1.1 = -1\n", "metric.g.1.2 = 2\n"])
+    def test_indefinite_custom_metric_exit_2(self, tmp_path, capsys, entries):
+        cfg = tmp_path / "indef.cfg"
+        cfg.write_text("system = custom\nq0 = 0.5, 0.0\nv0 = 0.0, 1.0\n" + entries)
+        assert main(["simulate", "--config", cfg.as_posix(),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "not positive definite" in err[0]
+
+    def test_unusable_out_fails_before_computing(self, tmp_path, capsys, monkeypatch):
+        from jacobistab import cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("computed before checking the output directory")
+
+        monkeypatch.setattr(cli, "check_lemma_suite", must_not_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["verify-lemmas", "--out", str(blocker / "x")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("output error")

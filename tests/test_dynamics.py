@@ -86,7 +86,7 @@ class TestHessianOperator:
         traj = integrate_newton(FREE.system, [0.0, 0.0], [1.0, 0.0], (0.0, np.pi), 1e-3)
         v = np.stack([np.zeros_like(traj.times), np.sin(traj.times)], axis=1)
         dv = np.stack([np.zeros_like(traj.times), np.cos(traj.times)], axis=1)
-        out = hessian_operator(FREE.system, traj, DeviationField(traj, v, dv))
+        out = hessian_operator(traj, DeviationField(traj, v, dv))
         want = np.stack([np.zeros_like(traj.times), -np.sin(traj.times)], axis=1)
         assert np.max(np.abs(out - want)) < 1e-8
 
@@ -95,7 +95,7 @@ class TestHessianOperator:
         t = traj.times
         v = np.stack([np.sin(2 * t), np.cos(t)], axis=1)
         dv = np.stack([2 * np.cos(2 * t), -np.sin(t)], axis=1)
-        out = hessian_operator(HARMONIC.system, traj, DeviationField(traj, v, dv))
+        out = hessian_operator(traj, DeviationField(traj, v, dv))
         want = np.stack([-4 * np.sin(2 * t), -np.cos(t)], axis=1) + v
         assert np.max(np.abs(out - want)) < 1e-8
 
@@ -105,7 +105,7 @@ class TestHessianOperator:
         t = traj.times
         v = np.stack([np.sin(t), np.zeros_like(t)], axis=1)       # v(t) d_theta
         dv = np.stack([np.cos(t), np.zeros_like(t)], axis=1)
-        out = hessian_operator(SPHERE_FREE.system, traj, DeviationField(traj, v, dv))
+        out = hessian_operator(traj, DeviationField(traj, v, dv))
         want = np.zeros_like(v)                                   # (v'' + v) d_theta = 0
         assert np.max(np.abs(out - want)) < 1e-8
 
@@ -114,35 +114,35 @@ class TestHessianOperator:
         other = integrate_newton(FREE.system, [0.0, 0.0], [1.0, 0.0], (0.0, 0.5), 5e-3)
         dev = DeviationField(other, np.zeros_like(other.points), np.zeros_like(other.points))
         with pytest.raises(ValueError, match="mismatched sampling grids"):
-            hessian_operator(FREE.system, traj, dev)
+            hessian_operator(traj, dev)
 
 
 class TestIntegrateDeviation:
     def test_free_particle_linear_growth(self):
         traj = integrate_newton(FREE.system, [0.0, 0.0], [1.0, 0.0], (0.0, 2.0), 1e-3)
-        dev = integrate_deviation(FREE.system, traj, [0.0, 0.0], [0.0, 1.0])
+        dev = integrate_deviation(traj, [0.0, 0.0], [0.0, 1.0])
         want = np.stack([np.zeros_like(traj.times), traj.times], axis=1)
         assert np.max(np.abs(dev.V - want)) < 1e-10
 
     def test_harmonic_cosine(self):
         traj = integrate_newton(HARMONIC.system, [1.0, 0.0], [0.0, 1.0],
                                 (0.0, 2 * np.pi), 1e-3)
-        dev = integrate_deviation(HARMONIC.system, traj, [1.0, 0.0], [0.0, 0.0])
+        dev = integrate_deviation(traj, [1.0, 0.0], [0.0, 0.0])
         want = np.stack([np.cos(traj.times), np.zeros_like(traj.times)], axis=1)
         assert np.max(np.abs(dev.V - want)) < 1e-9
 
     def test_sphere_jacobi_field_sine(self):
         traj = integrate_newton(SPHERE_FREE.system, [np.pi / 2, 0.0], [0.0, 1.0],
                                 (0.0, np.pi), 1e-3)
-        dev = integrate_deviation(SPHERE_FREE.system, traj, [0.0, 0.0], [1.0, 0.0])
+        dev = integrate_deviation(traj, [0.0, 0.0], [1.0, 0.0])
         assert np.max(np.abs(dev.V[:, 0] - np.sin(traj.times))) < 1e-9
         assert abs(dev.V[-1, 0]) < 1e-9   # vanishes again at t = pi
 
     def test_operator_annihilates_solution(self):
         su = builtin_setup("sphere-cos")
         traj = integrate_newton(su.system, su.q0, su.v0, su.t_span, su.step)
-        dev = integrate_deviation(su.system, traj, [0.3, -0.2], [0.1, 0.4])
-        out = hessian_operator(su.system, traj, dev)
+        dev = integrate_deviation(traj, [0.3, -0.2], [0.1, 0.4])
+        out = hessian_operator(traj, dev)
         assert np.max(np.abs(out[5:-5])) < 1e-6
 
     def test_harmonic_deviations_stay_bounded(self):
@@ -152,7 +152,7 @@ class TestIntegrateDeviation:
                                 (0.0, 8 * np.pi), 2e-3)
         rng = np.random.default_rng(17)
         v0, dv0 = rng.uniform(-1.0, 1.0, (2, 2))
-        dev = integrate_deviation(HARMONIC.system, traj, v0, dv0)
+        dev = integrate_deviation(traj, v0, dv0)
         bound = np.sqrt(np.sum(v0**2) + np.sum(dv0**2))
         assert np.max(np.abs(dev.V)) <= bound + 1e-9
 
@@ -177,7 +177,7 @@ class TestBruteForceOracle:
                                        [1.0, 0.0], 1e-4, (0.0, 2 * np.pi), 1e-3)
         v0, dv0 = linearization_initial_data(su.system, su.q0, su.v0,
                                              [0.0, 0.0], [1.0, 0.0])
-        lin = integrate_deviation(su.system, oracle.trajectory, v0, dv0)
+        lin = integrate_deviation(oracle.trajectory, v0, dv0)
         assert np.max(np.abs(oracle.V - lin.V)) < 1e-5
 
     def test_dv_consistent_with_covariant_derivative(self):

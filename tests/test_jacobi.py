@@ -4,11 +4,10 @@ import pytest
 from jacobistab.dynamics import CurveGeometry, DeviationField, integrate_newton
 from jacobistab.errors import ForbiddenRegionError
 from jacobistab.geometry import cov_derivative_along
-from jacobistab.jacobi import (geodesic_from_trajectory,
-                               integrate_geodesic, jacobi_metric,
+from jacobistab.jacobi import (integrate_geodesic, jacobi_metric,
                                jacobi_operator_direct, jacobi_operator_via_g,
                                equal_energy_projection, maupertuis_roundtrip,
-                               relation_equal_energy, s_of_t)
+                               relation_equal_energy)
 from jacobistab.systems import builtin_setup
 
 FREE = builtin_setup("flat-free")
@@ -88,26 +87,27 @@ class TestIntegrateGeodesic:
 class TestSOfT:
     def test_constant_clearance_gives_identity(self):
         traj = integrate_newton(FREE.system, FREE.q0, FREE.v0, (0.0, 2.0), 1e-3)
-        pm = s_of_t(jacobi_metric(FREE.system, 0.5), traj)
-        assert np.max(np.abs(pm.s - pm.t)) < 1e-12
+        geo = traj.geo
+        assert np.max(np.abs(geo.s - geo.t_of_s)) < 1e-12
 
     def test_uniform_gravity_closed_form(self):
         traj = integrate_newton(GRAVITY.system, GRAVITY.q0, GRAVITY.v0, (0.0, 0.99), 1e-3)
-        pm = s_of_t(jacobi_metric(GRAVITY.system, 0.5), traj)
-        t = pm.t
+        geo = traj.geo
+        t = geo.t_of_s
         want = t - t**2 + t**3 / 3.0
-        assert np.max(np.abs(pm.s - want)) < 1e-10
-        assert pm.s[-1] == pytest.approx(0.99 - 0.99**2 + 0.99**3 / 3.0, abs=1e-10)
+        assert np.max(np.abs(geo.s - want)) < 1e-10
+        assert geo.s[-1] == pytest.approx(0.99 - 0.99**2 + 0.99**3 / 3.0, abs=1e-10)
 
-    def test_energy_mismatch_rejected(self):
-        traj = integrate_newton(FREE.system, FREE.q0, FREE.v0, (0.0, 1.0), 1e-3)
-        with pytest.raises(ValueError, match="energy mismatch"):
-            s_of_t(jacobi_metric(FREE.system, 0.7), traj)
+    def test_jacobi_metric_at_trajectory_energy(self):
+        traj = integrate_newton(HARMONIC.system, [1.0, 0.0], [0.0, 0.8], (0.0, 1.0), 1e-3)
+        assert traj.jm.E == traj.energy == pytest.approx(0.82, abs=1e-15)
+        assert traj.geo.metric is traj.jm.h
+        assert traj.geo is traj.geo and traj.jm is traj.jm
 
     def test_forbidden_interval_rejected(self):
         traj = integrate_newton(GRAVITY.system, GRAVITY.q0, GRAVITY.v0, (0.0, 1.05), 1e-3)
         with pytest.raises(ForbiddenRegionError):
-            s_of_t(jacobi_metric(GRAVITY.system, 0.5), traj)
+            traj.geo
 
 
 class TestJacobiOperatorDirect:
@@ -115,20 +115,20 @@ class TestJacobiOperatorDirect:
         jm = jacobi_metric(FREE.system, 0.5)
         geo = integrate_geodesic(jm, [0.0, 0.0], [1.0, 0.0], (0.0, np.pi), 1e-3)
         v = np.stack([np.zeros_like(geo.s), np.sin(geo.s)], axis=1)
-        out = jacobi_operator_direct(jm, geo, v)
+        out = jacobi_operator_direct(geo, v)
         assert np.max(np.abs(out[:, 1] + np.sin(geo.s))[8:-8]) < 1e-9
 
     def test_parallel_field_flat_zero(self):
         jm = jacobi_metric(FREE.system, 0.5)
         geo = integrate_geodesic(jm, [0.0, 0.0], [1.0, 0.0], (0.0, 1.0), 1e-3)
-        out = jacobi_operator_direct(jm, geo, np.tile([0.3, 0.7], (len(geo), 1)))
+        out = jacobi_operator_direct(geo, np.tile([0.3, 0.7], (len(geo), 1)))
         assert np.max(np.abs(out)) < 1e-12
 
     def test_sphere_equator_oscillator(self):
         jm = jacobi_metric(SPHERE_FREE.system, 0.5)
         geo = integrate_geodesic(jm, [np.pi / 2, 0.0], [0.0, 1.0], (0.0, np.pi), 1e-3)
         v = np.stack([np.sin(2 * geo.s), np.zeros_like(geo.s)], axis=1)
-        out = jacobi_operator_direct(jm, geo, v)
+        out = jacobi_operator_direct(geo, v)
         want = (-4 * np.sin(2 * geo.s) + np.sin(2 * geo.s))
         assert np.max(np.abs(out[:, 0] - want)[8:-8]) < 1e-8
 
@@ -136,7 +136,7 @@ class TestJacobiOperatorDirect:
         jm = jacobi_metric(FREE.system, 0.5)
         geo = integrate_geodesic(jm, [0.0, 0.0], [1.0, 0.0], (0.0, 1.0), 1e-3)
         with pytest.raises(ValueError, match="grid mismatch"):
-            jacobi_operator_direct(jm, geo, np.zeros((3, 2)))
+            jacobi_operator_direct(geo, np.zeros((3, 2)))
 
 
 class TestJacobiOperatorViaG:
@@ -149,14 +149,14 @@ class TestJacobiOperatorViaG:
         v = np.stack([np.sin(t), np.cos(2 * t)], axis=1)
         dv = cov_derivative_along(su.system.metric, traj.as_curve(), v, order=4)
         dev = DeviationField(traj, v, dv)
-        got = jacobi_operator_via_g(su.system, 2.0, traj, dev)
-        want = hessian_operator(su.system, traj, dev, order=4) / 16.0
+        got = jacobi_operator_via_g(traj, dev)
+        want = hessian_operator(traj, dev) / 16.0
         assert np.max(np.abs(got - want)) < 1e-14
 
     def test_zero_field(self):
         traj = integrate_newton(HARMONIC.system, HARMONIC.q0, HARMONIC.v0, (0.0, 1.0), 1e-3)
         dev = DeviationField(traj, np.zeros_like(traj.points), np.zeros_like(traj.points))
-        out = jacobi_operator_via_g(HARMONIC.system, 1.0, traj, dev)
+        out = jacobi_operator_via_g(traj, dev)
         assert np.max(np.abs(out)) == 0.0
 
     def test_cross_validates_against_direct(self):
@@ -164,14 +164,12 @@ class TestJacobiOperatorViaG:
         pad = 10 * su.step
         traj = integrate_newton(su.system, su.q0, su.v0,
                                 (su.t_span[0] - pad, su.t_span[1] + pad), su.step)
-        jm = jacobi_metric(su.system, su.energy)
-        geo = geodesic_from_trajectory(jm, traj)
         t = traj.times
         v = np.stack([np.sin(t), np.sin(2 * t)], axis=1)
         dv = cov_derivative_along(su.system.metric, traj.as_curve(), v, order=4)
         dev = DeviationField(traj, v, dv)
-        lhs = jacobi_operator_direct(jm, geo, v)
-        rhs = jacobi_operator_via_g(su.system, su.energy, traj, dev, jm=jm)
+        lhs = jacobi_operator_direct(traj.geo, v)
+        rhs = jacobi_operator_via_g(traj, dev)
         assert np.max(np.abs(lhs - rhs)[10:-10]) < 1e-6
 
 
@@ -179,19 +177,19 @@ class TestEqualEnergy:
     def test_zero_potential_keeps_field(self):
         traj = integrate_newton(FREE.system, FREE.q0, FREE.v0, (0.0, 2.0), 1e-3)
         vperp = np.stack([np.zeros_like(traj.times), np.sin(traj.times)], axis=1)
-        dev = equal_energy_projection(FREE.system, traj, vperp)
+        dev = equal_energy_projection(traj, vperp)
         assert np.max(np.abs(dev.V - vperp)) < 1e-12
 
     def test_zero_input_zero_output(self):
         traj = integrate_newton(HARMONIC.system, HARMONIC.q0, HARMONIC.v0, (0.0, 2.0), 1e-3)
-        dev = equal_energy_projection(HARMONIC.system, traj, np.zeros_like(traj.points))
+        dev = equal_energy_projection(traj, np.zeros_like(traj.points))
         assert np.max(np.abs(dev.V)) == 0.0
 
     def test_harmonic_radial_constraint(self):
         traj = integrate_newton(HARMONIC.system, HARMONIC.q0, HARMONIC.v0,
                                 (0.0, 2 * np.pi), 1e-3)
         vperp = np.sin(traj.times)[:, None] * traj.points
-        dev = equal_energy_projection(HARMONIC.system, traj, vperp)
+        dev = equal_energy_projection(traj, vperp)
         cache = CurveGeometry(HARMONIC.system.metric, traj.points, HARMONIC.system)
         resid = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
                  + np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, dev.V))
@@ -200,14 +198,14 @@ class TestEqualEnergy:
     def test_non_orthogonal_rejected(self):
         traj = integrate_newton(HARMONIC.system, HARMONIC.q0, HARMONIC.v0, (0.0, 1.0), 1e-3)
         with pytest.raises(ValueError, match="not orthogonal"):
-            equal_energy_projection(HARMONIC.system, traj, traj.velocities.copy())
+            equal_energy_projection(traj, traj.velocities.copy())
 
     def test_relation_constant_potential(self):
         su = builtin_setup("sphere-free")
         traj = integrate_newton(su.system, su.q0, su.v0, (0.0, 2.0), su.step)
         vperp = np.stack([np.sin(traj.times), np.zeros_like(traj.times)], axis=1)
-        dev = equal_energy_projection(su.system, traj, vperp)
-        rep = relation_equal_energy(su.system, su.energy, traj, dev)
+        dev = equal_energy_projection(traj, vperp)
+        rep = relation_equal_energy(traj, dev)
         assert rep["sup_norm"] < 1e-8
         assert rep["correction_sup"] < 1e-10
 
@@ -219,8 +217,8 @@ class TestEqualEnergy:
         traj = integrate_newton(HARMONIC.system, q0, v0, (t0, 2 * np.pi + pad),
                                 HARMONIC.step)
         vperp = np.sin(traj.times)[:, None] * traj.points
-        dev = equal_energy_projection(HARMONIC.system, traj, vperp)
-        rep = relation_equal_energy(HARMONIC.system, 1.0, traj, dev)
+        dev = equal_energy_projection(traj, vperp)
+        rep = relation_equal_energy(traj, dev)
         assert rep["constraint_sup"] < 1e-8
         assert rep["sup_norm"] < 1e-6
         assert rep["correction_sup"] > 1e-2   # the operators provably differ
@@ -231,7 +229,7 @@ class TestEqualEnergy:
         v = np.sin(traj.times)[:, None] * traj.points
         dv = cov_derivative_along(HARMONIC.system.metric, traj.as_curve(), v, order=4)
         with pytest.raises(ValueError, match="constraint violated"):
-            relation_equal_energy(HARMONIC.system, 1.0, traj, DeviationField(traj, v, dv))
+            relation_equal_energy(traj, DeviationField(traj, v, dv))
 
 
 class TestRoundtrip:
@@ -269,8 +267,8 @@ class TestGeodesicEquationInBaseMetric:
         # and mapping to dynamical time recovers acc_t = -grad U.
         su = builtin_setup("sphere-cos")
         traj = integrate_newton(su.system, su.q0, su.v0, su.t_span, su.step)
-        jm = jacobi_metric(su.system, su.energy)
-        geo = geodesic_from_trajectory(jm, traj)
+        jm = traj.jm
+        geo = traj.geo
         metric = su.system.metric
         cache = CurveGeometry(metric, geo.points, su.system)
         acc = cov_derivative_along(metric, geo.as_curve(), geo.tangents,

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from jacobistab.dynamics import CurveGeometry, integrate_newton
-from jacobistab.jacobi import equal_energy_projection, jacobi_metric
+from jacobistab.dynamics import integrate_newton
+from jacobistab.jacobi import equal_energy_projection
 from jacobistab.systems import builtin_setup
 from jacobistab.variation import (FunctionalReport, action_second_difference,
                                   evaluate_functionals,
                                   make_proper_variation,
-                                  orthogonal_identity_residual,
                                   second_variation_LJ, second_variation_S,
-                                  second_variation_S0J, theorem1_residual,
-                                  theorem2_residual, write_sweep_csv)
+                                  second_variation_S0J, write_sweep_csv)
 
 FREE = builtin_setup("flat-free")
 HARMONIC = builtin_setup("flat-harmonic")
@@ -43,8 +41,7 @@ class TestMakeProperVariation:
 
     def test_orthogonal_flag(self):
         traj = _traj(HARMONIC)
-        var = make_proper_variation(traj, modes=3, seed=5, orthogonal=True,
-                                    sys=HARMONIC.system)
+        var = make_proper_variation(traj, modes=3, seed=5, orthogonal=True)
         g = np.stack([HARMONIC.system.metric.g(q) for q in traj.points])
         orth = np.einsum('nij,ni,nj->n', g, traj.velocities, var.values)
         assert np.max(np.abs(orth)) < 1e-10
@@ -66,19 +63,19 @@ class TestSecondVariationS:
     def test_zero_field(self):
         traj = _traj(FREE, (0.0, np.pi))
         var = make_proper_variation(traj, coefficients=[[0.0, 0.0]])
-        assert second_variation_S(FREE.system, traj, var) == pytest.approx(0.0, abs=1e-15)
+        assert second_variation_S(traj, var) == pytest.approx(0.0, abs=1e-15)
 
     def test_flat_line_sine_closed_form(self):
         # integral of sin^2 over [0, pi]
         traj = _traj(FREE, (0.0, np.pi))
         var = make_proper_variation(traj, coefficients=[[0.0, 1.0]])
-        assert second_variation_S(FREE.system, traj, var) == pytest.approx(np.pi / 2, abs=1e-10)
+        assert second_variation_S(traj, var) == pytest.approx(np.pi / 2, abs=1e-10)
 
     def test_harmonic_against_action_difference(self):
         traj = _traj(HARMONIC, (0.0, np.pi / 2))
         var = make_proper_variation(traj, modes=2, seed=3)
-        quad = second_variation_S(HARMONIC.system, traj, var)
-        brute = action_second_difference(HARMONIC.system, traj, var, xi=1e-3)
+        quad = second_variation_S(traj, var)
+        brute = action_second_difference(traj, var, xi=1e-3)
         assert quad == pytest.approx(brute, abs=1e-5)
         assert quad > 0.0
 
@@ -86,8 +83,8 @@ class TestSecondVariationS:
         su = builtin_setup("sphere-cos")
         traj = _traj(su, (0.0, 1.5))
         var = make_proper_variation(traj, modes=3, seed=9)
-        quad = second_variation_S(su.system, traj, var)
-        brute = action_second_difference(su.system, traj, var, xi=1e-3)
+        quad = second_variation_S(traj, var)
+        brute = action_second_difference(traj, var, xi=1e-3)
         assert quad == pytest.approx(brute, abs=1e-5)
 
 
@@ -95,26 +92,24 @@ class TestSecondVariationS0J:
     def test_constant_potential_equals_action_side(self):
         traj = _traj(SPHERE_FREE, (0.0, 2.0))
         var = make_proper_variation(traj, modes=3, seed=4)
-        lhs = second_variation_S0J(SPHERE_FREE.system, 0.5, traj, var)
-        rhs = second_variation_S(SPHERE_FREE.system, traj, var)
+        lhs = second_variation_S0J(traj, var)
+        rhs = second_variation_S(traj, var)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_zero_field(self):
         traj = _traj(GRAVITY)
         var = make_proper_variation(traj, coefficients=[[0.0, 0.0]])
-        assert second_variation_S0J(GRAVITY.system, 0.5, traj, var) == 0.0
+        assert second_variation_S0J(traj, var) == 0.0
 
     def test_against_free_action_second_difference(self):
         # brute-force d^2/dxi^2 of the free action of h over curves gamma + xi V
         su = GRAVITY
         traj = _traj(su)
         var = make_proper_variation(traj, modes=2, seed=8)
-        quad = second_variation_S0J(su.system, su.energy, traj, var)
+        quad = second_variation_S0J(traj, var)
 
-        from jacobistab.jacobi import geodesic_from_trajectory
         from scipy.integrate import simpson
-        jm = jacobi_metric(su.system, su.energy)
-        geo = geodesic_from_trajectory(jm, traj)
+        jm, geo = traj.jm, traj.geo
         w2 = jm.factor_values(traj.points)
         dv_ds = var.dvalues / w2[:, None]
 
@@ -137,17 +132,17 @@ class TestSecondVariationLJ:
         var = make_proper_variation(traj, coefficients=[[0.0, 0.0]])
         object.__setattr__(var, "values", bump[:, None] * traj.velocities)
         object.__setattr__(var, "dvalues", np.zeros_like(var.values))
-        assert abs(second_variation_LJ(HARMONIC.system, 1.0, traj, var)) < 1e-10
+        assert abs(second_variation_LJ(traj, var)) < 1e-10
 
     def test_zero_field(self):
         traj = _traj(HARMONIC, (0.0, 2.0))
         var = make_proper_variation(traj, coefficients=[[0.0, 0.0]])
-        assert second_variation_LJ(HARMONIC.system, 1.0, traj, var) == 0.0
+        assert second_variation_LJ(traj, var) == 0.0
 
     def test_sphere_conjugate_endpoint_annihilates(self):
         traj = _traj(SPHERE_FREE, (0.0, np.pi))
         var = make_proper_variation(traj, coefficients=[[1.0, 0.0]])  # sin(s) d_theta
-        val = second_variation_LJ(SPHERE_FREE.system, 0.5, traj, var)
+        val = second_variation_LJ(traj, var)
         assert abs(val) < 1e-4
 
 
@@ -155,45 +150,42 @@ class TestTheorems:
     def test_theorem1_constant_potential(self):
         traj = _traj(SPHERE_FREE, (0.0, 2.0))
         var = make_proper_variation(traj, modes=3, seed=12)
-        rep = theorem1_residual(SPHERE_FREE.system, 0.5, traj, var)
-        assert rep["correction"] == pytest.approx(0.0, abs=1e-12)
-        assert rep["residual"] < 1e-8
+        rep = evaluate_functionals(traj, var)
+        assert rep.thm1_correction == pytest.approx(0.0, abs=1e-12)
+        assert rep.thm1_residual < 1e-8
 
     def test_theorem1_zero_field(self):
         traj = _traj(GRAVITY)
         var = make_proper_variation(traj, coefficients=[[0.0, 0.0]])
-        rep = theorem1_residual(GRAVITY.system, 0.5, traj, var)
-        assert rep["lhs"] == rep["rhs"] == 0.0
+        rep = evaluate_functionals(traj, var)
+        assert rep.d2S0J == rep.d2S + rep.thm1_correction == 0.0
 
     def test_theorem1_gravity_sweep(self):
         traj = _traj(GRAVITY)
         worst = 0.0
         for seed in range(10):
             var = make_proper_variation(traj, modes=3, seed=100 + seed)
-            worst = max(worst, theorem1_residual(GRAVITY.system, 0.5, traj, var)["residual"])
+            worst = max(worst, evaluate_functionals(traj, var).thm1_residual)
         assert worst < 1e-6
 
     def test_theorem2_orthogonal_constant_potential(self):
         traj = _traj(SPHERE_FREE, (0.0, 2.0))
-        var = make_proper_variation(traj, modes=3, seed=13, orthogonal=True,
-                                    sys=SPHERE_FREE.system)
-        rep = theorem2_residual(SPHERE_FREE.system, 0.5, traj, var)
+        var = make_proper_variation(traj, modes=3, seed=13, orthogonal=True)
+        rep = evaluate_functionals(traj, var)
         # U constant and <qdot, DV> = 0 for orthogonal V along a geodesic
-        assert rep["correction"] == pytest.approx(0.0, abs=1e-10)
-        assert rep["residual"] < 1e-8
+        assert rep.thm2_correction == pytest.approx(0.0, abs=1e-10)
+        assert rep.thm2_residual < 1e-8
 
     def test_theorem2_harmonic_sweep(self):
         traj = _traj(HARMONIC)
-        cache = CurveGeometry(HARMONIC.system.metric, traj.points, HARMONIC.system)
-        jm = jacobi_metric(HARMONIC.system, 1.0)
         worst = 0.0
         correction_seen = 0.0
         for seed in range(5):
             var = make_proper_variation(traj, modes=3, seed=200 + seed)
-            rep = theorem2_residual(HARMONIC.system, 1.0, traj, var, cache=cache, jm=jm)
-            worst = max(worst, rep["residual"])
-            correction_seen = max(correction_seen, rep["correction"])
-            assert rep["integrand_min"] >= -1e-12
+            rep = evaluate_functionals(traj, var)
+            worst = max(worst, rep.thm2_residual)
+            correction_seen = max(correction_seen, rep.thm2_correction)
+            assert rep.integrand_min >= -1e-12
         assert worst < 1e-6
         assert correction_seen > 0.0
 
@@ -202,38 +194,39 @@ class TestTheorems:
         traj = _traj(GRAVITY)
         for seed in range(5):
             var = make_proper_variation(traj, modes=3, seed=300 + seed)
-            rep = theorem2_residual(GRAVITY.system, 0.5, traj, var)
-            assert rep["d2S"] - rep["lhs"] >= -1e-8
+            rep = evaluate_functionals(traj, var)
+            assert rep.d2S - rep.d2LJ >= -1e-8
 
 
 class TestOrthogonalIdentity:
+    # with var = orth_var, the report's d2S and d2LJ are those of the
+    # orthogonal field
     def test_constant_potential_reduces(self):
         traj = _traj(SPHERE_FREE, (0.0, 2.0))
-        var = make_proper_variation(traj, modes=3, seed=21, orthogonal=True,
-                                    sys=SPHERE_FREE.system)
-        rep = orthogonal_identity_residual(SPHERE_FREE.system, 0.5, traj, var)
-        assert rep["correction"] == pytest.approx(0.0, abs=1e-12)
-        assert rep["residual"] < 1e-8
+        var = make_proper_variation(traj, modes=3, seed=21, orthogonal=True)
+        rep = evaluate_functionals(traj, var, orth_var=var)
+        assert rep.orth_residual == abs(rep.d2S - rep.d2LJ)   # zero h-gradient correction
+        assert rep.orth_residual < 1e-8
+        assert rep.pathway_delta < 1e-12
 
     def test_zero_field(self):
         traj = _traj(GRAVITY)
         var = make_proper_variation(traj, coefficients=[[0.0, 0.0]])
-        rep = orthogonal_identity_residual(GRAVITY.system, 0.5, traj, var)
-        assert rep["lhs"] == rep["rhs"] == 0.0
+        rep = evaluate_functionals(traj, var, orth_var=var)
+        assert rep.d2S == rep.d2LJ == rep.orth_residual == 0.0
 
     def test_gravity_orthogonal_bump(self):
         traj = _traj(GRAVITY)
-        var = make_proper_variation(traj, modes=3, seed=22, orthogonal=True,
-                                    sys=GRAVITY.system)
-        rep = orthogonal_identity_residual(GRAVITY.system, 0.5, traj, var)
-        assert rep["residual"] < 1e-6
-        assert rep["pathway_delta"] < 1e-6
+        var = make_proper_variation(traj, modes=3, seed=22, orthogonal=True)
+        rep = evaluate_functionals(traj, var, orth_var=var)
+        assert rep.orth_residual < 1e-6
+        assert rep.pathway_delta < 1e-6
 
     def test_non_orthogonal_rejected(self):
         traj = _traj(GRAVITY)
         var = make_proper_variation(traj, modes=3, seed=23)
         with pytest.raises(ValueError, match="not orthogonal"):
-            orthogonal_identity_residual(GRAVITY.system, 0.5, traj, var)
+            evaluate_functionals(traj, var, orth_var=var)
 
 
 class TestQuadratureConvergence:
@@ -244,16 +237,15 @@ class TestQuadratureConvergence:
         res = []
         for traj in (coarse, fine):
             var = make_proper_variation(traj, modes=3, seed=31)
-            res.append(theorem1_residual(su.system, 0.5, traj, var)["residual"])
+            res.append(evaluate_functionals(traj, var).thm1_residual)
         assert res[1] < res[0] / 4.0
 
 
 class TestEqualEnergyVariation:
     def test_orthogonal_input_satisfies_constraint(self):
         traj = _traj(HARMONIC)
-        var = make_proper_variation(traj, modes=2, seed=41, orthogonal=True,
-                                    sys=HARMONIC.system)
-        dev = equal_energy_projection(HARMONIC.system, traj, var.values)
+        var = make_proper_variation(traj, modes=2, seed=41, orthogonal=True)
+        dev = equal_energy_projection(traj, var.values)
         g = np.stack([HARMONIC.system.metric.g(q) for q in traj.points])
         resid = (np.einsum('nij,ni,nj->n', g, traj.velocities, dev.DV)
                  + np.einsum('nij,ni,nj->n', g, traj.points, dev.V))
@@ -264,9 +256,8 @@ class TestReports:
     def test_report_and_sweep_csv(self, tmp_path):
         traj = _traj(GRAVITY)
         var = make_proper_variation(traj, modes=3, seed=51)
-        orth = make_proper_variation(traj, modes=3, seed=52, orthogonal=True,
-                                     sys=GRAVITY.system)
-        rep = evaluate_functionals(GRAVITY.system, 0.5, traj, var, orth_var=orth)
+        orth = make_proper_variation(traj, modes=3, seed=52, orthogonal=True)
+        rep = evaluate_functionals(traj, var, orth_var=orth)
         assert isinstance(rep, FunctionalReport)
         assert rep.thm1_residual < 1e-6 and rep.thm2_residual < 1e-6
         assert rep.orth_residual < 1e-6
@@ -299,3 +290,31 @@ class TestReports:
         check_theorems(n_variations=2, system_names=["flat-harmonic"])
         assert len(calls) == 10                 # 5 per variation pair
         assert len(set(calls)) == len(calls)
+
+    def test_orbit_data_built_once(self, monkeypatch):
+        import sys
+
+        from jacobistab import jacobi
+        from jacobistab.dynamics import CurveGeometry
+        from jacobistab.verify import check_theorems
+
+        geodesic_views, caches = [], []
+        view = jacobi.geodesic_from_trajectory
+        init = CurveGeometry.__init__
+
+        def counting_view(*args):
+            geodesic_views.append(args)
+            return view(*args)
+
+        def counting_init(self, metric, points, sys=None):
+            caches.append(metric.name)
+            init(self, metric, points, sys)
+
+        for name, mod in list(sys.modules.items()):     # every reference to it
+            if (name.startswith("jacobistab")
+                    and getattr(mod, "geodesic_from_trajectory", None) is view):
+                monkeypatch.setattr(mod, "geodesic_from_trajectory", counting_view)
+        monkeypatch.setattr(CurveGeometry, "__init__", counting_init)
+        check_theorems(n_variations=2, system_names=["sphere-cos"])
+        assert len(geodesic_views) == 1
+        assert caches == ["sphere", "jacobi(sphere-cos)"]     # one g-cache, one h-cache
