@@ -3,11 +3,10 @@ geodesic stability for natural mechanical systems."""
 
 from .errors import (ChartDomainError, ConfigError, DegenerateMetricError,
                      EnergyDriftError, ForbiddenRegionError, GeometryError)
-from .geometry import (ChartMetric, SampledCurve, ScalarField, TangentVector,
-                       VectorField, christoffel, cov_derivative_along,
-                       flat_metric, grad_scalar, hessian_form,
-                       hyperbolic_metric, metric_by_name, riemann,
-                       sectional_tensor, sphere_metric)
+from .geometry import (ChartMetric, SampledCurve, ScalarField, christoffel,
+                       cov_derivative_along, flat_metric, grad_scalar,
+                       hessian_form, hyperbolic_metric, metric_by_name,
+                       riemann, sphere_metric)
 from .conformal import (ConformalFactor, conformal_connection,
                         conformal_curvature, conformal_rescale,
                         conformal_second_cov, lemma_residuals, reparam_cov)

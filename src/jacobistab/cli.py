@@ -77,13 +77,19 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
-def _get_float(cfg, key, default=None):
-    if key not in cfg:
-        return default
+def _number(text, what):
+    """``float(text)``; a config error naming ``what`` unless it is finite."""
     try:
-        return float(cfg[key])
+        value = float(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {cfg[key]!r}") from None
+        value = np.nan
+    if not np.isfinite(value):
+        raise ConfigError(f"{what}: expected a finite number, got {text!r}")
+    return value
+
+
+def _get_float(cfg, key, default=None):
+    return default if key not in cfg else _number(cfg[key], key)
 
 
 def _get_int(cfg, key, default=None):
@@ -108,10 +114,7 @@ def _get_bool(cfg, key, default=False):
 def _get_list(cfg, key, default=None):
     if key not in cfg:
         return default
-    try:
-        return np.array([float(x) for x in cfg[key].split(",")])
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated numbers, got {cfg[key]!r}") from None
+    return np.array([_number(x, key) for x in cfg[key].split(",")])
 
 
 class Experiment:
@@ -154,6 +157,11 @@ class Experiment:
         self.var_amplitude = _get_float(cfg, "variation.amplitude", 1.0)
         self.var_count = _get_int(cfg, "variation.count", 5)
         self.var_orthogonal = _get_bool(cfg, "variation.orthogonal", False)
+
+        if self.var_count < 1:
+            raise ConfigError(f"variation.count: expected a positive integer, got {self.var_count}")
+        if not self.drift_bound > 0.0:
+            raise ConfigError(f"drift_bound: expected a positive number, got {self.drift_bound!r}")
 
         n = self.sys.metric.dim
         for key in ("q0", "v0", "dq", "dv", "direction"):
@@ -209,15 +217,12 @@ def tolerance_overrides(cfg: dict, args) -> dict:
     tol = {}
     for key, value in cfg.items():
         if key.startswith("tolerance."):
-            tol[key.split(".", 1)[1]] = float(value)
+            tol[key.split(".", 1)[1]] = _number(value, key)
     for item in args.tolerance or []:
         if "=" not in item:
             raise ConfigError(f"--tolerance expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
-        try:
-            tol[name.strip()] = float(value)
-        except ValueError:
-            raise ConfigError(f"--tolerance {item!r}: bad number") from None
+        tol[name.strip()] = _number(value, f"--tolerance {name.strip()}")
     for name in tol:
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance {name!r} "

@@ -11,7 +11,6 @@ brute-force oracle differentiates perturbed nonlinear runs instead.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -43,8 +42,7 @@ class MechanicalSystem:
 
     @cached_property
     def potential(self) -> ScalarField:
-        return ScalarField(value=self.U, partials=self.dU, second_partials=self.d2U,
-                           fd_step=self.metric.fd_step, fd_step2=self.metric.fd_step2)
+        return ScalarField(value=self.U, partials=self.dU, second_partials=self.d2U)
 
     def energy(self, q, v):
         q = np.asarray(q, dtype=float)
@@ -80,9 +78,9 @@ class Trajectory:
     """Time-sampled solution of the equations of motion of ``system``.
 
     The trajectory is the context of every identity along it: it builds on
-    first use, and keeps, its g-cache ``cache``, its Jacobi metric ``jm`` at
-    its own energy and its view ``geo`` as an h-geodesic record, whose own
-    ``cache`` is the h-cache.
+    first use, and keeps, its g-cache ``cache``, its covariant acceleration
+    ``cov_acceleration``, its Jacobi metric ``jm`` at its own energy and its
+    view ``geo`` as an h-geodesic record, whose own ``cache`` is the h-cache.
     """
 
     times: np.ndarray
@@ -109,6 +107,12 @@ class Trajectory:
         return CurveGeometry(self.system.metric, self.points, self.system)
 
     @cached_property
+    def cov_acceleration(self) -> np.ndarray:
+        """``nabla_qdot qdot`` at every sample, from 7-point stencils."""
+        return cov_derivative_along(self.system.metric, self.as_curve(), self.velocities,
+                                    order=4, gammas=self.cache.gamma)
+
+    @cached_property
     def jm(self):
         from . import jacobi
         return jacobi.jacobi_metric(self.system, self.energy)
@@ -131,13 +135,6 @@ class Trajectory:
         header = (["t"] + [f"q{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)])
         rows = np.hstack([self.times[:, None], self.points, self.velocities])
         _write_csv_atomic(path, header, rows)
-
-    def write_json(self, path) -> None:
-        payload = self.to_dict()
-        payload["t"] = self.times.tolist()
-        payload["q"] = self.points.tolist()
-        payload["v"] = self.velocities.tolist()
-        _write_text_atomic(path, json.dumps(payload, indent=1))
 
 
 @dataclass(frozen=True)
@@ -398,6 +395,8 @@ def brute_force_deviation(sys: MechanicalSystem, q0, v0, dq, dv, alpha,
     ``DV0 = dv + Γ(q0)(v0, dq)``.  The three runs advance together as one
     ``(3, 2n)`` ensemble.
     """
+    if not alpha > 0:
+        raise ValueError("need alpha > 0")
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     dq = np.asarray(dq, dtype=float)

@@ -92,8 +92,6 @@ class ChartMetric:
     dg_eval: Optional[Callable[[Point], np.ndarray]] = None
     d2g_eval: Optional[Callable[[Point], np.ndarray]] = None
     domain_guard: Callable[[Point], np.ndarray] = field(default=_finite)
-    fd_step: float = FD_STEP
-    fd_step2: float = FD_STEP2
     name: str = ""
 
     def contains(self, p) -> np.ndarray:
@@ -129,7 +127,7 @@ class ChartMetric:
         p = np.asarray(p, dtype=float)
         if self.dg_eval is not None:
             return _shaped(self.dg_eval(p), p.shape[:-1] + (self.dim,) * 3)
-        return central_diff(self.g, p, self.fd_step)
+        return central_diff(self.g, p, FD_STEP)
 
     def d2g(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -137,8 +135,8 @@ class ChartMetric:
             return _shaped(self.d2g_eval(p), p.shape[:-1] + (self.dim,) * 4)
         if self.dg_eval is not None:
             # d_k (d_l g_ij) by differencing the analytic first partials
-            return central_diff(self.dg, p, self.fd_step2)
-        return central_diff2(self.g, p, self.fd_step2)
+            return central_diff(self.dg, p, FD_STEP2)
+        return central_diff2(self.g, p, FD_STEP2)
 
     def inner(self, p, x, y):
         return _quad(self.g(p), np.asarray(x, dtype=float), np.asarray(y, dtype=float))[()]
@@ -148,20 +146,9 @@ class ChartMetric:
 
 
 @dataclass(frozen=True)
-class TangentVector:
-    """Contravariant vector attached to a chart point."""
-
-    base_point: np.ndarray
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "base_point", np.asarray(self.base_point, dtype=float))
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=float))
-
-
-@dataclass(frozen=True)
 class SampledCurve:
-    """Curve samples: parameter values, chart points and tangents dγ/dparam."""
+    """Curve samples: parameter values ``(..., N)``, chart points and tangents
+    dγ/dparam ``(..., N, n)``; leading axes index a batch of curves."""
 
     params: np.ndarray
     points: np.ndarray
@@ -171,15 +158,15 @@ class SampledCurve:
         object.__setattr__(self, "params", np.asarray(self.params, dtype=float))
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
         object.__setattr__(self, "tangents", np.asarray(self.tangents, dtype=float))
-        if len(self.params) < 2:
+        if self.params.shape[-1] < 2:
             raise ValueError("insufficient samples: a curve needs at least 2 samples")
-        if not (len(self.params) == len(self.points) == len(self.tangents)):
+        if not (self.params.shape == self.points.shape[:-1] == self.tangents.shape[:-1]):
             raise ValueError("curve arrays must have equal length")
-        if np.any(np.diff(self.params) <= 0):
+        if np.any(np.diff(self.params, axis=-1) <= 0):
             raise ValueError("curve parameter values must be strictly increasing")
 
     def __len__(self):
-        return len(self.params)
+        return self.params.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -195,8 +182,6 @@ class ScalarField:
     value: Callable[[Point], np.ndarray]
     partials: Optional[Callable[[Point], np.ndarray]] = None
     second_partials: Optional[Callable[[Point], np.ndarray]] = None
-    fd_step: float = FD_STEP
-    fd_step2: float = FD_STEP2
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
@@ -206,52 +191,22 @@ class ScalarField:
         p = np.asarray(p, dtype=float)
         if self.partials is not None:
             return _shaped(self.partials(p), p.shape)
-        return central_diff(self, p, self.fd_step)
+        return central_diff(self, p, FD_STEP)
 
     def hess_components(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         if self.second_partials is not None:
             return _shaped(self.second_partials(p), p.shape + p.shape[-1:])
         if self.partials is not None:
-            d = central_diff(self.grad_components, p, self.fd_step2)
+            d = central_diff(self.grad_components, p, FD_STEP2)
             return 0.5 * (d + np.swapaxes(d, -1, -2))
-        return central_diff2(self, p, self.fd_step2)
+        return central_diff2(self, p, FD_STEP2)
 
 
 def as_scalar_field(f) -> ScalarField:
     if isinstance(f, ScalarField):
         return f
     return ScalarField(value=f)
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Contravariant vector field with an optional analytic Jacobian.
-
-    ``comp(p)`` returns ``(..., n)`` components and ``jac(p)[..., k, i] =
-    d_k comp_i``; when ``jac`` is absent the Jacobian is produced by
-    central differences of ``comp``.
-    """
-
-    comp: Callable[[Point], np.ndarray]
-    jac: Optional[Callable[[Point], np.ndarray]] = None
-    fd_step: float = FD_STEP
-
-    def __call__(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return _shaped(self.comp(p), p.shape)
-
-    def jacobian(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if self.jac is not None:
-            return _shaped(self.jac(p), p.shape + p.shape[-1:])
-        return central_diff(self, p, self.fd_step)
-
-    @staticmethod
-    def constant(vec) -> "VectorField":
-        vec = np.asarray(vec, dtype=float)
-        n = vec.size
-        return VectorField(comp=lambda p: vec, jac=lambda p: np.zeros((n, n)))
 
 
 def _bracket(dg):
@@ -285,7 +240,7 @@ def christoffel_partials(metric: ChartMetric, p, ginv=None) -> np.ndarray:
     """
     p = metric.check_point(p)
     if metric.d2g_eval is None and metric.dg_eval is None:
-        return central_diff(lambda q: christoffel(metric, q), p, metric.fd_step2)
+        return central_diff(lambda q: christoffel(metric, q), p, FD_STEP2)
     if ginv is None:
         ginv = metric.g_inv(p)
     dg = metric.dg(p)
@@ -314,21 +269,10 @@ def riemann(metric: ChartMetric, p, gamma=None, ginv=None) -> np.ndarray:
             + np.einsum('...lbm,...mac->...labc', gam, gam))
 
 
-def sectional_tensor(metric: ChartMetric, x: TangentVector, y: TangentVector) -> TangentVector:
-    """Sectional curvature map ``K_X(Y) = R(X, Y)X`` at the common base point."""
-    if not np.allclose(x.base_point, y.base_point, atol=1e-12, rtol=0.0):
-        raise ValueError("base point mismatch")
-    r = riemann(metric, x.base_point)
-    comps = np.einsum('...labc,...a,...b,...c->...l', r, x.components, y.components,
-                      x.components)
-    return TangentVector(x.base_point, comps)
-
-
-def grad_scalar(metric: ChartMetric, f, p) -> TangentVector:
-    """Riemannian gradient, components ``g^{ij} d_j f``."""
+def grad_scalar(metric: ChartMetric, f, p) -> np.ndarray:
+    """Riemannian gradient components ``g^{ij} d_j f`` ``(..., n)``."""
     p = metric.check_point(p)
-    comps = _mv(metric.g_inv(p), as_scalar_field(f).grad_components(p))
-    return TangentVector(p, comps)
+    return _mv(metric.g_inv(p), as_scalar_field(f).grad_components(p))
 
 
 def hessian_form(metric: ChartMetric, f, p, gamma=None) -> np.ndarray:
@@ -347,7 +291,8 @@ def hessian_form(metric: ChartMetric, f, p, gamma=None) -> np.ndarray:
 
 def cov_derivative_along(metric: ChartMetric, curve: SampledCurve, field,
                          order: int = 2, gammas=None) -> np.ndarray:
-    """Covariant derivative of a sampled field along a sampled curve.
+    """Covariant derivative of a sampled field along a sampled curve, or
+    along each curve of a batch.
 
     Returns ``dV^i/dparam + Γ^i_jk γ̇^j V^k`` at every sample.  The default
     scheme is second-order central differencing (one-sided at the ends);
@@ -359,14 +304,28 @@ def cov_derivative_along(metric: ChartMetric, curve: SampledCurve, field,
         raise ValueError("insufficient samples: need at least 3")
     if field.shape != curve.points.shape:
         raise ValueError("field samples must match the curve grid")
-    if order == 2:
-        dv = np.gradient(field, curve.params, axis=0, edge_order=2)
-    else:
-        dv = local_derivative(curve.params, field, m=1, width=7)
     if gammas is None:
         gammas = christoffel(metric, curve.points)
-    corr = np.einsum('nijk,nj,nk->ni', gammas, curve.tangents, field)
-    return dv + corr
+    corr = np.einsum('...ijk,...j,...k->...i', gammas, curve.tangents, field)
+    return _param_derivative(curve.params, field, order) + corr
+
+
+def _param_derivative(params, y, order: int = 2) -> np.ndarray:
+    """``dy/dparam`` along the sample axis of one grid ``(N,)`` or of each
+    row of ``params``: second-order ``np.gradient`` for ``order=2``, 7-point
+    :func:`local_derivative` stencils otherwise."""
+    params = np.asarray(params, dtype=float)
+    if order != 2:
+        return local_derivative(params, y, m=1, width=7)
+    if params.ndim == 1:
+        return np.gradient(y, params, axis=0, edge_order=2)
+    # np.gradient takes one grid: the rows that share a grid go together
+    grids, which = np.unique(params, axis=0, return_inverse=True)
+    out = np.empty(np.shape(y))
+    for k, grid in enumerate(grids):
+        rows = which.ravel() == k
+        out[rows] = np.gradient(y[rows], grid, axis=1, edge_order=2)
+    return out
 
 
 def orthogonal_part(g, u, v) -> np.ndarray:
@@ -376,24 +335,18 @@ def orthogonal_part(g, u, v) -> np.ndarray:
     return v - mu[:, None] * u
 
 
-def field_cov_derivative(metric: ChartMetric, x, z: VectorField, p) -> np.ndarray:
-    """``nabla_X Z`` at p for a vector field Z; X may be a TangentVector or field."""
-    p = np.asarray(p, dtype=float)
-    xv = x.components if isinstance(x, TangentVector) else (
-        x(p) if isinstance(x, VectorField) else np.asarray(x, dtype=float))
-    gam = christoffel(metric, p)
-    dz = z.jacobian(p)
-    return (np.einsum('...k,...ki->...i', xv, dz)
-            + np.einsum('...ikm,...k,...m->...i', gam, xv, z(p)))
-
-
-def field_second_cov(metric: ChartMetric, x, y: VectorField, z: VectorField, p,
-                     step: Optional[float] = None) -> np.ndarray:
-    """``nabla_X (nabla_Y Z)`` at p, differencing the inner derivative field."""
-    p = np.asarray(p, dtype=float)
-    h = metric.fd_step if step is None else step
-    inner = VectorField(comp=lambda q: field_cov_derivative(metric, y, z, q), fd_step=h)
-    return field_cov_derivative(metric, x, inner, p)
+def _second_cov(metric: ChartMetric, p, x, y, z, gamma=None) -> np.ndarray:
+    """``nabla_X (nabla_Y Z)`` at points ``(..., n)`` for constant-component
+    vectors x, y, z ``(..., n)``: the field ``nabla_Y Z = Γ(Y, Z)`` is
+    central-differenced along X.  ``gamma`` reuses Christoffel symbols
+    already evaluated at ``p``."""
+    gam = christoffel(metric, p) if gamma is None else gamma
+    y1, z1 = y[..., None, :], z[..., None, :]     # against the 2n stencil points
+    d_yz = central_diff(lambda q: np.einsum('...ikm,...k,...m->...i',
+                                            christoffel(metric, q), y1, z1), p, FD_STEP)
+    return (np.einsum('...k,...ki->...i', x, d_yz)
+            + np.einsum('...ikm,...k,...m->...i', gam, x,
+                        np.einsum('...ikm,...k,...m->...i', gam, y, z)))
 
 
 def validate_metric_at(metric: ChartMetric, p, dg_tol: float = 1e-6) -> None:
@@ -409,7 +362,7 @@ def validate_metric_at(metric: ChartMetric, p, dg_tol: float = 1e-6) -> None:
     if np.min(np.linalg.eigvalsh(gm)) <= 0.0:
         raise DegenerateMetricError(f"degenerate metric at {p.tolist()}: not positive definite")
     if metric.dg_eval is not None:
-        fd = central_diff(metric.g, p, metric.fd_step)
+        fd = central_diff(metric.g, p, FD_STEP)
         if np.max(np.abs(fd - metric.dg(p))) > dg_tol:
             raise DegenerateMetricError(f"analytic metric partials disagree with differences at {p.tolist()}")
 

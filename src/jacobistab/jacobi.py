@@ -88,8 +88,7 @@ def jacobi_metric(sys: MechanicalSystem, E: float, margin: Optional[float] = Non
 
     df = None if sys.dU is None else (lambda p: -2.0 * pot.grad_components(p))
     d2f = None if sys.d2U is None else (lambda p: -2.0 * pot.hess_components(p))
-    factor = ConformalFactor(f=f, df=df, d2f=d2f,
-                             fd_step=sys.metric.fd_step, fd_step2=sys.metric.fd_step2)
+    factor = ConformalFactor(f=f, df=df, d2f=d2f)
 
     def guard(p):
         return (E - pot(p)) > margin

@@ -60,8 +60,9 @@ def local_derivative(x, y, m=1, width=7):
 
     Parameters
     ----------
-    x : (N,) strictly increasing sample locations (may be non-uniform).
-    y : (N,) or (N, ...) samples.
+    x : (..., N) strictly increasing sample locations (may be non-uniform),
+        one grid per leading index.
+    y : (..., N) or (..., N, ...) samples, whose leading axes match ``x``.
     m : derivative order (1 or 2 in practice).
     width : stencil width; accuracy is O(h^(width-m)) on smooth data.
 
@@ -69,7 +70,7 @@ def local_derivative(x, y, m=1, width=7):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     if n < m + 1:
         raise ValueError("insufficient samples for derivative order %d" % m)
     width = min(width, n)
@@ -78,24 +79,29 @@ def local_derivative(x, y, m=1, width=7):
 
     start = np.clip(np.arange(n) - (width - 1) // 2, 0, n - width)
     idx = start[:, None] + np.arange(width)[None, :]
-    d = x[idx] - x[:, None]                      # (N, w) node offsets
-    scale = np.max(np.abs(d), axis=1, keepdims=True)
+    d = x[..., idx] - x[..., :, None]            # (..., N, w) node offsets
+    scale = np.max(np.abs(d), axis=-1, keepdims=True)
     scale[scale == 0.0] = 1.0
     ds = d / scale
     # Solve the Vandermonde system sum_c w_c ds_c^r = m! delta_{r,m}.
-    vand = ds[:, None, :] ** np.arange(width)[None, :, None]
-    rhs = np.zeros((n, width, 1))
-    rhs[:, m, 0] = math.factorial(m)
-    wts = np.linalg.solve(vand, rhs)[:, :, 0] / scale**m   # (N, w)
+    vand = ds[..., None, :] ** np.arange(width)[:, None]
+    rhs = np.zeros(vand.shape[:-1] + (1,))
+    rhs[..., m, 0] = math.factorial(m)
+    wts = np.linalg.solve(vand, rhs)[..., 0] / scale**m   # (..., N, w)
 
     # differencing offsets from the evaluation node annihilates constants
     # exactly and reduces cancellation on slowly varying data
-    yw = y[idx] - y[:, None]
-    return np.einsum('nw,nw...->n...', wts, yw)
+    node = x.ndim - 1
+    yw = np.take(y, idx, axis=node) - np.expand_dims(y, node + 1)
+    # one row per node of every grid, so that each row sums as on a single grid
+    out = np.einsum('nw,nw...->n...', wts.reshape(-1, width),
+                    yw.reshape((-1, width) + y.shape[node + 1:]))
+    return out.reshape(y.shape)
 
 
 def cumulative_simpson(y, x):
-    """Cumulative composite-Simpson antiderivative sampled at every node."""
+    """Cumulative composite-Simpson antiderivative sampled at every node of
+    the last axis; ``x`` is one grid or one grid per row of ``y``."""
     from scipy.integrate import cumulative_simpson as _cs
 
     out = _cs(np.asarray(y, dtype=float), x=np.asarray(x, dtype=float), initial=0.0)

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .dynamics import DeviationField, Trajectory, _write_text_atomic, hessian_operator
-from .geometry import _quad, cov_derivative_along, orthogonal_part
+from .geometry import _quad, orthogonal_part
 from .jacobi import jacobi_operator_direct
 from .numdiff import local_derivative
 
@@ -156,10 +156,8 @@ def _bracket_correction(traj: Trajectory, var: ProperVariation):
     cache = traj.cache
     dev = variation_as_deviation(traj, var)
     w = 0.5 * traj.jm.factor_values(traj.points)
-    acc = cov_derivative_along(traj.system.metric, traj.as_curve(), traj.velocities,
-                               order=4, gammas=cache.gamma)
     bracket = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
-               - np.einsum('nij,ni,nj->n', cache.g, acc, var.values))
+               - np.einsum('nij,ni,nj->n', cache.g, traj.cov_acceleration, var.values))
     integrand = bracket**2 / (2.0 * w)
     return float(simpson(integrand, x=traj.times)), float(np.min(integrand))
 

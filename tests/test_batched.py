@@ -1,6 +1,7 @@
 """The batched evaluator contract: one evaluation over a point batch
-``(N, n)`` equals N single-point ``(n,)`` evaluations, and the batched
-curvature keeps its algebraic identities."""
+``(N, n)`` equals N single-point ``(n,)`` evaluations, the batched
+curvature keeps its algebraic identities, and the batched conformal
+rescaling formulas agree with direct computation in the rescaled metric."""
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from jacobistab.conformal import (conformal_connection, conformal_curvature,
+                                  conformal_rescale, conformal_second_cov)
 from jacobistab.dynamics import brute_force_deviation, integrate_newton
 from jacobistab.expressions import metric_from_exprs
-from jacobistab.geometry import (christoffel, christoffel_partials,
+from jacobistab.geometry import (_second_cov, christoffel, christoffel_partials,
                                  metric_by_name, riemann)
 from jacobistab.jacobi import jacobi_metric
 from jacobistab.systems import all_setups, builtin_setup
+from jacobistab.verify import exp2x_factor, jacobi_harmonic_factor
 
 BOXES = {
     "flat": ((-1.0, -1.0), (1.0, 1.0)),
@@ -86,6 +90,35 @@ class TestBatchedEqualsPointwise:
         cyclic = (r + np.einsum('...lbca->...labc', r)
                   + np.einsum('...lcab->...labc', r))
         assert np.max(np.abs(cyclic)) <= 1e-12 * scale
+
+
+FACTORS = {"e2x": exp2x_factor(), "jacobi-harmonic": jacobi_harmonic_factor()}
+RESCALING_CASES = [(m, f) for m in ("flat", "sphere", "hyperbolic") for f in FACTORS]
+
+
+def _rel_err(got, want):
+    """Largest error per point relative to ``1 + |want|``."""
+    scale = 1.0 + np.max(np.abs(want), axis=-1, keepdims=True)
+    return float(np.max(np.abs(got - want) / scale))
+
+
+@pytest.mark.parametrize("mname,fname", RESCALING_CASES,
+                         ids=[f"{m}-{f}" for m, f in RESCALING_CASES])
+@SETTINGS
+@given(data=st.data())
+def test_rescaling_formulas_match_rescaled_metric(mname, fname, data):
+    metric, cf = metric_by_name(mname), FACTORS[fname]
+    pts = _points(metric, BOXES[mname], data.draw(unit_batches(2)))
+    x, y, z = data.draw(hnp.arrays(np.float64, (3,) + pts.shape,
+                                   elements=st.floats(-1.0, 1.0)))
+    h = conformal_rescale(metric, cf)
+    connection = np.einsum('...ijk,...j,...k->...i', christoffel(h, pts), x, y)
+    assert _rel_err(conformal_connection(metric, cf, pts, x, y), connection) <= 1e-11
+    curvature = np.einsum('...labc,...a,...b,...c->...l', riemann(h, pts), x, y, z)
+    assert _rel_err(conformal_curvature(metric, cf, pts, x, y, z), curvature) <= 1e-11
+    # both sides difference nabla_Y Z along X with the same finite step
+    second = _second_cov(h, pts, x, y, z)
+    assert _rel_err(conformal_second_cov(metric, cf, pts, x, y, z), second) <= 1e-7
 
 
 @pytest.mark.parametrize("name", ["sphere-cos", "hyperbolic-free"])

@@ -45,6 +45,25 @@ def test_traced_round_binds_every_name(tracer_module):
     assert not hasattr(verify.integrate_newton, "__wrapped__")
 
 
+def test_traced_lemma_suite_binds_sample_count(tracer_module):
+    # the tracer binds ``n_samples`` of lemma_residuals and ``x`` of
+    # local_derivative
+    tr = tracer_module.Tracer()
+    tr.install()
+    try:
+        tr.begin_round()
+        results = verify.check_lemma_suite(n_samples=2)
+        tr.end_round()
+    finally:
+        tr.uninstall()
+    assert all(r.passed for r in results)
+    st = tr.rounds[0]
+    assert st.calls["conformal.lemma_residuals"] == 12
+    assert st.count["lemma.samples"] == 24
+    assert st.calls["numdiff.local_derivative"] > 0
+    assert st.count["ld.nodes"] > 0
+
+
 def test_traced_theorems_bind_functional_arguments(tracer_module):
     # the tracer binds ``traj`` and ``var`` of all three second variations
     tr = tracer_module.Tracer()

@@ -258,6 +258,17 @@ class TestOutputErrors:
 
 
 class TestInputValidation:
+    @staticmethod
+    def _exits_2(tmp_path, capsys, command, lines, message):
+        """One stderr line starting with ``message``, and nothing written."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("system = flat-harmonic\n" + lines)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg.as_posix(), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("command, lines, needle", [
         ("simulate", "t_span = 1.0\n", "t_span"),
         ("simulate", "t_span = 0.0, 1.0, 2.0\n", "t_span"),
@@ -270,13 +281,20 @@ class TestInputValidation:
         ("geodesic", "direction = 0.0, 1.0, 0.0\n", "direction"),
     ])
     def test_bad_list_length_exit_2(self, tmp_path, capsys, command, lines, needle):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("system = flat-harmonic\n" + lines)
-        out = tmp_path / "o"
-        assert main([command, "--config", cfg.as_posix(), "--out", str(out)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(f"config error: {needle}")
-        assert not out.exists() or not any(out.iterdir())
+        self._exits_2(tmp_path, capsys, command, lines, f"config error: {needle}")
+
+    @pytest.mark.parametrize("command, lines, message", [
+        ("simulate", "t_span = 0, inf\n", "config error: t_span"),
+        ("second-variation", "variation.amplitude = nan\n", "config error: variation.amplitude"),
+        ("deviation", "alpha = 0\n", "input error: need alpha > 0"),
+        ("compare-operators", "variation.count = 0\n", "config error: variation.count"),
+        ("second-variation", "variation.count = -1\n", "config error: variation.count"),
+        ("simulate", "drift_bound = -1\n", "config error: drift_bound"),
+        ("deviation", "drift_bound = 0\n", "config error: drift_bound"),
+        ("verify-lemmas", "tolerance.lemma-fd = nan\n", "config error: tolerance.lemma-fd"),
+    ])
+    def test_bad_number_exit_2(self, tmp_path, capsys, command, lines, message):
+        self._exits_2(tmp_path, capsys, command, lines, message)
 
     def test_zero_dimension_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "dim0.cfg"

@@ -6,8 +6,7 @@ from jacobistab.conformal import (ConformalFactor, conformal_connection,
                                   conformal_second_cov, constant_factor,
                                   lemma_residuals, reparam_cov)
 from jacobistab.errors import DegenerateMetricError
-from jacobistab.geometry import (SampledCurve, TangentVector, VectorField,
-                                 christoffel, field_second_cov, flat_metric,
+from jacobistab.geometry import (SampledCurve, _second_cov, christoffel, flat_metric,
                                  grad_scalar, riemann, sphere_metric)
 
 FLAT = flat_metric(2)
@@ -50,7 +49,7 @@ class TestConformalFactor:
     def test_gradient_of_log_matches_direct(self):
         cf = exp2x_factor()
         p = np.array([0.3, -0.4])
-        want = grad_scalar(FLAT, lambda q: np.log(cf.value(q)), p).components
+        want = grad_scalar(FLAT, lambda q: np.log(cf.value(q)), p)
         assert np.allclose(cf.F_components(FLAT, p), want, atol=1e-8)
 
     def test_nonpositive_factor_rejected(self):
@@ -69,61 +68,52 @@ class TestConformalFactor:
 class TestConnection:
     def test_unit_factor_reduces_to_base(self):
         p = np.array([1.1, 0.4])
-        x = TangentVector(p, [0.3, -0.7])
-        y = TangentVector(p, [1.0, 0.2])
-        got = conformal_connection(SPHERE, constant_factor(1.0), x, y)
-        want = np.einsum('ijk,j,k->i', christoffel(SPHERE, p), x.components, y.components)
-        assert np.allclose(got.components, want, atol=1e-12)
+        x, y = np.array([0.3, -0.7]), np.array([1.0, 0.2])
+        got = conformal_connection(SPHERE, constant_factor(1.0), p, x, y)
+        want = np.einsum('ijk,j,k->i', christoffel(SPHERE, p), x, y)
+        assert np.allclose(got, want, atol=1e-12)
 
     def test_flat_e2x_xx(self):
-        p = np.zeros(2)
-        x = TangentVector(p, [1.0, 0.0])
-        got = conformal_connection(FLAT, exp2x_factor(), x, x)
-        assert got.components == pytest.approx([1.0, 0.0], abs=1e-12)
+        x = np.array([1.0, 0.0])
+        got = conformal_connection(FLAT, exp2x_factor(), np.zeros(2), x, x)
+        assert got == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_flat_e2x_xy(self):
-        p = np.zeros(2)
-        x = TangentVector(p, [1.0, 0.0])
-        y = TangentVector(p, [0.0, 1.0])
-        got = conformal_connection(FLAT, exp2x_factor(), x, y)
-        assert got.components == pytest.approx([0.0, 1.0], abs=1e-12)
+        got = conformal_connection(FLAT, exp2x_factor(), np.zeros(2),
+                                   np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        assert got == pytest.approx([0.0, 1.0], abs=1e-12)
 
     def test_matches_rescaled_christoffel(self):
         cf = sphere_energy_factor()
         rescaled = conformal_rescale(SPHERE, cf)
         rng = np.random.default_rng(6)
-        for _ in range(10):
-            p = rng.uniform([0.7, -1.0], [2.4, 1.0])
-            xv, yv = rng.standard_normal((2, 2))
-            got = conformal_connection(SPHERE, cf, TangentVector(p, xv),
-                                       TangentVector(p, yv)).components
-            want = np.einsum('ijk,j,k->i', christoffel(rescaled, p), xv, yv)
-            assert np.allclose(got, want, atol=1e-9)
+        p = rng.uniform([0.7, -1.0], [2.4, 1.0], size=(10, 2))
+        xv, yv = rng.standard_normal((2, 10, 2))
+        got = conformal_connection(SPHERE, cf, p, xv, yv)
+        want = np.einsum('nijk,nj,nk->ni', christoffel(rescaled, p), xv, yv)
+        assert np.allclose(got, want, atol=1e-9)
 
 
 class TestSecondCov:
     def test_unit_factor(self):
         p = np.array([1.2, 0.1])
-        x, y, z = (VectorField.constant(v) for v in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5]))
-        got = conformal_second_cov(SPHERE, constant_factor(1.0), x, y, z, p)
-        want = field_second_cov(SPHERE, x, y, z, p)
+        x, y, z = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5])
+        got = conformal_second_cov(SPHERE, constant_factor(1.0), p, x, y, z)
+        want = _second_cov(SPHERE, p, x, y, z)
         assert np.allclose(got, want, atol=1e-9)
 
     def test_zero_field(self):
-        p = np.zeros(2)
-        zero = VectorField.constant([0.0, 0.0])
-        got = conformal_second_cov(FLAT, exp2x_factor(),
-                                   VectorField.constant([1.0, 0.0]),
-                                   VectorField.constant([0.0, 1.0]), zero, p)
+        got = conformal_second_cov(FLAT, exp2x_factor(), np.zeros(2), np.array([1.0, 0.0]),
+                                   np.array([0.0, 1.0]), np.zeros(2))
         assert np.allclose(got, 0.0, atol=1e-12)
 
     def test_flat_e2x_against_direct(self):
         p = np.zeros(2)
         cf = exp2x_factor()
         rescaled = conformal_rescale(FLAT, cf)
-        x = VectorField.constant([1.0, 0.0])
-        got = conformal_second_cov(FLAT, cf, x, x, x, p)
-        want = field_second_cov(rescaled, x, x, x, p)
+        x = np.array([1.0, 0.0])
+        got = conformal_second_cov(FLAT, cf, p, x, x, x)
+        want = _second_cov(rescaled, p, x, x, x)
         assert np.allclose(got, want, atol=1e-8)
 
 
@@ -169,42 +159,33 @@ class TestCurvature:
         p = np.array([1.3, 0.2])
         rng = np.random.default_rng(8)
         xv, yv, zv = rng.standard_normal((3, 2))
-        got = conformal_curvature(SPHERE, constant_factor(2.5),
-                                  TangentVector(p, xv), TangentVector(p, yv),
-                                  TangentVector(p, zv)).components
+        got = conformal_curvature(SPHERE, constant_factor(2.5), p, xv, yv, zv)
         want = np.einsum('labc,a,b,c->l', riemann(SPHERE, p), xv, yv, zv)
         assert np.allclose(got, want, atol=1e-9)
 
     def test_antisymmetry(self):
-        p = np.array([0.4, 0.6])
-        cf = exp2x_factor()
-        x = TangentVector(p, [0.7, 0.1])
-        z = TangentVector(p, [0.2, -0.5])
-        out = conformal_curvature(FLAT, cf, x, x, z)
-        assert np.max(np.abs(out.components)) < 1e-12
+        x, z = np.array([0.7, 0.1]), np.array([0.2, -0.5])
+        out = conformal_curvature(FLAT, exp2x_factor(), np.array([0.4, 0.6]), x, x, z)
+        assert np.max(np.abs(out)) < 1e-12
 
     def test_flat_e2x_matches_direct(self):
         p = np.zeros(2)
         cf = exp2x_factor()
         rescaled = conformal_rescale(FLAT, cf)
-        x = TangentVector(p, [1.0, 0.0])
-        y = TangentVector(p, [0.0, 1.0])
-        got = conformal_curvature(FLAT, cf, x, y, x).components
-        want = np.einsum('labc,a,b,c->l', riemann(rescaled, p), [1, 0], [0, 1], [1, 0])
+        x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        got = conformal_curvature(FLAT, cf, p, x, y, x)
+        want = np.einsum('labc,a,b,c->l', riemann(rescaled, p), x, y, x)
         assert np.allclose(got, want, atol=1e-10)
 
     def test_sphere_energy_factor_matches_direct(self):
         cf = sphere_energy_factor()
         rescaled = conformal_rescale(SPHERE, cf)
         rng = np.random.default_rng(9)
-        for _ in range(10):
-            p = rng.uniform([0.7, -1.0], [2.4, 1.0])
-            xv, yv, zv = rng.standard_normal((3, 2))
-            got = conformal_curvature(SPHERE, cf, TangentVector(p, xv),
-                                      TangentVector(p, yv),
-                                      TangentVector(p, zv)).components
-            want = np.einsum('labc,a,b,c->l', riemann(rescaled, p), xv, yv, zv)
-            assert np.allclose(got, want, atol=1e-8)
+        p = rng.uniform([0.7, -1.0], [2.4, 1.0], size=(10, 2))
+        xv, yv, zv = rng.standard_normal((3, 10, 2))
+        got = conformal_curvature(SPHERE, cf, p, xv, yv, zv)
+        want = np.einsum('nlabc,na,nb,nc->nl', riemann(rescaled, p), xv, yv, zv)
+        assert np.allclose(got, want, atol=1e-8)
 
 
 class TestResidualHarness:
@@ -230,3 +211,36 @@ class TestResidualHarness:
         by_name = {r["lemma"]: r["max_residual"] for r in recs}
         assert by_name["lemma3"] > 1e-3
         assert by_name["lemma1"] < 1e-8
+
+    def test_nan_second_partials_read_inf(self):
+        # a NaN anywhere in a sample's residuals must not be dropped by the max
+        cf = ConformalFactor(f=lambda p: np.exp(p[..., 0]), df=lambda p: np.stack(
+            [np.exp(p[..., 0]), np.zeros(p.shape[:-1])], axis=-1),
+            d2f=lambda p: np.full(p.shape + p.shape[-1:], np.nan))
+        recs = lemma_residuals(FLAT, cf, n_samples=5, seed=1)
+        by_name = {r["lemma"]: r["max_residual"] for r in recs}
+        assert by_name["lemma1"] == np.inf
+        assert by_name["lemma3"] == np.inf
+
+    def test_evaluated_as_one_batch(self, monkeypatch):
+        # the number of Christoffel evaluations does not grow with the samples
+        import sys
+
+        from jacobistab import geometry
+
+        calls = []
+        orig = geometry.christoffel
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("jacobistab") and getattr(mod, "christoffel", None) is orig:
+                monkeypatch.setattr(mod, "christoffel", counting)
+        counts = []
+        for n in (5, 50):
+            calls.clear()
+            lemma_residuals(FLAT, exp2x_factor(), n_samples=n, seed=1)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0

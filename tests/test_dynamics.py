@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -61,10 +60,6 @@ class TestIntegrateNewton:
         lines = (tmp_path / "traj.csv").read_text().splitlines()
         assert lines[0] == "t,q1,q2,v1,v2"
         assert len(lines) == len(traj) + 1
-        traj.write_json(tmp_path / "traj.json")
-        data = json.loads((tmp_path / "traj.json").read_text())
-        assert data["energy"] == pytest.approx(0.5)
-        assert len(data["t"]) == len(traj)
 
 
 class TestEnergyOf:

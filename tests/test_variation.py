@@ -293,14 +293,23 @@ class TestReports:
 
     def test_orbit_data_built_once(self, monkeypatch):
         import sys
+        from functools import cached_property
 
         from jacobistab import jacobi
-        from jacobistab.dynamics import CurveGeometry
+        from jacobistab.dynamics import CurveGeometry, Trajectory
         from jacobistab.verify import check_theorems
 
-        geodesic_views, caches = [], []
+        geodesic_views, caches, accelerations = [], [], []
         view = jacobi.geodesic_from_trajectory
         init = CurveGeometry.__init__
+        acceleration = Trajectory.__dict__["cov_acceleration"].func
+
+        def counting_acceleration(self):
+            accelerations.append(self)
+            return acceleration(self)
+
+        counted = cached_property(counting_acceleration)
+        counted.__set_name__(Trajectory, "cov_acceleration")
 
         def counting_view(*args):
             geodesic_views.append(args)
@@ -315,6 +324,8 @@ class TestReports:
                     and getattr(mod, "geodesic_from_trajectory", None) is view):
                 monkeypatch.setattr(mod, "geodesic_from_trajectory", counting_view)
         monkeypatch.setattr(CurveGeometry, "__init__", counting_init)
+        monkeypatch.setattr(Trajectory, "cov_acceleration", counted)
         check_theorems(n_variations=2, system_names=["sphere-cos"])
         assert len(geodesic_views) == 1
         assert caches == ["sphere", "jacobi(sphere-cos)"]     # one g-cache, one h-cache
+        assert len(accelerations) == 1
