@@ -7,8 +7,9 @@ suite, and emit CSV / JSON / gnuplot-ready data files.
 Exit codes: 0 success, 1 identity failure, 2 configuration or input error
 (including values rejected by validation, such as a negative step, and an
 output directory that cannot be created or read), 3 numerical failure
-(chart exit, forbidden region, energy drift, an expression undefined at a
-point).
+(chart exit, forbidden region, energy drift, an expression or one of its
+partials undefined at a point), 4 internal error (any other exception,
+reported on one ``internal error:`` line).
 """
 
 from __future__ import annotations
@@ -203,9 +204,9 @@ class Experiment:
             if mname not in BUILTIN_METRICS:
                 raise ConfigError(f"unknown metric {mname!r} (choose from {BUILTIN_METRICS})")
             metric = metric_by_name(mname, dim)
-        potential = cfg.get("potential", "0")
-        field = scalar_field_from_expr(potential, dim)
-        return MechanicalSystem(metric, U=field.value, name="custom")
+        potential = scalar_field_from_expr(cfg.get("potential", "0"), dim)
+        return MechanicalSystem(metric, U=potential.value, dU=potential.partials,
+                                d2U=potential.second_partials, name="custom")
 
     def orbit(self, t_span=None):
         """The configured trajectory, over ``t_span`` if given."""
@@ -463,6 +464,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

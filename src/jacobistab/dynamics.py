@@ -234,7 +234,7 @@ def _newton_flow(sys: MechanicalSystem, q0, v0, t_span, step, drift_bound):
         try:
             acc = sys.acceleration(q, v)
         except ChartDomainError as exc:
-            raise ChartDomainError(f"left chart domain at t={t:.6g}") from exc
+            raise ChartDomainError(f"left chart domain at t={t:.6g}: {exc}") from exc
         return np.concatenate([v, acc], axis=-1)
 
     ys = _rk4(rhs, np.concatenate([q0, v0], axis=-1), t0, n_steps, h)

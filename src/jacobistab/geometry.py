@@ -353,7 +353,9 @@ def validate_metric_at(metric: ChartMetric, p, dg_tol: float = 1e-6) -> None:
     """Raise if the metric violates its basic contracts at p (or a batch).
 
     Checks symmetry (1e-12), positive definiteness, and agreement of any
-    analytic first partials with central differences.
+    analytic first partials with central differences, to ``dg_tol`` relative
+    to the largest partial (absolute below 1): the error of the differences
+    grows with the size of the metric and its partials.
     """
     p = metric.check_point(p)
     gm = metric.g(p)
@@ -363,7 +365,8 @@ def validate_metric_at(metric: ChartMetric, p, dg_tol: float = 1e-6) -> None:
         raise DegenerateMetricError(f"degenerate metric at {p.tolist()}: not positive definite")
     if metric.dg_eval is not None:
         fd = central_diff(metric.g, p, FD_STEP)
-        if np.max(np.abs(fd - metric.dg(p))) > dg_tol:
+        dg = metric.dg(p)
+        if np.max(np.abs(fd - dg)) > dg_tol * max(1.0, np.max(np.abs(dg))):
             raise DegenerateMetricError(f"analytic metric partials disagree with differences at {p.tolist()}")
 
 

@@ -9,7 +9,7 @@ import pathlib
 
 import pytest
 
-from jacobistab import verify
+from jacobistab import cli, verify
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -81,3 +81,29 @@ def test_traced_theorems_bind_functional_arguments(tracer_module):
     assert st.calls["variation.second_variation_LJ"] == 2
     assert len(st.keys["functionals"]) == 5
     assert st.calls["dynamics.CurveGeometry.__init__"] == 2
+
+
+def test_traced_custom_system_takes_exact_partials(tracer_module, tmp_path):
+    # the tracer counts the evaluators that ``compile_expression`` returns; a
+    # custom system differentiates its expressions exactly, so the only
+    # central differences left are the metric check of ``validate_metric_at``
+    cfg = tmp_path / "chart.cfg"
+    cfg.write_text("system = custom\nmetric.dim = 3\nmetric.g.1.1 = 1 + 0.1*sin(q2)^2\n"
+                   "metric.g.1.3 = 0.05*cos(q2)\nmetric.g.3.3 = 1 + 0.3*sin(q1)^2\n"
+                   "potential = 0.1*q1^2 + 0.1*q2^2\nq0 = 0.5, 0, 0\nv0 = 0, 0.8, 0.6\n"
+                   "t_span = 0, 0.2\nstep = 0.002\nvariation.count = 1\n")
+    tr = tracer_module.Tracer()
+    tr.install()
+    try:
+        tr.begin_round()
+        codes = [cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+                 for command in ("simulate", "compare-operators")]
+        tr.end_round()
+    finally:
+        tr.uninstall()
+    assert codes == [0, 0]
+    st = tr.rounds[0]
+    assert st.calls["expressions.compile_expression"] == 2 * 6
+    assert st.calls["expressions.eval"] > 0
+    assert st.calls["geometry.validate_metric_at"] == 2
+    assert st.calls["numdiff.central_diff"] == st.calls["geometry.validate_metric_at"]

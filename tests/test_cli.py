@@ -176,6 +176,69 @@ class TestCompareOperators:
         assert np.max(corr) < 1e-10
 
 
+class TestCustomSystems:
+    """Custom systems take exact partials of their expression strings, so they
+    reach the accuracy of the built-in systems they restate."""
+
+    HENON_HEILES = """\
+system = custom
+metric = flat
+potential = 0.5*(q1^2 + q2^2) + q1^2*q2 - q2^3/3
+q0 = 0, 0.1
+v0 = 0.48918, 0
+t_span = 0, 5
+step = 1.25e-3
+seed = 42
+"""
+
+    # each built-in restated with expression strings, over its own initial data
+    RESTATED = {
+        "sphere-cos": "metric.g.2.2 = sin(q1)^2\npotential = cos(q1)\n"
+                      "q0 = 1.5707963267948966, 0\nv0 = 0, 1\nt_span = 0, 2\n",
+        "flat-harmonic": "metric = flat\npotential = 0.5*(q1^2 + q2^2)\n"
+                         "q0 = 1, 0\nv0 = 0, 1\nt_span = 0, 6.283185307179586\n",
+        "hyperbolic-free": "metric.g.1.1 = 1/q2^2\nmetric.g.2.2 = 1/q2^2\n"
+                           "q0 = 0, 1\nv0 = 1, 0\nt_span = 0, 1.5\n",
+    }
+
+    @staticmethod
+    def _compare(tmp_path, label, text, *extra):
+        cfg = tmp_path / f"{label}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / label
+        code = main(["compare-operators", "--config", cfg.as_posix(), "--out", str(out),
+                     *extra])
+        return code, json.loads((out / "compare_operators.json").read_text())
+
+    def test_henon_heiles_identities_hold(self, tmp_path):
+        # with finite-difference partials the operator identity missed its
+        # tolerance here at 2.3e-2, whatever the step
+        code, data = self._compare(tmp_path, "hh", self.HENON_HEILES)
+        assert code == 0
+        assert data["operator_identity_sup"] < 1e-6
+        assert data["equal_energy_identity_sup"] < 1e-6
+
+    @pytest.mark.parametrize("name", sorted(RESTATED))
+    def test_restated_builtin_matches_builtin(self, tmp_path, name):
+        args = ("--step", "0.002", "--seed", "42")
+        _, builtin = self._compare(tmp_path, "builtin", f"system = {name}\n", *args)
+        code, custom = self._compare(tmp_path, "custom",
+                                     "system = custom\n" + self.RESTATED[name], *args)
+        assert code == 0
+        assert custom["operator_identity_sup"] <= 10.0 * builtin["operator_identity_sup"]
+
+    @pytest.mark.parametrize("potential, q1", [("q1^0.5", "0"), ("ln(q1)", "1e-310")])
+    def test_undefined_partial_is_numerical_failure(self, tmp_path, capsys, potential, q1):
+        # the potential is defined at q0, its partials are not
+        cfg = tmp_path / "partial.cfg"
+        cfg.write_text(f"system = custom\npotential = {potential}\n"
+                       f"q0 = {q1}, 0.0\nv0 = 0.0, 1.0\n")
+        assert main(["simulate", "--config", cfg.as_posix(),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure")
+
+
 class TestSecondVariation:
     def test_sweep_csv_written(self, harmonic_cfg, tmp_path):
         out = tmp_path / "run"
@@ -325,3 +388,17 @@ class TestInputValidation:
         assert main(["verify-lemmas", "--out", str(blocker / "x")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("output error")
+
+
+class TestUnexpectedErrors:
+    def test_internal_error_exit_4(self, harmonic_cfg, tmp_path, capsys, monkeypatch):
+        from jacobistab import cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken invariant")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", (broken, True))
+        assert main(["simulate", "--config", harmonic_cfg,
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["internal error: RuntimeError: broken invariant"]

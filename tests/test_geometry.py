@@ -251,6 +251,19 @@ class TestBuiltins:
         metric = metric_by_name(name)
         validate_metric_at(metric, point)
 
+    def test_steep_exact_partials_pass_the_difference_check(self):
+        # dg ~ 5e9 here: the differences' truncation error (~1e-5) is far
+        # above an absolute 1e-6 but at roundoff relative to the partials
+        from jacobistab.expressions import metric_from_exprs
+
+        validate_metric_at(metric_from_exprs({(1, 1): "exp(10*q1)"}, dim=2), [2.0, 0.0])
+
+    def test_wrong_partials_rejected(self):
+        sphere = sphere_metric()
+        wrong = ChartMetric(dim=2, g_eval=sphere.g_eval, dg_eval=lambda p: 1.01 * sphere.dg(p))
+        with pytest.raises(DegenerateMetricError, match="disagree"):
+            validate_metric_at(wrong, [1.2, 0.4])
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             metric_by_name("torus")
