@@ -46,6 +46,7 @@ _SCALAR_KEYS = {
     "variation.count", "variation.orthogonal", "drift_bound",
 }
 _LIST_KEYS = {"q0", "v0", "t_span", "s_span", "dq", "dv", "direction"}
+_CUSTOM_KEYS = {"metric", "metric.dim", "potential"}    # and the metric.g.i.j entries
 
 
 def parse_config_text(text: str) -> dict:
@@ -133,6 +134,10 @@ class Experiment:
             self.t_span = tuple(_get_list(cfg, "t_span", np.array([0.0, 1.0])))
             self.step = _get_float(cfg, "step", 1e-3)
         elif name in BUILTIN_SYSTEMS:
+            for key in cfg:
+                if key in _CUSTOM_KEYS or _METRIC_ENTRY.match(key):
+                    raise ConfigError(f"{key}: only for system = custom, not the built-in "
+                                      f"system {name!r}")
             su = builtin_setup(name)
             self.sys = su.system
             self.q0 = _get_list(cfg, "q0", su.q0)
@@ -206,7 +211,8 @@ class Experiment:
             metric = metric_by_name(mname, dim)
         potential = scalar_field_from_expr(cfg.get("potential", "0"), dim)
         return MechanicalSystem(metric, U=potential.value, dU=potential.partials,
-                                d2U=potential.second_partials, name="custom")
+                                d2U=potential.second_partials, U_point=potential.point,
+                                name="custom")
 
     def orbit(self, t_span=None):
         """The configured trajectory, over ``t_span`` if given."""

@@ -22,7 +22,8 @@ from scipy.interpolate import CubicSpline
 
 from .errors import ChartDomainError, EnergyDriftError
 from .geometry import (ChartMetric, SampledCurve, ScalarField, _christoffel, _mv, _quad,
-                       christoffel, cov_derivative_along, hessian_form, riemann)
+                       christoffel, cov_derivative_along, hessian_form, point_kernel,
+                       point_metric, riemann)
 
 @dataclass(frozen=True)
 class MechanicalSystem:
@@ -30,8 +31,8 @@ class MechanicalSystem:
 
     ``U``, ``dU`` and ``d2U`` follow the evaluator contract of
     :class:`~jacobistab.geometry.ScalarField`: points ``(..., n)`` to
-    ``(...)``, ``(..., n)`` and ``(..., n, n)``.  Every method below takes
-    a single point or a batch.
+    ``(...)``, ``(..., n)`` and ``(..., n, n)``, and ``U_point`` is its
+    point evaluator.  Every method below takes a single point or a batch.
     """
 
     metric: ChartMetric
@@ -39,10 +40,12 @@ class MechanicalSystem:
     dU: Optional[Callable[[np.ndarray], np.ndarray]] = None
     d2U: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
+    U_point: Optional[Callable] = None
 
     @cached_property
     def potential(self) -> ScalarField:
-        return ScalarField(value=self.U, partials=self.dU, second_partials=self.d2U)
+        return ScalarField(value=self.U, partials=self.dU, second_partials=self.d2U,
+                           point=self.U_point)
 
     def energy(self, q, v):
         q = np.asarray(q, dtype=float)
@@ -211,6 +214,43 @@ def _rk4(rhs, y0, t0, n_steps, h, check=None):
     return out
 
 
+def _stage(sys: MechanicalSystem, shape):
+    """The right-hand side ``y -> (v, acceleration)`` of the equations of
+    motion for states ``y`` of ``shape`` ``(..., 2n)``.
+
+    A system with point evaluators runs the point kernel of its dimension:
+    one orbit on the tensors of its point evaluators, an ensemble on the
+    tensors of its batch evaluators over the whole ensemble, since a batch
+    evaluator need not give at one point the bits it gives within a batch.
+    Any other system runs :meth:`MechanicalSystem.acceleration`.
+    """
+    metric, potential = sys.metric, sys.potential
+    n = metric.dim
+    if metric.point is None or potential.point is None:
+        def stage(y):
+            q, v = y[..., :n], y[..., n:]
+            return np.concatenate([v, sys.acceleration(q, v)], axis=-1)
+        return stage
+
+    kernel = point_kernel(n)
+    if len(shape) == 1:
+        def stage(y):
+            y = y.tolist()
+            q, v = y[:n], y[n:]
+            g, dg = point_metric(metric, q)
+            return np.array(v + kernel(q, g, dg, potential.point(q)[1], v))
+        return stage
+
+    runs = int(np.prod(shape[:-1]))
+
+    def stage(y):
+        q = metric.check_point(y[..., :n])
+        tensors = (q, metric.g(q), metric.dg(q), potential.grad_components(q), y[..., n:])
+        rows = zip(*(a.reshape(runs, -1).tolist() for a in tensors))
+        return np.array([v + kernel(p, g, dg, dU, v) for p, g, dg, dU, v in rows]).reshape(shape)
+    return stage
+
+
 def _newton_flow(sys: MechanicalSystem, q0, v0, t_span, step, drift_bound):
     """Fixed-step RK4 solutions of the equations of motion for a batch of
     initial data ``(..., n)``, advanced together.
@@ -227,18 +267,18 @@ def _newton_flow(sys: MechanicalSystem, q0, v0, t_span, step, drift_bound):
     n_steps = max(1, int(round((t1 - t0) / step)))
     h = (t1 - t0) / n_steps
     e0 = sys.energy(q0, v0)
-    n = q0.shape[-1]
+    y0 = np.concatenate([q0, v0], axis=-1)
+    stage = _stage(sys, y0.shape)
 
     def rhs(t, y):
-        q, v = y[..., :n], y[..., n:]
         try:
-            acc = sys.acceleration(q, v)
+            return stage(y)
         except ChartDomainError as exc:
             raise ChartDomainError(f"left chart domain at t={t:.6g}: {exc}") from exc
-        return np.concatenate([v, acc], axis=-1)
 
-    ys = _rk4(rhs, np.concatenate([q0, v0], axis=-1), t0, n_steps, h)
+    ys = _rk4(rhs, y0, t0, n_steps, h)
     times = t0 + h * np.arange(n_steps + 1)
+    n = q0.shape[-1]
     _check_flow(sys, times, ys[..., :n], ys[..., n:], e0, drift_bound)
     return times, h, e0, ys
 

@@ -20,6 +20,8 @@ vectors on the unit sphere.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -69,6 +71,34 @@ def _quad(g, x, y):
     return (x[..., None, :] @ g @ y[..., :, None])[..., 0, 0]
 
 
+def _fma(a: float, b: float, c: float) -> float:
+    """``a*b + c`` on floats rounded once, as the BLAS kernels behind
+    :func:`_dot` add a product: the exact product is split into ``p + e``
+    (Dekker), and ``fsum`` rounds ``p + e + c`` correctly."""
+    p = a * b
+    t = 134217729.0 * a
+    ah = t - (t - a)
+    al = a - ah
+    t = 134217729.0 * b
+    bh = t - (t - b)
+    bl = b - bh
+    return math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, c))
+
+
+def _inverse(gm, p) -> np.ndarray:
+    """LAPACK's inverse of the matrices ``gm`` at the points ``p``; raises
+    where one is singular or its inverse is not finite."""
+    try:
+        inv = np.linalg.inv(gm)
+    except np.linalg.LinAlgError:
+        bad = ~(np.linalg.det(gm) != 0.0)   # the exactly singular ones
+    else:
+        bad = ~np.isfinite(inv).all(axis=(-2, -1))
+    if bad.any():
+        raise DegenerateMetricError(f"degenerate metric at {_first_point(p, bad)}")
+    return inv
+
+
 @dataclass(frozen=True)
 class ChartMetric:
     """Riemannian metric on one coordinate chart.
@@ -82,6 +112,10 @@ class ChartMetric:
     d2g_eval : optional points -> (..., n, n, n, n),
         ``d2g[..., k, l, i, j] = d_k d_l g_ij``.
     domain_guard : points -> boolean mask (...) of valid chart points.
+    point : optional point evaluator: a sequence of n floats ``q`` to
+        ``(g, dg)``, flat row-major float tuples bitwise equal to
+        ``g_eval`` and ``dg_eval`` at ``q``, or None where ``q`` fails
+        ``domain_guard``.  The RK4 stages use it (see :func:`point_kernel`).
 
     Evaluator outputs that broadcast to the contracted shape (a constant
     matrix, say) are broadcast.
@@ -93,6 +127,7 @@ class ChartMetric:
     d2g_eval: Optional[Callable[[Point], np.ndarray]] = None
     domain_guard: Callable[[Point], np.ndarray] = field(default=_finite)
     name: str = ""
+    point: Optional[Callable] = None
 
     def contains(self, p) -> np.ndarray:
         """Mask ``(...)`` of the points inside the chart domain."""
@@ -112,16 +147,7 @@ class ChartMetric:
         return _shaped(self.g_eval(p), p.shape[:-1] + (self.dim,) * 2)
 
     def g_inv(self, p) -> np.ndarray:
-        gm = self.g(p)
-        try:
-            inv = np.linalg.inv(gm)
-        except np.linalg.LinAlgError:
-            bad = ~(np.linalg.det(gm) != 0.0)   # the exactly singular ones
-        else:
-            bad = ~np.isfinite(inv).all(axis=(-2, -1))
-        if bad.any():
-            raise DegenerateMetricError(f"degenerate metric at {_first_point(p, bad)}")
-        return inv
+        return _inverse(self.g(p), p)
 
     def dg(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -176,12 +202,15 @@ class ScalarField:
     ``value(p)`` returns ``(...)`` values, ``partials(p)`` the ``(..., n)``
     array of d_j f, ``second_partials(p)`` the ``(..., n, n)`` array
     d_j d_l f.  Missing evaluators fall back to central differences of
-    ``value``.
+    ``value``.  The optional point evaluator ``point`` takes a sequence of
+    n floats to ``(f, df)``, a float and a tuple of n floats bitwise equal
+    to ``value`` and ``partials`` there.
     """
 
     value: Callable[[Point], np.ndarray]
     partials: Optional[Callable[[Point], np.ndarray]] = None
     second_partials: Optional[Callable[[Point], np.ndarray]] = None
+    point: Optional[Callable] = None
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
@@ -371,6 +400,112 @@ def validate_metric_at(metric: ChartMetric, p, dg_tol: float = 1e-6) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Point kernels
+# ---------------------------------------------------------------------------
+
+# Diagonal entries in [_NORMAL, _HUGE] have finite reciprocals, which equal
+# LAPACK's inverse of the diagonal matrix bit for bit.
+_NORMAL = 2.2250738585072014e-308
+_HUGE = 1.7976931348623157e308
+
+
+def _names(prefix: str, n: int, rank: int) -> list:
+    """Names of the entries of a rank-``rank`` tensor in row-major order."""
+    return [prefix + "_".join(map(str, ix)) for ix in np.ndindex(*(n,) * rank)]
+
+
+def _sum(terms) -> str:
+    """Source of ``0.0 + t0 + t1 + ...``, added from the left as einsum does."""
+    return " + ".join(["0.0", *terms])
+
+
+def _det(m) -> str:
+    """Source of the determinant of a matrix of names, by cofactors."""
+    if len(m) <= 1:
+        return m[0][0] if m else "1.0"
+    return " + ".join(f"{'-' * (k % 2)}{m[0][k]} * ({_det([row[:k] + row[k + 1:] for row in m[1:]])})"
+                      for k in range(len(m)))
+
+
+def _lapack_inverse(q, g, n: int) -> list:
+    """:meth:`ChartMetric.g_inv` of the flat n x n tuple ``g`` at ``q``, flat."""
+    return _inverse(np.array(g).reshape(n, n), q).ravel().tolist()
+
+
+def _kernel_source(n: int) -> str:
+    """Source of the point kernel of dimension n (see :func:`point_kernel`)."""
+    r = range(n)
+    g, d, b, c, i = (np.array(_names(x, n, k)).reshape((n,) * k).tolist()
+                     for x, k in (("g", 2), ("d", 3), ("b", 3), ("c", 3), ("i", 2)))
+    inverse = f"({', '.join(_names('i', n, 2))},)"
+    diagonal = " and ".join([f"{g[a][e]} == 0.0" for a in r for e in r if a != e]
+                            + [f"_NORMAL <= {g[a][a]} <= _HUGE" for a in r])
+    lines = ["def kernel(q, g, dg, dU, v):",
+             f"    ({', '.join(_names('g', n, 2))},) = g",
+             f"    ({', '.join(_names('d', n, 3))},) = dg",
+             f"    ({', '.join(f'u{k}' for k in r)},) = dU",
+             f"    ({', '.join(f'v{k}' for k in r)},) = v",
+             f"    if {diagonal}:",
+             f"        {inverse} = "
+             f"{', '.join(f'1.0 / {g[a][a]}' if a == e else '0.0' for a in r for e in r)},",
+             "    else:"]
+    if n <= 3:          # closed form; LAPACK where it is singular or not finite
+        def minor(a, e):
+            return [row[:e] + row[e + 1:] for k, row in enumerate(g) if k != a]
+        ok = "isfinite(det) and det != 0.0"
+        lines += [f"        det = {_det(g)}", f"        if {ok}:"]
+        lines += [f"            {i[a][e]} = {'-' * ((a + e) % 2)}({_det(minor(e, a))}) / det"
+                  for a in r for e in r]
+        lines += [f"        if not ({ok} and isfinite({' + '.join(_names('i', n, 2))})):",
+                  f"            {inverse} = _lapack_inverse(q, g, {n})"]
+    else:
+        lines += [f"        {inverse} = _lapack_inverse(q, g, {n})"]
+    # b_ijk = d_i g_jk + d_j g_ik - d_k g_ij, Γ^l_ij = 0.5 g^lk b_ijk
+    lines += [f"    {b[x][y][z]} = {d[x][y][z]} + {d[y][x][z]} - {d[z][x][y]}"
+              for x in r for y in r for z in r]
+    lines += [f"    {c[l][x][y]} = 0.5 * ({_sum([f'{i[l][k]} * {b[x][y][k]}' for k in r])})"
+              for l in r for x in r for y in r]
+    accel = [f"-({_sum([f'{c[l][x][y]} * v{x} * v{y}' for x in r for y in r])})"
+             f" - ({_sum([f'{i[l][k]} * u{k}' for k in r])})" for l in r]
+    lines += [f"    return [{', '.join(accel)}]"]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def point_kernel(n: int) -> Callable:
+    """The point kernel of dimension n, generated on first use:
+    ``kernel(q, g, dg, dU, v)`` returns ``-Γ(v, v) - g^-1 dU`` at one point
+    as a list of n floats, from flat row-major sequences of floats such as
+    a point evaluator returns.
+
+    The source is unrolled for n.  It forms every term of ``_bracket``,
+    ``_christoffel``, ``Γ(v, v)`` and ``_mv`` as the batched path does and
+    adds them from 0.0 in einsum's order (which decides the bits of
+    ``Γ(v, v)``; with a diagonal g every other sum has one nonzero term).
+    A diagonal g is inverted by reciprocals, which equal LAPACK's inverse,
+    so there the kernel reproduces :meth:`MechanicalSystem.acceleration`
+    bit for bit.  Any other g is inverted in closed form up to n = 3, which
+    differs from LAPACK's inverse (and its fused sums in ``_mv``) in the
+    last bits, and by LAPACK above n = 3 or where g is singular or not
+    finite (raising ``DegenerateMetricError`` for ``q`` as
+    :meth:`ChartMetric.g_inv` does).
+    """
+    env = {"isfinite": math.isfinite, "_lapack_inverse": _lapack_inverse,
+           "_NORMAL": _NORMAL, "_HUGE": _HUGE}
+    exec(compile(_kernel_source(n), f"<point kernel n={n}>", "exec"), env)
+    return env["kernel"]
+
+
+def point_metric(metric: ChartMetric, q) -> tuple:
+    """``metric.point(q)`` at a sequence of n floats, raising
+    ``ChartDomainError`` where :meth:`ChartMetric.check_point` would."""
+    gd = metric.point(q) if all(map(math.isfinite, q)) else None
+    if gd is None:
+        raise ChartDomainError(f"chart domain: point {list(q)} outside valid region")
+    return gd
+
+
+# ---------------------------------------------------------------------------
 # Built-in metrics
 # ---------------------------------------------------------------------------
 
@@ -379,11 +514,13 @@ def flat_metric(dim: int = 2) -> ChartMetric:
     eye = np.eye(dim)
     zero3 = np.zeros((dim, dim, dim))
     zero4 = np.zeros((dim, dim, dim, dim))
+    at_point = (tuple(eye.ravel().tolist()), tuple(zero3.ravel().tolist()))
     return ChartMetric(dim=dim,
                        g_eval=lambda p: eye,
                        dg_eval=lambda p: zero3,
                        d2g_eval=lambda p: zero4,
-                       name="flat")
+                       name="flat",
+                       point=lambda q: at_point)
 
 
 def sphere_metric() -> ChartMetric:
@@ -405,9 +542,18 @@ def sphere_metric() -> ChartMetric:
         out[..., 0, 0, 1, 1] = 2.0 * np.cos(2.0 * p[..., 0])
         return out
 
+    def point(q):
+        # at one point numpy's sine is a float64 scalar, which it squares
+        # with C pow as Python does (an array it squares as x*x)
+        theta = q[0]
+        if not 0.0 < theta < math.pi:
+            return None
+        return ((1.0, 0.0, 0.0, math.sin(theta) ** 2),
+                (0.0, 0.0, 0.0, math.sin(2.0 * theta), 0.0, 0.0, 0.0, 0.0))
+
     return ChartMetric(dim=2, g_eval=g, dg_eval=dg, d2g_eval=d2g,
                        domain_guard=lambda p: (0.0 < p[..., 0]) & (p[..., 0] < np.pi),
-                       name="sphere")
+                       name="sphere", point=point)
 
 
 def hyperbolic_metric() -> ChartMetric:
@@ -428,9 +574,18 @@ def hyperbolic_metric() -> ChartMetric:
         out[..., 1, 1, 1, 1] = 6.0 / p[..., 1] ** 4
         return out
 
+    def point(q):
+        # numpy's float power is not C pow: the cube goes through numpy
+        y = q[1]
+        if not y > 0.0:
+            return None
+        a = 1.0 / (y * y)
+        d = -2.0 / float(np.power(y, 3))
+        return (a, 0.0, 0.0, a), (0.0, 0.0, 0.0, 0.0, d, 0.0, 0.0, d)
+
     return ChartMetric(dim=2, g_eval=g, dg_eval=dg, d2g_eval=d2g,
                        domain_guard=lambda p: p[..., 1] > 0.0,
-                       name="hyperbolic")
+                       name="hyperbolic", point=point)
 
 
 def conformal_flat_metric(sigma: Optional[ScalarField] = None, dim: int = 2) -> ChartMetric:

@@ -18,6 +18,7 @@ piece that survives: the two stability operators never coincide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -29,9 +30,9 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 from .conformal import ConformalFactor, conformal_rescale
 from .dynamics import (CurveGeometry, DeviationField, MechanicalSystem,
                        Trajectory, _rk4, hessian_operator, integrate_newton)
-from .errors import ForbiddenRegionError
+from .errors import ChartDomainError, ForbiddenRegionError
 from .geometry import (ChartMetric, SampledCurve, _first_point, christoffel,
-                       cov_derivative_along)
+                       cov_derivative_along, point_kernel, point_metric)
 from .numdiff import cumulative_simpson, local_derivative
 
 
@@ -132,6 +133,46 @@ class GeodesicRecord:
         return CurveGeometry(self.metric, self.points)
 
 
+def _geodesic_stage(jm: JacobiMetric, n: int):
+    """The right-hand side ``(s, y) -> (u, acceleration, dt/ds)`` of the
+    h-geodesic equation, for states ``y = (q, u, t)``.
+
+    With point evaluators on the system it runs the point kernel on ``h``
+    and its partials built by the product rule from one evaluation of g and
+    of U at the stage's point: ``h = f g``, ``d_k h_ij = d_k f g_ij + f d_k
+    g_ij`` with ``f = 2(E - U)`` and ``df = -2 dU``, the order in which
+    ``conformal_rescale`` evaluates them.  Otherwise it evaluates the
+    Christoffel symbols of ``jm.h``.
+    """
+    metric, potential = jm.system.metric, jm.system.potential
+    if metric.point is None or potential.point is None:
+        def rhs(s, y):
+            q, u = y[:n], y[n:2 * n]
+            gam = christoffel(jm.h, q)
+            acc = -np.einsum('ijk,j,k->i', gam, u, u)
+            return np.concatenate([u, acc, [0.5 / jm.clearance(q)]])
+        return rhs
+
+    kernel = point_kernel(n)
+    E, margin, zero, nn = jm.E, jm.margin, [0.0] * n, n * n
+
+    def rhs(s, y):
+        y = y.tolist()
+        q, u = y[:n], y[n:2 * n]
+        g, dg = point_metric(metric, q)
+        U, dU = potential.point(q)
+        w = E - U
+        f = 2.0 * w
+        if not (math.isfinite(f) and f > 0.0 and w > margin):
+            raise ChartDomainError(f"chart domain: point {q} outside valid region")
+        df = [-2.0 * x for x in dU]
+        h = [f * x for x in g]
+        dh = [df[k] * g[ij] + f * dg[k * nn + ij] for k in range(n) for ij in range(nn)]
+        return np.array(u + kernel(q, h, dh, zero, u) + [0.5 / w])
+
+    return rhs
+
+
 def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
                        method: str = "rk4", rtol: float = 1e-10,
                        atol: float = 1e-12) -> GeodesicRecord:
@@ -154,12 +195,7 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
     s0, s1 = float(s_span[0]), float(s_span[1])
     n = q0.size
     y0 = np.concatenate([q0, u0, [0.0]])
-
-    def rhs(s, y):
-        q, u = y[:n], y[n:2 * n]
-        gam = christoffel(jm.h, q)
-        acc = -np.einsum('ijk,j,k->i', gam, u, u)
-        return np.concatenate([u, acc, [0.5 / jm.clearance(q)]])
+    rhs = _geodesic_stage(jm, n)
 
     if method == "rk45":
         def clear_event(s, y):

@@ -8,12 +8,13 @@ independent numerical oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import MechanicalSystem
-from .geometry import _dot, flat_metric, hyperbolic_metric, sphere_metric
+from .geometry import _dot, _fma, flat_metric, hyperbolic_metric, sphere_metric
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,14 @@ class SystemSetup:
 
 # Potentials follow the evaluator contract: points (..., n) to values (...),
 # partials (..., n) and second partials (..., n, n); constants broadcast.
+# ``U_point`` transcribes U and dU for one point of floats, bit for bit.
 
 def _zero_potential(dim):
+    at_point = (0.0, (0.0,) * dim)
     return dict(U=lambda q: 0.0,
                 dU=lambda q: np.zeros(dim),
-                d2U=lambda q: np.zeros((dim, dim)))
+                d2U=lambda q: np.zeros((dim, dim)),
+                U_point=lambda q: at_point)
 
 
 def flat_free() -> SystemSetup:
@@ -52,6 +56,8 @@ def flat_harmonic() -> SystemSetup:
                            U=lambda q: 0.5 * _dot(q, q),
                            dU=lambda q: q,
                            d2U=lambda q: np.eye(2),
+                           # _dot adds q1*q1 to q0*q0 in one fused multiply-add
+                           U_point=lambda q: (0.5 * _fma(q[1], q[1], q[0] * q[0]), tuple(q)),
                            name="flat-harmonic")
     return SystemSetup("flat-harmonic", sys, energy=1.0,
                        q0=np.array([1.0, 0.0]), v0=np.array([0.0, 1.0]),
@@ -63,6 +69,7 @@ def uniform_gravity() -> SystemSetup:
                            U=lambda q: q[..., 0],
                            dU=lambda q: np.array([1.0, 0.0]),
                            d2U=lambda q: np.zeros((2, 2)),
+                           U_point=lambda q: (q[0], (1.0, 0.0)),
                            name="uniform-gravity")
     # turning point at t = 1 for these initial data; stay clear of it
     return SystemSetup("uniform-gravity", sys, energy=0.5,
@@ -89,8 +96,11 @@ def sphere_cosine() -> SystemSetup:
         out[..., 0, 0] = -np.cos(q[..., 0])
         return out
 
+    def U_point(q):
+        return math.cos(q[0]), (-math.sin(q[0]), 0.0)
+
     sys = MechanicalSystem(sphere_metric(), U=lambda q: np.cos(q[..., 0]),
-                           dU=dU, d2U=d2U, name="sphere-cos")
+                           dU=dU, d2U=d2U, U_point=U_point, name="sphere-cos")
     # theta oscillates between pi/2 and ~2.47; E - U stays >= 0.5
     return SystemSetup("sphere-cos", sys, energy=0.5,
                        q0=np.array([np.pi / 2.0, 0.0]), v0=np.array([0.0, 1.0]),

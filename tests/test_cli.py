@@ -359,6 +359,16 @@ class TestInputValidation:
     def test_bad_number_exit_2(self, tmp_path, capsys, command, lines, message):
         self._exits_2(tmp_path, capsys, command, lines, message)
 
+    @pytest.mark.parametrize("lines, key", [
+        ("potential = 100*q1\nmetric.g.1.1 = 5\n", "potential"),
+        ("metric.g.1.1 = 5\n", "metric.g.1.1"),
+        ("metric = sphere\n", "metric"),
+        ("metric.dim = 3\n", "metric.dim"),
+    ])
+    def test_custom_keys_on_builtin_exit_2(self, tmp_path, capsys, lines, key):
+        # a built-in system would run as if these keys were not there
+        self._exits_2(tmp_path, capsys, "simulate", lines, f"config error: {key}:")
+
     def test_zero_dimension_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "dim0.cfg"
         cfg.write_text("system = custom\nmetric.dim = 0\nq0 = 0.0\nv0 = 1.0\n")
