@@ -7,9 +7,9 @@ from .geometry import (ChartMetric, SampledCurve, ScalarField, christoffel,
                        cov_derivative_along, flat_metric, grad_scalar,
                        hessian_form, hyperbolic_metric, metric_by_name,
                        riemann, sphere_metric)
-from .conformal import (ConformalFactor, conformal_connection,
-                        conformal_curvature, conformal_rescale,
-                        conformal_second_cov, lemma_residuals, reparam_cov)
+from .conformal import (conformal_connection, conformal_curvature,
+                        conformal_rescale, conformal_second_cov,
+                        lemma_residuals, reparam_cov)
 from .dynamics import (DeviationField, MechanicalSystem, Trajectory,
                        brute_force_deviation, hessian_operator,
                        integrate_deviation, integrate_newton)

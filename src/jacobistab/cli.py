@@ -209,9 +209,7 @@ class Experiment:
             if mname not in BUILTIN_METRICS:
                 raise ConfigError(f"unknown metric {mname!r} (choose from {BUILTIN_METRICS})")
             metric = metric_by_name(mname, dim)
-        potential = scalar_field_from_expr(cfg.get("potential", "0"), dim)
-        return MechanicalSystem(metric, U=potential.value, dU=potential.partials,
-                                d2U=potential.second_partials, U_point=potential.point,
+        return MechanicalSystem(metric, scalar_field_from_expr(cfg.get("potential", "0"), dim),
                                 name="custom")
 
     def orbit(self, t_span=None):

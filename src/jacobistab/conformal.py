@@ -10,88 +10,59 @@ to the base metric ``g``; the vector ``F`` is always ``grad ln f``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .geometry import (FD_STEP, FD_STEP2, ChartMetric, SampledCurve, _first_point, _mv,
+from .geometry import (FD_STEP, ChartMetric, SampledCurve, ScalarField, _first_point, _mv,
                        _param_derivative, _quad, _second_cov, _shaped, christoffel,
                        cov_derivative_along, riemann)
-from .numdiff import central_diff, central_diff2, cumulative_simpson, local_derivative
+from .numdiff import central_diff, cumulative_simpson, local_derivative
 
 
-@dataclass(frozen=True)
-class ConformalFactor:
-    """Positive scalar factor with optional analytic derivative data.
-
-    All evaluators take points ``(..., n)``: ``f(p)`` returns ``(...)``
-    values, ``df(p)`` the ``(..., n)`` partials of f, ``d2f(p)`` the
-    ``(..., n, n)`` second partials.
-    """
-
-    f: Callable[[np.ndarray], float]
-    df: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    d2f: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def _raw(self, p) -> np.ndarray:
-        return _shaped(self.f(p), p.shape[:-1])
-
-    def value(self, p) -> np.ndarray:
-        """Factor values ``(...)``; raises unless every one is finite and positive."""
-        p = np.asarray(p, dtype=float)
-        v = self._raw(p)
-        bad = ~(np.isfinite(v) & (v > 0.0))
-        if bad.any():
-            raise DegenerateMetricError(f"conformal factor not positive at {_first_point(p, bad)}")
-        return v
-
-    def partials(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if self.df is not None:
-            return _shaped(self.df(p), p.shape)
-        return central_diff(self._raw, p, FD_STEP)
-
-    def second_partials(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if self.d2f is not None:
-            return _shaped(self.d2f(p), p.shape + p.shape[-1:])
-        if self.df is not None:
-            return central_diff(self.partials, p, FD_STEP2)
-        return central_diff2(self._raw, p, FD_STEP2)
-
-    def log_partials(self, p) -> np.ndarray:
-        return self.partials(p) / self.value(p)[..., None]
-
-    def log_second_partials(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        v = self.value(p)[..., None, None]
-        dv = self.partials(p)
-        return self.second_partials(p) / v - (dv[..., :, None] * dv[..., None, :]) / v**2
-
-    def F_components(self, metric: ChartMetric, p) -> np.ndarray:
-        """Components of ``F = grad ln f`` with respect to the base metric."""
-        p = np.asarray(p, dtype=float)
-        return _mv(metric.g_inv(p), self.log_partials(p))
-
-    def F_partials(self, metric: ChartMetric, p) -> np.ndarray:
-        """Partials ``out[..., k, i] = d_k F^i`` of F: analytic when the factor
-        and the metric both carry first partials, else central differences."""
-        p = np.asarray(p, dtype=float)
-        if self.df is None or metric.dg_eval is None:
-            return central_diff(lambda q: self.F_components(metric, q), p, FD_STEP)
-        ginv = metric.g_inv(p)
-        dginv = -np.einsum('...la,...kab,...bm->...klm', ginv, metric.dg(p), ginv)
-        return (np.einsum('...kim,...m->...ki', dginv, self.log_partials(p))
-                + np.einsum('...im,...km->...ki', ginv, self.log_second_partials(p)))
+def factor_values(cf: ScalarField, p) -> np.ndarray:
+    """Values ``(...)`` of a conformal factor; raises unless every one is
+    finite and positive."""
+    p = np.asarray(p, dtype=float)
+    v = _shaped(cf.value(p), p.shape[:-1])
+    bad = ~(np.isfinite(v) & (v > 0.0))
+    if bad.any():
+        raise DegenerateMetricError(f"conformal factor not positive at {_first_point(p, bad)}")
+    return v
 
 
-def constant_factor(value: float = 1.0) -> ConformalFactor:
-    return ConformalFactor(f=lambda p: value, df=lambda p: 0.0, d2f=lambda p: 0.0)
+def _log_partials(cf: ScalarField, p) -> np.ndarray:
+    return cf.grad_components(p) / factor_values(cf, p)[..., None]
 
 
-def conformal_rescale(metric: ChartMetric, cf: ConformalFactor,
+def F_components(cf: ScalarField, metric: ChartMetric, p) -> np.ndarray:
+    """Components of ``F = grad ln f`` with respect to the base metric."""
+    p = np.asarray(p, dtype=float)
+    return _mv(metric.g_inv(p), _log_partials(cf, p))
+
+
+def F_partials(cf: ScalarField, metric: ChartMetric, p) -> np.ndarray:
+    """Partials ``out[..., k, i] = d_k F^i`` of F: analytic when the factor
+    and the metric both carry first partials, else central differences."""
+    p = np.asarray(p, dtype=float)
+    if cf.partials is None or metric.dg_eval is None:
+        return central_diff(lambda q: F_components(cf, metric, q), p, FD_STEP)
+    ginv = metric.g_inv(p)
+    dginv = -np.einsum('...la,...kab,...bm->...klm', ginv, metric.dg(p), ginv)
+    v = factor_values(cf, p)[..., None, None]
+    dv = cf.grad_components(p)
+    log_hess = cf.hess_components(p) / v - (dv[..., :, None] * dv[..., None, :]) / v**2
+    return (np.einsum('...kim,...m->...ki', dginv, _log_partials(cf, p))
+            + np.einsum('...im,...km->...ki', ginv, log_hess))
+
+
+def constant_factor(value: float = 1.0) -> ScalarField:
+    return ScalarField(value=lambda p: value, partials=lambda p: 0.0,
+                       second_partials=lambda p: 0.0)
+
+
+def conformal_rescale(metric: ChartMetric, cf: ScalarField,
                       extra_guard: Optional[Callable] = None,
                       name: str = "") -> ChartMetric:
     """Chart metric with components ``f * g_ij``.
@@ -103,13 +74,13 @@ def conformal_rescale(metric: ChartMetric, cf: ConformalFactor,
 
     def factor(p, k):
         """Factor values shaped to broadcast against k trailing axes."""
-        return cf.value(p)[(...,) + (None,) * k]
+        return factor_values(cf, p)[(...,) + (None,) * k]
 
     def g_eval(p):
         return factor(p, 2) * metric.g(p)
 
     def guard(p):
-        v = cf._raw(p)
+        v = cf(p)
         ok = metric.contains(p) & np.isfinite(v) & (v > 0.0)
         if extra_guard is not None:
             ok = ok & extra_guard(p)
@@ -117,16 +88,16 @@ def conformal_rescale(metric: ChartMetric, cf: ConformalFactor,
 
     dg_eval = None
     d2g_eval = None
-    if metric.dg_eval is not None and cf.df is not None:
+    if metric.dg_eval is not None and cf.partials is not None:
         def dg_eval(p):
-            return (np.einsum('...k,...ij->...kij', cf.partials(p), metric.g(p))
+            return (np.einsum('...k,...ij->...kij', cf.grad_components(p), metric.g(p))
                     + factor(p, 3) * metric.dg(p))
 
-        if metric.d2g_eval is not None and cf.d2f is not None:
+        if metric.d2g_eval is not None and cf.second_partials is not None:
             def d2g_eval(p):
-                dfv = cf.partials(p)
+                dfv = cf.grad_components(p)
                 dgv = metric.dg(p)
-                return (np.einsum('...kl,...ij->...klij', cf.second_partials(p), metric.g(p))
+                return (np.einsum('...kl,...ij->...klij', cf.hess_components(p), metric.g(p))
                         + np.einsum('...k,...lij->...klij', dfv, dgv)
                         + np.einsum('...l,...kij->...klij', dfv, dgv)
                         + factor(p, 4) * metric.d2g(p))
@@ -146,7 +117,7 @@ def _cov(gam, x, y):
     return np.einsum('...ikm,...k,...m->...i', gam, x, y)
 
 
-def conformal_connection(metric: ChartMetric, cf: ConformalFactor, p, x, y) -> np.ndarray:
+def conformal_connection(metric: ChartMetric, cf: ScalarField, p, x, y) -> np.ndarray:
     """Rescaled-metric covariant derivative of constant-component vectors.
 
     Returns ``nabla~_X Y = nabla_X Y + (1/2)<F,Y>X + (1/2)<F,X>Y - (1/2)<X,Y>F``
@@ -154,27 +125,27 @@ def conformal_connection(metric: ChartMetric, cf: ConformalFactor, p, x, y) -> n
     taken in the base metric.
     """
     p = np.asarray(p, dtype=float)
-    cf.value(p)
+    factor_values(cf, p)
     dot = _g_dot(metric.g(p))
-    fv = cf.F_components(metric, p)
+    fv = F_components(cf, metric, p)
     nab = np.einsum('...ijk,...j,...k->...i', christoffel(metric, p), x, y)
     return nab + 0.5 * dot(fv, y) * x + 0.5 * dot(fv, x) * y - 0.5 * dot(x, y) * fv
 
 
-def conformal_second_cov(metric: ChartMetric, cf: ConformalFactor, p, x, y, z) -> np.ndarray:
+def conformal_second_cov(metric: ChartMetric, cf: ScalarField, p, x, y, z) -> np.ndarray:
     """Second covariant derivative in the rescaled metric from base-metric data.
 
     Evaluates the full transformation of ``nabla~_X nabla~_Y Z`` at points
     ``p`` ``(..., n)`` for constant-component vectors x, y, z ``(..., n)``.
     """
     p = np.asarray(p, dtype=float)
-    cf.value(p)
+    factor_values(cf, p)
     dot = _g_dot(metric.g(p))
     gam = christoffel(metric, p)
-    fv = cf.F_components(metric, p)
+    fv = F_components(cf, metric, p)
 
     nab_xy, nab_xz, nab_yz = _cov(gam, x, y), _cov(gam, x, z), _cov(gam, y, z)
-    nab_xf = np.einsum('...k,...ki->...i', x, cf.F_partials(metric, p)) + _cov(gam, x, fv)
+    nab_xf = np.einsum('...k,...ki->...i', x, F_partials(cf, metric, p)) + _cov(gam, x, fv)
     nab_x_nab_yz = _second_cov(metric, p, x, y, z, gamma=gam)
 
     return (nab_x_nab_yz
@@ -193,15 +164,15 @@ def conformal_second_cov(metric: ChartMetric, cf: ConformalFactor, p, x, y, z) -
                - 0.25 * dot(fv, y) * dot(x, z)) * fv)
 
 
-def conformal_curvature(metric: ChartMetric, cf: ConformalFactor, p, x, y, z) -> np.ndarray:
+def conformal_curvature(metric: ChartMetric, cf: ScalarField, p, x, y, z) -> np.ndarray:
     """Curvature ``R~(X, Y)Z`` of the rescaled metric expressed through
     base-metric data, at points ``p`` ``(..., n)`` for vectors ``(..., n)``."""
     p = np.asarray(p, dtype=float)
-    cf.value(p)
+    factor_values(cf, p)
     dot = _g_dot(metric.g(p))
     gam = christoffel(metric, p)
-    fv = cf.F_components(metric, p)
-    dfv = cf.F_partials(metric, p)
+    fv = F_components(cf, metric, p)
+    dfv = F_partials(cf, metric, p)
     nab_xf = np.einsum('...k,...ki->...i', x, dfv) + _cov(gam, x, fv)
     nab_yf = np.einsum('...k,...ki->...i', y, dfv) + _cov(gam, y, fv)
     base = np.einsum('...labc,...a,...b,...c->...l', riemann(metric, p, gamma=gam), x, y, z)
@@ -264,7 +235,7 @@ def _sample_point(rng, metric, cf, box):
         if not metric.contains(p):
             continue
         try:
-            cf.value(p)
+            factor_values(cf, p)
         except DegenerateMetricError:
             continue
         return p
@@ -298,7 +269,7 @@ def _lemma2_residuals(metric, cf, p, w, coeff, steps, order):
              + ts[..., None] ** 2 * coeff[:, 2, None, :])
     keep = metric.contains(pts).all(axis=-1)
     f = np.full(keep.shape + (m,), np.nan)
-    f[keep] = cf._raw(pts[keep])
+    f[keep] = cf(pts[keep])
     keep &= (np.isfinite(f) & (f > 0.0)).all(axis=-1)
     res = np.full(keep.shape, np.nan)
     if not keep.any():
@@ -330,7 +301,7 @@ def _worst(*diffs) -> np.ndarray:
     return np.where(np.isfinite(r), r, np.inf)
 
 
-def lemma_residuals(metric: ChartMetric, cf: ConformalFactor,
+def lemma_residuals(metric: ChartMetric, cf: ScalarField,
                     n_samples: int = 100, seed: int = 0, box=None,
                     curve_step: float = 1e-3, fault: Optional[str] = None):
     """Compare each transformation formula against direct computation.
@@ -370,7 +341,7 @@ def lemma_residuals(metric: ChartMetric, cf: ConformalFactor,
     r1 = _worst(conformal_connection(metric, cf, p, x, y) - want1,
                 conformal_second_cov(metric, cf, p, x, y, z) - _second_cov(rescaled, p, x, y, z))
 
-    fd_only = metric.dg_eval is None or cf.df is None
+    fd_only = metric.dg_eval is None or cf.partials is None
     r2, kept = _lemma2_residuals(metric, cf, p, w, coeff, (curve_step, 30.0 * curve_step),
                                  order=2 if fd_only else 4)
     counted = kept.any(axis=0)

@@ -15,7 +15,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -27,25 +27,14 @@ from .geometry import (ChartMetric, SampledCurve, ScalarField, _christoffel, _mv
 
 @dataclass(frozen=True)
 class MechanicalSystem:
-    """Metric plus potential; derivative evaluators of U are optional.
-
-    ``U``, ``dU`` and ``d2U`` follow the evaluator contract of
-    :class:`~jacobistab.geometry.ScalarField`: points ``(..., n)`` to
-    ``(...)``, ``(..., n)`` and ``(..., n, n)``, and ``U_point`` is its
-    point evaluator.  Every method below takes a single point or a batch.
+    """Metric plus potential U, a :class:`~jacobistab.geometry.ScalarField`
+    whose partials and point evaluator are optional.  Every method below
+    takes a single point or a batch.
     """
 
     metric: ChartMetric
-    U: Callable[[np.ndarray], float]
-    dU: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    d2U: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    potential: ScalarField
     name: str = ""
-    U_point: Optional[Callable] = None
-
-    @cached_property
-    def potential(self) -> ScalarField:
-        return ScalarField(value=self.U, partials=self.dU, second_partials=self.d2U,
-                           point=self.U_point)
 
     def energy(self, q, v):
         q = np.asarray(q, dtype=float)
@@ -82,8 +71,9 @@ class Trajectory:
 
     The trajectory is the context of every identity along it: it builds on
     first use, and keeps, its g-cache ``cache``, its covariant acceleration
-    ``cov_acceleration``, its Jacobi metric ``jm`` at its own energy and its
-    view ``geo`` as an h-geodesic record, whose own ``cache`` is the h-cache.
+    ``cov_acceleration``, its Jacobi metric ``jm`` at its own energy, its
+    ``clearance`` E - U and its view ``geo`` as an h-geodesic record, whose
+    own ``cache`` is the h-cache.
     """
 
     times: np.ndarray
@@ -108,6 +98,11 @@ class Trajectory:
     @cached_property
     def cache(self) -> CurveGeometry:
         return CurveGeometry(self.system.metric, self.points, self.system)
+
+    @cached_property
+    def clearance(self) -> np.ndarray:
+        """``E - U`` at every sample, with the Jacobi metric's margin enforced."""
+        return 0.5 * self.jm.factor_values(self.points)
 
     @cached_property
     def cov_acceleration(self) -> np.ndarray:
@@ -214,90 +209,48 @@ def _rk4(rhs, y0, t0, n_steps, h, check=None):
     return out
 
 
-def _stage(sys: MechanicalSystem, shape):
+def _stage(sys: MechanicalSystem):
     """The right-hand side ``y -> (v, acceleration)`` of the equations of
-    motion for states ``y`` of ``shape`` ``(..., 2n)``.
+    motion for a state ``y`` of shape ``(2n,)``.
 
-    A system with point evaluators runs the point kernel of its dimension:
-    one orbit on the tensors of its point evaluators, an ensemble on the
-    tensors of its batch evaluators over the whole ensemble, since a batch
-    evaluator need not give at one point the bits it gives within a batch.
-    Any other system runs :meth:`MechanicalSystem.acceleration`.
+    A system with point evaluators runs the point kernel of its dimension on
+    the tensors of its point evaluators; any other system runs
+    :meth:`MechanicalSystem.acceleration`.
     """
     metric, potential = sys.metric, sys.potential
     n = metric.dim
     if metric.point is None or potential.point is None:
         def stage(y):
-            q, v = y[..., :n], y[..., n:]
-            return np.concatenate([v, sys.acceleration(q, v)], axis=-1)
+            q, v = y[:n], y[n:]
+            return np.concatenate([v, sys.acceleration(q, v)])
         return stage
 
     kernel = point_kernel(n)
-    if len(shape) == 1:
-        def stage(y):
-            y = y.tolist()
-            q, v = y[:n], y[n:]
-            g, dg = point_metric(metric, q)
-            return np.array(v + kernel(q, g, dg, potential.point(q)[1], v))
-        return stage
-
-    runs = int(np.prod(shape[:-1]))
 
     def stage(y):
-        q = metric.check_point(y[..., :n])
-        tensors = (q, metric.g(q), metric.dg(q), potential.grad_components(q), y[..., n:])
-        rows = zip(*(a.reshape(runs, -1).tolist() for a in tensors))
-        return np.array([v + kernel(p, g, dg, dU, v) for p, g, dg, dU, v in rows]).reshape(shape)
+        y = y.tolist()
+        q, v = y[:n], y[n:]
+        g, dg = point_metric(metric, q)
+        return np.array(v + kernel(q, g, dg, potential.point(q)[1], v))
     return stage
 
 
-def _newton_flow(sys: MechanicalSystem, q0, v0, t_span, step, drift_bound):
-    """Fixed-step RK4 solutions of the equations of motion for a batch of
-    initial data ``(..., n)``, advanced together.
-
-    Returns ``(times, h, e0, ys)``: the sample times, the step used, the
-    initial energies ``(...)`` and the states ``(N + 1, ..., 2n)``.  Raises
-    at the first sample where any run leaves the chart or drifts in energy.
-    """
-    q0 = sys.metric.check_point(q0)
-    v0 = np.asarray(v0, dtype=float)
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if step <= 0 or t1 <= t0:
-        raise ValueError("need step > 0 and t_span[1] > t_span[0]")
-    n_steps = max(1, int(round((t1 - t0) / step)))
-    h = (t1 - t0) / n_steps
-    e0 = sys.energy(q0, v0)
-    y0 = np.concatenate([q0, v0], axis=-1)
-    stage = _stage(sys, y0.shape)
-
-    def rhs(t, y):
-        try:
-            return stage(y)
-        except ChartDomainError as exc:
-            raise ChartDomainError(f"left chart domain at t={t:.6g}: {exc}") from exc
-
-    ys = _rk4(rhs, y0, t0, n_steps, h)
-    times = t0 + h * np.arange(n_steps + 1)
-    n = q0.shape[-1]
-    _check_flow(sys, times, ys[..., :n], ys[..., n:], e0, drift_bound)
-    return times, h, e0, ys
-
-
-def _check_flow(sys, times, points, velocities, e0, drift_bound):
+def _check_flow(traj: Trajectory, drift_bound):
     """Domain and energy checks over all samples in one batched pass.
 
     Errors are reported at the earliest sample: a domain exit there, or an
     energy drift above ``drift_bound`` (relative) or not finite before it.
     """
-    inside = sys.metric.contains(points).reshape(len(times), -1).all(axis=1)
+    sys, times, e0 = traj.system, traj.times, traj.energy
+    inside = sys.metric.contains(traj.points)
     n_in = int(np.argmin(inside)) if not inside.all() else len(times)
-    energy = sys.energy(points[:n_in], velocities[:n_in])
+    energy = sys.energy(traj.points[:n_in], traj.velocities[:n_in])
     drift = np.abs(energy - e0) / np.maximum(1.0, np.abs(e0))
     over = ~(drift <= drift_bound)
     if np.any(over):
-        k = int(np.argmax(over.reshape(n_in, -1).any(axis=1)))
+        k = int(np.argmax(over))
         raise EnergyDriftError(
-            f"energy drift {np.max(drift[k]):.3e} exceeded bound {drift_bound:.3e} "
+            f"energy drift {drift[k]:.3e} exceeded bound {drift_bound:.3e} "
             f"at t={times[k]:.6g}")
     if n_in < len(times):
         raise ChartDomainError(f"left chart domain at t={times[n_in]:.6g}")
@@ -309,11 +262,31 @@ def integrate_newton(sys: MechanicalSystem, q0, v0, t_span, step,
 
     Halts with a chart-domain error if the solution leaves the chart and
     with an energy-drift error if the conserved energy moves by more than
-    ``drift_bound`` (relative) or stops being finite.
+    ``drift_bound`` (relative) or stops being finite, each reported at the
+    earliest sample where it happens.
     """
-    times, h, e0, ys = _newton_flow(sys, q0, v0, t_span, step, drift_bound)
-    n = ys.shape[-1] // 2
-    return Trajectory(times, ys[:, :n], ys[:, n:], energy=float(e0), step=h, system=sys)
+    q0 = sys.metric.check_point(q0)
+    v0 = np.asarray(v0, dtype=float)
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if step <= 0 or t1 <= t0:
+        raise ValueError("need step > 0 and t_span[1] > t_span[0]")
+    n_steps = max(1, int(round((t1 - t0) / step)))
+    h = (t1 - t0) / n_steps
+    e0 = sys.energy(q0, v0)
+    stage = _stage(sys)
+
+    def rhs(t, y):
+        try:
+            return stage(y)
+        except ChartDomainError as exc:
+            raise ChartDomainError(f"left chart domain at t={t:.6g}: {exc}") from exc
+
+    ys = _rk4(rhs, np.concatenate([q0, v0]), t0, n_steps, h)
+    n = q0.size
+    traj = Trajectory(t0 + h * np.arange(n_steps + 1), ys[:, :n], ys[:, n:],
+                      energy=float(e0), step=h, system=sys)
+    _check_flow(traj, drift_bound)
+    return traj
 
 
 class CurveGeometry:
@@ -428,26 +401,19 @@ def brute_force_deviation(sys: MechanicalSystem, q0, v0, dq, dv, alpha,
                           t_span, step) -> DeviationField:
     """Deviation field by central differencing of perturbed nonlinear runs.
 
-    Integrates the full equations from ``(q0 ± alpha*dq, v0 ± alpha*dv)``
-    and returns ``(γ_+ - γ_-) / (2 alpha)`` sampled on the base grid.  This
-    is the independent oracle for :func:`integrate_deviation`; the matching
-    initial data there are ``V0 = dq`` and
-    ``DV0 = dv + Γ(q0)(v0, dq)``.  The three runs advance together as one
-    ``(3, 2n)`` ensemble.
+    Integrates the full equations from ``(q0, v0)`` and from
+    ``(q0 ± alpha*dq, v0 ± alpha*dv)``, in that order, and returns
+    ``(γ_+ - γ_-) / (2 alpha)`` sampled on the base grid.  This is the
+    independent oracle for :func:`integrate_deviation`; the matching
+    initial data there are ``V0 = dq`` and ``DV0 = dv + Γ(q0)(v0, dq)``.
     """
     if not alpha > 0:
         raise ValueError("need alpha > 0")
-    q0 = np.asarray(q0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    dq = np.asarray(dq, dtype=float)
-    dv = np.asarray(dv, dtype=float)
-    qs = np.stack([q0, q0 + alpha * dq, q0 - alpha * dq])
-    vs = np.stack([v0, v0 + alpha * dv, v0 - alpha * dv])
-    times, h, e0, ys = _newton_flow(sys, qs, vs, t_span, step, drift_bound=1e-6)
-    n = q0.size
-    base = Trajectory(times, ys[:, 0, :n], ys[:, 0, n:], energy=float(e0[0]), step=h,
-                      system=sys)
-    V = (ys[:, 1, :n] - ys[:, 2, :n]) / (2.0 * alpha)
+    q0, v0, dq, dv = (np.asarray(a, dtype=float) for a in (q0, v0, dq, dv))
+    base, plus, minus = (integrate_newton(sys, q, v, t_span, step) for q, v in
+                         ((q0, v0), (q0 + alpha * dq, v0 + alpha * dv),
+                          (q0 - alpha * dq, v0 - alpha * dv)))
+    V = (plus.points - minus.points) / (2.0 * alpha)
     DV = cov_derivative_along(sys.metric, base.as_curve(), V, order=2)
     return DeviationField(base, V, DV)
 

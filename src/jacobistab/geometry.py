@@ -197,7 +197,8 @@ class SampledCurve:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar field with optional analytic partials.
+    """Scalar field with optional analytic partials: a potential or a
+    conformal factor.
 
     ``value(p)`` returns ``(...)`` values, ``partials(p)`` the ``(..., n)``
     array of d_j f, ``second_partials(p)`` the ``(..., n, n)`` array

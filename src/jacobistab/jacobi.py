@@ -27,11 +27,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from .conformal import ConformalFactor, conformal_rescale
+from .conformal import conformal_rescale
 from .dynamics import (CurveGeometry, DeviationField, MechanicalSystem,
                        Trajectory, _rk4, hessian_operator, integrate_newton)
 from .errors import ChartDomainError, ForbiddenRegionError
-from .geometry import (ChartMetric, SampledCurve, _first_point, christoffel,
+from .geometry import (ChartMetric, SampledCurve, ScalarField, _first_point, christoffel,
                        cov_derivative_along, point_kernel, point_metric)
 from .numdiff import cumulative_simpson, local_derivative
 
@@ -43,7 +43,7 @@ class JacobiMetric:
     system: MechanicalSystem
     E: float
     margin: float
-    factor: ConformalFactor
+    factor: ScalarField
     h: ChartMetric
 
     def clearance(self, p):
@@ -83,13 +83,9 @@ def jacobi_metric(sys: MechanicalSystem, E: float, margin: Optional[float] = Non
     if margin is None:
         margin = 1e-6 * max(abs(E), 1e-6)
     pot = sys.potential
-
-    def f(p):
-        return 2.0 * (E - pot(p))
-
-    df = None if sys.dU is None else (lambda p: -2.0 * pot.grad_components(p))
-    d2f = None if sys.d2U is None else (lambda p: -2.0 * pot.hess_components(p))
-    factor = ConformalFactor(f=f, df=df, d2f=d2f)
+    df = None if pot.partials is None else (lambda p: -2.0 * pot.grad_components(p))
+    d2f = None if pot.second_partials is None else (lambda p: -2.0 * pot.hess_components(p))
+    factor = ScalarField(value=lambda p: 2.0 * (E - pot(p)), partials=df, second_partials=d2f)
 
     def guard(p):
         return (E - pot(p)) > margin
@@ -173,9 +169,13 @@ def _geodesic_stage(jm: JacobiMetric, n: int):
     return rhs
 
 
+RK45_RTOL = 1e-10
+RK45_ATOL = 1e-12
+"""Tolerances of the adaptive solver of :func:`integrate_geodesic`."""
+
+
 def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
-                       method: str = "rk4", rtol: float = 1e-10,
-                       atol: float = 1e-12) -> GeodesicRecord:
+                       method: str = "rk4") -> GeodesicRecord:
     """Integrate the geodesic equation of h from a point and direction.
 
     ``dir0`` is normalized to unit h-length; dynamical time is accumulated
@@ -203,7 +203,7 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
 
         clear_event.terminal = True
         clear_event.direction = -1
-        sol = solve_ivp(rhs, (s0, s1), y0, method="RK45", rtol=rtol, atol=atol,
+        sol = solve_ivp(rhs, (s0, s1), y0, method="RK45", rtol=RK45_RTOL, atol=RK45_ATOL,
                         dense_output=True, events=clear_event)
         s_end = float(sol.t[-1])
         truncated = sol.status == 1
@@ -227,11 +227,10 @@ def geodesic_from_trajectory(traj: Trajectory) -> GeodesicRecord:
     points are shared, and ``γ' = qdot / (2(E-U))`` is exact at every
     sample.  :attr:`Trajectory.geo` keeps the record.
     """
-    jm = traj.jm
-    w2 = jm.factor_values(traj.points)
+    w2 = 2.0 * traj.clearance
     s = cumulative_simpson(w2, traj.times)
     return GeodesicRecord(s, traj.points, traj.velocities / w2[:, None],
-                          traj.times.copy(), jm.h)
+                          traj.times.copy(), traj.jm.h)
 
 
 STENCIL_PAD = 10
@@ -272,7 +271,7 @@ def jacobi_operator_via_g(traj: Trajectory, dev: DeviationField) -> np.ndarray:
     term is taken by central differencing of the sampled scalar.
     """
     cache = traj.cache
-    w = 0.5 * traj.jm.factor_values(traj.points)     # E - U, margin enforced
+    w = traj.clearance
     delta_v = hessian_operator(traj, dev)
     grad_u = cache.grad_U
     v_dot_gu = np.einsum('nij,ni,nj->n', cache.g, dev.V, grad_u)
@@ -343,7 +342,7 @@ def relation_equal_energy(traj: Trajectory, dev: DeviationField,
     if len(traj) <= 2 * STENCIL_PAD:
         raise ValueError(f"grid too coarse: need more than {2 * STENCIL_PAD} nodes")
     cache = traj.cache
-    w = 0.5 * traj.jm.factor_values(traj.points)
+    w = traj.clearance
     constraint = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
                   + np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, dev.V))
     if np.max(np.abs(constraint)) > constraint_tol:

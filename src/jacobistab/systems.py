@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MechanicalSystem
-from .geometry import _dot, _fma, flat_metric, hyperbolic_metric, sphere_metric
+from .geometry import ScalarField, _dot, _fma, flat_metric, hyperbolic_metric, sphere_metric
 
 
 @dataclass(frozen=True)
@@ -34,43 +34,42 @@ class SystemSetup:
 
 # Potentials follow the evaluator contract: points (..., n) to values (...),
 # partials (..., n) and second partials (..., n, n); constants broadcast.
-# ``U_point`` transcribes U and dU for one point of floats, bit for bit.
+# The point evaluator transcribes U and dU for one point of floats, bit for bit.
 
 def _zero_potential(dim):
     at_point = (0.0, (0.0,) * dim)
-    return dict(U=lambda q: 0.0,
-                dU=lambda q: np.zeros(dim),
-                d2U=lambda q: np.zeros((dim, dim)),
-                U_point=lambda q: at_point)
+    return ScalarField(value=lambda q: 0.0,
+                       partials=lambda q: np.zeros(dim),
+                       second_partials=lambda q: np.zeros((dim, dim)),
+                       point=lambda q: at_point)
 
 
 def flat_free() -> SystemSetup:
-    sys = MechanicalSystem(flat_metric(2), name="flat-free", **_zero_potential(2))
+    sys = MechanicalSystem(flat_metric(2), _zero_potential(2), name="flat-free")
     return SystemSetup("flat-free", sys, energy=0.5,
                        q0=np.array([0.0, 0.0]), v0=np.array([1.0, 0.0]),
                        t_span=(0.0, 2.0))
 
 
 def flat_harmonic() -> SystemSetup:
-    sys = MechanicalSystem(flat_metric(2),
-                           U=lambda q: 0.5 * _dot(q, q),
-                           dU=lambda q: q,
-                           d2U=lambda q: np.eye(2),
-                           # _dot adds q1*q1 to q0*q0 in one fused multiply-add
-                           U_point=lambda q: (0.5 * _fma(q[1], q[1], q[0] * q[0]), tuple(q)),
-                           name="flat-harmonic")
+    potential = ScalarField(
+        value=lambda q: 0.5 * _dot(q, q),
+        partials=lambda q: q,
+        second_partials=lambda q: np.eye(2),
+        # _dot adds q1*q1 to q0*q0 in one fused multiply-add
+        point=lambda q: (0.5 * _fma(q[1], q[1], q[0] * q[0]), tuple(q)))
+    sys = MechanicalSystem(flat_metric(2), potential, name="flat-harmonic")
     return SystemSetup("flat-harmonic", sys, energy=1.0,
                        q0=np.array([1.0, 0.0]), v0=np.array([0.0, 1.0]),
                        t_span=(0.0, 2.0 * np.pi))
 
 
 def uniform_gravity() -> SystemSetup:
-    sys = MechanicalSystem(flat_metric(2),
-                           U=lambda q: q[..., 0],
-                           dU=lambda q: np.array([1.0, 0.0]),
-                           d2U=lambda q: np.zeros((2, 2)),
-                           U_point=lambda q: (q[0], (1.0, 0.0)),
-                           name="uniform-gravity")
+    potential = ScalarField(value=lambda q: q[..., 0],
+                            partials=lambda q: np.array([1.0, 0.0]),
+                            second_partials=lambda q: np.zeros((2, 2)),
+                            point=lambda q: (q[0], (1.0, 0.0)))
+    sys = MechanicalSystem(flat_metric(2), potential, name="uniform-gravity")
     # turning point at t = 1 for these initial data; stay clear of it
     return SystemSetup("uniform-gravity", sys, energy=0.5,
                        q0=np.array([0.0, 0.0]), v0=np.array([1.0, 0.0]),
@@ -78,7 +77,7 @@ def uniform_gravity() -> SystemSetup:
 
 
 def sphere_free() -> SystemSetup:
-    sys = MechanicalSystem(sphere_metric(), name="sphere-free", **_zero_potential(2))
+    sys = MechanicalSystem(sphere_metric(), _zero_potential(2), name="sphere-free")
     return SystemSetup("sphere-free", sys, energy=0.5,
                        q0=np.array([np.pi / 2.0, 0.0]), v0=np.array([0.0, 1.0]),
                        t_span=(0.0, 2.0 * np.pi),
@@ -96,11 +95,12 @@ def sphere_cosine() -> SystemSetup:
         out[..., 0, 0] = -np.cos(q[..., 0])
         return out
 
-    def U_point(q):
+    def point(q):
         return math.cos(q[0]), (-math.sin(q[0]), 0.0)
 
-    sys = MechanicalSystem(sphere_metric(), U=lambda q: np.cos(q[..., 0]),
-                           dU=dU, d2U=d2U, U_point=U_point, name="sphere-cos")
+    potential = ScalarField(value=lambda q: np.cos(q[..., 0]), partials=dU,
+                            second_partials=d2U, point=point)
+    sys = MechanicalSystem(sphere_metric(), potential, name="sphere-cos")
     # theta oscillates between pi/2 and ~2.47; E - U stays >= 0.5
     return SystemSetup("sphere-cos", sys, energy=0.5,
                        q0=np.array([np.pi / 2.0, 0.0]), v0=np.array([0.0, 1.0]),
@@ -109,7 +109,7 @@ def sphere_cosine() -> SystemSetup:
 
 
 def hyperbolic_free() -> SystemSetup:
-    sys = MechanicalSystem(hyperbolic_metric(), name="hyperbolic-free", **_zero_potential(2))
+    sys = MechanicalSystem(hyperbolic_metric(), _zero_potential(2), name="hyperbolic-free")
     return SystemSetup("hyperbolic-free", sys, energy=0.5,
                        q0=np.array([0.0, 1.0]), v0=np.array([1.0, 0.0]),
                        t_span=(0.0, 1.5),

@@ -155,7 +155,7 @@ def _bracket_correction(traj: Trajectory, var: ProperVariation):
     """
     cache = traj.cache
     dev = variation_as_deviation(traj, var)
-    w = 0.5 * traj.jm.factor_values(traj.points)
+    w = traj.clearance
     bracket = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
                - np.einsum('nij,ni,nj->n', cache.g, traj.cov_acceleration, var.values))
     integrand = bracket**2 / (2.0 * w)
@@ -167,7 +167,7 @@ def _free_action_correction(traj: Trajectory, var: ProperVariation) -> float:
     ``F = grad ln(2(E-U)) = -grad U / (E-U)``: d2S0J = d2S + this."""
     cache = traj.cache
     dev = variation_as_deviation(traj, var)
-    w = 0.5 * traj.jm.factor_values(traj.points)
+    w = traj.clearance
     f_vec = -cache.grad_U / w[:, None]          # F = grad ln(2(E-U))
     qdot_dv = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
     f_dot_v = np.einsum('nij,ni,nj->n', cache.g, f_vec, var.values)
@@ -182,7 +182,7 @@ def _orthogonal_correction(traj: Trajectory, var: ProperVariation,
     orth = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, var.values)
     if np.max(np.abs(orth)) > orth_tol * max(1.0, float(np.max(np.abs(var.values)))):
         raise ValueError("variation is not orthogonal to the velocity")
-    w = 0.5 * traj.jm.factor_values(traj.points)
+    w = traj.clearance
     # <F_h, V>_h = -<grad U, V>_g / (E - U)
     phi = -np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, var.values) / w
     return float(simpson(phi**2, x=traj.geo.s))

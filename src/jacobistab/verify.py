@@ -15,11 +15,11 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .conformal import ConformalFactor, lemma_residuals
+from .conformal import lemma_residuals
 from .dynamics import (DeviationField, brute_force_deviation,
                        integrate_deviation, integrate_newton,
                        linearization_initial_data)
-from .geometry import ChartMetric, _dot, cov_derivative_along, metric_by_name
+from .geometry import ChartMetric, ScalarField, _dot, cov_derivative_along, metric_by_name
 from .jacobi import (STENCIL_CORE, STENCIL_PAD, jacobi_operator_direct,
                      jacobi_operator_via_g, equal_energy_projection,
                      maupertuis_roundtrip, padded_span, relation_equal_energy)
@@ -83,7 +83,7 @@ def _orbit(su, t_span=None):
 # Factors for the rescaling-formula suite
 # ---------------------------------------------------------------------------
 
-def exp2x_factor() -> ConformalFactor:
+def exp2x_factor() -> ScalarField:
     def f(p):
         return np.exp(2.0 * p[..., 0])
 
@@ -97,17 +97,17 @@ def exp2x_factor() -> ConformalFactor:
         out[..., 0, 0] = 4.0 * np.exp(2.0 * p[..., 0])
         return out
 
-    return ConformalFactor(f=f, df=df, d2f=d2f)
+    return ScalarField(value=f, partials=df, second_partials=d2f)
 
 
-def jacobi_harmonic_factor(E: float = 5.0) -> ConformalFactor:
+def jacobi_harmonic_factor(E: float = 5.0) -> ScalarField:
     """Jacobi-style factor ``2(E - U)`` for a harmonic potential."""
 
     def f(p):
         return 2.0 * (E - 0.5 * _dot(p, p))
 
-    return ConformalFactor(f=f, df=lambda p: -2.0 * p,
-                           d2f=lambda p: -2.0 * np.eye(p.shape[-1]))
+    return ScalarField(value=f, partials=lambda p: -2.0 * p,
+                       second_partials=lambda p: -2.0 * np.eye(p.shape[-1]))
 
 
 _LEMMA_BOXES = {
@@ -137,7 +137,7 @@ def check_lemma_suite(tolerances=None, n_samples: int = 100, seed: int = 2024010
                                   ("jacobi-harmonic", jacobi_harmonic_factor())):
                 if path == "fd":
                     metric_used = _strip_analytic(metric)
-                    factor_used = ConformalFactor(f=factor.f)
+                    factor_used = ScalarField(value=factor.value)
                 else:
                     metric_used, factor_used = metric, factor
                 recs = lemma_residuals(metric_used, factor_used, n_samples=n_samples,

@@ -7,6 +7,7 @@ a name the benchmark binds fails here rather than in a benchmark run."""
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
 from jacobistab import cli, verify
@@ -43,6 +44,26 @@ def test_traced_round_binds_every_name(tracer_module):
     # uninstalled: the package's own functions are back in place
     assert verify.integrate_newton.__module__ == "jacobistab.dynamics"
     assert not hasattr(verify.integrate_newton, "__wrapped__")
+
+
+def test_traced_linearization_binds_newton_arguments(tracer_module):
+    # the brute-force oracle integrates its base, plus and minus runs as
+    # three ``integrate_newton`` calls; the tracer binds ``sys``, ``q0``,
+    # ``v0``, ``t_span``, ``step`` and ``drift_bound`` of each
+    tr = tracer_module.Tracer()
+    tr.install()
+    try:
+        tr.begin_round()
+        results = verify.check_linearization(system_names=["flat-harmonic"])
+        tr.end_round()
+    finally:
+        tr.uninstall()
+    assert all(r.passed for r in results)
+    st = tr.rounds[0]
+    assert st.calls["dynamics.integrate_newton"] == 3
+    assert st.count["newton.steps"] == 3 * round(2.0 * np.pi / 1e-3)
+    metrics = tracer_module.round_metrics(st, (), ())
+    assert metrics["dynamics.integrate_newton.distinct_ratio"] == 1.0
 
 
 def test_traced_lemma_suite_binds_sample_count(tracer_module):

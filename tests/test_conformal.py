@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from jacobistab.conformal import (ConformalFactor, conformal_connection,
+from jacobistab.conformal import (F_components, conformal_connection,
                                   conformal_curvature, conformal_rescale,
                                   conformal_second_cov, constant_factor,
-                                  lemma_residuals, reparam_cov)
+                                  factor_values, lemma_residuals, reparam_cov)
 from jacobistab.errors import DegenerateMetricError
-from jacobistab.geometry import (SampledCurve, _second_cov, christoffel, flat_metric,
-                                 grad_scalar, riemann, sphere_metric)
+from jacobistab.geometry import (SampledCurve, ScalarField, _second_cov, christoffel,
+                                 flat_metric, grad_scalar, riemann, sphere_metric)
 
 FLAT = flat_metric(2)
 SPHERE = sphere_metric()
@@ -27,7 +27,7 @@ def exp2x_factor():
         out[..., 0, 0] = 4.0 * np.exp(2.0 * p[..., 0])
         return out
 
-    return ConformalFactor(f=f, df=df, d2f=d2f)
+    return ScalarField(value=f, partials=df, second_partials=d2f)
 
 
 def sphere_energy_factor(E=2.0):
@@ -42,20 +42,21 @@ def sphere_energy_factor(E=2.0):
         out[..., 0, 0] = 2.0 * np.cos(p[..., 0])
         return out
 
-    return ConformalFactor(f=lambda p: 2.0 * (E - np.cos(p[..., 0])), df=df, d2f=d2f)
+    return ScalarField(value=lambda p: 2.0 * (E - np.cos(p[..., 0])), partials=df,
+                       second_partials=d2f)
 
 
 class TestConformalFactor:
     def test_gradient_of_log_matches_direct(self):
         cf = exp2x_factor()
         p = np.array([0.3, -0.4])
-        want = grad_scalar(FLAT, lambda q: np.log(cf.value(q)), p)
-        assert np.allclose(cf.F_components(FLAT, p), want, atol=1e-8)
+        want = grad_scalar(FLAT, lambda q: np.log(factor_values(cf, q)), p)
+        assert np.allclose(F_components(cf, FLAT, p), want, atol=1e-8)
 
     def test_nonpositive_factor_rejected(self):
-        cf = ConformalFactor(f=lambda p: float(p[0]))
+        cf = ScalarField(value=lambda p: float(p[0]))
         with pytest.raises(DegenerateMetricError):
-            cf.value([-1.0, 0.0])
+            factor_values(cf, [-1.0, 0.0])
 
     def test_rescale_keeps_derivative_contracts(self):
         rescaled = conformal_rescale(FLAT, exp2x_factor())
@@ -214,9 +215,9 @@ class TestResidualHarness:
 
     def test_nan_second_partials_read_inf(self):
         # a NaN anywhere in a sample's residuals must not be dropped by the max
-        cf = ConformalFactor(f=lambda p: np.exp(p[..., 0]), df=lambda p: np.stack(
+        cf = ScalarField(value=lambda p: np.exp(p[..., 0]), partials=lambda p: np.stack(
             [np.exp(p[..., 0]), np.zeros(p.shape[:-1])], axis=-1),
-            d2f=lambda p: np.full(p.shape + p.shape[-1:], np.nan))
+            second_partials=lambda p: np.full(p.shape + p.shape[-1:], np.nan))
         recs = lemma_residuals(FLAT, cf, n_samples=5, seed=1)
         by_name = {r["lemma"]: r["max_residual"] for r in recs}
         assert by_name["lemma1"] == np.inf

@@ -7,7 +7,7 @@ from jacobistab.dynamics import (DeviationField, MechanicalSystem,
                                  integrate_deviation, integrate_newton,
                                  linearization_initial_data)
 from jacobistab.errors import ChartDomainError, EnergyDriftError
-from jacobistab.geometry import cov_derivative_along, flat_metric
+from jacobistab.geometry import ScalarField, cov_derivative_along, flat_metric
 from jacobistab.systems import builtin_setup
 
 FREE = builtin_setup("flat-free")
@@ -48,9 +48,10 @@ class TestIntegrateNewton:
     def test_nonfinite_energy_is_drift(self):
         # U turns NaN past x = 0.5 while its (analytic) gradient stays 0, so
         # the motion goes on and only the energy check can notice
-        sys_ = MechanicalSystem(flat_metric(2),
-                                U=lambda q: np.where(q[..., 0] > 0.5, np.nan, 0.0),
-                                dU=lambda q: np.zeros(2), d2U=lambda q: np.zeros((2, 2)))
+        potential = ScalarField(value=lambda q: np.where(q[..., 0] > 0.5, np.nan, 0.0),
+                                partials=lambda q: np.zeros(2),
+                                second_partials=lambda q: np.zeros((2, 2)))
+        sys_ = MechanicalSystem(flat_metric(2), potential)
         with pytest.raises(EnergyDriftError, match="nan"):
             integrate_newton(sys_, [0.0, 0.0], [1.0, 0.0], (0.0, 1.0), 1e-2)
 

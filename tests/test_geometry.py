@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jacobistab.errors import ChartDomainError, DegenerateMetricError
 from jacobistab.geometry import (ChartMetric, SampledCurve, ScalarField,
@@ -8,6 +11,7 @@ from jacobistab.geometry import (ChartMetric, SampledCurve, ScalarField,
                                  hessian_form, hyperbolic_metric, metric_by_name,
                                  riemann, sphere_metric, validate_metric_at)
 from jacobistab.numdiff import central_diff
+from jacobistab.systems import builtin_setup
 
 SPHERE = sphere_metric()
 FLAT = flat_metric(2)
@@ -107,6 +111,24 @@ class TestRiemann:
 def sectional(metric, p, x, y):
     """``K_X(Y) = R(X, Y)X``."""
     return np.einsum('...labc,...a,...b,...c->...l', riemann(metric, p), x, y, x)
+
+
+@pytest.mark.parametrize("name,curvature", [("flat-free", 0.0), ("sphere-free", 1.0),
+                                            ("hyperbolic-free", -1.0)])
+@settings(max_examples=40, deadline=None)
+@given(unit=hnp.arrays(np.float64, 2, elements=st.floats(0.0, 1.0)),
+       xy=hnp.arrays(np.float64, (2, 2), elements=st.floats(-1.0, 1.0)))
+def test_sectional_curvature_sign_convention(name, curvature, unit, xy):
+    # <R(X,Y)X, Y> / (|X|^2 |Y|^2 - <X,Y>^2) at any point of the sample box
+    su = builtin_setup(name)
+    metric = su.system.metric
+    lo, hi = (np.asarray(b) for b in su.sample_box)
+    p = lo + unit * (hi - lo)
+    x, y = xy
+    gram = metric.inner(p, x, x) * metric.inner(p, y, y) - metric.inner(p, x, y) ** 2
+    assume(gram > 1e-3)
+    k = metric.inner(p, sectional(metric, p, x, y), y) / gram
+    assert k == pytest.approx(curvature, abs=1e-9)
 
 
 class TestSectionalTensor:

@@ -24,7 +24,7 @@ SETUPS = {su.name: su for su in all_setups()}
 def batched(sys):
     """``sys`` without its point evaluators: every stage runs batched."""
     return dataclasses.replace(sys, metric=dataclasses.replace(sys.metric, point=None),
-                               U_point=None)
+                               potential=dataclasses.replace(sys.potential, point=None))
 
 
 def custom(text):
@@ -41,7 +41,7 @@ def assert_same_records(a, b, fields):
 
 def test_every_builtin_takes_the_point_path():
     for su in SETUPS.values():
-        assert su.system.metric.point is not None and su.system.U_point is not None
+        assert su.system.metric.point is not None and su.system.potential.point is not None
 
 
 @pytest.mark.parametrize("name", BUILTIN_SYSTEMS)
@@ -55,7 +55,7 @@ def test_point_evaluators_equal_batched(name, unit, v):
     p = lo + np.asarray(unit) * (hi - lo)
     q = p.tolist()
     g, dg = point_metric(sys.metric, q)
-    U, dU = sys.U_point(q)
+    U, dU = sys.potential.point(q)
     assert np.array_equal(g, sys.metric.g(p).ravel())
     assert np.array_equal(dg, sys.metric.dg(p).ravel())
     assert U == sys.potential(p)
@@ -74,7 +74,7 @@ def test_point_evaluators_equal_batched_at_many_points(name):
     for p in np.random.default_rng(11).uniform(lo, hi, (5000, 2)):
         q = p.tolist()
         g, dg = sys.metric.point(q)
-        U, dU = sys.U_point(q)
+        U, dU = sys.potential.point(q)
         assert (g == tuple(sys.metric.g(p).ravel()) and dg == tuple(sys.metric.dg(p).ravel())
                 and U == sys.potential(p) and dU == tuple(sys.potential.grad_components(p)))
 
@@ -91,7 +91,7 @@ def test_orbits_equal_batched(name):
     fields = ("s", "points", "tangents", "t_of_s", "truncated")
     assert_same_records(integrate_geodesic(jm, su.q0, su.v0, span, su.step),
                         integrate_geodesic(jm_ref, su.q0, su.v0, span, su.step), fields)
-    # the adaptive solver and the brute-force ensemble over a quarter span
+    # the adaptive solver and the brute-force oracle over a quarter span
     short = (0.0, 0.25 * span[1])
     assert_same_records(integrate_geodesic(jm, su.q0, su.v0, short, su.step, method="rk45"),
                         integrate_geodesic(jm_ref, su.q0, su.v0, short, su.step,
@@ -146,7 +146,9 @@ class TestFailures:
         assert messages[0] == messages[1]
         assert messages[0].startswith("left chart domain at t=")
 
-    def test_ensemble_reports_same_earliest_failure(self):
+    def test_oracle_reports_first_failing_run(self):
+        # all three runs reach the pole; the plus run, started faster, first,
+        # but the base run is integrated first and its failure is reported
         su = SETUPS["sphere-free"]
         args = ([1.5, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0], 1e-2, (0.0, 2.0), 1e-3)
         messages = []
@@ -155,6 +157,12 @@ class TestFailures:
                 brute_force_deviation(sys, *args)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
+        runs = []
+        for v0 in ([1.0, 0.0], [1.01, 0.0]):
+            with pytest.raises(ChartDomainError) as exc:
+                integrate_newton(su.system, [1.5, 0.0], v0, (0.0, 2.0), 1e-3)
+            runs.append(str(exc.value))
+        assert messages[0] == runs[0] != runs[1]
 
     def test_geodesic_truncation_equal_on_both_paths(self):
         su = SETUPS["uniform-gravity"]
