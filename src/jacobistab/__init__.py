@@ -4,9 +4,7 @@ geodesic stability for natural mechanical systems."""
 from .errors import (ChartDomainError, ConfigError, DegenerateMetricError,
                      EnergyDriftError, ForbiddenRegionError, GeometryError)
 from .geometry import (ChartMetric, SampledCurve, ScalarField, christoffel,
-                       cov_derivative_along, flat_metric, grad_scalar,
-                       hessian_form, hyperbolic_metric, metric_by_name,
-                       riemann, sphere_metric)
+                       cov_derivative_along, grad_scalar, hessian_form, riemann)
 from .conformal import (conformal_connection, conformal_curvature,
                         conformal_rescale, conformal_second_cov,
                         lemma_residuals, reparam_cov)
@@ -22,6 +20,7 @@ from .variation import (FunctionalReport, ProperVariation,
                         action_second_difference, evaluate_functionals,
                         make_proper_variation, second_variation_LJ,
                         second_variation_S, second_variation_S0J)
-from .systems import BUILTIN_SYSTEMS, SystemSetup, builtin_setup
+from .systems import (BUILTIN_SYSTEMS, SystemSetup, builtin_setup, flat_metric,
+                      hyperbolic_metric, metric_by_name, sphere_metric)
 
 __version__ = "0.1.0"

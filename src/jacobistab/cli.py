@@ -27,12 +27,12 @@ from .dynamics import (MechanicalSystem,
                        brute_force_deviation, integrate_deviation,
                        integrate_newton, linearization_initial_data)
 from .errors import ConfigError, DegenerateMetricError, GeometryError
-from .expressions import metric_from_exprs, scalar_field_from_expr
-from .geometry import (BUILTIN_METRICS, metric_by_name, orthogonal_part,
-                       validate_metric_at)
+from .expressions import metric_from_exprs
+from .geometry import orthogonal_part, validate_metric_at
 from .jacobi import (STENCIL_CORE, equal_energy_projection, integrate_geodesic,
                      jacobi_metric, padded_span, relation_equal_energy)
-from .systems import BUILTIN_SYSTEMS, builtin_setup
+from .systems import (BUILTIN_METRICS, BUILTIN_SYSTEMS, builtin_setup, mechanical_system,
+                      metric_by_name)
 from .variation import (evaluate_functionals, make_proper_variation,
                         write_sweep_csv)
 from .verify import (DEFAULT_TOLERANCES, check_lemma_suite, operator_identity_sup,
@@ -149,7 +149,7 @@ class Experiment:
                               f"(builtin: {', '.join(BUILTIN_SYSTEMS)}, or 'custom')")
         self.name = name
         if args.step is not None:
-            self.step = args.step
+            self.step = _number(args.step, "--step")
         self.seed = args.seed if args.seed is not None else _get_int(cfg, "seed", 42)
         self.alpha = _get_float(cfg, "alpha", 1e-4)
         self.drift_bound = _get_float(cfg, "drift_bound", 1e-6)
@@ -208,9 +208,11 @@ class Experiment:
             mname = cfg.get("metric", "flat")
             if mname not in BUILTIN_METRICS:
                 raise ConfigError(f"unknown metric {mname!r} (choose from {BUILTIN_METRICS})")
-            metric = metric_by_name(mname, dim)
-        return MechanicalSystem(metric, scalar_field_from_expr(cfg.get("potential", "0"), dim),
-                                name="custom")
+            try:
+                metric = metric_by_name(mname, dim)
+            except ValueError as exc:
+                raise ConfigError(f"metric.dim: {exc}") from None
+        return mechanical_system(metric, cfg.get("potential", "0"))
 
     def orbit(self, t_span=None):
         """The configured trajectory, over ``t_span`` if given."""

@@ -57,11 +57,6 @@ def F_partials(cf: ScalarField, metric: ChartMetric, p) -> np.ndarray:
             + np.einsum('...im,...km->...ki', ginv, log_hess))
 
 
-def constant_factor(value: float = 1.0) -> ScalarField:
-    return ScalarField(value=lambda p: value, partials=lambda p: 0.0,
-                       second_partials=lambda p: 0.0)
-
-
 def conformal_rescale(metric: ChartMetric, cf: ScalarField,
                       extra_guard: Optional[Callable] = None,
                       name: str = "") -> ChartMetric:

@@ -361,7 +361,7 @@ def scalar_field_from_expr(src: str, dim: int) -> ScalarField:
         point=compile_point((value, partials), dim))
 
 
-def metric_from_exprs(entries: dict, dim: int) -> ChartMetric:
+def metric_from_exprs(entries: dict, dim: int, name: str = "custom") -> ChartMetric:
     """Chart metric from expression strings for the components ``g_ij``,
     with exact first and second partials.
 
@@ -386,4 +386,4 @@ def metric_from_exprs(entries: dict, dim: int) -> ChartMetric:
         dim=dim, g_eval=g_eval, dg_eval=dg_eval,
         d2g_eval=compile_expression(Tensor((dim,) * 4, second, "metric second partials"),
                                     dim),
-        name="custom", point=compile_point((g_eval, dg_eval), dim))
+        name=name, point=compile_point((g_eval, dg_eval), dim))

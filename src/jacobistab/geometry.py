@@ -71,20 +71,6 @@ def _quad(g, x, y):
     return (x[..., None, :] @ g @ y[..., :, None])[..., 0, 0]
 
 
-def _fma(a: float, b: float, c: float) -> float:
-    """``a*b + c`` on floats rounded once, as the BLAS kernels behind
-    :func:`_dot` add a product: the exact product is split into ``p + e``
-    (Dekker), and ``fsum`` rounds ``p + e + c`` correctly."""
-    p = a * b
-    t = 134217729.0 * a
-    ah = t - (t - a)
-    al = a - ah
-    t = 134217729.0 * b
-    bh = t - (t - b)
-    bl = b - bh
-    return math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, c))
-
-
 def _inverse(gm, p) -> np.ndarray:
     """LAPACK's inverse of the matrices ``gm`` at the points ``p``; raises
     where one is singular or its inverse is not finite."""
@@ -504,132 +490,3 @@ def point_metric(metric: ChartMetric, q) -> tuple:
     if gd is None:
         raise ChartDomainError(f"chart domain: point {list(q)} outside valid region")
     return gd
-
-
-# ---------------------------------------------------------------------------
-# Built-in metrics
-# ---------------------------------------------------------------------------
-
-def flat_metric(dim: int = 2) -> ChartMetric:
-    """Euclidean metric on R^n."""
-    eye = np.eye(dim)
-    zero3 = np.zeros((dim, dim, dim))
-    zero4 = np.zeros((dim, dim, dim, dim))
-    at_point = (tuple(eye.ravel().tolist()), tuple(zero3.ravel().tolist()))
-    return ChartMetric(dim=dim,
-                       g_eval=lambda p: eye,
-                       dg_eval=lambda p: zero3,
-                       d2g_eval=lambda p: zero4,
-                       name="flat",
-                       point=lambda q: at_point)
-
-
-def sphere_metric() -> ChartMetric:
-    """Unit 2-sphere in (theta, phi) coordinates, ``g = diag(1, sin^2 theta)``."""
-
-    def g(p):
-        out = np.zeros(p.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = np.sin(p[..., 0]) ** 2
-        return out
-
-    def dg(p):
-        out = np.zeros(p.shape[:-1] + (2, 2, 2))
-        out[..., 0, 1, 1] = np.sin(2.0 * p[..., 0])
-        return out
-
-    def d2g(p):
-        out = np.zeros(p.shape[:-1] + (2, 2, 2, 2))
-        out[..., 0, 0, 1, 1] = 2.0 * np.cos(2.0 * p[..., 0])
-        return out
-
-    def point(q):
-        # at one point numpy's sine is a float64 scalar, which it squares
-        # with C pow as Python does (an array it squares as x*x)
-        theta = q[0]
-        if not 0.0 < theta < math.pi:
-            return None
-        return ((1.0, 0.0, 0.0, math.sin(theta) ** 2),
-                (0.0, 0.0, 0.0, math.sin(2.0 * theta), 0.0, 0.0, 0.0, 0.0))
-
-    return ChartMetric(dim=2, g_eval=g, dg_eval=dg, d2g_eval=d2g,
-                       domain_guard=lambda p: (0.0 < p[..., 0]) & (p[..., 0] < np.pi),
-                       name="sphere", point=point)
-
-
-def hyperbolic_metric() -> ChartMetric:
-    """Upper half-plane with ``g = diag(1/y^2, 1/y^2)``, curvature -1."""
-
-    def g(p):
-        return np.eye(2) / p[..., 1, None, None] ** 2
-
-    def dg(p):
-        out = np.zeros(p.shape[:-1] + (2, 2, 2))
-        out[..., 1, 0, 0] = -2.0 / p[..., 1] ** 3
-        out[..., 1, 1, 1] = -2.0 / p[..., 1] ** 3
-        return out
-
-    def d2g(p):
-        out = np.zeros(p.shape[:-1] + (2, 2, 2, 2))
-        out[..., 1, 1, 0, 0] = 6.0 / p[..., 1] ** 4
-        out[..., 1, 1, 1, 1] = 6.0 / p[..., 1] ** 4
-        return out
-
-    def point(q):
-        # numpy's float power is not C pow: the cube goes through numpy
-        y = q[1]
-        if not y > 0.0:
-            return None
-        a = 1.0 / (y * y)
-        d = -2.0 / float(np.power(y, 3))
-        return (a, 0.0, 0.0, a), (0.0, 0.0, 0.0, 0.0, d, 0.0, 0.0, d)
-
-    return ChartMetric(dim=2, g_eval=g, dg_eval=dg, d2g_eval=d2g,
-                       domain_guard=lambda p: p[..., 1] > 0.0,
-                       name="hyperbolic", point=point)
-
-
-def conformal_flat_metric(sigma: Optional[ScalarField] = None, dim: int = 2) -> ChartMetric:
-    """Conformally flat metric ``exp(2 sigma(q)) * identity``.
-
-    The default exponent is ``sigma = q1``, giving ``g = e^{2x} I``.
-    """
-    eye = np.eye(dim)
-    if sigma is None:
-        sigma = ScalarField(value=lambda p: p[..., 0], partials=lambda p: eye[0],
-                            second_partials=lambda p: np.zeros((dim, dim)))
-
-    def scale(p, k):
-        """``exp(2 sigma)`` shaped to broadcast against k trailing axes."""
-        return np.exp(2.0 * np.asarray(sigma(p)))[(...,) + (None,) * k]
-
-    def g(p):
-        return scale(p, 2) * eye
-
-    def dg(p):
-        ds = sigma.grad_components(p)
-        return 2.0 * scale(p, 3) * np.einsum('...k,ij->...kij', ds, eye)
-
-    def d2g(p):
-        ds = sigma.grad_components(p)
-        d2s = sigma.hess_components(p)
-        coef = 2.0 * d2s + 4.0 * (ds[..., :, None] * ds[..., None, :])
-        return scale(p, 4) * np.einsum('...kl,ij->...klij', coef, eye)
-
-    return ChartMetric(dim=dim, g_eval=g, dg_eval=dg, d2g_eval=d2g,
-                       name="conformal-flat")
-
-
-BUILTIN_METRICS = ("flat", "sphere", "hyperbolic", "conformal-flat")
-
-
-def metric_by_name(name: str, dim: int = 2) -> ChartMetric:
-    if name == "flat":
-        return flat_metric(dim)
-    if name == "sphere":
-        return sphere_metric()
-    if name == "hyperbolic":
-        return hyperbolic_metric()
-    if name == "conformal-flat":
-        return conformal_flat_metric(dim=dim)
-    raise ValueError(f"unknown metric '{name}' (choose from {BUILTIN_METRICS})")

@@ -19,11 +19,12 @@ from .conformal import lemma_residuals
 from .dynamics import (DeviationField, brute_force_deviation,
                        integrate_deviation, integrate_newton,
                        linearization_initial_data)
-from .geometry import ChartMetric, ScalarField, _dot, cov_derivative_along, metric_by_name
+from .expressions import scalar_field_from_expr
+from .geometry import ChartMetric, ScalarField, _dot, cov_derivative_along
 from .jacobi import (STENCIL_CORE, STENCIL_PAD, jacobi_operator_direct,
                      jacobi_operator_via_g, equal_energy_projection,
                      maupertuis_roundtrip, padded_span, relation_equal_energy)
-from .systems import all_setups, builtin_setup
+from .systems import all_setups, builtin_setup, metric_by_name
 from .variation import (action_second_difference, evaluate_functionals,
                         make_proper_variation, second_variation_LJ,
                         second_variation_S)
@@ -80,28 +81,13 @@ def _orbit(su, t_span=None):
 
 
 # ---------------------------------------------------------------------------
-# Factors for the rescaling-formula suite
+# Rescaling-formula suite
 # ---------------------------------------------------------------------------
 
-def exp2x_factor() -> ScalarField:
-    def f(p):
-        return np.exp(2.0 * p[..., 0])
-
-    def df(p):
-        out = np.zeros(p.shape)
-        out[..., 0] = 2.0 * np.exp(2.0 * p[..., 0])
-        return out
-
-    def d2f(p):
-        out = np.zeros(p.shape + p.shape[-1:])
-        out[..., 0, 0] = 4.0 * np.exp(2.0 * p[..., 0])
-        return out
-
-    return ScalarField(value=f, partials=df, second_partials=d2f)
-
-
 def jacobi_harmonic_factor(E: float = 5.0) -> ScalarField:
-    """Jacobi-style factor ``2(E - U)`` for a harmonic potential."""
+    """Jacobi-style factor ``2(E - U)`` for a harmonic potential.  Written by
+    hand: ``_dot`` adds a product in one fused multiply-add, which no
+    expression reproduces."""
 
     def f(p):
         return 2.0 * (E - 0.5 * _dot(p, p))
@@ -133,7 +119,7 @@ def check_lemma_suite(tolerances=None, n_samples: int = 100, seed: int = 2024010
         detail = {}
         for mname in ("flat", "sphere", "hyperbolic"):
             metric = metric_by_name(mname)
-            for fname, factor in (("e2x", exp2x_factor()),
+            for fname, factor in (("e2x", scalar_field_from_expr("exp(2*q1)", 2)),
                                   ("jacobi-harmonic", jacobi_harmonic_factor())):
                 if path == "fd":
                     metric_used = _strip_analytic(metric)

@@ -12,12 +12,11 @@ from hypothesis.extra import numpy as hnp
 from jacobistab.conformal import (conformal_connection, conformal_curvature,
                                   conformal_rescale, conformal_second_cov)
 from jacobistab.dynamics import brute_force_deviation, integrate_newton
-from jacobistab.expressions import metric_from_exprs
-from jacobistab.geometry import (_second_cov, christoffel, christoffel_partials,
-                                 metric_by_name, riemann)
+from jacobistab.expressions import metric_from_exprs, scalar_field_from_expr
+from jacobistab.geometry import _second_cov, christoffel, christoffel_partials, riemann
 from jacobistab.jacobi import jacobi_metric
-from jacobistab.systems import all_setups, builtin_setup
-from jacobistab.verify import exp2x_factor, jacobi_harmonic_factor
+from jacobistab.systems import all_setups, builtin_setup, metric_by_name
+from jacobistab.verify import jacobi_harmonic_factor
 
 BOXES = {
     "flat": ((-1.0, -1.0), (1.0, 1.0)),
@@ -92,7 +91,7 @@ class TestBatchedEqualsPointwise:
         assert np.max(np.abs(cyclic)) <= 1e-12 * scale
 
 
-FACTORS = {"e2x": exp2x_factor(), "jacobi-harmonic": jacobi_harmonic_factor()}
+FACTORS = {"e2x": scalar_field_from_expr("exp(2*q1)", 2), "jacobi-harmonic": jacobi_harmonic_factor()}
 RESCALING_CASES = [(m, f) for m in ("flat", "sphere", "hyperbolic") for f in FACTORS]
 
 

@@ -227,6 +227,49 @@ seed = 42
         assert code == 0
         assert custom["operator_identity_sup"] <= 10.0 * builtin["operator_identity_sup"]
 
+    # each built-in preset whose potential is an expression, as a custom system
+    PRESETS = {
+        "flat-free": "metric = flat\npotential = 0\nq0 = 0, 0\nv0 = 1, 0\nt_span = 0, 2\n",
+        "uniform-gravity": "metric = flat\npotential = q1\n"
+                           "q0 = 0, 0\nv0 = 1, 0\nt_span = 0, 0.5\n",
+        "sphere-free": "metric = sphere\npotential = 0\nq0 = 1.5707963267948966, 0\n"
+                       "v0 = 0, 1\nt_span = 0, 6.283185307179586\n",
+        "sphere-cos": "metric = sphere\npotential = cos(q1)\nq0 = 1.5707963267948966, 0\n"
+                      "v0 = 0, 1\nt_span = 0, 2\n",
+        "hyperbolic-free": "metric = hyperbolic\npotential = 0\n"
+                           "q0 = 0, 1\nv0 = 1, 0\nt_span = 0, 1.5\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_equals_custom_restatement(self, tmp_path, name):
+        # the same system built the same way: identical bytes, and identical
+        # JSON records but for the system's name
+        outputs = {}
+        for label, text in (("preset", f"system = {name}\n"),
+                            ("custom", "system = custom\n" + self.PRESETS[name])):
+            cfg = tmp_path / f"{label}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / label
+            codes = [main([cmd, "--config", cfg.as_posix(), "--out", str(out),
+                           "--step", "0.002", "--seed", "3"])
+                     for cmd in ("simulate", "compare-operators")]
+            outputs[label] = (codes, (out / "trajectory.csv").read_bytes(),
+                              (out / "compare_operators.dat").read_bytes(),
+                              *({k: v for k, v in json.loads((out / f).read_text()).items()
+                                 if k != "system"}
+                                for f in ("trajectory.json", "compare_operators.json")))
+        assert outputs["preset"] == outputs["custom"]
+
+    def test_conformal_flat_overflow_is_one_line(self, tmp_path, capsys):
+        # e^{2 q1} overflows at q1 = 400: a numerical failure, not inf or NaN
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("system = custom\nmetric = conformal-flat\n"
+                       "q0 = 400, 0\nv0 = 0, 1\n")
+        assert main(["simulate", "--config", cfg.as_posix(),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure")
+
     @pytest.mark.parametrize("potential, q1", [("q1^0.5", "0"), ("ln(q1)", "1e-310")])
     def test_undefined_partial_is_numerical_failure(self, tmp_path, capsys, potential, q1):
         # the potential is defined at q0, its partials are not
@@ -368,6 +411,25 @@ class TestInputValidation:
     def test_custom_keys_on_builtin_exit_2(self, tmp_path, capsys, lines, key):
         # a built-in system would run as if these keys were not there
         self._exits_2(tmp_path, capsys, "simulate", lines, f"config error: {key}:")
+
+    @pytest.mark.parametrize("lines", [
+        "metric = sphere\nmetric.dim = 3\npotential = q3\nq0 = 1, 0, 0\nv0 = 0, 1, 0\n",
+        "metric = hyperbolic\nmetric.dim = 1\nq0 = 1\nv0 = 1\n",
+    ])
+    def test_named_metric_wrong_dimension_exit_2(self, tmp_path, capsys, lines):
+        cfg = tmp_path / "dim.cfg"
+        cfg.write_text("system = custom\n" + lines)
+        assert main(["simulate", "--config", cfg.as_posix(),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: metric.dim")
+
+    @pytest.mark.parametrize("step", ["inf", "nan"])
+    def test_nonfinite_step_flag_exit_2(self, harmonic_cfg, tmp_path, capsys, step):
+        assert main(["simulate", "--config", harmonic_cfg, "--step", step,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: --step")
 
     def test_zero_dimension_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "dim0.cfg"

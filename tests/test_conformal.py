@@ -1,33 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jacobistab.conformal import (F_components, conformal_connection,
                                   conformal_curvature, conformal_rescale,
-                                  conformal_second_cov, constant_factor,
-                                  factor_values, lemma_residuals, reparam_cov)
+                                  conformal_second_cov, factor_values,
+                                  lemma_residuals, reparam_cov)
 from jacobistab.errors import DegenerateMetricError
+from jacobistab.expressions import scalar_field_from_expr
 from jacobistab.geometry import (SampledCurve, ScalarField, _second_cov, christoffel,
-                                 flat_metric, grad_scalar, riemann, sphere_metric)
+                                 grad_scalar, riemann)
+from jacobistab.systems import builtin_setup, flat_metric, sphere_metric
 
 FLAT = flat_metric(2)
 SPHERE = sphere_metric()
 
 
-def exp2x_factor():
-    def f(p):
-        return np.exp(2.0 * p[..., 0])
-
-    def df(p):
-        out = np.zeros(p.shape)
-        out[..., 0] = 2.0 * np.exp(2.0 * p[..., 0])
-        return out
-
-    def d2f(p):
-        out = np.zeros(p.shape + p.shape[-1:])
-        out[..., 0, 0] = 4.0 * np.exp(2.0 * p[..., 0])
-        return out
-
-    return ScalarField(value=f, partials=df, second_partials=d2f)
+E2X = scalar_field_from_expr("exp(2*q1)", 2)
+ONE = scalar_field_from_expr("1", 2)
 
 
 def sphere_energy_factor(E=2.0):
@@ -48,7 +40,7 @@ def sphere_energy_factor(E=2.0):
 
 class TestConformalFactor:
     def test_gradient_of_log_matches_direct(self):
-        cf = exp2x_factor()
+        cf = E2X
         p = np.array([0.3, -0.4])
         want = grad_scalar(FLAT, lambda q: np.log(factor_values(cf, q)), p)
         assert np.allclose(F_components(cf, FLAT, p), want, atol=1e-8)
@@ -59,7 +51,7 @@ class TestConformalFactor:
             factor_values(cf, [-1.0, 0.0])
 
     def test_rescale_keeps_derivative_contracts(self):
-        rescaled = conformal_rescale(FLAT, exp2x_factor())
+        rescaled = conformal_rescale(FLAT, E2X)
         p = np.array([0.2, 0.5])
         from jacobistab.numdiff import central_diff
         fd = central_diff(rescaled.g_eval, p, 1e-6)
@@ -70,17 +62,17 @@ class TestConnection:
     def test_unit_factor_reduces_to_base(self):
         p = np.array([1.1, 0.4])
         x, y = np.array([0.3, -0.7]), np.array([1.0, 0.2])
-        got = conformal_connection(SPHERE, constant_factor(1.0), p, x, y)
+        got = conformal_connection(SPHERE, ONE, p, x, y)
         want = np.einsum('ijk,j,k->i', christoffel(SPHERE, p), x, y)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_flat_e2x_xx(self):
         x = np.array([1.0, 0.0])
-        got = conformal_connection(FLAT, exp2x_factor(), np.zeros(2), x, x)
+        got = conformal_connection(FLAT, E2X, np.zeros(2), x, x)
         assert got == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_flat_e2x_xy(self):
-        got = conformal_connection(FLAT, exp2x_factor(), np.zeros(2),
+        got = conformal_connection(FLAT, E2X, np.zeros(2),
                                    np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         assert got == pytest.approx([0.0, 1.0], abs=1e-12)
 
@@ -99,18 +91,18 @@ class TestSecondCov:
     def test_unit_factor(self):
         p = np.array([1.2, 0.1])
         x, y, z = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5])
-        got = conformal_second_cov(SPHERE, constant_factor(1.0), p, x, y, z)
+        got = conformal_second_cov(SPHERE, ONE, p, x, y, z)
         want = _second_cov(SPHERE, p, x, y, z)
         assert np.allclose(got, want, atol=1e-9)
 
     def test_zero_field(self):
-        got = conformal_second_cov(FLAT, exp2x_factor(), np.zeros(2), np.array([1.0, 0.0]),
+        got = conformal_second_cov(FLAT, E2X, np.zeros(2), np.array([1.0, 0.0]),
                                    np.array([0.0, 1.0]), np.zeros(2))
         assert np.allclose(got, 0.0, atol=1e-12)
 
     def test_flat_e2x_against_direct(self):
         p = np.zeros(2)
-        cf = exp2x_factor()
+        cf = E2X
         rescaled = conformal_rescale(FLAT, cf)
         x = np.array([1.0, 0.0])
         got = conformal_second_cov(FLAT, cf, p, x, x, x)
@@ -160,18 +152,18 @@ class TestCurvature:
         p = np.array([1.3, 0.2])
         rng = np.random.default_rng(8)
         xv, yv, zv = rng.standard_normal((3, 2))
-        got = conformal_curvature(SPHERE, constant_factor(2.5), p, xv, yv, zv)
+        got = conformal_curvature(SPHERE, scalar_field_from_expr("2.5", 2), p, xv, yv, zv)
         want = np.einsum('labc,a,b,c->l', riemann(SPHERE, p), xv, yv, zv)
         assert np.allclose(got, want, atol=1e-9)
 
     def test_antisymmetry(self):
         x, z = np.array([0.7, 0.1]), np.array([0.2, -0.5])
-        out = conformal_curvature(FLAT, exp2x_factor(), np.array([0.4, 0.6]), x, x, z)
+        out = conformal_curvature(FLAT, E2X, np.array([0.4, 0.6]), x, x, z)
         assert np.max(np.abs(out)) < 1e-12
 
     def test_flat_e2x_matches_direct(self):
         p = np.zeros(2)
-        cf = exp2x_factor()
+        cf = E2X
         rescaled = conformal_rescale(FLAT, cf)
         x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         got = conformal_curvature(FLAT, cf, p, x, y, x)
@@ -191,13 +183,13 @@ class TestCurvature:
 
 class TestResidualHarness:
     def test_unit_factor_all_tiny(self):
-        recs = lemma_residuals(FLAT, constant_factor(1.0), n_samples=100, seed=0)
+        recs = lemma_residuals(FLAT, ONE, n_samples=100, seed=0)
         assert [r["lemma"] for r in recs] == ["lemma1", "lemma2", "lemma3"]
         assert all(r["max_residual"] < 1e-12 for r in recs)
         assert all(r["seed"] == 0 for r in recs)
 
     def test_flat_e2x_analytic(self):
-        recs = lemma_residuals(FLAT, exp2x_factor(), n_samples=100, seed=1)
+        recs = lemma_residuals(FLAT, E2X, n_samples=100, seed=1)
         assert max(r["max_residual"] for r in recs) < 1e-8
 
     def test_sphere_energy_factor(self):
@@ -242,6 +234,37 @@ class TestResidualHarness:
         counts = []
         for n in (5, 50):
             calls.clear()
-            lemma_residuals(FLAT, exp2x_factor(), n_samples=n, seed=1)
+            lemma_residuals(FLAT, E2X, n_samples=n, seed=1)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+
+class TestRescalingProperty:
+    """The three rescaling formulas against direct computation in the rescaled
+    metric, for random exponential factors, points and vectors."""
+
+    SETUPS = {name: builtin_setup(name) for name in ("flat-free", "sphere-free",
+                                                     "hyperbolic-free")}
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(SETUPS)),
+           a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0), c=st.floats(0.5, 2.0),
+           unit=hnp.arrays(np.float64, 2, elements=st.floats(0.0, 1.0)),
+           xyz=hnp.arrays(np.float64, (3, 2), elements=st.floats(-1.0, 1.0)))
+    def test_formulas_match_rescaled_metric(self, name, a, b, c, unit, xyz):
+        su = self.SETUPS[name]
+        metric = su.system.metric
+        lo, hi = (np.asarray(v) for v in su.sample_box)
+        p = lo + unit * (hi - lo)
+        x, y, z = xyz
+        cf = scalar_field_from_expr(f"{c!r}*exp({a!r}*q1 + {b!r}*q2)", 2)
+        h = conformal_rescale(metric, cf)
+        pairs = [
+            (conformal_connection(metric, cf, p, x, y),
+             np.einsum('ijk,j,k->i', christoffel(h, p), x, y)),
+            (conformal_second_cov(metric, cf, p, x, y, z), _second_cov(h, p, x, y, z)),
+            (conformal_curvature(metric, cf, p, x, y, z),
+             np.einsum('labc,a,b,c->l', riemann(h, p), x, y, z)),
+        ]
+        for got, want in pairs:
+            assert np.max(np.abs(got - want)) <= 1e-7

@@ -7,8 +7,8 @@ from jacobistab.dynamics import (DeviationField, MechanicalSystem,
                                  integrate_deviation, integrate_newton,
                                  linearization_initial_data)
 from jacobistab.errors import ChartDomainError, EnergyDriftError
-from jacobistab.geometry import ScalarField, cov_derivative_along, flat_metric
-from jacobistab.systems import builtin_setup
+from jacobistab.geometry import ScalarField, cov_derivative_along
+from jacobistab.systems import builtin_setup, flat_metric
 
 FREE = builtin_setup("flat-free")
 HARMONIC = builtin_setup("flat-harmonic")

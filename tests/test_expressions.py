@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from jacobistab.errors import ChartDomainError, ConfigError
 from jacobistab.expressions import (compile_expression, metric_from_exprs,
                                     scalar_field_from_expr)
-from jacobistab.geometry import sphere_metric
+from jacobistab.systems import sphere_metric
 
 
 def test_basic_arithmetic_and_caret_power():

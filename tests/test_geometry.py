@@ -6,12 +6,11 @@ from hypothesis.extra import numpy as hnp
 
 from jacobistab.errors import ChartDomainError, DegenerateMetricError
 from jacobistab.geometry import (ChartMetric, SampledCurve, ScalarField,
-                                 christoffel, conformal_flat_metric,
-                                 cov_derivative_along, flat_metric, grad_scalar,
-                                 hessian_form, hyperbolic_metric, metric_by_name,
-                                 riemann, sphere_metric, validate_metric_at)
+                                 christoffel, cov_derivative_along, grad_scalar,
+                                 hessian_form, riemann, validate_metric_at)
 from jacobistab.numdiff import central_diff
-from jacobistab.systems import builtin_setup
+from jacobistab.systems import (builtin_setup, conformal_flat_metric, flat_metric,
+                                hyperbolic_metric, metric_by_name, sphere_metric)
 
 SPHERE = sphere_metric()
 FLAT = flat_metric(2)
