@@ -206,7 +206,7 @@ def reparam_cov(metric: ChartMetric, f_along_curve, curve: SampledCurve,
     if np.min(np.abs(f)) < 1e-300 or not np.all(np.isfinite(f)):
         raise DegenerateMetricError("degenerate reparametrization: factor vanishes on the curve")
 
-    dlnf = _param_derivative(curve.params, np.log(np.abs(f)), order)[..., None]
+    dlnf = _param_derivative(curve, np.log(np.abs(f)), order)[..., None]
     gammas = christoffel(metric, curve.points)
     nab_x = cov_derivative_along(metric, curve, field, order=order, gammas=gammas)
     nab_g = cov_derivative_along(metric, curve, curve.tangents, order=order, gammas=gammas)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ChartDomainError, EnergyDriftError
+from .errors import ChartDomainError, EnergyDriftError, GeometryError
 from .geometry import (ChartMetric, SampledCurve, ScalarField, _christoffel, _mv, _quad,
                        christoffel, cov_derivative_along, hessian_form, point_kernel,
                        point_metric, riemann)
@@ -121,6 +121,11 @@ class Trajectory:
         return jacobi.geodesic_from_trajectory(self)
 
     def as_curve(self) -> SampledCurve:
+        """The samples as one curve in t, kept with its stencil weights."""
+        return self._curve
+
+    @cached_property
+    def _curve(self) -> SampledCurve:
         return SampledCurve(self.times, self.points, self.velocities)
 
     def to_dict(self) -> dict:
@@ -356,18 +361,54 @@ def hessian_operator(traj: Trajectory, dev: DeviationField) -> np.ndarray:
     return term1 + term2 + term3
 
 
-def _joint_spline(times, arrays):
-    """One cubic spline through several sampled tensors along a trajectory;
-    the returned callable gives every tensor at a time from one evaluation."""
+def _deviation_stage(traj: Trajectory):
+    """The right-hand side ``(t, y) -> (dV, dW)`` of the linearized flow for
+    states ``y = (V, W)``, at the stage times of :func:`_rk4` stepping along
+    ``traj.times`` by ``traj.step``.
+
+    Christoffel symbols, curvature, the raised potential Hessian and the
+    velocity are interpolated by one cubic spline through their samples,
+    evaluated once at every stage time into a float64 table with one row
+    per time.  A stage reads its row as floats and forms each term of the
+    einsums of the batched form, ``Γ(qdot, V)`` and ``R(qdot, V)qdot``,
+    left to right and added from 0.0 in einsum's order, which gives its bits.
+    ``A V`` is summed the same way, which differs from BLAS's ``matmul``
+    in the last bit where a row of ``A`` has more than one nonzero entry.
+    """
+    cache, times, h, n = traj.cache, traj.times, traj.step, traj.dim
+    parts = (cache.gamma, cache.riem, cache.hess_U_raised, traj.velocities)
     spline = CubicSpline(times, np.concatenate(
-        [a.reshape(len(times), -1) for a in arrays], axis=1), axis=0)
-    shapes = [a.shape[1:] for a in arrays]
-    cuts = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
+        [a.reshape(len(times), -1) for a in parts], axis=1), axis=0)
+    t = times[0] + h * np.arange(len(times) - 1)
+    stage_times = np.unique(np.concatenate([t, t + 0.5 * h, t + h]))
+    table = spline(stage_times)
+    row = {s: k for k, s in enumerate(stage_times.tolist())}
+    r = range(n)
+    o_riem, o_hess, o_vel = n**3, n**3 + n**4, n**3 + n**4 + n * n
 
-    def at(t):
-        return [part.reshape(s) for part, s in zip(np.split(spline(t), cuts), shapes)]
+    def rhs(t, y):
+        c = table[row[t]].tolist()
+        V, W = y[:n].tolist(), y[n:].tolist()
+        vel = c[o_vel:]
+        dV, dW = [], []
+        for i in r:
+            gv = gw = curv = force = 0.0
+            for j in r:
+                for k in r:
+                    gam = c[(i * n + j) * n + k] * vel[j]
+                    gv += gam * V[k]
+                    gw += gam * W[k]
+            for a in r:
+                for b in r:
+                    for e in r:
+                        curv += c[o_riem + ((i * n + a) * n + b) * n + e] * vel[a] * V[b] * vel[e]
+            for j in r:
+                force += c[o_hess + i * n + j] * V[j]
+            dV.append(W[i] - gv)
+            dW.append(-curv - force - gw)
+        return np.array(dV + dW)
 
-    return at
+    return rhs
 
 
 def integrate_deviation(traj: Trajectory, V0, DV0) -> DeviationField:
@@ -375,25 +416,22 @@ def integrate_deviation(traj: Trajectory, V0, DV0) -> DeviationField:
 
     The first-order system in ``(V, W = nabla_dot V)`` is advanced by RK4
     with the trajectory's own step; Christoffel, curvature and potential
-    coefficients are cubic-interpolated between the stored samples.
+    coefficients are cubic-interpolated between the stored samples, once
+    for every stage time, and each stage reads its row of that table
+    (see :func:`_deviation_stage`).  Raises :class:`GeometryError` at the
+    first sample whose state is not finite.
     """
-    cache = traj.cache
     times = traj.times
     n = traj.dim
-    coeffs_at = _joint_spline(times, (cache.gamma, cache.riem, cache.hess_U_raised,
-                                      traj.velocities))
-
-    def rhs(t, y):
-        V, W = y[:n], y[n:]
-        gam, riem, hess, vel = coeffs_at(t)
-        dV = W - np.einsum('ijk,j,k->i', gam, vel, V)
-        curv = np.einsum('labc,a,b,c->l', riem, vel, V, vel)
-        force = hess @ V
-        dW = -curv - force - np.einsum('ijk,j,k->i', gam, vel, W)
-        return np.concatenate([dV, dW])
-
     y0 = np.concatenate([np.asarray(V0, dtype=float), np.asarray(DV0, dtype=float)])
-    ys = _rk4(rhs, y0, times[0], len(times) - 1, traj.step)
+    # the stages overflow silently on Python floats and _rk4 with numpy
+    # warnings; either way the check below raises at the first bad sample
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = _rk4(_deviation_stage(traj), y0, times[0], len(times) - 1, traj.step)
+    bad = ~np.isfinite(ys).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise GeometryError(f"linearized flow not finite at sample {k} (t={times[k]:.6g})")
     return DeviationField(traj, ys[:, :n], ys[:, n:])
 
 

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartDomainError, DegenerateMetricError
-from .numdiff import central_diff, central_diff2, local_derivative
+from .numdiff import apply_stencil, central_diff, central_diff2, stencil_weights
 
 Point = np.ndarray
 
@@ -160,7 +160,12 @@ class ChartMetric:
 @dataclass(frozen=True)
 class SampledCurve:
     """Curve samples: parameter values ``(..., N)``, chart points and tangents
-    dγ/dparam ``(..., N, n)``; leading axes index a batch of curves."""
+    dγ/dparam ``(..., N, n)``; leading axes index a batch of curves.
+
+    The curve owns the 7-point stencil weights of its parameter grid
+    (:attr:`stencil`): every ``order=4`` derivative along one curve object
+    applies the same weights, solved once.
+    """
 
     params: np.ndarray
     points: np.ndarray
@@ -179,6 +184,13 @@ class SampledCurve:
 
     def __len__(self):
         return self.params.shape[-1]
+
+    @functools.cached_property
+    def stencil(self) -> np.ndarray:
+        """First-derivative weights ``(..., N, min(7, N))`` of
+        :func:`~jacobistab.numdiff.stencil_weights` on ``params``, built on
+        first use; apply them with :func:`~jacobistab.numdiff.apply_stencil`."""
+        return stencil_weights(self.params, m=1, width=7)
 
 
 @dataclass(frozen=True)
@@ -285,12 +297,6 @@ def riemann(metric: ChartMetric, p, gamma=None, ginv=None) -> np.ndarray:
             + np.einsum('...lbm,...mac->...labc', gam, gam))
 
 
-def grad_scalar(metric: ChartMetric, f, p) -> np.ndarray:
-    """Riemannian gradient components ``g^{ij} d_j f`` ``(..., n)``."""
-    p = metric.check_point(p)
-    return _mv(metric.g_inv(p), as_scalar_field(f).grad_components(p))
-
-
 def hessian_form(metric: ChartMetric, f, p, gamma=None) -> np.ndarray:
     """Covariant Hessian of a scalar as a symmetric bilinear form.
 
@@ -323,16 +329,16 @@ def cov_derivative_along(metric: ChartMetric, curve: SampledCurve, field,
     if gammas is None:
         gammas = christoffel(metric, curve.points)
     corr = np.einsum('...ijk,...j,...k->...i', gammas, curve.tangents, field)
-    return _param_derivative(curve.params, field, order) + corr
+    return _param_derivative(curve, field, order) + corr
 
 
-def _param_derivative(params, y, order: int = 2) -> np.ndarray:
-    """``dy/dparam`` along the sample axis of one grid ``(N,)`` or of each
-    row of ``params``: second-order ``np.gradient`` for ``order=2``, 7-point
-    :func:`local_derivative` stencils otherwise."""
-    params = np.asarray(params, dtype=float)
+def _param_derivative(curve: SampledCurve, y, order: int = 2) -> np.ndarray:
+    """``dy/dparam`` along the sample axis of the curve's grid, or of each
+    curve of a batch: second-order ``np.gradient`` for ``order=2``, the
+    curve's 7-point :attr:`~SampledCurve.stencil` otherwise."""
     if order != 2:
-        return local_derivative(params, y, m=1, width=7)
+        return apply_stencil(curve.stencil, y)
+    params = curve.params
     if params.ndim == 1:
         return np.gradient(y, params, axis=0, edge_order=2)
     # np.gradient takes one grid: the rows that share a grid go together

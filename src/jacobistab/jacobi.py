@@ -33,7 +33,7 @@ from .dynamics import (CurveGeometry, DeviationField, MechanicalSystem,
 from .errors import ChartDomainError, ForbiddenRegionError
 from .geometry import (ChartMetric, SampledCurve, ScalarField, _first_point, christoffel,
                        cov_derivative_along, point_kernel, point_metric)
-from .numdiff import cumulative_simpson, local_derivative
+from .numdiff import apply_stencil, cumulative_simpson
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,11 @@ class GeodesicRecord:
         return len(self.s)
 
     def as_curve(self) -> SampledCurve:
+        """The samples as one curve in s, kept with its stencil weights."""
+        return self._curve
+
+    @cached_property
+    def _curve(self) -> SampledCurve:
         return SampledCurve(self.s, self.points, self.tangents)
 
     @cached_property
@@ -276,7 +281,7 @@ def jacobi_operator_via_g(traj: Trajectory, dev: DeviationField) -> np.ndarray:
     grad_u = cache.grad_U
     v_dot_gu = np.einsum('nij,ni,nj->n', cache.g, dev.V, grad_u)
     qdot_dv = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
-    dscal = local_derivative(traj.times, v_dot_gu / w, m=1, width=7)
+    dscal = apply_stencil(traj.as_curve().stencil, v_dot_gu / w)
     out = (delta_v - dscal[:, None] * traj.velocities
            + ((v_dot_gu + qdot_dv) / w)[:, None] * grad_u)
     return out / (2.0 * w[:, None]) ** 2
@@ -353,7 +358,7 @@ def relation_equal_energy(traj: Trajectory, dev: DeviationField,
 
     delta_v = hessian_operator(traj, dev)
     v_dot_gu = np.einsum('nij,ni,nj->n', cache.g, dev.V, cache.grad_U)
-    dscal = local_derivative(traj.times, v_dot_gu / w, m=1, width=7)
+    dscal = apply_stencil(traj.as_curve().stencil, v_dot_gu / w)
     correction = -dscal[:, None] * traj.velocities / (2.0 * w[:, None]) ** 2
     rhs = delta_v / (2.0 * w[:, None]) ** 2 + correction
 

@@ -7,6 +7,12 @@ Two schemes are used throughout the package:
 * :func:`local_derivative`, a sliding polynomial stencil on arbitrarily
   spaced nodes, where operator identities need truncation errors well
   below the identity tolerances.
+
+The stencil weights depend only on the grid, the order and the width.
+:func:`stencil_weights` builds them (one Vandermonde solve per node) and
+:func:`apply_stencil` applies them; a sampled curve keeps the weights of its
+own parameter grid (:attr:`~jacobistab.geometry.SampledCurve.stencil`), so
+every field differentiated along it reuses one solve.
 """
 
 from __future__ import annotations
@@ -55,6 +61,55 @@ def central_diff2(fn, p, step):
     return np.moveaxis(out, (0, 1), (p.ndim - 1, p.ndim))
 
 
+def _stencil_index(n, width):
+    """Node indices ``(N, width)`` of the stencil of every node: centred,
+    shifted inwards at the ends of the grid."""
+    start = np.clip(np.arange(n) - (width - 1) // 2, 0, n - width)
+    return start[:, None] + np.arange(width)[None, :]
+
+
+def stencil_weights(x, m=1, width=7):
+    """Weights ``(..., N, w)`` of the sliding polynomial stencils of
+    :func:`local_derivative` on the grids ``x`` ``(..., N)``, with
+    ``w = min(width, N)``; :func:`apply_stencil` applies them to samples.
+
+    The weights depend on the grid alone, so whoever owns a grid builds
+    them once and applies them to every field sampled on it.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    if n < m + 1:
+        raise ValueError("insufficient samples for derivative order %d" % m)
+    width = min(width, n)
+    if width < m + 1:
+        raise ValueError("stencil width %d too small for order %d" % (width, m))
+
+    d = x[..., _stencil_index(n, width)] - x[..., :, None]   # (..., N, w) node offsets
+    scale = np.max(np.abs(d), axis=-1, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    ds = d / scale
+    # Solve the Vandermonde system sum_c w_c ds_c^r = m! delta_{r,m}.
+    vand = ds[..., None, :] ** np.arange(width)[:, None]
+    rhs = np.zeros(vand.shape[:-1] + (1,))
+    rhs[..., m, 0] = math.factorial(m)
+    return np.linalg.solve(vand, rhs)[..., 0] / scale**m
+
+
+def apply_stencil(weights, y):
+    """Apply stencil weights ``(..., N, w)`` from :func:`stencil_weights` to
+    samples ``y`` ``(..., N)`` or ``(..., N, ...)`` on the same grids."""
+    y = np.asarray(y, dtype=float)
+    n, width = weights.shape[-2:]
+    # differencing offsets from the evaluation node annihilates constants
+    # exactly and reduces cancellation on slowly varying data
+    node = weights.ndim - 2
+    yw = np.take(y, _stencil_index(n, width), axis=node) - np.expand_dims(y, node + 1)
+    # one row per node of every grid, so that each row sums as on a single grid
+    out = np.einsum('nw,nw...->n...', weights.reshape(-1, width),
+                    yw.reshape((-1, width) + y.shape[node + 1:]))
+    return out.reshape(y.shape)
+
+
 def local_derivative(x, y, m=1, width=7):
     """Differentiate sampled data with sliding polynomial stencils.
 
@@ -67,36 +122,11 @@ def local_derivative(x, y, m=1, width=7):
     width : stencil width; accuracy is O(h^(width-m)) on smooth data.
 
     Returns an array shaped like ``y`` holding d^m y / dx^m at every node.
+    This one-shot form solves the weights on every call; a grid that
+    carries many fields keeps its weights instead (see
+    :attr:`~jacobistab.geometry.SampledCurve.stencil`).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.shape[-1]
-    if n < m + 1:
-        raise ValueError("insufficient samples for derivative order %d" % m)
-    width = min(width, n)
-    if width < m + 1:
-        raise ValueError("stencil width %d too small for order %d" % (width, m))
-
-    start = np.clip(np.arange(n) - (width - 1) // 2, 0, n - width)
-    idx = start[:, None] + np.arange(width)[None, :]
-    d = x[..., idx] - x[..., :, None]            # (..., N, w) node offsets
-    scale = np.max(np.abs(d), axis=-1, keepdims=True)
-    scale[scale == 0.0] = 1.0
-    ds = d / scale
-    # Solve the Vandermonde system sum_c w_c ds_c^r = m! delta_{r,m}.
-    vand = ds[..., None, :] ** np.arange(width)[:, None]
-    rhs = np.zeros(vand.shape[:-1] + (1,))
-    rhs[..., m, 0] = math.factorial(m)
-    wts = np.linalg.solve(vand, rhs)[..., 0] / scale**m   # (..., N, w)
-
-    # differencing offsets from the evaluation node annihilates constants
-    # exactly and reduces cancellation on slowly varying data
-    node = x.ndim - 1
-    yw = np.take(y, idx, axis=node) - np.expand_dims(y, node + 1)
-    # one row per node of every grid, so that each row sums as on a single grid
-    out = np.einsum('nw,nw...->n...', wts.reshape(-1, width),
-                    yw.reshape((-1, width) + y.shape[node + 1:]))
-    return out.reshape(y.shape)
+    return apply_stencil(stencil_weights(x, m, width), y)
 
 
 def cumulative_simpson(y, x):

@@ -34,7 +34,7 @@ from scipy.integrate import simpson
 from .dynamics import DeviationField, Trajectory, _write_text_atomic, hessian_operator
 from .geometry import _quad, orthogonal_part
 from .jacobi import jacobi_operator_direct
-from .numdiff import local_derivative
+from .numdiff import apply_stencil
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def make_proper_variation(traj: Trajectory, coefficients=None, modes: int = 3,
         values = orthogonal_part(traj.cache.g, traj.velocities, values)
         values[0] = 0.0
         values[-1] = 0.0
-        dvalues = local_derivative(traj.times, values, m=1, width=7)
+        dvalues = apply_stencil(traj.as_curve().stencil, values)
 
     return ProperVariation(traj.times, values, dvalues, coefficients, seed=seed)
 

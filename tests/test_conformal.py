@@ -10,8 +10,8 @@ from jacobistab.conformal import (F_components, conformal_connection,
                                   lemma_residuals, reparam_cov)
 from jacobistab.errors import DegenerateMetricError
 from jacobistab.expressions import scalar_field_from_expr
-from jacobistab.geometry import (SampledCurve, ScalarField, _second_cov, christoffel,
-                                 grad_scalar, riemann)
+from jacobistab.geometry import (SampledCurve, ScalarField, _second_cov, as_scalar_field,
+                                 christoffel, riemann)
 from jacobistab.systems import builtin_setup, flat_metric, sphere_metric
 
 FLAT = flat_metric(2)
@@ -20,6 +20,12 @@ SPHERE = sphere_metric()
 
 E2X = scalar_field_from_expr("exp(2*q1)", 2)
 ONE = scalar_field_from_expr("1", 2)
+
+
+def grad_scalar(metric, f, p):
+    """Reference Riemannian gradient components ``g^{ij} d_j f`` ``(..., n)``."""
+    p = metric.check_point(p)
+    return np.einsum('...ij,...j->...i', metric.g_inv(p), as_scalar_field(f).grad_components(p))
 
 
 def sphere_energy_factor(E=2.0):

@@ -2,13 +2,16 @@
 import numpy as np
 import pytest
 
-from jacobistab.dynamics import (DeviationField, MechanicalSystem,
+from scipy.interpolate import CubicSpline
+
+from jacobistab.dynamics import (DeviationField, MechanicalSystem, _rk4,
                                  brute_force_deviation, hessian_operator,
                                  integrate_deviation, integrate_newton,
                                  linearization_initial_data)
-from jacobistab.errors import ChartDomainError, EnergyDriftError
+from jacobistab.errors import ChartDomainError, EnergyDriftError, GeometryError
 from jacobistab.geometry import ScalarField, cov_derivative_along
-from jacobistab.systems import builtin_setup, flat_metric
+from jacobistab.systems import (BUILTIN_SYSTEMS, builtin_setup, flat_metric,
+                                mechanical_system)
 
 FREE = builtin_setup("flat-free")
 HARMONIC = builtin_setup("flat-harmonic")
@@ -151,6 +154,63 @@ class TestIntegrateDeviation:
         dev = integrate_deviation(traj, v0, dv0)
         bound = np.sqrt(np.sum(v0**2) + np.sum(dv0**2))
         assert np.max(np.abs(dev.V)) <= bound + 1e-9
+
+
+def reference_deviation(traj, V0, DV0):
+    """The linearized flow with numpy stages: one joint cubic spline of the
+    coefficients evaluated at each stage time, and the operator's terms as
+    einsums and a ``matmul``."""
+    cache, times, n = traj.cache, traj.times, traj.dim
+    arrays = (cache.gamma, cache.riem, cache.hess_U_raised, traj.velocities)
+    spline = CubicSpline(times, np.concatenate(
+        [a.reshape(len(times), -1) for a in arrays], axis=1), axis=0)
+    shapes = [a.shape[1:] for a in arrays]
+    cuts = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
+
+    def rhs(t, y):
+        V, W = y[:n], y[n:]
+        gam, riem, hess, vel = (part.reshape(s) for part, s in
+                                zip(np.split(spline(t), cuts), shapes))
+        dV = W - np.einsum('ijk,j,k->i', gam, vel, V)
+        curv = np.einsum('labc,a,b,c->l', riem, vel, V, vel)
+        dW = -curv - hess @ V - np.einsum('ijk,j,k->i', gam, vel, W)
+        return np.concatenate([dV, dW])
+
+    y0 = np.concatenate([np.asarray(V0, dtype=float), np.asarray(DV0, dtype=float)])
+    ys = _rk4(rhs, y0, times[0], len(times) - 1, traj.step)
+    return ys[:, :n], ys[:, n:]
+
+
+class TestDeviationStage:
+    @pytest.mark.parametrize("name", BUILTIN_SYSTEMS)
+    def test_equals_numpy_reference(self, name):
+        su = builtin_setup(name)
+        traj = integrate_newton(su.system, su.q0, su.v0, su.t_span, su.step)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            v0, dv0 = rng.uniform(-1.0, 1.0, (2, traj.dim))
+            dev = integrate_deviation(traj, v0, dv0)
+            V, DV = reference_deviation(traj, v0, dv0)
+            assert np.array_equal(dev.V, V)
+            assert np.array_equal(dev.DV, DV)
+
+    def test_dense_hessian_within_rounding(self):
+        # a cubic potential on flat R^3 has a raised Hessian with nonzero
+        # off-diagonal entries; BLAS sums each row of ``hess @ V`` in an
+        # order of its own (with fused multiply-adds), which the stage's
+        # left-to-right sum reproduces only to the last bit
+        sys_ = mechanical_system(flat_metric(3), "0.1*q1^3 + 0.2*q1*q2*q3 + 0.05*q2^2*q3")
+        traj = integrate_newton(sys_, [0.3, -0.2, 0.4], [0.5, 0.6, -0.3], (0.0, 2.0), 1e-3)
+        v0, dv0 = np.random.default_rng(2).uniform(-1.0, 1.0, (2, 3))
+        dev = integrate_deviation(traj, v0, dv0)
+        V, DV = reference_deviation(traj, v0, dv0)
+        assert np.max(np.abs(dev.V - V)) <= 1e-13 * np.max(np.abs(V))
+        assert np.max(np.abs(dev.DV - DV)) <= 1e-13 * np.max(np.abs(DV))
+
+    def test_overflow_is_a_geometry_error(self):
+        traj = integrate_newton(FREE.system, [0.0, 0.0], [1.0, 0.0], (0.0, 0.1), 1e-2)
+        with pytest.raises(GeometryError, match="not finite at sample 1 "):
+            integrate_deviation(traj, [1.7e308, 0.0], [1.7e308, 0.0])
 
 
 class TestBruteForceOracle:

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from jacobistab.errors import ChartDomainError, DegenerateMetricError
-from jacobistab.geometry import (ChartMetric, SampledCurve, ScalarField,
-                                 christoffel, cov_derivative_along, grad_scalar,
-                                 hessian_form, riemann, validate_metric_at)
+from jacobistab.geometry import (ChartMetric, SampledCurve, ScalarField, as_scalar_field,
+                                 christoffel, cov_derivative_along, hessian_form,
+                                 riemann, validate_metric_at)
 from jacobistab.numdiff import central_diff
 from jacobistab.systems import (builtin_setup, conformal_flat_metric, flat_metric,
                                 hyperbolic_metric, metric_by_name, sphere_metric)
@@ -15,6 +15,12 @@ from jacobistab.systems import (builtin_setup, conformal_flat_metric, flat_metri
 SPHERE = sphere_metric()
 FLAT = flat_metric(2)
 HYP = hyperbolic_metric()
+
+
+def grad_scalar(metric, f, p):
+    """Reference Riemannian gradient components ``g^{ij} d_j f`` ``(..., n)``."""
+    p = metric.check_point(p)
+    return np.einsum('...ij,...j->...i', metric.g_inv(p), as_scalar_field(f).grad_components(p))
 
 
 def brute_christoffel(metric, p, h=1e-6):

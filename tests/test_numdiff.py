@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from jacobistab.numdiff import (central_diff, central_diff2, cumulative_simpson,
-                                local_derivative)
+from jacobistab import geometry
+from jacobistab.dynamics import hessian_operator, integrate_newton
+from jacobistab.geometry import SampledCurve
+from jacobistab.jacobi import equal_energy_projection
+from jacobistab.numdiff import (apply_stencil, central_diff, central_diff2,
+                                cumulative_simpson, local_derivative)
+from jacobistab.systems import builtin_setup
+from jacobistab.variation import make_proper_variation, variation_as_deviation
 
 
 def test_local_derivative_exact_on_polynomials():
@@ -33,6 +39,42 @@ def test_local_derivative_vector_samples():
 def test_local_derivative_rejects_short_input():
     with pytest.raises(ValueError):
         local_derivative(np.array([0.0, 1.0]), np.array([1.0, 2.0]), m=2)
+
+
+def _grids():
+    rng = np.random.default_rng(5)
+    yield np.linspace(0.0, 2.0, 41)                                   # uniform
+    yield np.sort(rng.uniform(0.0, 2.0, 60))                          # non-uniform
+    yield np.sort(rng.uniform(0.0, 2.0, (3, 25)), axis=-1)           # batched (k, N)
+    yield np.array([0.0, 0.3, 0.7, 1.2, 1.5])                         # N < width
+
+
+@pytest.mark.parametrize("x", list(_grids()), ids=["uniform", "nonuniform", "batched", "short"])
+def test_curve_stencil_equals_one_shot(x):
+    pts = np.stack([np.sin(x), x ** 2], axis=-1)
+    curve = SampledCurve(x, pts, pts)
+    for y in (np.cos(3.0 * x), pts):
+        assert np.array_equal(apply_stencil(curve.stencil, y),
+                              local_derivative(x, y, m=1, width=7))
+
+
+def test_trajectory_solves_its_weights_once(monkeypatch):
+    solved = []
+
+    def counting(x, m=1, width=7):
+        solved.append(np.shape(x))
+        return stencil_weights(x, m, width)
+
+    stencil_weights = geometry.stencil_weights
+    monkeypatch.setattr(geometry, "stencil_weights", counting)
+    su = builtin_setup("sphere-cos")
+    traj = integrate_newton(su.system, su.q0, su.v0, (0.0, 0.5), su.step)
+    traj.cov_acceleration
+    var = make_proper_variation(traj, seed=3, orthogonal=True)
+    dev = equal_energy_projection(traj, var.values)
+    hessian_operator(traj, dev)
+    hessian_operator(traj, variation_as_deviation(traj, var))
+    assert solved == [traj.times.shape]
 
 
 def test_central_diff_matches_gradient():
