@@ -22,19 +22,16 @@ import sys
 
 import numpy as np
 
-from .dynamics import (MechanicalSystem,
-                       _write_csv_atomic, _write_text_atomic,
-                       brute_force_deviation, integrate_deviation,
-                       integrate_newton, linearization_initial_data)
+from .dynamics import (MechanicalSystem, _write_csv_atomic, _write_text_atomic,
+                       integrate_newton, linearization_against_oracle)
 from .errors import ConfigError, DegenerateMetricError, GeometryError
 from .expressions import metric_from_exprs
-from .geometry import orthogonal_part, validate_metric_at
+from .geometry import validate_metric_at
 from .jacobi import (STENCIL_CORE, equal_energy_projection, integrate_geodesic,
                      jacobi_metric, padded_span, relation_equal_energy)
 from .systems import (BUILTIN_METRICS, BUILTIN_SYSTEMS, builtin_setup, mechanical_system,
                       metric_by_name)
-from .variation import (evaluate_functionals, make_proper_variation,
-                        write_sweep_csv)
+from .variation import functional_sweep, make_proper_variation, write_sweep_csv
 from .verify import (DEFAULT_TOLERANCES, check_lemma_suite, operator_identity_sup,
                      run_verification)
 
@@ -43,7 +40,7 @@ _METRIC_ENTRY = re.compile(r"^metric\.g\.(\d+)\.(\d+)$")
 _SCALAR_KEYS = {
     "system", "metric", "metric.dim", "potential", "energy", "step", "seed",
     "alpha", "out", "variation.modes", "variation.amplitude",
-    "variation.count", "variation.orthogonal", "drift_bound",
+    "variation.count", "drift_bound",
 }
 _LIST_KEYS = {"q0", "v0", "t_span", "s_span", "dq", "dv", "direction"}
 _CUSTOM_KEYS = {"metric", "metric.dim", "potential"}    # and the metric.g.i.j entries
@@ -102,16 +99,6 @@ def _get_int(cfg, key, default=None):
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {cfg[key]!r}") from None
 
-def _get_bool(cfg, key, default=False):
-    if key not in cfg:
-        return default
-    val = cfg[key].strip().lower()
-    if val in ("true", "yes", "1"):
-        return True
-    if val in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {cfg[key]!r}")
-
 
 def _get_list(cfg, key, default=None):
     if key not in cfg:
@@ -162,7 +149,6 @@ class Experiment:
         self.var_modes = _get_int(cfg, "variation.modes", 3)
         self.var_amplitude = _get_float(cfg, "variation.amplitude", 1.0)
         self.var_count = _get_int(cfg, "variation.count", 5)
-        self.var_orthogonal = _get_bool(cfg, "variation.orthogonal", False)
 
         if self.var_count < 1:
             raise ConfigError(f"variation.count: expected a positive integer, got {self.var_count}")
@@ -250,12 +236,9 @@ def _write_json(path, payload) -> None:
 
 def cmd_simulate(exp: Experiment, args, out) -> int:
     traj = exp.orbit()
-    drift = float(np.max(np.abs(exp.sys.energy(traj.points[::50], traj.velocities[::50])
-                                - traj.energy)))
     traj.write_csv(os.path.join(out, "trajectory.csv"))
     meta = traj.to_dict()
-    meta.update({"system": exp.name, "energy_drift": drift / max(1.0, abs(traj.energy)),
-                 "seed": exp.seed})
+    meta.update({"system": exp.name, "seed": exp.seed})
     _write_json(os.path.join(out, "trajectory.json"), meta)
     _emit(args, meta, f"simulate: {len(traj)} samples, E = {traj.energy:.12g}, "
                       f"relative drift {meta['energy_drift']:.3e} -> {out}/trajectory.csv")
@@ -284,14 +267,11 @@ def cmd_geodesic(exp: Experiment, args, out) -> int:
 
 
 def cmd_deviation(exp: Experiment, args, out) -> int:
-    oracle = brute_force_deviation(exp.sys, exp.q0, exp.v0, exp.dq, exp.dv,
-                                   exp.alpha, exp.t_span, exp.step)
-    v0, dv0 = linearization_initial_data(exp.sys, exp.q0, exp.v0, exp.dq, exp.dv)
-    lin = integrate_deviation(oracle.trajectory, v0, dv0)
-    sup = float(np.max(np.abs(oracle.V - lin.V)))
+    lin, sup = linearization_against_oracle(exp.sys, exp.q0, exp.v0, exp.dq, exp.dv,
+                                            exp.alpha, exp.t_span, exp.step)
     lin.write_csv(os.path.join(out, "deviation.csv"))
     meta = {"system": exp.name, "alpha": exp.alpha, "oracle_sup": sup,
-            "samples": len(oracle.trajectory), "seed": exp.seed}
+            "samples": len(lin.trajectory), "seed": exp.seed}
     _write_json(os.path.join(out, "deviation.json"), meta)
     _emit(args, meta, f"deviation: linearized vs brute-force sup = {sup:.3e} "
                       f"-> {out}/deviation.csv")
@@ -305,9 +285,9 @@ def cmd_compare_operators(exp: Experiment, args, out) -> int:
     identity_sup = operator_identity_sup(traj, rng, exp.var_count, exp.var_modes)
 
     # equal-energy restriction on an orthogonal field
-    raw = make_proper_variation(traj, coefficients=rng.uniform(-1.0, 1.0, (1, traj.dim)))
-    vperp = orthogonal_part(traj.cache.g, traj.velocities, raw.values)
-    rep = relation_equal_energy(traj, equal_energy_projection(traj, vperp))
+    vperp = make_proper_variation(traj, coefficients=rng.uniform(-1.0, 1.0, (1, traj.dim)),
+                                  orthogonal=True)
+    rep = relation_equal_energy(traj, equal_energy_projection(traj, vperp.values))
     corr = np.abs(rep["correction"]).max(axis=1)
 
     lines = ["# t  correction_magnitude"]
@@ -332,14 +312,8 @@ def cmd_compare_operators(exp: Experiment, args, out) -> int:
 
 
 def cmd_second_variation(exp: Experiment, args, out) -> int:
-    traj = exp.orbit()
-    reports = []
-    for k in range(exp.var_count):
-        var = make_proper_variation(traj, modes=exp.var_modes, seed=exp.seed + k,
-                                    amplitude=exp.var_amplitude)
-        orth = make_proper_variation(traj, modes=exp.var_modes, seed=exp.seed + 1000 + k,
-                                     amplitude=exp.var_amplitude, orthogonal=True)
-        reports.append(evaluate_functionals(traj, var, orth_var=orth))
+    reports = functional_sweep(exp.orbit(), exp.var_count, exp.seed, modes=exp.var_modes,
+                               amplitude=exp.var_amplitude)
     write_sweep_csv(os.path.join(out, "second_variation.csv"), reports)
     payload = {"system": exp.name, "E": exp.energy, "count": len(reports),
                "max_thm1_residual": max(r.thm1_residual for r in reports),

@@ -73,7 +73,8 @@ class Trajectory:
     first use, and keeps, its g-cache ``cache``, its covariant acceleration
     ``cov_acceleration``, its Jacobi metric ``jm`` at its own energy, its
     ``clearance`` E - U and its view ``geo`` as an h-geodesic record, whose
-    own ``cache`` is the h-cache.
+    own ``cache`` is the h-cache.  ``energy_drift`` is the largest relative
+    energy drift over all samples, taken by the integrator's energy check.
     """
 
     times: np.ndarray
@@ -81,6 +82,7 @@ class Trajectory:
     velocities: np.ndarray
     energy: float
     step: float
+    energy_drift: float
     system: MechanicalSystem = field(repr=False, compare=False)
 
     def __post_init__(self):
@@ -129,7 +131,7 @@ class Trajectory:
         return SampledCurve(self.times, self.points, self.velocities)
 
     def to_dict(self) -> dict:
-        return {"energy": self.energy, "step": self.step,
+        return {"energy": self.energy, "step": self.step, "energy_drift": self.energy_drift,
                 "t_span": [float(self.times[0]), float(self.times[-1])],
                 "samples": len(self.times), "dim": self.dim}
 
@@ -240,16 +242,16 @@ def _stage(sys: MechanicalSystem):
     return stage
 
 
-def _check_flow(traj: Trajectory, drift_bound):
-    """Domain and energy checks over all samples in one batched pass.
+def _check_flow(sys: MechanicalSystem, times, points, velocities, e0, drift_bound) -> float:
+    """Domain and energy checks over all samples in one batched pass; returns
+    the largest relative energy drift.
 
     Errors are reported at the earliest sample: a domain exit there, or an
     energy drift above ``drift_bound`` (relative) or not finite before it.
     """
-    sys, times, e0 = traj.system, traj.times, traj.energy
-    inside = sys.metric.contains(traj.points)
+    inside = sys.metric.contains(points)
     n_in = int(np.argmin(inside)) if not inside.all() else len(times)
-    energy = sys.energy(traj.points[:n_in], traj.velocities[:n_in])
+    energy = sys.energy(points[:n_in], velocities[:n_in])
     drift = np.abs(energy - e0) / np.maximum(1.0, np.abs(e0))
     over = ~(drift <= drift_bound)
     if np.any(over):
@@ -259,6 +261,7 @@ def _check_flow(traj: Trajectory, drift_bound):
             f"at t={times[k]:.6g}")
     if n_in < len(times):
         raise ChartDomainError(f"left chart domain at t={times[n_in]:.6g}")
+    return float(np.max(drift))
 
 
 def integrate_newton(sys: MechanicalSystem, q0, v0, t_span, step,
@@ -288,10 +291,10 @@ def integrate_newton(sys: MechanicalSystem, q0, v0, t_span, step,
 
     ys = _rk4(rhs, np.concatenate([q0, v0]), t0, n_steps, h)
     n = q0.size
-    traj = Trajectory(t0 + h * np.arange(n_steps + 1), ys[:, :n], ys[:, n:],
-                      energy=float(e0), step=h, system=sys)
-    _check_flow(traj, drift_bound)
-    return traj
+    times, points, velocities = t0 + h * np.arange(n_steps + 1), ys[:, :n], ys[:, n:]
+    drift = _check_flow(sys, times, points, velocities, e0, drift_bound)
+    return Trajectory(times, points, velocities, energy=float(e0), step=h,
+                      energy_drift=drift, system=sys)
 
 
 class CurveGeometry:
@@ -463,3 +466,14 @@ def linearization_initial_data(sys: MechanicalSystem, q0, v0, dq, dv):
     dq = np.asarray(dq, dtype=float)
     dv = np.asarray(dv, dtype=float)
     return dq, dv + np.einsum('ijk,j,k->i', gam, np.asarray(v0, dtype=float), dq)
+
+
+def linearization_against_oracle(sys: MechanicalSystem, q0, v0, dq, dv, alpha,
+                                 t_span, step):
+    """The linearized flow for the perturbation ``(dq, dv)`` of ``(q0, v0)``,
+    integrated along the base run of :func:`brute_force_deviation`, and the
+    sup over all samples of its difference from that oracle."""
+    oracle = brute_force_deviation(sys, q0, v0, dq, dv, alpha, t_span, step)
+    lin = integrate_deviation(oracle.trajectory,
+                              *linearization_initial_data(sys, q0, v0, dq, dv))
+    return lin, float(np.max(np.abs(oracle.V - lin.V)))

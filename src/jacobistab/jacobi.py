@@ -268,23 +268,42 @@ def jacobi_operator_direct(geo: GeodesicRecord, dev) -> np.ndarray:
     return w2 + curv
 
 
+def _g_side(traj: Trajectory, dev: DeviationField):
+    """The g-side terms of the operator relation at every sample: ``op(V)``,
+    the correction term ``-d/dt(<V, grad U>/(E-U)) qdot``, its time
+    derivative taken by the trajectory's stencil, and the energy constraint
+    ``<qdot, nabla_dot V> + <grad U, V>``."""
+    cache = traj.cache
+    v_dot_gu = np.einsum('nij,ni,nj->n', cache.g, dev.V, cache.grad_U)
+    constraint = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV) + v_dot_gu
+    dscal = apply_stencil(traj.as_curve().stencil, v_dot_gu / traj.clearance)
+    return hessian_operator(traj, dev), -dscal[:, None] * traj.velocities, constraint
+
+
 def jacobi_operator_via_g(traj: Trajectory, dev: DeviationField) -> np.ndarray:
     """Geodesic-deviation operator of h expressed through g and t-quantities.
 
     Valid along solutions of the equations of motion, with h the Jacobi
-    metric at the trajectory's energy; the time derivative in the middle
-    term is taken by central differencing of the sampled scalar.
+    metric at the trajectory's energy.
     """
-    cache = traj.cache
     w = traj.clearance
-    delta_v = hessian_operator(traj, dev)
-    grad_u = cache.grad_U
-    v_dot_gu = np.einsum('nij,ni,nj->n', cache.g, dev.V, grad_u)
-    qdot_dv = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
-    dscal = apply_stencil(traj.as_curve().stencil, v_dot_gu / w)
-    out = (delta_v - dscal[:, None] * traj.velocities
-           + ((v_dot_gu + qdot_dv) / w)[:, None] * grad_u)
+    delta_v, correction, constraint = _g_side(traj, dev)
+    out = delta_v + correction + (constraint / w)[:, None] * traj.cache.grad_U
     return out / (2.0 * w[:, None]) ** 2
+
+
+def _multiplier(traj: Trajectory, lam_rate) -> np.ndarray:
+    """``lam`` with ``lam(t0) = 0`` and ``lam'`` the cubic spline through
+    ``lam_rate``, by RK4 on the trajectory grid.  The right side has no
+    ``lam`` in it, so each step is Simpson's rule on the spline: it is
+    evaluated once, as arrays, at the stage times of :func:`_rk4`, and the
+    steps are summed in :func:`_rk4`'s order, which gives its bits."""
+    h = traj.step
+    t = traj.times[0] + h * np.arange(len(traj) - 1)
+    rate = CubicSpline(traj.times, lam_rate)
+    r2 = rate(t + 0.5 * h)
+    steps = (h / 6.0) * (rate(t) + 2.0 * r2 + 2.0 * r2 + rate(t + h))
+    return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 def equal_energy_projection(traj: Trajectory, vperp,
@@ -299,7 +318,7 @@ def equal_energy_projection(traj: Trajectory, vperp,
 
         lam' = -(<qdot, nabla_dot Vperp> + <grad U, Vperp>) / (2 (E - U)),
 
-    integrated here by RK4 on the trajectory grid.
+    integrated here by RK4 on the trajectory grid (see :func:`_multiplier`).
     """
     vperp = np.asarray(vperp, dtype=float)
     if vperp.shape != traj.points.shape:
@@ -318,9 +337,7 @@ def equal_energy_projection(traj: Trajectory, vperp,
     num = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dvperp)
            + np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, vperp))
     lam_rate = -num / speed2
-    rate = CubicSpline(traj.times, lam_rate)
-    lam = _rk4(lambda t, y: np.atleast_1d(rate(t)), np.zeros(1),
-               traj.times[0], len(traj) - 1, traj.step)[:, 0]
+    lam = _multiplier(traj, lam_rate)
 
     v = vperp + lam[:, None] * traj.velocities
     dv = dvperp + lam_rate[:, None] * traj.velocities - lam[:, None] * cache.grad_U
@@ -346,21 +363,15 @@ def relation_equal_energy(traj: Trajectory, dev: DeviationField,
     """
     if len(traj) <= 2 * STENCIL_PAD:
         raise ValueError(f"grid too coarse: need more than {2 * STENCIL_PAD} nodes")
-    cache = traj.cache
-    w = traj.clearance
-    constraint = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
-                  + np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, dev.V))
+    delta_v, correction, constraint = _g_side(traj, dev)
     if np.max(np.abs(constraint)) > constraint_tol:
         raise ValueError(
             f"equal-energy constraint violated: max residual {np.max(np.abs(constraint)):.3e}")
 
     lhs = jacobi_operator_direct(traj.geo, dev.V)
-
-    delta_v = hessian_operator(traj, dev)
-    v_dot_gu = np.einsum('nij,ni,nj->n', cache.g, dev.V, cache.grad_U)
-    dscal = apply_stencil(traj.as_curve().stencil, v_dot_gu / w)
-    correction = -dscal[:, None] * traj.velocities / (2.0 * w[:, None]) ** 2
-    rhs = delta_v / (2.0 * w[:, None]) ** 2 + correction
+    scale = (2.0 * traj.clearance[:, None]) ** 2
+    correction = correction / scale
+    rhs = delta_v / scale + correction
 
     return {
         "system": traj.system.name,

@@ -109,6 +109,13 @@ def conformal_flat_metric(dim: int = 2) -> ChartMetric:
 
 BUILTIN_METRICS = ("flat", "sphere", "hyperbolic", "conformal-flat")
 
+# boxes of chart points used when sampling random test data on a metric
+SAMPLE_BOXES = {
+    "flat": ((-1.0, -1.0), (1.0, 1.0)),
+    "sphere": ((0.7, -1.0), (2.4, 1.0)),
+    "hyperbolic": ((-1.0, 0.6), (1.0, 2.0)),
+}
+
 
 def metric_by_name(name: str, dim: int = 2) -> ChartMetric:
     """The built-in metric ``name`` in dimension ``dim``; a ValueError for an
@@ -148,8 +155,7 @@ class SystemSetup:
     q0: np.ndarray
     v0: np.ndarray
     t_span: tuple
-    # box of chart points used when sampling random test data
-    sample_box: tuple
+    sample_box: tuple       # SAMPLE_BOXES of the metric
     step: float = 1e-3
 
 
@@ -173,23 +179,16 @@ _HARMONIC = ScalarField(value=lambda q: 0.5 * _dot(q, q), partials=lambda q: q,
                         second_partials=lambda q: np.eye(2),
                         point=lambda q: (0.5 * _fma(q[1], q[1], q[0] * q[0]), tuple(q)))
 
-_FLAT_BOX = ((-1.0, -1.0), (1.0, 1.0))
-_SPHERE_BOX = ((0.7, -1.0), (2.4, 1.0))
-
-# name: metric, potential, energy, q0, v0, t_span, sample box
+# name: metric, potential, energy, q0, v0, t_span
 _PRESETS = {
-    "flat-free": ("flat", "0", 0.5, (0.0, 0.0), (1.0, 0.0), (0.0, 2.0), _FLAT_BOX),
-    "flat-harmonic": ("flat", _HARMONIC, 1.0, (1.0, 0.0), (0.0, 1.0), (0.0, 2.0 * np.pi),
-                      _FLAT_BOX),
+    "flat-free": ("flat", "0", 0.5, (0.0, 0.0), (1.0, 0.0), (0.0, 2.0)),
+    "flat-harmonic": ("flat", _HARMONIC, 1.0, (1.0, 0.0), (0.0, 1.0), (0.0, 2.0 * np.pi)),
     # turning point at t = 1 for these initial data; stay clear of it
-    "uniform-gravity": ("flat", "q1", 0.5, (0.0, 0.0), (1.0, 0.0), (0.0, 0.5), _FLAT_BOX),
-    "sphere-free": ("sphere", "0", 0.5, (np.pi / 2.0, 0.0), (0.0, 1.0), (0.0, 2.0 * np.pi),
-                    _SPHERE_BOX),
+    "uniform-gravity": ("flat", "q1", 0.5, (0.0, 0.0), (1.0, 0.0), (0.0, 0.5)),
+    "sphere-free": ("sphere", "0", 0.5, (np.pi / 2.0, 0.0), (0.0, 1.0), (0.0, 2.0 * np.pi)),
     # theta oscillates between pi/2 and ~2.47; E - U stays >= 0.5
-    "sphere-cos": ("sphere", "cos(q1)", 0.5, (np.pi / 2.0, 0.0), (0.0, 1.0), (0.0, 2.0),
-                   _SPHERE_BOX),
-    "hyperbolic-free": ("hyperbolic", "0", 0.5, (0.0, 1.0), (1.0, 0.0), (0.0, 1.5),
-                        ((-1.0, 0.6), (1.0, 2.0))),
+    "sphere-cos": ("sphere", "cos(q1)", 0.5, (np.pi / 2.0, 0.0), (0.0, 1.0), (0.0, 2.0)),
+    "hyperbolic-free": ("hyperbolic", "0", 0.5, (0.0, 1.0), (1.0, 0.0), (0.0, 1.5)),
 }
 
 BUILTIN_SYSTEMS = tuple(_PRESETS)
@@ -197,12 +196,12 @@ BUILTIN_SYSTEMS = tuple(_PRESETS)
 
 def builtin_setup(name: str) -> SystemSetup:
     try:
-        metric, potential, energy, q0, v0, t_span, box = _PRESETS[name]
+        metric, potential, energy, q0, v0, t_span = _PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown system '{name}' (choose from {BUILTIN_SYSTEMS})") from None
     return SystemSetup(name, mechanical_system(metric_by_name(metric), potential, name=name),
                        energy=energy, q0=np.array(q0), v0=np.array(v0), t_span=t_span,
-                       sample_box=box)
+                       sample_box=SAMPLE_BOXES[metric])
 
 
 def all_setups():

@@ -25,7 +25,8 @@ conversely".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -42,19 +43,20 @@ class ProperVariation:
     """Sine-bump variation field along a trajectory, zero at both endpoints.
 
     ``values`` hold V on the trajectory grid and ``dvalues`` the plain
-    coordinate derivative dV/dt (exact for the sine basis).
+    coordinate derivative dV/dt (exact for the sine basis); ``dev``, built
+    on first use and kept, is V with ``DV = dV/dt + Γ(qdot, V)``.
     """
 
-    times: np.ndarray
+    trajectory: Trajectory = field(repr=False, compare=False)
     values: np.ndarray
     dvalues: np.ndarray
-    coefficients: np.ndarray
     seed: Optional[int] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "dvalues", np.asarray(self.dvalues, dtype=float))
+    @cached_property
+    def dev(self) -> DeviationField:
+        traj = self.trajectory
+        corr = np.einsum('nijk,nj,nk->ni', traj.cache.gamma, traj.velocities, self.values)
+        return DeviationField(traj, self.values, self.dvalues + corr)
 
 
 def make_proper_variation(traj: Trajectory, coefficients=None, modes: int = 3,
@@ -97,13 +99,7 @@ def make_proper_variation(traj: Trajectory, coefficients=None, modes: int = 3,
         values[-1] = 0.0
         dvalues = apply_stencil(traj.as_curve().stencil, values)
 
-    return ProperVariation(traj.times, values, dvalues, coefficients, seed=seed)
-
-
-def variation_as_deviation(traj: Trajectory, var: ProperVariation) -> DeviationField:
-    """Attach a variation to its trajectory with ``DV = dV/dt + Γ(qdot, V)``."""
-    corr = np.einsum('nijk,nj,nk->ni', traj.cache.gamma, traj.velocities, var.values)
-    return DeviationField(traj, var.values, var.dvalues + corr)
+    return ProperVariation(traj, values, dvalues, seed=seed)
 
 
 def _check_grid(traj: Trajectory, var: ProperVariation):
@@ -120,7 +116,7 @@ def _check_grid(traj: Trajectory, var: ProperVariation):
 def second_variation_S(traj: Trajectory, var: ProperVariation) -> float:
     """Quadrature of ``-<op(V), V>`` over dynamical time."""
     _check_grid(traj, var)
-    delta_v = hessian_operator(traj, variation_as_deviation(traj, var))
+    delta_v = hessian_operator(traj, var.dev)
     integrand = -np.einsum('nij,ni,nj->n', traj.cache.g, delta_v, var.values)
     return float(simpson(integrand, x=traj.times))
 
@@ -154,9 +150,8 @@ def _bracket_correction(traj: Trajectory, var: ProperVariation):
     nonnegative up to rounding.
     """
     cache = traj.cache
-    dev = variation_as_deviation(traj, var)
     w = traj.clearance
-    bracket = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
+    bracket = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, var.dev.DV)
                - np.einsum('nij,ni,nj->n', cache.g, traj.cov_acceleration, var.values))
     integrand = bracket**2 / (2.0 * w)
     return float(simpson(integrand, x=traj.times)), float(np.min(integrand))
@@ -166,10 +161,9 @@ def _free_action_correction(traj: Trajectory, var: ProperVariation) -> float:
     """t-quadrature of ``2<qdot, nabla_dot V><F, V>`` with
     ``F = grad ln(2(E-U)) = -grad U / (E-U)``: d2S0J = d2S + this."""
     cache = traj.cache
-    dev = variation_as_deviation(traj, var)
     w = traj.clearance
     f_vec = -cache.grad_U / w[:, None]          # F = grad ln(2(E-U))
-    qdot_dv = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
+    qdot_dv = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, var.dev.DV)
     f_dot_v = np.einsum('nij,ni,nj->n', cache.g, f_vec, var.values)
     return float(simpson(2.0 * qdot_dv * f_dot_v, x=traj.times))
 
@@ -279,3 +273,15 @@ def evaluate_functionals(traj: Trajectory, var: ProperVariation,
         integrand_min=integrand_min,
         orth_residual=orth_residual, pathway_delta=pathway_delta,
         grid_size=len(traj), step=traj.step)
+
+
+def functional_sweep(traj: Trajectory, count: int, seed: int, modes: int = 3,
+                     amplitude: float = 1.0) -> list:
+    """:func:`evaluate_functionals` of ``count`` seeded pairs: the k-th pair is
+    a plain variation drawn with seed ``seed + k`` and an orthogonal one drawn
+    with seed ``seed + 1000 + k``."""
+    return [evaluate_functionals(
+        traj, make_proper_variation(traj, modes=modes, seed=seed + k, amplitude=amplitude),
+        orth_var=make_proper_variation(traj, modes=modes, seed=seed + 1000 + k,
+                                       amplitude=amplitude, orthogonal=True))
+            for k in range(count)]

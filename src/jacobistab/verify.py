@@ -16,16 +16,15 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .conformal import lemma_residuals
-from .dynamics import (DeviationField, brute_force_deviation,
-                       integrate_deviation, integrate_newton,
-                       linearization_initial_data)
+from .dynamics import (DeviationField, integrate_deviation, integrate_newton,
+                       linearization_against_oracle)
 from .expressions import scalar_field_from_expr
 from .geometry import ChartMetric, ScalarField, _dot, cov_derivative_along
 from .jacobi import (STENCIL_CORE, STENCIL_PAD, jacobi_operator_direct,
                      jacobi_operator_via_g, equal_energy_projection,
                      maupertuis_roundtrip, padded_span, relation_equal_energy)
-from .systems import all_setups, builtin_setup, metric_by_name
-from .variation import (action_second_difference, evaluate_functionals,
+from .systems import SAMPLE_BOXES, all_setups, builtin_setup, metric_by_name
+from .variation import (action_second_difference, functional_sweep,
                         make_proper_variation, second_variation_LJ,
                         second_variation_S)
 
@@ -96,13 +95,6 @@ def jacobi_harmonic_factor(E: float = 5.0) -> ScalarField:
                        second_partials=lambda p: -2.0 * np.eye(p.shape[-1]))
 
 
-_LEMMA_BOXES = {
-    "flat": ((-1.0, -1.0), (1.0, 1.0)),
-    "sphere": ((0.7, -1.0), (2.4, 1.0)),
-    "hyperbolic": ((-1.0, 0.6), (1.0, 2.0)),
-}
-
-
 def _strip_analytic(metric: ChartMetric) -> ChartMetric:
     return ChartMetric(dim=metric.dim, g_eval=metric.g_eval,
                        domain_guard=metric.domain_guard, name=metric.name + "-fd")
@@ -127,7 +119,7 @@ def check_lemma_suite(tolerances=None, n_samples: int = 100, seed: int = 2024010
                 else:
                     metric_used, factor_used = metric, factor
                 recs = lemma_residuals(metric_used, factor_used, n_samples=n_samples,
-                                       seed=seed, box=_LEMMA_BOXES[mname], fault=fault)
+                                       seed=seed, box=SAMPLE_BOXES[mname], fault=fault)
                 for rec in recs:
                     worst[rec["lemma"]] = max(worst[rec["lemma"]], rec["max_residual"])
                 detail[f"{mname}/{fname}"] = {r["lemma"]: r["max_residual"] for r in recs}
@@ -212,14 +204,8 @@ def check_theorems(tolerances=None, n_variations: int = 10, seed: int = 11,
                    system_names=None):
     """Free-action and length identities over seeded proper variations."""
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    reports = []
-    for su in _setups(system_names):
-        traj = _orbit(su)
-        for k in range(n_variations):
-            var = make_proper_variation(traj, modes=3, seed=seed + k)
-            ovar = make_proper_variation(traj, modes=3, seed=seed + 1000 + k,
-                                         orthogonal=True)
-            reports.append(evaluate_functionals(traj, var, orth_var=ovar))
+    reports = [r for su in _setups(system_names)
+               for r in functional_sweep(_orbit(su), n_variations, seed)]
 
     def worst(key):
         return max((getattr(r, key) for r in reports), default=0.0)
@@ -267,11 +253,8 @@ def check_linearization(tolerances=None, alpha: float = 1e-4, seed: int = 3,
     for su in _setups(system_names):
         dq = rng.uniform(-1.0, 1.0, su.system.metric.dim)
         dv = rng.uniform(-1.0, 1.0, su.system.metric.dim)
-        oracle = brute_force_deviation(su.system, su.q0, su.v0, dq, dv,
-                                       alpha, su.t_span, su.step)
-        v0, dv0 = linearization_initial_data(su.system, su.q0, su.v0, dq, dv)
-        lin = integrate_deviation(oracle.trajectory, v0, dv0)
-        sup = float(np.max(np.abs(oracle.V - lin.V)))
+        _, sup = linearization_against_oracle(su.system, su.q0, su.v0, dq, dv,
+                                              alpha, su.t_span, su.step)
         results.append(_result(f"linearization-{su.name}", sup, tol["linearization"],
                                alpha=alpha, seed=seed))
     return results
@@ -279,17 +262,14 @@ def check_linearization(tolerances=None, alpha: float = 1e-4, seed: int = 3,
 
 def check_energy_drift(tolerances=None, n_steps: int = 1000, step: float = 1e-3,
                        system_names=None):
-    """Relative energy drift over a thousand RK4 steps."""
+    """Largest relative energy drift over the samples of a thousand RK4 steps."""
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     results = []
     for su in _setups(system_names):
         traj = integrate_newton(su.system, su.q0, su.v0,
                                 (su.t_span[0], su.t_span[0] + n_steps * step), step)
-        drift = np.max(np.abs(su.system.energy(traj.points[::25], traj.velocities[::25])
-                              - traj.energy))
-        drift_rel = drift / max(1.0, abs(traj.energy))
-        results.append(_result(f"energy-drift-{su.name}", drift_rel, tol["energy-drift"],
-                               steps=n_steps, step=step))
+        results.append(_result(f"energy-drift-{su.name}", traj.energy_drift,
+                               tol["energy-drift"], steps=n_steps, step=step))
     return results
 
 

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from jacobistab import cli
 from jacobistab.cli import main, parse_config_text
 from jacobistab.errors import ConfigError
+from jacobistab.systems import builtin_setup
 
 HARMONIC_CFG = """\
 # circular orbit of the isotropic oscillator
@@ -48,6 +50,69 @@ class TestConfigParsing:
         cfg = parse_config_text("metric.g.2.2 = sin(q1)^2\ntolerance.theorem1 = 1e-5\n")
         assert cfg["metric.g.2.2"] == "sin(q1)^2"
 
+    def test_orthogonal_key_is_unknown(self, tmp_path, capsys):
+        # variation.orthogonal was stored and never read; it is not a key now
+        cfg = tmp_path / "orth.cfg"
+        cfg.write_text(HARMONIC_CFG + "variation.orthogonal = true\n")
+        assert main(["second-variation", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'variation.orthogonal'" in capsys.readouterr().err
+
+
+# one config of each kind that together hold every key of the config grammar
+_EVERY_KEY_CUSTOM = """\
+system = custom
+metric = sphere
+metric.dim = 2
+potential = cos(q1)
+energy = 0.5
+q0 = 1.5707963267948966, 0.0
+v0 = 0.0, 1.0
+t_span = 0.0, 0.05
+s_span = 0.0, 0.05
+direction = 0.0, 1.0
+step = 0.005
+seed = 3
+alpha = 1e-4
+dq = 0.1, 0.0
+dv = 0.0, 0.1
+drift_bound = 1e-6
+variation.modes = 2
+variation.amplitude = 0.5
+variation.count = 1
+"""
+
+
+@pytest.mark.parametrize("text", [
+    _EVERY_KEY_CUSTOM,
+    "".join(line + "\n" for line in _EVERY_KEY_CUSTOM.splitlines()
+            if line.split(" =")[0] not in cli._CUSTOM_KEYS).replace("custom", "sphere-cos"),
+], ids=["custom", "builtin"])
+def test_every_config_key_is_read(tmp_path, monkeypatch, text):
+    # a key that is parsed and then never read does nothing when set
+    read = set()
+
+    class Recording(dict):
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    parse = cli.parse_config_text
+    monkeypatch.setattr(cli, "parse_config_text", lambda t: Recording(parse(t)))
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text(text + f"out = {tmp_path / 'o'}\n")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    keys = set(parse_config_text(cfg.read_text()))
+    assert keys - read == set()
+    if "metric" in keys:
+        assert keys == cli._SCALAR_KEYS | cli._LIST_KEYS
+    else:
+        assert keys == (cli._SCALAR_KEYS | cli._LIST_KEYS) - cli._CUSTOM_KEYS
+
 
 class TestSimulate:
     def test_writes_csv_and_metadata(self, harmonic_cfg, tmp_path):
@@ -59,6 +124,17 @@ class TestSimulate:
         meta = json.loads((out / "trajectory.json").read_text())
         assert meta["energy"] == pytest.approx(1.0)
         assert meta["energy_drift"] < 1e-8
+
+    def test_energy_drift_is_max_over_every_sample(self, tmp_path):
+        cfg = tmp_path / "sphere.cfg"
+        cfg.write_text("system = sphere-cos\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads((out / "trajectory.json").read_text())
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        e0 = meta["energy"]
+        energy = builtin_setup("sphere-cos").system.energy(rows[:, 1:3], rows[:, 3:5])
+        assert meta["energy_drift"] == np.max(np.abs(energy - e0)) / max(1.0, abs(e0))
 
     def test_deterministic_output(self, harmonic_cfg, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -138,6 +214,18 @@ class TestDeviation:
         assert meta["oracle_sup"] < 1e-5
         header = (out / "deviation.csv").read_text().splitlines()[0]
         assert header == "t,q1,q2,v1,v2,V1,V2,DV1,DV2"
+
+    def test_oracle_sup_is_the_shared_comparison(self, harmonic_cfg, tmp_path):
+        from jacobistab.dynamics import linearization_against_oracle
+
+        out = tmp_path / "run"
+        assert main(["deviation", "--config", harmonic_cfg, "--out", str(out)]) == 0
+        meta = json.loads((out / "deviation.json").read_text())
+        # the config's defaults: dq = 0, dv = (1, 0), alpha = 1e-4
+        _, sup = linearization_against_oracle(
+            builtin_setup("flat-harmonic").system, np.array([1.0, 0.0]),
+            np.array([0.0, 1.0]), np.zeros(2), np.array([1.0, 0.0]), 1e-4, (0.0, 2.0), 0.002)
+        assert meta["oracle_sup"] == sup
 
 
 class TestCompareOperators:

@@ -58,6 +58,16 @@ class TestIntegrateNewton:
         with pytest.raises(EnergyDriftError, match="nan"):
             integrate_newton(sys_, [0.0, 0.0], [1.0, 0.0], (0.0, 1.0), 1e-2)
 
+    def test_energy_drift_check_reads_the_kept_drift(self):
+        # the drift over every sample, as the integrator's own check takes it
+        from jacobistab.verify import check_energy_drift
+        (result,) = check_energy_drift(system_names=["hyperbolic-free"])
+        su = builtin_setup("hyperbolic-free")
+        traj = integrate_newton(su.system, su.q0, su.v0, (0.0, 1.0), 1e-3)
+        assert result.value == traj.energy_drift
+        energy = su.system.energy(traj.points, traj.velocities)
+        assert traj.energy_drift == np.max(np.abs(energy - traj.energy)) / max(1.0, traj.energy)
+
     def test_csv_and_json_roundtrip(self, tmp_path):
         traj = integrate_newton(FREE.system, [0.0, 0.0], [1.0, 0.0], (0.0, 0.1), 1e-2)
         traj.write_csv(tmp_path / "traj.csv")

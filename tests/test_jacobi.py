@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from jacobistab.dynamics import CurveGeometry, DeviationField, integrate_newton
+from scipy.interpolate import CubicSpline
+
+from jacobistab import jacobi
+from jacobistab.dynamics import CurveGeometry, DeviationField, _rk4, integrate_newton
 from jacobistab.errors import ForbiddenRegionError
 from jacobistab.geometry import cov_derivative_along
 from jacobistab.jacobi import (integrate_geodesic, jacobi_metric,
@@ -9,6 +12,7 @@ from jacobistab.jacobi import (integrate_geodesic, jacobi_metric,
                                equal_energy_projection, maupertuis_roundtrip,
                                relation_equal_energy)
 from jacobistab.systems import builtin_setup
+from jacobistab.variation import make_proper_variation
 
 FREE = builtin_setup("flat-free")
 HARMONIC = builtin_setup("flat-harmonic")
@@ -194,6 +198,27 @@ class TestEqualEnergy:
         resid = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
                  + np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, dev.V))
         assert np.max(np.abs(resid)) < 1e-8
+
+    def test_multiplier_equals_rk4(self, monkeypatch):
+        # lam' has no lam in it: the multiplier is RK4 on the spline of its
+        # rate, bit for bit, evaluated at all stage times at once
+        seen = []
+        multiplier = jacobi._multiplier
+
+        def recording(traj, rate):
+            seen.append((rate, multiplier(traj, rate)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(jacobi, "_multiplier", recording)
+        su = builtin_setup("sphere-cos")
+        traj = integrate_newton(su.system, su.q0, su.v0, su.t_span, su.step)
+        equal_energy_projection(traj, make_proper_variation(traj, seed=3, orthogonal=True).values)
+        (rate, lam), = seen
+        spline = CubicSpline(traj.times, rate)
+        want = _rk4(lambda t, y: np.atleast_1d(spline(t)), np.zeros(1), traj.times[0],
+                    len(traj) - 1, traj.step)[:, 0]
+        assert np.max(np.abs(lam)) > 1e-3
+        assert np.array_equal(lam, want)
 
     def test_non_orthogonal_rejected(self):
         traj = integrate_newton(HARMONIC.system, HARMONIC.q0, HARMONIC.v0, (0.0, 1.0), 1e-3)

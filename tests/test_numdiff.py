@@ -8,7 +8,7 @@ from jacobistab.jacobi import equal_energy_projection
 from jacobistab.numdiff import (apply_stencil, central_diff, central_diff2,
                                 cumulative_simpson, local_derivative)
 from jacobistab.systems import builtin_setup
-from jacobistab.variation import make_proper_variation, variation_as_deviation
+from jacobistab.variation import make_proper_variation
 
 
 def test_local_derivative_exact_on_polynomials():
@@ -73,7 +73,7 @@ def test_trajectory_solves_its_weights_once(monkeypatch):
     var = make_proper_variation(traj, seed=3, orthogonal=True)
     dev = equal_energy_projection(traj, var.values)
     hessian_operator(traj, dev)
-    hessian_operator(traj, variation_as_deviation(traj, var))
+    hessian_operator(traj, var.dev)
     assert solved == [traj.times.shape]
 
 

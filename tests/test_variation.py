@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from jacobistab import variation
 from jacobistab.dynamics import integrate_newton
+from jacobistab.geometry import orthogonal_part
 from jacobistab.jacobi import equal_energy_projection
-from jacobistab.systems import builtin_setup
+from jacobistab.systems import BUILTIN_SYSTEMS, builtin_setup
 from jacobistab.variation import (FunctionalReport, action_second_difference,
                                   evaluate_functionals,
                                   make_proper_variation,
@@ -45,6 +47,16 @@ class TestMakeProperVariation:
         g = np.stack([HARMONIC.system.metric.g(q) for q in traj.points])
         orth = np.einsum('nij,ni,nj->n', g, traj.velocities, var.values)
         assert np.max(np.abs(orth)) < 1e-10
+
+    @pytest.mark.parametrize("name", BUILTIN_SYSTEMS)
+    def test_orthogonal_flag_is_the_projected_field(self, name):
+        # the g-orthogonal part of the plain field, endpoints kept at zero
+        traj = _traj(builtin_setup(name), (0.0, 0.5))
+        coefficients = np.random.default_rng(1).uniform(-1.0, 1.0, (1, 2))
+        plain = make_proper_variation(traj, coefficients=coefficients)
+        orth = make_proper_variation(traj, coefficients=coefficients, orthogonal=True)
+        assert np.array_equal(orth.values,
+                              orthogonal_part(traj.cache.g, traj.velocities, plain.values))
 
     def test_empty_spec_rejected(self):
         traj = _traj(FREE, (0.0, 1.0))
@@ -290,6 +302,22 @@ class TestReports:
         check_theorems(n_variations=2, system_names=["flat-harmonic"])
         assert len(calls) == 10                 # 5 per variation pair
         assert len(set(calls)) == len(calls)
+
+    def test_each_field_forms_its_deviation_once(self, monkeypatch):
+        # DV = dV/dt + Γ(qdot, V) of a field serves all its functionals
+        formed = []
+        field_type = variation.DeviationField
+
+        def counting(traj, V, DV):
+            formed.append(id(V))
+            return field_type(traj, V, DV)
+
+        monkeypatch.setattr(variation, "DeviationField", counting)
+        traj = _traj(GRAVITY)
+        var = make_proper_variation(traj, modes=3, seed=51)
+        orth = make_proper_variation(traj, modes=3, seed=52, orthogonal=True)
+        evaluate_functionals(traj, var, orth_var=orth)
+        assert sorted(formed) == sorted([id(var.values), id(orth.values)])
 
     def test_orbit_data_built_once(self, monkeypatch):
         import sys
