@@ -268,7 +268,7 @@ def cmd_geodesic(exp: Experiment, args, out) -> int:
 
 def cmd_deviation(exp: Experiment, args, out) -> int:
     lin, sup = linearization_against_oracle(exp.sys, exp.q0, exp.v0, exp.dq, exp.dv,
-                                            exp.alpha, exp.t_span, exp.step)
+                                            exp.alpha, exp.t_span, exp.step, exp.drift_bound)
     lin.write_csv(os.path.join(out, "deviation.csv"))
     meta = {"system": exp.name, "alpha": exp.alpha, "oracle_sup": sup,
             "samples": len(lin.trajectory), "seed": exp.seed}
@@ -412,9 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="machine-readable stdout")
         p.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
                        help="override a verification tolerance")
-        p.add_argument("--checks", default=None,
-                       help="comma-separated subset of checks (verify-all only)")
-        p.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
+        if name == "verify-all":
+            p.add_argument("--checks", default=None, help="comma-separated subset of checks")
+        if name in ("verify-all", "verify-lemmas"):
+            p.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
     return parser
 
 

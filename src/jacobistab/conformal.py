@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import DegenerateMetricError
 from .geometry import (FD_STEP, ChartMetric, SampledCurve, ScalarField, _first_point, _mv,
-                       _param_derivative, _quad, _second_cov, _shaped, christoffel,
-                       cov_derivative_along, riemann)
-from .numdiff import central_diff, cumulative_simpson, local_derivative
+                       _quad, _second_cov, _shaped, christoffel, cov_derivative_along,
+                       riemann)
+from .numdiff import apply_stencil, central_diff, cumulative_simpson, local_derivative
 
 
 def factor_values(cf: ScalarField, p) -> np.ndarray:
@@ -184,8 +184,7 @@ def conformal_curvature(metric: ChartMetric, cf: ScalarField, p, x, y, z) -> np.
                - 0.25 * dot(fv, x) * dot(y, z)) * fv)
 
 
-def reparam_cov(metric: ChartMetric, f_along_curve, curve: SampledCurve,
-                field, order: int = 2):
+def reparam_cov(metric: ChartMetric, f_along_curve, curve: SampledCurve, field):
     """Covariant derivatives after the reparametrization ``ds = f dt``.
 
     Returns the triple ``(nabla_{γ'}X, nabla_{γ'}γ', nabla_{γ'}nabla_{γ'}X)``
@@ -197,7 +196,8 @@ def reparam_cov(metric: ChartMetric, f_along_curve, curve: SampledCurve,
         nabla_{γ'}nabla_{γ'}X = (1/f^2)(nabla_{γ̇}nabla_{γ̇}X - <grad ln f, γ̇> nabla_{γ̇}X)
 
     ``<grad ln f, γ̇>`` is the chain-rule derivative d(ln|f|)/dt of the
-    sampled factor.
+    sampled factor.  Every t-derivative applies the curve's
+    :attr:`~jacobistab.geometry.SampledCurve.stencil`.
     """
     f = np.asarray(f_along_curve, dtype=float)
     field = np.asarray(field, dtype=float)
@@ -206,11 +206,11 @@ def reparam_cov(metric: ChartMetric, f_along_curve, curve: SampledCurve,
     if np.min(np.abs(f)) < 1e-300 or not np.all(np.isfinite(f)):
         raise DegenerateMetricError("degenerate reparametrization: factor vanishes on the curve")
 
-    dlnf = _param_derivative(curve, np.log(np.abs(f)), order)[..., None]
+    dlnf = apply_stencil(curve.stencil, np.log(np.abs(f)))[..., None]
     gammas = christoffel(metric, curve.points)
-    nab_x = cov_derivative_along(metric, curve, field, order=order, gammas=gammas)
-    nab_g = cov_derivative_along(metric, curve, curve.tangents, order=order, gammas=gammas)
-    nab2_x = cov_derivative_along(metric, curve, nab_x, order=order, gammas=gammas)
+    nab_x = cov_derivative_along(metric, curve, field, gammas=gammas)
+    nab_g = cov_derivative_along(metric, curve, curve.tangents, gammas=gammas)
+    nab2_x = cov_derivative_along(metric, curve, nab_x, gammas=gammas)
 
     f = f[..., None]
     out1 = nab_x / f
@@ -246,19 +246,24 @@ def _unit_vector(rng, metric, p):
     return v / nrm
 
 
-def _lemma2_residuals(metric, cf, p, w, coeff, steps, order):
+_LEMMA2_STEPS = (1e-3, 30.0 * 1e-3)
+"""The fine and the coarse window step of lemma 2 (see :func:`lemma_residuals`)."""
+
+
+def _lemma2_residuals(metric, cf, p, w, coeff):
     """Residuals of the reparametrization formulas on short synthetic curves.
 
-    For each window step and each sample, the curve is the straight line
-    ``p + t w`` over 17 samples with the field ``c0 + t c1 + t^2 c2``; the
-    window is wide enough that the chained second s-derivative at the
-    centre only consumes interior-stencil values.  All windows are
-    evaluated as one batch.  Returns the residuals ``(len(steps), N)`` and
-    the mask of the windows that stay in the chart where the factor is
-    positive (the others are not evaluated).
+    For each window step of :data:`_LEMMA2_STEPS` and each sample, the curve
+    is the straight line ``p + t w`` over 17 samples with the field
+    ``c0 + t c1 + t^2 c2``; the window is wide enough that the chained
+    second s-derivative at the centre only consumes interior-stencil
+    values.  All windows are evaluated as one batch.  Returns the
+    residuals ``(len(_LEMMA2_STEPS), N)`` and the mask of the windows that
+    stay in the chart where the factor is positive (the others are not
+    evaluated).
     """
     m = 17
-    ts = (np.arange(m) - m // 2) * np.asarray(steps)[:, None, None]    # (k, 1, m)
+    ts = (np.arange(m) - m // 2) * np.asarray(_LEMMA2_STEPS)[:, None, None]    # (k, 1, m)
     pts = p[:, None, :] + ts[..., None] * w[:, None, :]                  # (k, N, m, n)
     field = (coeff[:, 0, None, :] + ts[..., None] * coeff[:, 1, None, :]
              + ts[..., None] ** 2 * coeff[:, 2, None, :])
@@ -273,16 +278,16 @@ def _lemma2_residuals(metric, cf, p, w, coeff, steps, order):
     tangents = np.broadcast_to(w[:, None, :], pts.shape)
     ts = np.broadcast_to(ts, pts.shape[:-1])
     f, ts, pts, tangents, field = (a[keep] for a in (f, ts, pts, tangents, field))
-    got = reparam_cov(metric, f, SampledCurve(ts, pts, tangents), field, order=order)
+    got = reparam_cov(metric, f, SampledCurve(ts, pts, tangents), field)
 
     # Direct side: differentiate with respect to the accumulated s-parameter.
     s = cumulative_simpson(f, ts)
     gammas = christoffel(metric, pts)
     dgds = local_derivative(s, pts, m=1, width=7)
     curve_s = SampledCurve(s, pts, dgds)
-    d1 = cov_derivative_along(metric, curve_s, field, order=4, gammas=gammas)
-    d2 = cov_derivative_along(metric, curve_s, dgds, order=4, gammas=gammas)
-    d3 = cov_derivative_along(metric, curve_s, d1, order=4, gammas=gammas)
+    d1 = cov_derivative_along(metric, curve_s, field, gammas=gammas)
+    d2 = cov_derivative_along(metric, curve_s, dgds, gammas=gammas)
+    d3 = cov_derivative_along(metric, curve_s, d1, gammas=gammas)
 
     mid = m // 2
     res[keep] = _worst(got[0][:, mid] - d1[:, mid], got[1][:, mid] - d2[:, mid],
@@ -298,7 +303,7 @@ def _worst(*diffs) -> np.ndarray:
 
 def lemma_residuals(metric: ChartMetric, cf: ScalarField,
                     n_samples: int = 100, seed: int = 0, box=None,
-                    curve_step: float = 1e-3, fault: Optional[str] = None):
+                    fault: Optional[str] = None):
     """Compare each transformation formula against direct computation.
 
     For ``n_samples`` seeded random points and g-unit random vectors the
@@ -336,9 +341,7 @@ def lemma_residuals(metric: ChartMetric, cf: ScalarField,
     r1 = _worst(conformal_connection(metric, cf, p, x, y) - want1,
                 conformal_second_cov(metric, cf, p, x, y, z) - _second_cov(rescaled, p, x, y, z))
 
-    fd_only = metric.dg_eval is None or cf.partials is None
-    r2, kept = _lemma2_residuals(metric, cf, p, w, coeff, (curve_step, 30.0 * curve_step),
-                                 order=2 if fd_only else 4)
+    r2, kept = _lemma2_residuals(metric, cf, p, w, coeff)
     counted = kept.any(axis=0)
     r2 = np.where((kept & ~np.isfinite(r2)).any(axis=0), np.inf,
                   np.where(kept, r2, np.inf).min(axis=0))[counted]

@@ -110,7 +110,7 @@ class Trajectory:
     def cov_acceleration(self) -> np.ndarray:
         """``nabla_qdot qdot`` at every sample, from 7-point stencils."""
         return cov_derivative_along(self.system.metric, self.as_curve(), self.velocities,
-                                    order=4, gammas=self.cache.gamma)
+                                    gammas=self.cache.gamma)
 
     @cached_property
     def jm(self):
@@ -357,7 +357,7 @@ def hessian_operator(traj: Trajectory, dev: DeviationField) -> np.ndarray:
     """
     _check_attached(traj, dev)
     cache = traj.cache
-    term1 = cov_derivative_along(traj.system.metric, traj.as_curve(), dev.DV, order=4,
+    term1 = cov_derivative_along(traj.system.metric, traj.as_curve(), dev.DV,
                                  gammas=cache.gamma)
     term2 = np.einsum('nlabc,na,nb,nc->nl', cache.riem, traj.velocities, dev.V, traj.velocities)
     term3 = np.einsum('nij,nj->ni', cache.hess_U_raised, dev.V)
@@ -439,23 +439,24 @@ def integrate_deviation(traj: Trajectory, V0, DV0) -> DeviationField:
 
 
 def brute_force_deviation(sys: MechanicalSystem, q0, v0, dq, dv, alpha,
-                          t_span, step) -> DeviationField:
+                          t_span, step, drift_bound: float = 1e-6) -> DeviationField:
     """Deviation field by central differencing of perturbed nonlinear runs.
 
     Integrates the full equations from ``(q0, v0)`` and from
     ``(q0 ± alpha*dq, v0 ± alpha*dv)``, in that order, and returns
-    ``(γ_+ - γ_-) / (2 alpha)`` sampled on the base grid.  This is the
-    independent oracle for :func:`integrate_deviation`; the matching
+    ``(γ_+ - γ_-) / (2 alpha)`` sampled on the base grid, with DV from the
+    base orbit's stencil.  Each run is held to ``drift_bound``.  This is
+    the independent oracle for :func:`integrate_deviation`; the matching
     initial data there are ``V0 = dq`` and ``DV0 = dv + Γ(q0)(v0, dq)``.
     """
     if not alpha > 0:
         raise ValueError("need alpha > 0")
     q0, v0, dq, dv = (np.asarray(a, dtype=float) for a in (q0, v0, dq, dv))
-    base, plus, minus = (integrate_newton(sys, q, v, t_span, step) for q, v in
+    base, plus, minus = (integrate_newton(sys, q, v, t_span, step, drift_bound) for q, v in
                          ((q0, v0), (q0 + alpha * dq, v0 + alpha * dv),
                           (q0 - alpha * dq, v0 - alpha * dv)))
     V = (plus.points - minus.points) / (2.0 * alpha)
-    DV = cov_derivative_along(sys.metric, base.as_curve(), V, order=2)
+    DV = cov_derivative_along(sys.metric, base.as_curve(), V, gammas=base.cache.gamma)
     return DeviationField(base, V, DV)
 
 
@@ -469,11 +470,11 @@ def linearization_initial_data(sys: MechanicalSystem, q0, v0, dq, dv):
 
 
 def linearization_against_oracle(sys: MechanicalSystem, q0, v0, dq, dv, alpha,
-                                 t_span, step):
+                                 t_span, step, drift_bound: float = 1e-6):
     """The linearized flow for the perturbation ``(dq, dv)`` of ``(q0, v0)``,
     integrated along the base run of :func:`brute_force_deviation`, and the
     sup over all samples of its difference from that oracle."""
-    oracle = brute_force_deviation(sys, q0, v0, dq, dv, alpha, t_span, step)
+    oracle = brute_force_deviation(sys, q0, v0, dq, dv, alpha, t_span, step, drift_bound)
     lin = integrate_deviation(oracle.trajectory,
                               *linearization_initial_data(sys, q0, v0, dq, dv))
     return lin, float(np.max(np.abs(oracle.V - lin.V)))

@@ -163,8 +163,8 @@ class SampledCurve:
     dγ/dparam ``(..., N, n)``; leading axes index a batch of curves.
 
     The curve owns the 7-point stencil weights of its parameter grid
-    (:attr:`stencil`): every ``order=4`` derivative along one curve object
-    applies the same weights, solved once.
+    (:attr:`stencil`): every derivative along one curve object applies the
+    same weights, solved once.
     """
 
     params: np.ndarray
@@ -312,14 +312,13 @@ def hessian_form(metric: ChartMetric, f, p, gamma=None) -> np.ndarray:
 
 
 def cov_derivative_along(metric: ChartMetric, curve: SampledCurve, field,
-                         order: int = 2, gammas=None) -> np.ndarray:
+                         gammas=None) -> np.ndarray:
     """Covariant derivative of a sampled field along a sampled curve, or
     along each curve of a batch.
 
-    Returns ``dV^i/dparam + Γ^i_jk γ̇^j V^k`` at every sample.  The default
-    scheme is second-order central differencing (one-sided at the ends);
-    ``order=4`` switches to wider polynomial stencils for use inside
-    operator evaluations.
+    Returns ``dV^i/dparam + Γ^i_jk γ̇^j V^k`` at every sample, with
+    ``dV/dparam`` from the curve's 7-point :attr:`~SampledCurve.stencil`.
+    ``gammas`` reuses Christoffel symbols already evaluated at the samples.
     """
     field = np.asarray(field, dtype=float)
     if len(curve) < 3:
@@ -329,25 +328,7 @@ def cov_derivative_along(metric: ChartMetric, curve: SampledCurve, field,
     if gammas is None:
         gammas = christoffel(metric, curve.points)
     corr = np.einsum('...ijk,...j,...k->...i', gammas, curve.tangents, field)
-    return _param_derivative(curve, field, order) + corr
-
-
-def _param_derivative(curve: SampledCurve, y, order: int = 2) -> np.ndarray:
-    """``dy/dparam`` along the sample axis of the curve's grid, or of each
-    curve of a batch: second-order ``np.gradient`` for ``order=2``, the
-    curve's 7-point :attr:`~SampledCurve.stencil` otherwise."""
-    if order != 2:
-        return apply_stencil(curve.stencil, y)
-    params = curve.params
-    if params.ndim == 1:
-        return np.gradient(y, params, axis=0, edge_order=2)
-    # np.gradient takes one grid: the rows that share a grid go together
-    grids, which = np.unique(params, axis=0, return_inverse=True)
-    out = np.empty(np.shape(y))
-    for k, grid in enumerate(grids):
-        rows = which.ravel() == k
-        out[rows] = np.gradient(y[rows], grid, axis=1, edge_order=2)
-    return out
+    return apply_stencil(curve.stencil, field) + corr
 
 
 def orthogonal_part(g, u, v) -> np.ndarray:
@@ -371,11 +352,11 @@ def _second_cov(metric: ChartMetric, p, x, y, z, gamma=None) -> np.ndarray:
                         np.einsum('...ikm,...k,...m->...i', gam, y, z)))
 
 
-def validate_metric_at(metric: ChartMetric, p, dg_tol: float = 1e-6) -> None:
+def validate_metric_at(metric: ChartMetric, p) -> None:
     """Raise if the metric violates its basic contracts at p (or a batch).
 
     Checks symmetry (1e-12), positive definiteness, and agreement of any
-    analytic first partials with central differences, to ``dg_tol`` relative
+    analytic first partials with central differences, to 1e-6 relative
     to the largest partial (absolute below 1): the error of the differences
     grows with the size of the metric and its partials.
     """
@@ -388,7 +369,7 @@ def validate_metric_at(metric: ChartMetric, p, dg_tol: float = 1e-6) -> None:
     if metric.dg_eval is not None:
         fd = central_diff(metric.g, p, FD_STEP)
         dg = metric.dg(p)
-        if np.max(np.abs(fd - dg)) > dg_tol * max(1.0, np.max(np.abs(dg))):
+        if np.max(np.abs(fd - dg)) > 1e-6 * max(1.0, np.max(np.abs(dg))):
             raise DegenerateMetricError(f"analytic metric partials disagree with differences at {p.tolist()}")
 
 

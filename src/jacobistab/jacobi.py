@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -73,15 +72,14 @@ class JacobiMetric:
         return 2.0 * w
 
 
-def jacobi_metric(sys: MechanicalSystem, E: float, margin: Optional[float] = None) -> JacobiMetric:
+def jacobi_metric(sys: MechanicalSystem, E: float) -> JacobiMetric:
     """Build the Jacobi metric of a system at energy E.
 
-    The chart domain of h additionally requires ``E - U > margin``
-    (default ``1e-6 * |E|``); the conformal factor is exposed so the
-    rescaling formulas can be applied to it directly.
+    The chart domain of h additionally requires ``E - U > margin``, with
+    ``margin = 1e-6 * max(|E|, 1e-6)``; the conformal factor is exposed so
+    the rescaling formulas can be applied to it directly.
     """
-    if margin is None:
-        margin = 1e-6 * max(abs(E), 1e-6)
+    margin = 1e-6 * max(abs(E), 1e-6)
     pot = sys.potential
     df = None if pot.partials is None else (lambda p: -2.0 * pot.grad_components(p))
     d2f = None if pot.second_partials is None else (lambda p: -2.0 * pot.hess_components(p))
@@ -262,20 +260,35 @@ def jacobi_operator_direct(geo: GeodesicRecord, dev) -> np.ndarray:
         raise ValueError("grid mismatch: deviation samples must match the geodesic record")
     cache = geo.cache
     curve = geo.as_curve()
-    w1 = cov_derivative_along(geo.metric, curve, dev, order=4, gammas=cache.gamma)
-    w2 = cov_derivative_along(geo.metric, curve, w1, order=4, gammas=cache.gamma)
+    w1 = cov_derivative_along(geo.metric, curve, dev, gammas=cache.gamma)
+    w2 = cov_derivative_along(geo.metric, curve, w1, gammas=cache.gamma)
     curv = np.einsum('nlabc,na,nb,nc->nl', cache.riem, geo.tangents, dev, geo.tangents)
     return w2 + curv
+
+
+def _energy_constraint(traj: Trajectory, V, DV):
+    """``<V, grad U>`` and the energy constraint ``<qdot, nabla_dot V> +
+    <grad U, V>``, the first-order change of the energy along the family,
+    at every sample of a field V with covariant derivative DV."""
+    cache = traj.cache
+    v_dot_gu = np.einsum('nij,ni,nj->n', cache.g, V, cache.grad_U)
+    return v_dot_gu, np.einsum('nij,ni,nj->n', cache.g, traj.velocities, DV) + v_dot_gu
+
+
+def _check_orthogonal(traj: Trajectory, V) -> None:
+    """Raise unless the field V is g-orthogonal to the velocity at every
+    sample, to ``1e-8 * max(1, max|V|)``."""
+    orth = np.einsum('nij,ni,nj->n', traj.cache.g, traj.velocities, V)
+    if np.max(np.abs(orth)) > 1e-8 * max(1.0, float(np.max(np.abs(V)))):
+        raise ValueError("field is not orthogonal to the velocity")
 
 
 def _g_side(traj: Trajectory, dev: DeviationField):
     """The g-side terms of the operator relation at every sample: ``op(V)``,
     the correction term ``-d/dt(<V, grad U>/(E-U)) qdot``, its time
     derivative taken by the trajectory's stencil, and the energy constraint
-    ``<qdot, nabla_dot V> + <grad U, V>``."""
-    cache = traj.cache
-    v_dot_gu = np.einsum('nij,ni,nj->n', cache.g, dev.V, cache.grad_U)
-    constraint = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV) + v_dot_gu
+    of :func:`_energy_constraint`."""
+    v_dot_gu, constraint = _energy_constraint(traj, dev.V, dev.DV)
     dscal = apply_stencil(traj.as_curve().stencil, v_dot_gu / traj.clearance)
     return hessian_operator(traj, dev), -dscal[:, None] * traj.velocities, constraint
 
@@ -306,8 +319,7 @@ def _multiplier(traj: Trajectory, lam_rate) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def equal_energy_projection(traj: Trajectory, vperp,
-                            orth_tol: float = 1e-8) -> DeviationField:
+def equal_energy_projection(traj: Trajectory, vperp) -> DeviationField:
     """Complete an orthogonal field to an equal-energy variation.
 
     Solves for the tangential component ``V = Vperp + lam(t) qdot`` with
@@ -319,6 +331,7 @@ def equal_energy_projection(traj: Trajectory, vperp,
         lam' = -(<qdot, nabla_dot Vperp> + <grad U, Vperp>) / (2 (E - U)),
 
     integrated here by RK4 on the trajectory grid (see :func:`_multiplier`).
+    Vperp must pass :func:`_check_orthogonal`.
     """
     vperp = np.asarray(vperp, dtype=float)
     if vperp.shape != traj.points.shape:
@@ -327,16 +340,11 @@ def equal_energy_projection(traj: Trajectory, vperp,
     speed2 = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, traj.velocities)
     if np.min(speed2) <= 1e-12:
         raise ForbiddenRegionError("turning point on interval: |qdot| vanishes")
-    orth = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, vperp)
-    scale = max(1.0, float(np.max(np.abs(vperp))))
-    if np.max(np.abs(orth)) > orth_tol * scale:
-        raise ValueError("input field is not orthogonal to the velocity")
+    _check_orthogonal(traj, vperp)
 
     dvperp = cov_derivative_along(traj.system.metric, traj.as_curve(), vperp,
-                                  order=4, gammas=cache.gamma)
-    num = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dvperp)
-           + np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, vperp))
-    lam_rate = -num / speed2
+                                  gammas=cache.gamma)
+    lam_rate = -_energy_constraint(traj, vperp, dvperp)[1] / speed2
     lam = _multiplier(traj, lam_rate)
 
     v = vperp + lam[:, None] * traj.velocities
@@ -344,8 +352,7 @@ def equal_energy_projection(traj: Trajectory, vperp,
     return DeviationField(traj, v, dv)
 
 
-def relation_equal_energy(traj: Trajectory, dev: DeviationField,
-                          constraint_tol: float = 1e-6) -> dict:
+def relation_equal_energy(traj: Trajectory, dev: DeviationField) -> dict:
     """Check the equal-energy operator relation and size its correction term.
 
     Both sides are evaluated independently: the deviation operator of h by
@@ -359,12 +366,12 @@ def relation_equal_energy(traj: Trajectory, dev: DeviationField,
     are taken on the core that leaves out :data:`STENCIL_PAD` samples at
     each end, as the operator identity is; ``constraint_sup`` is taken over
     the whole grid.  ``correction`` holds the correction term at every
-    sample.
+    sample.  A constraint above 1e-6 anywhere is an input error.
     """
     if len(traj) <= 2 * STENCIL_PAD:
         raise ValueError(f"grid too coarse: need more than {2 * STENCIL_PAD} nodes")
     delta_v, correction, constraint = _g_side(traj, dev)
-    if np.max(np.abs(constraint)) > constraint_tol:
+    if np.max(np.abs(constraint)) > 1e-6:
         raise ValueError(
             f"equal-energy constraint violated: max residual {np.max(np.abs(constraint)):.3e}")
 
@@ -412,8 +419,7 @@ def _geodesic_positions_at_times(jm: JacobiMetric, geo: GeodesicRecord, times):
 
 
 def maupertuis_roundtrip(sys: MechanicalSystem, E: float, q0, v0, t_span,
-                         step: float = 1e-3, geodesic_method: str = "rk45",
-                         drift_bound: float = 1e-6) -> dict:
+                         step: float = 1e-3, geodesic_method: str = "rk45") -> dict:
     """Compare the trajectory with the reparametrized h-geodesic.
 
     Integrates the equations of motion and, independently, the geodesic of
@@ -424,7 +430,7 @@ def maupertuis_roundtrip(sys: MechanicalSystem, E: float, q0, v0, t_span,
     e0 = sys.energy(q0, v0)
     if abs(e0 - E) > 1e-10:
         raise ValueError(f"energy mismatch: initial data give E={e0!r}, requested {E!r}")
-    traj = integrate_newton(sys, q0, v0, t_span, step, drift_bound=drift_bound)
+    traj = integrate_newton(sys, q0, v0, t_span, step)
     jm = traj.jm
     geo = integrate_geodesic(jm, q0, v0, (0.0, float(traj.geo.s[-1])), step,
                              method=geodesic_method)

@@ -1,12 +1,10 @@
 """Sampled-data differentiation helpers.
 
-Two schemes are used throughout the package:
-
-* ``np.gradient`` (second-order central differences) where a contract
-  promises exactly O(step^2) behaviour, and
-* :func:`local_derivative`, a sliding polynomial stencil on arbitrarily
-  spaced nodes, where operator identities need truncation errors well
-  below the identity tolerances.
+Central differences (:func:`central_diff`, :func:`central_diff2`) give
+partials of a function that can be evaluated anywhere.  Sampled data are
+differentiated by one scheme, :func:`local_derivative`: a sliding
+polynomial stencil on arbitrarily spaced nodes, 7 points wide along a
+curve, so that truncation errors stay well below the identity tolerances.
 
 The stencil weights depend only on the grid, the order and the width.
 :func:`stencil_weights` builds them (one Vandermonde solve per node) and

@@ -34,7 +34,7 @@ from scipy.integrate import simpson
 
 from .dynamics import DeviationField, Trajectory, _write_text_atomic, hessian_operator
 from .geometry import _quad, orthogonal_part
-from .jacobi import jacobi_operator_direct
+from .jacobi import _check_orthogonal, jacobi_operator_direct
 from .numdiff import apply_stencil
 
 
@@ -168,14 +168,12 @@ def _free_action_correction(traj: Trajectory, var: ProperVariation) -> float:
     return float(simpson(2.0 * qdot_dv * f_dot_v, x=traj.times))
 
 
-def _orthogonal_correction(traj: Trajectory, var: ProperVariation,
-                           orth_tol: float = 1e-8) -> float:
-    """s-quadrature of ``(<F_h, V>_h)^2`` for a g-orthogonal V, with ``F_h``
-    the h-gradient of ``ln(2(E-U))``: d2S = d2LJ + this."""
+def _orthogonal_correction(traj: Trajectory, var: ProperVariation) -> float:
+    """s-quadrature of ``(<F_h, V>_h)^2`` for a g-orthogonal V (see
+    :func:`~jacobistab.jacobi._check_orthogonal`), with ``F_h`` the
+    h-gradient of ``ln(2(E-U))``: d2S = d2LJ + this."""
+    _check_orthogonal(traj, var.values)
     cache = traj.cache
-    orth = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, var.values)
-    if np.max(np.abs(orth)) > orth_tol * max(1.0, float(np.max(np.abs(var.values)))):
-        raise ValueError("variation is not orthogonal to the velocity")
     w = traj.clearance
     # <F_h, V>_h = -<grad U, V>_g / (E - U)
     phi = -np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, var.values) / w

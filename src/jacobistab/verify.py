@@ -83,13 +83,13 @@ def _orbit(su, t_span=None):
 # Rescaling-formula suite
 # ---------------------------------------------------------------------------
 
-def jacobi_harmonic_factor(E: float = 5.0) -> ScalarField:
-    """Jacobi-style factor ``2(E - U)`` for a harmonic potential.  Written by
-    hand: ``_dot`` adds a product in one fused multiply-add, which no
-    expression reproduces."""
+def jacobi_harmonic_factor() -> ScalarField:
+    """Jacobi-style factor ``2(E - U)`` for a harmonic potential at E = 5.
+    Written by hand: ``_dot`` adds a product in one fused multiply-add,
+    which no expression reproduces."""
 
     def f(p):
-        return 2.0 * (E - 0.5 * _dot(p, p))
+        return 2.0 * (5.0 - 0.5 * _dot(p, p))
 
     return ScalarField(value=f, partials=lambda p: -2.0 * p,
                        second_partials=lambda p: -2.0 * np.eye(p.shape[-1]))
@@ -157,7 +157,7 @@ def operator_identity_sup(traj, rng, n_fields: int, modes: int = 3) -> float:
         v = make_proper_variation(
             traj, coefficients=rng.uniform(-1.0, 1.0, (modes, traj.dim))).values
         dv = cov_derivative_along(traj.system.metric, traj.as_curve(), v,
-                                  order=4, gammas=traj.cache.gamma)
+                                  gammas=traj.cache.gamma)
         lhs = jacobi_operator_direct(traj.geo, v)
         rhs = jacobi_operator_via_g(traj, DeviationField(traj, v, dv))
         worst = max(worst, float(np.max(np.abs((lhs - rhs)[STENCIL_CORE]))))
@@ -295,23 +295,19 @@ def check_action_consistency(tolerances=None, seed: int = 5, xi: float = 3e-4,
     return results
 
 
-def run_verification(tolerances=None, fault: Optional[str] = None,
-                     checks=None, system_names=None):
-    """Run the named checks (default: all) and return their results."""
+def run_verification(tolerances=None, fault: Optional[str] = None, checks=None):
+    """Run the named checks (default: all) on every built-in system and
+    return their results."""
     available = {
         "lemmas": lambda: check_lemma_suite(tolerances, fault=fault),
         "roundtrip": lambda: check_roundtrip(tolerances),
-        "operator-identity": lambda: check_operator_identity(tolerances,
-                                                             system_names=system_names),
+        "operator-identity": lambda: check_operator_identity(tolerances),
         "equal-energy": lambda: check_equal_energy(tolerances),
-        "theorems": lambda: check_theorems(tolerances, system_names=system_names)[0],
+        "theorems": lambda: check_theorems(tolerances)[0],
         "conjugate-point": lambda: check_conjugate_point(tolerances),
-        "linearization": lambda: check_linearization(tolerances,
-                                                     system_names=system_names),
-        "energy-drift": lambda: check_energy_drift(tolerances,
-                                                   system_names=system_names),
-        "action-consistency": lambda: check_action_consistency(tolerances,
-                                                               system_names=system_names),
+        "linearization": lambda: check_linearization(tolerances),
+        "energy-drift": lambda: check_energy_drift(tolerances),
+        "action-consistency": lambda: check_action_consistency(tolerances),
     }
     names = checks or list(available)
     results = []

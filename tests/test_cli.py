@@ -227,6 +227,13 @@ class TestDeviation:
             np.array([0.0, 1.0]), np.zeros(2), np.array([1.0, 0.0]), 1e-4, (0.0, 2.0), 0.002)
         assert meta["oracle_sup"] == sup
 
+    def test_drift_bound_applies(self, tmp_path):
+        # the same orbit fails the config's bound in simulate and in deviation
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text("system = flat-harmonic\ndrift_bound = 1e-18\n")
+        for command in ("simulate", "deviation"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
 
 class TestCompareOperators:
     def test_harmonic_reports_large_correction(self, harmonic_cfg, tmp_path):
@@ -416,6 +423,16 @@ class TestVerify:
         names = {v["identity"] for v in verdicts}
         assert {"roundtrip-harmonic", "roundtrip-gravity",
                 "equal-energy-identity", "equal-energy-correction"} <= names
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in ("simulate", "geodesic", "deviation",
+                                        "compare-operators", "second-variation", "report")
+        for flag in ("--checks", "--inject-fault")] + [("verify-lemmas", "--checks")])
+    def test_verify_flags_only_where_read(self, harmonic_cfg, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", harmonic_cfg, flag, "x", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_report_malformed_json_exit_2(self, tmp_path, capsys):
         (tmp_path / "broken.json").write_text("{not json")

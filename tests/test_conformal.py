@@ -221,6 +221,14 @@ class TestResidualHarness:
         assert by_name["lemma1"] == np.inf
         assert by_name["lemma3"] == np.inf
 
+    def test_fd_path_lemma2_takes_the_curve_stencil(self):
+        # with FD partials lemma 2 still differentiates along its curves with
+        # their 7-point stencils, so it stays at the analytic path's size
+        from jacobistab.verify import check_lemma_suite
+
+        results = {r.name: r.value for r in check_lemma_suite()}
+        assert results["lemma2-fd"] < 1e-8
+
     def test_evaluated_as_one_batch(self, monkeypatch):
         # the number of Christoffel evaluations does not grow with the samples
         import sys

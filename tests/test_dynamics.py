@@ -251,5 +251,5 @@ class TestBruteForceOracle:
         dev = brute_force_deviation(su.system, su.q0, su.v0, [0.1, 0.0],
                                     [0.0, 0.1], 1e-4, (0.0, 1.0), 1e-3)
         recomputed = cov_derivative_along(su.system.metric,
-                                          dev.trajectory.as_curve(), dev.V, order=2)
+                                          dev.trajectory.as_curve(), dev.V)
         assert np.max(np.abs(recomputed - dev.DV)) < 1e-10

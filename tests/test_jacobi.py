@@ -151,7 +151,7 @@ class TestJacobiOperatorViaG:
         from jacobistab.dynamics import hessian_operator
         t = traj.times
         v = np.stack([np.sin(t), np.cos(2 * t)], axis=1)
-        dv = cov_derivative_along(su.system.metric, traj.as_curve(), v, order=4)
+        dv = cov_derivative_along(su.system.metric, traj.as_curve(), v)
         dev = DeviationField(traj, v, dv)
         got = jacobi_operator_via_g(traj, dev)
         want = hessian_operator(traj, dev) / 16.0
@@ -170,7 +170,7 @@ class TestJacobiOperatorViaG:
                                 (su.t_span[0] - pad, su.t_span[1] + pad), su.step)
         t = traj.times
         v = np.stack([np.sin(t), np.sin(2 * t)], axis=1)
-        dv = cov_derivative_along(su.system.metric, traj.as_curve(), v, order=4)
+        dv = cov_derivative_along(su.system.metric, traj.as_curve(), v)
         dev = DeviationField(traj, v, dv)
         lhs = jacobi_operator_direct(traj.geo, v)
         rhs = jacobi_operator_via_g(traj, dev)
@@ -252,7 +252,7 @@ class TestEqualEnergy:
         traj = integrate_newton(HARMONIC.system, HARMONIC.q0, HARMONIC.v0,
                                 (0.0, 2.0), 1e-3)
         v = np.sin(traj.times)[:, None] * traj.points
-        dv = cov_derivative_along(HARMONIC.system.metric, traj.as_curve(), v, order=4)
+        dv = cov_derivative_along(HARMONIC.system.metric, traj.as_curve(), v)
         with pytest.raises(ValueError, match="constraint violated"):
             relation_equal_energy(traj, DeviationField(traj, v, dv))
 
@@ -297,7 +297,7 @@ class TestGeodesicEquationInBaseMetric:
         metric = su.system.metric
         cache = CurveGeometry(metric, geo.points, su.system)
         acc = cov_derivative_along(metric, geo.as_curve(), geo.tangents,
-                                   order=4, gammas=cache.gamma)
+                                   gammas=cache.gamma)
         w2 = jm.factor_values(geo.points)
         f_vec = -2.0 * cache.grad_U / w2[:, None]     # grad ln(2(E-U))
         f_dot_u = np.einsum('nij,ni,nj->n', cache.g, f_vec, geo.tangents)
@@ -306,6 +306,6 @@ class TestGeodesicEquationInBaseMetric:
         assert np.max(np.abs(lhs)[8:-8]) < 1e-7
 
         acc_t = cov_derivative_along(metric, traj.as_curve(), traj.velocities,
-                                     order=4, gammas=cache.gamma)
+                                     gammas=cache.gamma)
         newton = acc_t + cache.grad_U
         assert np.max(np.abs(newton)[8:-8]) < 1e-7
