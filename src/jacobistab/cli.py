@@ -19,11 +19,11 @@ import json
 import os
 import re
 import sys
+import tempfile
 
 import numpy as np
 
-from .dynamics import (MechanicalSystem, _write_csv_atomic, _write_text_atomic,
-                       integrate_newton, linearization_against_oracle)
+from .dynamics import MechanicalSystem, integrate_newton, linearization_against_oracle
 from .errors import ConfigError, DegenerateMetricError, GeometryError
 from .expressions import metric_from_exprs
 from .geometry import validate_metric_at
@@ -31,7 +31,7 @@ from .jacobi import (STENCIL_CORE, equal_energy_projection, integrate_geodesic,
                      jacobi_metric, padded_span, relation_equal_energy)
 from .systems import (BUILTIN_METRICS, BUILTIN_SYSTEMS, builtin_setup, mechanical_system,
                       metric_by_name)
-from .variation import functional_sweep, make_proper_variation, write_sweep_csv
+from .variation import functional_sweep, make_proper_variation
 from .verify import (DEFAULT_TOLERANCES, check_lemma_suite, operator_identity_sup,
                      run_verification)
 
@@ -223,25 +223,60 @@ def tolerance_overrides(cfg: dict, args) -> dict:
     return tol
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=1, sort_keys=True))
-    else:
-        print(human)
+def _write_text_atomic(path, text: str) -> None:
+    path = os.fspath(path)
+    d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
-def _write_json(path, payload) -> None:
-    _write_text_atomic(path, json.dumps(payload, indent=1, sort_keys=True))
+def _write_csv(path, columns) -> None:
+    """Write ``(name, values)`` columns as CSV; an ``(N, n)`` array fills the
+    columns ``name1..namen``.  Floats are written with ``.17g``, anything
+    else with ``str``."""
+    header, cells = [], []
+    for name, values in columns:
+        values = np.asarray(values)
+        if values.ndim == 2:
+            header += [f"{name}{i+1}" for i in range(values.shape[1])]
+            cells += list(values.T)
+        else:
+            header.append(name)
+            cells.append(values)
+    lines = [",".join(header)]
+    for row in zip(*cells):
+        lines.append(",".join(format(x, ".17g") if isinstance(x, float) else str(x)
+                              for x in row))
+    _write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def _emit(args, out, filename, payload, human: str) -> None:
+    """Write ``payload`` as JSON to ``out/filename``, then print that JSON
+    (``--json``) or the ``human`` text."""
+    text = json.dumps(payload, indent=1, sort_keys=True)
+    _write_text_atomic(os.path.join(out, filename), text)
+    print(text if args.json else human)
 
 
 def cmd_simulate(exp: Experiment, args, out) -> int:
     traj = exp.orbit()
-    traj.write_csv(os.path.join(out, "trajectory.csv"))
-    meta = traj.to_dict()
-    meta.update({"system": exp.name, "seed": exp.seed})
-    _write_json(os.path.join(out, "trajectory.json"), meta)
-    _emit(args, meta, f"simulate: {len(traj)} samples, E = {traj.energy:.12g}, "
-                      f"relative drift {meta['energy_drift']:.3e} -> {out}/trajectory.csv")
+    _write_csv(os.path.join(out, "trajectory.csv"),
+               [("t", traj.times), ("q", traj.points), ("v", traj.velocities)])
+    meta = {"system": exp.name, "seed": exp.seed, "energy": traj.energy, "step": traj.step,
+            "energy_drift": traj.energy_drift,
+            "t_span": [float(traj.times[0]), float(traj.times[-1])],
+            "samples": len(traj), "dim": traj.dim}
+    _emit(args, out, "trajectory.json", meta,
+          f"simulate: {len(traj)} samples, E = {traj.energy:.12g}, "
+          f"relative drift {traj.energy_drift:.3e} -> {out}/trajectory.csv")
     return 0
 
 
@@ -253,28 +288,27 @@ def cmd_geodesic(exp: Experiment, args, out) -> int:
     else:
         s_span = (0.0, float(exp.orbit().geo.s[-1]))
     geo = integrate_geodesic(jm, exp.q0, direction, s_span, exp.step)
-    n = geo.points.shape[1]
-    header = (["s"] + [f"q{i+1}" for i in range(n)]
-              + [f"u{i+1}" for i in range(n)] + ["t"])
-    rows = np.hstack([geo.s[:, None], geo.points, geo.tangents, geo.t_of_s[:, None]])
-    _write_csv_atomic(os.path.join(out, "geodesic.csv"), header, rows)
+    _write_csv(os.path.join(out, "geodesic.csv"),
+               [("s", geo.s), ("q", geo.points), ("u", geo.tangents), ("t", geo.t_of_s)])
     meta = {"system": exp.name, "E": exp.energy, "s_span": list(s_span),
             "samples": len(geo), "truncated": geo.truncated}
-    _write_json(os.path.join(out, "geodesic.json"), meta)
-    _emit(args, meta, f"geodesic: {len(geo)} samples over s in {s_span}, "
-                      f"truncated={geo.truncated} -> {out}/geodesic.csv")
+    _emit(args, out, "geodesic.json", meta,
+          f"geodesic: {len(geo)} samples over s in {s_span}, "
+          f"truncated={geo.truncated} -> {out}/geodesic.csv")
     return 0
 
 
 def cmd_deviation(exp: Experiment, args, out) -> int:
     lin, sup = linearization_against_oracle(exp.sys, exp.q0, exp.v0, exp.dq, exp.dv,
                                             exp.alpha, exp.t_span, exp.step, exp.drift_bound)
-    lin.write_csv(os.path.join(out, "deviation.csv"))
+    traj = lin.trajectory
+    _write_csv(os.path.join(out, "deviation.csv"),
+               [("t", traj.times), ("q", traj.points), ("v", traj.velocities),
+                ("V", lin.V), ("DV", lin.DV)])
     meta = {"system": exp.name, "alpha": exp.alpha, "oracle_sup": sup,
-            "samples": len(lin.trajectory), "seed": exp.seed}
-    _write_json(os.path.join(out, "deviation.json"), meta)
-    _emit(args, meta, f"deviation: linearized vs brute-force sup = {sup:.3e} "
-                      f"-> {out}/deviation.csv")
+            "samples": len(traj), "seed": exp.seed}
+    _emit(args, out, "deviation.json", meta,
+          f"deviation: linearized vs brute-force sup = {sup:.3e} -> {out}/deviation.csv")
     return 0
 
 
@@ -301,26 +335,29 @@ def cmd_compare_operators(exp: Experiment, args, out) -> int:
                "correction_sup": rep["correction_sup"],
                "constraint_sup": rep["constraint_sup"],
                "fields": exp.var_count, "grid_size": len(traj.times[STENCIL_CORE])}
-    _write_json(os.path.join(out, "compare_operators.json"), payload)
     ok = (identity_sup < tolerances["operator-identity"]
           and rep["sup_norm"] < tolerances["equal-energy-identity"])
-    _emit(args, payload,
+    _emit(args, out, "compare_operators.json", payload,
           f"compare-operators[{exp.name}]: identity sup {identity_sup:.3e}, "
           f"equal-energy sup {rep['sup_norm']:.3e}, "
           f"correction sup {rep['correction_sup']:.3e} -> {out}/compare_operators.dat")
     return 0 if ok else 1
 
 
+_SWEEP_COLUMNS = ("system", "E", "seed", "d2S", "d2S0J", "d2LJ",
+                  "thm1_residual", "thm2_residual", "orth_residual")
+
+
 def cmd_second_variation(exp: Experiment, args, out) -> int:
     reports = functional_sweep(exp.orbit(), exp.var_count, exp.seed, modes=exp.var_modes,
                                amplitude=exp.var_amplitude)
-    write_sweep_csv(os.path.join(out, "second_variation.csv"), reports)
+    _write_csv(os.path.join(out, "second_variation.csv"),
+               [(c, [getattr(r, c) for r in reports]) for c in _SWEEP_COLUMNS])
     payload = {"system": exp.name, "E": exp.energy, "count": len(reports),
                "max_thm1_residual": max(r.thm1_residual for r in reports),
                "max_thm2_residual": max(r.thm2_residual for r in reports),
                "max_orth_residual": max(r.orth_residual for r in reports)}
-    _write_json(os.path.join(out, "second_variation.json"), payload)
-    _emit(args, payload,
+    _emit(args, out, "second_variation.json", payload,
           f"second-variation[{exp.name}]: {len(reports)} variations, "
           f"worst residuals thm1 {payload['max_thm1_residual']:.3e} / "
           f"thm2 {payload['max_thm2_residual']:.3e} -> {out}/second_variation.csv")
@@ -328,16 +365,11 @@ def cmd_second_variation(exp: Experiment, args, out) -> int:
 
 
 def _verdict_output(args, results, out, filename) -> int:
-    payload = [r.to_dict() for r in results]
-    _write_json(os.path.join(out, filename), payload)
-    if args.json:
-        print(json.dumps(payload, indent=1, sort_keys=True))
-    else:
-        width = max(len(r.name) for r in results)
-        for r in results:
-            state = "PASS" if r.passed else "FAIL"
-            print(f"{state}  {r.name:<{width}}  value={r.value:.3e} "
-                  f"{r.comparison} tol={r.tolerance:.3e}")
+    width = max(len(r.name) for r in results)
+    human = "\n".join(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  "
+                      f"value={r.value:.3e} {r.comparison} tol={r.tolerance:.3e}"
+                      for r in results)
+    _emit(args, out, filename, [r.to_dict() for r in results], human)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -364,6 +396,9 @@ def cmd_report(exp, args, out) -> int:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"malformed report {name}: {exc}") from None
+        records = data if isinstance(data, list) else [data]
+        if not all(isinstance(rec, dict) for rec in records):
+            raise ConfigError(f"malformed report {name}: expected an object or a list of objects")
         if isinstance(data, list):
             for rec in data:
                 if "identity" in rec:

@@ -11,8 +11,6 @@ brute-force oracle differentiates perturbed nonlinear runs instead.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -130,17 +128,6 @@ class Trajectory:
     def _curve(self) -> SampledCurve:
         return SampledCurve(self.times, self.points, self.velocities)
 
-    def to_dict(self) -> dict:
-        return {"energy": self.energy, "step": self.step, "energy_drift": self.energy_drift,
-                "t_span": [float(self.times[0]), float(self.times[-1])],
-                "samples": len(self.times), "dim": self.dim}
-
-    def write_csv(self, path) -> None:
-        n = self.dim
-        header = (["t"] + [f"q{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)])
-        rows = np.hstack([self.times[:, None], self.points, self.velocities])
-        _write_csv_atomic(path, header, rows)
-
 
 @dataclass(frozen=True)
 class DeviationField:
@@ -155,36 +142,6 @@ class DeviationField:
         object.__setattr__(self, "DV", np.asarray(self.DV, dtype=float))
         if self.V.shape != self.trajectory.points.shape or self.DV.shape != self.V.shape:
             raise ValueError("deviation samples must match the trajectory grid")
-
-    def write_csv(self, path) -> None:
-        traj = self.trajectory
-        n = traj.dim
-        header = (["t"] + [f"q{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)]
-                  + [f"V{i+1}" for i in range(n)] + [f"DV{i+1}" for i in range(n)])
-        rows = np.hstack([traj.times[:, None], traj.points, traj.velocities, self.V, self.DV])
-        _write_csv_atomic(path, header, rows)
-
-
-def _write_text_atomic(path, text: str) -> None:
-    path = os.fspath(path)
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_csv_atomic(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in np.asarray(rows, dtype=float):
-        lines.append(",".join(format(x, ".17g") for x in row))
-    _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _rk4(rhs, y0, t0, n_steps, h, check=None):

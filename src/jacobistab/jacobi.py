@@ -188,8 +188,9 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
     the forbidden region truncates the record and sets the flag rather
     than raising.
     """
-    q0 = jm.h.check_point(q0)
+    q0 = np.asarray(q0, dtype=float)
     jm.check_clear(q0)
+    jm.h.check_point(q0)
     dir0 = np.asarray(dir0, dtype=float)
     nrm = jm.h.norm(q0, dir0)
     if nrm <= 0.0:
@@ -381,17 +382,10 @@ def relation_equal_energy(traj: Trajectory, dev: DeviationField) -> dict:
     rhs = delta_v / scale + correction
 
     return {
-        "system": traj.system.name,
-        "E": traj.energy,
-        "t_span": [float(traj.times[0]), float(traj.times[-1])],
-        "step": traj.step,
-        "quantity": "equal-energy operator relation",
         "sup_norm": float(np.max(np.abs(lhs - rhs)[STENCIL_CORE])),
         "correction_sup": float(np.max(np.abs(correction[STENCIL_CORE]))),
         "constraint_sup": float(np.max(np.abs(constraint))),
         "correction": correction,
-        "grid_size": len(traj),
-        "seed": None,
     }
 
 
@@ -438,15 +432,4 @@ def maupertuis_roundtrip(sys: MechanicalSystem, E: float, q0, v0, t_span,
     mask = traj.times <= t_max + 1e-12
     pos = _geodesic_positions_at_times(jm, geo, traj.times[mask])
     sup = float(np.max(np.abs(pos - traj.points[mask])))
-    return {
-        "system": sys.name,
-        "E": E,
-        "t_span": [float(t_span[0]), float(t_span[1])],
-        "step": step,
-        "quantity": "maupertuis roundtrip",
-        "sup_norm": sup,
-        "grid_size": int(np.sum(mask)),
-        "seed": None,
-        "geodesic_method": geodesic_method,
-        "truncated": geo.truncated,
-    }
+    return {"sup_norm": sup, "grid_size": int(np.sum(mask)), "truncated": geo.truncated}

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from .dynamics import DeviationField, Trajectory, _write_text_atomic, hessian_operator
+from .dynamics import DeviationField, Trajectory, hessian_operator
 from .geometry import _quad, orthogonal_part
 from .jacobi import _check_orthogonal, jacobi_operator_direct
 from .numdiff import apply_stencil
@@ -216,28 +216,6 @@ class FunctionalReport:
     integrand_min: float
     orth_residual: Optional[float]
     pathway_delta: Optional[float]
-    grid_size: int
-    step: float
-
-
-SWEEP_COLUMNS = ("system", "E", "seed", "d2S", "d2S0J", "d2LJ",
-                 "thm1_residual", "thm2_residual", "orth_residual")
-
-
-def write_sweep_csv(path, reports) -> None:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for r in reports:
-        vals = []
-        for c in SWEEP_COLUMNS:
-            v = getattr(r, c)
-            if v is None:
-                vals.append("")
-            elif isinstance(v, float):
-                vals.append(format(v, ".17g"))
-            else:
-                vals.append(str(v))
-        lines.append(",".join(vals))
-    _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def evaluate_functionals(traj: Trajectory, var: ProperVariation,
@@ -269,8 +247,7 @@ def evaluate_functionals(traj: Trajectory, var: ProperVariation,
         thm1_residual=abs(d2s0j - (d2s + thm1_correction)),
         thm2_residual=abs(d2lj - (d2s - thm2_correction)),
         integrand_min=integrand_min,
-        orth_residual=orth_residual, pathway_delta=pathway_delta,
-        grid_size=len(traj), step=traj.step)
+        orth_residual=orth_residual, pathway_delta=pathway_delta)
 
 
 def functional_sweep(traj: Trajectory, count: int, seed: int, modes: int = 3,

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -187,13 +188,14 @@ class TestSimulate:
 
 
 class TestGeodesic:
-    def test_forbidden_start_exit_3(self, tmp_path):
+    def test_forbidden_start_exit_3(self, tmp_path, capsys):
         # starting at rest: E - U = 0 at the initial point
         cfg = tmp_path / "rest.cfg"
         cfg.write_text("system = flat-harmonic\nq0 = 1.0, 0.0\nv0 = 0.0, 0.0\n"
                        "s_span = 0.0, 1.0\n")
         assert main(["geodesic", "--config", cfg.as_posix(),
                      "--out", str(tmp_path / "o")]) == 3
+        assert "forbidden region" in capsys.readouterr().err
 
     def test_writes_record(self, harmonic_cfg, tmp_path):
         out = tmp_path / "run"
@@ -441,6 +443,14 @@ class TestVerify:
         assert len(err.strip().splitlines()) == 1
         assert "broken.json" in err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"x"', '[{"identity": "a"}, 5]'])
+    def test_report_unexpected_shape_exit_2(self, tmp_path, capsys, text):
+        (tmp_path / "odd.json").write_text(text)
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "malformed report odd.json" in err
+
     def test_report_lists_outputs(self, tmp_path, capsys):
         out = tmp_path / "v"
         main(["verify-all", "--checks", "roundtrip", "--out", str(out)])
@@ -565,6 +575,23 @@ class TestInputValidation:
         assert main(["verify-lemmas", "--out", str(blocker / "x")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("output error")
+
+
+@pytest.mark.parametrize("command", ["simulate", "geodesic", "deviation", "compare-operators",
+                                     "second-variation", "verify-lemmas"])
+def test_every_output_file_goes_through_the_cli_writer(harmonic_cfg, tmp_path, monkeypatch,
+                                                        command):
+    written = set()
+    write = cli._write_text_atomic
+
+    def spy(path, text):
+        written.add(os.path.basename(path))
+        write(path, text)
+
+    monkeypatch.setattr(cli, "_write_text_atomic", spy)
+    out = tmp_path / "o"
+    assert main([command, "--config", harmonic_cfg, "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == written
 
 
 class TestUnexpectedErrors:

@@ -4,6 +4,7 @@ import pytest
 
 from scipy.interpolate import CubicSpline
 
+from jacobistab.cli import _write_csv
 from jacobistab.dynamics import (DeviationField, MechanicalSystem, _rk4,
                                  brute_force_deviation, hessian_operator,
                                  integrate_deviation, integrate_newton,
@@ -70,7 +71,8 @@ class TestIntegrateNewton:
 
     def test_csv_and_json_roundtrip(self, tmp_path):
         traj = integrate_newton(FREE.system, [0.0, 0.0], [1.0, 0.0], (0.0, 0.1), 1e-2)
-        traj.write_csv(tmp_path / "traj.csv")
+        _write_csv(tmp_path / "traj.csv",
+                   [("t", traj.times), ("q", traj.points), ("v", traj.velocities)])
         lines = (tmp_path / "traj.csv").read_text().splitlines()
         assert lines[0] == "t,q1,q2,v1,v2"
         assert len(lines) == len(traj) + 1

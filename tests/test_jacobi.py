@@ -65,6 +65,11 @@ class TestIntegrateGeodesic:
         speeds = [jm.h.norm(q, u) for q, u in zip(geo.points[::500], geo.tangents[::500])]
         assert max(abs(s - 1.0) for s in speeds) < 1e-8
 
+    def test_forbidden_start_raises(self):
+        jm = jacobi_metric(HARMONIC.system, 1.0)
+        with pytest.raises(ForbiddenRegionError, match="forbidden region"):
+            integrate_geodesic(jm, [3.0, 0.0], [1.0, 0.0], (0.0, 1.0), 1e-3)
+
     def test_truncates_at_forbidden_region(self):
         jm = jacobi_metric(GRAVITY.system, 0.5)
         # total arc length to the turning point is 1/3

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jacobistab import variation
+from jacobistab.cli import _SWEEP_COLUMNS, _write_csv
 from jacobistab.dynamics import integrate_newton
 from jacobistab.geometry import orthogonal_part
 from jacobistab.jacobi import equal_energy_projection
@@ -10,7 +11,7 @@ from jacobistab.variation import (FunctionalReport, action_second_difference,
                                   evaluate_functionals,
                                   make_proper_variation,
                                   second_variation_LJ, second_variation_S,
-                                  second_variation_S0J, write_sweep_csv)
+                                  second_variation_S0J)
 
 FREE = builtin_setup("flat-free")
 HARMONIC = builtin_setup("flat-harmonic")
@@ -274,7 +275,7 @@ class TestReports:
         assert rep.thm1_residual < 1e-6 and rep.thm2_residual < 1e-6
         assert rep.orth_residual < 1e-6
         out = tmp_path / "sweep.csv"
-        write_sweep_csv(out, [rep])
+        _write_csv(out, [(c, [getattr(rep, c)]) for c in _SWEEP_COLUMNS])
         lines = out.read_text().splitlines()
         assert lines[0] == ("system,E,seed,d2S,d2S0J,d2LJ,"
                             "thm1_residual,thm2_residual,orth_residual")
