@@ -32,8 +32,7 @@ from .jacobi import (STENCIL_CORE, equal_energy_projection, integrate_geodesic,
 from .systems import (BUILTIN_METRICS, BUILTIN_SYSTEMS, builtin_setup, mechanical_system,
                       metric_by_name)
 from .variation import functional_sweep, make_proper_variation
-from .verify import (DEFAULT_TOLERANCES, check_lemma_suite, operator_identity_sup,
-                     run_verification)
+from .verify import DEFAULT_TOLERANCES, operator_identity_sup, run_verification
 
 _METRIC_ENTRY = re.compile(r"^metric\.g\.(\d+)\.(\d+)$")
 
@@ -206,7 +205,9 @@ class Experiment:
                                 self.step, drift_bound=self.drift_bound)
 
 
-def tolerance_overrides(cfg: dict, args) -> dict:
+def tolerances(cfg: dict, args) -> dict:
+    """:data:`DEFAULT_TOLERANCES` with the config's ``tolerance.NAME`` keys
+    and then the ``--tolerance NAME=VALUE`` flags applied."""
     tol = {}
     for key, value in cfg.items():
         if key.startswith("tolerance."):
@@ -220,7 +221,7 @@ def tolerance_overrides(cfg: dict, args) -> dict:
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance {name!r} "
                               f"(known: {', '.join(sorted(DEFAULT_TOLERANCES))})")
-    return tol
+    return {**DEFAULT_TOLERANCES, **tol}
 
 
 def _write_text_atomic(path, text: str) -> None:
@@ -313,7 +314,7 @@ def cmd_deviation(exp: Experiment, args, out) -> int:
 
 
 def cmd_compare_operators(exp: Experiment, args, out) -> int:
-    tolerances = {**DEFAULT_TOLERANCES, **tolerance_overrides(exp.cfg, args)}
+    tol = tolerances(exp.cfg, args)
     traj = exp.orbit(padded_span(exp.t_span, exp.step))
     rng = np.random.default_rng(exp.seed)
     identity_sup = operator_identity_sup(traj, rng, exp.var_count, exp.var_modes)
@@ -335,8 +336,8 @@ def cmd_compare_operators(exp: Experiment, args, out) -> int:
                "correction_sup": rep["correction_sup"],
                "constraint_sup": rep["constraint_sup"],
                "fields": exp.var_count, "grid_size": len(traj.times[STENCIL_CORE])}
-    ok = (identity_sup < tolerances["operator-identity"]
-          and rep["sup_norm"] < tolerances["equal-energy-identity"])
+    ok = (identity_sup < tol["operator-identity"]
+          and rep["sup_norm"] < tol["equal-energy-identity"])
     _emit(args, out, "compare_operators.json", payload,
           f"compare-operators[{exp.name}]: identity sup {identity_sup:.3e}, "
           f"equal-energy sup {rep['sup_norm']:.3e}, "
@@ -373,20 +374,25 @@ def _verdict_output(args, results, out, filename) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_verify_lemmas(exp, args, out) -> int:
-    tol = tolerance_overrides(exp.cfg if exp else {}, args)
-    results = check_lemma_suite(tolerances=tol, fault=args.inject_fault)
-    return _verdict_output(args, results, out, "verify_lemmas.json")
+def _verify(cfg, args, out, checks, filename) -> int:
+    """Run ``checks`` and grade each record by the tolerance of its key."""
+    tol = tolerances(cfg, args)
+    results = run_verification(fault=args.inject_fault, checks=checks)
+    for r in results:
+        r.tolerance = tol[r.key]
+    return _verdict_output(args, results, out, filename)
 
 
-def cmd_verify_all(exp, args, out) -> int:
-    tol = tolerance_overrides(exp.cfg if exp else {}, args)
-    checks = args.checks.split(",") if args.checks else None
-    results = run_verification(tolerances=tol, fault=args.inject_fault, checks=checks)
-    return _verdict_output(args, results, out, "verify_all.json")
+def cmd_verify_lemmas(cfg, args, out) -> int:
+    return _verify(cfg, args, out, ["lemmas"], "verify_lemmas.json")
 
 
-def cmd_report(exp, args, out) -> int:
+def cmd_verify_all(cfg, args, out) -> int:
+    return _verify(cfg, args, out, args.checks.split(",") if args.checks else None,
+                   "verify_all.json")
+
+
+def cmd_report(cfg, args, out) -> int:
     rows = []
     for name in sorted(os.listdir(out)):
         if not name.endswith(".json"):
@@ -437,16 +443,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jacobistab",
         description="Trajectory stability vs Jacobi-metric geodesic stability.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, needs_system) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="experiment config file (key = value lines)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--step", type=float, default=None)
+        if needs_system:
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--step", type=float, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--json", action="store_true",
                        help="machine-readable stdout")
-        p.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
-                       help="override a verification tolerance")
+        if name in ("compare-operators", "verify-lemmas", "verify-all"):
+            p.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
+                           help="override a verification tolerance")
         if name == "verify-all":
             p.add_argument("--checks", default=None, help="comma-separated subset of checks")
         if name in ("verify-all", "verify-lemmas"):
@@ -460,14 +468,11 @@ def main(argv=None) -> int:
     fn, needs_system = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config) if args.config else {}
-        if needs_system:
-            exp = Experiment(cfg, args)
-        else:
-            exp = Experiment(cfg, args) if cfg else None
+        setting = Experiment(cfg, args) if needs_system else cfg
         out = args.out or cfg.get("out") or "."
         if fn is not cmd_report:        # report reads a directory that must exist
             os.makedirs(out, exist_ok=True)
-        return fn(exp, args, out)
+        return fn(setting, args, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -283,7 +283,7 @@ def _lemma2_residuals(metric, cf, p, w, coeff):
     # Direct side: differentiate with respect to the accumulated s-parameter.
     s = cumulative_simpson(f, ts)
     gammas = christoffel(metric, pts)
-    dgds = local_derivative(s, pts, m=1, width=7)
+    dgds = local_derivative(s, pts)
     curve_s = SampledCurve(s, pts, dgds)
     d1 = cov_derivative_along(metric, curve_s, field, gammas=gammas)
     d2 = cov_derivative_along(metric, curve_s, dgds, gammas=gammas)

@@ -190,7 +190,7 @@ class SampledCurve:
         """First-derivative weights ``(..., N, min(7, N))`` of
         :func:`~jacobistab.numdiff.stencil_weights` on ``params``, built on
         first use; apply them with :func:`~jacobistab.numdiff.apply_stencil`."""
-        return stencil_weights(self.params, m=1, width=7)
+        return stencil_weights(self.params)
 
 
 @dataclass(frozen=True)

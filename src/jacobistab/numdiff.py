@@ -6,7 +6,7 @@ differentiated by one scheme, :func:`local_derivative`: a sliding
 polynomial stencil on arbitrarily spaced nodes, 7 points wide along a
 curve, so that truncation errors stay well below the identity tolerances.
 
-The stencil weights depend only on the grid, the order and the width.
+The stencil weights depend only on the grid.
 :func:`stencil_weights` builds them (one Vandermonde solve per node) and
 :func:`apply_stencil` applies them; a sampled curve keeps the weights of its
 own parameter grid (:attr:`~jacobistab.geometry.SampledCurve.stencil`), so
@@ -14,8 +14,6 @@ every field differentiated along it reuses one solve.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -66,31 +64,29 @@ def _stencil_index(n, width):
     return start[:, None] + np.arange(width)[None, :]
 
 
-def stencil_weights(x, m=1, width=7):
-    """Weights ``(..., N, w)`` of the sliding polynomial stencils of
-    :func:`local_derivative` on the grids ``x`` ``(..., N)``, with
-    ``w = min(width, N)``; :func:`apply_stencil` applies them to samples.
+def stencil_weights(x):
+    """First-derivative weights ``(..., N, w)`` of the sliding polynomial
+    stencils of :func:`local_derivative` on the grids ``x`` ``(..., N)``,
+    with ``w = min(7, N)``; :func:`apply_stencil` applies them to samples.
 
     The weights depend on the grid alone, so whoever owns a grid builds
     them once and applies them to every field sampled on it.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    if n < m + 1:
-        raise ValueError("insufficient samples for derivative order %d" % m)
-    width = min(width, n)
-    if width < m + 1:
-        raise ValueError("stencil width %d too small for order %d" % (width, m))
+    if n < 2:
+        raise ValueError("insufficient samples for a first derivative")
+    width = min(7, n)
 
     d = x[..., _stencil_index(n, width)] - x[..., :, None]   # (..., N, w) node offsets
     scale = np.max(np.abs(d), axis=-1, keepdims=True)
     scale[scale == 0.0] = 1.0
     ds = d / scale
-    # Solve the Vandermonde system sum_c w_c ds_c^r = m! delta_{r,m}.
+    # Solve the Vandermonde system sum_c w_c ds_c^r = delta_{r,1}.
     vand = ds[..., None, :] ** np.arange(width)[:, None]
     rhs = np.zeros(vand.shape[:-1] + (1,))
-    rhs[..., m, 0] = math.factorial(m)
-    return np.linalg.solve(vand, rhs)[..., 0] / scale**m
+    rhs[..., 1, 0] = 1.0
+    return np.linalg.solve(vand, rhs)[..., 0] / scale
 
 
 def apply_stencil(weights, y):
@@ -108,23 +104,21 @@ def apply_stencil(weights, y):
     return out.reshape(y.shape)
 
 
-def local_derivative(x, y, m=1, width=7):
-    """Differentiate sampled data with sliding polynomial stencils.
+def local_derivative(x, y):
+    """Differentiate sampled data with sliding 7-point polynomial stencils.
 
     Parameters
     ----------
     x : (..., N) strictly increasing sample locations (may be non-uniform),
         one grid per leading index.
     y : (..., N) or (..., N, ...) samples, whose leading axes match ``x``.
-    m : derivative order (1 or 2 in practice).
-    width : stencil width; accuracy is O(h^(width-m)) on smooth data.
 
-    Returns an array shaped like ``y`` holding d^m y / dx^m at every node.
-    This one-shot form solves the weights on every call; a grid that
-    carries many fields keeps its weights instead (see
-    :attr:`~jacobistab.geometry.SampledCurve.stencil`).
+    Returns an array shaped like ``y`` holding dy/dx at every node, accurate
+    to O(h^6) on smooth data with 7 or more nodes.  This one-shot form
+    solves the weights on every call; a grid that carries many fields keeps
+    its weights instead (see :attr:`~jacobistab.geometry.SampledCurve.stencil`).
     """
-    return apply_stencil(stencil_weights(x, m, width), y)
+    return apply_stencil(stencil_weights(x), y)
 
 
 def cumulative_simpson(y, x):

@@ -4,10 +4,10 @@ A built-in system is a preset: a built-in metric, a potential and
 reference initial data.  It is built by :func:`mechanical_system`, as a
 ``system = custom`` config is, so ``system = sphere-cos`` and a custom
 config with ``metric = sphere`` and ``potential = cos(q1)`` give the same
-system.  Each setup fixes initial data, an energy, and a characteristic
-time span on which the identity checks run.  Curvatures and potentials
-are simple enough that every fixture value in the tests has a closed form
-or an independent numerical oracle.
+system.  Each setup fixes initial data, which fix its energy, and a
+characteristic time span on which the identity checks run.  Curvatures
+and potentials are simple enough that every fixture value in the tests
+has a closed form or an independent numerical oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import conformal_rescale
 from .dynamics import MechanicalSystem
 from .expressions import metric_from_exprs, scalar_field_from_expr
 from .geometry import ChartMetric, ScalarField, _dot
@@ -103,7 +102,7 @@ def hyperbolic_metric() -> ChartMetric:
 
 def conformal_flat_metric(dim: int = 2) -> ChartMetric:
     """Conformally flat metric ``g = e^{2 q1} * identity``."""
-    return conformal_rescale(flat_metric(dim), scalar_field_from_expr("exp(2*q1)", dim),
+    return metric_from_exprs({(i, i): "exp(2*q1)" for i in range(1, dim + 1)}, dim,
                              name="conformal-flat")
 
 
@@ -151,11 +150,9 @@ class SystemSetup:
 
     name: str
     system: MechanicalSystem
-    energy: float
     q0: np.ndarray
     v0: np.ndarray
     t_span: tuple
-    sample_box: tuple       # SAMPLE_BOXES of the metric
     step: float = 1e-3
 
 
@@ -179,16 +176,16 @@ _HARMONIC = ScalarField(value=lambda q: 0.5 * _dot(q, q), partials=lambda q: q,
                         second_partials=lambda q: np.eye(2),
                         point=lambda q: (0.5 * _fma(q[1], q[1], q[0] * q[0]), tuple(q)))
 
-# name: metric, potential, energy, q0, v0, t_span
+# name: metric, potential, q0, v0, t_span
 _PRESETS = {
-    "flat-free": ("flat", "0", 0.5, (0.0, 0.0), (1.0, 0.0), (0.0, 2.0)),
-    "flat-harmonic": ("flat", _HARMONIC, 1.0, (1.0, 0.0), (0.0, 1.0), (0.0, 2.0 * np.pi)),
+    "flat-free": ("flat", "0", (0.0, 0.0), (1.0, 0.0), (0.0, 2.0)),
+    "flat-harmonic": ("flat", _HARMONIC, (1.0, 0.0), (0.0, 1.0), (0.0, 2.0 * np.pi)),
     # turning point at t = 1 for these initial data; stay clear of it
-    "uniform-gravity": ("flat", "q1", 0.5, (0.0, 0.0), (1.0, 0.0), (0.0, 0.5)),
-    "sphere-free": ("sphere", "0", 0.5, (np.pi / 2.0, 0.0), (0.0, 1.0), (0.0, 2.0 * np.pi)),
-    # theta oscillates between pi/2 and ~2.47; E - U stays >= 0.5
-    "sphere-cos": ("sphere", "cos(q1)", 0.5, (np.pi / 2.0, 0.0), (0.0, 1.0), (0.0, 2.0)),
-    "hyperbolic-free": ("hyperbolic", "0", 0.5, (0.0, 1.0), (1.0, 0.0), (0.0, 1.5)),
+    "uniform-gravity": ("flat", "q1", (0.0, 0.0), (1.0, 0.0), (0.0, 0.5)),
+    "sphere-free": ("sphere", "0", (np.pi / 2.0, 0.0), (0.0, 1.0), (0.0, 2.0 * np.pi)),
+    # E = 1/2; theta oscillates between pi/2 and ~2.47; E - U stays >= 0.5
+    "sphere-cos": ("sphere", "cos(q1)", (np.pi / 2.0, 0.0), (0.0, 1.0), (0.0, 2.0)),
+    "hyperbolic-free": ("hyperbolic", "0", (0.0, 1.0), (1.0, 0.0), (0.0, 1.5)),
 }
 
 BUILTIN_SYSTEMS = tuple(_PRESETS)
@@ -196,12 +193,11 @@ BUILTIN_SYSTEMS = tuple(_PRESETS)
 
 def builtin_setup(name: str) -> SystemSetup:
     try:
-        metric, potential, energy, q0, v0, t_span = _PRESETS[name]
+        metric, potential, q0, v0, t_span = _PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown system '{name}' (choose from {BUILTIN_SYSTEMS})") from None
     return SystemSetup(name, mechanical_system(metric_by_name(metric), potential, name=name),
-                       energy=energy, q0=np.array(q0), v0=np.array(v0), t_span=t_span,
-                       sample_box=SAMPLE_BOXES[metric])
+                       q0=np.array(q0), v0=np.array(v0), t_span=t_span)
 
 
 def all_setups():

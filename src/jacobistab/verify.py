@@ -50,14 +50,26 @@ DEFAULT_TOLERANCES = {
 
 @dataclass
 class CheckResult:
-    """Outcome of one identity check."""
+    """Outcome of one identity check, graded against the tolerance of its
+    :data:`DEFAULT_TOLERANCES` entry ``key``; the CLI may set another
+    ``tolerance`` after the check has run."""
 
     name: str
     value: float
-    tolerance: float
-    passed: bool
+    key: str
     comparison: str = "<"      # value < tolerance passes ("<") or value > tolerance (">")
     detail: dict = field(default_factory=dict)
+    tolerance: float = field(init=False)
+
+    def __post_init__(self):
+        self.value = float(self.value)
+        self.tolerance = DEFAULT_TOLERANCES[self.key]
+
+    @property
+    def passed(self) -> bool:
+        if self.comparison == "<":
+            return self.value < self.tolerance
+        return self.value > self.tolerance
 
     def to_dict(self) -> dict:
         return {"identity": self.name, "value": self.value,
@@ -65,10 +77,8 @@ class CheckResult:
                 "passed": bool(self.passed), **self.detail}
 
 
-def _result(name, value, tol, comparison="<", **detail):
-    passed = (value < tol) if comparison == "<" else (value > tol)
-    return CheckResult(name=name, value=float(value), tolerance=float(tol),
-                       passed=bool(passed), comparison=comparison, detail=detail)
+def _result(name, value, key, comparison="<", **detail):
+    return CheckResult(name, value, key, comparison, detail)
 
 
 def _setups(system_names=None):
@@ -100,19 +110,16 @@ def _strip_analytic(metric: ChartMetric) -> ChartMetric:
                        domain_guard=metric.domain_guard, name=metric.name + "-fd")
 
 
-def check_lemma_suite(tolerances=None, n_samples: int = 100, seed: int = 20240101,
-                      fault: Optional[str] = None):
+def check_lemma_suite(n_samples: int = 100, fault: Optional[str] = None):
     """Rescaling/reparametrization formulas on three metrics and two factors,
     analytic-derivative and finite-difference paths."""
-    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    seed = 20240101
     results = []
     for path in ("analytic", "fd"):
         worst = {"lemma1": 0.0, "lemma2": 0.0, "lemma3": 0.0}
-        detail = {}
         for mname in ("flat", "sphere", "hyperbolic"):
             metric = metric_by_name(mname)
-            for fname, factor in (("e2x", scalar_field_from_expr("exp(2*q1)", 2)),
-                                  ("jacobi-harmonic", jacobi_harmonic_factor())):
+            for factor in (scalar_field_from_expr("exp(2*q1)", 2), jacobi_harmonic_factor()):
                 if path == "fd":
                     metric_used = _strip_analytic(metric)
                     factor_used = ScalarField(value=factor.value)
@@ -122,24 +129,21 @@ def check_lemma_suite(tolerances=None, n_samples: int = 100, seed: int = 2024010
                                        seed=seed, box=SAMPLE_BOXES[mname], fault=fault)
                 for rec in recs:
                     worst[rec["lemma"]] = max(worst[rec["lemma"]], rec["max_residual"])
-                detail[f"{mname}/{fname}"] = {r["lemma"]: r["max_residual"] for r in recs}
-        tkey = "lemma-analytic" if path == "analytic" else "lemma-fd"
         for lemma in ("lemma1", "lemma2", "lemma3"):
-            results.append(_result(f"{lemma}-{path}", worst[lemma], tol[tkey],
+            results.append(_result(f"{lemma}-{path}", worst[lemma], f"lemma-{path}",
                                    samples=n_samples, seed=seed))
     return results
 
 
-def check_roundtrip(tolerances=None):
+def check_roundtrip():
     """Trajectory vs reparametrized Jacobi-metric geodesic."""
-    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     results = []
     for label, name, t_end, method in (("harmonic", "flat-harmonic", 2.0 * np.pi, "rk4"),
                                        ("gravity", "uniform-gravity", 0.9, "rk45")):
         su = builtin_setup(name)
-        rep = maupertuis_roundtrip(su.system, su.energy, su.q0, su.v0, (0.0, t_end),
-                                   step=1e-3, geodesic_method=method)
-        results.append(_result(f"roundtrip-{label}", rep["sup_norm"], tol["roundtrip"],
+        rep = maupertuis_roundtrip(su.system, su.q0, su.v0, (0.0, t_end),
+                                   geodesic_method=method)
+        results.append(_result(f"roundtrip-{label}", rep["sup_norm"], "roundtrip",
                                grid_size=rep["grid_size"], geodesic_method=method))
     return results
 
@@ -164,25 +168,23 @@ def operator_identity_sup(traj, rng, n_fields: int, modes: int = 3) -> float:
     return worst
 
 
-def check_operator_identity(tolerances=None, n_fields: int = 20, seed: int = 7,
-                            system_names=None):
+def check_operator_identity(n_fields: int = 20, system_names=None):
     """Direct h-computation of the deviation operator against the g-expressed
     formula, random deviation fields on every built-in system."""
-    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    seed = 7
     results = []
     for su in _setups(system_names):
         worst = operator_identity_sup(_orbit(su, padded_span(su.t_span, su.step)),
                                       np.random.default_rng(seed), n_fields)
         results.append(_result(f"operator-identity-{su.name}", worst,
-                               tol["operator-identity"], fields=n_fields, seed=seed,
+                               "operator-identity", fields=n_fields, seed=seed,
                                step=su.step))
     return results
 
 
-def check_equal_energy(tolerances=None):
+def check_equal_energy():
     """Equal-energy restriction of the operator relation on the harmonic
     radial case: the identity holds and its correction term stays large."""
-    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     su = builtin_setup("flat-harmonic")
     t0 = -STENCIL_PAD * su.step          # the circle, parametrized by its angle
     traj = integrate_newton(su.system, np.array([np.cos(t0), np.sin(t0)]),
@@ -192,18 +194,17 @@ def check_equal_energy(tolerances=None):
     rep = relation_equal_energy(traj, equal_energy_projection(traj, vperp))
     return [
         _result("equal-energy-constraint", rep["constraint_sup"],
-                tol["equal-energy-constraint"]),
+                "equal-energy-constraint"),
         _result("equal-energy-identity", rep["sup_norm"],
-                tol["equal-energy-identity"]),
+                "equal-energy-identity"),
         _result("equal-energy-correction", rep["correction_sup"],
-                tol["equal-energy-correction-min"], comparison=">"),
+                "equal-energy-correction-min", comparison=">"),
     ]
 
 
-def check_theorems(tolerances=None, n_variations: int = 10, seed: int = 11,
-                   system_names=None):
+def check_theorems(n_variations: int = 10, system_names=None):
     """Free-action and length identities over seeded proper variations."""
-    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    seed = 11
     reports = [r for su in _setups(system_names)
                for r in functional_sweep(_orbit(su), n_variations, seed)]
 
@@ -213,20 +214,19 @@ def check_theorems(tolerances=None, n_variations: int = 10, seed: int = 11,
     worst_path = worst("pathway_delta")
     int_min = min((r.integrand_min for r in reports), default=np.inf)
     return [
-        _result("theorem1", worst("thm1_residual"), tol["theorem1"],
+        _result("theorem1", worst("thm1_residual"), "theorem1",
                 variations=n_variations, seed=seed),
-        _result("theorem2", worst("thm2_residual"), tol["theorem2"],
+        _result("theorem2", worst("thm2_residual"), "theorem2",
                 variations=n_variations, seed=seed),
-        _result("theorem2-integrand", int_min, tol["theorem2-integrand-min"],
+        _result("theorem2-integrand", int_min, "theorem2-integrand-min",
                 comparison=">"),
         _result("orthogonal-identity", max(worst("orth_residual"), worst_path),
-                tol["orthogonal-identity"], pathway_delta=worst_path),
+                "orthogonal-identity", pathway_delta=worst_path),
     ], reports
 
 
-def check_conjugate_point(tolerances=None):
+def check_conjugate_point():
     """First conjugate point of the unit-sphere equator at arc length pi."""
-    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     su = builtin_setup("sphere-free")
     traj = _orbit(su, (0.0, 3.5))
     dev = integrate_deviation(traj, np.zeros(2), np.array([1.0, 0.0]))
@@ -238,16 +238,15 @@ def check_conjugate_point(tolerances=None):
     var = make_proper_variation(traj_pi, coefficients=[[1.0, 0.0]])
     value = abs(second_variation_LJ(traj_pi, var))
     return [
-        _result("conjugate-point-arc", arc_err, tol["conjugate-point-arc"],
+        _result("conjugate-point-arc", arc_err, "conjugate-point-arc",
                 first_zero=zero),
-        _result("conjugate-point-functional", value, tol["conjugate-point-value"]),
+        _result("conjugate-point-functional", value, "conjugate-point-value"),
     ]
 
 
-def check_linearization(tolerances=None, alpha: float = 1e-4, seed: int = 3,
-                        system_names=None):
+def check_linearization(system_names=None):
     """Linearized flow against the central-difference oracle of the full flow."""
-    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    alpha, seed = 1e-4, 3
     rng = np.random.default_rng(seed)
     results = []
     for su in _setups(system_names):
@@ -255,26 +254,24 @@ def check_linearization(tolerances=None, alpha: float = 1e-4, seed: int = 3,
         dv = rng.uniform(-1.0, 1.0, su.system.metric.dim)
         _, sup = linearization_against_oracle(su.system, su.q0, su.v0, dq, dv,
                                               alpha, su.t_span, su.step)
-        results.append(_result(f"linearization-{su.name}", sup, tol["linearization"],
+        results.append(_result(f"linearization-{su.name}", sup, "linearization",
                                alpha=alpha, seed=seed))
     return results
 
 
-def check_energy_drift(tolerances=None, n_steps: int = 1000, step: float = 1e-3,
-                       system_names=None):
+def check_energy_drift(system_names=None):
     """Largest relative energy drift over the samples of a thousand RK4 steps."""
-    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    n_steps, step = 1000, 1e-3
     results = []
     for su in _setups(system_names):
         traj = integrate_newton(su.system, su.q0, su.v0,
                                 (su.t_span[0], su.t_span[0] + n_steps * step), step)
         results.append(_result(f"energy-drift-{su.name}", traj.energy_drift,
-                               tol["energy-drift"], steps=n_steps, step=step))
+                               "energy-drift", steps=n_steps, step=step))
     return results
 
 
-def check_action_consistency(tolerances=None, seed: int = 5, xi: float = 3e-4,
-                             system_names=None):
+def check_action_consistency(system_names=None):
     """Quadrature d2S against a central second difference of the action.
 
     The displacement is kept small (and the variation amplitude modest) so
@@ -282,7 +279,7 @@ def check_action_consistency(tolerances=None, seed: int = 5, xi: float = 3e-4,
     tolerance even on the hyperbolic chart, where fourth derivatives of
     the displaced action are large.
     """
-    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    seed, xi = 5, 3e-4
     results = []
     for su in _setups(system_names):
         traj = _orbit(su)
@@ -290,24 +287,24 @@ def check_action_consistency(tolerances=None, seed: int = 5, xi: float = 3e-4,
         quad = second_variation_S(traj, var)
         brute = action_second_difference(traj, var, xi=xi)
         results.append(_result(f"action-consistency-{su.name}",
-                               abs(quad - brute), tol["action-consistency"],
+                               abs(quad - brute), "action-consistency",
                                d2S=quad, oracle=brute, xi=xi))
     return results
 
 
-def run_verification(tolerances=None, fault: Optional[str] = None, checks=None):
+def run_verification(fault: Optional[str] = None, checks=None):
     """Run the named checks (default: all) on every built-in system and
     return their results."""
     available = {
-        "lemmas": lambda: check_lemma_suite(tolerances, fault=fault),
-        "roundtrip": lambda: check_roundtrip(tolerances),
-        "operator-identity": lambda: check_operator_identity(tolerances),
-        "equal-energy": lambda: check_equal_energy(tolerances),
-        "theorems": lambda: check_theorems(tolerances)[0],
-        "conjugate-point": lambda: check_conjugate_point(tolerances),
-        "linearization": lambda: check_linearization(tolerances),
-        "energy-drift": lambda: check_energy_drift(tolerances),
-        "action-consistency": lambda: check_action_consistency(tolerances),
+        "lemmas": lambda: check_lemma_suite(fault=fault),
+        "roundtrip": check_roundtrip,
+        "operator-identity": check_operator_identity,
+        "equal-energy": check_equal_energy,
+        "theorems": lambda: check_theorems()[0],
+        "conjugate-point": check_conjugate_point,
+        "linearization": check_linearization,
+        "energy-drift": check_energy_drift,
+        "action-consistency": check_action_consistency,
     }
     names = checks or list(available)
     results = []

@@ -15,7 +15,7 @@ from jacobistab.dynamics import brute_force_deviation, integrate_newton
 from jacobistab.expressions import metric_from_exprs, scalar_field_from_expr
 from jacobistab.geometry import _second_cov, christoffel, christoffel_partials, riemann
 from jacobistab.jacobi import jacobi_metric
-from jacobistab.systems import all_setups, builtin_setup, metric_by_name
+from jacobistab.systems import SAMPLE_BOXES, all_setups, builtin_setup, metric_by_name
 from jacobistab.verify import jacobi_harmonic_factor
 
 BOXES = {
@@ -31,8 +31,8 @@ CHART3 = metric_from_exprs({(1, 1): "1 + 0.1*sin(q2)^2", (2, 2): "1 + 0.05*q1^2"
                             (3, 3): "1 + 0.3*sin(q1)^2", (1, 3): "0.05*cos(q2)"}, dim=3)
 
 CASES = ([(f"metric:{name}", metric_by_name(name), BOXES[name]) for name in BOXES]
-         + [(f"jacobi:{su.name}", jacobi_metric(su.system, su.energy).h, su.sample_box)
-            for su in all_setups()]
+         + [(f"jacobi:{su.name}", jacobi_metric(su.system, su.system.energy(su.q0, su.v0)).h,
+             SAMPLE_BOXES[su.system.metric.name]) for su in all_setups()]
          + [("expressions:chart3", CHART3, ((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)))])
 
 SETTINGS = settings(max_examples=15, deadline=None)
@@ -124,14 +124,14 @@ def test_rescaling_formulas_match_rescaled_metric(mname, fname, data):
 def test_ensemble_oracle_equals_three_separate_runs(name):
     su = builtin_setup(name)
     dq, dv, alpha = np.array([0.3, -0.2]), np.array([0.1, 0.4]), 1e-4
-    dev = brute_force_deviation(su.system, su.q0, su.v0, dq, dv, alpha,
-                                su.t_span, su.step)
+    oracle, V = brute_force_deviation(su.system, su.q0, su.v0, dq, dv, alpha,
+                                      su.t_span, su.step)
     base = integrate_newton(su.system, su.q0, su.v0, su.t_span, su.step)
     plus = integrate_newton(su.system, su.q0 + alpha * dq, su.v0 + alpha * dv,
                             su.t_span, su.step)
     minus = integrate_newton(su.system, su.q0 - alpha * dq, su.v0 - alpha * dv,
                              su.t_span, su.step)
-    assert np.array_equal(dev.trajectory.points, base.points)
-    assert np.array_equal(dev.trajectory.velocities, base.velocities)
-    assert dev.trajectory.energy == base.energy
-    assert np.array_equal(dev.V, (plus.points - minus.points) / (2.0 * alpha))
+    assert np.array_equal(oracle.points, base.points)
+    assert np.array_equal(oracle.velocities, base.velocities)
+    assert oracle.energy == base.energy
+    assert np.array_equal(V, (plus.points - minus.points) / (2.0 * alpha))

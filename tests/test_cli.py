@@ -429,12 +429,31 @@ class TestVerify:
     @pytest.mark.parametrize("command,flag", [
         (command, flag) for command in ("simulate", "geodesic", "deviation",
                                         "compare-operators", "second-variation", "report")
-        for flag in ("--checks", "--inject-fault")] + [("verify-lemmas", "--checks")])
+        for flag in ("--checks", "--inject-fault")] + [("verify-lemmas", "--checks")] + [
+        (command, "--tolerance") for command in ("simulate", "geodesic", "deviation",
+                                                 "second-variation", "report")] + [
+        (command, flag) for command in ("verify-lemmas", "verify-all", "report")
+        for flag in ("--seed", "--step")])
     def test_verify_flags_only_where_read(self, harmonic_cfg, tmp_path, capsys, command, flag):
+        # a subcommand registers only the flags it reads
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", harmonic_cfg, flag, "x", "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_verify_reads_only_tolerances_from_config(self, tmp_path):
+        # a custom system without initial data: verify reads no system keys
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("system = custom\ntolerance.theorem1 = 1e-5\n")
+        out = tmp_path / "v"
+        assert main(["verify-all", "--config", str(cfg), "--checks", "energy-drift",
+                     "--out", str(out)]) == 0
+        cfg.write_text("system = custom\ntolerance.energy-drift = 1e-30\n")
+        assert main(["verify-all", "--config", str(cfg), "--checks", "energy-drift",
+                     "--out", str(out)]) == 1
+        verdicts = json.loads((out / "verify_all.json").read_text())
+        assert {v["tolerance"] for v in verdicts} == {1e-30}
+        assert all(v["passed"] == (v["value"] < 1e-30) for v in verdicts)
 
     def test_report_malformed_json_exit_2(self, tmp_path, capsys):
         (tmp_path / "broken.json").write_text("{not json")
@@ -569,7 +588,7 @@ class TestInputValidation:
         def must_not_run(*args, **kwargs):
             raise AssertionError("computed before checking the output directory")
 
-        monkeypatch.setattr(cli, "check_lemma_suite", must_not_run)
+        monkeypatch.setattr(cli, "run_verification", must_not_run)
         blocker = tmp_path / "file"
         blocker.write_text("")
         assert main(["verify-lemmas", "--out", str(blocker / "x")]) == 2

@@ -12,7 +12,7 @@ from jacobistab.errors import DegenerateMetricError
 from jacobistab.expressions import scalar_field_from_expr
 from jacobistab.geometry import (SampledCurve, ScalarField, _second_cov, as_scalar_field,
                                  christoffel, riemann)
-from jacobistab.systems import builtin_setup, flat_metric, sphere_metric
+from jacobistab.systems import SAMPLE_BOXES, builtin_setup, flat_metric, sphere_metric
 
 FLAT = flat_metric(2)
 SPHERE = sphere_metric()
@@ -268,7 +268,7 @@ class TestRescalingProperty:
     def test_formulas_match_rescaled_metric(self, name, a, b, c, unit, xyz):
         su = self.SETUPS[name]
         metric = su.system.metric
-        lo, hi = (np.asarray(v) for v in su.sample_box)
+        lo, hi = (np.asarray(v) for v in SAMPLE_BOXES[su.system.metric.name])
         p = lo + unit * (hi - lo)
         x, y, z = xyz
         cf = scalar_field_from_expr(f"{c!r}*exp({a!r}*q1 + {b!r}*q2)", 2)

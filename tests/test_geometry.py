@@ -4,13 +4,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from jacobistab.conformal import conformal_rescale
 from jacobistab.errors import ChartDomainError, DegenerateMetricError
+from jacobistab.expressions import scalar_field_from_expr
 from jacobistab.geometry import (ChartMetric, SampledCurve, ScalarField, as_scalar_field,
                                  christoffel, cov_derivative_along, hessian_form,
                                  riemann, validate_metric_at)
 from jacobistab.numdiff import central_diff
-from jacobistab.systems import (builtin_setup, conformal_flat_metric, flat_metric,
-                                hyperbolic_metric, metric_by_name, sphere_metric)
+from jacobistab.systems import (SAMPLE_BOXES, builtin_setup, conformal_flat_metric,
+                                flat_metric, hyperbolic_metric, metric_by_name, sphere_metric)
 
 SPHERE = sphere_metric()
 FLAT = flat_metric(2)
@@ -59,6 +61,17 @@ class TestChristoffel:
         gam = christoffel(metric, [0.0, 0.0])
         assert gam[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(gam, brute_christoffel(metric, [0.0, 0.0]), atol=1e-8)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_conformal_flat_is_the_rescaled_flat_metric(self, dim):
+        # an expression preset with point evaluators, whose tensors are
+        # bitwise, sign bits included, those of e^{2 q1} times the flat metric
+        metric = conformal_flat_metric(dim)
+        ref = conformal_rescale(flat_metric(dim), scalar_field_from_expr("exp(2*q1)", dim))
+        assert metric.point is not None
+        p = np.random.default_rng(dim).uniform(-3.0, 3.0, (2000, dim))
+        for tensor in ("g", "dg", "d2g"):
+            assert getattr(metric, tensor)(p).tobytes() == getattr(ref, tensor)(p).tobytes()
 
     def test_torsion_free_exactly(self):
         rng = np.random.default_rng(1)
@@ -127,7 +140,7 @@ def test_sectional_curvature_sign_convention(name, curvature, unit, xy):
     # <R(X,Y)X, Y> / (|X|^2 |Y|^2 - <X,Y>^2) at any point of the sample box
     su = builtin_setup(name)
     metric = su.system.metric
-    lo, hi = (np.asarray(b) for b in su.sample_box)
+    lo, hi = (np.asarray(b) for b in SAMPLE_BOXES[su.system.metric.name])
     p = lo + unit * (hi - lo)
     x, y = xy
     gram = metric.inner(p, x, x) * metric.inner(p, y, y) - metric.inner(p, x, y) ** 2

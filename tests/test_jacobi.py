@@ -264,30 +264,26 @@ class TestEqualEnergy:
 
 class TestRoundtrip:
     def test_flat_free_trivial(self):
-        rep = maupertuis_roundtrip(FREE.system, 0.5, FREE.q0, FREE.v0, (0.0, 2.0),
+        rep = maupertuis_roundtrip(FREE.system, FREE.q0, FREE.v0, (0.0, 2.0),
                                    geodesic_method="rk4")
         assert rep["sup_norm"] < 1e-8
 
     def test_sphere_great_circle(self):
         su = SPHERE_FREE
-        rep = maupertuis_roundtrip(su.system, 0.5, su.q0, su.v0, (0.0, 2.0),
+        rep = maupertuis_roundtrip(su.system, su.q0, su.v0, (0.0, 2.0),
                                    geodesic_method="rk4")
         assert rep["sup_norm"] < 1e-8
 
     def test_harmonic_circular_orbit(self):
-        rep = maupertuis_roundtrip(HARMONIC.system, 1.0, HARMONIC.q0, HARMONIC.v0,
+        rep = maupertuis_roundtrip(HARMONIC.system, HARMONIC.q0, HARMONIC.v0,
                                    (0.0, 2 * np.pi), geodesic_method="rk4")
         assert rep["sup_norm"] < 1e-6
 
     def test_gravity_parabola_near_turning_point(self):
-        rep = maupertuis_roundtrip(GRAVITY.system, 0.5, GRAVITY.q0, GRAVITY.v0,
+        rep = maupertuis_roundtrip(GRAVITY.system, GRAVITY.q0, GRAVITY.v0,
                                    (0.0, 0.9), geodesic_method="rk45")
         assert rep["sup_norm"] < 1e-6
         assert not rep["truncated"]
-
-    def test_energy_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="energy mismatch"):
-            maupertuis_roundtrip(FREE.system, 1.0, FREE.q0, FREE.v0, (0.0, 1.0))
 
 
 class TestGeodesicEquationInBaseMetric:

@@ -14,31 +14,29 @@ from jacobistab.variation import make_proper_variation
 def test_local_derivative_exact_on_polynomials():
     x = np.linspace(0.0, 1.0, 25)
     y = 3.0 * x**4 - 2.0 * x**2 + x - 5.0
-    dy = local_derivative(x, y, m=1, width=7)
-    d2y = local_derivative(x, y, m=2, width=7)
+    dy = local_derivative(x, y)
     assert np.max(np.abs(dy - (12 * x**3 - 4 * x + 1))) < 1e-10
-    assert np.max(np.abs(d2y - (36 * x**2 - 4))) < 1e-8
 
 
 def test_local_derivative_nonuniform_grid():
     rng = np.random.default_rng(0)
     x = np.sort(rng.uniform(0.0, 2.0, 60))
     y = np.sin(x)
-    dy = local_derivative(x, y, m=1, width=7)
+    dy = local_derivative(x, y)
     assert np.max(np.abs(dy - np.cos(x))) < 1e-6
 
 
 def test_local_derivative_vector_samples():
     x = np.linspace(0.0, np.pi, 200)
     y = np.stack([np.sin(x), np.cos(2 * x)], axis=1)
-    dy = local_derivative(x, y, m=1, width=7)
+    dy = local_derivative(x, y)
     want = np.stack([np.cos(x), -2 * np.sin(2 * x)], axis=1)
     assert np.max(np.abs(dy - want)) < 1e-9
 
 
 def test_local_derivative_rejects_short_input():
     with pytest.raises(ValueError):
-        local_derivative(np.array([0.0, 1.0]), np.array([1.0, 2.0]), m=2)
+        local_derivative(np.array([0.0]), np.array([1.0]))
 
 
 def _grids():
@@ -55,15 +53,15 @@ def test_curve_stencil_equals_one_shot(x):
     curve = SampledCurve(x, pts, pts)
     for y in (np.cos(3.0 * x), pts):
         assert np.array_equal(apply_stencil(curve.stencil, y),
-                              local_derivative(x, y, m=1, width=7))
+                              local_derivative(x, y))
 
 
 def test_trajectory_solves_its_weights_once(monkeypatch):
     solved = []
 
-    def counting(x, m=1, width=7):
+    def counting(x):
         solved.append(np.shape(x))
-        return stencil_weights(x, m, width)
+        return stencil_weights(x)
 
     stencil_weights = geometry.stencil_weights
     monkeypatch.setattr(geometry, "stencil_weights", counting)
