@@ -18,7 +18,7 @@ from .errors import DegenerateMetricError
 from .geometry import (FD_STEP, ChartMetric, SampledCurve, ScalarField, _first_point, _mv,
                        _quad, _second_cov, _shaped, christoffel, cov_derivative_along,
                        riemann)
-from .numdiff import apply_stencil, central_diff, cumulative_simpson, local_derivative
+from .numdiff import apply_stencil, central_diff, cumulative_simpson
 
 
 def factor_values(cf: ScalarField, p) -> np.ndarray:
@@ -283,8 +283,10 @@ def _lemma2_residuals(metric, cf, p, w, coeff):
     # Direct side: differentiate with respect to the accumulated s-parameter.
     s = cumulative_simpson(f, ts)
     gammas = christoffel(metric, pts)
-    dgds = local_derivative(s, pts)
-    curve_s = SampledCurve(s, pts, dgds)
+    # the tangents dγ/ds are filled in from the curve's own stencil weights
+    curve_s = SampledCurve(s, pts, np.empty_like(pts))
+    dgds = curve_s.tangents
+    dgds[...] = apply_stencil(curve_s.stencil, pts)
     d1 = cov_derivative_along(metric, curve_s, field, gammas=gammas)
     d2 = cov_derivative_along(metric, curve_s, dgds, gammas=gammas)
     d3 = cov_derivative_along(metric, curve_s, d1, gammas=gammas)

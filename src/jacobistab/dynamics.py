@@ -145,23 +145,28 @@ class DeviationField:
 
 
 def _rk4(rhs, y0, t0, n_steps, h, check=None):
-    """Classical fixed-step RK4; returns samples including y0.
+    """Classical fixed-step RK4 on a state of Python floats; returns the
+    samples, y0 included, as one float64 array.
 
-    With ``check``, every new state is passed to it, and a chart-domain
-    error raised by a stage or by ``check`` ends the run early: the samples
-    up to the last accepted state are returned.
+    ``rhs(t, y)`` takes and returns lists of floats.  Each update is formed
+    in floats in the order ``y + (0.5*h)*k`` and ``y + (h/6)*(((k1 + 2k2) +
+    2k3) + k4)``.  With ``check``, every new state is passed to it, and a
+    chart-domain error raised by a stage or by ``check`` ends the run early:
+    the samples up to the last accepted state are returned.
     """
-    out = np.empty((n_steps + 1,) + np.shape(y0))
+    out = np.empty((n_steps + 1, len(y0)))
     out[0] = y0
-    y = np.asarray(y0, dtype=float)
+    y = out[0].tolist()
+    half, sixth = 0.5 * h, h / 6.0
     t = t0
     for k in range(n_steps):
         try:
             k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
+            k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
+            k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
+            y = [a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
+                 for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
             if check is not None:
                 check(y)
         except ChartDomainError:
@@ -175,7 +180,7 @@ def _rk4(rhs, y0, t0, n_steps, h, check=None):
 
 def _stage(sys: MechanicalSystem):
     """The right-hand side ``y -> (v, acceleration)`` of the equations of
-    motion for a state ``y`` of shape ``(2n,)``.
+    motion for a state ``y``, a list of 2n floats; it returns a list.
 
     A system with point evaluators runs the point kernel of its dimension on
     the tensors of its point evaluators; any other system runs
@@ -186,16 +191,15 @@ def _stage(sys: MechanicalSystem):
     if metric.point is None or potential.point is None:
         def stage(y):
             q, v = y[:n], y[n:]
-            return np.concatenate([v, sys.acceleration(q, v)])
+            return v + sys.acceleration(q, v).tolist()
         return stage
 
     kernel = point_kernel(n)
 
     def stage(y):
-        y = y.tolist()
         q, v = y[:n], y[n:]
         g, dg = point_metric(metric, q)
-        return np.array(v + kernel(q, g, dg, potential.point(q)[1], v))
+        return v + kernel(q, g, dg, potential.point(q)[1], v)
     return stage
 
 
@@ -329,9 +333,10 @@ def _deviation_stage(traj: Trajectory):
     Christoffel symbols, curvature, the raised potential Hessian and the
     velocity are interpolated by one cubic spline through their samples,
     evaluated once at every stage time into a float64 table with one row
-    per time.  A stage reads its row as floats and forms each term of the
-    einsums of the batched form, ``Γ(qdot, V)`` and ``R(qdot, V)qdot``,
-    left to right and added from 0.0 in einsum's order, which gives its bits.
+    per time.  A stage reads its row and its state as floats, returns a
+    list, and forms each term of the einsums of the batched form,
+    ``Γ(qdot, V)`` and ``R(qdot, V)qdot``, left to right and added from 0.0
+    in einsum's order, which gives its bits.
     ``A V`` is summed the same way, which differs from BLAS's ``matmul``
     in the last bit where a row of ``A`` has more than one nonzero entry.
     """
@@ -348,7 +353,7 @@ def _deviation_stage(traj: Trajectory):
 
     def rhs(t, y):
         c = table[row[t]].tolist()
-        V, W = y[:n].tolist(), y[n:].tolist()
+        V, W = y[:n], y[n:]
         vel = c[o_vel:]
         dV, dW = [], []
         for i in r:
@@ -366,7 +371,7 @@ def _deviation_stage(traj: Trajectory):
                 force += c[o_hess + i * n + j] * V[j]
             dV.append(W[i] - gv)
             dW.append(-curv - force - gw)
-        return np.array(dV + dW)
+        return dV + dW
 
     return rhs
 
@@ -384,10 +389,7 @@ def integrate_deviation(traj: Trajectory, V0, DV0) -> DeviationField:
     times = traj.times
     n = traj.dim
     y0 = np.concatenate([np.asarray(V0, dtype=float), np.asarray(DV0, dtype=float)])
-    # the stages overflow silently on Python floats and _rk4 with numpy
-    # warnings; either way the check below raises at the first bad sample
-    with np.errstate(over="ignore", invalid="ignore"):
-        ys = _rk4(_deviation_stage(traj), y0, times[0], len(times) - 1, traj.step)
+    ys = _rk4(_deviation_stage(traj), y0, times[0], len(times) - 1, traj.step)
     bad = ~np.isfinite(ys).all(axis=1)
     if bad.any():
         k = int(np.argmax(bad))

@@ -134,7 +134,8 @@ class GeodesicRecord:
 
 def _geodesic_stage(jm: JacobiMetric, n: int):
     """The right-hand side ``(s, y) -> (u, acceleration, dt/ds)`` of the
-    h-geodesic equation, for states ``y = (q, u, t)``.
+    h-geodesic equation, for states ``y = (q, u, t)``: lists of floats in
+    and out.
 
     With point evaluators on the system it runs the point kernel on ``h``
     and its partials built by the product rule from one evaluation of g and
@@ -147,16 +148,14 @@ def _geodesic_stage(jm: JacobiMetric, n: int):
     if metric.point is None or potential.point is None:
         def rhs(s, y):
             q, u = y[:n], y[n:2 * n]
-            gam = christoffel(jm.h, q)
-            acc = -np.einsum('ijk,j,k->i', gam, u, u)
-            return np.concatenate([u, acc, [0.5 / jm.clearance(q)]])
+            acc = -np.einsum('ijk,j,k->i', christoffel(jm.h, q), u, u)
+            return u + acc.tolist() + [0.5 / jm.clearance(q)]
         return rhs
 
     kernel = point_kernel(n)
     E, margin, zero, nn = jm.E, jm.margin, [0.0] * n, n * n
 
     def rhs(s, y):
-        y = y.tolist()
         q, u = y[:n], y[n:2 * n]
         g, dg = point_metric(metric, q)
         U, dU = potential.point(q)
@@ -167,7 +166,7 @@ def _geodesic_stage(jm: JacobiMetric, n: int):
         df = [-2.0 * x for x in dU]
         h = [f * x for x in g]
         dh = [df[k] * g[ij] + f * dg[k * nn + ij] for k in range(n) for ij in range(nn)]
-        return np.array(u + kernel(q, h, dh, zero, u) + [0.5 / w])
+        return u + kernel(q, h, dh, zero, u) + [0.5 / w]
 
     return rhs
 
@@ -207,8 +206,9 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
 
         clear_event.terminal = True
         clear_event.direction = -1
-        sol = solve_ivp(rhs, (s0, s1), y0, method="RK45", rtol=RK45_RTOL, atol=RK45_ATOL,
-                        dense_output=True, events=clear_event)
+        sol = solve_ivp(lambda s, y: np.array(rhs(s, y.tolist())), (s0, s1), y0,
+                        method="RK45", rtol=RK45_RTOL, atol=RK45_ATOL, dense_output=True,
+                        events=clear_event)
         s_end = float(sol.t[-1])
         truncated = sol.status == 1
         n_samples = max(2, int(round((s_end - s0) / step)) + 1)
@@ -217,9 +217,16 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
         return GeodesicRecord(s, ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n], jm.h,
                               truncated=truncated, dense=sol)
 
+    point, E, margin = jm.system.potential.point, jm.E, jm.margin
+
+    def check(y):
+        # the batched check, which raises, only where the float test fails
+        if point is None or not margin < E - point(y[:n])[0] < math.inf:
+            jm.check_clear(y[:n])
+
     n_steps = max(1, int(round((s1 - s0) / step)))
     h = (s1 - s0) / n_steps
-    ys = _rk4(rhs, y0, s0, n_steps, h, check=lambda y: jm.check_clear(y[:n]))
+    ys = _rk4(rhs, y0, s0, n_steps, h, check=check)
     return GeodesicRecord(s0 + h * np.arange(len(ys)), ys[:, :n], ys[:, n:2 * n],
                           ys[:, 2 * n], jm.h, truncated=len(ys) <= n_steps)
 

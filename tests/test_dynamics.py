@@ -5,14 +5,14 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from jacobistab.cli import _write_csv
-from jacobistab.dynamics import (DeviationField, MechanicalSystem, _rk4,
-                                 brute_force_deviation, hessian_operator,
-                                 integrate_deviation, integrate_newton,
+from jacobistab.dynamics import (DeviationField, MechanicalSystem, brute_force_deviation,
+                                 hessian_operator, integrate_deviation, integrate_newton,
                                  linearization_initial_data)
 from jacobistab.errors import ChartDomainError, EnergyDriftError, GeometryError
 from jacobistab.geometry import ScalarField
 from jacobistab.systems import (BUILTIN_SYSTEMS, builtin_setup, flat_metric,
                                 mechanical_system)
+from numpy_reference import numpy_rk4
 
 FREE = builtin_setup("flat-free")
 HARMONIC = builtin_setup("flat-harmonic")
@@ -169,9 +169,9 @@ class TestIntegrateDeviation:
 
 
 def reference_deviation(traj, V0, DV0):
-    """The linearized flow with numpy stages: one joint cubic spline of the
-    coefficients evaluated at each stage time, and the operator's terms as
-    einsums and a ``matmul``."""
+    """The linearized flow with numpy stages under :func:`numpy_rk4`: one
+    joint cubic spline of the coefficients evaluated at each stage time, and
+    the operator's terms as einsums and a ``matmul``."""
     cache, times, n = traj.cache, traj.times, traj.dim
     arrays = (cache.gamma, cache.riem, cache.hess_U_raised, traj.velocities)
     spline = CubicSpline(times, np.concatenate(
@@ -189,7 +189,7 @@ def reference_deviation(traj, V0, DV0):
         return np.concatenate([dV, dW])
 
     y0 = np.concatenate([np.asarray(V0, dtype=float), np.asarray(DV0, dtype=float)])
-    ys = _rk4(rhs, y0, times[0], len(times) - 1, traj.step)
+    ys = numpy_rk4(rhs, y0, times[0], len(times) - 1, traj.step)
     return ys[:, :n], ys[:, n:]
 
 

@@ -4,7 +4,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from jacobistab import jacobi
-from jacobistab.dynamics import CurveGeometry, DeviationField, _rk4, integrate_newton
+from jacobistab.dynamics import CurveGeometry, DeviationField, integrate_newton
 from jacobistab.errors import ForbiddenRegionError
 from jacobistab.geometry import cov_derivative_along
 from jacobistab.jacobi import (integrate_geodesic, jacobi_metric,
@@ -13,6 +13,7 @@ from jacobistab.jacobi import (integrate_geodesic, jacobi_metric,
                                relation_equal_energy)
 from jacobistab.systems import builtin_setup
 from jacobistab.variation import make_proper_variation
+from numpy_reference import numpy_rk4
 
 FREE = builtin_setup("flat-free")
 HARMONIC = builtin_setup("flat-harmonic")
@@ -220,8 +221,8 @@ class TestEqualEnergy:
         equal_energy_projection(traj, make_proper_variation(traj, seed=3, orthogonal=True).values)
         (rate, lam), = seen
         spline = CubicSpline(traj.times, rate)
-        want = _rk4(lambda t, y: np.atleast_1d(spline(t)), np.zeros(1), traj.times[0],
-                    len(traj) - 1, traj.step)[:, 0]
+        want = numpy_rk4(lambda t, y: np.atleast_1d(spline(t)), np.zeros(1), traj.times[0],
+                         len(traj) - 1, traj.step)[:, 0]
         assert np.max(np.abs(lam)) > 1e-3
         assert np.array_equal(lam, want)
 

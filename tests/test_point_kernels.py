@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from jacobistab import dynamics, geometry, jacobi
 from jacobistab.cli import Experiment, build_parser, main, parse_config_text
 from jacobistab.dynamics import brute_force_deviation, integrate_newton
 from jacobistab.errors import ChartDomainError
 from jacobistab.geometry import point_kernel, point_metric
-from jacobistab.jacobi import integrate_geodesic, jacobi_metric
+from jacobistab.jacobi import RK45_ATOL, RK45_RTOL, integrate_geodesic, jacobi_metric
 from jacobistab.systems import BUILTIN_SYSTEMS, SAMPLE_BOXES, all_setups, builtin_setup
+from numpy_reference import geodesic_rhs, newton_rhs, numpy_rk4
 
 SETUPS = {su.name: su for su in all_setups()}
 
@@ -102,6 +104,40 @@ def test_orbits_equal_batched(name):
                           brute_force_deviation(ref, *args)[1])
 
 
+@pytest.mark.parametrize("name", BUILTIN_SYSTEMS)
+def test_float_rk4_equals_numpy_rk4(name):
+    # the float loop and its list stages against RK4 on arrays with numpy
+    # stages; the linearized flow is pinned in test_dynamics
+    su = SETUPS[name]
+    sys, q0, v0, step, n_steps = su.system, np.asarray(su.q0), np.asarray(su.v0), su.step, 300
+    n = q0.size
+    t_span = (su.t_span[0], su.t_span[0] + n_steps * step)
+    h = (t_span[1] - t_span[0]) / n_steps
+
+    def newton(q, v):
+        return numpy_rk4(newton_rhs(sys), np.concatenate([q, v]), t_span[0], n_steps, h)
+
+    traj = integrate_newton(sys, q0, v0, t_span, step)
+    assert np.array_equal(np.hstack([traj.points, traj.velocities]), newton(q0, v0))
+    dq, dv, alpha = np.array([0.1, -0.2]), np.array([1.0, 0.5]), 1e-4
+    want = (newton(q0 + alpha * dq, v0 + alpha * dv)
+            - newton(q0 - alpha * dq, v0 - alpha * dv))[:, :n] / (2.0 * alpha)
+    assert np.array_equal(brute_force_deviation(sys, q0, v0, dq, dv, alpha, t_span, step)[1],
+                          want)
+
+    jm, s1 = traj.jm, float(traj.geo.s[-1])
+    y0 = np.concatenate([q0, v0 / jm.h.norm(q0, v0), [0.0]])
+    geo = integrate_geodesic(jm, q0, v0, (0.0, s1), step)
+    ys = numpy_rk4(geodesic_rhs(jm), y0, 0.0, len(geo) - 1, geo.s[1],
+                   check=lambda y: jm.check_clear(y[:n]))
+    assert not geo.truncated
+    assert np.array_equal(np.hstack([geo.points, geo.tangents, geo.t_of_s[:, None]]), ys)
+    sol = integrate_geodesic(jm, q0, v0, (0.0, s1), step, method="rk45").dense
+    ref = solve_ivp(geodesic_rhs(jm), (0.0, s1), y0, method="RK45", rtol=RK45_RTOL,
+                    atol=RK45_ATOL)
+    assert sol.status == 0 and np.array_equal(sol.t, ref.t) and np.array_equal(sol.y, ref.y)
+
+
 def test_custom_sphere_equals_batched():
     # sin(q1)^2 and cos(q1) evaluate to the built-in bits on floats too
     sys, q0, v0 = custom("metric.g.2.2 = sin(q1)^2\npotential = cos(q1)\n"
@@ -172,6 +208,28 @@ class TestFailures:
                    for sys in (su.system, batched(su.system))]
         assert records[0].truncated and len(records[0]) == 334
         assert_same_records(*records, fields)
+
+    def test_geodesic_truncation_by_clearance_check_equal_on_both_paths(self, monkeypatch):
+        # every stage of the last step stays clear and its new state does
+        # not: the per-step check stops the run, in floats and then by
+        # check_clear on the point path, by check_clear on the batched path
+        raised = []
+        check_clear = jacobi.JacobiMetric.check_clear
+
+        def recording(jm, p):
+            try:
+                check_clear(jm, p)
+            except ChartDomainError:
+                raised.append(jm.system)
+                raise
+
+        monkeypatch.setattr(jacobi.JacobiMetric, "check_clear", recording)
+        sys, q0, v0 = custom("potential = q2 + 0.5*q1^2\nq0 = 0, 0\nv0 = 0.3, 1\n")
+        records = [integrate_geodesic(jacobi_metric(s, 0.5), q0, v0, (0.0, 1.0), 1e-2)
+                   for s in (sys, batched(sys))]
+        assert raised == [sys, batched(sys)]
+        assert records[0].truncated and len(records[0]) == len(records[1]) == 36
+        assert_same_records(*records, ("s", "points", "tangents", "t_of_s", "truncated"))
 
     def test_expression_undefined_mid_orbit_exit_3(self, tmp_path, capsys):
         # ln(q1) is defined at q0 and pulls the orbit across q1 = 0
