@@ -241,8 +241,8 @@ def _write_text_atomic(path, text: str) -> None:
 
 def _write_csv(path, columns) -> None:
     """Write ``(name, values)`` columns as CSV; an ``(N, n)`` array fills the
-    columns ``name1..namen``.  Floats are written with ``.17g``, anything
-    else with ``str``."""
+    columns ``name1..namen``.  Float columns are written with ``%.17g``,
+    any other with ``%s``, each row by one format operation."""
     header, cells = [], []
     for name, values in columns:
         values = np.asarray(values)
@@ -252,10 +252,8 @@ def _write_csv(path, columns) -> None:
         else:
             header.append(name)
             cells.append(values)
-    lines = [",".join(header)]
-    for row in zip(*cells):
-        lines.append(",".join(format(x, ".17g") if isinstance(x, float) else str(x)
-                              for x in row))
+    row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in cells)
+    lines = [",".join(header)] + [row % r for r in zip(*(c.tolist() for c in cells))]
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 

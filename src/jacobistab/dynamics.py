@@ -11,17 +11,18 @@ brute-force oracle differentiates perturbed nonlinear runs instead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ChartDomainError, EnergyDriftError, GeometryError
-from .geometry import (ChartMetric, SampledCurve, ScalarField, _christoffel, _mv, _quad,
-                       christoffel, cov_derivative_along, hessian_form, point_kernel,
-                       point_metric, riemann)
+from .geometry import (ChartMetric, SampledCurve, ScalarField, _christoffel, _kernel_source,
+                       _mv, _names, _point_source, _quad, _stage_factory, _sum, christoffel,
+                       cov_derivative_along, hessian_form, riemann)
 
 @dataclass(frozen=True)
 class MechanicalSystem:
@@ -148,58 +149,100 @@ def _rk4(rhs, y0, t0, n_steps, h, check=None):
     """Classical fixed-step RK4 on a state of Python floats; returns the
     samples, y0 included, as one float64 array.
 
-    ``rhs(t, y)`` takes and returns lists of floats.  Each update is formed
-    in floats in the order ``y + (0.5*h)*k`` and ``y + (h/6)*(((k1 + 2k2) +
-    2k3) + k4)``.  With ``check``, every new state is passed to it, and a
-    chart-domain error raised by a stage or by ``check`` ends the run early:
-    the samples up to the last accepted state are returned.
+    ``rhs(t, y_0, ..., y_{m-1})`` takes the m floats of a state and returns
+    a tuple of m floats.  The loop for m is generated on first use (see
+    :func:`_rk4_loop`).  With ``check``, every new state is passed to it as
+    a tuple, and a chart-domain error raised by a stage or by ``check`` ends
+    the run early: the samples up to the last accepted state are returned.
     """
     out = np.empty((n_steps + 1, len(y0)))
     out[0] = y0
-    y = out[0].tolist()
-    half, sixth = 0.5 * h, h / 6.0
-    t = t0
-    for k in range(n_steps):
-        try:
-            k1 = rhs(t, y)
-            k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
-            k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
-            k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
-            y = [a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
-                 for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
-            if check is not None:
-                check(y)
-        except ChartDomainError:
-            if check is None:
-                raise
-            return out[:k + 1]
-        t = t0 + (k + 1) * h
-        out[k + 1] = y
-    return out
+    return _rk4_loop(len(y0))(rhs, out, t0, n_steps, h, check)
+
+
+@functools.lru_cache(maxsize=None)
+def _rk4_loop(m: int) -> Callable:
+    """The RK4 loop of :func:`_rk4` for states of m floats, generated on
+    first use: the state lives in the locals ``y0 ... y{m-1}``, and each
+    update is written out in floats in the order ``y_j + (0.5*h)*k_j`` and
+    ``y_j + (h/6)*(((k1_j + 2 k2_j) + 2 k3_j) + k4_j)``, so the samples are
+    bitwise those of the same RK4 on float64 arrays.  Each new state is
+    written into row k + 1 of the preallocated ``out``."""
+    y, a, b, c, d = (_names(x, m, 1) for x in "yabcd")
+    state = ", ".join(y)
+
+    def shifted(step, k):
+        return ", ".join(f"{y[j]} + {step} * {k[j]}" for j in range(m))
+
+    update = ", ".join(f"{y[j]} + sixth * ((({a[j]} + 2.0 * {b[j]}) + 2.0 * {c[j]}) + {d[j]})"
+                       for j in range(m))
+    source = "\n".join([
+        "def rk4(stage, out, t0, n_steps, h, check):",
+        f"    {state}, = out[0].tolist()",
+        "    half, sixth = 0.5 * h, h / 6.0",
+        "    t = t0",
+        "    for k in range(n_steps):",
+        "        try:",
+        f"            {', '.join(a)}, = stage(t, {state})",
+        f"            {', '.join(b)}, = stage(t + half, {shifted('half', a)})",
+        f"            {', '.join(c)}, = stage(t + half, {shifted('half', b)})",
+        f"            {', '.join(d)}, = stage(t + h, {shifted('h', c)})",
+        f"            {state}, = {update},",
+        "            if check is not None:",
+        f"                check(({state},))",
+        "        except ChartDomainError:",
+        "            if check is None:",
+        "                raise",
+        "            return out[:k + 1]",
+        "        t = t0 + (k + 1) * h",
+        f"        out[k + 1] = {state}",
+        "    return out"]) + "\n"
+    scope = {"ChartDomainError": ChartDomainError}
+    exec(compile(source, f"<rk4 m={m}>", "exec"), scope)
+    return scope["rk4"]
+
+
+def _left_chart(t, exc) -> ChartDomainError:
+    """The error of a Newton stage at time t that left the chart with ``exc``."""
+    return ChartDomainError(f"left chart domain at t={t:.6g}: {exc}")
+
+
+@functools.lru_cache(maxsize=None)
+def _newton_factory(n: int) -> Callable:
+    """``make(metric_point, potential_point)``, which returns the Newton
+    stage of dimension n on point evaluators, generated on first use: one
+    call of each point evaluator, then the point kernel of
+    :func:`~jacobistab.geometry._kernel_source` inlined."""
+    q, v = _names("q", n, 1), _names("v", n, 1)
+    body, accel = _kernel_source(n, _names("u", n, 1))
+    lines = ["try:", *(f"    {line}" for line in _point_source(n)),
+             "except ChartDomainError as exc:",
+             "    raise _left_chart(t, exc) from exc",
+             *body]
+    return _stage_factory(f"newton stage n={n}", "metric_point, potential_point", q + v,
+                          lines, v + accel, _left_chart=_left_chart)
 
 
 def _stage(sys: MechanicalSystem):
-    """The right-hand side ``y -> (v, acceleration)`` of the equations of
-    motion for a state ``y``, a list of 2n floats; it returns a list.
+    """The right-hand side ``(t, q_0, ..., v_{n-1}) -> (v, acceleration)``
+    of the equations of motion, a tuple of 2n floats.
 
-    A system with point evaluators runs the point kernel of its dimension on
-    the tensors of its point evaluators; any other system runs
-    :meth:`MechanicalSystem.acceleration`.
+    A system with point evaluators runs the generated stage of
+    :func:`_newton_factory`; any other system runs
+    :meth:`MechanicalSystem.acceleration`.  A chart-domain error at a
+    stage is raised again naming the stage time.
     """
     metric, potential = sys.metric, sys.potential
     n = metric.dim
-    if metric.point is None or potential.point is None:
-        def stage(y):
-            q, v = y[:n], y[n:]
-            return v + sys.acceleration(q, v).tolist()
-        return stage
+    if metric.point is not None and potential.point is not None:
+        return _newton_factory(n)(metric.point, potential.point)
 
-    kernel = point_kernel(n)
-
-    def stage(y):
-        q, v = y[:n], y[n:]
-        g, dg = point_metric(metric, q)
-        return v + kernel(q, g, dg, potential.point(q)[1], v)
+    def stage(t, *y):
+        try:
+            acc = sys.acceleration(y[:n], y[n:])
+        except ChartDomainError as exc:
+            raise _left_chart(t, exc) from exc
+        return (*y[n:], *acc.tolist())
     return stage
 
 
@@ -242,15 +285,7 @@ def integrate_newton(sys: MechanicalSystem, q0, v0, t_span, step,
     n_steps = max(1, int(round((t1 - t0) / step)))
     h = (t1 - t0) / n_steps
     e0 = sys.energy(q0, v0)
-    stage = _stage(sys)
-
-    def rhs(t, y):
-        try:
-            return stage(y)
-        except ChartDomainError as exc:
-            raise ChartDomainError(f"left chart domain at t={t:.6g}: {exc}") from exc
-
-    ys = _rk4(rhs, np.concatenate([q0, v0]), t0, n_steps, h)
+    ys = _rk4(_stage(sys), np.concatenate([q0, v0]), t0, n_steps, h)
     n = q0.size
     times, points, velocities = t0 + h * np.arange(n_steps + 1), ys[:, :n], ys[:, n:]
     drift = _check_flow(sys, times, points, velocities, e0, drift_bound)
@@ -325,55 +360,53 @@ def hessian_operator(traj: Trajectory, dev: DeviationField) -> np.ndarray:
     return term1 + term2 + term3
 
 
+@functools.lru_cache(maxsize=None)
+def _deviation_factory(n: int) -> Callable:
+    """``make(table, row)``, which returns the linearized-flow stage of
+    dimension n, generated on first use (see :func:`_deviation_stage`)."""
+    r = range(n)
+    V, W = _names("V", n, 1), _names("W", n, 1)
+    coefficients = _names("G", n, 3) + _names("R", n, 4) + _names("A", n, 2) + _names("x", n, 1)
+    lines = [f"({', '.join(coefficients)},) = table[row[t]].tolist()"]
+    lines += [f"p{i}_{j}_{k} = G{i}_{j}_{k} * x{j}" for i in r for j in r for k in r]
+
+    def gamma(i, F):        # Γ(qdot, F)^i
+        return _sum([f"p{i}_{j}_{k} * {F}{k}" for j in r for k in r])
+
+    def curvature(i):       # (R(qdot, V)qdot)^i
+        return _sum([f"R{i}_{a}_{b}_{e} * x{a} * V{b} * x{e}" for a in r for b in r for e in r])
+
+    def force(i):           # (A V)^i
+        return _sum([f"A{i}_{j} * V{j}" for j in r])
+
+    returns = ([f"W{i} - ({gamma(i, 'V')})" for i in r]
+               + [f"-({curvature(i)}) - ({force(i)}) - ({gamma(i, 'W')})" for i in r])
+    return _stage_factory(f"deviation stage n={n}", "table, row", V + W, lines, returns)
+
+
 def _deviation_stage(traj: Trajectory):
-    """The right-hand side ``(t, y) -> (dV, dW)`` of the linearized flow for
-    states ``y = (V, W)``, at the stage times of :func:`_rk4` stepping along
-    ``traj.times`` by ``traj.step``.
+    """The right-hand side ``(t, V_0, ..., W_{n-1}) -> (dV, dW)`` of the
+    linearized flow for states ``(V, W)``, at the stage times of
+    :func:`_rk4` stepping along ``traj.times`` by ``traj.step``.
 
     Christoffel symbols, curvature, the raised potential Hessian and the
     velocity are interpolated by one cubic spline through their samples,
     evaluated once at every stage time into a float64 table with one row
-    per time.  A stage reads its row and its state as floats, returns a
-    list, and forms each term of the einsums of the batched form,
-    ``Γ(qdot, V)`` and ``R(qdot, V)qdot``, left to right and added from 0.0
-    in einsum's order, which gives its bits.
-    ``A V`` is summed the same way, which differs from BLAS's ``matmul``
-    in the last bit where a row of ``A`` has more than one nonzero entry.
+    per time.  The stage, generated for n, reads its row into locals and
+    forms each term of the einsums of the batched form, ``Γ(qdot, V)`` and
+    ``R(qdot, V)qdot``, left to right and added from 0.0 in einsum's order,
+    which gives its bits.  ``A V`` is summed the same way, which differs
+    from BLAS's ``matmul`` in the last bit where a row of ``A`` has more
+    than one nonzero entry.
     """
-    cache, times, h, n = traj.cache, traj.times, traj.step, traj.dim
+    cache, times, h = traj.cache, traj.times, traj.step
     parts = (cache.gamma, cache.riem, cache.hess_U_raised, traj.velocities)
     spline = CubicSpline(times, np.concatenate(
         [a.reshape(len(times), -1) for a in parts], axis=1), axis=0)
     t = times[0] + h * np.arange(len(times) - 1)
     stage_times = np.unique(np.concatenate([t, t + 0.5 * h, t + h]))
-    table = spline(stage_times)
     row = {s: k for k, s in enumerate(stage_times.tolist())}
-    r = range(n)
-    o_riem, o_hess, o_vel = n**3, n**3 + n**4, n**3 + n**4 + n * n
-
-    def rhs(t, y):
-        c = table[row[t]].tolist()
-        V, W = y[:n], y[n:]
-        vel = c[o_vel:]
-        dV, dW = [], []
-        for i in r:
-            gv = gw = curv = force = 0.0
-            for j in r:
-                for k in r:
-                    gam = c[(i * n + j) * n + k] * vel[j]
-                    gv += gam * V[k]
-                    gw += gam * W[k]
-            for a in r:
-                for b in r:
-                    for e in r:
-                        curv += c[o_riem + ((i * n + a) * n + b) * n + e] * vel[a] * V[b] * vel[e]
-            for j in r:
-                force += c[o_hess + i * n + j] * V[j]
-            dV.append(W[i] - gv)
-            dW.append(-curv - force - gw)
-        return dV + dW
-
-    return rhs
+    return _deviation_factory(traj.dim)(spline(stage_times), row)
 
 
 def integrate_deviation(traj: Trajectory, V0, DV0) -> DeviationField:

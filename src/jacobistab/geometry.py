@@ -101,7 +101,7 @@ class ChartMetric:
     point : optional point evaluator: a sequence of n floats ``q`` to
         ``(g, dg)``, flat row-major float tuples bitwise equal to
         ``g_eval`` and ``dg_eval`` at ``q``, or None where ``q`` fails
-        ``domain_guard``.  The RK4 stages use it (see :func:`point_kernel`).
+        ``domain_guard``.  The RK4 stages use it (see :func:`_kernel_source`).
 
     Evaluator outputs that broadcast to the contracted shape (a constant
     matrix, say) are broadcast.
@@ -406,51 +406,15 @@ def _lapack_inverse(q, g, n: int) -> list:
     return _inverse(np.array(g).reshape(n, n), q).ravel().tolist()
 
 
-def _kernel_source(n: int) -> str:
-    """Source of the point kernel of dimension n (see :func:`point_kernel`)."""
-    r = range(n)
-    g, d, b, c, i = (np.array(_names(x, n, k)).reshape((n,) * k).tolist()
-                     for x, k in (("g", 2), ("d", 3), ("b", 3), ("c", 3), ("i", 2)))
-    inverse = f"({', '.join(_names('i', n, 2))},)"
-    diagonal = " and ".join([f"{g[a][e]} == 0.0" for a in r for e in r if a != e]
-                            + [f"_NORMAL <= {g[a][a]} <= _HUGE" for a in r])
-    lines = ["def kernel(q, g, dg, dU, v):",
-             f"    ({', '.join(_names('g', n, 2))},) = g",
-             f"    ({', '.join(_names('d', n, 3))},) = dg",
-             f"    ({', '.join(f'u{k}' for k in r)},) = dU",
-             f"    ({', '.join(f'v{k}' for k in r)},) = v",
-             f"    if {diagonal}:",
-             f"        {inverse} = "
-             f"{', '.join(f'1.0 / {g[a][a]}' if a == e else '0.0' for a in r for e in r)},",
-             "    else:"]
-    if n <= 3:          # closed form; LAPACK where it is singular or not finite
-        def minor(a, e):
-            return [row[:e] + row[e + 1:] for k, row in enumerate(g) if k != a]
-        ok = "isfinite(det) and det != 0.0"
-        lines += [f"        det = {_det(g)}", f"        if {ok}:"]
-        lines += [f"            {i[a][e]} = {'-' * ((a + e) % 2)}({_det(minor(e, a))}) / det"
-                  for a in r for e in r]
-        lines += [f"        if not ({ok} and isfinite({' + '.join(_names('i', n, 2))})):",
-                  f"            {inverse} = _lapack_inverse(q, g, {n})"]
-    else:
-        lines += [f"        {inverse} = _lapack_inverse(q, g, {n})"]
-    # b_ijk = d_i g_jk + d_j g_ik - d_k g_ij, Γ^l_ij = 0.5 g^lk b_ijk
-    lines += [f"    {b[x][y][z]} = {d[x][y][z]} + {d[y][x][z]} - {d[z][x][y]}"
-              for x in r for y in r for z in r]
-    lines += [f"    {c[l][x][y]} = 0.5 * ({_sum([f'{i[l][k]} * {b[x][y][k]}' for k in r])})"
-              for l in r for x in r for y in r]
-    accel = [f"-({_sum([f'{c[l][x][y]} * v{x} * v{y}' for x in r for y in r])})"
-             f" - ({_sum([f'{i[l][k]} * u{k}' for k in r])})" for l in r]
-    lines += [f"    return [{', '.join(accel)}]"]
-    return "\n".join(lines) + "\n"
+def _kernel_source(n: int, du) -> tuple:
+    """The point kernel of dimension n as source: ``-Γ(v, v) - g^-1 du``
+    at one point, where ``du`` names the n partials d_k U (or is n ``0.0``
+    literals).
 
-
-@functools.lru_cache(maxsize=None)
-def point_kernel(n: int) -> Callable:
-    """The point kernel of dimension n, generated on first use:
-    ``kernel(q, g, dg, dU, v)`` returns ``-Γ(v, v) - g^-1 dU`` at one point
-    as a list of n floats, from flat row-major sequences of floats such as
-    a point evaluator returns.
+    Returns the lines that invert g and form Γ, and the n expressions of
+    the acceleration.  They read g, its partials and the velocity from the
+    locals ``g{i}_{j}``, ``d{k}_{i}_{j}`` and ``v{k}`` (see :func:`_names`)
+    and the point from the sequence ``q``.
 
     The source is unrolled for n.  It forms every term of ``_bracket``,
     ``_christoffel``, ``Γ(v, v)`` and ``_mv`` as the batched path does and
@@ -464,16 +428,69 @@ def point_kernel(n: int) -> Callable:
     finite (raising ``DegenerateMetricError`` for ``q`` as
     :meth:`ChartMetric.g_inv` does).
     """
-    env = {"isfinite": math.isfinite, "_lapack_inverse": _lapack_inverse,
-           "_NORMAL": _NORMAL, "_HUGE": _HUGE}
-    exec(compile(_kernel_source(n), f"<point kernel n={n}>", "exec"), env)
-    return env["kernel"]
+    r = range(n)
+    g, d, b, c, i = (np.array(_names(x, n, k)).reshape((n,) * k).tolist()
+                     for x, k in (("g", 2), ("d", 3), ("b", 3), ("c", 3), ("i", 2)))
+    inverse = f"({', '.join(_names('i', n, 2))},)"
+    lapack = f"{inverse} = _lapack_inverse(q, ({', '.join(_names('g', n, 2))},), {n})"
+    diagonal = " and ".join([f"{g[a][e]} == 0.0" for a in r for e in r if a != e]
+                            + [f"_NORMAL <= {g[a][a]} <= _HUGE" for a in r])
+    lines = [f"if {diagonal}:",
+             f"    {inverse} = "
+             f"{', '.join(f'1.0 / {g[a][a]}' if a == e else '0.0' for a in r for e in r)},",
+             "else:"]
+    if n <= 3:          # closed form; LAPACK where it is singular or not finite
+        def minor(a, e):
+            return [row[:e] + row[e + 1:] for k, row in enumerate(g) if k != a]
+        ok = "isfinite(det) and det != 0.0"
+        lines += [f"    det = {_det(g)}", f"    if {ok}:"]
+        lines += [f"        {i[a][e]} = {'-' * ((a + e) % 2)}({_det(minor(e, a))}) / det"
+                  for a in r for e in r]
+        lines += [f"    if not ({ok} and isfinite({' + '.join(_names('i', n, 2))})):",
+                  f"        {lapack}"]
+    else:
+        lines += [f"    {lapack}"]
+    # b_ijk = d_i g_jk + d_j g_ik - d_k g_ij, Γ^l_ij = 0.5 g^lk b_ijk
+    lines += [f"{b[x][y][z]} = {d[x][y][z]} + {d[y][x][z]} - {d[z][x][y]}"
+              for x in r for y in r for z in r]
+    lines += [f"{c[l][x][y]} = 0.5 * ({_sum([f'{i[l][k]} * {b[x][y][k]}' for k in r])})"
+              for l in r for x in r for y in r]
+    accel = [f"-({_sum([f'{c[l][x][y]} * v{x} * v{y}' for x in r for y in r])})"
+             f" - ({_sum([f'{i[l][k]} * {du[k]}' for k in r])})" for l in r]
+    return lines, accel
 
 
-def point_metric(metric: ChartMetric, q) -> tuple:
-    """``metric.point(q)`` at a sequence of n floats, raising
-    ``ChartDomainError`` where :meth:`ChartMetric.check_point` would."""
-    gd = metric.point(q) if all(map(math.isfinite, q)) else None
-    if gd is None:
-        raise ChartDomainError(f"chart domain: point {list(q)} outside valid region")
-    return gd
+def _point_source(n: int, g: str = "g", d: str = "d") -> list:
+    """Lines that evaluate ``metric_point`` and ``potential_point`` at the
+    point ``q = (q0, ...)``.
+
+    They raise ``ChartDomainError`` where :meth:`ChartMetric.check_point`
+    would: a coordinate not finite, or a metric point evaluator that
+    returns None.  They bind the entries of g and of its partials to the
+    names :func:`_names` makes from ``g`` and ``d``, U to ``U`` and d_k U
+    to ``u{k}``.
+    """
+    q = _names("q", n, 1)
+    return [f"q = ({', '.join(q)},)",
+            f"gd = metric_point(q) if {' and '.join(f'isfinite({x})' for x in q)} else None",
+            "if gd is None:",
+            '    raise ChartDomainError(f"chart domain: point {list(q)} outside valid region")',
+            f"({', '.join(_names(g, n, 2))},), ({', '.join(_names(d, n, 3))},) = gd",
+            f"U, ({', '.join(_names('u', n, 1))},) = potential_point(q)"]
+
+
+def _stage_factory(label: str, params: str, state, lines, returns, **env) -> Callable:
+    """Compile generated source into ``make(params)``, which returns
+    ``stage(t, *state)``: it runs ``lines`` and returns the expressions
+    ``returns`` as a tuple of floats.  The source sees ``isfinite``,
+    ``ChartDomainError``, the names the lines of :func:`_kernel_source`
+    use and ``env``."""
+    source = "\n".join([f"def make({params}):",
+                         f"    def stage(t, {', '.join(state)}):",
+                         *(f"        {line}" for line in lines),
+                         f"        return {', '.join(returns)},",
+                         "    return stage"]) + "\n"
+    scope = {"isfinite": math.isfinite, "ChartDomainError": ChartDomainError,
+             "_lapack_inverse": _lapack_inverse, "_NORMAL": _NORMAL, "_HUGE": _HUGE, **env}
+    exec(compile(source, f"<{label}>", "exec"), scope)
+    return scope["make"]

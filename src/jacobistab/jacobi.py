@@ -18,6 +18,7 @@ piece that survives: the two stability operators never coincide.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,9 +30,10 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 from .conformal import conformal_rescale
 from .dynamics import (CurveGeometry, DeviationField, MechanicalSystem,
                        Trajectory, _rk4, hessian_operator, integrate_newton)
-from .errors import ChartDomainError, ForbiddenRegionError
-from .geometry import (ChartMetric, SampledCurve, ScalarField, _first_point, christoffel,
-                       cov_derivative_along, point_kernel, point_metric)
+from .errors import ForbiddenRegionError
+from .geometry import (ChartMetric, SampledCurve, ScalarField, _first_point, _kernel_source,
+                       _names, _point_source, _stage_factory, christoffel,
+                       cov_derivative_along)
 from .numdiff import apply_stencil, cumulative_simpson
 
 
@@ -132,43 +134,49 @@ class GeodesicRecord:
         return CurveGeometry(self.metric, self.points)
 
 
-def _geodesic_stage(jm: JacobiMetric, n: int):
-    """The right-hand side ``(s, y) -> (u, acceleration, dt/ds)`` of the
-    h-geodesic equation, for states ``y = (q, u, t)``: lists of floats in
-    and out.
+@functools.lru_cache(maxsize=None)
+def _geodesic_factory(n: int):
+    """``make(metric_point, potential_point, E, margin)``, which returns the
+    h-geodesic stage of dimension n on point evaluators, generated on first
+    use (see :func:`_geodesic_stage`)."""
+    q, v, u = (_names(x, n, 1) for x in "qvu")
+    g, d, G, D = _names("g", n, 2), _names("d", n, 3), _names("G", n, 2), _names("D", n, 3)
+    nn = n * n
+    body, accel = _kernel_source(n, ["0.0"] * n)
+    lines = [*_point_source(n, "G", "D"),
+             "w = E - U",
+             "f = 2.0 * w",
+             "if not (isfinite(f) and f > 0.0 and w > margin):",
+             '    raise ChartDomainError(f"chart domain: point {list(q)} outside valid region")',
+             *(f"df{k} = -2.0 * {u[k]}" for k in range(n)),
+             *(f"{g[ij]} = f * {G[ij]}" for ij in range(nn)),
+             *(f"{d[k * nn + ij]} = df{k} * {G[ij]} + f * {D[k * nn + ij]}"
+               for k in range(n) for ij in range(nn)),
+             *body]
+    return _stage_factory(f"h-geodesic stage n={n}", "metric_point, potential_point, E, margin",
+                          q + v + ["tau"], lines, v + accel + ["0.5 / w"])
 
-    With point evaluators on the system it runs the point kernel on ``h``
-    and its partials built by the product rule from one evaluation of g and
-    of U at the stage's point: ``h = f g``, ``d_k h_ij = d_k f g_ij + f d_k
-    g_ij`` with ``f = 2(E - U)`` and ``df = -2 dU``, the order in which
-    ``conformal_rescale`` evaluates them.  Otherwise it evaluates the
-    Christoffel symbols of ``jm.h``.
+
+def _geodesic_stage(jm: JacobiMetric, n: int):
+    """The right-hand side ``(s, q_0, ..., u_{n-1}, t) -> (u, acceleration,
+    dt/ds)`` of the h-geodesic equation, a tuple of 2n + 1 floats.
+
+    With point evaluators on the system it runs the generated stage: the
+    point kernel on ``h`` and its partials built by the product rule from
+    one evaluation of g and of U at the stage's point, ``h = f g``, ``d_k
+    h_ij = d_k f g_ij + f d_k g_ij`` with ``f = 2(E - U)`` and ``df = -2
+    dU``, the order in which ``conformal_rescale`` evaluates them.
+    Otherwise it evaluates the Christoffel symbols of ``jm.h``.
     """
     metric, potential = jm.system.metric, jm.system.potential
-    if metric.point is None or potential.point is None:
-        def rhs(s, y):
-            q, u = y[:n], y[n:2 * n]
-            acc = -np.einsum('ijk,j,k->i', christoffel(jm.h, q), u, u)
-            return u + acc.tolist() + [0.5 / jm.clearance(q)]
-        return rhs
+    if metric.point is not None and potential.point is not None:
+        return _geodesic_factory(n)(metric.point, potential.point, jm.E, jm.margin)
 
-    kernel = point_kernel(n)
-    E, margin, zero, nn = jm.E, jm.margin, [0.0] * n, n * n
-
-    def rhs(s, y):
+    def stage(s, *y):
         q, u = y[:n], y[n:2 * n]
-        g, dg = point_metric(metric, q)
-        U, dU = potential.point(q)
-        w = E - U
-        f = 2.0 * w
-        if not (math.isfinite(f) and f > 0.0 and w > margin):
-            raise ChartDomainError(f"chart domain: point {q} outside valid region")
-        df = [-2.0 * x for x in dU]
-        h = [f * x for x in g]
-        dh = [df[k] * g[ij] + f * dg[k * nn + ij] for k in range(n) for ij in range(nn)]
-        return u + kernel(q, h, dh, zero, u) + [0.5 / w]
-
-    return rhs
+        acc = -np.einsum('ijk,j,k->i', christoffel(jm.h, q), u, u)
+        return (*u, *acc.tolist(), 0.5 / jm.clearance(q))
+    return stage
 
 
 RK45_RTOL = 1e-10
@@ -198,7 +206,7 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
     s0, s1 = float(s_span[0]), float(s_span[1])
     n = q0.size
     y0 = np.concatenate([q0, u0, [0.0]])
-    rhs = _geodesic_stage(jm, n)
+    stage = _geodesic_stage(jm, n)
 
     if method == "rk45":
         def clear_event(s, y):
@@ -206,7 +214,7 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
 
         clear_event.terminal = True
         clear_event.direction = -1
-        sol = solve_ivp(lambda s, y: np.array(rhs(s, y.tolist())), (s0, s1), y0,
+        sol = solve_ivp(lambda s, y: np.array(stage(s, *y.tolist())), (s0, s1), y0,
                         method="RK45", rtol=RK45_RTOL, atol=RK45_ATOL, dense_output=True,
                         events=clear_event)
         s_end = float(sol.t[-1])
@@ -226,7 +234,7 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
 
     n_steps = max(1, int(round((s1 - s0) / step)))
     h = (s1 - s0) / n_steps
-    ys = _rk4(rhs, y0, s0, n_steps, h, check=check)
+    ys = _rk4(stage, y0, s0, n_steps, h, check=check)
     return GeodesicRecord(s0 + h * np.arange(len(ys)), ys[:, :n], ys[:, n:2 * n],
                           ys[:, 2 * n], jm.h, truncated=len(ys) <= n_steps)
 

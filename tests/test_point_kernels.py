@@ -1,9 +1,11 @@
-"""Point evaluators and the point kernel: the RK4 stages of the Newton flow
-and of the h-geodesic flow run on Python floats for systems that carry
-point evaluators, and reproduce the batched path bit for bit.  The batched
-run is forced by dropping the point evaluators with ``dataclasses.replace``."""
+"""Point evaluators and the point kernel: the generated RK4 stages of the
+Newton flow and of the h-geodesic flow run on Python floats for systems that
+carry point evaluators, and reproduce the batched path bit for bit.  The
+batched run is forced by dropping the point evaluators with
+``dataclasses.replace``."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -13,12 +15,14 @@ from scipy.integrate import solve_ivp
 
 from jacobistab import dynamics, geometry, jacobi
 from jacobistab.cli import Experiment, build_parser, main, parse_config_text
-from jacobistab.dynamics import brute_force_deviation, integrate_newton
+from jacobistab.dynamics import (MechanicalSystem, brute_force_deviation, integrate_deviation,
+                                 integrate_newton)
 from jacobistab.errors import ChartDomainError
-from jacobistab.geometry import point_kernel, point_metric
+from jacobistab.geometry import ChartMetric, ScalarField
 from jacobistab.jacobi import RK45_ATOL, RK45_RTOL, integrate_geodesic, jacobi_metric
 from jacobistab.systems import BUILTIN_SYSTEMS, SAMPLE_BOXES, all_setups, builtin_setup
-from numpy_reference import geodesic_rhs, newton_rhs, numpy_rk4
+from numpy_reference import (geodesic_rhs, list_deviation_rhs, list_geodesic_rhs,
+                             list_newton_rhs, list_rk4, newton_rhs, numpy_rk4)
 
 SETUPS = {su.name: su for su in all_setups()}
 
@@ -34,6 +38,14 @@ def custom(text):
     exp = Experiment(parse_config_text("system = custom\n" + text),
                      build_parser().parse_args(["simulate"]))
     return exp.sys, exp.q0, exp.v0
+
+
+# CHART3 of the benchmark's custom-chart workload: an off-diagonal 3-D
+# metric, inverted in closed form
+CHART3 = ("metric.dim = 3\nmetric.g.1.1 = 1 + 0.1*sin(q2)^2\n"
+          "metric.g.2.2 = 1 + 0.05*q1^2\nmetric.g.3.3 = 1 + 0.3*sin(q1)^2\n"
+          "metric.g.1.3 = 0.05*cos(q2)\npotential = 0.1*q1^2 + 0.1*q2^2\n"
+          "q0 = 0.5, 0, 0\nv0 = 0, 0.8, 0.6\n")
 
 
 def assert_same_records(a, b, fields):
@@ -56,13 +68,13 @@ def test_point_evaluators_equal_batched(name, unit, v):
     lo, hi = (np.asarray(b) for b in SAMPLE_BOXES[su.system.metric.name])
     p = lo + np.asarray(unit) * (hi - lo)
     q = p.tolist()
-    g, dg = point_metric(sys.metric, q)
+    g, dg = sys.metric.point(q)
     U, dU = sys.potential.point(q)
     assert np.array_equal(g, sys.metric.g(p).ravel())
     assert np.array_equal(dg, sys.metric.dg(p).ravel())
     assert U == sys.potential(p)
     assert np.array_equal(dU, sys.potential.grad_components(p))
-    acc = point_kernel(2)(q, g, dg, dU, list(v))
+    acc = dynamics._stage(sys)(0.0, *q, *v)[2:]
     assert np.array_equal(acc, sys.acceleration(p, np.asarray(v)))
 
 
@@ -106,7 +118,7 @@ def test_orbits_equal_batched(name):
 
 @pytest.mark.parametrize("name", BUILTIN_SYSTEMS)
 def test_float_rk4_equals_numpy_rk4(name):
-    # the float loop and its list stages against RK4 on arrays with numpy
+    # the generated loop and stages against RK4 on arrays with numpy
     # stages; the linearized flow is pinned in test_dynamics
     su = SETUPS[name]
     sys, q0, v0, step, n_steps = su.system, np.asarray(su.q0), np.asarray(su.v0), su.step, 300
@@ -149,10 +161,7 @@ def test_custom_sphere_equals_batched():
 
 def test_non_diagonal_metric_agrees_with_batched():
     # a closed-form inverse: not LAPACK's bits, the same orbit to roundoff
-    sys, q0, v0 = custom("metric.dim = 3\nmetric.g.1.1 = 1 + 0.1*sin(q2)^2\n"
-                         "metric.g.2.2 = 1 + 0.05*q1^2\nmetric.g.3.3 = 1 + 0.3*sin(q1)^2\n"
-                         "metric.g.1.3 = 0.05*cos(q2)\npotential = 0.1*q1^2 + 0.1*q2^2\n"
-                         "q0 = 0.5, 0, 0\nv0 = 0, 0.8, 0.6\n")
+    sys, q0, v0 = custom(CHART3)
     a = integrate_newton(sys, q0, v0, (0.0, 1.0), 2e-3)
     b = integrate_newton(batched(sys), q0, v0, (0.0, 1.0), 2e-3)
     assert np.max(np.abs(a.points - b.points)) < 1e-13
@@ -163,11 +172,50 @@ def test_non_diagonal_metric_agrees_with_batched():
 
 
 def test_singular_metric_raises_as_batched():
-    q = [0.3, 0.4]
-    for g in ([1.0, 2.0, 2.0, 4.0], [0.0, 0.0, 0.0, 1.0], [np.nan, 0.0, 0.0, 1.0]):
+    potential = ScalarField(value=lambda p: 0.0 * p[..., 0], point=lambda q: (0.0, (0.0, 0.0)))
+    for g in ((1.0, 2.0, 2.0, 4.0), (0.0, 0.0, 0.0, 1.0), (np.nan, 0.0, 0.0, 1.0)):
+        metric = ChartMetric(dim=2, g_eval=lambda p, g=g: np.reshape(g, (2, 2)),
+                             point=lambda q, g=g: (g, (0.0,) * 8))
         with pytest.raises(geometry.DegenerateMetricError) as exc:
-            point_kernel(2)(q, g, [0.0] * 8, [0.0, 0.0], [1.0, 0.0])
+            dynamics._stage(MechanicalSystem(metric, potential))(0.0, 0.3, 0.4, 1.0, 0.0)
         assert str(exc.value) == "degenerate metric at [0.3, 0.4]"
+
+
+LIST_PINNED = {
+    "n1": "metric.dim = 1\nmetric.g.1.1 = 1 + 0.1*sin(q1)^2\npotential = 0.2*q1^2\n"
+          "q0 = 0.3\nv0 = 0.7\n",
+    "n3-closed-form": CHART3,
+    "n4-lapack": "metric.dim = 4\nmetric.g.1.1 = 1 + 0.1*sin(q2)^2\nmetric.g.2.2 = 1 + 0.05*q1^2\n"
+                 "metric.g.3.3 = 1 + 0.3*sin(q1)^2\nmetric.g.4.4 = 1 + 0.1*q3^2\n"
+                 "metric.g.1.3 = 0.05*cos(q2)\nmetric.g.2.4 = 0.05*sin(q1)\n"
+                 "potential = 0.1*q1^2 + 0.1*q2^2 + 0.05*q4^2\n"
+                 "q0 = 0.5, 0, 0, 0.2\nv0 = 0, 0.8, 0.6, 0.3\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIST_PINNED))
+def test_generated_loops_equal_list_reference(name):
+    # the generated loop and stages against the list loop and list stages;
+    # a non-diagonal metric is not LAPACK's bits in closed form (n = 3) or
+    # through _mv's fused sums, so the numpy reference cannot pin these
+    sys, q0, v0 = custom(LIST_PINNED[name])
+    n, n_steps, step = len(q0), 200, 2e-3
+    traj = integrate_newton(sys, q0, v0, (0.0, n_steps * step), step)
+    ys = list_rk4(list_newton_rhs(sys), np.concatenate([q0, v0]), 0.0, n_steps, traj.step)
+    assert np.array_equal(np.hstack([traj.points, traj.velocities]), ys)
+
+    V0, DV0 = np.random.default_rng(5).uniform(-1.0, 1.0, (2, n))
+    dev = integrate_deviation(traj, V0, DV0)
+    ys = list_rk4(list_deviation_rhs(traj), np.concatenate([V0, DV0]), 0.0, n_steps, traj.step)
+    assert np.array_equal(np.hstack([dev.V, dev.DV]), ys)
+
+    jm = traj.jm
+    geo = integrate_geodesic(jm, q0, v0, (0.0, n_steps * step), step)
+    y0 = np.concatenate([q0, v0 / jm.h.norm(q0, v0), [0.0]])
+    ys = list_rk4(list_geodesic_rhs(jm), y0, 0.0, len(geo) - 1, geo.s[1],
+                  check=lambda y: jm.check_clear(y[:n]))
+    assert not geo.truncated and len(geo) == n_steps + 1
+    assert np.array_equal(np.hstack([geo.points, geo.tangents, geo.t_of_s[:, None]]), ys)
 
 
 class TestFailures:
@@ -179,8 +227,12 @@ class TestFailures:
             with pytest.raises(ChartDomainError) as exc:
                 integrate_newton(sys, *args)
             messages.append(str(exc.value))
-        assert messages[0] == messages[1]
-        assert messages[0].startswith("left chart domain at t=")
+        with pytest.raises(ChartDomainError) as exc:
+            list_rk4(list_newton_rhs(su.system), [1.5707963267948966, 0.0, 1.0, 0.0],
+                     0.0, 2000, 1e-3)
+        assert messages[0] == messages[1] == str(exc.value)
+        assert re.fullmatch(r"left chart domain at t=\S+: chart domain: point "
+                            r"\[\S+, \S+\] outside valid region", messages[0])
 
     def test_oracle_reports_first_failing_run(self):
         # all three runs reach the pole; the plus run, started faster, first,
