@@ -208,10 +208,8 @@ class Experiment:
 def tolerances(cfg: dict, args) -> dict:
     """:data:`DEFAULT_TOLERANCES` with the config's ``tolerance.NAME`` keys
     and then the ``--tolerance NAME=VALUE`` flags applied."""
-    tol = {}
-    for key, value in cfg.items():
-        if key.startswith("tolerance."):
-            tol[key.split(".", 1)[1]] = _number(value, key)
+    tol = {key.split(".", 1)[1]: _number(cfg[key], key)
+           for key in cfg if key.startswith("tolerance.")}
     for item in args.tolerance or []:
         if "=" not in item:
             raise ConfigError(f"--tolerance expects NAME=VALUE, got {item!r}")
@@ -222,6 +220,17 @@ def tolerances(cfg: dict, args) -> dict:
             raise ConfigError(f"unknown tolerance {name!r} "
                               f"(known: {', '.join(sorted(DEFAULT_TOLERANCES))})")
     return {**DEFAULT_TOLERANCES, **tol}
+
+
+def _check_read(cfg: dict, args, needs_system: bool) -> None:
+    """Raise a config error naming a key the subcommand does not read:
+    ``tolerance.*`` is read where ``--tolerance`` is, any other key where a
+    system is built, and ``out`` everywhere; ``system``, which names the
+    config's system, is accepted everywhere."""
+    for key in cfg:
+        if not (hasattr(args, "tolerance") if key.startswith("tolerance.")
+                else needs_system or key in ("out", "system")):
+            raise ConfigError(f"{key}: not read by {args.command}")
 
 
 def _write_text_atomic(path, text: str) -> None:
@@ -466,6 +475,7 @@ def main(argv=None) -> int:
     fn, needs_system = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config) if args.config else {}
+        _check_read(cfg, args, needs_system)
         setting = Experiment(cfg, args) if needs_system else cfg
         out = args.out or cfg.get("out") or "."
         if fn is not cmd_report:        # report reads a directory that must exist

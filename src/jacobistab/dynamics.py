@@ -214,13 +214,13 @@ def _newton_factory(n: int) -> Callable:
     call of each point evaluator, then the point kernel of
     :func:`~jacobistab.geometry._kernel_source` inlined."""
     q, v = _names("q", n, 1), _names("v", n, 1)
-    body, accel = _kernel_source(n, _names("u", n, 1))
+    body, accel = _kernel_source(n)
     lines = ["try:", *(f"    {line}" for line in _point_source(n)),
              "except ChartDomainError as exc:",
              "    raise _left_chart(t, exc) from exc",
              *body]
-    return _stage_factory(f"newton stage n={n}", "metric_point, potential_point", q + v,
-                          lines, v + accel, _left_chart=_left_chart)
+    return _stage_factory(f"newton stage n={n}", "metric_point, potential_point",
+                          ["t", *q, *v], lines, v + accel, _left_chart=_left_chart)
 
 
 def _stage(sys: MechanicalSystem):
@@ -230,7 +230,8 @@ def _stage(sys: MechanicalSystem):
     A system with point evaluators runs the generated stage of
     :func:`_newton_factory`; any other system runs
     :meth:`MechanicalSystem.acceleration`.  A chart-domain error at a
-    stage is raised again naming the stage time.
+    stage is raised again naming the stage time.  The geodesics of a
+    Jacobi metric step on the stage of its free system.
     """
     metric, potential = sys.metric, sys.potential
     n = metric.dim
@@ -381,7 +382,7 @@ def _deviation_factory(n: int) -> Callable:
 
     returns = ([f"W{i} - ({gamma(i, 'V')})" for i in r]
                + [f"-({curvature(i)}) - ({force(i)}) - ({gamma(i, 'W')})" for i in r])
-    return _stage_factory(f"deviation stage n={n}", "table, row", V + W, lines, returns)
+    return _stage_factory(f"deviation stage n={n}", "table, row", ["t", *V, *W], lines, returns)
 
 
 def _deviation_stage(traj: Trajectory):

@@ -406,15 +406,14 @@ def _lapack_inverse(q, g, n: int) -> list:
     return _inverse(np.array(g).reshape(n, n), q).ravel().tolist()
 
 
-def _kernel_source(n: int, du) -> tuple:
-    """The point kernel of dimension n as source: ``-Γ(v, v) - g^-1 du``
-    at one point, where ``du`` names the n partials d_k U (or is n ``0.0``
-    literals).
+def _kernel_source(n: int) -> tuple:
+    """The point kernel of dimension n as source: ``-Γ(v, v) - g^-1 dU``
+    at one point.
 
     Returns the lines that invert g and form Γ, and the n expressions of
-    the acceleration.  They read g, its partials and the velocity from the
-    locals ``g{i}_{j}``, ``d{k}_{i}_{j}`` and ``v{k}`` (see :func:`_names`)
-    and the point from the sequence ``q``.
+    the acceleration.  They read g, its partials, the partials of U and the
+    velocity from the locals ``g{i}_{j}``, ``d{k}_{i}_{j}``, ``u{k}`` and
+    ``v{k}`` (see :func:`_names`) and the point from the sequence ``q``.
 
     The source is unrolled for n.  It forms every term of ``_bracket``,
     ``_christoffel``, ``Γ(v, v)`` and ``_mv`` as the batched path does and
@@ -456,11 +455,11 @@ def _kernel_source(n: int, du) -> tuple:
     lines += [f"{c[l][x][y]} = 0.5 * ({_sum([f'{i[l][k]} * {b[x][y][k]}' for k in r])})"
               for l in r for x in r for y in r]
     accel = [f"-({_sum([f'{c[l][x][y]} * v{x} * v{y}' for x in r for y in r])})"
-             f" - ({_sum([f'{i[l][k]} * {du[k]}' for k in r])})" for l in r]
+             f" - ({_sum([f'{i[l][k]} * u{k}' for k in r])})" for l in r]
     return lines, accel
 
 
-def _point_source(n: int, g: str = "g", d: str = "d") -> list:
+def _point_source(n: int) -> list:
     """Lines that evaluate ``metric_point`` and ``potential_point`` at the
     point ``q = (q0, ...)``.
 
@@ -468,25 +467,25 @@ def _point_source(n: int, g: str = "g", d: str = "d") -> list:
     would: a coordinate not finite, or a metric point evaluator that
     returns None.  They bind the entries of g and of its partials to the
     names :func:`_names` makes from ``g`` and ``d``, U to ``U`` and d_k U
-    to ``u{k}``.
+    to ``u{k}``, the locals :func:`_kernel_source` reads.
     """
     q = _names("q", n, 1)
     return [f"q = ({', '.join(q)},)",
             f"gd = metric_point(q) if {' and '.join(f'isfinite({x})' for x in q)} else None",
             "if gd is None:",
             '    raise ChartDomainError(f"chart domain: point {list(q)} outside valid region")',
-            f"({', '.join(_names(g, n, 2))},), ({', '.join(_names(d, n, 3))},) = gd",
+            f"({', '.join(_names('g', n, 2))},), ({', '.join(_names('d', n, 3))},) = gd",
             f"U, ({', '.join(_names('u', n, 1))},) = potential_point(q)"]
 
 
-def _stage_factory(label: str, params: str, state, lines, returns, **env) -> Callable:
+def _stage_factory(label: str, params: str, args, lines, returns, **env) -> Callable:
     """Compile generated source into ``make(params)``, which returns
-    ``stage(t, *state)``: it runs ``lines`` and returns the expressions
-    ``returns`` as a tuple of floats.  The source sees ``isfinite``,
+    ``stage(*args)``: it runs ``lines`` and returns the expressions
+    ``returns`` as a tuple.  The source sees ``isfinite``,
     ``ChartDomainError``, the names the lines of :func:`_kernel_source`
     use and ``env``."""
     source = "\n".join([f"def make({params}):",
-                         f"    def stage(t, {', '.join(state)}):",
+                         f"    def stage({', '.join(args)}):",
                          *(f"        {line}" for line in lines),
                          f"        return {', '.join(returns)},",
                          "    return stage"]) + "\n"

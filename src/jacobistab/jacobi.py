@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -29,11 +29,11 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .conformal import conformal_rescale
 from .dynamics import (CurveGeometry, DeviationField, MechanicalSystem,
-                       Trajectory, _rk4, hessian_operator, integrate_newton)
+                       Trajectory, _rk4, _stage, hessian_operator, integrate_newton)
 from .errors import ForbiddenRegionError
-from .geometry import (ChartMetric, SampledCurve, ScalarField, _first_point, _kernel_source,
-                       _names, _point_source, _stage_factory, christoffel,
-                       cov_derivative_along)
+from .expressions import scalar_field_from_expr
+from .geometry import (ChartMetric, SampledCurve, ScalarField, _first_point, _names,
+                       _stage_factory, cov_derivative_along)
 from .numdiff import apply_stencil, cumulative_simpson
 
 
@@ -73,13 +73,42 @@ class JacobiMetric:
                 f"{self.margin:.3e} at sample {int(bad[0])}")
         return 2.0 * w
 
+    @cached_property
+    def free_system(self) -> MechanicalSystem:
+        """h with the potential 0: its Newton orbits at unit h-speed are the
+        arc-length geodesics of h."""
+        return MechanicalSystem(self.h, scalar_field_from_expr("0", self.h.dim),
+                                name=self.h.name)
+
+
+@functools.lru_cache(maxsize=None)
+def _point_factory(n: int):
+    """``make(metric_point, potential_point, E, margin)``, which returns the
+    point evaluator of h of dimension n, generated on first use: ``h = f g``
+    and ``d_k h_ij = df_k g_ij + f d_k g_ij``, with ``f = 2(E - U)`` and
+    ``df = -2 dU``, formed as :func:`~jacobistab.conformal.conformal_rescale`
+    forms them from one call of each point evaluator of the system."""
+    G, D, u = _names("G", n, 2), _names("D", n, 3), _names("u", n, 1)
+    lines = ["gd = metric_point(q)", "if gd is None:", "    return None",
+             f"({', '.join(G)},), ({', '.join(D)},) = gd",
+             f"U, ({', '.join(u)},) = potential_point(q)",
+             "w = E - U", "f = 2.0 * w",
+             "if not (isfinite(f) and f > 0.0 and w > margin):", "    return None"]
+    dh = [f"-2.0 * {u[k]} * {G[ij]} + f * {D[k * n * n + ij]}"
+          for k in range(n) for ij in range(n * n)]
+    return _stage_factory(f"h point n={n}", "metric_point, potential_point, E, margin",
+                          ["q"], lines, [f"({', '.join(f'f * {x}' for x in G)},)",
+                                         f"({', '.join(dh)},)"])
+
 
 def jacobi_metric(sys: MechanicalSystem, E: float) -> JacobiMetric:
     """Build the Jacobi metric of a system at energy E.
 
     The chart domain of h additionally requires ``E - U > margin``, with
     ``margin = 1e-6 * max(|E|, 1e-6)``; the conformal factor is exposed so
-    the rescaling formulas can be applied to it directly.
+    the rescaling formulas can be applied to it directly.  h has a point
+    evaluator (see :func:`_point_factory`) when the system's metric and
+    potential both have one.
     """
     margin = 1e-6 * max(abs(E), 1e-6)
     pot = sys.potential
@@ -92,6 +121,8 @@ def jacobi_metric(sys: MechanicalSystem, E: float) -> JacobiMetric:
 
     h = conformal_rescale(sys.metric, factor, extra_guard=guard,
                           name=f"jacobi({sys.name or sys.metric.name})")
+    if sys.metric.point is not None and pot.point is not None:
+        h = replace(h, point=_point_factory(h.dim)(sys.metric.point, pot.point, float(E), margin))
     return JacobiMetric(system=sys, E=float(E), margin=float(margin), factor=factor, h=h)
 
 
@@ -100,8 +131,7 @@ class GeodesicRecord:
     """Arc-length samples of a geodesic of the Jacobi metric ``metric``.
 
     ``t_of_s`` pairs every arc-length sample with the dynamical time
-    accumulated through ``dt/ds = 1 / (2(E-U))``; ``cache``, the h-cache,
-    is built on first use.
+    ``t = ∫ ds / (2(E-U))``; ``cache``, the h-cache, is built on first use.
     """
 
     s: np.ndarray
@@ -134,51 +164,6 @@ class GeodesicRecord:
         return CurveGeometry(self.metric, self.points)
 
 
-@functools.lru_cache(maxsize=None)
-def _geodesic_factory(n: int):
-    """``make(metric_point, potential_point, E, margin)``, which returns the
-    h-geodesic stage of dimension n on point evaluators, generated on first
-    use (see :func:`_geodesic_stage`)."""
-    q, v, u = (_names(x, n, 1) for x in "qvu")
-    g, d, G, D = _names("g", n, 2), _names("d", n, 3), _names("G", n, 2), _names("D", n, 3)
-    nn = n * n
-    body, accel = _kernel_source(n, ["0.0"] * n)
-    lines = [*_point_source(n, "G", "D"),
-             "w = E - U",
-             "f = 2.0 * w",
-             "if not (isfinite(f) and f > 0.0 and w > margin):",
-             '    raise ChartDomainError(f"chart domain: point {list(q)} outside valid region")',
-             *(f"df{k} = -2.0 * {u[k]}" for k in range(n)),
-             *(f"{g[ij]} = f * {G[ij]}" for ij in range(nn)),
-             *(f"{d[k * nn + ij]} = df{k} * {G[ij]} + f * {D[k * nn + ij]}"
-               for k in range(n) for ij in range(nn)),
-             *body]
-    return _stage_factory(f"h-geodesic stage n={n}", "metric_point, potential_point, E, margin",
-                          q + v + ["tau"], lines, v + accel + ["0.5 / w"])
-
-
-def _geodesic_stage(jm: JacobiMetric, n: int):
-    """The right-hand side ``(s, q_0, ..., u_{n-1}, t) -> (u, acceleration,
-    dt/ds)`` of the h-geodesic equation, a tuple of 2n + 1 floats.
-
-    With point evaluators on the system it runs the generated stage: the
-    point kernel on ``h`` and its partials built by the product rule from
-    one evaluation of g and of U at the stage's point, ``h = f g``, ``d_k
-    h_ij = d_k f g_ij + f d_k g_ij`` with ``f = 2(E - U)`` and ``df = -2
-    dU``, the order in which ``conformal_rescale`` evaluates them.
-    Otherwise it evaluates the Christoffel symbols of ``jm.h``.
-    """
-    metric, potential = jm.system.metric, jm.system.potential
-    if metric.point is not None and potential.point is not None:
-        return _geodesic_factory(n)(metric.point, potential.point, jm.E, jm.margin)
-
-    def stage(s, *y):
-        q, u = y[:n], y[n:2 * n]
-        acc = -np.einsum('ijk,j,k->i', christoffel(jm.h, q), u, u)
-        return (*u, *acc.tolist(), 0.5 / jm.clearance(q))
-    return stage
-
-
 RK45_RTOL = 1e-10
 RK45_ATOL = 1e-12
 """Tolerances of the adaptive solver of :func:`integrate_geodesic`."""
@@ -188,12 +173,13 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
                        method: str = "rk4") -> GeodesicRecord:
     """Integrate the geodesic equation of h from a point and direction.
 
-    ``dir0`` is normalized to unit h-length; dynamical time is accumulated
-    alongside.  The fixed-step RK4 path is the default; ``method="rk45"``
-    uses an adaptive solver with dense output, which is the right tool
-    near turning points where the h-Christoffel symbols blow up.  Reaching
-    the forbidden region truncates the record and sets the flag rather
-    than raising.
+    ``dir0`` is normalized to unit h-length; the geodesic is the Newton
+    orbit of ``jm.free_system``.  The fixed-step RK4 path is the default,
+    and its ``t_of_s`` is Simpson's rule on ``dt/ds = 1 / (2(E - U))``;
+    ``method="rk45"`` uses an adaptive solver with dense output, which is
+    the right tool near turning points where the h-Christoffel symbols blow
+    up, and carries t as one more state.  Reaching the forbidden region
+    truncates the record and sets the flag rather than raising.
     """
     q0 = np.asarray(q0, dtype=float)
     jm.check_clear(q0)
@@ -205,17 +191,19 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
     u0 = dir0 / nrm
     s0, s1 = float(s_span[0]), float(s_span[1])
     n = q0.size
-    y0 = np.concatenate([q0, u0, [0.0]])
-    stage = _geodesic_stage(jm, n)
+    stage = _stage(jm.free_system)
 
     if method == "rk45":
+        def rate(s, y):
+            return np.array((*stage(s, *y[:2 * n].tolist()), 0.5 / jm.clearance(y[:n])))
+
         def clear_event(s, y):
             return jm.clearance(y[:n]) - jm.margin
 
         clear_event.terminal = True
         clear_event.direction = -1
-        sol = solve_ivp(lambda s, y: np.array(stage(s, *y.tolist())), (s0, s1), y0,
-                        method="RK45", rtol=RK45_RTOL, atol=RK45_ATOL, dense_output=True,
+        sol = solve_ivp(rate, (s0, s1), np.concatenate([q0, u0, [0.0]]), method="RK45",
+                        rtol=RK45_RTOL, atol=RK45_ATOL, dense_output=True,
                         events=clear_event)
         s_end = float(sol.t[-1])
         truncated = sol.status == 1
@@ -234,9 +222,11 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
 
     n_steps = max(1, int(round((s1 - s0) / step)))
     h = (s1 - s0) / n_steps
-    ys = _rk4(stage, y0, s0, n_steps, h, check=check)
-    return GeodesicRecord(s0 + h * np.arange(len(ys)), ys[:, :n], ys[:, n:2 * n],
-                          ys[:, 2 * n], jm.h, truncated=len(ys) <= n_steps)
+    ys = _rk4(stage, np.concatenate([q0, u0]), s0, n_steps, h, check=check)
+    s = s0 + h * np.arange(len(ys))
+    points = ys[:, :n]
+    return GeodesicRecord(s, points, ys[:, n:], cumulative_simpson(
+        1.0 / jm.factor_values(points), s), jm.h, truncated=len(ys) <= n_steps)
 
 
 def geodesic_from_trajectory(traj: Trajectory) -> GeodesicRecord:
@@ -412,19 +402,17 @@ def _geodesic_positions_at_times(jm: JacobiMetric, geo: GeodesicRecord, times):
     recorded pairing.
     """
     times = np.asarray(times, dtype=float)
-    n = geo.points.shape[1]
-    if geo.dense is not None:
-        sol = geo.dense.sol
-        s = PchipInterpolator(geo.t_of_s, geo.s)(times)
-        s = np.clip(s, geo.s[0], geo.s[-1])
-        for _ in range(6):
-            ys = sol(s)
-            t_err = ys[2 * n] - times
-            w2 = 2.0 * jm.clearance(ys[:n].T)
-            s = np.clip(s - t_err * w2, geo.s[0], geo.s[-1])
-        return sol(s)[:n].T
     s = PchipInterpolator(geo.t_of_s, geo.s)(times)
-    return CubicSpline(geo.s, geo.points, axis=0)(s)
+    if geo.dense is None:
+        return CubicSpline(geo.s, geo.points, axis=0)(s)
+    n, sol = geo.points.shape[1], geo.dense.sol
+    s = np.clip(s, geo.s[0], geo.s[-1])
+    for _ in range(6):
+        ys = sol(s)
+        t_err = ys[2 * n] - times
+        w2 = 2.0 * jm.clearance(ys[:n].T)
+        s = np.clip(s - t_err * w2, geo.s[0], geo.s[-1])
+    return sol(s)[:n].T
 
 
 def maupertuis_roundtrip(sys: MechanicalSystem, q0, v0, t_span,

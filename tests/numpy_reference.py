@@ -4,9 +4,11 @@ Numpy: the classical RK4 loop on float64 arrays, and the right-hand sides
 of the Newton and h-geodesic flows as numpy arithmetic on the batched
 evaluators.  Lists: the RK4 loop on a list of Python floats with its
 Newton, linearized-flow and h-geodesic stages on point evaluators, each
-looping over the state and the indices at run time.  The generated loop and
-stages of :mod:`jacobistab.dynamics` and :mod:`jacobistab.jacobi` are
-pinned against both."""
+looping over the state and the indices at run time.  Both h-geodesic
+references carry the dynamical time t as a last state, with rate
+``1 / (2(E - U))``; the list one builds h by the product rule from g and U
+itself.  The generated loops and stages of :mod:`jacobistab.dynamics` and
+the point evaluator of h are pinned against both."""
 
 import math
 
@@ -16,6 +18,7 @@ from scipy.interpolate import CubicSpline
 from jacobistab.errors import ChartDomainError
 from jacobistab.geometry import (_HUGE, _NORMAL, _kernel_source, _lapack_inverse, _names,
                                  christoffel)
+from jacobistab.numdiff import cumulative_simpson
 
 
 def numpy_rk4(rhs, y0, t0, n_steps, h, check=None):
@@ -69,6 +72,12 @@ def geodesic_rhs(jm):
     return rhs
 
 
+def simpson_time(jm, points, s):
+    """The dynamical time along h-geodesic samples: Simpson's rule on
+    ``dt/ds = 1 / (2(E - U))`` over the s-grid."""
+    return cumulative_simpson(1.0 / jm.factor_values(points), s)
+
+
 def list_rk4(rhs, y0, t0, n_steps, h, check=None):
     """Classical fixed-step RK4 on a list of Python floats; ``rhs(t, y)``
     takes and returns lists.  Each update is formed in floats in the order
@@ -102,7 +111,7 @@ def point_kernel(n):
     """``kernel(q, g, dg, dU, v)``: ``-Γ(v, v) - g^-1 dU`` at one point as a
     list, from flat row-major sequences of floats, by the kernel source the
     generated stages inline."""
-    body, accel = _kernel_source(n, _names("u", n, 1))
+    body, accel = _kernel_source(n)
     source = "\n".join([
         "def kernel(q, g, dg, dU, v):",
         f"    ({', '.join(_names('g', n, 2))},) = g",

@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from jacobistab import cli, numdiff, verify
+from jacobistab import cli, jacobi, numdiff, verify
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -64,6 +64,34 @@ def test_traced_linearization_binds_newton_arguments(tracer_module):
     assert st.count["newton.steps"] == 3 * round(2.0 * np.pi / 1e-3)
     metrics = tracer_module.round_metrics(st, (), ())
     assert metrics["dynamics.integrate_newton.distinct_ratio"] == 1.0
+
+
+def test_traced_roundtrip_binds_the_geodesic(tracer_module):
+    # the round trip integrates one rk4 and one rk45 geodesic; the tracer
+    # counts the steps of each record it returns
+    tr = tracer_module.Tracer()
+    tr.install()
+    traced, records = jacobi.integrate_geodesic, []
+
+    def recording(*args, **kwargs):
+        records.append(traced(*args, **kwargs))
+        return records[-1]
+
+    jacobi.integrate_geodesic = recording
+    try:
+        tr.begin_round()
+        results = verify.check_roundtrip()
+        tr.end_round()
+    finally:
+        jacobi.integrate_geodesic = traced
+        tr.uninstall()
+    assert all(r.passed for r in results)
+    st = tr.rounds[0]
+    assert st.calls["jacobi.integrate_geodesic"] == 2
+    assert [r.dense is not None for r in records] == [False, True]
+    assert st.count["geodesic.steps"] == sum(len(r) - 1 for r in records)
+    assert jacobi.integrate_geodesic.__module__ == "jacobistab.jacobi"
+    assert not hasattr(jacobi.integrate_geodesic, "__wrapped__")
 
 
 def test_traced_lemma_suite_binds_sample_count(tracer_module):

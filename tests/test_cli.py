@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jacobistab import cli
-from jacobistab.cli import main, parse_config_text
+from jacobistab.cli import build_parser, main, parse_config_text
 from jacobistab.errors import ConfigError
 from jacobistab.systems import builtin_setup
 
@@ -69,7 +69,7 @@ potential = cos(q1)
 energy = 0.5
 q0 = 1.5707963267948966, 0.0
 v0 = 0.0, 1.0
-t_span = 0.0, 0.05
+t_span = 0.0, 0.5
 s_span = 0.0, 0.05
 direction = 0.0, 1.0
 step = 0.005
@@ -90,7 +90,9 @@ variation.count = 1
             if line.split(" =")[0] not in cli._CUSTOM_KEYS).replace("custom", "sphere-cos"),
 ], ids=["custom", "builtin"])
 def test_every_config_key_is_read(tmp_path, monkeypatch, text):
-    # a key that is parsed and then never read does nothing when set
+    # a key that is accepted and then never read does nothing when set: each
+    # subcommand runs on the keys it accepts and reads every one of them,
+    # except ``system`` in a subcommand that builds no system
     read = set()
 
     class Recording(dict):
@@ -105,10 +107,22 @@ def test_every_config_key_is_read(tmp_path, monkeypatch, text):
     parse = cli.parse_config_text
     monkeypatch.setattr(cli, "parse_config_text", lambda t: Recording(parse(t)))
     cfg = tmp_path / "every.cfg"
-    cfg.write_text(text + f"out = {tmp_path / 'o'}\n")
-    assert main(["simulate", "--config", str(cfg)]) == 0
-    keys = set(parse_config_text(cfg.read_text()))
-    assert keys - read == set()
+    out = tmp_path / "o"
+    out.mkdir()                         # report reads a directory that exists
+    for command, (_, needs_system) in cli._COMMANDS.items():
+        lines = text if needs_system else text.splitlines()[0] + "\n"
+        if hasattr(build_parser().parse_args([command]), "tolerance"):
+            lines += "tolerance.energy-drift = 1e-8\n"      # the default
+        cfg.write_text(lines + f"out = {out}\n")
+        argv = [command, "--config", str(cfg)]
+        if command == "verify-all":
+            argv += ["--checks", "energy-drift"]
+        read.clear()
+        assert main(argv) == 0, command
+        keys = set(parse_config_text(cfg.read_text()))
+        assert keys - read == (set() if needs_system else {"system"}), command
+    # the system subcommands ran on every key of the grammar
+    keys = set(parse_config_text(text)) | {"out"}
     if "metric" in keys:
         assert keys == cli._SCALAR_KEYS | cli._LIST_KEYS
     else:
@@ -536,6 +550,19 @@ class TestInputValidation:
     def test_bad_number_exit_2(self, tmp_path, capsys, command, lines, message):
         self._exits_2(tmp_path, capsys, command, lines, message)
 
+    @pytest.mark.parametrize("command, lines, key", [
+        ("simulate", "tolerance.theorem1 = 1e-30\n", "tolerance.theorem1"),
+        ("second-variation", "tolerance.theorem1 = 1e-30\n", "tolerance.theorem1"),
+        ("verify-all", "seed = 3\n", "seed"),
+        ("verify-all", "step = 0.5\n", "step"),
+        ("verify-lemmas", "q0 = 1, 0\n", "q0"),
+        ("report", "tolerance.theorem1 = 1e-5\n", "tolerance.theorem1"),
+    ])
+    def test_unread_key_exit_2(self, tmp_path, capsys, command, lines, key):
+        # a subcommand would run as if a key it does not read were not there
+        self._exits_2(tmp_path, capsys, command, lines,
+                      f"config error: {key}: not read by {command}")
+
     @pytest.mark.parametrize("lines, key", [
         ("potential = 100*q1\nmetric.g.1.1 = 5\n", "potential"),
         ("metric.g.1.1 = 5\n", "metric.g.1.1"),
@@ -608,8 +635,12 @@ def test_every_output_file_goes_through_the_cli_writer(harmonic_cfg, tmp_path, m
         write(path, text)
 
     monkeypatch.setattr(cli, "_write_text_atomic", spy)
+    config = harmonic_cfg
+    if command == "verify-lemmas":          # it reads tolerance keys only
+        config = tmp_path / "tolerance.cfg"
+        config.write_text("tolerance.lemma-fd = 1e-4\n")
     out = tmp_path / "o"
-    assert main([command, "--config", harmonic_cfg, "--out", str(out)]) == 0
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
     assert {p.name for p in out.iterdir()} == written
 
 

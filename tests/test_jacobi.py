@@ -4,7 +4,8 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from jacobistab import jacobi
-from jacobistab.dynamics import CurveGeometry, DeviationField, integrate_newton
+from jacobistab.dynamics import (CurveGeometry, DeviationField, Trajectory, integrate_deviation,
+                                 integrate_newton)
 from jacobistab.errors import ForbiddenRegionError
 from jacobistab.geometry import cov_derivative_along
 from jacobistab.jacobi import (integrate_geodesic, jacobi_metric,
@@ -13,6 +14,7 @@ from jacobistab.jacobi import (integrate_geodesic, jacobi_metric,
                                relation_equal_energy)
 from jacobistab.systems import builtin_setup
 from jacobistab.variation import make_proper_variation
+from jacobistab.verify import DEFAULT_TOLERANCES
 from numpy_reference import numpy_rk4
 
 FREE = builtin_setup("flat-free")
@@ -92,6 +94,53 @@ class TestIntegrateGeodesic:
         jm = jacobi_metric(FREE.system, 0.5)
         with pytest.raises(ValueError):
             integrate_geodesic(jm, [0.0, 0.0], [0.0, 0.0], (0.0, 1.0), 1e-3)
+
+
+class TestGeodesicTime:
+    """``t_of_s`` of an RK4 record is the dynamical time of the orbit it
+    reparametrizes."""
+
+    def test_flat_free_time_is_s_over_2E(self):
+        traj = integrate_newton(FREE.system, FREE.q0, FREE.v0, FREE.t_span, FREE.step)
+        geo = integrate_geodesic(traj.jm, FREE.q0, FREE.v0, (0.0, float(traj.geo.s[-1])),
+                                 FREE.step)
+        assert np.array_equal(geo.t_of_s, geo.s / (2.0 * traj.energy))
+
+    @pytest.mark.parametrize("name", ["sphere-cos", "flat-harmonic"])
+    def test_end_time_is_the_trajectory_end_time(self, name):
+        su = builtin_setup(name)
+        traj = integrate_newton(su.system, su.q0, su.v0, su.t_span, su.step)
+        geo = integrate_geodesic(traj.jm, su.q0, su.v0, (0.0, float(traj.geo.s[-1])), su.step)
+        assert not geo.truncated
+        assert abs(geo.t_of_s[-1] - traj.times[-1]) < 1e-11
+
+
+def h_jacobi_field(jm, geo, J0, DJ0) -> DeviationField:
+    """The Jacobi field of h along an RK4 geodesic record from s = 0: the
+    linearized flow of the free system of h along the record viewed as its
+    trajectory, with s as the time."""
+    orbit = Trajectory(geo.s, geo.points, geo.tangents, energy=0.5, step=geo.s[1],
+                       energy_drift=0.0, system=jm.free_system)
+    return integrate_deviation(orbit, J0, DJ0)
+
+
+class TestHJacobiField:
+    def test_sphere_free_first_conjugate_point_at_pi(self):
+        jm = jacobi_metric(SPHERE_FREE.system, 0.5)     # h = g
+        geo = integrate_geodesic(jm, SPHERE_FREE.q0, SPHERE_FREE.v0, (0.0, 3.5), 1e-3)
+        J = h_jacobi_field(jm, geo, np.zeros(2), np.array([1.0, 0.0])).V[:, 0]
+        k = int(np.argmax(J[1:] <= 0.0)) + 1        # the first sign change after s = 0
+        assert J[k - 1] > 0.0 >= J[k] and k > 1
+        zero = geo.s[k - 1] + J[k - 1] / (J[k - 1] - J[k]) * (geo.s[k] - geo.s[k - 1])
+        assert abs(zero - np.pi) < DEFAULT_TOLERANCES["conjugate-point-arc"]
+
+    def test_flat_free_field_is_linear(self):
+        jm = jacobi_metric(FREE.system, 0.5)
+        geo = integrate_geodesic(jm, FREE.q0, FREE.v0, (0.0, 2.0), 1e-3)
+        J0, DJ0 = np.array([0.3, -0.2]), np.array([0.5, 1.0])
+        field = h_jacobi_field(jm, geo, J0, DJ0)
+        assert np.max(np.abs(field.V - (J0 + geo.s[:, None] * DJ0))) < 1e-12
+        assert np.array_equal(field.DV, np.broadcast_to(DJ0, field.DV.shape))
 
 
 class TestSOfT:

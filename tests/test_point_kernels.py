@@ -22,7 +22,7 @@ from jacobistab.geometry import ChartMetric, ScalarField
 from jacobistab.jacobi import RK45_ATOL, RK45_RTOL, integrate_geodesic, jacobi_metric
 from jacobistab.systems import BUILTIN_SYSTEMS, SAMPLE_BOXES, all_setups, builtin_setup
 from numpy_reference import (geodesic_rhs, list_deviation_rhs, list_geodesic_rhs,
-                             list_newton_rhs, list_rk4, newton_rhs, numpy_rk4)
+                             list_newton_rhs, list_rk4, newton_rhs, numpy_rk4, simpson_time)
 
 SETUPS = {su.name: su for su in all_setups()}
 
@@ -78,19 +78,62 @@ def test_point_evaluators_equal_batched(name, unit, v):
     assert np.array_equal(acc, sys.acceleration(p, np.asarray(v)))
 
 
-@pytest.mark.parametrize("name", BUILTIN_SYSTEMS)
+def sampled(name):
+    """The system, its energy at the reference initial data and a box of
+    sample points, for a built-in or for ``"chart3"``."""
+    if name == "chart3":
+        sys, q0, v0 = custom(CHART3)
+        return sys, sys.energy(q0, v0), (np.full(3, -2.5), np.full(3, 2.5))
+    su = SETUPS[name]
+    lo, hi = (np.asarray(b) for b in SAMPLE_BOXES[su.system.metric.name])
+    return su.system, su.system.energy(su.q0, su.v0), (lo, hi)
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_SYSTEMS, "chart3"])
 def test_point_evaluators_equal_batched_at_many_points(name):
     # one rounding step transcribed otherwise shows at a few points in a
-    # thousand: the sphere's sin^2 as s*s differs at 163 of 200000
-    su = SETUPS[name]
-    sys = su.system
-    lo, hi = (np.asarray(b) for b in SAMPLE_BOXES[su.system.metric.name])
-    for p in np.random.default_rng(11).uniform(lo, hi, (5000, 2)):
+    # thousand: the sphere's sin^2 as s*s differs at 163 of 200000.  CHART3
+    # is compiled: its q^2 is C pow on floats and numpy's power in a batch,
+    # so its point evaluators agree to roundoff, and h's with them
+    sys, E, (lo, hi) = sampled(name)
+    jm = jacobi_metric(sys, E)
+    clear = 0
+    for p in np.random.default_rng(11).uniform(lo, hi, (5000, lo.size)):
         q = p.tolist()
         g, dg = sys.metric.point(q)
         U, dU = sys.potential.point(q)
-        assert (g == tuple(sys.metric.g(p).ravel()) and dg == tuple(sys.metric.dg(p).ravel())
+        same = (g == tuple(sys.metric.g(p).ravel()) and dg == tuple(sys.metric.dg(p).ravel())
                 and U == sys.potential(p) and dU == tuple(sys.potential.grad_components(p)))
+        assert same or name == "chart3"
+        h = jm.h.point(q)
+        assert (h is not None) == jm.h.contains(p)
+        if h is not None:
+            clear += 1
+            want = tuple(jm.h.g(p).ravel()), tuple(jm.h.dg(p).ravel())
+            if same:
+                assert h == want
+            else:
+                assert np.allclose(h[0] + h[1], want[0] + want[1], rtol=1e-15, atol=0.0)
+    # the samples reach the forbidden region of these three
+    assert clear > 0
+    assert (clear < 5000) == (name in ("uniform-gravity", "sphere-cos", "chart3"))
+
+
+def test_h_point_evaluator_none_at_the_margin():
+    # uniform gravity, U = q1, at an energy whose margin E - q1 takes exactly
+    # at q1 below; the points step across it by one ulp
+    E, q1 = 0.5000000000143778, 0.4999995000143778
+    jm = jacobi_metric(SETUPS["uniform-gravity"].system, E)
+    assert E - q1 == jm.margin
+    nones = []
+    for k in range(-4, 5):
+        p = np.array([q1 + k * np.spacing(q1), 0.3])
+        h = jm.h.point(p.tolist())
+        assert (h is not None) == jm.h.contains(p)
+        if h is not None:
+            assert h == (tuple(jm.h.g(p).ravel()), tuple(jm.h.dg(p).ravel()))
+        nones.append(h is None)
+    assert nones == [False] * 4 + [True] * 5         # clear above the margin only
 
 
 @pytest.mark.parametrize("name", BUILTIN_SYSTEMS)
@@ -143,7 +186,8 @@ def test_float_rk4_equals_numpy_rk4(name):
     ys = numpy_rk4(geodesic_rhs(jm), y0, 0.0, len(geo) - 1, geo.s[1],
                    check=lambda y: jm.check_clear(y[:n]))
     assert not geo.truncated
-    assert np.array_equal(np.hstack([geo.points, geo.tangents, geo.t_of_s[:, None]]), ys)
+    assert np.array_equal(np.hstack([geo.points, geo.tangents]), ys[:, :2 * n])
+    assert np.array_equal(geo.t_of_s, simpson_time(jm, ys[:, :n], geo.s))
     sol = integrate_geodesic(jm, q0, v0, (0.0, s1), step, method="rk45").dense
     ref = solve_ivp(geodesic_rhs(jm), (0.0, s1), y0, method="RK45", rtol=RK45_RTOL,
                     atol=RK45_ATOL)
@@ -215,7 +259,8 @@ def test_generated_loops_equal_list_reference(name):
     ys = list_rk4(list_geodesic_rhs(jm), y0, 0.0, len(geo) - 1, geo.s[1],
                   check=lambda y: jm.check_clear(y[:n]))
     assert not geo.truncated and len(geo) == n_steps + 1
-    assert np.array_equal(np.hstack([geo.points, geo.tangents, geo.t_of_s[:, None]]), ys)
+    assert np.array_equal(np.hstack([geo.points, geo.tangents]), ys[:, :2 * n])
+    assert np.array_equal(geo.t_of_s, simpson_time(jm, ys[:, :n], geo.s))
 
 
 class TestFailures:
@@ -297,7 +342,8 @@ class TestFailures:
 
 class TestNoSilentFallback:
     """No RK4 stage of a system with point evaluators calls the batched
-    acceleration or Christoffel symbols."""
+    acceleration or Christoffel symbols; without point evaluators, the
+    Newton orbit and the h-geodesic both step on the batched acceleration."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -314,7 +360,7 @@ class TestNoSilentFallback:
             return christoffel(*args, **kwargs)
 
         monkeypatch.setattr(dynamics.MechanicalSystem, "acceleration", counted_acceleration)
-        for module in (geometry, dynamics, jacobi):
+        for module in (geometry, dynamics):
             monkeypatch.setattr(module, "christoffel", counted_christoffel)
         return counts
 
@@ -335,5 +381,6 @@ class TestNoSilentFallback:
         # the counters do see the batched path
         ref = batched(sys)
         integrate_newton(ref, q0, v0, (0.0, 0.01), 1e-3)
+        assert counts == {"acceleration": 40, "christoffel": 0}
         integrate_geodesic(jacobi_metric(ref, traj.energy), q0, v0, (0.0, 0.01), 1e-3)
-        assert counts == {"acceleration": 40, "christoffel": 40}
+        assert counts == {"acceleration": 80, "christoffel": 0}
