@@ -12,17 +12,18 @@ brute-force oracle differentiates perturbed nonlinear runs instead.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ChartDomainError, EnergyDriftError, GeometryError
-from .geometry import (ChartMetric, SampledCurve, ScalarField, _christoffel, _kernel_source,
-                       _mv, _names, _point_source, _quad, _stage_factory, _sum, christoffel,
-                       cov_derivative_along, hessian_form, riemann)
+from .geometry import (ChartMetric, PointSource, SampledCurve, ScalarField, _christoffel,
+                       _const, _fold, _kernel_source, _mv, _names, _prod, _quad,
+                       _stage_factory, _sum, christoffel, cov_derivative_along, hessian_form,
+                       riemann)
 
 @dataclass(frozen=True)
 class MechanicalSystem:
@@ -208,27 +209,53 @@ def _left_chart(t, exc) -> ChartDomainError:
 
 
 @functools.lru_cache(maxsize=None)
-def _newton_factory(n: int) -> Callable:
-    """``make(metric_point, potential_point)``, which returns the Newton
-    stage of dimension n on point evaluators, generated on first use: one
-    call of each point evaluator, then the point kernel of
-    :func:`~jacobistab.geometry._kernel_source` inlined."""
+def _newton_factory(metric: PointSource, potential: PointSource) -> Callable:
+    """``make(params)``, which returns the Newton stage of the point sources
+    ``metric`` and ``potential``, generated once per pair of sources: the
+    sources inlined, their locals and parameters named with ``m`` and
+    ``p`` before them (see :meth:`~jacobistab.geometry.PointSource.inline`),
+    then the point kernel of :func:`~jacobistab.geometry._kernel_source`
+    on their entries, with their structural zeros folded.  Folding changes
+    no bits where the entries and the velocity are finite; where the
+    velocity or the acceleration is not, the stage forms the acceleration
+    again with nothing folded, which gives the NaN and inf of the unfolded
+    kernel.
+
+    A coordinate that is not finite, or a point outside the metric's chart,
+    raises ``ChartDomainError`` where :meth:`ChartMetric.check_point`
+    would, and the stage raises it again naming the stage time.
+    """
+    n = metric.dim
     q, v = _names("q", n, 1), _names("v", n, 1)
-    body, accel = _kernel_source(n)
-    lines = ["try:", *(f"    {line}" for line in _point_source(n)),
+    coords = ", ".join(q)
+    outside = f'raise ChartDomainError(f"chart domain: point {{[{coords}]}} outside valid region")'
+    g_lines, (g, d) = metric.inline("m", outside)
+    u_lines, (_, u) = potential.inline("p", outside)
+    a = _names("a", n, 1)
+    body, accel = _kernel_source(n, f"({coords},)", g, d, u)
+    # the same kernel with every zero entry a local: nothing folds
+    unfolded = [[x if _const(x) != 0.0 else "nz" if math.copysign(1.0, _const(x)) < 0 else "z"
+                 for x in entries] for entries in (g, d, u)]
+    exact, accel_exact = _kernel_source(n, f"({coords},)", *unfolded)
+    lines = ["try:", f"    if not ({' and '.join(f'isfinite({x})' for x in q)}):",
+             f"        {outside}", *(f"    {line}" for line in g_lines + u_lines),
              "except ChartDomainError as exc:",
              "    raise _left_chart(t, exc) from exc",
-             *body]
-    return _stage_factory(f"newton stage n={n}", "metric_point, potential_point",
-                          ["t", *q, *v], lines, v + accel, _left_chart=_left_chart)
+             *body, f"{', '.join(a)}, = {', '.join(accel)},",
+             f"if not isfinite({' + '.join(v + a)}):",
+             "    z, nz = 0.0, -0.0", *(f"    {line}" for line in exact),
+             f"    {', '.join(a)}, = {', '.join(accel_exact)},"]
+    params = ", ".join([*metric.bind("m"), *potential.bind("p")])
+    return _stage_factory(f"newton stage n={n}", params, ["t", *q, *v], lines, v + a,
+                          _left_chart=_left_chart)
 
 
 def _stage(sys: MechanicalSystem):
     """The right-hand side ``(t, q_0, ..., v_{n-1}) -> (v, acceleration)``
     of the equations of motion, a tuple of 2n floats.
 
-    A system with point evaluators runs the generated stage of
-    :func:`_newton_factory`; any other system runs
+    A system with point sources runs the stage :func:`_newton_factory`
+    generates from them; any other system runs
     :meth:`MechanicalSystem.acceleration`.  A chart-domain error at a
     stage is raised again naming the stage time.  The geodesics of a
     Jacobi metric step on the stage of its free system.
@@ -236,7 +263,8 @@ def _stage(sys: MechanicalSystem):
     metric, potential = sys.metric, sys.potential
     n = metric.dim
     if metric.point is not None and potential.point is not None:
-        return _newton_factory(n)(metric.point, potential.point)
+        return _newton_factory(metric.point, potential.point)(
+            **metric.point.bind("m"), **potential.point.bind("p"))
 
     def stage(t, *y):
         try:
@@ -362,26 +390,37 @@ def hessian_operator(traj: Trajectory, dev: DeviationField) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _deviation_factory(n: int) -> Callable:
+def _deviation_factory(n: int, zero: tuple) -> Callable:
     """``make(table, row)``, which returns the linearized-flow stage of
-    dimension n, generated on first use (see :func:`_deviation_stage`)."""
+    dimension n, generated once per n and per ``zero``, the flags of the
+    Γ, R and A columns that are ±0 at every row (see
+    :func:`_deviation_stage`)."""
     r = range(n)
     V, W = _names("V", n, 1), _names("W", n, 1)
-    coefficients = _names("G", n, 3) + _names("R", n, 4) + _names("A", n, 2) + _names("x", n, 1)
-    lines = [f"({', '.join(coefficients)},) = table[row[t]].tolist()"]
-    lines += [f"p{i}_{j}_{k} = G{i}_{j}_{k} * x{j}" for i in r for j in r for k in r]
+    coefficients = _names("G", n, 3) + _names("R", n, 4) + _names("A", n, 2)
+    value = {name: None if z else name for name, z in zip(coefficients, zero)}
+    columns = [name for name in coefficients if value[name]] + _names("x", n, 1)
+    lines = [f"({', '.join(columns)},) = table[row[t]].tolist()"]
+    for i in r:
+        for j in r:
+            for k in r:
+                value[f"p{i}_{j}_{k}"] = _prod(value[f"G{i}_{j}_{k}"], f"x{j}")
+                if value[f"p{i}_{j}_{k}"]:
+                    lines.append(f"p{i}_{j}_{k} = {value[f'p{i}_{j}_{k}']}")
+                    value[f"p{i}_{j}_{k}"] = f"p{i}_{j}_{k}"
 
     def gamma(i, F):        # Γ(qdot, F)^i
-        return _sum([f"p{i}_{j}_{k} * {F}{k}" for j in r for k in r])
+        return _sum(_prod(value[f"p{i}_{j}_{k}"], f"{F}{k}") for j in r for k in r)
 
     def curvature(i):       # (R(qdot, V)qdot)^i
-        return _sum([f"R{i}_{a}_{b}_{e} * x{a} * V{b} * x{e}" for a in r for b in r for e in r])
+        return _sum(_prod(value[f"R{i}_{a}_{b}_{e}"], f"x{a}", f"V{b}", f"x{e}")
+                    for a in r for b in r for e in r)
 
     def force(i):           # (A V)^i
-        return _sum([f"A{i}_{j} * V{j}" for j in r])
+        return _sum(_prod(value[f"A{i}_{j}"], f"V{j}") for j in r)
 
     returns = ([f"W{i} - ({gamma(i, 'V')})" for i in r]
-               + [f"-({curvature(i)}) - ({force(i)}) - ({gamma(i, 'W')})" for i in r])
+               + [_fold(f"-({curvature(i)}) - ({force(i)}) - ({gamma(i, 'W')})") for i in r])
     return _stage_factory(f"deviation stage n={n}", "table, row", ["t", *V, *W], lines, returns)
 
 
@@ -399,15 +438,24 @@ def _deviation_stage(traj: Trajectory):
     which gives its bits.  ``A V`` is summed the same way, which differs
     from BLAS's ``matmul`` in the last bit where a row of ``A`` has more
     than one nonzero entry.
+
+    A Γ, R or A column whose samples are all ±0 has a spline that is ±0 at
+    every stage time.  It is left out of the table, and its products are
+    dropped from those sums, which changes no bits (see
+    :func:`~jacobistab.geometry._sum`).
     """
+    from scipy.interpolate import CubicSpline
+
     cache, times, h = traj.cache, traj.times, traj.step
     parts = (cache.gamma, cache.riem, cache.hess_U_raised, traj.velocities)
-    spline = CubicSpline(times, np.concatenate(
-        [a.reshape(len(times), -1) for a in parts], axis=1), axis=0)
+    samples = np.concatenate([a.reshape(len(times), -1) for a in parts], axis=1)
+    zero = ~samples[:, :-traj.dim].any(axis=0)
+    spline = CubicSpline(times, samples[:, np.flatnonzero(np.append(~zero, [True] * traj.dim))],
+                         axis=0)
     t = times[0] + h * np.arange(len(times) - 1)
     stage_times = np.unique(np.concatenate([t, t + 0.5 * h, t + h]))
     row = {s: k for k, s in enumerate(stage_times.tolist())}
-    return _deviation_factory(traj.dim)(spline(stage_times), row)
+    return _deviation_factory(traj.dim, tuple(zero.tolist()))(spline(stage_times), row)
 
 
 def integrate_deviation(traj: Trajectory, V0, DV0) -> DeviationField:

@@ -12,8 +12,8 @@ emitted.  :func:`compile_expression` compiles an expression, or every
 nonzero entry of a tensor of them, into one code object that is evaluated
 once per call over a whole point batch (``q1 = P[..., 0]``) with empty
 builtins, so compiled expressions meet the evaluator contract of
-:mod:`jacobistab.geometry` directly.  :func:`compile_point` compiles the
-same trees a second time for Python floats, as point evaluators.
+:mod:`jacobistab.geometry` directly.  :func:`compile_point` writes the
+same trees as float source, the point sources the RK4 stages inline.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ import ast
 import copy
 import math
 import operator
+import re
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ChartDomainError, ConfigError
-from .geometry import ChartMetric, ScalarField
+from .geometry import ChartMetric, PointSource, ScalarField, _const, point_source
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log}
 _CONSTANTS = {"pi": np.float64(math.pi)}
@@ -279,15 +280,12 @@ def compile_expression(src, dim: int):
     return fn
 
 
-_FLOAT_SCOPE = {"__builtins__": {}, "isfinite": math.isfinite, "pi": math.pi,
-                "sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log}
-
-
-def compile_point(evaluators, dim: int):
-    """The point evaluator of tensors compiled by :func:`compile_expression`:
+def compile_point(evaluators, dim: int) -> PointSource:
+    """The point source of tensors compiled by :func:`compile_expression`:
     a sequence of ``dim`` floats to one flat row-major tuple of floats per
     evaluator (a float for a scalar), computed with Python floats and the
-    ``math`` module by one compiled function.
+    ``math`` module.  Each expression tree is one local, a literal tree is
+    its literal, and a cell of no tree is a structural zero.
 
     It agrees with the evaluators to about 1e-15 relative: ``exp``, ``ln``
     and ``^`` round differently from numpy's in the last bit at some
@@ -295,38 +293,27 @@ def compile_point(evaluators, dim: int):
     complex, infinite or NaN) it evaluates the evaluators themselves at the
     point, which raise :class:`ChartDomainError` as they do.
     """
-    qs = [f"q{i + 1}" for i in range(dim)]
-    lines, slots, k = [], [], 0
+    temps, entries, check = [], [], []
     for ev in evaluators:
         cells = {}
         for tree, where in ev.tensor.entries:
             floats = _map_literals(tree, lambda value: ast.Constant(float(value)))
-            lines.append(f"    e{k} = {ast.unparse(floats)}")
-            cells.update((c, f"e{k}") for c in where)
-            k += 1
-        flat = [cells.get(c, "0.0") for c in np.ndindex(*ev.tensor.shape)]
-        slots.append(flat[0] if ev.tensor.shape == () else f"({', '.join(flat)},)")
-    check = " + ".join(["0.0"] + [f"e{j}" for j in range(k)])
-    src = "\n".join([f"def point({', '.join(qs)}):", *lines,
-                      f"    if isfinite({check}):",
-                      f"        return {', '.join(slots)},"]) + "\n"
-    scope = dict(_FLOAT_SCOPE)
-    exec(compile(src, "<point expression>", "exec"), scope)
-    fn = scope["point"]
+            text = re.sub(r"\bq(\d+)\b", lambda m: f"q{int(m.group(1)) - 1}", ast.unparse(floats))
+            if _const(text) is None:
+                temps.append((f"_e{len(temps)}", text))
+                text = temps[-1][0]
+            check.append(text)
+            cells.update((c, text) for c in where)
+        entries.append([cells.get(c) for c in np.ndindex(*ev.tensor.shape)])
 
-    def point(q):
-        try:
-            out = fn(*q)
-        except (ArithmeticError, ValueError, TypeError):
-            out = None
-        if out is None:
-            p = np.array(q, dtype=float)
-            values = (np.ravel(ev(p)).tolist() for ev in evaluators)
-            out = tuple(v[0] if ev.tensor.shape == () else tuple(v)
-                        for ev, v in zip(evaluators, values))
-        return out
+    def fallback(q):
+        p = np.array(q, dtype=float)
+        values = (np.ravel(ev(p)).tolist() for ev in evaluators)
+        return tuple(v[0] if ev.tensor.shape == () else tuple(v)
+                     for ev, v in zip(evaluators, values))
 
-    return point
+    return point_source(dim, [ev.tensor.shape for ev in evaluators], temps, entries,
+                        fallback=fallback, check=check)
 
 
 def _derived(entries, dim: int) -> tuple:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -98,10 +99,11 @@ class ChartMetric:
     d2g_eval : optional points -> (..., n, n, n, n),
         ``d2g[..., k, l, i, j] = d_k d_l g_ij``.
     domain_guard : points -> boolean mask (...) of valid chart points.
-    point : optional point evaluator: a sequence of n floats ``q`` to
-        ``(g, dg)``, flat row-major float tuples bitwise equal to
-        ``g_eval`` and ``dg_eval`` at ``q``, or None where ``q`` fails
-        ``domain_guard``.  The RK4 stages use it (see :func:`_kernel_source`).
+    point : optional :class:`PointSource`, a point evaluator as float
+        source: a sequence of n floats ``q`` to ``(g, dg)``, flat row-major
+        float tuples bitwise equal to ``g_eval`` and ``dg_eval`` at ``q``,
+        or None where ``q`` fails ``domain_guard``.  The RK4 stages inline
+        it (see :func:`_kernel_source`).
 
     Evaluator outputs that broadcast to the contracted shape (a constant
     matrix, say) are broadcast.
@@ -113,7 +115,7 @@ class ChartMetric:
     d2g_eval: Optional[Callable[[Point], np.ndarray]] = None
     domain_guard: Callable[[Point], np.ndarray] = field(default=_finite)
     name: str = ""
-    point: Optional[Callable] = None
+    point: Optional[PointSource] = None
 
     def contains(self, p) -> np.ndarray:
         """Mask ``(...)`` of the points inside the chart domain."""
@@ -201,15 +203,15 @@ class ScalarField:
     ``value(p)`` returns ``(...)`` values, ``partials(p)`` the ``(..., n)``
     array of d_j f, ``second_partials(p)`` the ``(..., n, n)`` array
     d_j d_l f.  Missing evaluators fall back to central differences of
-    ``value``.  The optional point evaluator ``point`` takes a sequence of
-    n floats to ``(f, df)``, a float and a tuple of n floats bitwise equal
-    to ``value`` and ``partials`` there.
+    ``value``.  The optional :class:`PointSource` ``point`` takes a
+    sequence of n floats to ``(f, df)``, a float and a tuple of n floats
+    bitwise equal to ``value`` and ``partials`` there.
     """
 
     value: Callable[[Point], np.ndarray]
     partials: Optional[Callable[[Point], np.ndarray]] = None
     second_partials: Optional[Callable[[Point], np.ndarray]] = None
-    point: Optional[Callable] = None
+    point: Optional[PointSource] = None
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
@@ -374,7 +376,7 @@ def validate_metric_at(metric: ChartMetric, p) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Point kernels
+# Point sources and point kernels
 # ---------------------------------------------------------------------------
 
 # Diagonal entries in [_NORMAL, _HUGE] have finite reciprocals, which equal
@@ -382,15 +384,155 @@ def validate_metric_at(metric: ChartMetric, p) -> None:
 _NORMAL = 2.2250738585072014e-308
 _HUGE = 1.7976931348623157e308
 
+# the text of an expression of numeric literals only, and a source-local name
+_CONSTANT = re.compile(r"(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|[-+*/()<=> ])+")
+_LOCAL = re.compile(r"(?<![\w.])_(?=\w)")
+
+
+def _fold(text: str) -> str:
+    """``text``, or its value when it is an expression of numeric literals
+    whose value is finite: computed as the generated code would compute it,
+    so folding it changes no bits."""
+    if not _CONSTANT.fullmatch(text):
+        return text
+    try:
+        value = eval(text, {"__builtins__": {}})
+    except (ArithmeticError, SyntaxError, ValueError):
+        return text
+    if isinstance(value, bool) or math.isfinite(value):
+        return repr(value)
+    return text
+
+
+def _const(value) -> Optional[float]:
+    """The number an entry holds when it is a literal (0.0 for a structural
+    zero, None), else None."""
+    if value is None:
+        return 0.0
+    if _CONSTANT.fullmatch(value):
+        try:
+            return float(value)
+        except ValueError:          # an expression of literals
+            pass
+    return None
+
+
+def _lit(value) -> str:
+    """The text of an entry, a structural zero written as ``0.0``."""
+    return "0.0" if value is None else value
+
+
+def _prod(*factors) -> Optional[str]:
+    """Source of the product of ``factors``, or None when a factor is zero:
+    the product is then ±0 wherever its factors are finite."""
+    if any(_const(f) == 0.0 for f in factors):
+        return None
+    return _fold(" * ".join(factors))
+
+
+def _sum(terms) -> str:
+    """Source of ``0.0 + t0 + t1 + ...``, added from the left as einsum does.
+
+    A term that is None (a product with a zero factor, ±0) is dropped: a sum
+    that starts at 0.0 is never -0.0, and adding ±0 to it changes nothing."""
+    return _fold(" + ".join(["0.0", *(t for t in terms if t is not None)]))
+
 
 def _names(prefix: str, n: int, rank: int) -> list:
     """Names of the entries of a rank-``rank`` tensor in row-major order."""
     return [prefix + "_".join(map(str, ix)) for ix in np.ndindex(*(n,) * rank)]
 
 
-def _sum(terms) -> str:
-    """Source of ``0.0 + t0 + t1 + ...``, added from the left as einsum does."""
-    return " + ".join(["0.0", *terms])
+@dataclass(frozen=True)
+class PointSource:
+    """A point evaluator as float source: Python float arithmetic on the
+    coordinates ``q0 ... q{n-1}`` that the RK4 stages inline.
+
+    ``lines`` are statements; the locals they bind and the parameters they
+    read are named with a leading underscore, and a line ``OUTSIDE`` marks
+    the point as outside the chart.  ``entries`` holds, for each output (a
+    float where its shape in ``shapes`` is ``()``, else a flat row-major
+    tuple), the text of every entry: a literal, a name, or None for a
+    structural zero, an entry that is 0.0 wherever the evaluator is
+    defined.  ``params`` pairs each parameter with its value; it is not
+    part of the source, so sources that differ only in their parameters
+    (the same system at two energies, say) compare equal and share one
+    compiled stage.
+
+    Called on a sequence of n floats, it runs its source (compiled once
+    per source) and returns its outputs, or None outside the chart.
+    """
+
+    dim: int
+    shapes: tuple
+    lines: tuple
+    entries: tuple
+    params: tuple = field(default=(), compare=False, repr=False)
+
+    def __call__(self, q):
+        return self._point(q)
+
+    @functools.cached_property
+    def _point(self) -> Callable:
+        return _point_factory(self)(**self.bind(""))
+
+    def inline(self, prefix: str, outside: str) -> tuple:
+        """The lines and entries with ``prefix`` put before every local and
+        parameter name, and each ``OUTSIDE`` line replaced by the
+        statement ``outside``."""
+        def rename(text):
+            return _LOCAL.sub(prefix + "_", text)
+
+        lines = [line.replace("OUTSIDE", outside) if line.strip() == "OUTSIDE"
+                 else rename(line) for line in self.lines]
+        return lines, tuple(tuple(None if e is None else rename(e) for e in out)
+                            for out in self.entries)
+
+    def bind(self, prefix: str) -> dict:
+        """The parameters, named as :meth:`inline` names them."""
+        return {_LOCAL.sub(prefix + "_", name): value for name, value in self.params}
+
+
+def point_source(dim: int, shapes, temps, entries, guard: str = "", params=(),
+                 fallback=None, check=()) -> PointSource:
+    """The :class:`PointSource` of an evaluator given by its locals ``temps``,
+    ``(name, expression)`` pairs computed in order, and its ``entries``.
+
+    Where ``guard``, a condition on the coordinates, is false, the point is
+    outside the chart.  With a ``fallback``, a function of the point tuple
+    to the outputs (or None outside the chart), an exception in ``temps``
+    or a sum of the entries ``check`` that is not finite calls the fallback
+    instead, and the locals that are entries are read from its outputs.
+    """
+    lines = [f"if not ({guard}):", "    OUTSIDE"] if guard else []
+    assigns = [f"{name} = {text}" for name, text in temps]
+    check = _sum(check)
+    if fallback is None or (not assigns and _const(check) is not None):
+        return PointSource(dim, tuple(shapes), (*lines, *assigns), tuple(map(tuple, entries)),
+                           tuple(params))
+    local, read = {name for name, _ in temps}, {}
+    for k, (shape, out) in enumerate(zip(shapes, entries)):
+        for j, e in enumerate(out):
+            if e in local:
+                read.setdefault(e, f"_out[{k}]" if shape == () else f"_out[{k}][{j}]")
+    lines += ["try:", *(f"    {a}" for a in assigns), f"    _ok = isfinite({check})",
+              "except (ArithmeticError, ValueError, TypeError):", "    _ok = False",
+              "if not _ok:", f"    _out = _fallback(({', '.join(_names('q', dim, 1))},))",
+              "    if _out is None:", "        OUTSIDE",
+              *(f"    {name} = {value}" for name, value in read.items())]
+    return PointSource(dim, tuple(shapes), tuple(lines), tuple(map(tuple, entries)),
+                       (*params, ("_fallback", fallback)))
+
+
+@functools.lru_cache(maxsize=None)
+def _point_factory(source: PointSource) -> Callable:
+    """``make(params)``, which returns the point evaluator of ``source``,
+    compiled once per source."""
+    lines, entries = source.inline("", "return None")
+    returns = [_lit(out[0]) if shape == () else f"({', '.join(map(_lit, out))},)"
+               for shape, out in zip(source.shapes, entries)]
+    return _stage_factory(f"point n={source.dim}", ", ".join(source.bind("")), ["q"],
+                          [f"{', '.join(_names('q', source.dim, 1))}, = q", *lines], returns)
 
 
 def _det(m) -> str:
@@ -406,90 +548,124 @@ def _lapack_inverse(q, g, n: int) -> list:
     return _inverse(np.array(g).reshape(n, n), q).ravel().tolist()
 
 
-def _kernel_source(n: int) -> tuple:
+def _inverse_source(n: int, point: str, g) -> tuple:
+    """Lines that invert the n x n matrix of entries ``g`` (see
+    :func:`_kernel_source`), and the entries of the inverse: a name, a
+    literal, or None where it is ±0 on every branch."""
+    r = range(n)
+    off = [(a, e) for a in r for e in r if a != e]
+    diagonal = all(_const(g[a][e]) == 0.0 for a, e in off)
+    test = [_fold(f"{_lit(g[a][e])} == 0.0") for a, e in off]
+    test += [_fold(f"{_NORMAL!r} <= {_lit(g[a][a])} <= {_HUGE!r}") for a in r]
+    names = np.array(_names("i", n, 2)).reshape(n, n).tolist()
+    # where g is diagonal, every branch gives ±0 (or raises) off the diagonal
+    inv = [[None if diagonal and a != e else names[a][e] for e in r] for a in r]
+    if all(t == "True" for t in test):          # diagonal wherever g is defined
+        lines = []
+        for a in r:
+            x = _fold(f"1.0 / {_lit(g[a][a])}")
+            if _const(x) is None:
+                lines.append(f"{names[a][a]} = {x}")
+                x = names[a][a]
+            inv[a][a] = x
+        return lines, inv
+    lit = [[_lit(x) for x in row] for row in g]
+    inverse = f"({', '.join(_names('i', n, 2))},)"
+    flat = ", ".join(x for row in lit for x in row)
+    lapack = f"{inverse} = _lapack_inverse({point}, ({flat},), {n})"
+    if n <= 3:          # closed form; LAPACK where it is singular or not finite
+        def minor(a, e):
+            return [row[:e] + row[e + 1:] for k, row in enumerate(lit) if k != a]
+        ok = "isfinite(det) and det != 0.0"
+        general = [f"det = {_fold(_det(lit))}", f"if {ok}:"]
+        general += [f"    {names[a][e]} = {'-' * ((a + e) % 2)}({_det(minor(e, a))}) / det"
+                    for a in r for e in r]
+        general += [f"if not ({ok} and isfinite({' + '.join(_names('i', n, 2))})):",
+                    f"    {lapack}"]
+    else:
+        general = [lapack]
+    if "False" in test:
+        return general, inv
+    lines = [f"if {' and '.join(t for t in test if t != 'True')}:"]
+    lines += [f"    {names[a][e]} = {f'1.0 / {lit[a][a]}' if a == e else '0.0'}"
+              for a in r for e in r if a == e or not diagonal]
+    return lines + ["else:", *(f"    {line}" for line in general)], inv
+
+
+def _kernel_source(n: int, point: str = "q", g=None, d=None, u=None) -> tuple:
     """The point kernel of dimension n as source: ``-Γ(v, v) - g^-1 dU``
     at one point.
 
     Returns the lines that invert g and form Γ, and the n expressions of
-    the acceleration.  They read g, its partials, the partials of U and the
-    velocity from the locals ``g{i}_{j}``, ``d{k}_{i}_{j}``, ``u{k}`` and
-    ``v{k}`` (see :func:`_names`) and the point from the sequence ``q``.
+    the acceleration.  ``g``, ``d`` and ``u`` are the flat entries of g,
+    of its partials ``d_k g_ij`` and of the partials of U: names, literals,
+    or None for a structural zero (see :class:`PointSource`); by default
+    the locals ``g{i}_{j}``, ``d{k}_{i}_{j}`` and ``u{k}`` (see
+    :func:`_names`).  The velocity is read from the locals ``v{k}`` and the
+    point from the expression ``point``.
 
     The source is unrolled for n.  It forms every term of ``_bracket``,
     ``_christoffel``, ``Γ(v, v)`` and ``_mv`` as the batched path does and
     adds them from 0.0 in einsum's order (which decides the bits of
     ``Γ(v, v)``; with a diagonal g every other sum has one nonzero term).
+    Structural zeros are folded: a product with a zero factor is dropped
+    from these sums, which are led by 0.0, and anywhere else the literal
+    0.0 stands in its place and the operation is kept; an expression of
+    literals only is replaced by its value.  Each changes no bits where the
+    entries and the velocity are finite.
+
     A diagonal g is inverted by reciprocals, which equal LAPACK's inverse,
     so there the kernel reproduces :meth:`MechanicalSystem.acceleration`
     bit for bit.  Any other g is inverted in closed form up to n = 3, which
     differs from LAPACK's inverse (and its fused sums in ``_mv``) in the
     last bits, and by LAPACK above n = 3 or where g is singular or not
-    finite (raising ``DegenerateMetricError`` for ``q`` as
+    finite (raising ``DegenerateMetricError`` for the point as
     :meth:`ChartMetric.g_inv` does).
     """
     r = range(n)
-    g, d, b, c, i = (np.array(_names(x, n, k)).reshape((n,) * k).tolist()
-                     for x, k in (("g", 2), ("d", 3), ("b", 3), ("c", 3), ("i", 2)))
-    inverse = f"({', '.join(_names('i', n, 2))},)"
-    lapack = f"{inverse} = _lapack_inverse(q, ({', '.join(_names('g', n, 2))},), {n})"
-    diagonal = " and ".join([f"{g[a][e]} == 0.0" for a in r for e in r if a != e]
-                            + [f"_NORMAL <= {g[a][a]} <= _HUGE" for a in r])
-    lines = [f"if {diagonal}:",
-             f"    {inverse} = "
-             f"{', '.join(f'1.0 / {g[a][a]}' if a == e else '0.0' for a in r for e in r)},",
-             "else:"]
-    if n <= 3:          # closed form; LAPACK where it is singular or not finite
-        def minor(a, e):
-            return [row[:e] + row[e + 1:] for k, row in enumerate(g) if k != a]
-        ok = "isfinite(det) and det != 0.0"
-        lines += [f"    det = {_det(g)}", f"    if {ok}:"]
-        lines += [f"        {i[a][e]} = {'-' * ((a + e) % 2)}({_det(minor(e, a))}) / det"
-                  for a in r for e in r]
-        lines += [f"    if not ({ok} and isfinite({' + '.join(_names('i', n, 2))})):",
-                  f"        {lapack}"]
-    else:
-        lines += [f"    {lapack}"]
-    # b_ijk = d_i g_jk + d_j g_ik - d_k g_ij, Γ^l_ij = 0.5 g^lk b_ijk
-    lines += [f"{b[x][y][z]} = {d[x][y][z]} + {d[y][x][z]} - {d[z][x][y]}"
-              for x in r for y in r for z in r]
-    lines += [f"{c[l][x][y]} = 0.5 * ({_sum([f'{i[l][k]} * {b[x][y][k]}' for k in r])})"
-              for l in r for x in r for y in r]
-    accel = [f"-({_sum([f'{c[l][x][y]} * v{x} * v{y}' for x in r for y in r])})"
-             f" - ({_sum([f'{i[l][k]} * u{k}' for k in r])})" for l in r]
+    g = _names("g", n, 2) if g is None else g
+    d = _names("d", n, 3) if d is None else d
+    u = _names("u", n, 1) if u is None else u
+    lines, i = _inverse_source(n, point, [[g[a * n + e] for e in r] for a in r])
+
+    def bound(name, text):
+        """``text`` as a literal, or bound to the local ``name``."""
+        if _const(text) is None:
+            lines.append(f"{name} = {text}")
+            return name
+        return text
+
+    def dk(k, x, y):
+        return _lit(d[(k * n + x) * n + y])
+
+    # b_ijk = d_i g_jk + d_j g_ik - d_k g_ij, Γ^l_ij = 0.5 g^lk b_ijk; a b
+    # that no nonzero product reads is not formed
+    brackets = {f"b{x}_{y}_{z}": _fold(f"{dk(x, y, z)} + {dk(y, x, z)} - {dk(z, x, y)}")
+                for x in r for y in r for z in r}
+    b = {name: name if _const(text) is None else text for name, text in brackets.items()}
+    c = {(l, x, y): _fold(f"0.5 * ({_sum(_prod(i[l][k], b[f'b{x}_{y}_{k}']) for k in r)})")
+         for l in r for x in r for y in r}
+    read = set(re.findall(r"\bb\d+_\d+_\d+", " ".join(c.values())))
+    lines += [f"{name} = {text}" for name, text in brackets.items() if name in read]
+    c = {key: bound("c{}_{}_{}".format(*key), text) for key, text in c.items()}
+    accel = [_fold(f"-({_sum(_prod(c[l, x, y], f'v{x}', f'v{y}') for x in r for y in r)})"
+                   f" - ({_sum(_prod(i[l][k], u[k]) for k in r)})") for l in r]
     return lines, accel
-
-
-def _point_source(n: int) -> list:
-    """Lines that evaluate ``metric_point`` and ``potential_point`` at the
-    point ``q = (q0, ...)``.
-
-    They raise ``ChartDomainError`` where :meth:`ChartMetric.check_point`
-    would: a coordinate not finite, or a metric point evaluator that
-    returns None.  They bind the entries of g and of its partials to the
-    names :func:`_names` makes from ``g`` and ``d``, U to ``U`` and d_k U
-    to ``u{k}``, the locals :func:`_kernel_source` reads.
-    """
-    q = _names("q", n, 1)
-    return [f"q = ({', '.join(q)},)",
-            f"gd = metric_point(q) if {' and '.join(f'isfinite({x})' for x in q)} else None",
-            "if gd is None:",
-            '    raise ChartDomainError(f"chart domain: point {list(q)} outside valid region")',
-            f"({', '.join(_names('g', n, 2))},), ({', '.join(_names('d', n, 3))},) = gd",
-            f"U, ({', '.join(_names('u', n, 1))},) = potential_point(q)"]
 
 
 def _stage_factory(label: str, params: str, args, lines, returns, **env) -> Callable:
     """Compile generated source into ``make(params)``, which returns
     ``stage(*args)``: it runs ``lines`` and returns the expressions
-    ``returns`` as a tuple.  The source sees ``isfinite``,
-    ``ChartDomainError``, the names the lines of :func:`_kernel_source`
-    use and ``env``."""
+    ``returns`` as a tuple.  The source sees ``isfinite``, ``sin``,
+    ``cos``, ``exp``, ``ln`` and ``pi`` on floats, ``ChartDomainError``,
+    ``_lapack_inverse`` and ``env``."""
     source = "\n".join([f"def make({params}):",
                          f"    def stage({', '.join(args)}):",
                          *(f"        {line}" for line in lines),
                          f"        return {', '.join(returns)},",
                          "    return stage"]) + "\n"
-    scope = {"isfinite": math.isfinite, "ChartDomainError": ChartDomainError,
-             "_lapack_inverse": _lapack_inverse, "_NORMAL": _NORMAL, "_HUGE": _HUGE, **env}
+    scope = {"isfinite": math.isfinite, "sin": math.sin, "cos": math.cos, "exp": math.exp,
+             "ln": math.log, "pi": math.pi, "ChartDomainError": ChartDomainError,
+             "_lapack_inverse": _lapack_inverse, **env}
     exec(compile(source, f"<{label}>", "exec"), scope)
     return scope["make"]

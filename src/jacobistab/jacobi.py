@@ -18,22 +18,19 @@ piece that survives: the two stability operators never coincide.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .conformal import conformal_rescale
 from .dynamics import (CurveGeometry, DeviationField, MechanicalSystem,
                        Trajectory, _rk4, _stage, hessian_operator, integrate_newton)
 from .errors import ForbiddenRegionError
 from .expressions import scalar_field_from_expr
-from .geometry import (ChartMetric, SampledCurve, ScalarField, _first_point, _names,
-                       _stage_factory, cov_derivative_along)
+from .geometry import (ChartMetric, PointSource, SampledCurve, ScalarField, _const, _first_point,
+                       _lit, cov_derivative_along)
 from .numdiff import apply_stencil, cumulative_simpson
 
 
@@ -81,24 +78,37 @@ class JacobiMetric:
                                 name=self.h.name)
 
 
-@functools.lru_cache(maxsize=None)
-def _point_factory(n: int):
-    """``make(metric_point, potential_point, E, margin)``, which returns the
-    point evaluator of h of dimension n, generated on first use: ``h = f g``
-    and ``d_k h_ij = df_k g_ij + f d_k g_ij``, with ``f = 2(E - U)`` and
-    ``df = -2 dU``, formed as :func:`~jacobistab.conformal.conformal_rescale`
-    forms them from one call of each point evaluator of the system."""
-    G, D, u = _names("G", n, 2), _names("D", n, 3), _names("u", n, 1)
-    lines = ["gd = metric_point(q)", "if gd is None:", "    return None",
-             f"({', '.join(G)},), ({', '.join(D)},) = gd",
-             f"U, ({', '.join(u)},) = potential_point(q)",
-             "w = E - U", "f = 2.0 * w",
-             "if not (isfinite(f) and f > 0.0 and w > margin):", "    return None"]
-    dh = [f"-2.0 * {u[k]} * {G[ij]} + f * {D[k * n * n + ij]}"
-          for k in range(n) for ij in range(n * n)]
-    return _stage_factory(f"h point n={n}", "metric_point, potential_point, E, margin",
-                          ["q"], lines, [f"({', '.join(f'f * {x}' for x in G)},)",
-                                         f"({', '.join(dh)},)"])
+def _point_source(metric: PointSource, potential: PointSource, E: float,
+                  margin: float) -> PointSource:
+    """The point source of h from the point sources of the system: its own
+    sources inlined, then ``h = f g`` and ``d_k h_ij = df_k g_ij + f d_k g_ij``,
+    with ``f = 2(E - U)`` and ``df = -2 dU``, formed as
+    :func:`~jacobistab.conformal.conformal_rescale` forms them.  The point
+    is outside where ``not (isfinite(f) and f > 0 and E - U > margin)``.
+
+    There f is finite and positive, so an entry of h is a structural zero
+    where g's is, and an entry of dh where dg's is and g's or dU's is: it
+    is ``±0 + f * 0.0``, which is 0.0.  E and the margin are parameters, so
+    the Jacobi metrics of one system at any energy share one source.
+    """
+    n = metric.dim
+    g_lines, (G, D) = metric.inline("_g", "OUTSIDE")
+    u_lines, (U, dU) = potential.inline("_u", "OUTSIDE")
+    lines = [*g_lines, *u_lines, f"_w = _E - {_lit(U[0])}", "_f = 2.0 * _w",
+             "if not (isfinite(_f) and _f > 0.0 and _w > _margin):", "    OUTSIDE"]
+    h = [None if _const(x) == 0.0 else f"_h{k}" for k, x in enumerate(G)]
+    lines += [f"{name} = _f * {x}" for name, x in zip(h, G) if name]
+    dh = []
+    for k in range(n):
+        for ij, x in enumerate(G):
+            y = D[k * n * n + ij]
+            zero = _const(y) == 0.0 and 0.0 in (_const(x), _const(dU[k]))
+            dh.append(None if zero else f"_dh{len(dh)}")
+            if dh[-1]:
+                lines.append(f"{dh[-1]} = -2.0 * {_lit(dU[k])} * {_lit(x)} + _f * {_lit(y)}")
+    params = {**metric.bind("_g"), **potential.bind("_u"), "_E": float(E), "_margin": margin}
+    return PointSource(n, metric.shapes, tuple(lines), (tuple(h), tuple(dh)),
+                       tuple(params.items()))
 
 
 def jacobi_metric(sys: MechanicalSystem, E: float) -> JacobiMetric:
@@ -107,7 +117,7 @@ def jacobi_metric(sys: MechanicalSystem, E: float) -> JacobiMetric:
     The chart domain of h additionally requires ``E - U > margin``, with
     ``margin = 1e-6 * max(|E|, 1e-6)``; the conformal factor is exposed so
     the rescaling formulas can be applied to it directly.  h has a point
-    evaluator (see :func:`_point_factory`) when the system's metric and
+    source (see :func:`_point_source`) when the system's metric and
     potential both have one.
     """
     margin = 1e-6 * max(abs(E), 1e-6)
@@ -122,7 +132,7 @@ def jacobi_metric(sys: MechanicalSystem, E: float) -> JacobiMetric:
     h = conformal_rescale(sys.metric, factor, extra_guard=guard,
                           name=f"jacobi({sys.name or sys.metric.name})")
     if sys.metric.point is not None and pot.point is not None:
-        h = replace(h, point=_point_factory(h.dim)(sys.metric.point, pot.point, float(E), margin))
+        h = replace(h, point=_point_source(sys.metric.point, pot.point, E, margin))
     return JacobiMetric(system=sys, E=float(E), margin=float(margin), factor=factor, h=h)
 
 
@@ -192,13 +202,21 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
     s0, s1 = float(s_span[0]), float(s_span[1])
     n = q0.size
     stage = _stage(jm.free_system)
+    point, E, margin = jm.system.potential.point, jm.E, jm.margin
 
     if method == "rk45":
+        from scipy.integrate import solve_ivp
+
+        def clearance(q):
+            # E - U from the potential's point source where it has one
+            return E - point(q)[0] if point is not None else jm.clearance(np.array(q))
+
         def rate(s, y):
-            return np.array((*stage(s, *y[:2 * n].tolist()), 0.5 / jm.clearance(y[:n])))
+            y = y.tolist()
+            return np.array((*stage(s, *y[:2 * n]), 0.5 / clearance(y[:n])))
 
         def clear_event(s, y):
-            return jm.clearance(y[:n]) - jm.margin
+            return clearance(y[:n].tolist()) - margin
 
         clear_event.terminal = True
         clear_event.direction = -1
@@ -212,8 +230,6 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
         ys = sol.sol(s).T
         return GeodesicRecord(s, ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n], jm.h,
                               truncated=truncated, dense=sol)
-
-    point, E, margin = jm.system.potential.point, jm.E, jm.margin
 
     def check(y):
         # the batched check, which raises, only where the float test fails
@@ -317,6 +333,8 @@ def _multiplier(traj: Trajectory, lam_rate) -> np.ndarray:
     ``lam`` in it, so each step is Simpson's rule on the spline: it is
     evaluated once, as arrays, at the stage times of :func:`_rk4`, and the
     steps are summed in :func:`_rk4`'s order, which gives its bits."""
+    from scipy.interpolate import CubicSpline
+
     h = traj.step
     t = traj.times[0] + h * np.arange(len(traj) - 1)
     rate = CubicSpline(traj.times, lam_rate)
@@ -401,6 +419,8 @@ def _geodesic_positions_at_times(jm: JacobiMetric, geo: GeodesicRecord, times):
     (ds = dt * 2(E-U)); otherwise by monotone interpolation of the
     recorded pairing.
     """
+    from scipy.interpolate import CubicSpline, PchipInterpolator
+
     times = np.asarray(times, dtype=float)
     s = PchipInterpolator(geo.t_of_s, geo.s)(times)
     if geo.dense is None:

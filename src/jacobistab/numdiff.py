@@ -2,15 +2,17 @@
 
 Central differences (:func:`central_diff`, :func:`central_diff2`) give
 partials of a function that can be evaluated anywhere.  Sampled data are
-differentiated by one scheme, :func:`local_derivative`: a sliding
-polynomial stencil on arbitrarily spaced nodes, 7 points wide along a
-curve, so that truncation errors stay well below the identity tolerances.
+differentiated by one scheme: a sliding polynomial stencil on arbitrarily
+spaced nodes, 7 points wide along a curve, so that truncation errors stay
+well below the identity tolerances.
 
-The stencil weights depend only on the grid.
-:func:`stencil_weights` builds them (one Vandermonde solve per node) and
-:func:`apply_stencil` applies them; a sampled curve keeps the weights of its
-own parameter grid (:attr:`~jacobistab.geometry.SampledCurve.stencil`), so
-every field differentiated along it reuses one solve.
+The stencil weights depend only on the grid.  :func:`stencil_weights`
+builds them (one Vandermonde solve per node) and :func:`apply_stencil`
+applies them; these two are what the package calls.  A sampled curve keeps
+the weights of its own parameter grid
+(:attr:`~jacobistab.geometry.SampledCurve.stencil`), so every field
+differentiated along it reuses one solve.  :func:`local_derivative` is the
+one-shot form of the two, for a single field on a grid of its own.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import MechanicalSystem
 from .expressions import metric_from_exprs, scalar_field_from_expr
-from .geometry import ChartMetric, ScalarField, _dot
+from .geometry import ChartMetric, ScalarField, _dot, point_source
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +29,20 @@ from .geometry import ChartMetric, ScalarField, _dot
 # The sphere and the hyperbolic metric stay hand-written: compiled from
 # expressions (the sphere's partial as 2 sin θ cos θ, not sin 2θ) they
 # differ in the last bits, which moves recorded residuals.
+
+# at one point numpy's sine is a float64 scalar, which it squares with C pow
+# as Python does (an array it squares as x*x)
+_SPHERE_POINT = point_source(
+    2, ((2, 2), (2, 2, 2)), (("_s", "sin(q0) ** 2"), ("_d", "sin(2.0 * q0)")),
+    (("1.0", None, None, "_s"), (None, None, None, "_d", None, None, None, None)),
+    guard="0.0 < q0 < pi")
+
+# numpy's float power is not C pow: the cube goes through numpy
+_HYPERBOLIC_POINT = point_source(
+    2, ((2, 2), (2, 2, 2)), (("_a", "1.0 / (q1 * q1)"), ("_d", "-2.0 / float(_power(q1, 3))")),
+    (("_a", None, None, "_a"), (None, None, None, None, "_d", None, None, "_d")),
+    guard="q1 > 0.0", params=(("_power", np.power),))
+
 
 def flat_metric(dim: int = 2) -> ChartMetric:
     """Euclidean metric on R^n."""
@@ -54,18 +68,9 @@ def sphere_metric() -> ChartMetric:
         out[..., 0, 0, 1, 1] = 2.0 * np.cos(2.0 * p[..., 0])
         return out
 
-    def point(q):
-        # at one point numpy's sine is a float64 scalar, which it squares
-        # with C pow as Python does (an array it squares as x*x)
-        theta = q[0]
-        if not 0.0 < theta < math.pi:
-            return None
-        return ((1.0, 0.0, 0.0, math.sin(theta) ** 2),
-                (0.0, 0.0, 0.0, math.sin(2.0 * theta), 0.0, 0.0, 0.0, 0.0))
-
     return ChartMetric(dim=2, g_eval=g, dg_eval=dg, d2g_eval=d2g,
                        domain_guard=lambda p: (0.0 < p[..., 0]) & (p[..., 0] < np.pi),
-                       name="sphere", point=point)
+                       name="sphere", point=_SPHERE_POINT)
 
 
 def hyperbolic_metric() -> ChartMetric:
@@ -86,18 +91,9 @@ def hyperbolic_metric() -> ChartMetric:
         out[..., 1, 1, 1, 1] = 6.0 / p[..., 1] ** 4
         return out
 
-    def point(q):
-        # numpy's float power is not C pow: the cube goes through numpy
-        y = q[1]
-        if not y > 0.0:
-            return None
-        a = 1.0 / (y * y)
-        d = -2.0 / float(np.power(y, 3))
-        return (a, 0.0, 0.0, a), (0.0, 0.0, 0.0, 0.0, d, 0.0, 0.0, d)
-
     return ChartMetric(dim=2, g_eval=g, dg_eval=dg, d2g_eval=d2g,
                        domain_guard=lambda p: p[..., 1] > 0.0,
-                       name="hyperbolic", point=point)
+                       name="hyperbolic", point=_HYPERBOLIC_POINT)
 
 
 def conformal_flat_metric(dim: int = 2) -> ChartMetric:
@@ -174,7 +170,9 @@ def _fma(a: float, b: float, c: float) -> float:
 # multiply-add, which no expression reproduces.
 _HARMONIC = ScalarField(value=lambda q: 0.5 * _dot(q, q), partials=lambda q: q,
                         second_partials=lambda q: np.eye(2),
-                        point=lambda q: (0.5 * _fma(q[1], q[1], q[0] * q[0]), tuple(q)))
+                        point=point_source(2, ((), (2,)),
+                                           (("_u", "0.5 * _fma(q1, q1, q0 * q0)"),),
+                                           (("_u",), ("q0", "q1")), params=(("_fma", _fma),)))
 
 # name: metric, potential, q0, v0, t_span
 _PRESETS = {

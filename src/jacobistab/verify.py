@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .conformal import lemma_residuals
 from .dynamics import (DeviationField, integrate_deviation, integrate_newton,
@@ -227,6 +225,9 @@ def check_theorems(n_variations: int = 10, system_names=None):
 
 def check_conjugate_point():
     """First conjugate point of the unit-sphere equator at arc length pi."""
+    from scipy.interpolate import CubicSpline
+    from scipy.optimize import brentq
+
     su = builtin_setup("sphere-free")
     traj = _orbit(su, (0.0, 3.5))
     dev = integrate_deviation(traj, np.zeros(2), np.array([1.0, 0.0]))

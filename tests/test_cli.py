@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +29,17 @@ def harmonic_cfg(tmp_path):
     path = tmp_path / "harmonic.cfg"
     path.write_text(HARMONIC_CFG)
     return str(path)
+
+
+def test_importing_the_cli_loads_no_scipy_subpackage():
+    # scipy.interpolate, scipy.integrate and scipy.optimize are imported
+    # where they are called, so simulate and config errors never load them
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, jacobistab.cli; print(sorted(m for m in sys.modules if m in "
+            "('scipy.interpolate', 'scipy.integrate', 'scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfigParsing:

@@ -17,10 +17,11 @@ from jacobistab import dynamics, geometry, jacobi
 from jacobistab.cli import Experiment, build_parser, main, parse_config_text
 from jacobistab.dynamics import (MechanicalSystem, brute_force_deviation, integrate_deviation,
                                  integrate_newton)
-from jacobistab.errors import ChartDomainError
-from jacobistab.geometry import ChartMetric, ScalarField
+from jacobistab.errors import ChartDomainError, GeometryError
+from jacobistab.geometry import ChartMetric, ScalarField, point_source
 from jacobistab.jacobi import RK45_ATOL, RK45_RTOL, integrate_geodesic, jacobi_metric
-from jacobistab.systems import BUILTIN_SYSTEMS, SAMPLE_BOXES, all_setups, builtin_setup
+from jacobistab.systems import (BUILTIN_SYSTEMS, SAMPLE_BOXES, all_setups, builtin_setup,
+                               mechanical_system, metric_by_name)
 from numpy_reference import (geodesic_rhs, list_deviation_rhs, list_geodesic_rhs,
                              list_newton_rhs, list_rk4, newton_rhs, numpy_rk4, simpson_time)
 
@@ -216,10 +217,14 @@ def test_non_diagonal_metric_agrees_with_batched():
 
 
 def test_singular_metric_raises_as_batched():
-    potential = ScalarField(value=lambda p: 0.0 * p[..., 0], point=lambda q: (0.0, (0.0, 0.0)))
+    # constant point sources: the literals fold, the NaN is a parameter
+    potential = ScalarField(value=lambda p: 0.0 * p[..., 0],
+                            point=point_source(2, ((), (2,)), (), (("0.0",), (None, None))))
     for g in ((1.0, 2.0, 2.0, 4.0), (0.0, 0.0, 0.0, 1.0), (np.nan, 0.0, 0.0, 1.0)):
+        entries = tuple("_nan" if np.isnan(x) else repr(x) for x in g), (None,) * 8
         metric = ChartMetric(dim=2, g_eval=lambda p, g=g: np.reshape(g, (2, 2)),
-                             point=lambda q, g=g: (g, (0.0,) * 8))
+                             point=point_source(2, ((2, 2), (2, 2, 2)), (), entries,
+                                                params=(("_nan", np.nan),)))
         with pytest.raises(geometry.DegenerateMetricError) as exc:
             dynamics._stage(MechanicalSystem(metric, potential))(0.0, 0.3, 0.4, 1.0, 0.0)
         assert str(exc.value) == "degenerate metric at [0.3, 0.4]"
@@ -384,3 +389,154 @@ class TestNoSilentFallback:
         assert counts == {"acceleration": 40, "christoffel": 0}
         integrate_geodesic(jacobi_metric(ref, traj.energy), q0, v0, (0.0, 0.01), 1e-3)
         assert counts == {"acceleration": 80, "christoffel": 0}
+
+
+def test_structural_zeros_fold_to_literals():
+    # flat metric, U = q1: every Christoffel symbol is a structural zero,
+    # so the kernel forms nothing and the acceleration is a literal
+    lines, accel = geometry._kernel_source(2, "q", ["1.0", None, None, "1.0"], [None] * 8,
+                                           ["1.0", None])
+    assert lines == [] and accel == ["-1.0", "-0.0"]
+    # the sphere: 3 of 8 Christoffel symbols, one term of each sum
+    g, d = ["1.0", None, None, "s"], [None, None, None, "e", None, None, None, None]
+    lines, accel = geometry._kernel_source(2, "q", g, d, ["u0", "u1"])
+    assert sum(line.startswith("c") for line in lines) == 3
+    assert accel[0] == "-(0.0 + c0_1_1 * v1 * v1) - (0.0 + i0_0 * u0)"
+
+
+class TestCompiledOncePerSource:
+    def test_simulate_twice_compiles_the_newton_stage_once(self, tmp_path):
+        # a potential no other test uses, so the first run compiles its stage
+        cfg = tmp_path / "once.cfg"
+        cfg.write_text("system = custom\nmetric = sphere\npotential = cos(q1) + 0.0123\n"
+                       "q0 = 1.5707963267948966, 0\nv0 = 0, 1\nt_span = 0, 0.5\n")
+        misses = [dynamics._newton_factory.cache_info().misses]
+        for run in range(2):
+            assert main(["simulate", "--config", cfg.as_posix(),
+                         "--out", str(tmp_path / f"o{run}")]) == 0
+            misses.append(dynamics._newton_factory.cache_info().misses)
+        assert misses[1] == misses[0] + 1 and misses[2] == misses[1]
+
+    def test_jacobi_metrics_at_two_energies_share_one_h_stage(self):
+        sys = SETUPS["sphere-cos"].system
+        low, high = jacobi_metric(sys, 0.5), jacobi_metric(sys, 0.75)
+        assert low.h.point == high.h.point and low.h.point.bind("") != high.h.point.bind("")
+        stages = [dynamics._stage(jm.free_system) for jm in (low, high)]
+        assert stages[0].__code__ is stages[1].__code__
+        q = [1.2, 0.3, 0.4, -0.5]
+        assert stages[0](0.0, *q) != stages[1](0.0, *q)
+
+
+def pinned_newton_failure(sys, q0, v0, t_span, step):
+    """The message of a failing Newton run, checked against the list
+    reference, whose kernel folds nothing."""
+    with pytest.raises(ChartDomainError) as exc:
+        integrate_newton(sys, q0, v0, t_span, step)
+    n_steps = int(round((t_span[1] - t_span[0]) / step))
+    with pytest.raises(ChartDomainError) as ref:
+        list_rk4(list_newton_rhs(sys), np.concatenate([q0, v0]), t_span[0], n_steps, step)
+    assert str(exc.value) == str(ref.value)
+    return str(exc.value)
+
+
+class TestFailuresAsUnfolded:
+    """Leaving the chart, an expression that raises or overflows, and a
+    state that is not finite fail as the kernel with nothing folded fails,
+    with the same message at the same sample."""
+
+    def test_sphere_leaves_chart_at_the_pole(self):
+        sys = mechanical_system(metric_by_name("sphere"), "0")
+        message = pinned_newton_failure(sys, [0.3, 0.0], [-1.0, 0.0], (0.0, 1.0), 1e-3)
+        assert message.startswith("left chart domain at t=0.3: chart domain: point [")
+
+    def test_hyperbolic_leaves_chart_below_y_0(self):
+        sys = mechanical_system(metric_by_name("hyperbolic"), "0")
+        assert pinned_newton_failure(sys, [0.0, 0.01], [0.0, -1.0], (0.0, 1.0), 0.05) == (
+            "left chart domain at t=0.025: chart domain: point [0.0, -0.015000000000000001] "
+            "outside valid region")
+
+    def test_hyperbolic_partials_overflow_near_y_0(self):
+        # -2/y^3 and the velocity overflow: zero Christoffel symbols times
+        # inf make the NaN in q0 that a folded kernel would not
+        sys = mechanical_system(metric_by_name("hyperbolic"), "0")
+        assert pinned_newton_failure(sys, [0.0, 1e-100], [0.0, -1e-100], (0.0, 10.0), 0.5) == (
+            "left chart domain at t=6.25: chart domain: point [nan, inf] outside valid region")
+
+    def test_velocity_not_finite(self):
+        sys = custom("potential = 0\nq0 = 0, 0\nv0 = 1, 0\n")[0]
+        assert pinned_newton_failure(sys, [0.0, 0.0], [np.nan, 0.0], (0.0, 1.0), 1e-2) == (
+            "left chart domain at t=0.005: chart domain: point [nan, 0.0] outside valid region")
+
+    def test_expression_raises(self):
+        sys = custom("potential = ln(q1)\nq0 = 0.5, 0\nv0 = -1, 0\n")[0]
+        assert pinned_newton_failure(sys, [0.5, 0.0], [-1.0, 0.0], (0.0, 2.0), 1e-3) == (
+            "left chart domain at t=0.328: expression 'ln(q1)' undefined: "
+            "invalid value encountered in log")
+
+    def test_overflow_exits_3_with_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("system = custom\nmetric = conformal-flat\nq0 = 400, 0\nv0 = 1, 0\n")
+        for command in ("simulate", "geodesic", "deviation"):
+            assert main([command, "--config", cfg.as_posix(),
+                         "--out", str(tmp_path / "o")]) == 3
+            assert capsys.readouterr().err.splitlines() == [
+                "numerical failure: metric undefined: overflow encountered in exp"]
+
+    @pytest.mark.parametrize("q0, dir0, span, step, length", [
+        ([0.3, 0.0], [-1.0, 0.0], (0.0, 1.0), 1e-3, 300),         # the pole
+        ([0.0, 1e-100], [0.0, -1.0], (0.0, 10.0), 0.5, 13),      # the tangent overflows
+    ])
+    def test_h_geodesic_truncates_as_unfolded(self, q0, dir0, span, step, length):
+        metric = metric_by_name("sphere" if q0[1] == 0.0 else "hyperbolic")
+        jm = jacobi_metric(mechanical_system(metric, "0"), 0.5)
+        n = 2
+        geo = integrate_geodesic(jm, q0, dir0, span, step)
+        y0 = np.concatenate([q0, dir0 / jm.h.norm(np.array(q0), np.array(dir0)), [0.0]])
+        ys = list_rk4(list_geodesic_rhs(jm), y0, span[0], len(geo) - 1, step,
+                      check=lambda y: jm.check_clear(y[:n]))
+        assert geo.truncated and len(geo) == len(ys) == length
+        assert np.array_equal(np.hstack([geo.points, geo.tangents]), ys[:, :2 * n],
+                              equal_nan=True)
+
+    def test_h_geodesic_rk45_leaves_chart_as_batched(self):
+        sys = mechanical_system(metric_by_name("sphere"), "0")
+        messages = []
+        for s in (sys, batched(sys)):
+            with pytest.raises(ChartDomainError) as exc:
+                integrate_geodesic(jacobi_metric(s, 0.5), [0.3, 0.0], [-1.0, 0.0], (0.0, 1.0),
+                                   1e-3, method="rk45")
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("left chart domain at t=0.365297: chart domain: point [")
+
+    @pytest.mark.parametrize("name, V0, DV0, sample", [
+        ("flat-free", [1.7e308, 0.0], [1.7e308, 0.0], 1),
+        ("flat-free", [np.inf, 0.0], [0.0, 0.0], 0),
+        ("sphere-cos", [0.0, 1e308], [1e308, 1e308], 1),
+        ("sphere-cos", [0.0, np.nan], [0.0, 0.0], 0),
+    ])
+    def test_linearized_flow_not_finite(self, name, V0, DV0, sample):
+        su = SETUPS[name]
+        traj = integrate_newton(su.system, su.q0, su.v0, (0.0, 0.1), 1e-2)
+        with pytest.raises(GeometryError) as exc:
+            integrate_deviation(traj, V0, DV0)
+        assert str(exc.value) == (f"linearized flow not finite at sample {sample} "
+                                  f"(t={traj.times[sample]:.6g})")
+
+
+def test_rk45_reads_the_clearance_from_the_point_source(monkeypatch):
+    # the batched clearance runs once, for the start point, not at every
+    # evaluation of the adaptive solver
+    calls = []
+    clearance = jacobi.JacobiMetric.clearance
+
+    def counted(jm, p):
+        calls.append(jm.system)
+        return clearance(jm, p)
+
+    monkeypatch.setattr(jacobi.JacobiMetric, "clearance", counted)
+    su = SETUPS["sphere-cos"]
+    for sys in (su.system, batched(su.system)):
+        integrate_geodesic(jacobi_metric(sys, 0.5), su.q0, su.v0, (0.0, 0.5), 1e-3,
+                           method="rk45")
+    assert calls.count(su.system) == 1 and calls.count(batched(su.system)) > 100
