@@ -15,9 +15,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .geometry import (FD_STEP, ChartMetric, SampledCurve, ScalarField, _first_point, _mv,
-                       _quad, _second_cov, _shaped, christoffel, cov_derivative_along,
-                       riemann)
+from .geometry import (FD_STEP, ChartMetric, SampledCurve, ScalarField, _connection,
+                       _first_point, _mv, _quad, _second_cov, _shaped, christoffel,
+                       cov_derivative_along, riemann)
 from .numdiff import apply_stencil, central_diff, cumulative_simpson
 
 
@@ -207,10 +207,10 @@ def reparam_cov(metric: ChartMetric, f_along_curve, curve: SampledCurve, field):
         raise DegenerateMetricError("degenerate reparametrization: factor vanishes on the curve")
 
     dlnf = apply_stencil(curve.stencil, np.log(np.abs(f)))[..., None]
-    gammas = christoffel(metric, curve.points)
-    nab_x = cov_derivative_along(metric, curve, field, gammas=gammas)
-    nab_g = cov_derivative_along(metric, curve, curve.tangents, gammas=gammas)
-    nab2_x = cov_derivative_along(metric, curve, nab_x, gammas=gammas)
+    conn = _connection(christoffel(metric, curve.points), curve.tangents)
+    nab_x = cov_derivative_along(metric, curve, field, connection=conn)
+    nab_g = cov_derivative_along(metric, curve, curve.tangents, connection=conn)
+    nab2_x = cov_derivative_along(metric, curve, nab_x, connection=conn)
 
     f = f[..., None]
     out1 = nab_x / f
@@ -282,14 +282,14 @@ def _lemma2_residuals(metric, cf, p, w, coeff):
 
     # Direct side: differentiate with respect to the accumulated s-parameter.
     s = cumulative_simpson(f, ts)
-    gammas = christoffel(metric, pts)
     # the tangents dγ/ds are filled in from the curve's own stencil weights
     curve_s = SampledCurve(s, pts, np.empty_like(pts))
     dgds = curve_s.tangents
     dgds[...] = apply_stencil(curve_s.stencil, pts)
-    d1 = cov_derivative_along(metric, curve_s, field, gammas=gammas)
-    d2 = cov_derivative_along(metric, curve_s, dgds, gammas=gammas)
-    d3 = cov_derivative_along(metric, curve_s, d1, gammas=gammas)
+    conn = _connection(christoffel(metric, pts), dgds)
+    d1 = cov_derivative_along(metric, curve_s, field, connection=conn)
+    d2 = cov_derivative_along(metric, curve_s, dgds, connection=conn)
+    d3 = cov_derivative_along(metric, curve_s, d1, connection=conn)
 
     mid = m // 2
     res[keep] = _worst(got[0][:, mid] - d1[:, mid], got[1][:, mid] - d2[:, mid],

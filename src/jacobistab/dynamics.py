@@ -20,10 +20,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartDomainError, EnergyDriftError, GeometryError
-from .geometry import (ChartMetric, PointSource, SampledCurve, ScalarField, _christoffel,
-                       _const, _fold, _kernel_source, _mv, _names, _prod, _quad,
-                       _stage_factory, _sum, christoffel, cov_derivative_along, hessian_form,
-                       riemann)
+from .geometry import (ChartMetric, PointSource, SampledCurve, ScalarField, _apply,
+                       _christoffel, _connection, _const, _fold, _kernel_source, _mv, _names,
+                       _prod, _quad, _stage_factory, _sum, _tidal, christoffel,
+                       cov_derivative_along, hessian_form, riemann)
 
 @dataclass(frozen=True)
 class MechanicalSystem:
@@ -99,7 +99,7 @@ class Trajectory:
 
     @cached_property
     def cache(self) -> CurveGeometry:
-        return CurveGeometry(self.system.metric, self.points, self.system)
+        return CurveGeometry(self.system.metric, self.points, self.velocities, self.system)
 
     @cached_property
     def clearance(self) -> np.ndarray:
@@ -110,7 +110,7 @@ class Trajectory:
     def cov_acceleration(self) -> np.ndarray:
         """``nabla_qdot qdot`` at every sample, from 7-point stencils."""
         return cov_derivative_along(self.system.metric, self.as_curve(), self.velocities,
-                                    gammas=self.cache.gamma)
+                                    connection=self.cache.connection)
 
     @cached_property
     def jm(self):
@@ -323,17 +323,22 @@ def integrate_newton(sys: MechanicalSystem, q0, v0, t_span, step,
 
 
 class CurveGeometry:
-    """Metric and potential data cached along a batch of points.
+    """Metric and potential data cached along the samples of a curve, its
+    points and tangents.
 
-    Each field is evaluated once per trajectory in one vectorized pass over
-    all points, and the Christoffel symbols, curvature and potential terms
-    share one inverse metric, which keeps repeated operator evaluations
-    cheap.
+    Each field is evaluated once per curve in one vectorized pass over all
+    samples, and the Christoffel symbols, curvature and potential terms
+    share one inverse metric.  The tangents are contracted once per curve
+    into two matrices per sample, the connection ``C`` and the tidal
+    matrix ``K``, so that each operator applies them to a field as one
+    batched n x n product.
     """
 
-    def __init__(self, metric: ChartMetric, points, sys: Optional[MechanicalSystem] = None):
+    def __init__(self, metric: ChartMetric, points, tangents,
+                 sys: Optional[MechanicalSystem] = None):
         self.metric = metric
         self.points = np.asarray(points, dtype=float)
+        self.tangents = np.asarray(tangents, dtype=float)
         self.sys = sys
 
     @cached_property
@@ -351,6 +356,16 @@ class CurveGeometry:
     @cached_property
     def riem(self):
         return riemann(self.metric, self.points, gamma=self.gamma, ginv=self.g_inv)
+
+    @cached_property
+    def connection(self):
+        """``C^i_k = Γ^i_jk γ̇^j`` at every sample: ``Γ(γ̇, V) = C V``."""
+        return _connection(self.gamma, self.tangents)
+
+    @cached_property
+    def tidal(self):
+        """``K^l_b = R^l_abc γ̇^a γ̇^c`` at every sample: ``R(γ̇, V)γ̇ = K V``."""
+        return _tidal(self.riem, self.tangents)
 
     @cached_property
     def grad_U(self):
@@ -378,13 +393,14 @@ def hessian_operator(traj: Trajectory, dev: DeviationField) -> np.ndarray:
 
     Returns ``nabla_dot DV + K_dot(V) + nabla_V grad U`` at every sample,
     using the stored ``DV`` (so only one layer of sampled differentiation
-    happens here).
+    happens here); ``K_dot(V)`` is the trajectory's tidal matrix applied
+    to V.
     """
     _check_attached(traj, dev)
     cache = traj.cache
     term1 = cov_derivative_along(traj.system.metric, traj.as_curve(), dev.DV,
-                                 gammas=cache.gamma)
-    term2 = np.einsum('nlabc,na,nb,nc->nl', cache.riem, traj.velocities, dev.V, traj.velocities)
+                                 connection=cache.connection)
+    term2 = _apply(cache.tidal, dev.V)
     term3 = np.einsum('nij,nj->ni', cache.hess_U_raised, dev.V)
     return term1 + term2 + term3
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import functools
 import math
 import operator
 import re
@@ -243,6 +244,19 @@ def _bind_literals(node, env):
     return _map_literals(node, bind)
 
 
+def _undefined_raises(label: str, fn):
+    """The batched evaluator ``fn``, raising :class:`ChartDomainError` where
+    numpy divides by zero, overflows or meets an invalid operation, with
+    ``label`` naming what is undefined."""
+    def evaluate(p):
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                return fn(p)
+        except FloatingPointError as exc:
+            raise ChartDomainError(f"{label} undefined: {exc}") from None
+    return evaluate
+
+
 def compile_expression(src, dim: int):
     """Compile an expression string into ``points (..., dim) -> values (...)``,
     or a :class:`Tensor` into ``points -> values (..., *shape)``.
@@ -261,16 +275,14 @@ def compile_expression(src, dim: int):
     slots = [[(Ellipsis,) + cell for cell in cells] for _, cells in src.entries]
     shape, label = tuple(src.shape), src.label
 
+    @functools.partial(_undefined_raises, label)
+    def entries(p):
+        return eval(code, env, {f"q{i+1}": p[..., i] for i in range(dim)})
+
     def fn(p):
         p = np.asarray(p, dtype=float)
-        scope = {f"q{i+1}": p[..., i] for i in range(dim)}
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                values = eval(code, env, scope)
-        except FloatingPointError as exc:
-            raise ChartDomainError(f"{label} undefined: {exc}") from None
         out = np.zeros(p.shape[:-1] + shape)
-        for value, cells in zip(values, slots):
+        for value, cells in zip(entries(p), slots):
             for cell in cells:
                 out[cell] = value
         return out[()]

@@ -239,6 +239,25 @@ def as_scalar_field(f) -> ScalarField:
     return ScalarField(value=f)
 
 
+def _sample_fastest(p, *arrays) -> tuple:
+    """``arrays`` laid out with their batch axes fastest in memory when
+    ``p`` is a batch of points, as they are for a single point.
+
+    The shapes stay the same, and what an einsum forms from them inherits
+    the layout, so each einsum along a curve runs over the samples in its
+    inner loop rather than over an axis of length n.  The summed axis is
+    then not contiguous, and einsum adds its terms in order rather than in
+    two lanes of even and odd terms: the same bits for n = 2, and possibly
+    not the last bit for a dense n >= 3.  An array whose first batch axis
+    already has the smallest stride, one formed from such arrays or one
+    broadcast along the batch (a constant metric, say), is left as it is:
+    a copy would cost memory and save no time."""
+    if np.ndim(p) < 2:
+        return arrays
+    return tuple(a if a.strides[0] in (0, a.itemsize) else np.asfortranarray(a)
+                 for a in arrays)
+
+
 def _bracket(dg):
     """``d_i g_jk + d_j g_ik - d_k g_ij`` as ``out[..., i, j, k]``."""
     return dg + np.einsum('...jik->...ijk', dg) - np.einsum('...kij->...ijk', dg)
@@ -258,7 +277,8 @@ def christoffel(metric: ChartMetric, p, ginv=None) -> np.ndarray:
 
 def _christoffel(metric: ChartMetric, p, ginv) -> np.ndarray:
     """:func:`christoffel` at points already checked against the domain."""
-    return 0.5 * np.einsum('...lk,...ijk->...lij', ginv, _bracket(metric.dg(p)))
+    ginv, dg = _sample_fastest(p, ginv, metric.dg(p))
+    return 0.5 * np.einsum('...lk,...ijk->...lij', ginv, _bracket(dg))
 
 
 def christoffel_partials(metric: ChartMetric, p, ginv=None) -> np.ndarray:
@@ -271,15 +291,20 @@ def christoffel_partials(metric: ChartMetric, p, ginv=None) -> np.ndarray:
     p = metric.check_point(p)
     if metric.d2g_eval is None and metric.dg_eval is None:
         return central_diff(lambda q: christoffel(metric, q), p, FD_STEP2)
-    if ginv is None:
-        ginv = metric.g_inv(p)
-    dg = metric.dg(p)
-    d2g = metric.d2g(p)
-    dbracket = (d2g + np.einsum('...kjim->...kijm', d2g)
-                - np.einsum('...kmij->...kijm', d2g))
+    ginv, dg, d2g = _sample_fastest(p, metric.g_inv(p) if ginv is None else ginv,
+                                    metric.dg(p), metric.d2g(p))
+    # Each sum is formed in place, in the order of the expression it stands
+    # for, and d2g is dropped once read: this is the peak of a curvature
+    # build along a curve.
+    dbracket = d2g + np.einsum('...kjim->...kijm', d2g)
+    dbracket -= np.einsum('...kmij->...kijm', d2g)
+    del d2g
     dginv = -np.einsum('...la,...kab,...bm->...klm', ginv, dg, ginv)
-    return 0.5 * (np.einsum('...klm,...ijm->...klij', dginv, _bracket(dg))
-                  + np.einsum('...lm,...kijm->...klij', ginv, dbracket))
+    out = np.einsum('...klm,...ijm->...klij', dginv, _bracket(dg))
+    del dginv
+    out += np.einsum('...lm,...kijm->...klij', ginv, dbracket)
+    out *= 0.5
+    return out
 
 
 def riemann(metric: ChartMetric, p, gamma=None, ginv=None) -> np.ndarray:
@@ -291,12 +316,13 @@ def riemann(metric: ChartMetric, p, gamma=None, ginv=None) -> np.ndarray:
     ``ginv`` reuse Christoffel symbols and an inverse metric already
     evaluated at the same points.
     """
-    gam = christoffel(metric, p, ginv) if gamma is None else gamma
+    gam, = _sample_fastest(p, christoffel(metric, p, ginv) if gamma is None else gamma)
     dgam = christoffel_partials(metric, p, ginv)
-    return (-np.einsum('...albc->...labc', dgam)
-            + np.einsum('...blac->...labc', dgam)
-            - np.einsum('...lam,...mbc->...labc', gam, gam)
-            + np.einsum('...lbm,...mac->...labc', gam, gam))
+    # -A + B as B - A, which is the same float; each sum formed in place
+    out = np.einsum('...blac->...labc', dgam) - np.einsum('...albc->...labc', dgam)
+    out -= np.einsum('...lam,...mbc->...labc', gam, gam)
+    out += np.einsum('...lbm,...mac->...labc', gam, gam)
+    return out
 
 
 def hessian_form(metric: ChartMetric, f, p, gamma=None) -> np.ndarray:
@@ -313,24 +339,48 @@ def hessian_form(metric: ChartMetric, f, p, gamma=None) -> np.ndarray:
     return d2f - np.einsum('...k,...kjl->...jl', df, gam)
 
 
+def _connection(gamma, tangents) -> np.ndarray:
+    """The connection along a curve, ``C^i_k = Γ^i_jk γ̇^j`` ``(..., n, n)``,
+    from its Christoffel symbols and tangents at each sample, so that
+    ``Γ(γ̇, V) = C V``."""
+    gamma, tangents = _sample_fastest(tangents, gamma, tangents)
+    return np.einsum('...ijk,...j->...ik', gamma, tangents)
+
+
+def _tidal(riem, tangents) -> np.ndarray:
+    """The tidal matrix along a curve, ``K^l_b = R^l_abc γ̇^a γ̇^c``
+    ``(..., n, n)``, from its curvature and tangents at each sample, so
+    that ``R(γ̇, V)γ̇ = K V``."""
+    riem, tangents = _sample_fastest(tangents, riem, tangents)
+    return np.einsum('...labc,...a,...c->...lb', riem, tangents, tangents)
+
+
+def _apply(mats, field) -> np.ndarray:
+    """The matrices ``(..., n, n)`` of a curve, its connection or tidal
+    matrix, applied to the samples ``(..., n)`` of a field."""
+    mats, field = _sample_fastest(field, mats, field)
+    return np.einsum('...ik,...k->...i', mats, field)
+
+
 def cov_derivative_along(metric: ChartMetric, curve: SampledCurve, field,
-                         gammas=None) -> np.ndarray:
+                         connection=None) -> np.ndarray:
     """Covariant derivative of a sampled field along a sampled curve, or
     along each curve of a batch.
 
-    Returns ``dV^i/dparam + Γ^i_jk γ̇^j V^k`` at every sample, with
-    ``dV/dparam`` from the curve's 7-point :attr:`~SampledCurve.stencil`.
-    ``gammas`` reuses Christoffel symbols already evaluated at the samples.
+    Returns ``dV^i/dparam + C^i_k V^k`` at every sample, with
+    ``dV/dparam`` from the curve's 7-point :attr:`~SampledCurve.stencil`
+    and ``C^i_k = Γ^i_jk γ̇^j`` the connection along the curve (see
+    :func:`_connection`).  ``connection`` reuses the curve's C, already
+    formed from its Christoffel symbols and tangents.
     """
     field = np.asarray(field, dtype=float)
     if len(curve) < 3:
         raise ValueError("insufficient samples: need at least 3")
     if field.shape != curve.points.shape:
         raise ValueError("field samples must match the curve grid")
-    if gammas is None:
-        gammas = christoffel(metric, curve.points)
-    corr = np.einsum('...ijk,...j,...k->...i', gammas, curve.tangents, field)
-    return apply_stencil(curve.stencil, field) + corr
+    if connection is None:
+        connection = _connection(christoffel(metric, curve.points), curve.tangents)
+    return apply_stencil(curve.stencil, field) + _apply(connection, field)
 
 
 def orthogonal_part(g, u, v) -> np.ndarray:

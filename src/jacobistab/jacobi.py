@@ -29,8 +29,8 @@ from .dynamics import (CurveGeometry, DeviationField, MechanicalSystem,
                        Trajectory, _rk4, _stage, hessian_operator, integrate_newton)
 from .errors import ForbiddenRegionError
 from .expressions import scalar_field_from_expr
-from .geometry import (ChartMetric, PointSource, SampledCurve, ScalarField, _const, _first_point,
-                       _lit, cov_derivative_along)
+from .geometry import (ChartMetric, PointSource, SampledCurve, ScalarField, _apply, _const,
+                       _first_point, _lit, cov_derivative_along)
 from .numdiff import apply_stencil, cumulative_simpson
 
 
@@ -171,7 +171,7 @@ class GeodesicRecord:
 
     @cached_property
     def cache(self) -> CurveGeometry:
-        return CurveGeometry(self.metric, self.points)
+        return CurveGeometry(self.metric, self.points, self.tangents)
 
 
 RK45_RTOL = 1e-10
@@ -282,10 +282,9 @@ def jacobi_operator_direct(geo: GeodesicRecord, dev) -> np.ndarray:
         raise ValueError("grid mismatch: deviation samples must match the geodesic record")
     cache = geo.cache
     curve = geo.as_curve()
-    w1 = cov_derivative_along(geo.metric, curve, dev, gammas=cache.gamma)
-    w2 = cov_derivative_along(geo.metric, curve, w1, gammas=cache.gamma)
-    curv = np.einsum('nlabc,na,nb,nc->nl', cache.riem, geo.tangents, dev, geo.tangents)
-    return w2 + curv
+    w1 = cov_derivative_along(geo.metric, curve, dev, connection=cache.connection)
+    w2 = cov_derivative_along(geo.metric, curve, w1, connection=cache.connection)
+    return w2 + _apply(cache.tidal, dev)
 
 
 def _energy_constraint(traj: Trajectory, V, DV):
@@ -367,7 +366,7 @@ def equal_energy_projection(traj: Trajectory, vperp) -> DeviationField:
     _check_orthogonal(traj, vperp)
 
     dvperp = cov_derivative_along(traj.system.metric, traj.as_curve(), vperp,
-                                  gammas=cache.gamma)
+                                  connection=cache.connection)
     lam_rate = -_energy_constraint(traj, vperp, dvperp)[1] / speed2
     lam = _multiplier(traj, lam_rate)
 

@@ -7,7 +7,8 @@ spaced nodes, 7 points wide along a curve, so that truncation errors stay
 well below the identity tolerances.
 
 The stencil weights depend only on the grid.  :func:`stencil_weights`
-builds them (one Vandermonde solve per node) and :func:`apply_stencil`
+builds them (one Vandermonde solve per distinct row of node offsets, a
+few dozen on a uniform grid) and :func:`apply_stencil`
 applies them; these two are what the package calls.  A sampled curve keeps
 the weights of its own parameter grid
 (:attr:`~jacobistab.geometry.SampledCurve.stencil`), so every field
@@ -84,11 +85,16 @@ def stencil_weights(x):
     scale = np.max(np.abs(d), axis=-1, keepdims=True)
     scale[scale == 0.0] = 1.0
     ds = d / scale
-    # Solve the Vandermonde system sum_c w_c ds_c^r = delta_{r,1}.
-    vand = ds[..., None, :] ** np.arange(width)[:, None]
+    # Solve the Vandermonde system sum_c w_c ds_c^r = delta_{r,1} once per
+    # bitwise-distinct row of ds: the nodes of a uniform grid share a few
+    # dozen rows, and equal rows give equal weights.
+    rows = ds.reshape(-1, width)
+    _, first, inverse = np.unique(rows.view(np.dtype((np.void, rows.itemsize * width))),
+                                  return_index=True, return_inverse=True)
+    vand = rows[first][:, None, :] ** np.arange(width)[:, None]
     rhs = np.zeros(vand.shape[:-1] + (1,))
-    rhs[..., 1, 0] = 1.0
-    return np.linalg.solve(vand, rhs)[..., 0] / scale
+    rhs[:, 1, 0] = 1.0
+    return np.linalg.solve(vand, rhs)[:, :, 0][inverse.ravel()].reshape(ds.shape) / scale
 
 
 def apply_stencil(weights, y):

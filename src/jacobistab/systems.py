@@ -12,13 +12,14 @@ has a closed form or an independent numerical oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import MechanicalSystem
-from .expressions import metric_from_exprs, scalar_field_from_expr
+from .expressions import _undefined_raises, metric_from_exprs, scalar_field_from_expr
 from .geometry import ChartMetric, ScalarField, _dot, point_source
 
 
@@ -36,12 +37,6 @@ _SPHERE_POINT = point_source(
     2, ((2, 2), (2, 2, 2)), (("_s", "sin(q0) ** 2"), ("_d", "sin(2.0 * q0)")),
     (("1.0", None, None, "_s"), (None, None, None, "_d", None, None, None, None)),
     guard="0.0 < q0 < pi")
-
-# numpy's float power is not C pow: the cube goes through numpy
-_HYPERBOLIC_POINT = point_source(
-    2, ((2, 2), (2, 2, 2)), (("_a", "1.0 / (q1 * q1)"), ("_d", "-2.0 / float(_power(q1, 3))")),
-    (("_a", None, None, "_a"), (None, None, None, None, "_d", None, None, "_d")),
-    guard="q1 > 0.0", params=(("_power", np.power),))
 
 
 def flat_metric(dim: int = 2) -> ChartMetric:
@@ -73,26 +68,48 @@ def sphere_metric() -> ChartMetric:
                        name="sphere", point=_SPHERE_POINT)
 
 
+@functools.partial(_undefined_raises, "metric")
+def _hyperbolic_g(p):
+    return np.eye(2) / p[..., 1, None, None] ** 2
+
+
+@functools.partial(_undefined_raises, "metric partials")
+def _hyperbolic_dg(p):
+    out = np.zeros(p.shape[:-1] + (2, 2, 2))
+    out[..., 1, 0, 0] = -2.0 / p[..., 1] ** 3
+    out[..., 1, 1, 1] = -2.0 / p[..., 1] ** 3
+    return out
+
+
+@functools.partial(_undefined_raises, "metric second partials")
+def _hyperbolic_d2g(p):
+    out = np.zeros(p.shape[:-1] + (2, 2, 2, 2))
+    out[..., 1, 1, 0, 0] = 6.0 / p[..., 1] ** 4
+    out[..., 1, 1, 1, 1] = 6.0 / p[..., 1] ** 4
+    return out
+
+
+def _hyperbolic_fallback(q):
+    """The batched g and dg at a point where the float source fails, for
+    0 < y below about 1e-103: they raise the chart-domain error."""
+    p = np.array(q, dtype=float)
+    return tuple(_hyperbolic_g(p).ravel().tolist()), tuple(_hyperbolic_dg(p).ravel().tolist())
+
+
+# numpy's float power is not C pow: the cube goes through numpy
+_HYPERBOLIC_POINT = point_source(
+    2, ((2, 2), (2, 2, 2)), (("_a", "1.0 / (q1 * q1)"), ("_d", "-2.0 / float(_power(q1, 3))")),
+    (("_a", None, None, "_a"), (None, None, None, None, "_d", None, None, "_d")),
+    guard="q1 > 0.0", params=(("_power", np.power),), fallback=_hyperbolic_fallback,
+    check=("_a", "_d"))
+
+
 def hyperbolic_metric() -> ChartMetric:
-    """Upper half-plane with ``g = diag(1/y^2, 1/y^2)``, curvature -1."""
-
-    def g(p):
-        return np.eye(2) / p[..., 1, None, None] ** 2
-
-    def dg(p):
-        out = np.zeros(p.shape[:-1] + (2, 2, 2))
-        out[..., 1, 0, 0] = -2.0 / p[..., 1] ** 3
-        out[..., 1, 1, 1] = -2.0 / p[..., 1] ** 3
-        return out
-
-    def d2g(p):
-        out = np.zeros(p.shape[:-1] + (2, 2, 2, 2))
-        out[..., 1, 1, 0, 0] = 6.0 / p[..., 1] ** 4
-        out[..., 1, 1, 1, 1] = 6.0 / p[..., 1] ** 4
-        return out
-
-    return ChartMetric(dim=2, g_eval=g, dg_eval=dg, d2g_eval=d2g,
-                       domain_guard=lambda p: p[..., 1] > 0.0,
+    """Upper half-plane with ``g = diag(1/y^2, 1/y^2)``, curvature -1.  Where
+    an evaluator divides by zero or overflows, close to y = 0, it raises
+    ``ChartDomainError``."""
+    return ChartMetric(dim=2, g_eval=_hyperbolic_g, dg_eval=_hyperbolic_dg,
+                       d2g_eval=_hyperbolic_d2g, domain_guard=lambda p: p[..., 1] > 0.0,
                        name="hyperbolic", point=_HYPERBOLIC_POINT)
 
 

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DeviationField, Trajectory, hessian_operator
-from .geometry import _quad, orthogonal_part
+from .geometry import _apply, _quad, orthogonal_part
 from .jacobi import _check_orthogonal, jacobi_operator_direct
 from .numdiff import apply_stencil
 
@@ -54,8 +54,8 @@ class ProperVariation:
     @cached_property
     def dev(self) -> DeviationField:
         traj = self.trajectory
-        corr = np.einsum('nijk,nj,nk->ni', traj.cache.gamma, traj.velocities, self.values)
-        return DeviationField(traj, self.values, self.dvalues + corr)
+        return DeviationField(traj, self.values,
+                              self.dvalues + _apply(traj.cache.connection, self.values))
 
 
 def make_proper_variation(traj: Trajectory, coefficients=None, modes: int = 3,

@@ -1,7 +1,12 @@
 """The batched evaluator contract: one evaluation over a point batch
 ``(N, n)`` equals N single-point ``(n,)`` evaluations, the batched
-curvature keeps its algebraic identities, and the batched conformal
-rescaling formulas agree with direct computation in the rescaled metric."""
+curvature keeps its algebraic identities, the batched path lays its
+arrays out sample-fastest without changing a bit on n = 2, the
+connection and tidal matrices along a curve keep the identities of Γ and
+R, and the batched conformal rescaling formulas agree with direct
+computation in the rescaled metric."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +16,11 @@ from hypothesis.extra import numpy as hnp
 
 from jacobistab.conformal import (conformal_connection, conformal_curvature,
                                   conformal_rescale, conformal_second_cov)
-from jacobistab.dynamics import brute_force_deviation, integrate_newton
+from jacobistab import geometry
+from jacobistab.dynamics import CurveGeometry, brute_force_deviation, integrate_newton
 from jacobistab.expressions import metric_from_exprs, scalar_field_from_expr
-from jacobistab.geometry import _second_cov, christoffel, christoffel_partials, riemann
+from jacobistab.geometry import (_apply, _second_cov, christoffel, christoffel_partials,
+                                 riemann)
 from jacobistab.jacobi import jacobi_metric
 from jacobistab.systems import SAMPLE_BOXES, all_setups, builtin_setup, metric_by_name
 from jacobistab.verify import jacobi_harmonic_factor
@@ -89,6 +96,103 @@ class TestBatchedEqualsPointwise:
         cyclic = (r + np.einsum('...lbca->...labc', r)
                   + np.einsum('...lcab->...labc', r))
         assert np.max(np.abs(cyclic)) <= 1e-12 * scale
+
+
+CURVATURE = (christoffel, christoffel_partials, riemann)
+N2_CASES = [case for case in CASES if case[1].dim == 2]
+
+
+def _grid_points(metric, box, n=200):
+    """n points of a fixed draw inside a case's box."""
+    lo, hi = (np.asarray(b, dtype=float) for b in box)
+    pts = lo + np.random.default_rng(3).uniform(size=(n, metric.dim)) * (hi - lo)
+    return pts[metric.contains(pts)]
+
+
+def _c_ordered(p, *arrays):
+    """The layout of ``geometry._sample_fastest`` undone: arrays as given."""
+    return arrays
+
+
+@pytest.mark.parametrize("label,metric,box", N2_CASES, ids=[c[0] for c in N2_CASES])
+class TestSampleFastestLayout:
+    def test_layout_changes_no_bits_for_n_2(self, label, metric, box):
+        pts = _grid_points(metric, box)
+        fast = [fn(metric, pts) for fn in CURVATURE]
+        with mock.patch.object(geometry, "_sample_fastest", _c_ordered):
+            ordered = [fn(metric, pts) for fn in CURVATURE]
+        for fn, a, b in zip(CURVATURE, fast, ordered):
+            assert np.array_equal(a, b), fn.__name__
+
+    def test_batched_outputs_keep_the_sample_axis_fastest(self, label, metric, box):
+        pts = _grid_points(metric, box)
+        tangents = np.random.default_rng(4).uniform(-1.0, 1.0, pts.shape)
+        cache = CurveGeometry(metric, pts, tangents)
+        outputs = [fn(metric, pts) for fn in CURVATURE] + [cache.connection, cache.tidal]
+        for out in outputs:
+            assert out.strides[0] == out.itemsize
+
+    def test_single_point_keeps_its_layout_and_bits(self, label, metric, box):
+        q = _grid_points(metric, box)[0]
+        single = [fn(metric, q) for fn in CURVATURE]
+        with mock.patch.object(geometry, "_sample_fastest", _c_ordered):
+            ordered = [fn(metric, q) for fn in CURVATURE]
+        for a, b in zip(single, ordered):
+            assert a.flags.c_contiguous and np.array_equal(a, b)
+
+
+def _within(got, want, terms, rel):
+    """``|got - want| <= rel * terms`` at every sample, where ``terms`` is
+    the sum of the magnitudes of the products that make up ``want``, with
+    a floor for products that underflow."""
+    return bool(np.all(np.abs(got - want) <= rel * terms + 1e-300))
+
+
+@pytest.mark.parametrize("label,metric,box", CASES, ids=[c[0] for c in CASES])
+class TestCurveMatrices:
+    """The connection ``C`` and tidal matrix ``K`` of a :class:`CurveGeometry`
+    at random points and tangents."""
+
+    def _draw(self, metric, box, data):
+        pts = _points(metric, box, data.draw(unit_batches(metric.dim)))
+        t, v = data.draw(hnp.arrays(np.float64, (2,) + pts.shape,
+                                    elements=st.floats(-1.0, 1.0)))
+        return CurveGeometry(metric, pts, t), t, v
+
+    @staticmethod
+    def _scale(cache):
+        """The size of the terms R is formed from, as in the curvature
+        identities above, times the largest metric entry."""
+        return ((1.0 + float(np.max(np.abs(cache.g))))
+                * (1.0 + float(np.max(np.abs(cache.gamma))) ** 2
+                   + float(np.max(np.abs(cache.riem)))))
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_tidal_annihilates_the_tangent(self, label, metric, box, data):
+        # R(t, t)t = 0
+        cache, t, _ = self._draw(metric, box, data)
+        assert np.max(np.abs(_apply(cache.tidal, t))) <= 1e-12 * self._scale(cache)
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_lowered_tidal_is_symmetric(self, label, metric, box, data):
+        # <R(t, x)t, y> = <R(t, y)t, x> by the pair symmetry of R
+        cache, t, _ = self._draw(metric, box, data)
+        gk = cache.g @ cache.tidal
+        assert np.max(np.abs(gk - np.swapaxes(gk, -1, -2))) <= 1e-12 * self._scale(cache)
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_products_match_the_einsum_forms(self, label, metric, box, data):
+        cache, t, v = self._draw(metric, box, data)
+        gam, riem, at, av = cache.gamma, cache.riem, np.abs(t), np.abs(v)
+        assert _within(_apply(cache.connection, v),
+                       np.einsum('...ijk,...j,...k->...i', gam, t, v),
+                       np.einsum('...ijk,...j,...k->...i', np.abs(gam), at, av), 1e-14)
+        assert _within(_apply(cache.tidal, v),
+                       np.einsum('...labc,...a,...b,...c->...l', riem, t, v, t),
+                       np.einsum('...labc,...a,...b,...c->...l', np.abs(riem), at, av, at), 1e-14)
 
 
 FACTORS = {"e2x": scalar_field_from_expr("exp(2*q1)", 2), "jacobi-harmonic": jacobi_harmonic_factor()}

@@ -249,7 +249,8 @@ class TestEqualEnergy:
                                 (0.0, 2 * np.pi), 1e-3)
         vperp = np.sin(traj.times)[:, None] * traj.points
         dev = equal_energy_projection(traj, vperp)
-        cache = CurveGeometry(HARMONIC.system.metric, traj.points, HARMONIC.system)
+        cache = CurveGeometry(HARMONIC.system.metric, traj.points, traj.velocities,
+                              HARMONIC.system)
         resid = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
                  + np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, dev.V))
         assert np.max(np.abs(resid)) < 1e-8
@@ -346,9 +347,9 @@ class TestGeodesicEquationInBaseMetric:
         jm = traj.jm
         geo = traj.geo
         metric = su.system.metric
-        cache = CurveGeometry(metric, geo.points, su.system)
+        cache = CurveGeometry(metric, geo.points, geo.tangents, su.system)
         acc = cov_derivative_along(metric, geo.as_curve(), geo.tangents,
-                                   gammas=cache.gamma)
+                                   connection=cache.connection)
         w2 = jm.factor_values(geo.points)
         f_vec = -2.0 * cache.grad_U / w2[:, None]     # grad ln(2(E-U))
         f_dot_u = np.einsum('nij,ni,nj->n', cache.g, f_vec, geo.tangents)
@@ -357,6 +358,6 @@ class TestGeodesicEquationInBaseMetric:
         assert np.max(np.abs(lhs)[8:-8]) < 1e-7
 
         acc_t = cov_derivative_along(metric, traj.as_curve(), traj.velocities,
-                                     gammas=cache.gamma)
+                                     connection=traj.cache.connection)
         newton = acc_t + cache.grad_U
         assert np.max(np.abs(newton)[8:-8]) < 1e-7

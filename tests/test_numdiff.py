@@ -5,8 +5,8 @@ from jacobistab import geometry
 from jacobistab.dynamics import hessian_operator, integrate_newton
 from jacobistab.geometry import SampledCurve
 from jacobistab.jacobi import equal_energy_projection
-from jacobistab.numdiff import (apply_stencil, central_diff, central_diff2,
-                                cumulative_simpson, local_derivative)
+from jacobistab.numdiff import (_stencil_index, apply_stencil, central_diff, central_diff2,
+                                cumulative_simpson, local_derivative, stencil_weights)
 from jacobistab.systems import builtin_setup
 from jacobistab.variation import make_proper_variation
 
@@ -54,6 +54,28 @@ def test_curve_stencil_equals_one_shot(x):
     for y in (np.cos(3.0 * x), pts):
         assert np.array_equal(apply_stencil(curve.stencil, y),
                               local_derivative(x, y))
+
+
+def _weights_node_by_node(x):
+    """The stencil weights with one Vandermonde solve at every node."""
+    n = x.shape[-1]
+    width = min(7, n)
+    d = x[..., _stencil_index(n, width)] - x[..., :, None]
+    scale = np.max(np.abs(d), axis=-1, keepdims=True)
+    vand = (d / scale)[..., None, :] ** np.arange(width)[:, None]
+    rhs = np.zeros(vand.shape[:-1] + (1,))
+    rhs[..., 1, 0] = 1.0
+    return np.linalg.solve(vand, rhs)[..., 0] / scale
+
+
+@pytest.mark.parametrize("x", [*_grids(), 0.25 + 1e-3 * np.arange(5001),
+                               (np.arange(17) - 8) * np.array([1e-3, 3e-2])[:, None]],
+                         ids=["uniform", "nonuniform", "batched", "short", "long-uniform",
+                              "windows"])
+def test_distinct_rows_solved_once_give_the_node_by_node_weights(x):
+    # a uniform grid has few distinct rows of node offsets; each is solved
+    # once, and the weights are bitwise those of a solve at every node
+    assert stencil_weights(x).tobytes() == _weights_node_by_node(x).tobytes()
 
 
 def test_trajectory_solves_its_weights_once(monkeypatch):

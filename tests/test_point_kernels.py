@@ -462,6 +462,23 @@ class TestFailuresAsUnfolded:
         assert pinned_newton_failure(sys, [0.0, 1e-100], [0.0, -1e-100], (0.0, 10.0), 0.5) == (
             "left chart domain at t=6.25: chart domain: point [nan, inf] outside valid region")
 
+    def test_hyperbolic_cube_underflow_raises_as_batched(self, tmp_path, capsys):
+        # below y of about 1e-103 the source's cube underflows and -2/y^3
+        # divides by zero in floats; its fallback raises the chart-domain
+        # error of the batched evaluators, and the CLI exits 3 with one line
+        sys = mechanical_system(metric_by_name("hyperbolic"), "0")
+        messages = []
+        for s in (sys, batched(sys)):
+            with pytest.raises(ChartDomainError) as exc:
+                integrate_newton(s, [0.0, 1e-150], [0.0, -1e-152], (0.0, 1.0), 0.5)
+            messages.append(str(exc.value))
+        undefined = "metric partials undefined: divide by zero encountered in scalar divide"
+        assert messages == [f"left chart domain at t=0: {undefined}"] * 2
+        cfg = tmp_path / "underflow.cfg"
+        cfg.write_text("system = custom\nmetric = hyperbolic\nq0 = 0, 1e-150\nv0 = 0, -1e-152\n")
+        assert main(["simulate", "--config", cfg.as_posix(), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"numerical failure: {undefined}"]
+
     def test_velocity_not_finite(self):
         sys = custom("potential = 0\nq0 = 0, 0\nv0 = 1, 0\n")[0]
         assert pinned_newton_failure(sys, [0.0, 0.0], [np.nan, 0.0], (0.0, 1.0), 1e-2) == (

@@ -344,9 +344,9 @@ class TestReports:
             geodesic_views.append(args)
             return view(*args)
 
-        def counting_init(self, metric, points, sys=None):
+        def counting_init(self, metric, points, tangents, sys=None):
             caches.append(metric.name)
-            init(self, metric, points, sys)
+            init(self, metric, points, tangents, sys)
 
         for name, mod in list(sys.modules.items()):     # every reference to it
             if (name.startswith("jacobistab")
