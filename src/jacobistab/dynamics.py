@@ -24,6 +24,7 @@ from .geometry import (ChartMetric, PointSource, SampledCurve, ScalarField, _app
                        _christoffel, _connection, _const, _fold, _kernel_source, _mv, _names,
                        _prod, _quad, _stage_factory, _sum, _tidal, christoffel,
                        cov_derivative_along, hessian_form, riemann)
+from .numdiff import cubic_spline
 
 @dataclass(frozen=True)
 class MechanicalSystem:
@@ -460,14 +461,11 @@ def _deviation_stage(traj: Trajectory):
     dropped from those sums, which changes no bits (see
     :func:`~jacobistab.geometry._sum`).
     """
-    from scipy.interpolate import CubicSpline
-
     cache, times, h = traj.cache, traj.times, traj.step
     parts = (cache.gamma, cache.riem, cache.hess_U_raised, traj.velocities)
     samples = np.concatenate([a.reshape(len(times), -1) for a in parts], axis=1)
     zero = ~samples[:, :-traj.dim].any(axis=0)
-    spline = CubicSpline(times, samples[:, np.flatnonzero(np.append(~zero, [True] * traj.dim))],
-                         axis=0)
+    spline = cubic_spline(times, samples[:, np.flatnonzero(np.append(~zero, [True] * traj.dim))])
     t = times[0] + h * np.arange(len(times) - 1)
     stage_times = np.unique(np.concatenate([t, t + 0.5 * h, t + h]))
     row = {s: k for k, s in enumerate(stage_times.tolist())}

@@ -31,7 +31,7 @@ from .errors import ForbiddenRegionError
 from .expressions import scalar_field_from_expr
 from .geometry import (ChartMetric, PointSource, SampledCurve, ScalarField, _apply, _const,
                        _first_point, _lit, cov_derivative_along)
-from .numdiff import apply_stencil, cumulative_simpson
+from .numdiff import apply_stencil, cubic_spline, cumulative_simpson
 
 
 @dataclass(frozen=True)
@@ -332,11 +332,9 @@ def _multiplier(traj: Trajectory, lam_rate) -> np.ndarray:
     ``lam`` in it, so each step is Simpson's rule on the spline: it is
     evaluated once, as arrays, at the stage times of :func:`_rk4`, and the
     steps are summed in :func:`_rk4`'s order, which gives its bits."""
-    from scipy.interpolate import CubicSpline
-
     h = traj.step
     t = traj.times[0] + h * np.arange(len(traj) - 1)
-    rate = CubicSpline(traj.times, lam_rate)
+    rate = cubic_spline(traj.times, lam_rate)
     r2 = rate(t + 0.5 * h)
     steps = (h / 6.0) * (rate(t) + 2.0 * r2 + 2.0 * r2 + rate(t + h))
     return np.concatenate([[0.0], np.cumsum(steps)])

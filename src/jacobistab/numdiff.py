@@ -14,9 +14,20 @@ the weights of its own parameter grid
 (:attr:`~jacobistab.geometry.SampledCurve.stencil`), so every field
 differentiated along it reuses one solve.  :func:`local_derivative` is the
 one-shot form of the two, for a single field on a grid of its own.
+
+Sampled data are integrated and interpolated by ports of scipy 1.17:
+:func:`simpson`, :func:`cumulative_simpson` (Cartwright's unequal-interval
+Simpson integrals, summed in order) and :func:`cubic_spline` (the
+not-a-knot spline, whose tridiagonal system :func:`_tridiagonal_solve`
+solves as LAPACK's ``dgtsv`` does).  Each performs scipy's float
+operations in scipy's order, so it gives scipy's bits, and none imports
+scipy: importing ``scipy.integrate`` or ``scipy.interpolate`` costs about
+0.4 s and 50 MB, more than the simulation subcommands' own work.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -60,11 +71,16 @@ def central_diff2(fn, p, step):
     return np.moveaxis(out, (0, 1), (p.ndim - 1, p.ndim))
 
 
+@functools.lru_cache(maxsize=16)
 def _stencil_index(n, width):
     """Node indices ``(N, width)`` of the stencil of every node: centred,
-    shifted inwards at the ends of the grid."""
+    shifted inwards at the ends of the grid.  Built once per ``(n, width)``
+    and shared, so read-only; a run meets a few grid sizes (at most 7 in
+    ``verify-all``), and the 16 most recent are kept."""
     start = np.clip(np.arange(n) - (width - 1) // 2, 0, n - width)
-    return start[:, None] + np.arange(width)[None, :]
+    index = start[:, None] + np.arange(width)[None, :]
+    index.flags.writeable = False
+    return index
 
 
 def stencil_weights(x):
@@ -129,10 +145,219 @@ def local_derivative(x, y):
     return apply_stencil(stencil_weights(x), y)
 
 
-def cumulative_simpson(y, x):
-    """Cumulative composite-Simpson antiderivative sampled at every node of
-    the last axis; ``x`` is one grid or one grid per row of ``y``."""
-    from scipy.integrate import cumulative_simpson as _cs
+def simpson(y, x) -> float:
+    """Composite Simpson's rule of samples ``y`` ``(N,)`` over a strictly
+    increasing grid ``x`` ``(N,)``, ``N >= 2``.
 
-    out = _cs(np.asarray(y, dtype=float), x=np.asarray(x, dtype=float), initial=0.0)
-    return out
+    An odd N takes the irregular-grid Simpson panels, an even N the panels
+    over all but the last interval and Cartwright's correction for that
+    one, and N = 2 the trapezoid: the float operations of
+    ``scipy.integrate.simpson`` (1.17) in its order, so the same bits.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = len(y)
+    if n == 2:
+        return float(0.0 + 0.5 * (x[1] - x[0]) * (y[1] + y[0]))
+    h = np.diff(x)
+    stop = n - 2 if n % 2 else n - 3           # the panels start at even nodes below stop
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, hprod = h0 + h1, h0 * h1
+    h0divh1 = h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / hprod))
+                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
+    if n % 2 == 0:
+        h0, h1 = (np.asarray(v) for v in h[-2:])
+        alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+        eta = h1 ** 3 / (6 * h0 * (h0 + h1))
+        result = result + (alpha * y[-1] + beta * y[-2] - eta * y[-3]) + 0.0
+    return float(result)
+
+
+def _cartwright(y, dx):
+    """Simpson's integral over the first interval of each run of three nodes
+    along the last axis (Cartwright, J. Math. Sci. Math. Educ. 12(2), 2017,
+    eq. 8); on the reversed samples it gives the second interval."""
+    x21, x32 = dx[..., :-1], dx[..., 1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[..., :-2]
+                      + (3 + x21x21_x31x32 + x21_x31) * y[..., 1:-1]
+                      + -x21x21_x31x32 * y[..., 2:])
+
+
+def cumulative_simpson(y, x):
+    """Cumulative composite-Simpson antiderivative of ``y`` ``(..., N)``
+    sampled at every node of the last axis, 0 at the first; ``x`` is one
+    strictly increasing grid ``(N,)`` or one per row of ``y``.
+
+    Interval i takes the integral of the parabola through nodes i to i + 2
+    when i is even, and through nodes i - 1 to i + 1 when i is odd or the
+    last, and the intervals are summed in order; N < 3 takes the
+    trapezoid.  These are the float
+    operations of ``scipy.integrate.cumulative_simpson(..., initial=0)``
+    (1.17) in its order, so the same bits.
+    """
+    y = np.asarray(y, dtype=float)
+    dx = np.diff(np.broadcast_to(np.asarray(x, dtype=float), y.shape), axis=-1)
+    if y.shape[-1] < 3:
+        res = np.cumsum(dx * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    else:
+        if (dx <= 0.0).any():
+            raise ValueError("x must be strictly increasing")
+        first = _cartwright(y, dx)
+        second = _cartwright(y[..., ::-1], dx[..., ::-1])[..., ::-1]
+        sub = np.empty(dx.shape)
+        sub[..., :-1:2] = first[..., ::2]
+        sub[..., 1::2] = second[..., ::2]
+        sub[..., -1] = second[..., -1]
+        res = np.cumsum(sub, axis=-1)
+    # the initial value 0.0 is added to every sum, which turns -0.0 into 0.0
+    return np.concatenate((np.zeros(y.shape[:-1] + (1,)), res + 0.0), axis=-1)
+
+
+def _tridiagonal_solve(lower, diag, upper, b):
+    """Solve the tridiagonal system with sub-, main and super-diagonals
+    ``lower``, ``diag`` and ``upper`` (lists of floats, overwritten) for
+    the right-hand sides ``b`` ``(n, m)``; returns the solutions ``(n, m)``.
+
+    This is LAPACK ``dgtsv``: Gaussian elimination with a row interchange
+    wherever the sub-diagonal entry is larger in magnitude than the pivot,
+    then back substitution, with its float operations in its order.  The
+    matrix is factored once and each column is swept on Python floats.
+    """
+    n = len(diag)
+    d, du, dl = diag, upper, lower      # factored in place; dl gains the fill-in
+    fact, swap = [], []
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular tridiagonal system")
+            f = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - f * du[i]
+            dl[i] = 0.0
+            swap.append(False)
+        else:
+            f = d[i] / dl[i]
+            d[i], temp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - f * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -f * dl[i]
+            du[i] = temp
+            swap.append(True)
+        fact.append(f)
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError("singular tridiagonal system")
+    rdu, rdl, rd = (a[:n - 2][::-1] for a in (du, dl, d))       # back substitution
+    x = np.empty((n, b.shape[1]))
+    for j in range(b.shape[1]):
+        col = b[:, j].tolist()
+        e, acc = [], col[0]
+        for f, s, v in zip(fact, swap, col[1:]):
+            if s:       # rows i and i + 1 traded places
+                e.append(v)
+                acc = acc - f * v
+            else:
+                e.append(acc)
+                acc = v - f * acc
+        e.append(acc)
+        x1 = e[-1] / d[-1]
+        x0 = (e[-2] - du[-1] * x1) / d[-2]
+        sol = [x1, x0]
+        for ei, ui, li, di in zip(reversed(e[:n - 2]), rdu, rdl, rd):
+            x0, x1 = (ei - ui * x0 - li * x1) / di, x0
+            sol.append(x0)
+        x[::-1, j] = sol
+    return x
+
+
+def _cholesky_solve(a, b):
+    """Solve ``a x = b`` for a symmetric positive definite ``a`` ``(n, n)``
+    and ``b`` ``(n, m)`` as LAPACK's ``dposv`` does: ``a = uᵀu``, then a
+    forward and a back substitution that scale by the reciprocal pivots."""
+    u = np.linalg.cholesky(a).T
+    x = np.array(b, dtype=float)
+    n = len(x)
+    for i in range(n):
+        for k in range(i):
+            x[i] = x[i] - u[k, i] * x[k]
+        x[i] = x[i] * (1.0 / u[i, i])
+    for i in reversed(range(n)):
+        for k in range(i + 1, n):
+            x[i] = x[i] - u[i, k] * x[k]
+        x[i] = x[i] * (1.0 / u[i, i])
+    return x
+
+
+def cubic_spline(x, y):
+    """The not-a-knot cubic spline through samples ``y`` ``(N, ...)`` at the
+    strictly increasing nodes ``x`` ``(N,)``, ``N >= 2``, as a function that
+    maps points ``(K,)`` to values ``(K, ...)``; it extrapolates with the end
+    cubics.  Raises ``ValueError`` on non-finite data or a grid that does
+    not increase.
+
+    Every column of ``y`` is a spline of its own.  Its node slopes solve
+    the tridiagonal system with not-a-knot end rows by
+    :func:`_tridiagonal_solve`; N = 3 takes the parabola through the nodes
+    (a dense 3 × 3 solve) and N = 2 the chord.  The cubic on
+    ``[x_i, x_i+1)`` has Hermite coefficients in ``z = t - x_i``, summed
+    from the constant term up.  These are the float operations of
+    ``scipy.interpolate.CubicSpline`` (1.17) and its evaluation in their
+    order, so the same bits.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or len(x) < 2 or y.shape[:1] != x.shape:
+        raise ValueError("need one sample per node of a 1-D grid of at least 2 nodes")
+    n = len(x)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("spline nodes and samples must be finite")
+    dx = np.diff(x)
+    if (dx <= 0.0).any():
+        raise ValueError("spline nodes must be strictly increasing")
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    b = np.empty(y.shape)
+    if n == 3:
+        # the parabola, solved densely as scipy.linalg.solve does: LAPACK's
+        # Cholesky solve where the matrix is symmetric (both spacings 1),
+        # its LU solve (dgesv) elsewhere
+        a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+        b[0] = 2 * slope[0]
+        b[1] = 3 * (dxr[0] * slope[1] + dxr[1] * slope[0])
+        b[2] = 2 * slope[1]
+        solve = _cholesky_solve if dx[0] == dx[1] == 1.0 else np.linalg.solve
+        s = solve(a, b.reshape(n, -1)).reshape(y.shape)
+    else:
+        if n == 2:
+            lower, diag, upper = [0.0], [1.0, 1.0], [0.0]
+            b[0] = b[1] = slope[0]
+        else:
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            lower = dx[1:].tolist() + [float(d1)]
+            diag = [float(dx[1])] + (2 * (dx[:-1] + dx[1:])).tolist() + [float(dx[-2])]
+            upper = [float(d0)] + dx[:-1].tolist()
+            b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
+            b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+            b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+        s = _tridiagonal_solve(lower, diag, upper, b.reshape(n, -1)).reshape(y.shape)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    c = (y[:-1], s[:-1], (slope - s[:-1]) / dxr - t, t / dxr)
+
+    def spline(points):
+        p = np.asarray(points, dtype=float)
+        i = np.clip(np.searchsorted(x, p, side="right") - 1, 0, n - 2)
+        z = (p - x[i]).reshape(p.shape + (1,) * (y.ndim - 1))
+        # c0 + c1 z + c2 z^2 + c3 z^3 from the left, in place; 0.0 + c0
+        # turns -0.0 into 0.0
+        out = c[0][i]
+        out += 0.0
+        for k, power in enumerate((z, z * z, z * z * z), 1):
+            term = c[k][i]
+            term *= power
+            out += term
+        return out
+    return spline

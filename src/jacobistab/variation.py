@@ -34,7 +34,7 @@ import numpy as np
 from .dynamics import DeviationField, Trajectory, hessian_operator
 from .geometry import _apply, _quad, orthogonal_part
 from .jacobi import _check_orthogonal, jacobi_operator_direct
-from .numdiff import apply_stencil
+from .numdiff import apply_stencil, simpson
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,6 @@ def make_proper_variation(traj: Trajectory, coefficients=None, modes: int = 3,
     return ProperVariation(traj, values, dvalues, seed=seed)
 
 
-def _simpson(y, x) -> float:
-    """Simpson's rule on the samples ``y`` over the grid ``x``."""
-    from scipy.integrate import simpson
-
-    return float(simpson(y, x=x))
-
-
 def _check_grid(traj: Trajectory, var: ProperVariation):
     if len(traj) < 9:
         raise ValueError("grid too coarse: need at least 9 nodes")
@@ -124,7 +117,7 @@ def second_variation_S(traj: Trajectory, var: ProperVariation) -> float:
     _check_grid(traj, var)
     delta_v = hessian_operator(traj, var.dev)
     integrand = -np.einsum('nij,ni,nj->n', traj.cache.g, delta_v, var.values)
-    return _simpson(integrand, traj.times)
+    return simpson(integrand, traj.times)
 
 
 def second_variation_S0J(traj: Trajectory, var: ProperVariation) -> float:
@@ -133,7 +126,7 @@ def second_variation_S0J(traj: Trajectory, var: ProperVariation) -> float:
     geo = traj.geo
     dj_v = jacobi_operator_direct(geo, var.values)
     integrand = -np.einsum('nij,ni,nj->n', geo.cache.g, dj_v, var.values)
-    return _simpson(integrand, geo.s)
+    return simpson(integrand, geo.s)
 
 
 def second_variation_LJ(traj: Trajectory, var: ProperVariation) -> float:
@@ -143,7 +136,7 @@ def second_variation_LJ(traj: Trajectory, var: ProperVariation) -> float:
     vperp = orthogonal_part(geo.cache.g, geo.tangents, var.values)
     dj_v = jacobi_operator_direct(geo, vperp)
     integrand = -np.einsum('nij,ni,nj->n', geo.cache.g, dj_v, vperp)
-    return _simpson(integrand, geo.s)
+    return simpson(integrand, geo.s)
 
 
 def _bracket_correction(traj: Trajectory, var: ProperVariation):
@@ -160,7 +153,7 @@ def _bracket_correction(traj: Trajectory, var: ProperVariation):
     bracket = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, var.dev.DV)
                - np.einsum('nij,ni,nj->n', cache.g, traj.cov_acceleration, var.values))
     integrand = bracket**2 / (2.0 * w)
-    return _simpson(integrand, traj.times), float(np.min(integrand))
+    return simpson(integrand, traj.times), float(np.min(integrand))
 
 
 def _free_action_correction(traj: Trajectory, var: ProperVariation) -> float:
@@ -171,7 +164,7 @@ def _free_action_correction(traj: Trajectory, var: ProperVariation) -> float:
     f_vec = -cache.grad_U / w[:, None]          # F = grad ln(2(E-U))
     qdot_dv = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, var.dev.DV)
     f_dot_v = np.einsum('nij,ni,nj->n', cache.g, f_vec, var.values)
-    return _simpson(2.0 * qdot_dv * f_dot_v, traj.times)
+    return simpson(2.0 * qdot_dv * f_dot_v, traj.times)
 
 
 def _orthogonal_correction(traj: Trajectory, var: ProperVariation) -> float:
@@ -183,7 +176,7 @@ def _orthogonal_correction(traj: Trajectory, var: ProperVariation) -> float:
     w = traj.clearance
     # <F_h, V>_h = -<grad U, V>_g / (E - U)
     phi = -np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, var.values) / w
-    return _simpson(phi**2, traj.geo.s)
+    return simpson(phi**2, traj.geo.s)
 
 
 def action_of_displaced(traj: Trajectory, var: ProperVariation, xi: float) -> float:
@@ -193,7 +186,7 @@ def action_of_displaced(traj: Trajectory, var: ProperVariation, xi: float) -> fl
     vel = traj.velocities + xi * var.dvalues
     kin = 0.5 * _quad(sys.metric.g(pts), vel, vel)
     pot = sys.potential(pts)
-    return _simpson(kin - pot, traj.times)
+    return simpson(kin - pot, traj.times)
 
 
 def action_second_difference(traj: Trajectory, var: ProperVariation,

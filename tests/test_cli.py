@@ -31,15 +31,46 @@ def harmonic_cfg(tmp_path):
     return str(path)
 
 
-def test_importing_the_cli_loads_no_scipy_subpackage():
-    # scipy.interpolate, scipy.integrate and scipy.optimize are imported
-    # where they are called, so simulate and config errors never load them
+CUSTOM_CFG = """\
+# sphere-cos restated with expression strings
+system = custom
+metric.g.2.2 = sin(q1)^2
+potential = cos(q1)
+q0 = 1.5707963267948966, 0
+v0 = 0, 1
+t_span = 0, 2
+step = 0.002
+seed = 42
+"""
+
+SIMULATION_COMMANDS = ("simulate", "geodesic", "deviation", "compare-operators",
+                       "second-variation")
+
+
+def test_importing_the_cli_loads_no_scipy_subpackage(tmp_path):
+    # The simulation subcommands integrate, interpolate and take quadratures
+    # with numdiff's ports; scipy.integrate, scipy.interpolate, scipy.linalg
+    # and scipy.optimize are imported only where verify and rk45 call them.
+    # One fresh interpreter imports the CLI and runs every simulation
+    # subcommand on a built-in and on an expression system.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = ("import sys, jacobistab.cli; print(sorted(m for m in sys.modules if m in "
-            "('scipy.interpolate', 'scipy.integrate', 'scipy.optimize')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    argvs = []
+    for label, text in (("harmonic", HARMONIC_CFG), ("custom", CUSTOM_CFG)):
+        cfg = tmp_path / f"{label}.cfg"
+        cfg.write_text(text)
+        argvs += [[cmd, "--config", str(cfg), "--out", str(tmp_path / label)]
+                  for cmd in SIMULATION_COMMANDS]
+    code = ("import contextlib, io, json, sys\n"
+            "from jacobistab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m in ('scipy.integrate', "
+            "'scipy.interpolate', 'scipy.linalg', 'scipy.optimize'))]))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    codes, loaded = json.loads(out.stdout)
+    assert codes == [0] * len(argvs)
+    assert loaded == []
 
 
 class TestConfigParsing:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from scipy import integrate, interpolate
+from scipy.linalg import lapack
 
 from jacobistab import geometry
 from jacobistab.dynamics import hessian_operator, integrate_newton
 from jacobistab.geometry import SampledCurve
 from jacobistab.jacobi import equal_energy_projection
-from jacobistab.numdiff import (_stencil_index, apply_stencil, central_diff, central_diff2,
-                                cumulative_simpson, local_derivative, stencil_weights)
+from jacobistab.numdiff import (_stencil_index, _tridiagonal_solve, apply_stencil, central_diff,
+                                central_diff2, cubic_spline, cumulative_simpson,
+                                local_derivative, simpson, stencil_weights)
 from jacobistab.systems import builtin_setup
 from jacobistab.variation import make_proper_variation
 
@@ -123,3 +126,125 @@ def test_cumulative_simpson_quartic():
     s = cumulative_simpson(x**2, x)
     assert abs(s[0]) == 0.0
     assert np.max(np.abs(s - x**3 / 3.0)) < 1e-10
+
+
+def test_stencil_index_is_built_once_and_read_only():
+    index = _stencil_index(50, 7)
+    assert _stencil_index(50, 7) is index
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0, 0] = 1
+
+
+# The quadratures and the spline are ports of scipy 1.17's, float operation
+# for float operation, so they must agree with scipy bit for bit.
+
+def _bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def _spline_grid(kind, n):
+    if kind == "uniform":
+        # linspace(0, 2, 3) has both spacings 1: scipy's symmetric N = 3 solve
+        return np.linspace(0.0, 2.0, n)
+    if kind == "offset":
+        return 0.25 + 1e-3 * np.arange(n)
+    return np.cumsum(np.random.default_rng(n).uniform(0.05, 1.0, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 100, 5001])
+@pytest.mark.parametrize("kind", ["uniform", "offset", "random"])
+@pytest.mark.parametrize("shape", [(), (4,)], ids=["1d", "columns"])
+def test_cubic_spline_equals_scipy(n, kind, shape):
+    x = _spline_grid(kind, n)
+    rng = np.random.default_rng(7)
+    y = rng.normal(size=(n,) + shape) * np.exp(rng.uniform(-3.0, 3.0, (n,) + shape))
+    # the knots, the right end alone, and the RK4 stage midpoints
+    points = np.concatenate([x, x[-1:], x[:-1] + 0.5 * np.diff(x)])
+    assert _bits(cubic_spline(x, y)(points)) == \
+        _bits(interpolate.CubicSpline(x, y, axis=0)(points))
+
+
+def test_cubic_spline_row_interchange_equals_scipy():
+    # the spacing jump after two short intervals puts the sub-diagonal
+    # entry 11 under an eliminated pivot of 0.3, so dgtsv trades those rows
+    # (and again at the second jump)
+    x = np.array([0.0, 0.1, 0.3, 11.3, 11.4, 11.6, 25.0, 25.5])
+    y = np.random.default_rng(3).normal(size=(8, 3))
+    points = np.linspace(-1.0, 26.0, 271)
+    assert _bits(cubic_spline(x, y)(points)) == \
+        _bits(interpolate.CubicSpline(x, y, axis=0)(points))
+
+
+def test_cubic_spline_turns_negative_zero_values_positive():
+    # every term of the cubic at x = 0 is -0.0; evaluation adds them to 0.0
+    x = np.arange(5.0)
+    y = -np.array([0.0, 1.0, 3.0, 7.0, 15.0])
+    got = cubic_spline(x, y)(x)
+    assert np.signbit(y[0]) and not np.signbit(got[0])
+    assert _bits(got) == _bits(interpolate.CubicSpline(x, y)(x))
+
+
+def test_tridiagonal_solve_equals_lapack_dgtsv():
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4, 9, 30):
+        for _ in range(20):
+            dl, d, du = rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1)
+            b = rng.normal(size=(n, 3))
+            want = lapack.dgtsv(dl, d, du, b)[3]
+            got = _tridiagonal_solve(dl.tolist(), d.tolist(), du.tolist(), b)
+            assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0]),
+    ([0.0, 1.0, 2.0], [[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]]),
+    ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),
+    ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0]),
+    ([0.0, np.nan, 1.0], [0.0, 1.0, 2.0]),
+], ids=["nan", "inf", "repeated", "decreasing", "nan-node"])
+def test_cubic_spline_rejects_what_scipy_rejects(x, y):
+    with pytest.raises(ValueError):
+        interpolate.CubicSpline(x, y, axis=0)
+    with pytest.raises(ValueError):
+        cubic_spline(x, y)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 101, 1000])
+def test_simpson_equals_scipy(n):
+    rng = np.random.default_rng(n)
+    for x in [_spline_grid("uniform", n),
+              *(np.cumsum(rng.uniform(0.05, 1.0, n)) for _ in range(50))]:
+        y = np.cos(3.0 * x) + rng.normal(size=n)
+        assert _bits(simpson(y, x)) == _bits(integrate.simpson(y, x=x))
+    assert isinstance(simpson(y, x), float)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 101, 1000])
+@pytest.mark.parametrize("kind", ["uniform", "random"])
+def test_cumulative_simpson_equals_scipy(n, kind):
+    x = _spline_grid(kind, n)
+    y = np.sin(2.0 * x) + np.random.default_rng(n).normal(size=n)
+    assert _bits(cumulative_simpson(y, x)) == \
+        _bits(integrate.cumulative_simpson(y, x=x, initial=0.0))
+
+
+@pytest.mark.parametrize("n", [2, 17])
+def test_cumulative_simpson_batched_equals_scipy(n):
+    # one grid per row, as the lemma-2 windows integrate
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.01, 0.1, (5, n)), axis=-1)
+    y = rng.normal(size=(5, n))
+    assert _bits(cumulative_simpson(y, x)) == \
+        _bits(integrate.cumulative_simpson(y, x=x, initial=0.0))
+
+
+@pytest.mark.parametrize("y", [[-0.0, -0.0], [-0.0, -0.0, 0.0]], ids=["trapezoid", "simpson"])
+def test_cumulative_simpson_turns_negative_zero_sums_positive(y):
+    # the first interval's integral is -0.0; scipy adds the initial value 0.0
+    y = np.array(y)
+    x = np.arange(len(y), dtype=float)
+    got = cumulative_simpson(y, x)
+    assert _bits(got) == _bits(integrate.cumulative_simpson(y, x=x, initial=0.0))
+    assert not np.signbit(got).any()
