@@ -184,7 +184,7 @@ def conformal_curvature(metric: ChartMetric, cf: ScalarField, p, x, y, z) -> np.
                - 0.25 * dot(fv, x) * dot(y, z)) * fv)
 
 
-def reparam_cov(metric: ChartMetric, f_along_curve, curve: SampledCurve, field):
+def reparam_cov(metric: ChartMetric, f_along_curve, curve: SampledCurve, field, gamma=None):
     """Covariant derivatives after the reparametrization ``ds = f dt``.
 
     Returns the triple ``(nabla_{γ'}X, nabla_{γ'}γ', nabla_{γ'}nabla_{γ'}X)``
@@ -197,7 +197,8 @@ def reparam_cov(metric: ChartMetric, f_along_curve, curve: SampledCurve, field):
 
     ``<grad ln f, γ̇>`` is the chain-rule derivative d(ln|f|)/dt of the
     sampled factor.  Every t-derivative applies the curve's
-    :attr:`~jacobistab.geometry.SampledCurve.stencil`.
+    :attr:`~jacobistab.geometry.SampledCurve.stencil`.  ``gamma`` reuses
+    the Christoffel symbols already evaluated at the curve's points.
     """
     f = np.asarray(f_along_curve, dtype=float)
     field = np.asarray(field, dtype=float)
@@ -207,7 +208,9 @@ def reparam_cov(metric: ChartMetric, f_along_curve, curve: SampledCurve, field):
         raise DegenerateMetricError("degenerate reparametrization: factor vanishes on the curve")
 
     dlnf = apply_stencil(curve.stencil, np.log(np.abs(f)))[..., None]
-    conn = _connection(christoffel(metric, curve.points), curve.tangents)
+    if gamma is None:
+        gamma = christoffel(metric, curve.points)
+    conn = _connection(gamma, curve.tangents)
     nab_x = cov_derivative_along(metric, curve, field, connection=conn)
     nab_g = cov_derivative_along(metric, curve, curve.tangents, connection=conn)
     nab2_x = cov_derivative_along(metric, curve, nab_x, connection=conn)
@@ -278,7 +281,9 @@ def _lemma2_residuals(metric, cf, p, w, coeff):
     tangents = np.broadcast_to(w[:, None, :], pts.shape)
     ts = np.broadcast_to(ts, pts.shape[:-1])
     f, ts, pts, tangents, field = (a[keep] for a in (f, ts, pts, tangents, field))
-    got = reparam_cov(metric, f, SampledCurve(ts, pts, tangents), field)
+    # both sides share the points, so Γ once; each forms its own connection
+    gam = christoffel(metric, pts)
+    got = reparam_cov(metric, f, SampledCurve(ts, pts, tangents), field, gamma=gam)
 
     # Direct side: differentiate with respect to the accumulated s-parameter.
     s = cumulative_simpson(f, ts)
@@ -286,7 +291,7 @@ def _lemma2_residuals(metric, cf, p, w, coeff):
     curve_s = SampledCurve(s, pts, np.empty_like(pts))
     dgds = curve_s.tangents
     dgds[...] = apply_stencil(curve_s.stencil, pts)
-    conn = _connection(christoffel(metric, pts), dgds)
+    conn = _connection(gam, dgds)
     d1 = cov_derivative_along(metric, curve_s, field, connection=conn)
     d2 = cov_derivative_along(metric, curve_s, dgds, connection=conn)
     d3 = cov_derivative_along(metric, curve_s, d1, connection=conn)

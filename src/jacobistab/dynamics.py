@@ -12,10 +12,11 @@ brute-force oracle differentiates perturbed nonlinear runs instead.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .geometry import (ChartMetric, PointSource, SampledCurve, ScalarField, _app
                        _christoffel, _connection, _const, _fold, _kernel_source, _mv, _names,
                        _prod, _quad, _stage_factory, _sum, _tidal, christoffel,
                        cov_derivative_along, hessian_form, riemann)
-from .numdiff import cubic_spline
+from .numdiff import _EPS4, brentq, cubic_spline
 
 @dataclass(frozen=True)
 class MechanicalSystem:
@@ -202,6 +203,174 @@ def _rk4_loop(m: int) -> Callable:
     scope = {"ChartDomainError": ChartDomainError}
     exec(compile(source, f"<rk4 m={m}>", "exec"), scope)
     return scope["rk4"]
+
+
+# The Dormand–Prince 5(4) pair with Shampine's quartic dense output, as
+# scipy.integrate's RK45 (1.17) writes it.
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+class _DenseStep:
+    """The quartic interpolant of one RK45 step from ``t_old`` to ``t``: at
+    a scalar time a state ``(m,)``, at times ``(K,)`` states ``(m, K)``."""
+
+    def __init__(self, t_old, t, y_old, Q):
+        self.t_old, self.h, self.y_old, self.Q = t_old, t - t_old, y_old, Q
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            p = np.cumprod(np.tile(x, 4))
+        else:
+            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+        y = self.h * np.dot(self.Q, p)
+        y += self.y_old[:, None] if y.ndim == 2 else self.y_old
+        return y
+
+
+class _DenseSolution:
+    """The dense steps of an RK45 run over the step times ``ts``, as one
+    function of the time; a time on a step boundary takes the earlier step,
+    and times are grouped by step, so that each step is called once."""
+
+    def __init__(self, ts, steps):
+        self.steps = steps
+        self.ascending = ts[-1] >= ts[0]
+        self.ts_sorted = ts if self.ascending else ts[::-1]
+
+    def _segments(self, t):
+        seg = np.searchsorted(self.ts_sorted, t, side="left" if self.ascending else "right")
+        seg = np.clip(seg - 1, 0, len(self.steps) - 1)
+        return seg if self.ascending else len(self.steps) - 1 - seg
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        if t.ndim == 0:
+            return self.steps[int(self._segments(t))](t)
+        order = np.argsort(t)
+        reverse = np.empty_like(order)
+        reverse[order] = np.arange(order.shape[0])
+        t_sorted = t[order]
+        ys, start = [], 0
+        for segment, group in itertools.groupby(self._segments(t_sorted)):
+            end = start + len(list(group))
+            ys.append(self.steps[segment](t_sorted[start:end]))
+            start = end
+        return np.hstack(ys)[:, reverse]
+
+
+class Rk45Solution(NamedTuple):
+    """What :func:`_rk45` returns: the step times ``t``, the states ``y``
+    ``(m, len(t))`` there, ``status`` (0: reached the end, 1: stopped at
+    the event, -1: the step size fell below the spacing of floats) and
+    the dense solution ``sol``."""
+
+    t: np.ndarray
+    y: np.ndarray
+    status: int
+    sol: _DenseSolution
+
+
+def _rk45(rhs, y0, t0, t_bound, rtol, atol, event) -> Rk45Solution:
+    """Adaptive Dormand–Prince 5(4) from ``t0`` to ``t_bound != t0`` with
+    dense output, stopped at the first zero of ``event(t, y)`` that it crosses
+    downwards; ``rhs(t, y)`` maps a state ``(m,)`` to its rate ``(m,)``.
+
+    This is ``scipy.integrate.solve_ivp(rhs, (t0, t_bound), y0,
+    method="RK45", rtol=rtol, atol=atol, dense_output=True, events=event)``
+    (scipy 1.17) with a terminal event of direction -1: the initial step,
+    the RMS error norm, the step control, the dense output and the event's
+    root, by :func:`~jacobistab.numdiff.brentq` on the step's interpolant,
+    are its float operations in its order, with its numpy calls, so the
+    same bits.
+    """
+    t, t_bound, y = float(t0), float(t_bound), np.asarray(y0, dtype=float)
+    direction = np.sign(t_bound - t)
+    f = rhs(t, y)
+    # the initial step (Hairer, Nørsett and Wanner, Sec. II.4)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, abs(t_bound - t))
+    d2 = _rms((rhs(t + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, abs(t_bound - t))
+
+    K = np.empty((7, len(y)))
+    ts, ys, steps = [t], [y], []
+    g, status = event(t, y), None
+    while status is None:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, (a, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), start=1):
+                dy = np.dot(K[:s].T, a[:s]) * h
+                K[s] = rhs(t + c * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            f_new = rhs(t + h, y_new)
+            K[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            rejected = True
+        if status == -1:
+            break
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        if direction * (t - t_bound) >= 0:
+            status = 0
+        steps.append(_DenseStep(t_old, t, y_old, K.T.dot(_DP_P)))
+        g_new = event(t, y)
+        if g >= 0 and g_new <= 0:
+            sol = steps[-1]
+            t = np.float64(brentq(lambda x: event(x, sol(x)), t_old, t, xtol=_EPS4, rtol=_EPS4))
+            y, status = sol(t), 1
+        g = g_new
+        if len(ts) > 1 and ts[-1] == t:
+            steps.pop()
+        else:
+            ts.append(t)
+            ys.append(y)
+    ts = np.array(ts)
+    return Rk45Solution(ts, np.vstack(ys).T, status, _DenseSolution(ts, steps))
 
 
 def _left_chart(t, exc) -> ChartDomainError:

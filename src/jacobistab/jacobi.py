@@ -26,12 +26,12 @@ import numpy as np
 
 from .conformal import conformal_rescale
 from .dynamics import (CurveGeometry, DeviationField, MechanicalSystem,
-                       Trajectory, _rk4, _stage, hessian_operator, integrate_newton)
+                       Trajectory, _rk4, _rk45, _stage, hessian_operator, integrate_newton)
 from .errors import ForbiddenRegionError
 from .expressions import scalar_field_from_expr
 from .geometry import (ChartMetric, PointSource, SampledCurve, ScalarField, _apply, _const,
                        _first_point, _lit, cov_derivative_along)
-from .numdiff import apply_stencil, cubic_spline, cumulative_simpson
+from .numdiff import apply_stencil, cubic_spline, cumulative_simpson, pchip
 
 
 @dataclass(frozen=True)
@@ -186,10 +186,13 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
     ``dir0`` is normalized to unit h-length; the geodesic is the Newton
     orbit of ``jm.free_system``.  The fixed-step RK4 path is the default,
     and its ``t_of_s`` is Simpson's rule on ``dt/ds = 1 / (2(E - U))``;
-    ``method="rk45"`` uses an adaptive solver with dense output, which is
-    the right tool near turning points where the h-Christoffel symbols blow
-    up, and carries t as one more state.  Reaching the forbidden region
-    truncates the record and sets the flag rather than raising.
+    ``method="rk45"`` uses the adaptive Dormand–Prince solver with dense
+    output of :func:`~jacobistab.dynamics._rk45`, a bitwise port of scipy's
+    ``solve_ivp`` RK45, which is the right tool near turning points where
+    the h-Christoffel symbols blow up; it carries t as one more state, and
+    stops where the clearance ``E - U`` falls to the margin.  Reaching the
+    forbidden region truncates the record and sets the flag rather than
+    raising.
     """
     q0 = np.asarray(q0, dtype=float)
     jm.check_clear(q0)
@@ -200,13 +203,15 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
         raise ValueError("dir0 must be nonzero")
     u0 = dir0 / nrm
     s0, s1 = float(s_span[0]), float(s_span[1])
+    if s1 == s0:
+        # an empty span: the initial sample twice, whichever the method
+        return GeodesicRecord(np.array([s0, s0]), np.array([q0, q0]), np.array([u0, u0]),
+                              np.zeros(2), jm.h)
     n = q0.size
     stage = _stage(jm.free_system)
     point, E, margin = jm.system.potential.point, jm.E, jm.margin
 
     if method == "rk45":
-        from scipy.integrate import solve_ivp
-
         def clearance(q):
             # E - U from the potential's point source where it has one
             return E - point(q)[0] if point is not None else jm.clearance(np.array(q))
@@ -218,11 +223,8 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
         def clear_event(s, y):
             return clearance(y[:n].tolist()) - margin
 
-        clear_event.terminal = True
-        clear_event.direction = -1
-        sol = solve_ivp(rate, (s0, s1), np.concatenate([q0, u0, [0.0]]), method="RK45",
-                        rtol=RK45_RTOL, atol=RK45_ATOL, dense_output=True,
-                        events=clear_event)
+        sol = _rk45(rate, np.concatenate([q0, u0, [0.0]]), s0, s1, RK45_RTOL, RK45_ATOL,
+                    clear_event)
         s_end = float(sol.t[-1])
         truncated = sol.status == 1
         n_samples = max(2, int(round((s_end - s0) / step)) + 1)
@@ -416,12 +418,10 @@ def _geodesic_positions_at_times(jm: JacobiMetric, geo: GeodesicRecord, times):
     (ds = dt * 2(E-U)); otherwise by monotone interpolation of the
     recorded pairing.
     """
-    from scipy.interpolate import CubicSpline, PchipInterpolator
-
     times = np.asarray(times, dtype=float)
-    s = PchipInterpolator(geo.t_of_s, geo.s)(times)
+    s = pchip(geo.t_of_s, geo.s)(times)
     if geo.dense is None:
-        return CubicSpline(geo.s, geo.points, axis=0)(s)
+        return cubic_spline(geo.s, geo.points)(s)
     n, sol = geo.points.shape[1], geo.dense.sol
     s = np.clip(s, geo.s[0], geo.s[-1])
     for _ in range(6):

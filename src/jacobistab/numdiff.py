@@ -15,19 +15,24 @@ the weights of its own parameter grid
 differentiated along it reuses one solve.  :func:`local_derivative` is the
 one-shot form of the two, for a single field on a grid of its own.
 
-Sampled data are integrated and interpolated by ports of scipy 1.17:
-:func:`simpson`, :func:`cumulative_simpson` (Cartwright's unequal-interval
-Simpson integrals, summed in order) and :func:`cubic_spline` (the
-not-a-knot spline, whose tridiagonal system :func:`_tridiagonal_solve`
-solves as LAPACK's ``dgtsv`` does).  Each performs scipy's float
-operations in scipy's order, so it gives scipy's bits, and none imports
-scipy: importing ``scipy.integrate`` or ``scipy.interpolate`` costs about
-0.4 s and 50 MB, more than the simulation subcommands' own work.
+Sampled data are integrated and interpolated, and roots are found, by
+ports of scipy 1.17: :func:`simpson`, :func:`cumulative_simpson`
+(Cartwright's unequal-interval Simpson integrals, summed in order),
+:func:`cubic_spline` (the not-a-knot spline, whose tridiagonal system
+:func:`_tridiagonal_solve` solves as LAPACK's ``dgtsv`` does),
+:func:`pchip` (the shape-preserving Hermite cubic, on the spline's
+evaluation) and :func:`brentq` (Brent's root finder on Python floats).
+Each performs scipy's float operations in scipy's order, so it gives
+scipy's bits.  With the RK45 of :mod:`jacobistab.dynamics` they are why no
+module of the package imports scipy: importing ``scipy.integrate``,
+``scipy.interpolate`` and ``scipy.optimize`` costs about 0.4 s and 50 MB,
+more than most subcommands' own work.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -308,18 +313,8 @@ def cubic_spline(x, y):
     ``scipy.interpolate.CubicSpline`` (1.17) and its evaluation in their
     order, so the same bits.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or len(x) < 2 or y.shape[:1] != x.shape:
-        raise ValueError("need one sample per node of a 1-D grid of at least 2 nodes")
+    x, y, dx, slope, dxr = _spline_input(x, y)
     n = len(x)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("spline nodes and samples must be finite")
-    dx = np.diff(x)
-    if (dx <= 0.0).any():
-        raise ValueError("spline nodes must be strictly increasing")
-    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
-    slope = np.diff(y, axis=0) / dxr
     b = np.empty(y.shape)
     if n == 3:
         # the parabola, solved densely as scipy.linalg.solve does: LAPACK's
@@ -344,8 +339,22 @@ def cubic_spline(x, y):
             b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
             b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
         s = _tridiagonal_solve(lower, diag, upper, b.reshape(n, -1)).reshape(y.shape)
-    t = (s[:-1] + s[1:] - 2 * slope) / dxr
-    c = (y[:-1], s[:-1], (slope - s[:-1]) / dxr - t, t / dxr)
+    return _hermite(x, y, s, slope, dxr)
+
+
+def _hermite(x, y, dydx, slope, dxr):
+    """The piecewise cubic through samples ``y`` with node slopes ``dydx``
+    at the nodes ``x``, ``slope`` and ``dxr`` the chord slopes and spacings
+    shaped like ``y[1:]``, as the function :func:`cubic_spline` returns.
+
+    The cubic on ``[x_i, x_i+1)`` has Hermite coefficients in ``z = t - x_i``
+    and is summed from the constant term up; points outside the grid take
+    the end cubics.  These are the float operations of scipy 1.17's
+    ``CubicHermiteSpline`` and its evaluation in their order.
+    """
+    n = len(x)
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dxr
+    c = (y[:-1], dydx[:-1], (slope - dydx[:-1]) / dxr - t, t / dxr)
 
     def spline(points):
         p = np.asarray(points, dtype=float)
@@ -361,3 +370,137 @@ def cubic_spline(x, y):
             out += term
         return out
     return spline
+
+
+def _spline_input(x, y):
+    """``x`` and ``y`` as float arrays, with the spacings ``dx`` of ``x`` and
+    the chord slopes and spacings shaped like ``y[1:]``.  Raises
+    ``ValueError`` where scipy's splines do: on fewer than 2 nodes, a
+    sample count that is not the node count, non-finite data or a grid that
+    does not increase."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or len(x) < 2 or y.shape[:1] != x.shape:
+        raise ValueError("need one sample per node of a 1-D grid of at least 2 nodes")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("spline nodes and samples must be finite")
+    dx = np.diff(x)
+    if (dx <= 0.0).any():
+        raise ValueError("spline nodes must be strictly increasing")
+    dxr = dx.reshape((len(x) - 1,) + (1,) * (y.ndim - 1))
+    return x, y, dx, np.diff(y, axis=0) / dxr, dxr
+
+
+def _pchip_edge(h0, h1, m0, m1):
+    """The end slope of :func:`pchip`: the one-sided three-point estimate,
+    set to 0 where its sign is not the first chord's and to three times the
+    first chord slope where the chords change sign and it exceeds that."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    mask = np.sign(d) != np.sign(m0)
+    mmm = ~mask & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3. * np.abs(m0))
+    d[mask] = 0.
+    d[mmm] = 3. * m0[mmm]
+    return d
+
+
+def pchip(x, y):
+    """The shape-preserving piecewise cubic Hermite interpolant (PCHIP,
+    Fritsch and Carlson; Moler's end slopes) through samples ``y`` ``(N,
+    ...)`` at the strictly increasing nodes ``x`` ``(N,)``, ``N >= 2``, as a
+    function of points ``(K,)`` like :func:`cubic_spline`'s; it extrapolates
+    with the end cubics and raises ``ValueError`` where that does.
+
+    An interior node slope is 0 where the chords on either side differ in
+    sign or one is flat, and their weighted harmonic mean elsewhere; N = 2
+    takes the chord.  These are the float operations of
+    ``scipy.interpolate.PchipInterpolator`` (1.17) in its order, so the
+    same bits.
+    """
+    x, y, dx, slope, dxr = _spline_input(x, y)
+    hk, mk = dxr.reshape(len(x) - 1, -1), slope.reshape(len(x) - 1, -1)
+    dk = np.zeros((len(x), mk.shape[1]))
+    if len(x) == 2:
+        dk[0] = dk[1] = mk[0]
+    else:
+        smk = np.sign(mk)
+        zero = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+        w1 = 2 * hk[1:] + hk[:-1]
+        w2 = hk[1:] + 2 * hk[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):     # masked by zero
+            whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+        dk[1:-1][~zero] = 1.0 / whmean[~zero]
+        dk[0] = _pchip_edge(hk[0], hk[1], mk[0], mk[1])
+        dk[-1] = _pchip_edge(hk[-1], hk[-2], mk[-1], mk[-2])
+    return _hermite(x, y, dk.reshape(y.shape), slope, dxr)
+
+
+_EPS4 = 4 * np.finfo(float).eps
+"""The smallest relative tolerance of :func:`brentq`, as scipy's."""
+
+_BRENTQ_MAXITER = 100
+"""The iterations :func:`brentq` takes before it gives up, scipy's default."""
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=_EPS4):
+    """A root of ``f`` in ``[a, b]``, where ``f(a)`` and ``f(b)`` differ in
+    sign, by Brent's method: inverse quadratic interpolation or the secant
+    step where it stays short, bisection elsewhere, to within
+    ``xtol + rtol * |x|``.
+
+    This is scipy 1.17's ``scipy.optimize.brentq`` (its ``brentq.c``) on
+    Python floats, in its order, so the same root: ``f`` is called with
+    floats, a NaN value raises ``ValueError``, a same-sign bracket raises
+    ``ValueError`` and no convergence in :data:`_BRENTQ_MAXITER`
+    iterations raises ``RuntimeError``.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _EPS4:
+        raise ValueError(f"rtol too small ({rtol:g} < {_EPS4:g})")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:        # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:                   # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:   # C's inf or NaN, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry         # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENTQ_MAXITER} iterations.")

@@ -21,6 +21,7 @@ from .geometry import ChartMetric, ScalarField, _dot, cov_derivative_along
 from .jacobi import (STENCIL_CORE, STENCIL_PAD, jacobi_operator_direct,
                      jacobi_operator_via_g, equal_energy_projection,
                      maupertuis_roundtrip, padded_span, relation_equal_energy)
+from .numdiff import brentq, cubic_spline
 from .systems import SAMPLE_BOXES, all_setups, builtin_setup, metric_by_name
 from .variation import (action_second_difference, functional_sweep,
                         make_proper_variation, second_variation_LJ,
@@ -225,13 +226,10 @@ def check_theorems(n_variations: int = 10, system_names=None):
 
 def check_conjugate_point():
     """First conjugate point of the unit-sphere equator at arc length pi."""
-    from scipy.interpolate import CubicSpline
-    from scipy.optimize import brentq
-
     su = builtin_setup("sphere-free")
     traj = _orbit(su, (0.0, 3.5))
     dev = integrate_deviation(traj, np.zeros(2), np.array([1.0, 0.0]))
-    comp = CubicSpline(traj.times, dev.V[:, 0])
+    comp = cubic_spline(traj.times, dev.V[:, 0])
     zero = brentq(comp, 2.9, 3.3)
     arc_err = abs(zero - np.pi)
 

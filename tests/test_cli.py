@@ -48,11 +48,13 @@ SIMULATION_COMMANDS = ("simulate", "geodesic", "deviation", "compare-operators",
 
 
 def test_importing_the_cli_loads_no_scipy_subpackage(tmp_path):
-    # The simulation subcommands integrate, interpolate and take quadratures
-    # with numdiff's ports; scipy.integrate, scipy.interpolate, scipy.linalg
-    # and scipy.optimize are imported only where verify and rk45 call them.
-    # One fresh interpreter imports the CLI and runs every simulation
-    # subcommand on a built-in and on an expression system.
+    # The package integrates, interpolates, takes quadratures and finds
+    # roots with numdiff's and dynamics' ports; no scipy.integrate,
+    # scipy.interpolate, scipy.linalg or scipy.optimize is imported.  One
+    # fresh interpreter imports the CLI, runs every simulation subcommand on
+    # a built-in and on an expression system, then the two verify-all
+    # checks that used to call scipy: the round trip (rk45 and the PCHIP and
+    # spline resampling) and the conjugate point (spline and brentq).
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     argvs = []
     for label, text in (("harmonic", HARMONIC_CFG), ("custom", CUSTOM_CFG)):
@@ -60,6 +62,8 @@ def test_importing_the_cli_loads_no_scipy_subpackage(tmp_path):
         cfg.write_text(text)
         argvs += [[cmd, "--config", str(cfg), "--out", str(tmp_path / label)]
                   for cmd in SIMULATION_COMMANDS]
+    argvs.append(["verify-all", "--checks", "roundtrip,conjugate-point",
+                  "--out", str(tmp_path / "verify")])
     code = ("import contextlib, io, json, sys\n"
             "from jacobistab.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -71,6 +75,16 @@ def test_importing_the_cli_loads_no_scipy_subpackage(tmp_path):
     codes, loaded = json.loads(out.stdout)
     assert codes == [0] * len(argvs)
     assert loaded == []
+
+
+def test_no_module_imports_scipy():
+    # scipy is the tests' oracle only: no module of the package imports it
+    package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "jacobistab")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                text = fh.read()
+            assert "import scipy" not in text and "from scipy" not in text, name
 
 
 class TestConfigParsing:

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from scipy.interpolate import CubicSpline
+from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from jacobistab import jacobi
 from jacobistab.dynamics import (CurveGeometry, DeviationField, Trajectory, integrate_deviation,
@@ -12,7 +15,7 @@ from jacobistab.jacobi import (integrate_geodesic, jacobi_metric,
                                jacobi_operator_direct, jacobi_operator_via_g,
                                equal_energy_projection, maupertuis_roundtrip,
                                relation_equal_energy)
-from jacobistab.systems import builtin_setup
+from jacobistab.systems import all_setups, builtin_setup
 from jacobistab.variation import make_proper_variation
 from jacobistab.verify import DEFAULT_TOLERANCES
 from numpy_reference import numpy_rk4
@@ -94,6 +97,105 @@ class TestIntegrateGeodesic:
         jm = jacobi_metric(FREE.system, 0.5)
         with pytest.raises(ValueError):
             integrate_geodesic(jm, [0.0, 0.0], [0.0, 0.0], (0.0, 1.0), 1e-3)
+
+
+def scipy_rk45(rhs, y0, t0, t_bound, rtol, atol, event):
+    """``jacobi._rk45`` as the scipy call it ports."""
+    event.terminal, event.direction = True, -1
+    return solve_ivp(rhs, (t0, t_bound), y0, method="RK45", rtol=rtol, atol=atol,
+                     dense_output=True, events=event)
+
+
+class TestRk45EqualsScipy:
+    """The rk45 path is a port of scipy's ``solve_ivp`` RK45 with dense output
+    and the clearance event; the reference runs the same right-hand side
+    and event through scipy, so every record must agree bit for bit."""
+
+    FIELDS = ("s", "points", "tangents", "t_of_s", "truncated")
+
+    @staticmethod
+    def records(monkeypatch, *args):
+        got = integrate_geodesic(*args, method="rk45")
+        with monkeypatch.context() as m:
+            m.setattr(jacobi, "_rk45", scipy_rk45)
+            want = integrate_geodesic(*args, method="rk45")
+        return got, want
+
+    def assert_same(self, got, want):
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name in ("t", "y", "status"):
+            assert np.array_equal(getattr(got.dense, name), getattr(want.dense, name)), name
+        ts = want.dense.t
+        rng = np.random.default_rng(len(ts))
+        lo, hi = min(ts[0], ts[-1]), max(ts[0], ts[-1])
+        # unsorted times with some outside the run, the step ends together,
+        # and step ends and times inside steps alone
+        every = slice(None, None, max(1, len(ts) // 20))
+        for t in (rng.uniform(lo - 0.01, hi + 0.01, 40), ts, *ts[every],
+                  *(0.5 * (ts[1:] + ts[:-1]))[every], ts[-1]):
+            assert np.array_equal(got.dense.sol(t), want.dense.sol(t))
+
+    @pytest.mark.parametrize("su", all_setups(), ids=lambda su: su.name)
+    def test_builtins(self, monkeypatch, su):
+        traj = integrate_newton(su.system, su.q0, su.v0, su.t_span, su.step)
+        got, want = self.records(monkeypatch, traj.jm, su.q0, su.v0,
+                                 (0.0, float(traj.geo.s[-1])), su.step)
+        assert got.dense.status == 0 and not got.truncated
+        self.assert_same(got, want)
+
+    @pytest.mark.parametrize("dir0, span", [([1.0, 0.0], (0.0, 0.4)),
+                                            ([-1.0, 0.0], (0.0, -0.4))],
+                             ids=["forward", "backward"])
+    def test_truncated_by_the_clearance_event(self, monkeypatch, dir0, span):
+        # the event's margin above the domain margin of h, so the event
+        # ends the run before a stage leaves the domain
+        jm = dataclasses.replace(jacobi_metric(GRAVITY.system, 0.5), margin=0.05)
+        got, want = self.records(monkeypatch, jm, [0.0, 0.0], dir0, span, 1e-3)
+        assert got.dense.status == 1 and got.truncated
+        self.assert_same(got, want)
+
+    @pytest.mark.parametrize("rtol", [1e-3, 1e-6])
+    def test_event_root_on_a_curved_step(self, rtol):
+        # loose steps of the harmonic oscillator bend the event across the
+        # last step, so that the root depends on brentq's tolerances
+        def rhs(t, y):
+            return np.array([y[1], -y[0]])
+
+        def event(t, y):
+            return y[0] - 0.3
+
+        got = jacobi._rk45(rhs, [1.0, 0.0], 0.0, 10.0, rtol, 1e-6, event)
+        want = scipy_rk45(rhs, [1.0, 0.0], 0.0, 10.0, rtol, 1e-6, event)
+        assert got.status == want.status == 1
+        for name in ("t", "y"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        t = np.linspace(0.0, want.t[-1], 33)
+        assert np.array_equal(got.sol(t), want.sol(t))
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_roundtrip_resampling_equals_scipy(self, monkeypatch, method):
+        # numdiff's PCHIP and spline in the round trip against scipy's
+        got = maupertuis_roundtrip(GRAVITY.system, GRAVITY.q0, GRAVITY.v0, (0.0, 0.9),
+                                   geodesic_method=method)
+        monkeypatch.setattr(jacobi, "pchip", PchipInterpolator)
+        monkeypatch.setattr(jacobi, "cubic_spline",
+                            lambda x, y: CubicSpline(x, y, axis=0))
+        assert got == maupertuis_roundtrip(GRAVITY.system, GRAVITY.q0, GRAVITY.v0,
+                                           (0.0, 0.9), geodesic_method=method)
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_empty_span_gives_the_constant_record(self, method):
+        # both methods return the initial sample twice, as the rk4 loop and
+        # scipy's solve_ivp did
+        jm = jacobi_metric(GRAVITY.system, 0.5)
+        q0, dir0 = [0.1, -0.2], [3.0, -4.0]
+        geo = integrate_geodesic(jm, q0, dir0, (0.3, 0.3), 1e-3, method=method)
+        u0 = np.asarray(dir0) / jm.h.norm(np.asarray(q0), np.asarray(dir0))
+        assert np.array_equal(geo.s, [0.3, 0.3])
+        assert np.array_equal(geo.points, [q0, q0])
+        assert np.array_equal(geo.tangents, [u0, u0])
+        assert np.array_equal(geo.t_of_s, [0.0, 0.0]) and not geo.truncated
 
 
 class TestGeodesicTime:

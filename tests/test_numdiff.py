@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from scipy import integrate, interpolate
+from scipy import integrate, interpolate, optimize
 from scipy.linalg import lapack
 
-from jacobistab import geometry
-from jacobistab.dynamics import hessian_operator, integrate_newton
+from jacobistab import geometry, numdiff
+from jacobistab.dynamics import hessian_operator, integrate_deviation, integrate_newton
 from jacobistab.geometry import SampledCurve
 from jacobistab.jacobi import equal_energy_projection
-from jacobistab.numdiff import (_stencil_index, _tridiagonal_solve, apply_stencil, central_diff,
-                                central_diff2, cubic_spline, cumulative_simpson,
-                                local_derivative, simpson, stencil_weights)
+from jacobistab.numdiff import (_stencil_index, _tridiagonal_solve, apply_stencil, brentq,
+                                central_diff, central_diff2, cubic_spline, cumulative_simpson,
+                                local_derivative, pchip, simpson, stencil_weights)
 from jacobistab.systems import builtin_setup
 from jacobistab.variation import make_proper_variation
 
@@ -209,6 +209,112 @@ def test_cubic_spline_rejects_what_scipy_rejects(x, y):
         interpolate.CubicSpline(x, y, axis=0)
     with pytest.raises(ValueError):
         cubic_spline(x, y)
+    with pytest.raises(ValueError):
+        interpolate.PchipInterpolator(x, y, axis=0)
+    with pytest.raises(ValueError):
+        pchip(x, y)
+
+
+def _pchip_samples(kind, n, shape, rng):
+    y = rng.normal(size=(n,) + shape)
+    if kind == "monotone":
+        return np.cumsum(np.abs(y), axis=0)
+    if kind == "flat":
+        # runs of equal samples: flat chords, and chords of either sign next
+        # to them
+        return np.round(np.cumsum(y, axis=0))
+    return y
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 200])
+@pytest.mark.parametrize("kind", ["monotone", "flat", "random"])
+@pytest.mark.parametrize("grid", ["uniform", "random"])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["1d", "columns"])
+def test_pchip_equals_scipy(n, kind, grid, shape):
+    x = _spline_grid(grid, n)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        y = _pchip_samples(kind, n, shape, rng)
+        # the knots, the midpoints, and points just outside the end knots,
+        # as the round trip asks for t up to t_max + 1e-12
+        points = np.concatenate([x, x[:-1] + 0.5 * np.diff(x),
+                                 [x[0] - 0.1, x[0] - 1e-12, x[-1] + 1e-12, x[-1] + 0.1]])
+        assert _bits(pchip(x, y)(points)) == \
+            _bits(interpolate.PchipInterpolator(x, y, axis=0)(points))
+
+
+def test_pchip_end_slopes_equal_scipy():
+    # the end slopes: the three-point estimate kept, set to 0 (its sign is
+    # not the first chord's) and clipped to three chords (the chords change
+    # sign and it is larger)
+    x = np.array([0.0, 1.0, 1.1, 3.0])
+    for y in ([0.0, 1.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.5, 0.0],
+              [0.0, 0.2, 0.0, 0.5]):
+        points = np.linspace(-0.5, 3.5, 41)
+        assert _bits(pchip(x, y)(points)) == _bits(interpolate.PchipInterpolator(x, y)(points))
+
+
+def _cubics(seed, count):
+    """Cubics with a sign change on [a, b]: random roots, and a bracket
+    around the first."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        roots = np.sort(rng.uniform(-3.0, 3.0, 3))
+        scale = rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(-5.0, 5.0))
+        a = roots[0] - rng.uniform(0.01, 1.0)
+        b = min(roots[0] + rng.uniform(0.01, 1.0), 0.5 * (roots[0] + roots[1]))
+
+        def f(t, roots=roots, scale=scale):
+            return scale * (t - roots[0]) * (t - roots[1]) * (t - roots[2])
+        yield f, a, b
+
+
+@pytest.mark.parametrize("tolerances", [
+    {}, {"xtol": 4 * np.finfo(float).eps, "rtol": 4 * np.finfo(float).eps},
+    # loose tolerances stop at early iterates, whose bits the grouping of
+    # each step's float operations decides
+    {"xtol": 1e-1}, {"xtol": 1e-3}, {"xtol": 1e-6}],
+    ids=["default", "event", "loose-1", "loose-3", "loose-6"])
+def test_brentq_equals_scipy_on_cubics(tolerances):
+    for f, a, b in _cubics(5, 300):
+        got, want = brentq(f, a, b, **tolerances), optimize.brentq(f, a, b, **tolerances)
+        assert isinstance(got, float) and _bits(got) == _bits(want)
+
+
+def test_brentq_equals_scipy_on_the_conjugate_point_spline():
+    # check_conjugate_point's bracket on its own spline, with both
+    # tolerance pairs
+    su = builtin_setup("sphere-free")
+    traj = integrate_newton(su.system, su.q0, su.v0, (0.0, 3.5), su.step)
+    v = integrate_deviation(traj, np.zeros(2), np.array([1.0, 0.0])).V[:, 0]
+    comp = cubic_spline(traj.times, v)
+    assert _bits(comp(np.linspace(2.9, 3.3, 101))) == \
+        _bits(interpolate.CubicSpline(traj.times, v)(np.linspace(2.9, 3.3, 101)))
+    for tol in ({}, {"xtol": 4 * np.finfo(float).eps, "rtol": 4 * np.finfo(float).eps}):
+        assert _bits(brentq(comp, 2.9, 3.3, **tol)) == \
+            _bits(optimize.brentq(interpolate.CubicSpline(traj.times, v), 2.9, 3.3, **tol))
+
+
+def test_brentq_end_values_and_errors_as_scipy(monkeypatch):
+    def cube(t):
+        return t ** 3 - 2.0
+
+    for a, b in ((2.0 ** (1 / 3), 3.0), (0.0, 2.0 ** (1 / 3))):       # a zero at an end
+        assert brentq(cube, a, b) == optimize.brentq(cube, a, b)
+    for args in ((lambda t: t * t + 1.0, 0.0, 1.0), (cube, 0.0, 1.0)):  # same sign
+        for solver in (brentq, optimize.brentq):
+            with pytest.raises(ValueError, match="different signs"):
+                solver(*args)
+    with pytest.raises(RuntimeError, match="converge after 2 iterations"):
+        optimize.brentq(cube, 0.0, 2.0, maxiter=2)
+    with monkeypatch.context() as m, pytest.raises(RuntimeError, match="converge after 2 "):
+        m.setattr(numdiff, "_BRENTQ_MAXITER", 2)
+        brentq(cube, 0.0, 2.0)
+    for solver in (brentq, optimize.brentq):
+        with pytest.raises(ValueError, match="NaN"):
+            solver(lambda t: np.nan if t > 0.5 else -1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="rtol"):
+            solver(cube, 0.0, 2.0, rtol=1e-16)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 101, 1000])
