@@ -4,7 +4,7 @@ geodesic stability for natural mechanical systems."""
 from .errors import (ChartDomainError, ConfigError, DegenerateMetricError,
                      EnergyDriftError, ForbiddenRegionError, GeometryError)
 from .geometry import (ChartMetric, SampledCurve, ScalarField, christoffel,
-                       cov_derivative_along, hessian_form, riemann)
+                       cov_derivative_along, fd_field, fd_metric, hessian_form, riemann)
 from .conformal import (conformal_connection, conformal_curvature,
                         conformal_rescale, conformal_second_cov,
                         lemma_residuals, reparam_cov)

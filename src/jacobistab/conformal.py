@@ -15,10 +15,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .geometry import (FD_STEP, ChartMetric, SampledCurve, ScalarField, _connection,
-                       _first_point, _mv, _quad, _second_cov, _shaped, christoffel,
-                       cov_derivative_along, riemann)
-from .numdiff import apply_stencil, central_diff, cumulative_simpson
+from .geometry import (ChartMetric, SampledCurve, ScalarField, _connection, _first_point,
+                       _mv, _quad, _second_cov, _shaped, christoffel, cov_derivative_along,
+                       riemann)
+from .numdiff import apply_stencil, cumulative_simpson
 
 
 def factor_values(cf: ScalarField, p) -> np.ndarray:
@@ -43,11 +43,9 @@ def F_components(cf: ScalarField, metric: ChartMetric, p) -> np.ndarray:
 
 
 def F_partials(cf: ScalarField, metric: ChartMetric, p) -> np.ndarray:
-    """Partials ``out[..., k, i] = d_k F^i`` of F: analytic when the factor
-    and the metric both carry first partials, else central differences."""
+    """Partials ``out[..., k, i] = d_k F^i`` of F, by the product rule from
+    the partials of the factor and of the metric."""
     p = np.asarray(p, dtype=float)
-    if cf.partials is None or metric.dg_eval is None:
-        return central_diff(lambda q: F_components(cf, metric, q), p, FD_STEP)
     ginv = metric.g_inv(p)
     dginv = -np.einsum('...la,...kab,...bm->...klm', ginv, metric.dg(p), ginv)
     v = factor_values(cf, p)[..., None, None]
@@ -60,11 +58,8 @@ def F_partials(cf: ScalarField, metric: ChartMetric, p) -> np.ndarray:
 def conformal_rescale(metric: ChartMetric, cf: ScalarField,
                       extra_guard: Optional[Callable] = None,
                       name: str = "") -> ChartMetric:
-    """Chart metric with components ``f * g_ij``.
-
-    Analytic derivative evaluators are assembled by the product rule when
-    both the base metric and the factor carry them; otherwise the rescaled
-    metric falls back to finite differences of its own components.
+    """Chart metric with components ``f * g_ij``, whose partials are
+    assembled by the product rule from those of the metric and the factor.
     """
 
     def factor(p, k):
@@ -81,21 +76,17 @@ def conformal_rescale(metric: ChartMetric, cf: ScalarField,
             ok = ok & extra_guard(p)
         return ok
 
-    dg_eval = None
-    d2g_eval = None
-    if metric.dg_eval is not None and cf.partials is not None:
-        def dg_eval(p):
-            return (np.einsum('...k,...ij->...kij', cf.grad_components(p), metric.g(p))
-                    + factor(p, 3) * metric.dg(p))
+    def dg_eval(p):
+        return (np.einsum('...k,...ij->...kij', cf.grad_components(p), metric.g(p))
+                + factor(p, 3) * metric.dg(p))
 
-        if metric.d2g_eval is not None and cf.second_partials is not None:
-            def d2g_eval(p):
-                dfv = cf.grad_components(p)
-                dgv = metric.dg(p)
-                return (np.einsum('...kl,...ij->...klij', cf.hess_components(p), metric.g(p))
-                        + np.einsum('...k,...lij->...klij', dfv, dgv)
-                        + np.einsum('...l,...kij->...klij', dfv, dgv)
-                        + factor(p, 4) * metric.d2g(p))
+    def d2g_eval(p):
+        dfv = cf.grad_components(p)
+        dgv = metric.dg(p)
+        return (np.einsum('...kl,...ij->...klij', cf.hess_components(p), metric.g(p))
+                + np.einsum('...k,...lij->...klij', dfv, dgv)
+                + np.einsum('...l,...kij->...klij', dfv, dgv)
+                + factor(p, 4) * metric.d2g(p))
 
     return ChartMetric(dim=metric.dim, g_eval=g_eval, dg_eval=dg_eval,
                        d2g_eval=d2g_eval, domain_guard=guard,
@@ -308,17 +299,20 @@ def _worst(*diffs) -> np.ndarray:
     return np.where(np.isfinite(r), r, np.inf)
 
 
-def lemma_residuals(metric: ChartMetric, cf: ScalarField,
+def lemma_residuals(metric: ChartMetric, cf: ScalarField, rescaled: ChartMetric,
                     n_samples: int = 100, seed: int = 0, box=None,
                     fault: Optional[str] = None):
     """Compare each transformation formula against direct computation.
 
     For ``n_samples`` seeded random points and g-unit random vectors the
     formula side (base-metric quantities) is checked against the direct
-    side (Christoffel/curvature of the rescaled metric, or s-parameter
-    differentiation).  All random numbers are drawn first, sample by
-    sample; then each formula and each direct side is evaluated once over
-    the batch of samples.  Returns one record per formula:
+    side (Christoffel/curvature of ``rescaled``, the metric ``cf * g`` with
+    partials of its own, or s-parameter differentiation).  With analytic
+    partials ``rescaled`` is ``conformal_rescale(metric, cf)``; a
+    finite-difference oracle passes h differentiated as a whole, so that
+    its side does not repeat the product rule of the formulas.  All random
+    numbers are drawn first, sample by sample; then each formula and each
+    direct side is evaluated once over the batch of samples.  Returns one record per formula:
     ``{"lemma": ..., "samples": ..., "max_residual": ..., "seed": ...}``.
 
     Lemma 2 is evaluated on windows at a fine and a coarse step, and the
@@ -343,7 +337,6 @@ def lemma_residuals(metric: ChartMetric, cf: ScalarField,
         coeff[i] = rng.uniform(-1.0, 1.0, size=(3, n))
     w *= 0.5
 
-    rescaled = conformal_rescale(metric, cf)
     want1 = np.einsum('...ijk,...j,...k->...i', christoffel(rescaled, p), x, y)
     r1 = _worst(conformal_connection(metric, cf, p, x, y) - want1,
                 conformal_second_cov(metric, cf, p, x, y, z) - _second_cov(rescaled, p, x, y, z))

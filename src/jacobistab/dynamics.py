@@ -30,7 +30,7 @@ from .numdiff import _EPS4, brentq, cubic_spline
 @dataclass(frozen=True)
 class MechanicalSystem:
     """Metric plus potential U, a :class:`~jacobistab.geometry.ScalarField`
-    whose partials and point evaluator are optional.  Every method below
+    with its partials; its point evaluator is optional.  Every method below
     takes a single point or a batch.
     """
 

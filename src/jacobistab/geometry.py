@@ -6,8 +6,9 @@ returns one value per point with the same leading batch shape.  The
 metric ``g`` and its inverse are ``(..., n, n)``, first metric partials
 ``(..., n, n, n)``, scalars ``(...)``, and a domain guard returns a
 boolean mask ``(...)``.  A single point ``(n,)`` is the empty-batch case
-of the same code.  When derivative evaluators are missing, central finite
-differences are used, with all stencil points evaluated in one call.
+of the same code.  Every evaluator carries its partials; :func:`fd_metric`
+and :func:`fd_field` build central-difference ones for opaque callables,
+with all stencil points of a batch evaluated in one call.
 
 Curvature follows the operator convention
 
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartDomainError, DegenerateMetricError
-from .numdiff import apply_stencil, central_diff, central_diff2, stencil_weights
+from .numdiff import apply_stencil, central_diff, stencil_weights
 
 Point = np.ndarray
 
@@ -95,8 +96,8 @@ class ChartMetric:
     dim : chart dimension n.
     g_eval : points (..., n) -> (..., n, n) symmetric positive-definite
         component matrices.
-    dg_eval : optional points -> (..., n, n, n), ``dg[..., k, i, j] = d_k g_ij``.
-    d2g_eval : optional points -> (..., n, n, n, n),
+    dg_eval : points -> (..., n, n, n), ``dg[..., k, i, j] = d_k g_ij``.
+    d2g_eval : points -> (..., n, n, n, n),
         ``d2g[..., k, l, i, j] = d_k d_l g_ij``.
     domain_guard : points -> boolean mask (...) of valid chart points.
     point : optional :class:`PointSource`, a point evaluator as float
@@ -111,8 +112,8 @@ class ChartMetric:
 
     dim: int
     g_eval: Callable[[Point], np.ndarray]
-    dg_eval: Optional[Callable[[Point], np.ndarray]] = None
-    d2g_eval: Optional[Callable[[Point], np.ndarray]] = None
+    dg_eval: Callable[[Point], np.ndarray]
+    d2g_eval: Callable[[Point], np.ndarray]
     domain_guard: Callable[[Point], np.ndarray] = field(default=_finite)
     name: str = ""
     point: Optional[PointSource] = None
@@ -139,18 +140,11 @@ class ChartMetric:
 
     def dg(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        if self.dg_eval is not None:
-            return _shaped(self.dg_eval(p), p.shape[:-1] + (self.dim,) * 3)
-        return central_diff(self.g, p, FD_STEP)
+        return _shaped(self.dg_eval(p), p.shape[:-1] + (self.dim,) * 3)
 
     def d2g(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        if self.d2g_eval is not None:
-            return _shaped(self.d2g_eval(p), p.shape[:-1] + (self.dim,) * 4)
-        if self.dg_eval is not None:
-            # d_k (d_l g_ij) by differencing the analytic first partials
-            return central_diff(self.dg, p, FD_STEP2)
-        return central_diff2(self.g, p, FD_STEP2)
+        return _shaped(self.d2g_eval(p), p.shape[:-1] + (self.dim,) * 4)
 
     def inner(self, p, x, y):
         return _quad(self.g(p), np.asarray(x, dtype=float), np.asarray(y, dtype=float))[()]
@@ -197,20 +191,19 @@ class SampledCurve:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar field with optional analytic partials: a potential or a
-    conformal factor.
+    """Scalar field with its partials: a potential or a conformal factor.
 
     ``value(p)`` returns ``(...)`` values, ``partials(p)`` the ``(..., n)``
     array of d_j f, ``second_partials(p)`` the ``(..., n, n)`` array
-    d_j d_l f.  Missing evaluators fall back to central differences of
-    ``value``.  The optional :class:`PointSource` ``point`` takes a
-    sequence of n floats to ``(f, df)``, a float and a tuple of n floats
-    bitwise equal to ``value`` and ``partials`` there.
+    d_j d_l f.  :func:`fd_field` builds a field whose partials are central
+    differences of ``value``.  The optional :class:`PointSource` ``point``
+    takes a sequence of n floats to ``(f, df)``, a float and a tuple of n
+    floats bitwise equal to ``value`` and ``partials`` there.
     """
 
     value: Callable[[Point], np.ndarray]
-    partials: Optional[Callable[[Point], np.ndarray]] = None
-    second_partials: Optional[Callable[[Point], np.ndarray]] = None
+    partials: Callable[[Point], np.ndarray]
+    second_partials: Callable[[Point], np.ndarray]
     point: Optional[PointSource] = None
 
     def __call__(self, p):
@@ -219,24 +212,40 @@ class ScalarField:
 
     def grad_components(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        if self.partials is not None:
-            return _shaped(self.partials(p), p.shape)
-        return central_diff(self, p, FD_STEP)
+        return _shaped(self.partials(p), p.shape)
 
     def hess_components(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        if self.second_partials is not None:
-            return _shaped(self.second_partials(p), p.shape + p.shape[-1:])
-        if self.partials is not None:
-            d = central_diff(self.grad_components, p, FD_STEP2)
-            return 0.5 * (d + np.swapaxes(d, -1, -2))
-        return central_diff2(self, p, FD_STEP2)
+        return _shaped(self.second_partials(p), p.shape + p.shape[-1:])
 
 
-def as_scalar_field(f) -> ScalarField:
-    if isinstance(f, ScalarField):
-        return f
-    return ScalarField(value=f)
+def fd_metric(metric: ChartMetric) -> ChartMetric:
+    """``metric`` with central-difference partials of its components: first
+    partials at ``FD_STEP``, second partials as differences of those at
+    ``FD_STEP2``.  The components and the domain are ``metric``'s."""
+    def dg(p):
+        return central_diff(metric.g, p, FD_STEP)
+
+    def d2g(p):
+        return central_diff(dg, p, FD_STEP2)
+
+    return ChartMetric(metric.dim, metric.g_eval, dg, d2g, metric.domain_guard,
+                       metric.name + "-fd")
+
+
+def fd_field(value: Callable[[Point], np.ndarray]) -> ScalarField:
+    """The scalar field ``value`` with central-difference partials: first
+    partials at ``FD_STEP``, second partials as the symmetrized differences
+    of those at ``FD_STEP2``."""
+    def partials(p):
+        return central_diff(field, p, FD_STEP)
+
+    def second_partials(p):
+        d = central_diff(partials, p, FD_STEP2)
+        return 0.5 * (d + np.swapaxes(d, -1, -2))
+
+    field = ScalarField(value, partials, second_partials)
+    return field
 
 
 def _sample_fastest(p, *arrays) -> tuple:
@@ -283,14 +292,10 @@ def _christoffel(metric: ChartMetric, p, ginv) -> np.ndarray:
 
 def christoffel_partials(metric: ChartMetric, p, ginv=None) -> np.ndarray:
     """Partial derivatives of the Christoffel symbols,
-    ``out[..., k, l, i, j] = d_k Γ^l_ij``.
-
-    Uses the analytic product-rule expression when metric partials are
-    available, otherwise central differences of :func:`christoffel`.
+    ``out[..., k, l, i, j] = d_k Γ^l_ij``, by the product rule from the
+    metric's first and second partials.
     """
     p = metric.check_point(p)
-    if metric.d2g_eval is None and metric.dg_eval is None:
-        return central_diff(lambda q: christoffel(metric, q), p, FD_STEP2)
     ginv, dg, d2g = _sample_fastest(p, metric.g_inv(p) if ginv is None else ginv,
                                     metric.dg(p), metric.d2g(p))
     # Each sum is formed in place, in the order of the expression it stands
@@ -325,17 +330,16 @@ def riemann(metric: ChartMetric, p, gamma=None, ginv=None) -> np.ndarray:
     return out
 
 
-def hessian_form(metric: ChartMetric, f, p, gamma=None) -> np.ndarray:
+def hessian_form(metric: ChartMetric, f: ScalarField, p, gamma=None) -> np.ndarray:
     """Covariant Hessian of a scalar as a symmetric bilinear form.
 
     ``out[..., j, l] = d_j d_l f - (d_k f) Γ^k_jl``, which agrees with
     ``<nabla_X grad f, Y>`` for all X, Y.  ``gamma`` reuses Christoffel
     symbols already evaluated at the same points.
     """
-    sf = as_scalar_field(f)
     gam = christoffel(metric, p) if gamma is None else gamma
-    df = sf.grad_components(p)
-    d2f = sf.hess_components(p)
+    df = f.grad_components(p)
+    d2f = f.hess_components(p)
     return d2f - np.einsum('...k,...kjl->...jl', df, gam)
 
 
@@ -407,8 +411,8 @@ def _second_cov(metric: ChartMetric, p, x, y, z, gamma=None) -> np.ndarray:
 def validate_metric_at(metric: ChartMetric, p) -> None:
     """Raise if the metric violates its basic contracts at p (or a batch).
 
-    Checks symmetry (1e-12), positive definiteness, and agreement of any
-    analytic first partials with central differences, to 1e-6 relative
+    Checks symmetry (1e-12), positive definiteness, and agreement of the
+    first partials with central differences, to 1e-6 relative
     to the largest partial (absolute below 1): the error of the differences
     grows with the size of the metric and its partials.
     """
@@ -418,11 +422,10 @@ def validate_metric_at(metric: ChartMetric, p) -> None:
         raise DegenerateMetricError(f"metric not symmetric at {p.tolist()}")
     if np.min(np.linalg.eigvalsh(gm)) <= 0.0:
         raise DegenerateMetricError(f"degenerate metric at {p.tolist()}: not positive definite")
-    if metric.dg_eval is not None:
-        fd = central_diff(metric.g, p, FD_STEP)
-        dg = metric.dg(p)
-        if np.max(np.abs(fd - dg)) > 1e-6 * max(1.0, np.max(np.abs(dg))):
-            raise DegenerateMetricError(f"analytic metric partials disagree with differences at {p.tolist()}")
+    fd = central_diff(metric.g, p, FD_STEP)
+    dg = metric.dg(p)
+    if np.max(np.abs(fd - dg)) > 1e-6 * max(1.0, np.max(np.abs(dg))):
+        raise DegenerateMetricError(f"analytic metric partials disagree with differences at {p.tolist()}")
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +437,10 @@ def validate_metric_at(metric: ChartMetric, p) -> None:
 _NORMAL = 2.2250738585072014e-308
 _HUGE = 1.7976931348623157e308
 
-# the text of an expression of numeric literals only, and a source-local name
-_CONSTANT = re.compile(r"(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|[-+*/()<=> ])+")
+# the text of an expression of numeric literals only, and a source-local
+# name; a literal never ends where a digit or a point follows, so a text
+# that does not match fails without splitting its digit runs every way
+_CONSTANT = re.compile(r"(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?(?![\d.])|[-+*/()<=> ])+")
 _LOCAL = re.compile(r"(?<![\w.])_(?=\w)")
 
 

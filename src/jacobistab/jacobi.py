@@ -122,9 +122,9 @@ def jacobi_metric(sys: MechanicalSystem, E: float) -> JacobiMetric:
     """
     margin = 1e-6 * max(abs(E), 1e-6)
     pot = sys.potential
-    df = None if pot.partials is None else (lambda p: -2.0 * pot.grad_components(p))
-    d2f = None if pot.second_partials is None else (lambda p: -2.0 * pot.hess_components(p))
-    factor = ScalarField(value=lambda p: 2.0 * (E - pot(p)), partials=df, second_partials=d2f)
+    factor = ScalarField(value=lambda p: 2.0 * (E - pot(p)),
+                         partials=lambda p: -2.0 * pot.grad_components(p),
+                         second_partials=lambda p: -2.0 * pot.hess_components(p))
 
     def guard(p):
         return (E - pot(p)) > margin
@@ -203,6 +203,8 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
         raise ValueError("dir0 must be nonzero")
     u0 = dir0 / nrm
     s0, s1 = float(s_span[0]), float(s_span[1])
+    if step <= 0 or s1 < s0:
+        raise ValueError("need step > 0 and s_span[1] >= s_span[0]")
     if s1 == s0:
         # an empty span: the initial sample twice, whichever the method
         return GeodesicRecord(np.array([s0, s0]), np.array([q0, q0]), np.array([u0, u0]),

@@ -1,7 +1,10 @@
 """Sampled-data differentiation helpers.
 
-Central differences (:func:`central_diff`, :func:`central_diff2`) give
-partials of a function that can be evaluated anywhere.  Sampled data are
+Central differences (:func:`central_diff`) give partials of a function
+that can be evaluated anywhere: the finite-difference evaluators
+:func:`~jacobistab.geometry.fd_metric` and
+:func:`~jacobistab.geometry.fd_field`, and the checks that compare
+partials against differences.  Sampled data are
 differentiated by one scheme: a sliding polynomial stencil on arbitrarily
 spaced nodes, 7 points wide along a curve, so that truncation errors stay
 well below the identity tolerances.
@@ -12,8 +15,7 @@ few dozen on a uniform grid) and :func:`apply_stencil`
 applies them; these two are what the package calls.  A sampled curve keeps
 the weights of its own parameter grid
 (:attr:`~jacobistab.geometry.SampledCurve.stencil`), so every field
-differentiated along it reuses one solve.  :func:`local_derivative` is the
-one-shot form of the two, for a single field on a grid of its own.
+differentiated along it reuses one solve.
 
 Sampled data are integrated and interpolated, and roots are found, by
 ports of scipy 1.17: :func:`simpson`, :func:`cumulative_simpson`
@@ -53,29 +55,6 @@ def central_diff(fn, p, step):
     return np.moveaxis((f[:n] - f[n:]) / (2.0 * step), 0, p.ndim - 1)
 
 
-def central_diff2(fn, p, step):
-    """Second central-difference partials at each point of a batch,
-    ``out[..., k, l, *s] = d^2 fn / dp_k dp_l``, from one call of ``fn``."""
-    p = np.asarray(p, dtype=float)
-    n = p.shape[-1]
-    e = step * np.eye(n)
-    k, l = np.triu_indices(n, 1)
-    ek, el = e[k], e[l]
-    offsets = np.concatenate([np.zeros((1, n)), e, -e,
-                              ek + el, ek - el, -ek + el, -ek - el])
-    f = np.moveaxis(np.asarray(fn(p[..., None, :] + offsets), dtype=float),
-                    p.ndim - 1, 0)
-    f0, fp, fm = f[0], f[1:n + 1], f[n + 1:2 * n + 1]
-    fpp, fpm, fmp, fmm = np.split(f[2 * n + 1:], 4)
-    out = np.empty((n, n) + f0.shape)
-    diag = np.arange(n)
-    out[diag, diag] = (fp - 2.0 * f0 + fm) / step**2
-    mixed = (fpp - fpm - fmp + fmm) / (4.0 * step**2)
-    out[k, l] = mixed
-    out[l, k] = mixed
-    return np.moveaxis(out, (0, 1), (p.ndim - 1, p.ndim))
-
-
 @functools.lru_cache(maxsize=16)
 def _stencil_index(n, width):
     """Node indices ``(N, width)`` of the stencil of every node: centred,
@@ -90,8 +69,11 @@ def _stencil_index(n, width):
 
 def stencil_weights(x):
     """First-derivative weights ``(..., N, w)`` of the sliding polynomial
-    stencils of :func:`local_derivative` on the grids ``x`` ``(..., N)``,
-    with ``w = min(7, N)``; :func:`apply_stencil` applies them to samples.
+    stencils on the grids ``x`` ``(..., N)``, with ``w = min(7, N)``:
+    centred, shifted inwards at the ends of a grid, and exact for
+    polynomials of degree below ``w`` on any strictly increasing nodes
+    (O(h^6) on smooth data with 7 or more nodes).  :func:`apply_stencil`
+    applies them to samples.
 
     The weights depend on the grid alone, so whoever owns a grid builds
     them once and applies them to every field sampled on it.
@@ -131,23 +113,6 @@ def apply_stencil(weights, y):
     out = np.einsum('nw,nw...->n...', weights.reshape(-1, width),
                     yw.reshape((-1, width) + y.shape[node + 1:]))
     return out.reshape(y.shape)
-
-
-def local_derivative(x, y):
-    """Differentiate sampled data with sliding 7-point polynomial stencils.
-
-    Parameters
-    ----------
-    x : (..., N) strictly increasing sample locations (may be non-uniform),
-        one grid per leading index.
-    y : (..., N) or (..., N, ...) samples, whose leading axes match ``x``.
-
-    Returns an array shaped like ``y`` holding dy/dx at every node, accurate
-    to O(h^6) on smooth data with 7 or more nodes.  This one-shot form
-    solves the weights on every call; a grid that carries many fields keeps
-    its weights instead (see :attr:`~jacobistab.geometry.SampledCurve.stencil`).
-    """
-    return apply_stencil(stencil_weights(x), y)
 
 
 def simpson(y, x) -> float:

@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from jacobistab import cli, jacobi, numdiff, verify
+from jacobistab import cli, jacobi, verify
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -95,15 +95,12 @@ def test_traced_roundtrip_binds_the_geodesic(tracer_module):
 
 
 def test_traced_lemma_suite_binds_sample_count(tracer_module):
-    # the tracer binds ``n_samples`` of lemma_residuals and ``x`` of
-    # local_derivative; the lemma suite applies the stencil weights of its
-    # own grids and does not call local_derivative, so the round calls it once
+    # the tracer binds ``n_samples`` of lemma_residuals
     tr = tracer_module.Tracer()
     tr.install()
     try:
         tr.begin_round()
         results = verify.check_lemma_suite(n_samples=2)
-        numdiff.local_derivative(np.arange(9.0), np.arange(9.0) ** 2)
         tr.end_round()
     finally:
         tr.uninstall()
@@ -111,8 +108,6 @@ def test_traced_lemma_suite_binds_sample_count(tracer_module):
     st = tr.rounds[0]
     assert st.calls["conformal.lemma_residuals"] == 12
     assert st.count["lemma.samples"] == 24
-    assert st.calls["numdiff.local_derivative"] == 1
-    assert st.count["ld.nodes"] == 9
 
 
 def test_traced_theorems_bind_functional_arguments(tracer_module):

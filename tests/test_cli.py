@@ -477,7 +477,8 @@ class TestVerify:
         assert code == 1
         verdicts = json.loads((tmp_path / "verify_lemmas.json").read_text())
         failed = {v["identity"] for v in verdicts if not v["passed"]}
-        assert "lemma3-analytic" in failed
+        # the flip reaches the direct side of both derivative paths
+        assert failed == {"lemma3-analytic", "lemma3-fd"}
 
     def test_tolerance_override_forces_failure(self, tmp_path):
         code = main(["verify-lemmas", "--out", str(tmp_path),

@@ -10,8 +10,8 @@ from jacobistab.conformal import (F_components, conformal_connection,
                                   lemma_residuals, reparam_cov)
 from jacobistab.errors import DegenerateMetricError
 from jacobistab.expressions import scalar_field_from_expr
-from jacobistab.geometry import (SampledCurve, ScalarField, _second_cov, as_scalar_field,
-                                 christoffel, riemann)
+from jacobistab.geometry import (SampledCurve, ScalarField, _second_cov, christoffel,
+                                 fd_field, riemann)
 from jacobistab.systems import SAMPLE_BOXES, builtin_setup, flat_metric, sphere_metric
 
 FLAT = flat_metric(2)
@@ -25,7 +25,7 @@ ONE = scalar_field_from_expr("1", 2)
 def grad_scalar(metric, f, p):
     """Reference Riemannian gradient components ``g^{ij} d_j f`` ``(..., n)``."""
     p = metric.check_point(p)
-    return np.einsum('...ij,...j->...i', metric.g_inv(p), as_scalar_field(f).grad_components(p))
+    return np.einsum('...ij,...j->...i', metric.g_inv(p), f.grad_components(p))
 
 
 def sphere_energy_factor(E=2.0):
@@ -48,11 +48,11 @@ class TestConformalFactor:
     def test_gradient_of_log_matches_direct(self):
         cf = E2X
         p = np.array([0.3, -0.4])
-        want = grad_scalar(FLAT, lambda q: np.log(factor_values(cf, q)), p)
+        want = grad_scalar(FLAT, fd_field(lambda q: np.log(factor_values(cf, q))), p)
         assert np.allclose(F_components(cf, FLAT, p), want, atol=1e-8)
 
     def test_nonpositive_factor_rejected(self):
-        cf = ScalarField(value=lambda p: float(p[0]))
+        cf = fd_field(lambda p: float(p[0]))
         with pytest.raises(DegenerateMetricError):
             factor_values(cf, [-1.0, 0.0])
 
@@ -189,23 +189,25 @@ class TestCurvature:
 
 class TestResidualHarness:
     def test_unit_factor_all_tiny(self):
-        recs = lemma_residuals(FLAT, ONE, n_samples=100, seed=0)
+        recs = lemma_residuals(FLAT, ONE, conformal_rescale(FLAT, ONE), n_samples=100, seed=0)
         assert [r["lemma"] for r in recs] == ["lemma1", "lemma2", "lemma3"]
         assert all(r["max_residual"] < 1e-12 for r in recs)
         assert all(r["seed"] == 0 for r in recs)
 
     def test_flat_e2x_analytic(self):
-        recs = lemma_residuals(FLAT, E2X, n_samples=100, seed=1)
+        recs = lemma_residuals(FLAT, E2X, conformal_rescale(FLAT, E2X), n_samples=100, seed=1)
         assert max(r["max_residual"] for r in recs) < 1e-8
 
     def test_sphere_energy_factor(self):
-        recs = lemma_residuals(SPHERE, sphere_energy_factor(), n_samples=100,
+        cf = sphere_energy_factor()
+        recs = lemma_residuals(SPHERE, cf, conformal_rescale(SPHERE, cf), n_samples=100,
                                seed=1, box=((0.7, -1.0), (2.4, 1.0)))
         assert max(r["max_residual"] for r in recs) < 1e-7
 
     def test_fault_injection_detected(self):
         # curvature must be nonzero for a sign flip to register
-        recs = lemma_residuals(SPHERE, sphere_energy_factor(), n_samples=5, seed=1,
+        cf = sphere_energy_factor()
+        recs = lemma_residuals(SPHERE, cf, conformal_rescale(SPHERE, cf), n_samples=5, seed=1,
                                box=((0.7, -1.0), (2.4, 1.0)), fault="lemma3-sign")
         by_name = {r["lemma"]: r["max_residual"] for r in recs}
         assert by_name["lemma3"] > 1e-3
@@ -216,7 +218,7 @@ class TestResidualHarness:
         cf = ScalarField(value=lambda p: np.exp(p[..., 0]), partials=lambda p: np.stack(
             [np.exp(p[..., 0]), np.zeros(p.shape[:-1])], axis=-1),
             second_partials=lambda p: np.full(p.shape + p.shape[-1:], np.nan))
-        recs = lemma_residuals(FLAT, cf, n_samples=5, seed=1)
+        recs = lemma_residuals(FLAT, cf, conformal_rescale(FLAT, cf), n_samples=5, seed=1)
         by_name = {r["lemma"]: r["max_residual"] for r in recs}
         assert by_name["lemma1"] == np.inf
         assert by_name["lemma3"] == np.inf
@@ -228,6 +230,16 @@ class TestResidualHarness:
 
         results = {r.name: r.value for r in check_lemma_suite()}
         assert results["lemma2-fd"] < 1e-8
+
+    def test_fd_path_differences_h_as_a_whole(self):
+        # the direct side of the FD path takes central differences of h = f g
+        # itself, so lemma 3 reads their error; h's partials by the product
+        # rule would repeat the formulas' algebra and read roundoff (7.8e-15)
+        from jacobistab.verify import check_lemma_suite
+
+        results = {r.name: r.value for r in check_lemma_suite(n_samples=20)}
+        assert results["lemma1-fd"] > 1e-8 and results["lemma3-fd"] > 1e-8
+        assert results["lemma3-analytic"] < 1e-12
 
     def test_evaluated_as_one_batch(self, monkeypatch):
         # the number of Christoffel evaluations does not grow with the samples
@@ -248,7 +260,7 @@ class TestResidualHarness:
         counts = []
         for n in (5, 50):
             calls.clear()
-            lemma_residuals(FLAT, E2X, n_samples=n, seed=1)
+            lemma_residuals(FLAT, E2X, conformal_rescale(FLAT, E2X), n_samples=n, seed=1)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 

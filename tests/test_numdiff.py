@@ -8,8 +8,8 @@ from jacobistab.dynamics import hessian_operator, integrate_deviation, integrate
 from jacobistab.geometry import SampledCurve
 from jacobistab.jacobi import equal_energy_projection
 from jacobistab.numdiff import (_stencil_index, _tridiagonal_solve, apply_stencil, brentq,
-                                central_diff, central_diff2, cubic_spline, cumulative_simpson,
-                                local_derivative, pchip, simpson, stencil_weights)
+                                central_diff, cubic_spline, cumulative_simpson, pchip, simpson,
+                                stencil_weights)
 from jacobistab.systems import builtin_setup
 from jacobistab.variation import make_proper_variation
 
@@ -17,7 +17,7 @@ from jacobistab.variation import make_proper_variation
 def test_local_derivative_exact_on_polynomials():
     x = np.linspace(0.0, 1.0, 25)
     y = 3.0 * x**4 - 2.0 * x**2 + x - 5.0
-    dy = local_derivative(x, y)
+    dy = apply_stencil(stencil_weights(x), y)
     assert np.max(np.abs(dy - (12 * x**3 - 4 * x + 1))) < 1e-10
 
 
@@ -25,21 +25,21 @@ def test_local_derivative_nonuniform_grid():
     rng = np.random.default_rng(0)
     x = np.sort(rng.uniform(0.0, 2.0, 60))
     y = np.sin(x)
-    dy = local_derivative(x, y)
+    dy = apply_stencil(stencil_weights(x), y)
     assert np.max(np.abs(dy - np.cos(x))) < 1e-6
 
 
 def test_local_derivative_vector_samples():
     x = np.linspace(0.0, np.pi, 200)
     y = np.stack([np.sin(x), np.cos(2 * x)], axis=1)
-    dy = local_derivative(x, y)
+    dy = apply_stencil(stencil_weights(x), y)
     want = np.stack([np.cos(x), -2 * np.sin(2 * x)], axis=1)
     assert np.max(np.abs(dy - want)) < 1e-9
 
 
 def test_local_derivative_rejects_short_input():
     with pytest.raises(ValueError):
-        local_derivative(np.array([0.0]), np.array([1.0]))
+        apply_stencil(stencil_weights(np.array([0.0])), np.array([1.0]))
 
 
 def _grids():
@@ -56,7 +56,7 @@ def test_curve_stencil_equals_one_shot(x):
     curve = SampledCurve(x, pts, pts)
     for y in (np.cos(3.0 * x), pts):
         assert np.array_equal(apply_stencil(curve.stencil, y),
-                              local_derivative(x, y))
+                              apply_stencil(stencil_weights(x), y))
 
 
 def _weights_node_by_node(x):
@@ -108,17 +108,6 @@ def test_central_diff_matches_gradient():
     d = central_diff(f, p, 1e-5)
     assert abs(d[0] - 2 * p[0] * p[1]) < 1e-9
     assert abs(d[1] - (p[0] ** 2 + np.exp(p[1]))) < 1e-9
-
-
-def test_central_diff2_symmetric():
-    def f(p):
-        return np.sin(p[..., 0]) * p[..., 1] ** 3
-
-    p = np.array([0.7, 1.1])
-    h = central_diff2(f, p, 1e-4)
-    assert h.shape == (2, 2)
-    assert abs(h[0, 1] - h[1, 0]) < 1e-12
-    assert abs(h[0, 1] - 3 * np.cos(p[0]) * p[1] ** 2) < 1e-6
 
 
 def test_cumulative_simpson_quartic():

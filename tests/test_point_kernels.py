@@ -219,10 +219,14 @@ def test_non_diagonal_metric_agrees_with_batched():
 def test_singular_metric_raises_as_batched():
     # constant point sources: the literals fold, the NaN is a parameter
     potential = ScalarField(value=lambda p: 0.0 * p[..., 0],
+                            partials=lambda p: np.zeros(p.shape),
+                            second_partials=lambda p: np.zeros(p.shape + (2,)),
                             point=point_source(2, ((), (2,)), (), (("0.0",), (None, None))))
     for g in ((1.0, 2.0, 2.0, 4.0), (0.0, 0.0, 0.0, 1.0), (np.nan, 0.0, 0.0, 1.0)):
         entries = tuple("_nan" if np.isnan(x) else repr(x) for x in g), (None,) * 8
         metric = ChartMetric(dim=2, g_eval=lambda p, g=g: np.reshape(g, (2, 2)),
+                             dg_eval=lambda p: np.zeros((2, 2, 2)),
+                             d2g_eval=lambda p: np.zeros((2, 2, 2, 2)),
                              point=point_source(2, ((2, 2), (2, 2, 2)), (), entries,
                                                 params=(("_nan", np.nan),)))
         with pytest.raises(geometry.DegenerateMetricError) as exc:
@@ -557,3 +561,48 @@ def test_rk45_reads_the_clearance_from_the_point_source(monkeypatch):
         integrate_geodesic(jacobi_metric(sys, 0.5), su.q0, su.v0, (0.0, 0.5), 1e-3,
                            method="rk45")
     assert calls.count(su.system) == 1 and calls.count(batched(su.system)) > 100
+
+
+# ``geometry._CONSTANT`` before its literals were kept from ending inside a
+# digit run: the same language, but ``fullmatch`` backtracks through every
+# split of a digit run when a text does not match
+OLD_CONSTANT = re.compile(r"(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|[-+*/()<=> ])+")
+
+
+class _Recording:
+    """A pattern that keeps every text it is asked to match."""
+
+    def __init__(self, pattern):
+        self.pattern, self.texts = pattern, set()
+
+    def fullmatch(self, text):
+        self.texts.add(text)
+        return self.pattern.fullmatch(text)
+
+
+def test_constant_pattern_matches_what_it_matched(monkeypatch):
+    # every text that building the point sources and generating the Newton,
+    # h-geodesic and deviation stages asks about, for n = 1 to 4
+    rec = _Recording(geometry._CONSTANT)
+    monkeypatch.setattr(geometry, "_CONSTANT", rec)
+    configs = [LIST_PINNED["n1"], "metric = sphere\npotential = cos(q1) + 0.25*q2^2\n"
+               "q0 = 1.2, 0.1\nv0 = 0.3, 0.4\n", CHART3, LIST_PINNED["n4-lapack"]]
+    for text in configs:
+        sys, q0, v0 = custom(text)
+        n = len(q0)
+        jm = jacobi_metric(sys, float(sys.energy(q0, v0)))
+        for s in (sys, jm.free_system):
+            dynamics._newton_factory.__wrapped__(s.metric.point, s.potential.point)
+        for zero in ((False,) * (n ** 3 + n ** 4 + n ** 2),
+                     tuple(k % 3 == 0 for k in range(n ** 3 + n ** 4 + n ** 2))):
+            dynamics._deviation_factory.__wrapped__(n, zero)
+    assert len(rec.texts) > 250
+    assert any(rec.pattern.fullmatch(t) for t in rec.texts)
+    for text in rec.texts:
+        assert bool(rec.pattern.fullmatch(text)) == bool(OLD_CONSTANT.fullmatch(text)), text
+
+
+def test_constant_pattern_fails_a_long_digit_run_at_once():
+    # the old pattern takes time exponential in the digits here
+    assert geometry._CONSTANT.fullmatch("1" * 10_000 + "x") is None
+    assert geometry._CONSTANT.fullmatch("(" + "1" * 10_000 + ".5e-3 * 2)") is not None
