@@ -3,7 +3,7 @@ geodesic stability for natural mechanical systems."""
 
 from .errors import (ChartDomainError, ConfigError, DegenerateMetricError,
                      EnergyDriftError, ForbiddenRegionError, GeometryError)
-from .geometry import (ChartMetric, SampledCurve, ScalarField, christoffel,
+from .geometry import (ChartMetric, CurveGeometry, ScalarField, christoffel,
                        cov_derivative_along, fd_field, fd_metric, hessian_form, riemann)
 from .conformal import (conformal_connection, conformal_curvature,
                         conformal_rescale, conformal_second_cov,

@@ -15,9 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .geometry import (ChartMetric, SampledCurve, ScalarField, _connection, _first_point,
-                       _mv, _quad, _second_cov, _shaped, christoffel, cov_derivative_along,
-                       riemann)
+from .geometry import (ChartMetric, CurveGeometry, ScalarField, _first_point, _mv, _quad,
+                       _second_cov, _shaped, christoffel, cov_derivative_along, riemann)
 from .numdiff import apply_stencil, cumulative_simpson
 
 
@@ -175,7 +174,7 @@ def conformal_curvature(metric: ChartMetric, cf: ScalarField, p, x, y, z) -> np.
                - 0.25 * dot(fv, x) * dot(y, z)) * fv)
 
 
-def reparam_cov(metric: ChartMetric, f_along_curve, curve: SampledCurve, field, gamma=None):
+def reparam_cov(curve: CurveGeometry, f_along_curve, field):
     """Covariant derivatives after the reparametrization ``ds = f dt``.
 
     Returns the triple ``(nabla_{γ'}X, nabla_{γ'}γ', nabla_{γ'}nabla_{γ'}X)``
@@ -188,8 +187,8 @@ def reparam_cov(metric: ChartMetric, f_along_curve, curve: SampledCurve, field, 
 
     ``<grad ln f, γ̇>`` is the chain-rule derivative d(ln|f|)/dt of the
     sampled factor.  Every t-derivative applies the curve's
-    :attr:`~jacobistab.geometry.SampledCurve.stencil`.  ``gamma`` reuses
-    the Christoffel symbols already evaluated at the curve's points.
+    :attr:`~jacobistab.geometry.CurveGeometry.stencil` and
+    :attr:`~jacobistab.geometry.CurveGeometry.connection`.
     """
     f = np.asarray(f_along_curve, dtype=float)
     field = np.asarray(field, dtype=float)
@@ -199,12 +198,9 @@ def reparam_cov(metric: ChartMetric, f_along_curve, curve: SampledCurve, field, 
         raise DegenerateMetricError("degenerate reparametrization: factor vanishes on the curve")
 
     dlnf = apply_stencil(curve.stencil, np.log(np.abs(f)))[..., None]
-    if gamma is None:
-        gamma = christoffel(metric, curve.points)
-    conn = _connection(gamma, curve.tangents)
-    nab_x = cov_derivative_along(metric, curve, field, connection=conn)
-    nab_g = cov_derivative_along(metric, curve, curve.tangents, connection=conn)
-    nab2_x = cov_derivative_along(metric, curve, nab_x, connection=conn)
+    nab_x = cov_derivative_along(curve, field)
+    nab_g = cov_derivative_along(curve, curve.tangents)
+    nab2_x = cov_derivative_along(curve, nab_x)
 
     f = f[..., None]
     out1 = nab_x / f
@@ -272,20 +268,19 @@ def _lemma2_residuals(metric, cf, p, w, coeff):
     tangents = np.broadcast_to(w[:, None, :], pts.shape)
     ts = np.broadcast_to(ts, pts.shape[:-1])
     f, ts, pts, tangents, field = (a[keep] for a in (f, ts, pts, tangents, field))
-    # both sides share the points, so Γ once; each forms its own connection
-    gam = christoffel(metric, pts)
-    got = reparam_cov(metric, f, SampledCurve(ts, pts, tangents), field, gamma=gam)
+    curve_t = CurveGeometry(metric, ts, pts, tangents)
+    got = reparam_cov(curve_t, f, field)
 
     # Direct side: differentiate with respect to the accumulated s-parameter.
-    s = cumulative_simpson(f, ts)
-    # the tangents dγ/ds are filled in from the curve's own stencil weights
-    curve_s = SampledCurve(s, pts, np.empty_like(pts))
-    dgds = curve_s.tangents
-    dgds[...] = apply_stencil(curve_s.stencil, pts)
-    conn = _connection(gam, dgds)
-    d1 = cov_derivative_along(metric, curve_s, field, connection=conn)
-    d2 = cov_derivative_along(metric, curve_s, dgds, connection=conn)
-    d3 = cov_derivative_along(metric, curve_s, d1, connection=conn)
+    # The tangents dγ/ds are filled in from the curve's own stencil weights;
+    # both curves share the points, so Γ once, and each forms its own
+    # connection from its own tangents.
+    curve_s = CurveGeometry(metric, cumulative_simpson(f, ts), pts, np.empty_like(pts))
+    curve_s.tangents[...] = apply_stencil(curve_s.stencil, pts)
+    curve_s.gamma = curve_t.gamma
+    d1 = cov_derivative_along(curve_s, field)
+    d2 = cov_derivative_along(curve_s, curve_s.tangents)
+    d3 = cov_derivative_along(curve_s, d1)
 
     mid = m // 2
     res[keep] = _worst(got[0][:, mid] - d1[:, mid], got[1][:, mid] - d2[:, mid],

@@ -16,15 +16,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ChartDomainError, EnergyDriftError, GeometryError
-from .geometry import (ChartMetric, PointSource, SampledCurve, ScalarField, _apply,
-                       _christoffel, _connection, _const, _fold, _kernel_source, _mv, _names,
-                       _prod, _quad, _stage_factory, _sum, _tidal, christoffel,
-                       cov_derivative_along, hessian_form, riemann)
+from .geometry import (ChartMetric, CurveGeometry, PointSource, ScalarField, _apply,
+                       _christoffel, _const, _fold, _kernel_source, _mv, _names, _prod, _quad,
+                       _stage_factory, _sum, christoffel, cov_derivative_along, hessian_form)
 from .numdiff import _EPS4, brentq, cubic_spline
 
 @dataclass(frozen=True)
@@ -72,11 +71,13 @@ class Trajectory:
     """Time-sampled solution of the equations of motion of ``system``.
 
     The trajectory is the context of every identity along it: it builds on
-    first use, and keeps, its g-cache ``cache``, its covariant acceleration
-    ``cov_acceleration``, its Jacobi metric ``jm`` at its own energy, its
-    ``clearance`` E - U and its view ``geo`` as an h-geodesic record, whose
-    own ``cache`` is the h-cache.  ``energy_drift`` is the largest relative
-    energy drift over all samples, taken by the integrator's energy check.
+    first use, and keeps, its samples as one
+    :class:`~jacobistab.geometry.CurveGeometry` ``curve`` in t with the
+    g-data along it, its covariant acceleration ``cov_acceleration``, its
+    Jacobi metric ``jm`` at its own energy, its ``clearance`` E - U and its
+    view ``geo`` as an h-geodesic record, whose own ``curve`` carries the
+    h-data.  ``energy_drift`` is the largest relative energy drift over all
+    samples, taken by the integrator's energy check.
     """
 
     times: np.ndarray
@@ -100,8 +101,10 @@ class Trajectory:
         return self.points.shape[1]
 
     @cached_property
-    def cache(self) -> CurveGeometry:
-        return CurveGeometry(self.system.metric, self.points, self.velocities, self.system)
+    def curve(self) -> CurveGeometry:
+        """The samples as one curve in t, with the g-data along it."""
+        return CurveGeometry(self.system.metric, self.times, self.points, self.velocities,
+                             self.system)
 
     @cached_property
     def clearance(self) -> np.ndarray:
@@ -111,8 +114,7 @@ class Trajectory:
     @cached_property
     def cov_acceleration(self) -> np.ndarray:
         """``nabla_qdot qdot`` at every sample, from 7-point stencils."""
-        return cov_derivative_along(self.system.metric, self.as_curve(), self.velocities,
-                                    connection=self.cache.connection)
+        return cov_derivative_along(self.curve, self.velocities)
 
     @cached_property
     def jm(self):
@@ -123,14 +125,6 @@ class Trajectory:
     def geo(self):
         from . import jacobi
         return jacobi.geodesic_from_trajectory(self)
-
-    def as_curve(self) -> SampledCurve:
-        """The samples as one curve in t, kept with its stencil weights."""
-        return self._curve
-
-    @cached_property
-    def _curve(self) -> SampledCurve:
-        return SampledCurve(self.times, self.points, self.velocities)
 
 
 @dataclass(frozen=True)
@@ -492,65 +486,6 @@ def integrate_newton(sys: MechanicalSystem, q0, v0, t_span, step,
                       energy_drift=drift, system=sys)
 
 
-class CurveGeometry:
-    """Metric and potential data cached along the samples of a curve, its
-    points and tangents.
-
-    Each field is evaluated once per curve in one vectorized pass over all
-    samples, and the Christoffel symbols, curvature and potential terms
-    share one inverse metric.  The tangents are contracted once per curve
-    into two matrices per sample, the connection ``C`` and the tidal
-    matrix ``K``, so that each operator applies them to a field as one
-    batched n x n product.
-    """
-
-    def __init__(self, metric: ChartMetric, points, tangents,
-                 sys: Optional[MechanicalSystem] = None):
-        self.metric = metric
-        self.points = np.asarray(points, dtype=float)
-        self.tangents = np.asarray(tangents, dtype=float)
-        self.sys = sys
-
-    @cached_property
-    def g(self):
-        return self.metric.g(self.points)
-
-    @cached_property
-    def g_inv(self):
-        return self.metric.g_inv(self.points)
-
-    @cached_property
-    def gamma(self):
-        return christoffel(self.metric, self.points, self.g_inv)
-
-    @cached_property
-    def riem(self):
-        return riemann(self.metric, self.points, gamma=self.gamma, ginv=self.g_inv)
-
-    @cached_property
-    def connection(self):
-        """``C^i_k = Γ^i_jk γ̇^j`` at every sample: ``Γ(γ̇, V) = C V``."""
-        return _connection(self.gamma, self.tangents)
-
-    @cached_property
-    def tidal(self):
-        """``K^l_b = R^l_abc γ̇^a γ̇^c`` at every sample: ``R(γ̇, V)γ̇ = K V``."""
-        return _tidal(self.riem, self.tangents)
-
-    @cached_property
-    def grad_U(self):
-        return self.sys.grad_potential(self.points, ginv=self.g_inv)
-
-    @cached_property
-    def hess_U_raised(self):
-        return self.sys.hess_potential_raised(self.points, ginv=self.g_inv,
-                                              gamma=self.gamma)
-
-    @cached_property
-    def U(self):
-        return self.sys.potential(self.points)
-
-
 def _check_attached(traj: Trajectory, dev: DeviationField):
     if dev.trajectory is not traj:
         if (len(dev.trajectory) != len(traj)
@@ -567,11 +502,10 @@ def hessian_operator(traj: Trajectory, dev: DeviationField) -> np.ndarray:
     to V.
     """
     _check_attached(traj, dev)
-    cache = traj.cache
-    term1 = cov_derivative_along(traj.system.metric, traj.as_curve(), dev.DV,
-                                 connection=cache.connection)
-    term2 = _apply(cache.tidal, dev.V)
-    term3 = np.einsum('nij,nj->ni', cache.hess_U_raised, dev.V)
+    curve = traj.curve
+    term1 = cov_derivative_along(curve, dev.DV)
+    term2 = _apply(curve.tidal, dev.V)
+    term3 = np.einsum('nij,nj->ni', curve.hess_U_raised, dev.V)
     return term1 + term2 + term3
 
 
@@ -630,8 +564,8 @@ def _deviation_stage(traj: Trajectory):
     dropped from those sums, which changes no bits (see
     :func:`~jacobistab.geometry._sum`).
     """
-    cache, times, h = traj.cache, traj.times, traj.step
-    parts = (cache.gamma, cache.riem, cache.hess_U_raised, traj.velocities)
+    curve, times, h = traj.curve, traj.times, traj.step
+    parts = (curve.gamma, curve.riem, curve.hess_U_raised, traj.velocities)
     samples = np.concatenate([a.reshape(len(times), -1) for a in parts], axis=1)
     zero = ~samples[:, :-traj.dim].any(axis=0)
     spline = cubic_spline(times, samples[:, np.flatnonzero(np.append(~zero, [True] * traj.dim))])

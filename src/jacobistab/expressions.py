@@ -36,6 +36,18 @@ _CONSTANTS = {"pi": np.float64(math.pi)}
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.USub, ast.UAdd)
+# a chart variable: ASCII q and a number without a leading zero
+_VARIABLE = re.compile(r"q([1-9][0-9]*)")
+
+
+def _finite_number(value) -> bool:
+    """Whether a literal is a number (not a bool) that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:           # an int too large for a float
+        return False
 
 
 def _validate(node: ast.AST, dim: int, src: str) -> None:
@@ -51,8 +63,7 @@ def _validate(node: ast.AST, dim: int, src: str) -> None:
             raise ConfigError(f"operator not allowed in expression: {src!r}")
         _validate(node.operand, dim, src)
     elif isinstance(node, ast.Constant):
-        if (not isinstance(node.value, (int, float)) or isinstance(node.value, bool)
-                or not math.isfinite(node.value)):
+        if not _finite_number(node.value):
             raise ConfigError(f"only finite numeric constants allowed: {src!r}")
     elif isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
@@ -64,7 +75,8 @@ def _validate(node: ast.AST, dim: int, src: str) -> None:
         name = node.id
         if name in _CONSTANTS:
             return
-        if name.startswith("q") and name[1:].isdigit() and 1 <= int(name[1:]) <= dim:
+        index = _VARIABLE.fullmatch(name)
+        if index and int(index.group(1)) <= dim:
             return
         raise ConfigError(f"unknown name {name!r} in expression {src!r} (dim={dim})")
     else:

@@ -154,42 +154,6 @@ class ChartMetric:
 
 
 @dataclass(frozen=True)
-class SampledCurve:
-    """Curve samples: parameter values ``(..., N)``, chart points and tangents
-    dγ/dparam ``(..., N, n)``; leading axes index a batch of curves.
-
-    The curve owns the 7-point stencil weights of its parameter grid
-    (:attr:`stencil`): every derivative along one curve object applies the
-    same weights, solved once.
-    """
-
-    params: np.ndarray
-    points: np.ndarray
-    tangents: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", np.asarray(self.params, dtype=float))
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "tangents", np.asarray(self.tangents, dtype=float))
-        if self.params.shape[-1] < 2:
-            raise ValueError("insufficient samples: a curve needs at least 2 samples")
-        if not (self.params.shape == self.points.shape[:-1] == self.tangents.shape[:-1]):
-            raise ValueError("curve arrays must have equal length")
-        if np.any(np.diff(self.params, axis=-1) <= 0):
-            raise ValueError("curve parameter values must be strictly increasing")
-
-    def __len__(self):
-        return self.params.shape[-1]
-
-    @functools.cached_property
-    def stencil(self) -> np.ndarray:
-        """First-derivative weights ``(..., N, min(7, N))`` of
-        :func:`~jacobistab.numdiff.stencil_weights` on ``params``, built on
-        first use; apply them with :func:`~jacobistab.numdiff.apply_stencil`."""
-        return stencil_weights(self.params)
-
-
-@dataclass(frozen=True)
 class ScalarField:
     """Scalar field with its partials: a potential or a conformal factor.
 
@@ -366,25 +330,99 @@ def _apply(mats, field) -> np.ndarray:
     return np.einsum('...ik,...k->...i', mats, field)
 
 
-def cov_derivative_along(metric: ChartMetric, curve: SampledCurve, field,
-                         connection=None) -> np.ndarray:
+class CurveGeometry:
+    """A sampled curve and the metric and potential data along it.
+
+    ``params`` are the parameter values ``(..., N)``, ``points`` and the
+    tangents dγ/dparam ``(..., N, n)``; leading axes index a batch of
+    curves.  ``sys``, a :class:`~jacobistab.dynamics.MechanicalSystem`,
+    supplies the potential terms.  Each field is built on first use, in
+    one vectorized pass over all samples, and kept: the 7-point stencil
+    weights of the parameter grid (:attr:`stencil`), so every derivative
+    along the curve applies one solve; the Christoffel symbols, curvature
+    and potential terms, which share one inverse metric; and the tangents
+    contracted into two matrices per sample, the connection ``C`` and the
+    tidal matrix ``K``, so that each operator applies them to a field as
+    one batched n x n product.
+    """
+
+    def __init__(self, metric: ChartMetric, params, points, tangents, sys=None):
+        self.metric = metric
+        self.params = np.asarray(params, dtype=float)
+        self.points = np.asarray(points, dtype=float)
+        self.tangents = np.asarray(tangents, dtype=float)
+        self.sys = sys
+        if self.params.shape[-1] < 2:
+            raise ValueError("insufficient samples: a curve needs at least 2 samples")
+        if not (self.params.shape == self.points.shape[:-1] == self.tangents.shape[:-1]):
+            raise ValueError("curve arrays must have equal length")
+        if np.any(np.diff(self.params, axis=-1) <= 0):
+            raise ValueError("curve parameter values must be strictly increasing")
+
+    def __len__(self):
+        return self.params.shape[-1]
+
+    @functools.cached_property
+    def stencil(self) -> np.ndarray:
+        """First-derivative weights ``(..., N, min(7, N))`` of
+        :func:`~jacobistab.numdiff.stencil_weights` on ``params``; apply them
+        with :func:`~jacobistab.numdiff.apply_stencil`."""
+        return stencil_weights(self.params)
+
+    @functools.cached_property
+    def g(self):
+        return self.metric.g(self.points)
+
+    @functools.cached_property
+    def g_inv(self):
+        return self.metric.g_inv(self.points)
+
+    @functools.cached_property
+    def gamma(self):
+        return christoffel(self.metric, self.points, self.g_inv)
+
+    @functools.cached_property
+    def riem(self):
+        return riemann(self.metric, self.points, gamma=self.gamma, ginv=self.g_inv)
+
+    @functools.cached_property
+    def connection(self):
+        """``C^i_k = Γ^i_jk γ̇^j`` at every sample: ``Γ(γ̇, V) = C V``."""
+        return _connection(self.gamma, self.tangents)
+
+    @functools.cached_property
+    def tidal(self):
+        """``K^l_b = R^l_abc γ̇^a γ̇^c`` at every sample: ``R(γ̇, V)γ̇ = K V``."""
+        return _tidal(self.riem, self.tangents)
+
+    @functools.cached_property
+    def grad_U(self):
+        return self.sys.grad_potential(self.points, ginv=self.g_inv)
+
+    @functools.cached_property
+    def hess_U_raised(self):
+        return self.sys.hess_potential_raised(self.points, ginv=self.g_inv,
+                                              gamma=self.gamma)
+
+    @functools.cached_property
+    def U(self):
+        return self.sys.potential(self.points)
+
+
+def cov_derivative_along(curve: CurveGeometry, field) -> np.ndarray:
     """Covariant derivative of a sampled field along a sampled curve, or
     along each curve of a batch.
 
     Returns ``dV^i/dparam + C^i_k V^k`` at every sample, with
-    ``dV/dparam`` from the curve's 7-point :attr:`~SampledCurve.stencil`
-    and ``C^i_k = Γ^i_jk γ̇^j`` the connection along the curve (see
-    :func:`_connection`).  ``connection`` reuses the curve's C, already
-    formed from its Christoffel symbols and tangents.
+    ``dV/dparam`` from the curve's 7-point :attr:`~CurveGeometry.stencil`
+    and ``C`` its :attr:`~CurveGeometry.connection`.
     """
     field = np.asarray(field, dtype=float)
     if len(curve) < 3:
         raise ValueError("insufficient samples: need at least 3")
     if field.shape != curve.points.shape:
         raise ValueError("field samples must match the curve grid")
-    if connection is None:
-        connection = _connection(christoffel(metric, curve.points), curve.tangents)
-    return apply_stencil(curve.stencil, field) + _apply(connection, field)
+    return apply_stencil(curve.stencil, field) + _apply(curve.connection, field)
 
 
 def orthogonal_part(g, u, v) -> np.ndarray:

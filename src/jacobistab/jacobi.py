@@ -25,11 +25,11 @@ from functools import cached_property
 import numpy as np
 
 from .conformal import conformal_rescale
-from .dynamics import (CurveGeometry, DeviationField, MechanicalSystem,
-                       Trajectory, _rk4, _rk45, _stage, hessian_operator, integrate_newton)
+from .dynamics import (DeviationField, MechanicalSystem, Trajectory, _rk4, _rk45, _stage,
+                       hessian_operator, integrate_newton)
 from .errors import ForbiddenRegionError
 from .expressions import scalar_field_from_expr
-from .geometry import (ChartMetric, PointSource, SampledCurve, ScalarField, _apply, _const,
+from .geometry import (ChartMetric, CurveGeometry, PointSource, ScalarField, _apply, _const,
                        _first_point, _lit, cov_derivative_along)
 from .numdiff import apply_stencil, cubic_spline, cumulative_simpson, pchip
 
@@ -141,7 +141,8 @@ class GeodesicRecord:
     """Arc-length samples of a geodesic of the Jacobi metric ``metric``.
 
     ``t_of_s`` pairs every arc-length sample with the dynamical time
-    ``t = ∫ ds / (2(E-U))``; ``cache``, the h-cache, is built on first use.
+    ``t = ∫ ds / (2(E-U))``; ``curve``, the samples as one curve in s with
+    the h-data along it, is built on first use.
     """
 
     s: np.ndarray
@@ -161,17 +162,9 @@ class GeodesicRecord:
     def __len__(self):
         return len(self.s)
 
-    def as_curve(self) -> SampledCurve:
-        """The samples as one curve in s, kept with its stencil weights."""
-        return self._curve
-
     @cached_property
-    def _curve(self) -> SampledCurve:
-        return SampledCurve(self.s, self.points, self.tangents)
-
-    @cached_property
-    def cache(self) -> CurveGeometry:
-        return CurveGeometry(self.metric, self.points, self.tangents)
+    def curve(self) -> CurveGeometry:
+        return CurveGeometry(self.metric, self.s, self.points, self.tangents)
 
 
 RK45_RTOL = 1e-10
@@ -284,26 +277,24 @@ def jacobi_operator_direct(geo: GeodesicRecord, dev) -> np.ndarray:
     dev = np.asarray(dev, dtype=float)
     if dev.shape != geo.points.shape:
         raise ValueError("grid mismatch: deviation samples must match the geodesic record")
-    cache = geo.cache
-    curve = geo.as_curve()
-    w1 = cov_derivative_along(geo.metric, curve, dev, connection=cache.connection)
-    w2 = cov_derivative_along(geo.metric, curve, w1, connection=cache.connection)
-    return w2 + _apply(cache.tidal, dev)
+    curve = geo.curve
+    w1 = cov_derivative_along(curve, dev)
+    return cov_derivative_along(curve, w1) + _apply(curve.tidal, dev)
 
 
 def _energy_constraint(traj: Trajectory, V, DV):
     """``<V, grad U>`` and the energy constraint ``<qdot, nabla_dot V> +
     <grad U, V>``, the first-order change of the energy along the family,
     at every sample of a field V with covariant derivative DV."""
-    cache = traj.cache
-    v_dot_gu = np.einsum('nij,ni,nj->n', cache.g, V, cache.grad_U)
-    return v_dot_gu, np.einsum('nij,ni,nj->n', cache.g, traj.velocities, DV) + v_dot_gu
+    curve = traj.curve
+    v_dot_gu = np.einsum('nij,ni,nj->n', curve.g, V, curve.grad_U)
+    return v_dot_gu, np.einsum('nij,ni,nj->n', curve.g, traj.velocities, DV) + v_dot_gu
 
 
 def _check_orthogonal(traj: Trajectory, V) -> None:
     """Raise unless the field V is g-orthogonal to the velocity at every
     sample, to ``1e-8 * max(1, max|V|)``."""
-    orth = np.einsum('nij,ni,nj->n', traj.cache.g, traj.velocities, V)
+    orth = np.einsum('nij,ni,nj->n', traj.curve.g, traj.velocities, V)
     if np.max(np.abs(orth)) > 1e-8 * max(1.0, float(np.max(np.abs(V)))):
         raise ValueError("field is not orthogonal to the velocity")
 
@@ -314,7 +305,7 @@ def _g_side(traj: Trajectory, dev: DeviationField):
     derivative taken by the trajectory's stencil, and the energy constraint
     of :func:`_energy_constraint`."""
     v_dot_gu, constraint = _energy_constraint(traj, dev.V, dev.DV)
-    dscal = apply_stencil(traj.as_curve().stencil, v_dot_gu / traj.clearance)
+    dscal = apply_stencil(traj.curve.stencil, v_dot_gu / traj.clearance)
     return hessian_operator(traj, dev), -dscal[:, None] * traj.velocities, constraint
 
 
@@ -326,7 +317,7 @@ def jacobi_operator_via_g(traj: Trajectory, dev: DeviationField) -> np.ndarray:
     """
     w = traj.clearance
     delta_v, correction, constraint = _g_side(traj, dev)
-    out = delta_v + correction + (constraint / w)[:, None] * traj.cache.grad_U
+    out = delta_v + correction + (constraint / w)[:, None] * traj.curve.grad_U
     return out / (2.0 * w[:, None]) ** 2
 
 
@@ -361,19 +352,18 @@ def equal_energy_projection(traj: Trajectory, vperp) -> DeviationField:
     vperp = np.asarray(vperp, dtype=float)
     if vperp.shape != traj.points.shape:
         raise ValueError("grid mismatch: orthogonal field must match the trajectory grid")
-    cache = traj.cache
-    speed2 = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, traj.velocities)
+    curve = traj.curve
+    speed2 = np.einsum('nij,ni,nj->n', curve.g, traj.velocities, traj.velocities)
     if np.min(speed2) <= 1e-12:
         raise ForbiddenRegionError("turning point on interval: |qdot| vanishes")
     _check_orthogonal(traj, vperp)
 
-    dvperp = cov_derivative_along(traj.system.metric, traj.as_curve(), vperp,
-                                  connection=cache.connection)
+    dvperp = cov_derivative_along(curve, vperp)
     lam_rate = -_energy_constraint(traj, vperp, dvperp)[1] / speed2
     lam = _multiplier(traj, lam_rate)
 
     v = vperp + lam[:, None] * traj.velocities
-    dv = dvperp + lam_rate[:, None] * traj.velocities - lam[:, None] * cache.grad_U
+    dv = dvperp + lam_rate[:, None] * traj.velocities - lam[:, None] * curve.grad_U
     return DeviationField(traj, v, dv)
 
 

@@ -12,10 +12,10 @@ well below the identity tolerances.
 The stencil weights depend only on the grid.  :func:`stencil_weights`
 builds them (one Vandermonde solve per distinct row of node offsets, a
 few dozen on a uniform grid) and :func:`apply_stencil`
-applies them; these two are what the package calls.  A sampled curve keeps
-the weights of its own parameter grid
-(:attr:`~jacobistab.geometry.SampledCurve.stencil`), so every field
-differentiated along it reuses one solve.
+applies them; these two are what the package calls.  A sampled curve,
+:class:`~jacobistab.geometry.CurveGeometry`, keeps the weights of its own
+parameter grid (its ``stencil``), so every field differentiated along it
+reuses one solve.
 
 Sampled data are integrated and interpolated, and roots are found, by
 ports of scipy 1.17: :func:`simpson`, :func:`cumulative_simpson`

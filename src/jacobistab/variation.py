@@ -55,7 +55,7 @@ class ProperVariation:
     def dev(self) -> DeviationField:
         traj = self.trajectory
         return DeviationField(traj, self.values,
-                              self.dvalues + _apply(traj.cache.connection, self.values))
+                              self.dvalues + _apply(traj.curve.connection, self.values))
 
 
 def make_proper_variation(traj: Trajectory, coefficients=None, modes: int = 3,
@@ -93,10 +93,10 @@ def make_proper_variation(traj: Trajectory, coefficients=None, modes: int = 3,
     values[-1] = 0.0
 
     if orthogonal:
-        values = orthogonal_part(traj.cache.g, traj.velocities, values)
+        values = orthogonal_part(traj.curve.g, traj.velocities, values)
         values[0] = 0.0
         values[-1] = 0.0
-        dvalues = apply_stencil(traj.as_curve().stencil, values)
+        dvalues = apply_stencil(traj.curve.stencil, values)
 
     return ProperVariation(traj, values, dvalues, seed=seed)
 
@@ -116,7 +116,7 @@ def second_variation_S(traj: Trajectory, var: ProperVariation) -> float:
     """Quadrature of ``-<op(V), V>`` over dynamical time."""
     _check_grid(traj, var)
     delta_v = hessian_operator(traj, var.dev)
-    integrand = -np.einsum('nij,ni,nj->n', traj.cache.g, delta_v, var.values)
+    integrand = -np.einsum('nij,ni,nj->n', traj.curve.g, delta_v, var.values)
     return simpson(integrand, traj.times)
 
 
@@ -125,7 +125,7 @@ def second_variation_S0J(traj: Trajectory, var: ProperVariation) -> float:
     _check_grid(traj, var)
     geo = traj.geo
     dj_v = jacobi_operator_direct(geo, var.values)
-    integrand = -np.einsum('nij,ni,nj->n', geo.cache.g, dj_v, var.values)
+    integrand = -np.einsum('nij,ni,nj->n', geo.curve.g, dj_v, var.values)
     return simpson(integrand, geo.s)
 
 
@@ -133,9 +133,9 @@ def second_variation_LJ(traj: Trajectory, var: ProperVariation) -> float:
     """Length-functional second variation: only the h-orthogonal part of V counts."""
     _check_grid(traj, var)
     geo = traj.geo
-    vperp = orthogonal_part(geo.cache.g, geo.tangents, var.values)
+    vperp = orthogonal_part(geo.curve.g, geo.tangents, var.values)
     dj_v = jacobi_operator_direct(geo, vperp)
-    integrand = -np.einsum('nij,ni,nj->n', geo.cache.g, dj_v, vperp)
+    integrand = -np.einsum('nij,ni,nj->n', geo.curve.g, dj_v, vperp)
     return simpson(integrand, geo.s)
 
 
@@ -148,10 +148,10 @@ def _bracket_correction(traj: Trajectory, var: ProperVariation):
     equations-of-motion substitution), so the integrand is pointwise
     nonnegative up to rounding.
     """
-    cache = traj.cache
+    curve = traj.curve
     w = traj.clearance
-    bracket = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, var.dev.DV)
-               - np.einsum('nij,ni,nj->n', cache.g, traj.cov_acceleration, var.values))
+    bracket = (np.einsum('nij,ni,nj->n', curve.g, traj.velocities, var.dev.DV)
+               - np.einsum('nij,ni,nj->n', curve.g, traj.cov_acceleration, var.values))
     integrand = bracket**2 / (2.0 * w)
     return simpson(integrand, traj.times), float(np.min(integrand))
 
@@ -159,11 +159,11 @@ def _bracket_correction(traj: Trajectory, var: ProperVariation):
 def _free_action_correction(traj: Trajectory, var: ProperVariation) -> float:
     """t-quadrature of ``2<qdot, nabla_dot V><F, V>`` with
     ``F = grad ln(2(E-U)) = -grad U / (E-U)``: d2S0J = d2S + this."""
-    cache = traj.cache
+    curve = traj.curve
     w = traj.clearance
-    f_vec = -cache.grad_U / w[:, None]          # F = grad ln(2(E-U))
-    qdot_dv = np.einsum('nij,ni,nj->n', cache.g, traj.velocities, var.dev.DV)
-    f_dot_v = np.einsum('nij,ni,nj->n', cache.g, f_vec, var.values)
+    f_vec = -curve.grad_U / w[:, None]          # F = grad ln(2(E-U))
+    qdot_dv = np.einsum('nij,ni,nj->n', curve.g, traj.velocities, var.dev.DV)
+    f_dot_v = np.einsum('nij,ni,nj->n', curve.g, f_vec, var.values)
     return simpson(2.0 * qdot_dv * f_dot_v, traj.times)
 
 
@@ -172,10 +172,10 @@ def _orthogonal_correction(traj: Trajectory, var: ProperVariation) -> float:
     :func:`~jacobistab.jacobi._check_orthogonal`), with ``F_h`` the
     h-gradient of ``ln(2(E-U))``: d2S = d2LJ + this."""
     _check_orthogonal(traj, var.values)
-    cache = traj.cache
+    curve = traj.curve
     w = traj.clearance
     # <F_h, V>_h = -<grad U, V>_g / (E - U)
-    phi = -np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, var.values) / w
+    phi = -np.einsum('nij,ni,nj->n', curve.g, curve.grad_U, var.values) / w
     return simpson(phi**2, traj.geo.s)
 
 

@@ -159,8 +159,7 @@ def operator_identity_sup(traj, rng, n_fields: int, modes: int = 3) -> float:
         # DV from the stencil, not the variation's exact ``var.dev``: both sides
         # of the identity must see the same discrete derivative, and the exact
         # one raises every residual (flat-free 9.9e-10 -> 3.8e-9).
-        dv = cov_derivative_along(traj.system.metric, traj.as_curve(), v,
-                                  connection=traj.cache.connection)
+        dv = cov_derivative_along(traj.curve, v)
         lhs = jacobi_operator_direct(traj.geo, v)
         rhs = jacobi_operator_via_g(traj, DeviationField(traj, v, dv))
         worst = max(worst, float(np.max(np.abs((lhs - rhs)[STENCIL_CORE]))))

@@ -160,7 +160,7 @@ def list_deviation_rhs(traj):
     the spline table of the coefficients per stage time, and the terms of
     ``Γ(qdot, V)``, ``Γ(qdot, W)``, ``R(qdot, V)qdot`` and ``A V`` added
     from 0.0 in loops over the indices."""
-    cache, times, h, n = traj.cache, traj.times, traj.step, traj.dim
+    cache, times, h, n = traj.curve, traj.times, traj.step, traj.dim
     parts = (cache.gamma, cache.riem, cache.hess_U_raised, traj.velocities)
     spline = CubicSpline(times, np.concatenate(
         [a.reshape(len(times), -1) for a in parts], axis=1), axis=0)

@@ -127,7 +127,7 @@ class TestSampleFastestLayout:
     def test_batched_outputs_keep_the_sample_axis_fastest(self, label, metric, box):
         pts = _grid_points(metric, box)
         tangents = np.random.default_rng(4).uniform(-1.0, 1.0, pts.shape)
-        cache = CurveGeometry(metric, pts, tangents)
+        cache = CurveGeometry(metric, np.arange(len(pts)), pts, tangents)
         outputs = [fn(metric, pts) for fn in CURVATURE] + [cache.connection, cache.tidal]
         for out in outputs:
             assert out.strides[0] == out.itemsize
@@ -157,7 +157,9 @@ class TestCurveMatrices:
         pts = _points(metric, box, data.draw(unit_batches(metric.dim)))
         t, v = data.draw(hnp.arrays(np.float64, (2,) + pts.shape,
                                     elements=st.floats(-1.0, 1.0)))
-        return CurveGeometry(metric, pts, t), t, v
+        # each drawn point, tangent and field as a curve of two equal samples
+        pts, t, v = (np.stack([a, a], axis=-2) for a in (pts, t, v))
+        return CurveGeometry(metric, np.broadcast_to([0.0, 1.0], pts.shape[:-1]), pts, t), t, v
 
     @staticmethod
     def _scale(cache):

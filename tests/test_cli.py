@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -85,6 +86,18 @@ def test_no_module_imports_scipy():
             with open(os.path.join(package, name)) as fh:
                 text = fh.read()
             assert "import scipy" not in text and "from scipy" not in text, name
+
+
+def test_curve_internals_stay_in_geometry():
+    # a sampled curve solves its stencil weights and forms its connection and
+    # tidal matrix itself: no other module (numdiff, which defines the
+    # weights, aside) builds them
+    package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "jacobistab")
+    internals = re.compile(r"\b(stencil_weights|_connection|_tidal)\b")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name not in ("geometry.py", "numdiff.py"):
+            with open(os.path.join(package, name)) as fh:
+                assert not internals.search(fh.read()), name
 
 
 class TestConfigParsing:
@@ -643,6 +656,20 @@ class TestInputValidation:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: metric.dim")
+
+    @pytest.mark.parametrize("lines, needle", [
+        ("potential = 0.5*q01^2\n", "unknown name 'q01'"),
+        ("potential = 1" + "0" * 400 + "*q1^2\n", "only finite numeric constants"),
+        ("metric.g.1.1 = 1" + "0" * 400 + "\npotential = q1^2\n",
+         "only finite numeric constants"),
+    ], ids=["leading-zero-variable", "huge-potential-literal", "huge-metric-literal"])
+    def test_bad_expression_exit_2(self, tmp_path, capsys, lines, needle):
+        cfg = tmp_path / "expr.cfg"
+        cfg.write_text("system = custom\nmetric.dim = 2\nq0 = 1, 0\nv0 = 0, 1\n" + lines)
+        assert main(["simulate", "--config", cfg.as_posix(),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and needle in err[0]
 
     @pytest.mark.parametrize("step", ["inf", "nan"])
     def test_nonfinite_step_flag_exit_2(self, harmonic_cfg, tmp_path, capsys, step):

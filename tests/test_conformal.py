@@ -10,8 +10,8 @@ from jacobistab.conformal import (F_components, conformal_connection,
                                   lemma_residuals, reparam_cov)
 from jacobistab.errors import DegenerateMetricError
 from jacobistab.expressions import scalar_field_from_expr
-from jacobistab.geometry import (SampledCurve, ScalarField, _second_cov, christoffel,
-                                 fd_field, riemann)
+from jacobistab.geometry import (CurveGeometry, ScalarField, _second_cov, christoffel,
+                                 cov_derivative_along, fd_field, riemann)
 from jacobistab.systems import SAMPLE_BOXES, builtin_setup, flat_metric, sphere_metric
 
 FLAT = flat_metric(2)
@@ -120,28 +120,27 @@ class TestReparam:
     def _line_curve(self, n=41, tmax=1.0):
         t = np.linspace(0.0, tmax, n)
         pts = np.stack([t, np.zeros_like(t)], axis=1)
-        return t, SampledCurve(t, pts, np.tile([1.0, 0.0], (n, 1)))
+        return t, CurveGeometry(FLAT, t, pts, np.tile([1.0, 0.0], (n, 1)))
 
     def test_unit_factor_identity(self):
         t, curve = self._line_curve(201)
         field = np.stack([np.sin(t), np.cos(t)], axis=1)
-        d1, d2, d3 = reparam_cov(FLAT, np.ones_like(t), curve, field)
-        from jacobistab.geometry import cov_derivative_along
-        both = cov_derivative_along(FLAT, curve, field)
+        d1, d2, d3 = reparam_cov(curve, np.ones_like(t), field)
+        both = cov_derivative_along(curve, field)
         assert np.allclose(d1, both, atol=1e-12)
         assert np.max(np.abs(d2)) < 1e-8
-        assert np.allclose(d3, cov_derivative_along(FLAT, curve, both), atol=1e-12)
+        assert np.allclose(d3, cov_derivative_along(curve, both), atol=1e-12)
 
     def test_constant_rescale_halves(self):
         t, curve = self._line_curve(201)
         field = np.stack([np.zeros_like(t), np.sin(t)], axis=1)
-        d1, _, _ = reparam_cov(FLAT, 2.0 * np.ones_like(t), curve, field)
+        d1, _, _ = reparam_cov(curve, 2.0 * np.ones_like(t), field)
         assert np.max(np.abs(d1[:, 1] - 0.5 * np.cos(t))) < 1e-4
 
     def test_exponential_factor_tangent_acceleration(self):
         t, curve = self._line_curve(401)
         field = np.zeros((401, 2))
-        _, d2, _ = reparam_cov(FLAT, np.exp(t), curve, field)
+        _, d2, _ = reparam_cov(curve, np.exp(t), field)
         want = np.stack([-np.exp(-2 * t), np.zeros_like(t)], axis=1)
         assert np.max(np.abs(d2 - want)) < 1e-4
 
@@ -150,7 +149,7 @@ class TestReparam:
         f = np.linspace(-0.5, 0.5, 41)   # crosses zero
         f[20] = 0.0
         with pytest.raises(DegenerateMetricError, match="degenerate reparametrization"):
-            reparam_cov(FLAT, f, curve, np.zeros((41, 2)))
+            reparam_cov(curve, f, np.zeros((41, 2)))
 
 
 class TestCurvature:
@@ -242,7 +241,8 @@ class TestResidualHarness:
         assert results["lemma3-analytic"] < 1e-12
 
     def test_evaluated_as_one_batch(self, monkeypatch):
-        # the number of Christoffel evaluations does not grow with the samples
+        # the number of Christoffel evaluations does not grow with the samples,
+        # and lemma 2's s-curve reuses the Γ of its t-curve: 9 evaluations in all
         import sys
 
         from jacobistab import geometry
@@ -263,6 +263,7 @@ class TestResidualHarness:
             lemma_residuals(FLAT, E2X, conformal_rescale(FLAT, E2X), n_samples=n, seed=1)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+        assert counts[0] == 9
 
 
 class TestRescalingProperty:

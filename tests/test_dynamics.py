@@ -172,7 +172,7 @@ def reference_deviation(traj, V0, DV0):
     """The linearized flow with numpy stages under :func:`numpy_rk4`: one
     joint cubic spline of the coefficients evaluated at each stage time, and
     the operator's terms as einsums and a ``matmul``."""
-    cache, times, n = traj.cache, traj.times, traj.dim
+    cache, times, n = traj.curve, traj.times, traj.dim
     arrays = (cache.gamma, cache.riem, cache.hess_U_raised, traj.velocities)
     spline = CubicSpline(times, np.concatenate(
         [a.reshape(len(times), -1) for a in arrays], axis=1), axis=0)

@@ -29,6 +29,25 @@ def test_unknown_variable_rejected():
         compile_expression("q3 + 1", dim=2)
 
 
+@pytest.mark.parametrize("name", ["q01", "q001", "q\u0661"], ids=["q01", "q001", "arabic-digit"])
+def test_variable_not_ascii_q_and_a_number_without_leading_zero_rejected(name):
+    # the batched evaluator binds q1..qn only, and the point source and the
+    # partials would each read such a name differently
+    with pytest.raises(ConfigError, match="unknown name"):
+        scalar_field_from_expr(f"0.5*{name}^2", dim=2)
+
+
+def test_multi_digit_variable_accepted():
+    assert compile_expression("q10 - q1", dim=10)(np.arange(1.0, 11.0)) == 9.0
+
+
+@pytest.mark.parametrize("src", ["1" + "0" * 400, "1" + "0" * 400 + "*q1"],
+                         ids=["literal", "product"])
+def test_integer_literal_too_large_for_a_float_rejected(src):
+    with pytest.raises(ConfigError, match="only finite numeric constants"):
+        compile_expression(src, dim=1)
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ConfigError):
         compile_expression("tan(q1)", dim=2)

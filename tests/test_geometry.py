@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from jacobistab.conformal import conformal_rescale
 from jacobistab.errors import ChartDomainError, DegenerateMetricError
 from jacobistab.expressions import scalar_field_from_expr
-from jacobistab.geometry import (FD_STEP, ChartMetric, SampledCurve, ScalarField, christoffel,
+from jacobistab.geometry import (FD_STEP, ChartMetric, CurveGeometry, ScalarField, christoffel,
                                  cov_derivative_along, fd_field, fd_metric, hessian_form,
                                  riemann, validate_metric_at)
 from jacobistab.numdiff import central_diff
@@ -235,47 +235,47 @@ class TestHessianForm:
 class TestCovDerivativeAlong:
     def test_constant_field_straight_line(self):
         t = np.linspace(0.0, 1.0, 51)
-        curve = SampledCurve(t, np.stack([t, 0 * t], axis=1),
-                             np.tile([1.0, 0.0], (51, 1)))
+        curve = CurveGeometry(FLAT, t, np.stack([t, 0 * t], axis=1),
+                              np.tile([1.0, 0.0], (51, 1)))
         field = np.tile([0.7, -0.2], (51, 1))
-        out = cov_derivative_along(FLAT, curve, field)
+        out = cov_derivative_along(curve, field)
         assert np.max(np.abs(out)) < 1e-12
 
     def test_plain_derivative_on_flat(self):
         t = np.linspace(0.0, np.pi, 201)
-        curve = SampledCurve(t, np.stack([t, 0 * t], axis=1),
-                             np.tile([1.0, 0.0], (201, 1)))
+        curve = CurveGeometry(FLAT, t, np.stack([t, 0 * t], axis=1),
+                              np.tile([1.0, 0.0], (201, 1)))
         field = np.stack([0 * t, np.sin(t)], axis=1)
-        out = cov_derivative_along(FLAT, curve, field)
+        out = cov_derivative_along(curve, field)
         assert np.max(np.abs(out[:, 1] - np.cos(t))) < 1e-4
         assert np.max(np.abs(out[:, 0])) < 1e-12
 
     def test_parallel_field_on_equator(self):
         t = np.linspace(0.0, 2.0, 101)
         pts = np.stack([np.full_like(t, np.pi / 2), t], axis=1)
-        curve = SampledCurve(t, pts, np.tile([0.0, 1.0], (101, 1)))
+        curve = CurveGeometry(SPHERE, t, pts, np.tile([0.0, 1.0], (101, 1)))
         field = np.tile([1.0, 0.0], (101, 1))   # d_theta along the equator
-        out = cov_derivative_along(SPHERE, curve, field)
+        out = cov_derivative_along(curve, field)
         assert np.max(np.abs(out)) < 1e-12
 
     def test_insufficient_samples(self):
-        curve = SampledCurve([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]],
-                             [[1.0, 0.0], [1.0, 0.0]])
+        curve = CurveGeometry(FLAT, [0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]],
+                              [[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="insufficient samples"):
-            cov_derivative_along(FLAT, curve, np.zeros((2, 2)))
+            cov_derivative_along(curve, np.zeros((2, 2)))
 
     def test_metric_compatibility(self):
         # d/dt <V, W> = <DV, W> + <V, DW> up to O(step^2)
         t = np.linspace(0.0, 1.5, 1501)
         pts = np.stack([1.0 + 0.3 * np.sin(t), t], axis=1)
         tans = np.stack([0.3 * np.cos(t), np.ones_like(t)], axis=1)
-        curve = SampledCurve(t, pts, tans)
+        curve = CurveGeometry(SPHERE, t, pts, tans)
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((2, 2))
         v = np.stack([np.cos(t) * a[0], np.sin(2 * t) * a[1]], axis=1)
         w = np.stack([np.sin(t) * b[0], np.cos(3 * t) * b[1]], axis=1)
-        dv = cov_derivative_along(SPHERE, curve, v)
-        dw = cov_derivative_along(SPHERE, curve, w)
+        dv = cov_derivative_along(curve, v)
+        dw = cov_derivative_along(curve, w)
         g = np.stack([SPHERE.g(q) for q in pts])
         inner = np.einsum('nij,ni,nj->n', g, v, w)
         lhs = np.gradient(inner, t, edge_order=2)
@@ -315,9 +315,9 @@ class TestBuiltins:
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
-            SampledCurve([0.0, 0.0, 1.0], np.zeros((3, 2)), np.zeros((3, 2)))
+            CurveGeometry(FLAT, [0.0, 0.0, 1.0], np.zeros((3, 2)), np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            SampledCurve([0.0], np.zeros((1, 2)), np.zeros((1, 2)))
+            CurveGeometry(FLAT, [0.0], np.zeros((1, 2)), np.zeros((1, 2)))
 
 
 def _lemma_factors():

@@ -339,7 +339,7 @@ class TestJacobiOperatorViaG:
         from jacobistab.dynamics import hessian_operator
         t = traj.times
         v = np.stack([np.sin(t), np.cos(2 * t)], axis=1)
-        dv = cov_derivative_along(su.system.metric, traj.as_curve(), v)
+        dv = cov_derivative_along(traj.curve, v)
         dev = DeviationField(traj, v, dv)
         got = jacobi_operator_via_g(traj, dev)
         want = hessian_operator(traj, dev) / 16.0
@@ -358,7 +358,7 @@ class TestJacobiOperatorViaG:
                                 (su.t_span[0] - pad, su.t_span[1] + pad), su.step)
         t = traj.times
         v = np.stack([np.sin(t), np.sin(2 * t)], axis=1)
-        dv = cov_derivative_along(su.system.metric, traj.as_curve(), v)
+        dv = cov_derivative_along(traj.curve, v)
         dev = DeviationField(traj, v, dv)
         lhs = jacobi_operator_direct(traj.geo, v)
         rhs = jacobi_operator_via_g(traj, dev)
@@ -382,8 +382,8 @@ class TestEqualEnergy:
                                 (0.0, 2 * np.pi), 1e-3)
         vperp = np.sin(traj.times)[:, None] * traj.points
         dev = equal_energy_projection(traj, vperp)
-        cache = CurveGeometry(HARMONIC.system.metric, traj.points, traj.velocities,
-                              HARMONIC.system)
+        cache = CurveGeometry(HARMONIC.system.metric, traj.times, traj.points,
+                              traj.velocities, HARMONIC.system)
         resid = (np.einsum('nij,ni,nj->n', cache.g, traj.velocities, dev.DV)
                  + np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, dev.V))
         assert np.max(np.abs(resid)) < 1e-8
@@ -441,7 +441,7 @@ class TestEqualEnergy:
         traj = integrate_newton(HARMONIC.system, HARMONIC.q0, HARMONIC.v0,
                                 (0.0, 2.0), 1e-3)
         v = np.sin(traj.times)[:, None] * traj.points
-        dv = cov_derivative_along(HARMONIC.system.metric, traj.as_curve(), v)
+        dv = cov_derivative_along(traj.curve, v)
         with pytest.raises(ValueError, match="constraint violated"):
             relation_equal_energy(traj, DeviationField(traj, v, dv))
 
@@ -480,9 +480,8 @@ class TestGeodesicEquationInBaseMetric:
         jm = traj.jm
         geo = traj.geo
         metric = su.system.metric
-        cache = CurveGeometry(metric, geo.points, geo.tangents, su.system)
-        acc = cov_derivative_along(metric, geo.as_curve(), geo.tangents,
-                                   connection=cache.connection)
+        cache = CurveGeometry(metric, geo.s, geo.points, geo.tangents, su.system)
+        acc = cov_derivative_along(cache, geo.tangents)
         w2 = jm.factor_values(geo.points)
         f_vec = -2.0 * cache.grad_U / w2[:, None]     # grad ln(2(E-U))
         f_dot_u = np.einsum('nij,ni,nj->n', cache.g, f_vec, geo.tangents)
@@ -490,7 +489,6 @@ class TestGeodesicEquationInBaseMetric:
         lhs = acc + f_dot_u[:, None] * geo.tangents - 0.5 * u_dot_u[:, None] * f_vec
         assert np.max(np.abs(lhs)[8:-8]) < 1e-7
 
-        acc_t = cov_derivative_along(metric, traj.as_curve(), traj.velocities,
-                                     connection=traj.cache.connection)
+        acc_t = cov_derivative_along(traj.curve, traj.velocities)
         newton = acc_t + cache.grad_U
         assert np.max(np.abs(newton)[8:-8]) < 1e-7

@@ -5,12 +5,12 @@ from scipy.linalg import lapack
 
 from jacobistab import geometry, numdiff
 from jacobistab.dynamics import hessian_operator, integrate_deviation, integrate_newton
-from jacobistab.geometry import SampledCurve
+from jacobistab.geometry import CurveGeometry
 from jacobistab.jacobi import equal_energy_projection
 from jacobistab.numdiff import (_stencil_index, _tridiagonal_solve, apply_stencil, brentq,
                                 central_diff, cubic_spline, cumulative_simpson, pchip, simpson,
                                 stencil_weights)
-from jacobistab.systems import builtin_setup
+from jacobistab.systems import builtin_setup, flat_metric
 from jacobistab.variation import make_proper_variation
 
 
@@ -53,7 +53,7 @@ def _grids():
 @pytest.mark.parametrize("x", list(_grids()), ids=["uniform", "nonuniform", "batched", "short"])
 def test_curve_stencil_equals_one_shot(x):
     pts = np.stack([np.sin(x), x ** 2], axis=-1)
-    curve = SampledCurve(x, pts, pts)
+    curve = CurveGeometry(flat_metric(2), x, pts, pts)
     for y in (np.cos(3.0 * x), pts):
         assert np.array_equal(apply_stencil(curve.stencil, y),
                               apply_stencil(stencil_weights(x), y))

@@ -57,7 +57,7 @@ class TestMakeProperVariation:
         plain = make_proper_variation(traj, coefficients=coefficients)
         orth = make_proper_variation(traj, coefficients=coefficients, orthogonal=True)
         assert np.array_equal(orth.values,
-                              orthogonal_part(traj.cache.g, traj.velocities, plain.values))
+                              orthogonal_part(traj.curve.g, traj.velocities, plain.values))
 
     def test_empty_spec_rejected(self):
         traj = _traj(FREE, (0.0, 1.0))
@@ -344,9 +344,9 @@ class TestReports:
             geodesic_views.append(args)
             return view(*args)
 
-        def counting_init(self, metric, points, tangents, sys=None):
+        def counting_init(self, metric, params, points, tangents, sys=None):
             caches.append(metric.name)
-            init(self, metric, points, tangents, sys)
+            init(self, metric, params, points, tangents, sys)
 
         for name, mod in list(sys.modules.items()):     # every reference to it
             if (name.startswith("jacobistab")
@@ -356,5 +356,5 @@ class TestReports:
         monkeypatch.setattr(Trajectory, "cov_acceleration", counted)
         check_theorems(n_variations=2, system_names=["sphere-cos"])
         assert len(geodesic_views) == 1
-        assert caches == ["sphere", "jacobi(sphere-cos)"]     # one g-cache, one h-cache
+        assert caches == ["sphere", "jacobi(sphere-cos)"]     # one g-curve, one h-curve
         assert len(accelerations) == 1
