@@ -22,9 +22,10 @@ import numpy as np
 
 from .errors import ChartDomainError, EnergyDriftError, GeometryError
 from .geometry import (ChartMetric, CurveGeometry, PointSource, ScalarField, _apply,
-                       _christoffel, _const, _fold, _kernel_source, _mv, _names, _prod, _quad,
-                       _stage_factory, _sum, christoffel, cov_derivative_along, hessian_form)
-from .numdiff import _EPS4, brentq, cubic_spline
+                       _christoffel, _const, _curvature_source, _fold, _kernel_source, _mv,
+                       _names, _prod, _quad, _stage_factory, _sum, christoffel,
+                       cov_derivative_along, hessian_form, riemann)
+from .numdiff import _EPS4, brentq
 
 @dataclass(frozen=True)
 class MechanicalSystem:
@@ -372,37 +373,40 @@ def _left_chart(t, exc) -> ChartDomainError:
     return ChartDomainError(f"left chart domain at t={t:.6g}: {exc}")
 
 
-@functools.lru_cache(maxsize=None)
-def _newton_factory(metric: PointSource, potential: PointSource) -> Callable:
-    """``make(params)``, which returns the Newton stage of the point sources
-    ``metric`` and ``potential``, generated once per pair of sources: the
-    sources inlined, their locals and parameters named with ``m`` and
-    ``p`` before them (see :meth:`~jacobistab.geometry.PointSource.inline`),
-    then the point kernel of :func:`~jacobistab.geometry._kernel_source`
-    on their entries, with their structural zeros folded.  Folding changes
-    no bits where the entries and the velocity are finite; where the
-    velocity or the acceleration is not, the stage forms the acceleration
-    again with nothing folded, which gives the NaN and inf of the unfolded
-    kernel.
+def _newton_source(metric: PointSource, potential: PointSource, second: bool) -> tuple:
+    """The Newton stage's source for the point sources ``metric`` and
+    ``potential``: the sources inlined, their locals and parameters named
+    with ``m`` and ``p`` before them (see
+    :meth:`~jacobistab.geometry.PointSource.inline`), then the point kernel
+    of :func:`~jacobistab.geometry._kernel_source` on their entries, with
+    their structural zeros folded.  Folding changes no bits where the
+    entries and the velocity are finite; where the velocity or the
+    acceleration is not, the stage forms the acceleration again with
+    nothing folded, which gives the NaN and inf of the unfolded kernel.
+    With ``second``, the sources' second blocks run too.
 
     A coordinate that is not finite, or a point outside the metric's chart,
     raises ``ChartDomainError`` where :meth:`ChartMetric.check_point`
     would, and the stage raises it again naming the stage time.
+
+    Returns the lines, the names of q, v and the acceleration, the
+    parameters, the kernel's entries of the inverse metric and of Γ, and
+    the entries of dg, d2g, dU and d2U.
     """
     n = metric.dim
-    q, v = _names("q", n, 1), _names("v", n, 1)
+    q, v, a = _names("q", n, 1), _names("v", n, 1), _names("a", n, 1)
     coords = ", ".join(q)
     outside = f'raise ChartDomainError(f"chart domain: point {{[{coords}]}} outside valid region")'
-    g_lines, (g, d) = metric.inline("m", outside)
-    u_lines, (_, u) = potential.inline("p", outside)
-    a = _names("a", n, 1)
-    body, accel = _kernel_source(n, f"({coords},)", g, d, u)
+    g_lines, g_lines2, (g, d, d2) = metric.inline("m", outside)
+    u_lines, u_lines2, (_, u, d2u) = potential.inline("p", outside)
+    inlined = g_lines + u_lines + (g_lines2 + u_lines2 if second else [])
+    body, accel, inverse, gamma = _kernel_source(n, f"({coords},)", g, d, u)
     # the same kernel with every zero entry a local: nothing folds
     unfolded = [[x if _const(x) != 0.0 else "nz" if math.copysign(1.0, _const(x)) < 0 else "z"
                  for x in entries] for entries in (g, d, u)]
-    exact, accel_exact = _kernel_source(n, f"({coords},)", *unfolded)
+    exact, accel_exact = _kernel_source(n, f"({coords},)", *unfolded)[:2]
     lines = ["try:", f"    if not ({' and '.join(f'isfinite({x})' for x in q)}):",
-             f"        {outside}", *(f"    {line}" for line in g_lines + u_lines),
+             f"        {outside}", *(f"    {line}" for line in inlined),
              "except ChartDomainError as exc:",
              "    raise _left_chart(t, exc) from exc",
              *body, f"{', '.join(a)}, = {', '.join(accel)},",
@@ -410,7 +414,16 @@ def _newton_factory(metric: PointSource, potential: PointSource) -> Callable:
              "    z, nz = 0.0, -0.0", *(f"    {line}" for line in exact),
              f"    {', '.join(a)}, = {', '.join(accel_exact)},"]
     params = ", ".join([*metric.bind("m"), *potential.bind("p")])
-    return _stage_factory(f"newton stage n={n}", params, ["t", *q, *v], lines, v + a,
+    return lines, (q, v, a), params, inverse, gamma, (d, d2, u, d2u)
+
+
+@functools.lru_cache(maxsize=None)
+def _newton_factory(metric: PointSource, potential: PointSource) -> Callable:
+    """``make(params)``, which returns the Newton stage of the point sources
+    ``metric`` and ``potential`` (see :func:`_newton_source`), generated
+    once per pair of sources."""
+    lines, (q, v, a), params, *_ = _newton_source(metric, potential, second=False)
+    return _stage_factory(f"newton stage n={metric.dim}", params, ["t", *q, *v], lines, v + a,
                           _left_chart=_left_chart)
 
 
@@ -470,6 +483,13 @@ def integrate_newton(sys: MechanicalSystem, q0, v0, t_span, step,
     ``drift_bound`` (relative) or stops being finite, each reported at the
     earliest sample where it happens.
     """
+    return _integrate(sys, q0, v0, t_span, step, drift_bound)[0]
+
+
+def _integrate(sys: MechanicalSystem, q0, v0, t_span, step, drift_bound, deviation=()):
+    """:func:`integrate_newton`, which also returns the RK4 samples; with
+    ``deviation = (V0, DV0)`` it steps the joint flow of
+    :func:`_deviation_stage`, whose orbit is the same."""
     q0 = sys.metric.check_point(q0)
     v0 = np.asarray(v0, dtype=float)
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -478,12 +498,13 @@ def integrate_newton(sys: MechanicalSystem, q0, v0, t_span, step,
     n_steps = max(1, int(round((t1 - t0) / step)))
     h = (t1 - t0) / n_steps
     e0 = sys.energy(q0, v0)
-    ys = _rk4(_stage(sys), np.concatenate([q0, v0]), t0, n_steps, h)
+    stage = _deviation_stage(sys) if deviation else _stage(sys)
+    ys = _rk4(stage, np.concatenate([q0, v0, *deviation]), t0, n_steps, h)
     n = q0.size
-    times, points, velocities = t0 + h * np.arange(n_steps + 1), ys[:, :n], ys[:, n:]
+    times, points, velocities = t0 + h * np.arange(n_steps + 1), ys[:, :n], ys[:, n:2 * n]
     drift = _check_flow(sys, times, points, velocities, e0, drift_bound)
     return Trajectory(times, points, velocities, energy=float(e0), step=h,
-                      energy_drift=drift, system=sys)
+                      energy_drift=drift, system=sys), ys
 
 
 def _check_attached(traj: Trajectory, dev: DeviationField):
@@ -510,90 +531,118 @@ def hessian_operator(traj: Trajectory, dev: DeviationField) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _deviation_factory(n: int, zero: tuple) -> Callable:
-    """``make(table, row)``, which returns the linearized-flow stage of
-    dimension n, generated once per n and per ``zero``, the flags of the
-    Γ, R and A columns that are ±0 at every row (see
-    :func:`_deviation_stage`)."""
+def _deviation_factory(metric: PointSource, potential: PointSource) -> Callable:
+    """``make(params)``, which returns the linearized-flow stage of the
+    point sources ``metric`` and ``potential``, generated once per pair of
+    sources (see :func:`_deviation_stage`)."""
+    lines, (q, v, a), params, i, c, (d, d2, u, d2u) = _newton_source(metric, potential,
+                                                                      second=True)
+    n = metric.dim
     r = range(n)
     V, W = _names("V", n, 1), _names("W", n, 1)
-    coefficients = _names("G", n, 3) + _names("R", n, 4) + _names("A", n, 2)
-    value = {name: None if z else name for name, z in zip(coefficients, zero)}
-    columns = [name for name in coefficients if value[name]] + _names("x", n, 1)
-    lines = [f"({', '.join(columns)},) = table[row[t]].tolist()"]
-    for i in r:
-        for j in r:
-            for k in r:
-                value[f"p{i}_{j}_{k}"] = _prod(value[f"G{i}_{j}_{k}"], f"x{j}")
-                if value[f"p{i}_{j}_{k}"]:
-                    lines.append(f"p{i}_{j}_{k} = {value[f'p{i}_{j}_{k}']}")
-                    value[f"p{i}_{j}_{k}"] = f"p{i}_{j}_{k}"
+    curvature_lines, riem, raised = _curvature_source(n, i, c, d, d2, u, d2u)
+    lines += curvature_lines
+    product = {}
+    for l, j, k in np.ndindex(n, n, n):
+        product[l, j, k] = _prod(c[l, j, k], v[j])
+        if product[l, j, k]:
+            lines.append(f"P{l}_{j}_{k} = {product[l, j, k]}")
+            product[l, j, k] = f"P{l}_{j}_{k}"
 
-    def gamma(i, F):        # Γ(qdot, F)^i
-        return _sum(_prod(value[f"p{i}_{j}_{k}"], f"{F}{k}") for j in r for k in r)
+    def gamma(l, F):        # Γ(v, F)^l
+        return _sum(_prod(product[l, j, k], F[k]) for j in r for k in r)
 
-    def curvature(i):       # (R(qdot, V)qdot)^i
-        return _sum(_prod(value[f"R{i}_{a}_{b}_{e}"], f"x{a}", f"V{b}", f"x{e}")
-                    for a in r for b in r for e in r)
+    def curvature(l):       # (R(v, V)v)^l
+        return _sum(_prod(riem[l, x, y, e], v[x], V[y], v[e]) for x in r for y in r for e in r)
 
-    def force(i):           # (A V)^i
-        return _sum(_prod(value[f"A{i}_{j}"], f"V{j}") for j in r)
+    def force(l):           # (A V)^l
+        return _sum(_prod(raised[l, j], V[j]) for j in r)
 
-    returns = ([f"W{i} - ({gamma(i, 'V')})" for i in r]
-               + [_fold(f"-({curvature(i)}) - ({force(i)}) - ({gamma(i, 'W')})") for i in r])
-    return _stage_factory(f"deviation stage n={n}", "table, row", ["t", *V, *W], lines, returns)
+    returns = ([f"{W[l]} - ({gamma(l, V)})" for l in r]
+               + [_fold(f"-({curvature(l)}) - ({force(l)}) - ({gamma(l, W)})") for l in r])
+    return _stage_factory(f"deviation stage n={n}", params, ["t", *q, *v, *V, *W], lines,
+                          v + a + returns, _left_chart=_left_chart)
 
 
-def _deviation_stage(traj: Trajectory):
-    """The right-hand side ``(t, V_0, ..., W_{n-1}) -> (dV, dW)`` of the
-    linearized flow for states ``(V, W)``, at the stage times of
-    :func:`_rk4` stepping along ``traj.times`` by ``traj.step``.
+def _deviation_stage(sys: MechanicalSystem):
+    """The right-hand side ``(t, q, v, V, W) -> (v, acceleration, dV, dW)``
+    of the equations of motion together with their linearization, the
+    flow of ``(V, W = nabla_qdot V)``, a tuple of 4n floats.
 
-    Christoffel symbols, curvature, the raised potential Hessian and the
-    velocity are interpolated by one cubic spline through their samples,
-    evaluated once at every stage time into a float64 table with one row
-    per time.  The stage, generated for n, reads its row into locals and
-    forms each term of the einsums of the batched form, ``Γ(qdot, V)`` and
-    ``R(qdot, V)qdot``, left to right and added from 0.0 in einsum's order,
-    which gives its bits.  ``A V`` is summed the same way, which differs
-    from BLAS's ``matmul`` in the last bit where a row of ``A`` has more
-    than one nonzero entry.
-
-    A Γ, R or A column whose samples are all ±0 has a spline that is ±0 at
-    every stage time.  It is left out of the table, and its products are
-    dropped from those sums, which changes no bits (see
-    :func:`~jacobistab.geometry._sum`).
+    At each stage state it forms Γ(v, ·), the tidal term ``R(v, V)v``,
+    from the curvature formula on the second metric partials, and the
+    raised potential Hessian ``A``; R is never a derivative of the Newton
+    stage, so the oracle comparison of the linearized flow stays
+    independent.  A system with point sources runs the stage
+    :func:`_deviation_factory` generates: the Newton stage's own lines,
+    so the orbit is bitwise that of :func:`integrate_newton`, then the
+    sources' second blocks and the lines of
+    :func:`~jacobistab.geometry._curvature_source`, and ``Γ(v, V)``,
+    ``R(v, V)v``, ``A V`` and ``Γ(v, W)`` written out term by term, left
+    to right and added from 0.0 in einsum's order.  ``A V`` is summed the
+    same way, which differs from BLAS's ``matmul`` in the last bit where
+    a row of ``A`` has more than one nonzero entry.  Any other system
+    evaluates :meth:`MechanicalSystem.acceleration` and the batched
+    :func:`~jacobistab.geometry.christoffel`,
+    :func:`~jacobistab.geometry.riemann` and
+    :meth:`MechanicalSystem.hess_potential_raised` at the stage state.
     """
-    curve, times, h = traj.curve, traj.times, traj.step
-    parts = (curve.gamma, curve.riem, curve.hess_U_raised, traj.velocities)
-    samples = np.concatenate([a.reshape(len(times), -1) for a in parts], axis=1)
-    zero = ~samples[:, :-traj.dim].any(axis=0)
-    spline = cubic_spline(times, samples[:, np.flatnonzero(np.append(~zero, [True] * traj.dim))])
-    t = times[0] + h * np.arange(len(times) - 1)
-    stage_times = np.unique(np.concatenate([t, t + 0.5 * h, t + h]))
-    row = {s: k for k, s in enumerate(stage_times.tolist())}
-    return _deviation_factory(traj.dim, tuple(zero.tolist()))(spline(stage_times), row)
+    metric, potential = sys.metric, sys.potential
+    n = metric.dim
+    if metric.point is not None and potential.point is not None:
+        return _deviation_factory(metric.point, potential.point)(
+            **metric.point.bind("m"), **potential.point.bind("p"))
+
+    def stage(t, *y):
+        q, v, V, W = (np.array(y[k * n:(k + 1) * n]) for k in range(4))
+        try:
+            acc = sys.acceleration(q, v)
+            gam = christoffel(metric, q)
+            riem = riemann(metric, q, gamma=gam)
+            hess = sys.hess_potential_raised(q, gamma=gam)
+        except ChartDomainError as exc:
+            raise _left_chart(t, exc) from exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            dV = W - np.einsum('ijk,j,k->i', gam, v, V)
+            dW = (-np.einsum('labc,a,b,c->l', riem, v, V, v) - hess @ V
+                  - np.einsum('ijk,j,k->i', gam, v, W))
+        return (*y[n:2 * n], *acc.tolist(), *dV.tolist(), *dW.tolist())
+    return stage
+
+
+def _deviation_field(traj: Trajectory, ys) -> DeviationField:
+    """The field of the samples ``ys`` ``(N, 4n)`` of the joint flow along
+    ``traj``; raises :class:`GeometryError` at the first sample whose
+    ``(V, W)`` is not finite."""
+    n = traj.dim
+    bad = ~np.isfinite(ys[:, 2 * n:]).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise GeometryError(f"linearized flow not finite at sample {k} (t={traj.times[k]:.6g})")
+    return DeviationField(traj, ys[:, 2 * n:3 * n], ys[:, 3 * n:])
 
 
 def integrate_deviation(traj: Trajectory, V0, DV0) -> DeviationField:
-    """Integrate the linearized flow ``op(V) = 0`` along a stored trajectory.
+    """Integrate the linearized flow ``op(V) = 0`` along a trajectory.
 
     The first-order system in ``(V, W = nabla_dot V)`` is advanced by RK4
-    with the trajectory's own step; Christoffel, curvature and potential
-    coefficients are cubic-interpolated between the stored samples, once
-    for every stage time, and each stage reads its row of that table
-    (see :func:`_deviation_stage`).  Raises :class:`GeometryError` at the
-    first sample whose state is not finite.
+    together with the orbit, from the trajectory's first sample with its
+    own step, so every coefficient is evaluated at the RK4 stage states
+    (see :func:`_deviation_stage`) and the memory is that of the samples
+    returned.  The orbit must come out bitwise as ``traj``'s points and
+    velocities, the RK4 orbit of its system, or a ValueError is raised.
+    Raises :class:`GeometryError` at the first sample whose state is not
+    finite.
     """
-    times = traj.times
     n = traj.dim
-    y0 = np.concatenate([np.asarray(V0, dtype=float), np.asarray(DV0, dtype=float)])
-    ys = _rk4(_deviation_stage(traj), y0, times[0], len(times) - 1, traj.step)
-    bad = ~np.isfinite(ys).all(axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise GeometryError(f"linearized flow not finite at sample {k} (t={times[k]:.6g})")
-    return DeviationField(traj, ys[:, :n], ys[:, n:])
+    y0 = np.concatenate([traj.points[0], traj.velocities[0],
+                         np.asarray(V0, dtype=float), np.asarray(DV0, dtype=float)])
+    ys = _rk4(_deviation_stage(traj.system), y0, traj.times[0], len(traj) - 1, traj.step)
+    if not (np.array_equal(ys[:, :n], traj.points)
+            and np.array_equal(ys[:, n:2 * n], traj.velocities)):
+        raise ValueError("the trajectory is not the RK4 orbit of its system from its first "
+                         "sample with its step")
+    return _deviation_field(traj, ys)
 
 
 def brute_force_deviation(sys: MechanicalSystem, q0, v0, dq, dv, alpha,
@@ -605,15 +654,24 @@ def brute_force_deviation(sys: MechanicalSystem, q0, v0, dq, dv, alpha,
     trajectory and ``V = (γ_+ - γ_-) / (2 alpha)`` sampled on its grid.
     Each run is held to ``drift_bound``.  This is the independent oracle
     for :func:`integrate_deviation`; the matching initial data there are
-    ``V0 = dq`` and ``DV0 = dv + Γ(q0)(v0, dq)``.
+    ``V0 = dq`` and ``DV0 = dv + Γ(q0)(v0, dq)``.  The oracle differences
+    nonlinear RK4 orbits, while the linearized flow evaluates the curvature
+    from second metric partials, so neither derives from the other;
+    :func:`linearization_against_oracle` takes the base run from the
+    linearized flow's own orbit, which is the same.
     """
     if not alpha > 0:
         raise ValueError("need alpha > 0")
+    base = integrate_newton(sys, q0, v0, t_span, step, drift_bound)
+    return base, _central_difference(sys, q0, v0, dq, dv, alpha, t_span, step, drift_bound)
+
+
+def _central_difference(sys, q0, v0, dq, dv, alpha, t_span, step, drift_bound):
+    """``(γ_+ - γ_-) / (2 alpha)`` of :func:`brute_force_deviation`."""
     q0, v0, dq, dv = (np.asarray(a, dtype=float) for a in (q0, v0, dq, dv))
-    base, plus, minus = (integrate_newton(sys, q, v, t_span, step, drift_bound) for q, v in
-                         ((q0, v0), (q0 + alpha * dq, v0 + alpha * dv),
-                          (q0 - alpha * dq, v0 - alpha * dv)))
-    return base, (plus.points - minus.points) / (2.0 * alpha)
+    plus, minus = (integrate_newton(sys, q, v, t_span, step, drift_bound) for q, v in
+                   ((q0 + alpha * dq, v0 + alpha * dv), (q0 - alpha * dq, v0 - alpha * dv)))
+    return (plus.points - minus.points) / (2.0 * alpha)
 
 
 def linearization_initial_data(sys: MechanicalSystem, q0, v0, dq, dv):
@@ -627,9 +685,19 @@ def linearization_initial_data(sys: MechanicalSystem, q0, v0, dq, dv):
 
 def linearization_against_oracle(sys: MechanicalSystem, q0, v0, dq, dv, alpha,
                                  t_span, step, drift_bound: float = 1e-6):
-    """The linearized flow for the perturbation ``(dq, dv)`` of ``(q0, v0)``,
-    integrated along the base run of :func:`brute_force_deviation`, and the
-    sup over all samples of its difference from that oracle."""
-    base, V = brute_force_deviation(sys, q0, v0, dq, dv, alpha, t_span, step, drift_bound)
-    lin = integrate_deviation(base, *linearization_initial_data(sys, q0, v0, dq, dv))
+    """The linearized flow for the perturbation ``(dq, dv)`` of ``(q0, v0)``
+    and the sup over all samples of its difference from the oracle of
+    :func:`brute_force_deviation`.
+
+    The flow is integrated together with its base orbit, which is bitwise
+    the oracle's base run and is held to ``drift_bound`` as that run is;
+    the oracle then adds its plus and minus runs.  A failing run raises,
+    the base run first.
+    """
+    if not alpha > 0:
+        raise ValueError("need alpha > 0")
+    initial = linearization_initial_data(sys, q0, v0, dq, dv)
+    base, ys = _integrate(sys, q0, v0, t_span, step, drift_bound, initial)
+    V = _central_difference(sys, q0, v0, dq, dv, alpha, t_span, step, drift_bound)
+    lin = _deviation_field(base, ys)
     return lin, float(np.max(np.abs(V - lin.V)))

@@ -305,36 +305,40 @@ def compile_expression(src, dim: int):
 
 
 def compile_point(evaluators, dim: int) -> PointSource:
-    """The point source of tensors compiled by :func:`compile_expression`:
-    a sequence of ``dim`` floats to one flat row-major tuple of floats per
-    evaluator (a float for a scalar), computed with Python floats and the
-    ``math`` module.  Each expression tree is one local, a literal tree is
-    its literal, and a cell of no tree is a structural zero.
+    """The point source of tensors compiled by :func:`compile_expression`,
+    a value and its first and second partials: a sequence of ``dim``
+    floats to one flat row-major tuple of floats per evaluator (a float
+    for a scalar), computed with Python floats and the ``math`` module.
+    Each expression tree is one local, a literal tree is its literal, and
+    a cell of no tree is a structural zero.  The second partials are the
+    source's second block (see :class:`~jacobistab.geometry.PointSource`).
 
     It agrees with the evaluators to about 1e-15 relative: ``exp``, ``ln``
     and ``^`` round differently from numpy's in the last bit at some
-    points.  Where a value is undefined (an exception, or an entry that is
-    complex, infinite or NaN) it evaluates the evaluators themselves at the
-    point, which raise :class:`ChartDomainError` as they do.
+    points.  Where a value of a block is undefined (an exception, or an
+    entry that is complex, infinite or NaN) it evaluates that block's
+    evaluators themselves at the point, which raise
+    :class:`ChartDomainError` as they do.
     """
-    temps, entries, check = [], [], []
-    for ev in evaluators:
+    temps, entries, check = ([], []), [], ([], [])
+    for block, ev in zip((0, 0, 1), evaluators):
         cells = {}
         for tree, where in ev.tensor.entries:
             floats = _map_literals(tree, lambda value: ast.Constant(float(value)))
             text = re.sub(r"\bq(\d+)\b", lambda m: f"q{int(m.group(1)) - 1}", ast.unparse(floats))
             if _const(text) is None:
-                temps.append((f"_e{len(temps)}", text))
-                text = temps[-1][0]
-            check.append(text)
+                name = f"_e{len(temps[0]) + len(temps[1])}"
+                temps[block].append((name, text))
+                text = name
+            check[block].append(text)
             cells.update((c, text) for c in where)
         entries.append([cells.get(c) for c in np.ndindex(*ev.tensor.shape)])
 
-    def fallback(q):
+    def fallback(q, lo, hi):
         p = np.array(q, dtype=float)
-        values = (np.ravel(ev(p)).tolist() for ev in evaluators)
+        values = (np.ravel(ev(p)).tolist() for ev in evaluators[lo:hi])
         return tuple(v[0] if ev.tensor.shape == () else tuple(v)
-                     for ev, v in zip(evaluators, values))
+                     for ev, v in zip(evaluators[lo:hi], values))
 
     return point_source(dim, [ev.tensor.shape for ev in evaluators], temps, entries,
                         fallback=fallback, check=check)
@@ -365,11 +369,10 @@ def scalar_field_from_expr(src: str, dim: int) -> ScalarField:
     first, second = _derived(((_parse(src, dim), ((),)),), dim)
     value = compile_expression(src, dim)
     partials = compile_expression(Tensor((dim,), first, f"partials of {src!r}"), dim)
-    return ScalarField(
-        value=value, partials=partials,
-        second_partials=compile_expression(
-            Tensor((dim, dim), second, f"second partials of {src!r}"), dim),
-        point=compile_point((value, partials), dim))
+    second_partials = compile_expression(
+        Tensor((dim, dim), second, f"second partials of {src!r}"), dim)
+    return ScalarField(value=value, partials=partials, second_partials=second_partials,
+                       point=compile_point((value, partials, second_partials), dim))
 
 
 def metric_from_exprs(entries: dict, dim: int, name: str = "custom") -> ChartMetric:
@@ -393,8 +396,6 @@ def metric_from_exprs(entries: dict, dim: int, name: str = "custom") -> ChartMet
     first, second = _derived(g_entries, dim)
     g_eval = compile_expression(Tensor((dim, dim), g_entries, "metric"), dim)
     dg_eval = compile_expression(Tensor((dim,) * 3, first, "metric partials"), dim)
-    return ChartMetric(
-        dim=dim, g_eval=g_eval, dg_eval=dg_eval,
-        d2g_eval=compile_expression(Tensor((dim,) * 4, second, "metric second partials"),
-                                    dim),
-        name=name, point=compile_point((g_eval, dg_eval), dim))
+    d2g_eval = compile_expression(Tensor((dim,) * 4, second, "metric second partials"), dim)
+    return ChartMetric(dim=dim, g_eval=g_eval, dg_eval=dg_eval, d2g_eval=d2g_eval, name=name,
+                       point=compile_point((g_eval, dg_eval, d2g_eval), dim))

@@ -101,10 +101,11 @@ class ChartMetric:
         ``d2g[..., k, l, i, j] = d_k d_l g_ij``.
     domain_guard : points -> boolean mask (...) of valid chart points.
     point : optional :class:`PointSource`, a point evaluator as float
-        source: a sequence of n floats ``q`` to ``(g, dg)``, flat row-major
-        float tuples bitwise equal to ``g_eval`` and ``dg_eval`` at ``q``,
-        or None where ``q`` fails ``domain_guard``.  The RK4 stages inline
-        it (see :func:`_kernel_source`).
+        source: a sequence of n floats ``q`` to ``(g, dg, d2g)``, flat
+        row-major float tuples bitwise equal to ``g_eval``, ``dg_eval`` and
+        ``d2g_eval`` at ``q``, or None where ``q`` fails ``domain_guard``.
+        The RK4 stages inline it (see :func:`_kernel_source` and
+        :func:`_curvature_source`).
 
     Evaluator outputs that broadcast to the contracted shape (a constant
     matrix, say) are broadcast.
@@ -161,8 +162,9 @@ class ScalarField:
     array of d_j f, ``second_partials(p)`` the ``(..., n, n)`` array
     d_j d_l f.  :func:`fd_field` builds a field whose partials are central
     differences of ``value``.  The optional :class:`PointSource` ``point``
-    takes a sequence of n floats to ``(f, df)``, a float and a tuple of n
-    floats bitwise equal to ``value`` and ``partials`` there.
+    takes a sequence of n floats to ``(f, df, d2f)``, a float and tuples of
+    n and n * n floats bitwise equal to ``value``, ``partials`` and
+    ``second_partials`` there.
     """
 
     value: Callable[[Point], np.ndarray]
@@ -541,45 +543,58 @@ class PointSource:
     """A point evaluator as float source: Python float arithmetic on the
     coordinates ``q0 ... q{n-1}`` that the RK4 stages inline.
 
-    ``lines`` are statements; the locals they bind and the parameters they
-    read are named with a leading underscore, and a line ``OUTSIDE`` marks
-    the point as outside the chart.  ``entries`` holds, for each output (a
-    float where its shape in ``shapes`` is ``()``, else a flat row-major
-    tuple), the text of every entry: a literal, a name, or None for a
-    structural zero, an entry that is 0.0 wherever the evaluator is
-    defined.  ``params`` pairs each parameter with its value; it is not
-    part of the source, so sources that differ only in their parameters
-    (the same system at two energies, say) compare equal and share one
-    compiled stage.
+    Its outputs are a value and its first and second partials: ``(g, dg,
+    d2g)`` for a metric, ``(U, dU, d2U)`` for a scalar field.  ``lines``
+    are the statements that form all but the last output, ``lines2`` those
+    that form the second partials after them, so a stage that reads no
+    second partials runs ``lines`` alone.  The locals they bind and the
+    parameters they read are named with a leading underscore, and a line
+    ``OUTSIDE`` marks the point as outside the chart.  ``entries`` holds,
+    for each output (a float where its shape in ``shapes`` is ``()``, else
+    a flat row-major tuple), the text of every entry: a literal, a name, or
+    None for a structural zero, an entry that is 0.0 wherever the
+    evaluator is defined.  ``params`` pairs each parameter with its value;
+    it is not part of the source, so sources that differ only in their
+    parameters (the same system at two energies, say) compare equal and
+    share one compiled stage.
 
     Called on a sequence of n floats, it runs its source (compiled once
-    per source) and returns its outputs, or None outside the chart.
+    per source) and returns its three outputs, or None outside the chart;
+    with ``second=False`` it runs ``lines`` alone and returns the value and
+    its first partials.
     """
 
     dim: int
     shapes: tuple
     lines: tuple
     entries: tuple
+    lines2: tuple = ()
     params: tuple = field(default=(), compare=False, repr=False)
 
-    def __call__(self, q):
-        return self._point(q)
+    def __call__(self, q, second: bool = True):
+        return (self._point if second else self._first)(q)
 
     @functools.cached_property
     def _point(self) -> Callable:
-        return _point_factory(self)(**self.bind(""))
+        return _point_factory(self, True)(**self.bind(""))
+
+    @functools.cached_property
+    def _first(self) -> Callable:
+        return _point_factory(self, False)(**self.bind(""))
 
     def inline(self, prefix: str, outside: str) -> tuple:
-        """The lines and entries with ``prefix`` put before every local and
-        parameter name, and each ``OUTSIDE`` line replaced by the
-        statement ``outside``."""
+        """``lines``, ``lines2`` and the entries with ``prefix`` put before
+        every local and parameter name, and each ``OUTSIDE`` line replaced
+        by the statement ``outside``."""
         def rename(text):
             return _LOCAL.sub(prefix + "_", text)
 
-        lines = [line.replace("OUTSIDE", outside) if line.strip() == "OUTSIDE"
-                 else rename(line) for line in self.lines]
-        return lines, tuple(tuple(None if e is None else rename(e) for e in out)
-                            for out in self.entries)
+        def block(lines):
+            return [line.replace("OUTSIDE", outside) if line.strip() == "OUTSIDE"
+                    else rename(line) for line in lines]
+
+        return block(self.lines), block(self.lines2), tuple(
+            tuple(None if e is None else rename(e) for e in out) for out in self.entries)
 
     def bind(self, prefix: str) -> dict:
         """The parameters, named as :meth:`inline` names them."""
@@ -587,45 +602,60 @@ class PointSource:
 
 
 def point_source(dim: int, shapes, temps, entries, guard: str = "", params=(),
-                 fallback=None, check=()) -> PointSource:
-    """The :class:`PointSource` of an evaluator given by its locals ``temps``,
-    ``(name, expression)`` pairs computed in order, and its ``entries``.
+                 fallback=None, check=((), ())) -> PointSource:
+    """The :class:`PointSource` of an evaluator given by its locals and its
+    ``entries``.  ``temps`` holds two sequences of ``(name, expression)``
+    pairs computed in order: the locals of all outputs but the last, and
+    those of the last, the second partials.
 
     Where ``guard``, a condition on the coordinates, is false, the point is
-    outside the chart.  With a ``fallback``, a function of the point tuple
-    to the outputs (or None outside the chart), an exception in ``temps``
-    or a sum of the entries ``check`` that is not finite calls the fallback
-    instead, and the locals that are entries are read from its outputs.
+    outside the chart.  With a ``fallback``, a function ``(q, lo, hi)`` of
+    the point tuple to the outputs ``lo:hi`` (or None outside the chart),
+    an exception in a block of ``temps`` or a sum of that block's entries
+    ``check`` (two sequences too) that is not finite calls the fallback for
+    that block's outputs instead, and the block's locals that are entries
+    are read from them.
     """
-    lines = [f"if not ({guard}):", "    OUTSIDE"] if guard else []
-    assigns = [f"{name} = {text}" for name, text in temps]
-    check = _sum(check)
-    if fallback is None or (not assigns and _const(check) is not None):
-        return PointSource(dim, tuple(shapes), (*lines, *assigns), tuple(map(tuple, entries)),
-                           tuple(params))
-    local, read = {name for name, _ in temps}, {}
-    for k, (shape, out) in enumerate(zip(shapes, entries)):
-        for j, e in enumerate(out):
-            if e in local:
-                read.setdefault(e, f"_out[{k}]" if shape == () else f"_out[{k}][{j}]")
-    lines += ["try:", *(f"    {a}" for a in assigns), f"    _ok = isfinite({check})",
-              "except (ArithmeticError, ValueError, TypeError):", "    _ok = False",
-              "if not _ok:", f"    _out = _fallback(({', '.join(_names('q', dim, 1))},))",
-              "    if _out is None:", "        OUTSIDE",
-              *(f"    {name} = {value}" for name, value in read.items())]
-    return PointSource(dim, tuple(shapes), tuple(lines), tuple(map(tuple, entries)),
-                       (*params, ("_fallback", fallback)))
+    head = [f"if not ({guard}):", "    OUTSIDE"] if guard else []
+    split = len(shapes) - 1
+    blocks, used = [], False
+    for block, checked, (lo, hi) in zip(temps, check, ((0, split), (split, len(shapes)))):
+        assigns = [f"{name} = {text}" for name, text in block]
+        total = _sum(checked)
+        if fallback is None or (not assigns and _const(total) is not None):
+            blocks.append(assigns)
+            continue
+        used = True
+        local, read = {name for name, _ in block}, {}
+        for k in range(lo, hi):
+            for j, e in enumerate(entries[k]):
+                if e in local:
+                    read.setdefault(e, f"_out[{k - lo}]" if shapes[k] == ()
+                                    else f"_out[{k - lo}][{j}]")
+        blocks.append(["try:", *(f"    {a}" for a in assigns), f"    _ok = isfinite({total})",
+                       "except (ArithmeticError, ValueError, TypeError):", "    _ok = False",
+                       "if not _ok:",
+                       f"    _out = _fallback(({', '.join(_names('q', dim, 1))},), {lo}, {hi})",
+                       "    if _out is None:", "        OUTSIDE",
+                       *(f"    {name} = {value}" for name, value in read.items())])
+    params = (*params, ("_fallback", fallback)) if used else tuple(params)
+    return PointSource(dim, tuple(shapes), (*head, *blocks[0]), tuple(map(tuple, entries)),
+                       tuple(blocks[1]), params)
 
 
 @functools.lru_cache(maxsize=None)
-def _point_factory(source: PointSource) -> Callable:
+def _point_factory(source: PointSource, second: bool) -> Callable:
     """``make(params)``, which returns the point evaluator of ``source``,
+    of all its outputs or, without ``second``, of all but the last,
     compiled once per source."""
-    lines, entries = source.inline("", "return None")
+    lines, lines2, entries = source.inline("", "return None")
+    if not second:
+        lines2, entries = [], entries[:-1]
     returns = [_lit(out[0]) if shape == () else f"({', '.join(map(_lit, out))},)"
                for shape, out in zip(source.shapes, entries)]
     return _stage_factory(f"point n={source.dim}", ", ".join(source.bind("")), ["q"],
-                          [f"{', '.join(_names('q', source.dim, 1))}, = q", *lines], returns)
+                          [f"{', '.join(_names('q', source.dim, 1))}, = q", *lines, *lines2],
+                          returns)
 
 
 def _det(m) -> str:
@@ -689,10 +719,12 @@ def _kernel_source(n: int, point: str = "q", g=None, d=None, u=None) -> tuple:
     """The point kernel of dimension n as source: ``-Γ(v, v) - g^-1 dU``
     at one point.
 
-    Returns the lines that invert g and form Γ, and the n expressions of
-    the acceleration.  ``g``, ``d`` and ``u`` are the flat entries of g,
-    of its partials ``d_k g_ij`` and of the partials of U: names, literals,
-    or None for a structural zero (see :class:`PointSource`); by default
+    Returns the lines that invert g and form Γ, the n expressions of the
+    acceleration, and the entries of the inverse (rows of n) and of Γ (a
+    dict from ``(l, i, j)`` to the text of ``Γ^l_ij``).  ``g``, ``d`` and
+    ``u`` are the flat entries of g, of its partials ``d_k g_ij`` and of
+    the partials of U.  Entries are names, literals, or None for a
+    structural zero (see :class:`PointSource`); by default
     the locals ``g{i}_{j}``, ``d{k}_{i}_{j}`` and ``u{k}`` (see
     :func:`_names`).  The velocity is read from the locals ``v{k}`` and the
     point from the expression ``point``.
@@ -743,7 +775,85 @@ def _kernel_source(n: int, point: str = "q", g=None, d=None, u=None) -> tuple:
     c = {key: bound("c{}_{}_{}".format(*key), text) for key, text in c.items()}
     accel = [_fold(f"-({_sum(_prod(c[l, x, y], f'v{x}', f'v{y}') for x in r for y in r)})"
                    f" - ({_sum(_prod(i[l][k], u[k]) for k in r)})") for l in r]
-    return lines, accel
+    return lines, accel, i, c
+
+
+_NAME = re.compile(r"\b[A-Za-z_]\w*")
+
+
+def _curvature_source(n: int, i, c, d, d2, u, d2u) -> tuple:
+    """The curvature and the raised potential Hessian at one point as
+    source, to follow the point kernel of :func:`_kernel_source`.
+
+    ``i`` and ``c`` are the kernel's entries of the inverse metric and of
+    Γ; ``d``, ``d2``, ``u`` and ``d2u`` the flat entries of ``d_k g_ij``,
+    ``d_k d_l g_ij``, ``d_k U`` and ``d_j d_l U`` (names, literals, or
+    None for a structural zero).  Returns the lines, the entries of
+    ``R^l_abc`` as a dict keyed ``(l, a, b, c)`` and those of the raised
+    Hessian ``A^i_l`` keyed ``(i, l)``: names, literals, or None where the
+    entry is ±0 wherever its factors are finite.
+
+    Every term is formed as :func:`christoffel_partials`, :func:`riemann`
+    and :func:`hessian_form` form it, each sum added from 0.0, and ``A``
+    as ``g^-1 H`` summed from 0.0, which is BLAS's ``matmul`` where a row
+    of ``g^-1`` has one nonzero entry.  ``R^l_aac`` is ``x - x`` minus and
+    plus the same sum, which is 0.0 where it is finite, so it counts as a
+    structural zero.  Structural zeros fold as in :func:`_kernel_source`,
+    and a local that no entry of R or A reads is not formed.
+    """
+    r = range(n)
+    defs = []
+
+    def bound(name, text):
+        """``text`` bound to the local ``name``, its literal, or None for
+        a literal zero."""
+        if _const(text) is None:
+            defs.append((name, text))
+            return name
+        return None if _const(text) == 0.0 else text
+
+    def dk(k, x, y):
+        return _lit(d[(k * n + x) * n + y])
+
+    def d2k(k, l, x, y):
+        return _lit(d2[((k * n + l) * n + x) * n + y])
+
+    # the bracket of _christoffel and its partials, the partials of g^-1
+    bracket = {(x, y, m): bound(f"B{x}_{y}_{m}", _fold(
+        f"{dk(x, y, m)} + {dk(y, x, m)} - {dk(m, x, y)}")) for x in r for y in r for m in r}
+    dbracket = {(k, x, y, m): bound(f"E{k}_{x}_{y}_{m}", _fold(
+        f"{d2k(k, x, y, m)} + {d2k(k, y, x, m)} - {d2k(k, m, x, y)}"))
+        for k in r for x in r for y in r for m in r}
+    dinv = {(k, l, m): bound(f"N{k}_{l}_{m}", _fold(
+        f"-({_sum(_prod(i[l][a], _lit(d[(k * n + a) * n + b]), i[b][m]) for a in r for b in r)})"))
+        for k in r for l in r for m in r}
+    # symmetric in (x, y) bit for bit, as the bracket and its partials are
+    dgam = {(k, l, x, y): bound(f"D{k}_{l}_{x}_{y}", _fold(
+        f"0.5 * (({_sum(_prod(dinv[k, l, m], bracket[x, y, m]) for m in r)})"
+        f" + ({_sum(_prod(i[l][m], dbracket[k, x, y, m]) for m in r)}))"))
+        for k in r for l in r for x in r for y in r if x <= y}
+    dgam.update({(k, l, y, x): dgam[k, l, x, y] for k, l, x, y in list(dgam)})
+    # Γ^l_am Γ^m_be, read by R^l_abe and R^l_bae
+    square = {(l, a, b, e): bound(f"X{l}_{a}_{b}_{e}", _sum(_prod(c[l, a, m], c[m, b, e])
+                                                            for m in r))
+              for l in r for a in r for b in r for e in r}
+    riem = {}
+    for l, a, b, e in np.ndindex(n, n, n, n):
+        riem[l, a, b, e] = None if a == b else bound(f"R{l}_{a}_{b}_{e}", _fold(
+            f"{_lit(dgam[b, l, a, e])} - {_lit(dgam[a, l, b, e])}"
+            f" - {_lit(square[l, a, b, e])} + {_lit(square[l, b, a, e])}"))
+    hess = {(j, l): bound(f"H{j}_{l}", _fold(
+        f"{_lit(d2u[j * n + l])} - ({_sum(_prod(u[k], c[k, j, l]) for k in r)})"))
+        for j in r for l in r}
+    raised = {(a, l): bound(f"A{a}_{l}", _sum(_prod(i[a][j], hess[j, l]) for j in r))
+              for a in r for l in r}
+    live = set(_NAME.findall(" ".join(x for x in (*riem.values(), *raised.values()) if x)))
+    kept = []
+    for name, text in reversed(defs):
+        if name in live:
+            kept.append(f"{name} = {text}")
+            live.update(_NAME.findall(text))
+    return kept[::-1], riem, raised
 
 
 def _stage_factory(label: str, params: str, args, lines, returns, **env) -> Callable:

@@ -81,34 +81,49 @@ class JacobiMetric:
 def _point_source(metric: PointSource, potential: PointSource, E: float,
                   margin: float) -> PointSource:
     """The point source of h from the point sources of the system: its own
-    sources inlined, then ``h = f g`` and ``d_k h_ij = df_k g_ij + f d_k g_ij``,
-    with ``f = 2(E - U)`` and ``df = -2 dU``, formed as
+    sources inlined, then ``h = f g``, ``d_k h_ij = df_k g_ij + f d_k g_ij``
+    and, in the second block,
+    ``d_k d_l h_ij = d2f_kl g_ij + df_k d_l g_ij + df_l d_k g_ij + f d_k d_l g_ij``,
+    with ``f = 2(E - U)``, ``df = -2 dU`` and ``d2f = -2 d2U``, formed as
     :func:`~jacobistab.conformal.conformal_rescale` forms them.  The point
     is outside where ``not (isfinite(f) and f > 0 and E - U > margin)``.
 
     There f is finite and positive, so an entry of h is a structural zero
-    where g's is, and an entry of dh where dg's is and g's or dU's is: it
-    is ``±0 + f * 0.0``, which is 0.0.  E and the margin are parameters, so
-    the Jacobi metrics of one system at any energy share one source.
+    where g's is, and an entry of dh or d2h where each of its products has
+    a zero factor: it is ``±0 + ... + f * 0.0``, which is 0.0.  E and the
+    margin are parameters, so the Jacobi metrics of one system at any
+    energy share one source.
     """
     n = metric.dim
-    g_lines, (G, D) = metric.inline("_g", "OUTSIDE")
-    u_lines, (U, dU) = potential.inline("_u", "OUTSIDE")
+    nn = n * n
+    g_lines, g_lines2, (G, D, D2) = metric.inline("_g", "OUTSIDE")
+    u_lines, u_lines2, (U, dU, d2U) = potential.inline("_u", "OUTSIDE")
     lines = [*g_lines, *u_lines, f"_w = _E - {_lit(U[0])}", "_f = 2.0 * _w",
              "if not (isfinite(_f) and _f > 0.0 and _w > _margin):", "    OUTSIDE"]
+    lines2 = [*g_lines2, *u_lines2]
     h = [None if _const(x) == 0.0 else f"_h{k}" for k, x in enumerate(G)]
     lines += [f"{name} = _f * {x}" for name, x in zip(h, G) if name]
-    dh = []
-    for k in range(n):
-        for ij, x in enumerate(G):
-            y = D[k * n * n + ij]
-            zero = _const(y) == 0.0 and 0.0 in (_const(x), _const(dU[k]))
-            dh.append(None if zero else f"_dh{len(dh)}")
-            if dh[-1]:
-                lines.append(f"{dh[-1]} = -2.0 * {_lit(dU[k])} * {_lit(x)} + _f * {_lit(y)}")
+
+    def rule(out, name, terms):
+        """Bind ``name`` to the sum of the products ``terms``, each a pair
+        of factors, with the literal 0.0 for a zero one, unless every
+        product has a zero factor; the last product is by f."""
+        if all(0.0 in (_const(a), _const(b)) for a, b in terms):
+            return None
+        out.append(f"{name} = " + " + ".join(
+            f"{a} * {_lit(b)}" if a == "_f" else f"-2.0 * {_lit(a)} * {_lit(b)}"
+            for a, b in terms))
+        return name
+
+    dh = [rule(lines, f"_dh{k * nn + ij}", [(dU[k], x), ("_f", D[k * nn + ij])])
+          for k in range(n) for ij, x in enumerate(G)]
+    d2h = [rule(lines2, f"_d2h{(k * n + l) * nn + ij}",
+                [(d2U[k * n + l], x), (dU[k], D[l * nn + ij]), (dU[l], D[k * nn + ij]),
+                 ("_f", D2[(k * n + l) * nn + ij])])
+           for k in range(n) for l in range(n) for ij, x in enumerate(G)]
     params = {**metric.bind("_g"), **potential.bind("_u"), "_E": float(E), "_margin": margin}
-    return PointSource(n, metric.shapes, tuple(lines), (tuple(h), tuple(dh)),
-                       tuple(params.items()))
+    return PointSource(n, metric.shapes, tuple(lines), (tuple(h), tuple(dh), tuple(d2h)),
+                       tuple(lines2), tuple(params.items()))
 
 
 def jacobi_metric(sys: MechanicalSystem, E: float) -> JacobiMetric:
@@ -209,7 +224,7 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
     if method == "rk45":
         def clearance(q):
             # E - U from the potential's point source where it has one
-            return E - point(q)[0] if point is not None else jm.clearance(np.array(q))
+            return E - point(q, False)[0] if point is not None else jm.clearance(np.array(q))
 
         def rate(s, y):
             y = y.tolist()
@@ -230,7 +245,7 @@ def integrate_geodesic(jm: JacobiMetric, q0, dir0, s_span, step,
 
     def check(y):
         # the batched check, which raises, only where the float test fails
-        if point is None or not margin < E - point(y[:n])[0] < math.inf:
+        if point is None or not margin < E - point(y[:n], False)[0] < math.inf:
             jm.check_clear(y[:n])
 
     n_steps = max(1, int(round((s1 - s0) / step)))

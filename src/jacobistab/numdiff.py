@@ -25,10 +25,15 @@ ports of scipy 1.17: :func:`simpson`, :func:`cumulative_simpson`
 :func:`pchip` (the shape-preserving Hermite cubic, on the spline's
 evaluation) and :func:`brentq` (Brent's root finder on Python floats).
 Each performs scipy's float operations in scipy's order, so it gives
-scipy's bits.  With the RK45 of :mod:`jacobistab.dynamics` they are why no
-module of the package imports scipy: importing ``scipy.integrate``,
-``scipy.interpolate`` and ``scipy.optimize`` costs about 0.4 s and 50 MB,
-more than most subcommands' own work.
+scipy's bits.  The splines resample records (the round trip's geodesic,
+the conjugate point's deviation component) and integrate the equal-energy
+multiplier; the linearized flow interpolates nothing, since it evaluates
+its coefficients from the second partials at each RK4 stage state (see
+:func:`jacobistab.dynamics._deviation_stage`).  With the RK45 of
+:mod:`jacobistab.dynamics` they are why no module of the package imports
+scipy: importing ``scipy.integrate``, ``scipy.interpolate`` and
+``scipy.optimize`` costs about 0.4 s and 50 MB, more than most
+subcommands' own work.
 """
 
 from __future__ import annotations

@@ -34,8 +34,10 @@ from .geometry import ChartMetric, ScalarField, _dot, point_source
 # at one point numpy's sine is a float64 scalar, which it squares with C pow
 # as Python does (an array it squares as x*x)
 _SPHERE_POINT = point_source(
-    2, ((2, 2), (2, 2, 2)), (("_s", "sin(q0) ** 2"), ("_d", "sin(2.0 * q0)")),
-    (("1.0", None, None, "_s"), (None, None, None, "_d", None, None, None, None)),
+    2, ((2, 2), (2, 2, 2), (2,) * 4),
+    ((("_s", "sin(q0) ** 2"), ("_d", "sin(2.0 * q0)")), (("_c", "2.0 * cos(2.0 * q0)"),)),
+    (("1.0", None, None, "_s"), (None, None, None, "_d", None, None, None, None),
+     (None, None, None, "_c", *(None,) * 12)),
     guard="0.0 < q0 < pi")
 
 
@@ -89,19 +91,25 @@ def _hyperbolic_d2g(p):
     return out
 
 
-def _hyperbolic_fallback(q):
-    """The batched g and dg at a point where the float source fails, for
-    0 < y below about 1e-103: they raise the chart-domain error."""
+def _hyperbolic_fallback(q, lo, hi):
+    """The batched g, dg and d2g (outputs ``lo:hi``) at a point where the
+    float source fails, for 0 < y below about 1e-103 (dg) or 1e-77 (d2g):
+    they raise the chart-domain error."""
     p = np.array(q, dtype=float)
-    return tuple(_hyperbolic_g(p).ravel().tolist()), tuple(_hyperbolic_dg(p).ravel().tolist())
+    return tuple(tuple(f(p).ravel().tolist())
+                 for f in (_hyperbolic_g, _hyperbolic_dg, _hyperbolic_d2g)[lo:hi])
 
 
-# numpy's float power is not C pow: the cube goes through numpy
+# numpy's float power is not C pow: the cube and the fourth power go
+# through numpy
 _HYPERBOLIC_POINT = point_source(
-    2, ((2, 2), (2, 2, 2)), (("_a", "1.0 / (q1 * q1)"), ("_d", "-2.0 / float(_power(q1, 3))")),
-    (("_a", None, None, "_a"), (None, None, None, None, "_d", None, None, "_d")),
+    2, ((2, 2), (2, 2, 2), (2,) * 4),
+    ((("_a", "1.0 / (q1 * q1)"), ("_d", "-2.0 / float(_power(q1, 3))")),
+     (("_s", "6.0 / float(_power(q1, 4))"),)),
+    (("_a", None, None, "_a"), (None, None, None, None, "_d", None, None, "_d"),
+     (*(None,) * 12, "_s", None, None, "_s")),
     guard="q1 > 0.0", params=(("_power", np.power),), fallback=_hyperbolic_fallback,
-    check=("_a", "_d"))
+    check=(("_a", "_d"), ("_s",)))
 
 
 def hyperbolic_metric() -> ChartMetric:
@@ -187,9 +195,10 @@ def _fma(a: float, b: float, c: float) -> float:
 # multiply-add, which no expression reproduces.
 _HARMONIC = ScalarField(value=lambda q: 0.5 * _dot(q, q), partials=lambda q: q,
                         second_partials=lambda q: np.eye(2),
-                        point=point_source(2, ((), (2,)),
-                                           (("_u", "0.5 * _fma(q1, q1, q0 * q0)"),),
-                                           (("_u",), ("q0", "q1")), params=(("_fma", _fma),)))
+                        point=point_source(2, ((), (2,), (2, 2)),
+                                           ((("_u", "0.5 * _fma(q1, q1, q0 * q0)"),), ()),
+                                           (("_u",), ("q0", "q1"), ("1.0", None, None, "1.0")),
+                                           params=(("_fma", _fma),)))
 
 # name: metric, potential, q0, v0, t_span
 _PRESETS = {

@@ -47,9 +47,10 @@ def test_traced_round_binds_every_name(tracer_module):
 
 
 def test_traced_linearization_binds_newton_arguments(tracer_module):
-    # the brute-force oracle integrates its base, plus and minus runs as
-    # three ``integrate_newton`` calls; the tracer binds ``sys``, ``q0``,
-    # ``v0``, ``t_span``, ``step`` and ``drift_bound`` of each
+    # the linearized flow is integrated together with its base orbit, and
+    # the oracle adds its plus and minus runs as two ``integrate_newton``
+    # calls; the tracer binds ``sys``, ``q0``, ``v0``, ``t_span``, ``step``
+    # and ``drift_bound`` of each, and counts the RK4 steps of all three
     tr = tracer_module.Tracer()
     tr.install()
     try:
@@ -60,8 +61,9 @@ def test_traced_linearization_binds_newton_arguments(tracer_module):
         tr.uninstall()
     assert all(r.passed for r in results)
     st = tr.rounds[0]
-    assert st.calls["dynamics.integrate_newton"] == 3
-    assert st.count["newton.steps"] == 3 * round(2.0 * np.pi / 1e-3)
+    assert st.calls["dynamics.integrate_newton"] == 2
+    assert st.count["newton.steps"] == 2 * round(2.0 * np.pi / 1e-3)
+    assert st.count["rk4.steps"] == 3 * round(2.0 * np.pi / 1e-3)
     metrics = tracer_module.round_metrics(st, (), ())
     assert metrics["dynamics.integrate_newton.distinct_ratio"] == 1.0
 

@@ -1,18 +1,20 @@
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from scipy.interpolate import CubicSpline
-
 from jacobistab.cli import _write_csv
-from jacobistab.dynamics import (DeviationField, MechanicalSystem, brute_force_deviation,
+from jacobistab.dynamics import (DeviationField, MechanicalSystem, Trajectory,
+                                 brute_force_deviation,
                                  hessian_operator, integrate_deviation, integrate_newton,
                                  linearization_initial_data)
 from jacobistab.errors import ChartDomainError, EnergyDriftError, GeometryError
 from jacobistab.geometry import ScalarField
 from jacobistab.systems import (BUILTIN_SYSTEMS, builtin_setup, flat_metric,
                                 mechanical_system)
-from numpy_reference import numpy_rk4
+from numpy_reference import reference_deviation
 
 FREE = builtin_setup("flat-free")
 HARMONIC = builtin_setup("flat-harmonic")
@@ -168,32 +170,11 @@ class TestIntegrateDeviation:
         assert np.max(np.abs(dev.V)) <= bound + 1e-9
 
 
-def reference_deviation(traj, V0, DV0):
-    """The linearized flow with numpy stages under :func:`numpy_rk4`: one
-    joint cubic spline of the coefficients evaluated at each stage time, and
-    the operator's terms as einsums and a ``matmul``."""
-    cache, times, n = traj.curve, traj.times, traj.dim
-    arrays = (cache.gamma, cache.riem, cache.hess_U_raised, traj.velocities)
-    spline = CubicSpline(times, np.concatenate(
-        [a.reshape(len(times), -1) for a in arrays], axis=1), axis=0)
-    shapes = [a.shape[1:] for a in arrays]
-    cuts = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
-
-    def rhs(t, y):
-        V, W = y[:n], y[n:]
-        gam, riem, hess, vel = (part.reshape(s) for part, s in
-                                zip(np.split(spline(t), cuts), shapes))
-        dV = W - np.einsum('ijk,j,k->i', gam, vel, V)
-        curv = np.einsum('labc,a,b,c->l', riem, vel, V, vel)
-        dW = -curv - hess @ V - np.einsum('ijk,j,k->i', gam, vel, W)
-        return np.concatenate([dV, dW])
-
-    y0 = np.concatenate([np.asarray(V0, dtype=float), np.asarray(DV0, dtype=float)])
-    ys = numpy_rk4(rhs, y0, times[0], len(times) - 1, traj.step)
-    return ys[:, :n], ys[:, n:]
-
-
 class TestDeviationStage:
+    # the batched reference evaluates Γ, R and A with numpy at every stage,
+    # so it runs over the first steps of each orbit
+    STEPS = 1200
+
     @pytest.mark.parametrize("name", BUILTIN_SYSTEMS)
     def test_equals_numpy_reference(self, name):
         su = builtin_setup(name)
@@ -202,9 +183,10 @@ class TestDeviationStage:
         for _ in range(3):
             v0, dv0 = rng.uniform(-1.0, 1.0, (2, traj.dim))
             dev = integrate_deviation(traj, v0, dv0)
-            V, DV = reference_deviation(traj, v0, dv0)
-            assert np.array_equal(dev.V, V)
-            assert np.array_equal(dev.DV, DV)
+            orbit, V, DV = reference_deviation(traj, v0, dv0, min(self.STEPS, len(traj) - 1))
+            assert np.array_equal(orbit, np.hstack([traj.points, traj.velocities])[:len(V)])
+            assert np.array_equal(dev.V[:len(V)], V)
+            assert np.array_equal(dev.DV[:len(V)], DV)
 
     def test_dense_hessian_within_rounding(self):
         # a cubic potential on flat R^3 has a raised Hessian with nonzero
@@ -215,7 +197,7 @@ class TestDeviationStage:
         traj = integrate_newton(sys_, [0.3, -0.2, 0.4], [0.5, 0.6, -0.3], (0.0, 2.0), 1e-3)
         v0, dv0 = np.random.default_rng(2).uniform(-1.0, 1.0, (2, 3))
         dev = integrate_deviation(traj, v0, dv0)
-        V, DV = reference_deviation(traj, v0, dv0)
+        _, V, DV = reference_deviation(traj, v0, dv0)
         assert np.max(np.abs(dev.V - V)) <= 1e-13 * np.max(np.abs(V))
         assert np.max(np.abs(dev.DV - DV)) <= 1e-13 * np.max(np.abs(DV))
 
@@ -223,6 +205,65 @@ class TestDeviationStage:
         traj = integrate_newton(FREE.system, [0.0, 0.0], [1.0, 0.0], (0.0, 0.1), 1e-2)
         with pytest.raises(GeometryError, match="not finite at sample 1 "):
             integrate_deviation(traj, [1.7e308, 0.0], [1.7e308, 0.0])
+
+    def test_orbit_must_be_the_rk4_orbit(self):
+        # the flow runs the orbit again from its first sample; a record that
+        # is not that orbit bit for bit is refused
+        traj = integrate_newton(HARMONIC.system, [1.0, 0.0], [0.0, 1.0], (0.0, 0.1), 1e-2)
+        moved = traj.points.copy()
+        moved[5, 1] = np.nextafter(moved[5, 1], 1.0)
+        other = Trajectory(traj.times, moved, traj.velocities, traj.energy, traj.step,
+                           traj.energy_drift, traj.system)
+        assert np.array_equal(integrate_deviation(traj, [1.0, 0.0], [0.0, 0.0]).trajectory.points,
+                              traj.points)
+        with pytest.raises(ValueError, match="not the RK4 orbit"):
+            integrate_deviation(other, [1.0, 0.0], [0.0, 0.0])
+
+
+def deviation_peak(traj, V0, DV0):
+    """The field and the ``tracemalloc`` peak of one ``integrate_deviation``
+    call, its stage compiled and warmed up on the first steps beforehand,
+    and the bytes of the orbit, V and DV it returns."""
+    head = Trajectory(traj.times[:3], traj.points[:3], traj.velocities[:3], traj.energy,
+                      traj.step, traj.energy_drift, traj.system)
+    integrate_deviation(head, V0, DV0)
+    tracemalloc.start()
+    try:
+        dev = integrate_deviation(traj, V0, DV0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (traj.points, traj.velocities, dev.V, dev.DV))
+    return dev, peak, outputs
+
+
+# the peak of a deviation over what it returns: one RK4 sample array holds
+# the orbit, V and DV, and the finiteness checks add about a tenth of it
+PEAK_RATIO = 4.0
+
+
+def test_deviation_memory_bounded_by_its_outputs():
+    su = builtin_setup("sphere-cos")
+    traj = integrate_newton(su.system, su.q0, su.v0, (0.0, 40.0), 2e-3)
+    assert len(traj) > 20_000
+    _, peak, outputs = deviation_peak(traj, [0.3, -0.2], [0.1, 0.4])
+    assert peak <= PEAK_RATIO * outputs, (peak, outputs)
+
+
+@pytest.mark.slow
+def test_henon_heiles_million_step_deviation_in_bounded_memory():
+    # 10^6 RK4 steps of 1e-3 at E = 1/8; run with ``pytest -m slow``
+    sys_ = mechanical_system(flat_metric(2), "0.5*(q1^2 + q2^2) + q1^2*q2 - q2^3/3")
+    q0, v0 = [0.0, 0.1], [0.4, 0.1]
+    v0[1] = float(np.sqrt(0.25 - 2.0 * sys_.potential(np.array(q0)) - v0[0] ** 2))
+    assert sys_.energy(q0, v0) == pytest.approx(0.125, rel=1e-14)
+    start = time.perf_counter()
+    traj = integrate_newton(sys_, q0, v0, (0.0, 1000.0), 1e-3)
+    dev, peak, outputs = deviation_peak(traj, [1.0, 0.0], [0.0, 1.0])
+    print(f"\n10^6-step deviation: {time.perf_counter() - start:.1f} s with its orbit, "
+          f"tracemalloc peak {peak / 2**20:.1f} MiB for {outputs / 2**20:.1f} MiB of outputs")
+    assert len(traj) == 1_000_001 and np.isfinite(dev.V).all()
+    assert peak <= PEAK_RATIO * outputs, (peak, outputs)
 
 
 class TestBruteForceOracle:

@@ -175,27 +175,29 @@ def test_partials_match_sympy(src, point):
 @given(src=_grammar(), point=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
 def test_point_evaluator_matches_batched(src, point):
     # Python floats and math round exp, ln and ^ differently from numpy in
-    # the last bit; an undefined value raises on both paths
+    # the last bit; an undefined value or partial raises on both paths
     field = scalar_field_from_expr(src, dim=2)
     p = np.array(point)
     try:
-        want = (field(p), field.grad_components(p))
+        want = (field(p), field.grad_components(p), field.hess_components(p))
     except ChartDomainError:
         with pytest.raises(ChartDomainError):
             field.point(list(point))
         return
-    value, partials = field.point(list(point))
+    value, partials, second = field.point(list(point))
     assert value == pytest.approx(want[0], rel=1e-14, abs=1e-300)
     assert partials == pytest.approx(tuple(want[1]), rel=1e-14, abs=1e-300)
+    assert second == pytest.approx(tuple(want[2].ravel()), rel=1e-14, abs=1e-300)
 
 
 def test_metric_point_evaluator_matches_batched():
     metric = metric_from_exprs({(1, 1): "1 + 0.1*sin(q2)^2", (2, 2): "exp(q1/3)",
                                 (3, 3): "1 + ln(2 + q1)^2", (1, 3): "0.05*cos(q2)"}, dim=3)
     for p in np.random.default_rng(3).uniform(-1.0, 1.0, (50, 3)):
-        g, dg = metric.point(p.tolist())
+        g, dg, d2g = metric.point(p.tolist())
         assert np.allclose(g, metric.g(p).ravel(), rtol=1e-14, atol=0.0)
         assert np.allclose(dg, metric.dg(p).ravel(), rtol=1e-14, atol=0.0)
+        assert np.allclose(d2g, metric.d2g(p).ravel(), rtol=1e-14, atol=0.0)
     with pytest.raises(ChartDomainError, match="metric undefined"):
         metric.point([-2.5, 0.0, 0.0])
 

@@ -69,8 +69,8 @@ def test_point_evaluators_equal_batched(name, unit, v):
     lo, hi = (np.asarray(b) for b in SAMPLE_BOXES[su.system.metric.name])
     p = lo + np.asarray(unit) * (hi - lo)
     q = p.tolist()
-    g, dg = sys.metric.point(q)
-    U, dU = sys.potential.point(q)
+    g, dg, _ = sys.metric.point(q)
+    U, dU, _ = sys.potential.point(q)
     assert np.array_equal(g, sys.metric.g(p).ravel())
     assert np.array_equal(dg, sys.metric.dg(p).ravel())
     assert U == sys.potential(p)
@@ -95,29 +95,40 @@ def test_point_evaluators_equal_batched_at_many_points(name):
     # one rounding step transcribed otherwise shows at a few points in a
     # thousand: the sphere's sin^2 as s*s differs at 163 of 200000.  CHART3
     # is compiled: its q^2 is C pow on floats and numpy's power in a batch,
-    # so its point evaluators agree to roundoff, and h's with them
+    # so its point evaluators agree to roundoff, and h's with them.  The
+    # second partials are pinned wherever the first partials are
     sys, E, (lo, hi) = sampled(name)
     jm = jacobi_metric(sys, E)
     clear = 0
     for p in np.random.default_rng(11).uniform(lo, hi, (5000, lo.size)):
         q = p.tolist()
-        g, dg = sys.metric.point(q)
-        U, dU = sys.potential.point(q)
+        g, dg, d2g = sys.metric.point(q)
+        U, dU, d2U = sys.potential.point(q)
         same = (g == tuple(sys.metric.g(p).ravel()) and dg == tuple(sys.metric.dg(p).ravel())
                 and U == sys.potential(p) and dU == tuple(sys.potential.grad_components(p)))
         assert same or name == "chart3"
+        second = d2g, d2U
+        want2 = tuple(sys.metric.d2g(p).ravel()), tuple(sys.potential.hess_components(p).ravel())
+        if same:
+            assert second == want2
+        else:
+            assert np.allclose(d2g + d2U, want2[0] + want2[1], rtol=1e-15, atol=0.0)
         h = jm.h.point(q)
         assert (h is not None) == jm.h.contains(p)
         if h is not None:
             clear += 1
-            want = tuple(jm.h.g(p).ravel()), tuple(jm.h.dg(p).ravel())
+            want = tuple(jm.h.g(p).ravel()), tuple(jm.h.dg(p).ravel()), tuple(jm.h.d2g(p).ravel())
             if same:
                 assert h == want
             else:
-                assert np.allclose(h[0] + h[1], want[0] + want[1], rtol=1e-15, atol=0.0)
+                assert np.allclose(sum(h, ()), sum(want, ()), rtol=1e-15, atol=0.0)
     # the samples reach the forbidden region of these three
     assert clear > 0
     assert (clear < 5000) == (name in ("uniform-gravity", "sphere-cos", "chart3"))
+    # about the box, the chart's edge: the sphere's poles, hyperbolic's y = 0
+    for p in np.random.default_rng(12).uniform(lo - 1.0, hi + 1.0, (500, lo.size)):
+        for metric in (sys.metric, jm.h):
+            assert (metric.point(p.tolist()) is None) == (not metric.contains(p))
 
 
 def test_h_point_evaluator_none_at_the_margin():
@@ -132,7 +143,8 @@ def test_h_point_evaluator_none_at_the_margin():
         h = jm.h.point(p.tolist())
         assert (h is not None) == jm.h.contains(p)
         if h is not None:
-            assert h == (tuple(jm.h.g(p).ravel()), tuple(jm.h.dg(p).ravel()))
+            assert h == (tuple(jm.h.g(p).ravel()), tuple(jm.h.dg(p).ravel()),
+                         tuple(jm.h.d2g(p).ravel()))
         nones.append(h is None)
     assert nones == [False] * 4 + [True] * 5         # clear above the margin only
 
@@ -221,14 +233,15 @@ def test_singular_metric_raises_as_batched():
     potential = ScalarField(value=lambda p: 0.0 * p[..., 0],
                             partials=lambda p: np.zeros(p.shape),
                             second_partials=lambda p: np.zeros(p.shape + (2,)),
-                            point=point_source(2, ((), (2,)), (), (("0.0",), (None, None))))
+                            point=point_source(2, ((), (2,), (2, 2)), ((), ()),
+                                               (("0.0",), (None, None), (None,) * 4)))
     for g in ((1.0, 2.0, 2.0, 4.0), (0.0, 0.0, 0.0, 1.0), (np.nan, 0.0, 0.0, 1.0)):
-        entries = tuple("_nan" if np.isnan(x) else repr(x) for x in g), (None,) * 8
+        entries = tuple("_nan" if np.isnan(x) else repr(x) for x in g), (None,) * 8, (None,) * 16
         metric = ChartMetric(dim=2, g_eval=lambda p, g=g: np.reshape(g, (2, 2)),
                              dg_eval=lambda p: np.zeros((2, 2, 2)),
                              d2g_eval=lambda p: np.zeros((2, 2, 2, 2)),
-                             point=point_source(2, ((2, 2), (2, 2, 2)), (), entries,
-                                                params=(("_nan", np.nan),)))
+                             point=point_source(2, ((2, 2), (2, 2, 2), (2,) * 4), ((), ()),
+                                                entries, params=(("_nan", np.nan),)))
         with pytest.raises(geometry.DegenerateMetricError) as exc:
             dynamics._stage(MechanicalSystem(metric, potential))(0.0, 0.3, 0.4, 1.0, 0.0)
         assert str(exc.value) == "degenerate metric at [0.3, 0.4]"
@@ -259,8 +272,9 @@ def test_generated_loops_equal_list_reference(name):
 
     V0, DV0 = np.random.default_rng(5).uniform(-1.0, 1.0, (2, n))
     dev = integrate_deviation(traj, V0, DV0)
-    ys = list_rk4(list_deviation_rhs(traj), np.concatenate([V0, DV0]), 0.0, n_steps, traj.step)
-    assert np.array_equal(np.hstack([dev.V, dev.DV]), ys)
+    ys = list_rk4(list_deviation_rhs(sys), np.concatenate([q0, v0, V0, DV0]), 0.0, n_steps,
+                  traj.step)
+    assert np.array_equal(np.hstack([traj.points, traj.velocities, dev.V, dev.DV]), ys)
 
     jm = traj.jm
     geo = integrate_geodesic(jm, q0, v0, (0.0, n_steps * step), step)
@@ -352,7 +366,8 @@ class TestFailures:
 class TestNoSilentFallback:
     """No RK4 stage of a system with point evaluators calls the batched
     acceleration or Christoffel symbols; without point evaluators, the
-    Newton orbit and the h-geodesic both step on the batched acceleration."""
+    Newton orbit and the h-geodesic both step on the batched acceleration,
+    and the linearized flow on it and the batched Christoffel symbols."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -386,24 +401,27 @@ class TestNoSilentFallback:
         traj = integrate_newton(sys, q0, v0, (0.0, 0.5), 1e-3)
         integrate_geodesic(traj.jm, q0, v0, (0.0, 0.2), 1e-3)
         integrate_geodesic(traj.jm, q0, v0, (0.0, 0.2), 1e-3, method="rk45")
+        integrate_deviation(traj, [0.1, 0.2], [0.3, -0.1])
         assert counts == {"acceleration": 0, "christoffel": 0}
         # the counters do see the batched path
         ref = batched(sys)
-        integrate_newton(ref, q0, v0, (0.0, 0.01), 1e-3)
+        short = integrate_newton(ref, q0, v0, (0.0, 0.01), 1e-3)
         assert counts == {"acceleration": 40, "christoffel": 0}
         integrate_geodesic(jacobi_metric(ref, traj.energy), q0, v0, (0.0, 0.01), 1e-3)
         assert counts == {"acceleration": 80, "christoffel": 0}
+        integrate_deviation(short, [0.1, 0.2], [0.3, -0.1])
+        assert counts == {"acceleration": 120, "christoffel": 40}
 
 
 def test_structural_zeros_fold_to_literals():
     # flat metric, U = q1: every Christoffel symbol is a structural zero,
     # so the kernel forms nothing and the acceleration is a literal
-    lines, accel = geometry._kernel_source(2, "q", ["1.0", None, None, "1.0"], [None] * 8,
-                                           ["1.0", None])
+    lines, accel, _, _ = geometry._kernel_source(2, "q", ["1.0", None, None, "1.0"],
+                                                 [None] * 8, ["1.0", None])
     assert lines == [] and accel == ["-1.0", "-0.0"]
     # the sphere: 3 of 8 Christoffel symbols, one term of each sum
     g, d = ["1.0", None, None, "s"], [None, None, None, "e", None, None, None, None]
-    lines, accel = geometry._kernel_source(2, "q", g, d, ["u0", "u1"])
+    lines, accel, _, _ = geometry._kernel_source(2, "q", g, d, ["u0", "u1"])
     assert sum(line.startswith("c") for line in lines) == 3
     assert accel[0] == "-(0.0 + c0_1_1 * v1 * v1) - (0.0 + i0_0 * u0)"
 
@@ -582,7 +600,8 @@ class _Recording:
 
 def test_constant_pattern_matches_what_it_matched(monkeypatch):
     # every text that building the point sources and generating the Newton,
-    # h-geodesic and deviation stages asks about, for n = 1 to 4
+    # h-geodesic, linearized-flow and h-Jacobi stages asks about, for n = 1
+    # to 4
     rec = _Recording(geometry._CONSTANT)
     monkeypatch.setattr(geometry, "_CONSTANT", rec)
     configs = [LIST_PINNED["n1"], "metric = sphere\npotential = cos(q1) + 0.25*q2^2\n"
@@ -593,9 +612,7 @@ def test_constant_pattern_matches_what_it_matched(monkeypatch):
         jm = jacobi_metric(sys, float(sys.energy(q0, v0)))
         for s in (sys, jm.free_system):
             dynamics._newton_factory.__wrapped__(s.metric.point, s.potential.point)
-        for zero in ((False,) * (n ** 3 + n ** 4 + n ** 2),
-                     tuple(k % 3 == 0 for k in range(n ** 3 + n ** 4 + n ** 2))):
-            dynamics._deviation_factory.__wrapped__(n, zero)
+            dynamics._deviation_factory.__wrapped__(s.metric.point, s.potential.point)
     assert len(rec.texts) > 250
     assert any(rec.pattern.fullmatch(t) for t in rec.texts)
     for text in rec.texts:
