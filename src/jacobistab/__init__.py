@@ -10,7 +10,7 @@ from .conformal import (conformal_connection, conformal_curvature,
                         lemma_residuals, reparam_cov)
 from .dynamics import (DeviationField, MechanicalSystem, Trajectory,
                        brute_force_deviation, hessian_operator,
-                       integrate_deviation, integrate_newton)
+                       integrate_deviation, integrate_newton, integrate_with_deviation)
 from .jacobi import (STENCIL_CORE, STENCIL_PAD, GeodesicRecord, JacobiMetric,
                      geodesic_from_trajectory, integrate_geodesic, jacobi_metric,
                      jacobi_operator_direct, jacobi_operator_via_g,

@@ -170,7 +170,10 @@ class Experiment:
             except DegenerateMetricError as exc:
                 raise ConfigError(str(exc)) from None
 
-        derived = self.sys.energy(self.q0, self.v0)
+        with np.errstate(all="ignore"):
+            derived = self.sys.energy(self.q0, self.v0)
+        if not np.isfinite(derived):
+            raise ConfigError(f"q0, v0: the initial energy is {float(derived)!r}, not finite")
         stated = _get_float(cfg, "energy")
         if stated is not None and abs(stated - derived) > 1e-10:
             raise ConfigError(f"energy = {stated!r} inconsistent with initial "

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ChartDomainError, EnergyDriftError, GeometryError
 from .geometry import (ChartMetric, CurveGeometry, PointSource, ScalarField, _apply,
                        _christoffel, _const, _curvature_source, _fold, _kernel_source, _mv,
-                       _names, _prod, _quad, _stage_factory, _sum, christoffel,
+                       _names, _prod, _pruned, _quad, _stage_factory, _sum, christoffel,
                        cov_derivative_along, hessian_form, riemann)
 from .numdiff import _EPS4, brentq
 
@@ -143,60 +143,132 @@ class DeviationField:
             raise ValueError("deviation samples must match the trajectory grid")
 
 
+class Stage:
+    """An RK4 stage in its two forms, each generated on first use:
+    ``fast``, which :func:`_rk4` calls, and ``guarded``, which replays a
+    step that the fast form rejected (see :func:`_rk4_loop`).  The guarded
+    form checks the first ``n`` floats of each stage state, the
+    coordinates.  Called, the stage runs the guarded form."""
+
+    def __init__(self, n: int, make_fast: Callable, make_guarded: Callable):
+        self.n, self._make_fast, self._make_guarded = n, make_fast, make_guarded
+
+    @cached_property
+    def fast(self) -> Callable:
+        return self._make_fast()
+
+    @cached_property
+    def guarded(self) -> Callable:
+        return self._make_guarded()
+
+    def __call__(self, t, *y):
+        return self.guarded(t, *y)
+
+
 def _rk4(rhs, y0, t0, n_steps, h, check=None):
     """Classical fixed-step RK4 on a state of Python floats; returns the
     samples, y0 included, as one float64 array.
 
     ``rhs(t, y_0, ..., y_{m-1})`` takes the m floats of a state and returns
-    a tuple of m floats.  The loop for m is generated on first use (see
-    :func:`_rk4_loop`).  With ``check``, every new state is passed to it as
-    a tuple, and a chart-domain error raised by a stage or by ``check`` ends
-    the run early: the samples up to the last accepted state are returned.
+    a tuple of m floats; it is a :class:`Stage` or a plain callable, which
+    has no fast form and is called as its own guarded form.  The loop for
+    m is generated on first use (see :func:`_rk4_loop`).  With ``check``,
+    every new state is passed to it as a tuple, and a chart-domain error
+    raised by a stage or by ``check`` ends the run early: the samples up to
+    the last accepted state are returned.
     """
     out = np.empty((n_steps + 1, len(y0)))
     out[0] = y0
-    return _rk4_loop(len(y0))(rhs, out, t0, n_steps, h, check)
+    stage = rhs if isinstance(rhs, Stage) else Stage(0, lambda: rhs, lambda: rhs)
+    return _rk4_loop(len(y0), stage.n)(stage, out, t0, n_steps, h, check)
+
+
+_BLOCK = 256
+"""Rows of RK4 samples written into the output array at a time."""
 
 
 @functools.lru_cache(maxsize=None)
-def _rk4_loop(m: int) -> Callable:
-    """The RK4 loop of :func:`_rk4` for states of m floats, generated on
-    first use: the state lives in the locals ``y0 ... y{m-1}``, and each
-    update is written out in floats in the order ``y_j + (0.5*h)*k_j`` and
+def _rk4_loop(m: int, n: int) -> Callable:
+    """The RK4 loop of :func:`_rk4` for states of m floats whose first n
+    are checked by the guarded stage, generated on first use: the state
+    lives in the locals ``y0 ... y{m-1}``, and each update is written out
+    in floats in the order ``y_j + (0.5*h)*k_j`` and
     ``y_j + (h/6)*(((k1_j + 2 k2_j) + 2 k3_j) + k4_j)``, so the samples are
-    bitwise those of the same RK4 on float64 arrays.  Each new state is
-    written into row k + 1 of the preallocated ``out``."""
+    bitwise those of the same RK4 on float64 arrays.
+
+    Each step runs the stage's fast form, then one ``isfinite`` test on the
+    sum of the new state and the coordinates of the last three stage
+    states.  A sum is finite only where every term is, and a new state
+    only where the state and the four stage outputs are, so the test
+    passes only where every stage state and output is finite.  Where it
+    fails, or the fast form raises anything, the step is run again with
+    the guarded form, which raises the error, or takes the fallback, that
+    the step meets, from the state kept as the last row; on an accepted
+    step both forms run the same float operations.  New states are kept as
+    floats and written into the preallocated ``out`` a block of rows at a
+    time."""
     y, a, b, c, d = (_names(x, m, 1) for x in "yabcd")
+    inputs = [_names(x, n, 1) for x in ("qb", "qc", "qd")]
     state = ", ".join(y)
 
-    def shifted(step, k):
-        return ", ".join(f"{y[j]} + {step} * {k[j]}" for j in range(m))
+    def step(call, bind):
+        """One step on ``call`` into ``y``; with ``bind``, the coordinates
+        of the last three stage states are bound first."""
+        lines, k = [f"{', '.join(a)}, = {call}(t, {state})"], a
+        for time, size, out, names in (("t + half", "half", b, inputs[0]),
+                                       ("t + half", "half", c, inputs[1]),
+                                       ("t + h", "h", d, inputs[2])):
+            args = [f"{y[j]} + {size} * {k[j]}" for j in range(m)]
+            if bind and n:
+                lines.append(f"{', '.join(names)}, = {', '.join(args[:n])},")
+                args[:n] = names
+            lines.append(f"{', '.join(out)}, = {call}({time}, {', '.join(args)})")
+            k = out
+        update = ", ".join(f"{y[j]} + sixth * ((({a[j]} + 2.0 * {b[j]}) + 2.0 * {c[j]}) + {d[j]})"
+                           for j in range(m))
+        return lines + [f"{state}, = {update},"]
 
-    update = ", ".join(f"{y[j]} + sixth * ((({a[j]} + 2.0 * {b[j]}) + 2.0 * {c[j]}) + {d[j]})"
-                       for j in range(m))
+    flush = "flat[start:start + len(rows)] = rows"
     source = "\n".join([
-        "def rk4(stage, out, t0, n_steps, h, check):",
+        "def rk4(stages, out, t0, n_steps, h, check):",
+        "    fast = stages.fast",
         f"    {state}, = out[0].tolist()",
         "    half, sixth = 0.5 * h, h / 6.0",
+        f"    flat, rows, start = out.reshape(-1), [], {m}",
         "    t = t0",
-        "    for k in range(n_steps):",
-        "        try:",
-        f"            {', '.join(a)}, = stage(t, {state})",
-        f"            {', '.join(b)}, = stage(t + half, {shifted('half', a)})",
-        f"            {', '.join(c)}, = stage(t + half, {shifted('half', b)})",
-        f"            {', '.join(d)}, = stage(t + h, {shifted('h', c)})",
-        f"            {state}, = {update},",
-        "            if check is not None:",
-        f"                check(({state},))",
-        "        except ChartDomainError:",
-        "            if check is None:",
-        "                raise",
-        "            return out[:k + 1]",
-        "        t = t0 + (k + 1) * h",
-        f"        out[k + 1] = {state}",
+        f"    for block in range(0, n_steps, {_BLOCK}):",
+        f"        for k in range(block, min(block + {_BLOCK}, n_steps)):",
+        "            try:",
+        *(f"                {line}" for line in step("fast", True)),
+        f"                ok = isfinite({' + '.join(y + [x for names in inputs for x in names])})",
+        "            except Exception:",
+        "                ok = False",
+        "            if not ok:",
+        f"                {state}, = rows[-{m}:] if rows else flat[start - {m}:start].tolist()",
+        "                guarded = stages.guarded",
+        "                try:",
+        *(f"                    {line}" for line in step("guarded", False)),
+        "                    if check is not None:",
+        f"                        check(({state},))",
+        "                except ChartDomainError:",
+        "                    if check is None:",
+        "                        raise",
+        f"                    {flush}",
+        "                    return out[:k + 1]",
+        "            elif check is not None:",
+        "                try:",
+        f"                    check(({state},))",
+        "                except ChartDomainError:",
+        f"                    {flush}",
+        "                    return out[:k + 1]",
+        f"            rows += {state},",
+        "            t = t0 + (k + 1) * h",
+        f"        {flush}",
+        "        start += len(rows)",
+        "        rows.clear()",
         "    return out"]) + "\n"
-    scope = {"ChartDomainError": ChartDomainError}
-    exec(compile(source, f"<rk4 m={m}>", "exec"), scope)
+    scope = {"ChartDomainError": ChartDomainError, "isfinite": math.isfinite}
+    exec(compile(source, f"<rk4 m={m} n={n}>", "exec"), scope)
     return scope["rk4"]
 
 
@@ -373,21 +445,30 @@ def _left_chart(t, exc) -> ChartDomainError:
     return ChartDomainError(f"left chart domain at t={t:.6g}: {exc}")
 
 
-def _newton_source(metric: PointSource, potential: PointSource, second: bool) -> tuple:
+def _newton_source(metric: PointSource, potential: PointSource, second: bool,
+                   fast: bool = False) -> tuple:
     """The Newton stage's source for the point sources ``metric`` and
     ``potential``: the sources inlined, their locals and parameters named
     with ``m`` and ``p`` before them (see
     :meth:`~jacobistab.geometry.PointSource.inline`), then the point kernel
     of :func:`~jacobistab.geometry._kernel_source` on their entries, with
-    their structural zeros folded.  Folding changes no bits where the
-    entries and the velocity are finite; where the velocity or the
-    acceleration is not, the stage forms the acceleration again with
-    nothing folded, which gives the NaN and inf of the unfolded kernel.
-    With ``second``, the sources' second blocks run too.
+    their structural zeros folded.  With ``second``, the sources' second
+    blocks run too.
 
-    A coordinate that is not finite, or a point outside the metric's chart,
+    The guarded form checks its inputs and the values it forms.  A
+    coordinate that is not finite, or a point outside the metric's chart,
     raises ``ChartDomainError`` where :meth:`ChartMetric.check_point`
-    would, and the stage raises it again naming the stage time.
+    would, and the stage raises it again naming the stage time.  Folding
+    changes no bits where the entries and the velocity are finite; where
+    the velocity or the acceleration is not, the stage forms the
+    acceleration again with nothing folded, which gives the NaN and inf of
+    the unfolded kernel.
+
+    With ``fast``, the fast form: the same value lines, the sources' and
+    the kernel's fast forms, with no check of the inputs, no exception
+    handler and no unfolded kernel; the chart tests raise as they are.
+    It gives the guarded form's bits wherever its inputs and outputs are
+    finite and it raises nothing (see :func:`_rk4_loop`).
 
     Returns the lines, the names of q, v and the acceleration, the
     parameters, the kernel's entries of the inverse metric and of Γ, and
@@ -397,10 +478,14 @@ def _newton_source(metric: PointSource, potential: PointSource, second: bool) ->
     q, v, a = _names("q", n, 1), _names("v", n, 1), _names("a", n, 1)
     coords = ", ".join(q)
     outside = f'raise ChartDomainError(f"chart domain: point {{[{coords}]}} outside valid region")'
-    g_lines, g_lines2, (g, d, d2) = metric.inline("m", outside)
-    u_lines, u_lines2, (_, u, d2u) = potential.inline("p", outside)
+    g_lines, g_lines2, (g, d, d2) = metric.inline("m", outside, fast)
+    u_lines, u_lines2, (_, u, d2u) = potential.inline("p", outside, fast)
     inlined = g_lines + u_lines + (g_lines2 + u_lines2 if second else [])
-    body, accel, inverse, gamma = _kernel_source(n, f"({coords},)", g, d, u)
+    body, accel, inverse, gamma = _kernel_source(n, f"({coords},)", g, d, u, fast)
+    params = ", ".join([*metric.bind("m"), *potential.bind("p")])
+    if fast:
+        lines = [*inlined, *body, f"{', '.join(a)}, = {', '.join(accel)},"]
+        return lines, (q, v, a), params, inverse, gamma, (d, d2, u, d2u)
     # the same kernel with every zero entry a local: nothing folds
     unfolded = [[x if _const(x) != 0.0 else "nz" if math.copysign(1.0, _const(x)) < 0 else "z"
                  for x in entries] for entries in (g, d, u)]
@@ -413,26 +498,34 @@ def _newton_source(metric: PointSource, potential: PointSource, second: bool) ->
              f"if not isfinite({' + '.join(v + a)}):",
              "    z, nz = 0.0, -0.0", *(f"    {line}" for line in exact),
              f"    {', '.join(a)}, = {', '.join(accel_exact)},"]
-    params = ", ".join([*metric.bind("m"), *potential.bind("p")])
     return lines, (q, v, a), params, inverse, gamma, (d, d2, u, d2u)
 
 
-@functools.lru_cache(maxsize=None)
-def _newton_factory(metric: PointSource, potential: PointSource) -> Callable:
-    """``make(params)``, which returns the Newton stage of the point sources
-    ``metric`` and ``potential`` (see :func:`_newton_source`), generated
-    once per pair of sources."""
-    lines, (q, v, a), params, *_ = _newton_source(metric, potential, second=False)
-    return _stage_factory(f"newton stage n={metric.dim}", params, ["t", *q, *v], lines, v + a,
+def _factory(label: str, params: str, args, lines, returns, fast: bool, coords) -> Callable:
+    """:func:`~jacobistab.geometry._stage_factory` on a stage's source;
+    the fast form's body is pruned first (see
+    :func:`~jacobistab.geometry._pruned`)."""
+    if fast:
+        lines, returns = _pruned(lines, returns, coords)
+    return _stage_factory(f"{'fast ' if fast else ''}{label}", params, args, lines, returns,
                           _left_chart=_left_chart)
+
+
+@functools.lru_cache(maxsize=None)
+def _newton_factory(metric: PointSource, potential: PointSource, fast: bool = True) -> Callable:
+    """``make(params)``, which returns the fast or the guarded Newton stage
+    of the point sources ``metric`` and ``potential`` (see
+    :func:`_newton_source`), generated once per pair of sources and form."""
+    lines, (q, v, a), params, *_ = _newton_source(metric, potential, False, fast)
+    return _factory(f"newton stage n={metric.dim}", params, ["t", *q, *v], lines, v + a, fast, q)
 
 
 def _stage(sys: MechanicalSystem):
     """The right-hand side ``(t, q_0, ..., v_{n-1}) -> (v, acceleration)``
     of the equations of motion, a tuple of 2n floats.
 
-    A system with point sources runs the stage :func:`_newton_factory`
-    generates from them; any other system runs
+    A system with point sources runs the :class:`Stage` whose two forms
+    :func:`_newton_factory` generates from them; any other system runs
     :meth:`MechanicalSystem.acceleration`.  A chart-domain error at a
     stage is raised again naming the stage time.  The geodesics of a
     Jacobi metric step on the stage of its free system.
@@ -440,8 +533,7 @@ def _stage(sys: MechanicalSystem):
     metric, potential = sys.metric, sys.potential
     n = metric.dim
     if metric.point is not None and potential.point is not None:
-        return _newton_factory(metric.point, potential.point)(
-            **metric.point.bind("m"), **potential.point.bind("p"))
+        return _point_stage(_newton_factory, metric.point, potential.point)
 
     def stage(t, *y):
         try:
@@ -450,6 +542,14 @@ def _stage(sys: MechanicalSystem):
             raise _left_chart(t, exc) from exc
         return (*y[n:], *acc.tolist())
     return stage
+
+
+def _point_stage(factory, metric: PointSource, potential: PointSource) -> Stage:
+    """The :class:`Stage` of ``factory`` on the point sources, with their
+    parameters."""
+    params = {**metric.bind("m"), **potential.bind("p")}
+    return Stage(metric.dim, lambda: factory(metric, potential, True)(**params),
+                 lambda: factory(metric, potential, False)(**params))
 
 
 def _check_flow(sys: MechanicalSystem, times, points, velocities, e0, drift_bound) -> float:
@@ -531,12 +631,14 @@ def hessian_operator(traj: Trajectory, dev: DeviationField) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _deviation_factory(metric: PointSource, potential: PointSource) -> Callable:
-    """``make(params)``, which returns the linearized-flow stage of the
-    point sources ``metric`` and ``potential``, generated once per pair of
-    sources (see :func:`_deviation_stage`)."""
+def _deviation_factory(metric: PointSource, potential: PointSource,
+                       fast: bool = True) -> Callable:
+    """``make(params)``, which returns the fast or the guarded
+    linearized-flow stage of the point sources ``metric`` and
+    ``potential``, generated once per pair of sources and form (see
+    :func:`_deviation_stage`)."""
     lines, (q, v, a), params, i, c, (d, d2, u, d2u) = _newton_source(metric, potential,
-                                                                      second=True)
+                                                                      True, fast)
     n = metric.dim
     r = range(n)
     V, W = _names("V", n, 1), _names("W", n, 1)
@@ -560,8 +662,8 @@ def _deviation_factory(metric: PointSource, potential: PointSource) -> Callable:
 
     returns = ([f"{W[l]} - ({gamma(l, V)})" for l in r]
                + [_fold(f"-({curvature(l)}) - ({force(l)}) - ({gamma(l, W)})") for l in r])
-    return _stage_factory(f"deviation stage n={n}", params, ["t", *q, *v, *V, *W], lines,
-                          v + a + returns, _left_chart=_left_chart)
+    return _factory(f"deviation stage n={n}", params, ["t", *q, *v, *V, *W], lines,
+                    v + a + returns, fast, q)
 
 
 def _deviation_stage(sys: MechanicalSystem):
@@ -590,8 +692,7 @@ def _deviation_stage(sys: MechanicalSystem):
     metric, potential = sys.metric, sys.potential
     n = metric.dim
     if metric.point is not None and potential.point is not None:
-        return _deviation_factory(metric.point, potential.point)(
-            **metric.point.bind("m"), **potential.point.bind("p"))
+        return _point_stage(_deviation_factory, metric.point, potential.point)
 
     def stage(t, *y):
         q, v, V, W = (np.array(y[k * n:(k + 1) * n]) for k in range(4))
@@ -642,6 +743,16 @@ def integrate_deviation(traj: Trajectory, V0, DV0) -> DeviationField:
             and np.array_equal(ys[:, n:2 * n], traj.velocities)):
         raise ValueError("the trajectory is not the RK4 orbit of its system from its first "
                          "sample with its step")
+    return _deviation_field(traj, ys)
+
+
+def integrate_with_deviation(sys: MechanicalSystem, q0, v0, t_span, step, V0, DV0,
+                             drift_bound: float = 1e-6) -> DeviationField:
+    """:func:`integrate_newton` and :func:`integrate_deviation` from
+    ``(V0, DV0)`` along its orbit, in one run of the joint flow: the same
+    samples, bit for bit, from half the steps."""
+    traj, ys = _integrate(sys, q0, v0, t_span, step, drift_bound,
+                          (np.asarray(V0, dtype=float), np.asarray(DV0, dtype=float)))
     return _deviation_field(traj, ys)
 
 

@@ -21,6 +21,7 @@ vectors on the unit sphere.
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import re
@@ -71,6 +72,27 @@ def _dot(x, y):
 def _quad(g, x, y):
     """``x @ g @ y`` at each point."""
     return (x[..., None, :] @ g @ y[..., :, None])[..., 0, 0]
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """``a*b + c`` on floats rounded once, as the BLAS kernels behind
+    :func:`_dot` add a product: the exact product is split into ``p + e``
+    (Dekker), and ``fsum`` rounds ``p + e + c`` correctly.  Where the
+    product or its split is not finite, or ``fsum`` overflows, it is
+    ``p + c``: ±inf where an FMA overflows.  It never raises on floats.
+    Point sources call it as ``fma``."""
+    p = a * b
+    t = 134217729.0 * a
+    ah = t - (t - a)
+    al = a - ah
+    t = 134217729.0 * b
+    bh = t - (t - b)
+    bl = b - bh
+    try:
+        r = math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, c))
+    except (OverflowError, ValueError):
+        return p + c
+    return r if r == r else p + c
 
 
 def _inverse(gm, p) -> np.ndarray:
@@ -558,6 +580,12 @@ class PointSource:
     parameters (the same system at two energies, say) compare equal and
     share one compiled stage.
 
+    ``fast`` holds the two blocks of the fast form that the RK4 fast stages
+    inline, or is empty where they are ``lines`` and ``lines2``: the same
+    value lines without the exception handlers and fallbacks, each checked
+    block followed by one line ``if not isfinite(0.0 + 0.0 * x + ...):``
+    over the block's entries, then ``OUTSIDE``.
+
     Called on a sequence of n floats, it runs its source (compiled once
     per source) and returns its three outputs, or None outside the chart;
     with ``second=False`` it runs ``lines`` alone and returns the value and
@@ -570,6 +598,7 @@ class PointSource:
     entries: tuple
     lines2: tuple = ()
     params: tuple = field(default=(), compare=False, repr=False)
+    fast: tuple = ()
 
     def __call__(self, q, second: bool = True):
         return (self._point if second else self._first)(q)
@@ -582,10 +611,11 @@ class PointSource:
     def _first(self) -> Callable:
         return _point_factory(self, False)(**self.bind(""))
 
-    def inline(self, prefix: str, outside: str) -> tuple:
-        """``lines``, ``lines2`` and the entries with ``prefix`` put before
-        every local and parameter name, and each ``OUTSIDE`` line replaced
-        by the statement ``outside``."""
+    def inline(self, prefix: str, outside: str, fast: bool = False) -> tuple:
+        """``lines``, ``lines2`` (with ``fast``, the two blocks of the fast
+        form) and the entries with ``prefix`` put before every local and
+        parameter name, and each ``OUTSIDE`` line replaced by the statement
+        ``outside``."""
         def rename(text):
             return _LOCAL.sub(prefix + "_", text)
 
@@ -593,7 +623,8 @@ class PointSource:
             return [line.replace("OUTSIDE", outside) if line.strip() == "OUTSIDE"
                     else rename(line) for line in lines]
 
-        return block(self.lines), block(self.lines2), tuple(
+        lines, lines2 = self.fast if fast and self.fast else (self.lines, self.lines2)
+        return block(lines), block(lines2), tuple(
             tuple(None if e is None else rename(e) for e in out) for out in self.entries)
 
     def bind(self, prefix: str) -> dict:
@@ -611,19 +642,23 @@ def point_source(dim: int, shapes, temps, entries, guard: str = "", params=(),
     Where ``guard``, a condition on the coordinates, is false, the point is
     outside the chart.  With a ``fallback``, a function ``(q, lo, hi)`` of
     the point tuple to the outputs ``lo:hi`` (or None outside the chart),
-    an exception in a block of ``temps`` or a sum of that block's entries
+    an exception in a block of ``temps`` or an entry of that block's
     ``check`` (two sequences too) that is not finite calls the fallback for
     that block's outputs instead, and the block's locals that are entries
-    are read from them.
+    are read from them.  The fast form (see :class:`PointSource`) tests
+    the same entries.
     """
     head = [f"if not ({guard}):", "    OUTSIDE"] if guard else []
     split = len(shapes) - 1
-    blocks, used = [], False
+    blocks, fast, used = [], [], False
     for block, checked, (lo, hi) in zip(temps, check, ((0, split), (split, len(shapes)))):
         assigns = [f"{name} = {text}" for name, text in block]
-        total = _sum(checked)
+        # 0.0 * x is 0.0 where x is finite and NaN where it is not: a test
+        # of every entry that no sum can overflow
+        total = _sum(f"0.0 * {e}" for e in checked if _const(e) is None)
         if fallback is None or (not assigns and _const(total) is not None):
             blocks.append(assigns)
+            fast.append(assigns)
             continue
         used = True
         local, read = {name for name, _ in block}, {}
@@ -638,9 +673,11 @@ def point_source(dim: int, shapes, temps, entries, guard: str = "", params=(),
                        f"    _out = _fallback(({', '.join(_names('q', dim, 1))},), {lo}, {hi})",
                        "    if _out is None:", "        OUTSIDE",
                        *(f"    {name} = {value}" for name, value in read.items())])
+        fast.append([*assigns, f"if not isfinite({total}):", "    OUTSIDE"])
     params = (*params, ("_fallback", fallback)) if used else tuple(params)
     return PointSource(dim, tuple(shapes), (*head, *blocks[0]), tuple(map(tuple, entries)),
-                       tuple(blocks[1]), params)
+                       tuple(blocks[1]), params,
+                       ((*head, *fast[0]), tuple(fast[1])) if used else ())
 
 
 @functools.lru_cache(maxsize=None)
@@ -671,10 +708,12 @@ def _lapack_inverse(q, g, n: int) -> list:
     return _inverse(np.array(g).reshape(n, n), q).ravel().tolist()
 
 
-def _inverse_source(n: int, point: str, g) -> tuple:
+def _inverse_source(n: int, point: str, g, fast: bool = False) -> tuple:
     """Lines that invert the n x n matrix of entries ``g`` (see
     :func:`_kernel_source`), and the entries of the inverse: a name, a
-    literal, or None where it is ±0 on every branch."""
+    literal, or None where it is ±0 on every branch.  With ``fast``, a g
+    that is not finite raises before LAPACK, whose inverse of it can be
+    finite."""
     r = range(n)
     off = [(a, e) for a in r for e in r if a != e]
     diagonal = all(_const(g[a][e]) == 0.0 for a, e in off)
@@ -695,7 +734,11 @@ def _inverse_source(n: int, point: str, g) -> tuple:
     lit = [[_lit(x) for x in row] for row in g]
     inverse = f"({', '.join(_names('i', n, 2))},)"
     flat = ", ".join(x for row in lit for x in row)
-    lapack = f"{inverse} = _lapack_inverse({point}, ({flat},), {n})"
+    lapack = [f"{inverse} = _lapack_inverse({point}, ({flat},), {n})"]
+    entries = [x for row in lit for x in row if _const(x) is None]
+    if fast and entries:
+        lapack[:0] = [f"if not isfinite({_sum(f'0.0 * {x}' for x in entries)}): "
+                      "raise ArithmeticError"]
     if n <= 3:          # closed form; LAPACK where it is singular or not finite
         def minor(a, e):
             return [row[:e] + row[e + 1:] for k, row in enumerate(lit) if k != a]
@@ -704,9 +747,9 @@ def _inverse_source(n: int, point: str, g) -> tuple:
         general += [f"    {names[a][e]} = {'-' * ((a + e) % 2)}({_det(minor(e, a))}) / det"
                     for a in r for e in r]
         general += [f"if not ({ok} and isfinite({' + '.join(_names('i', n, 2))})):",
-                    f"    {lapack}"]
+                    *(f"    {line}" for line in lapack)]
     else:
-        general = [lapack]
+        general = lapack
     if "False" in test:
         return general, inv
     lines = [f"if {' and '.join(t for t in test if t != 'True')}:"]
@@ -715,7 +758,8 @@ def _inverse_source(n: int, point: str, g) -> tuple:
     return lines + ["else:", *(f"    {line}" for line in general)], inv
 
 
-def _kernel_source(n: int, point: str = "q", g=None, d=None, u=None) -> tuple:
+def _kernel_source(n: int, point: str = "q", g=None, d=None, u=None,
+                   fast: bool = False) -> tuple:
     """The point kernel of dimension n as source: ``-Γ(v, v) - g^-1 dU``
     at one point.
 
@@ -746,12 +790,18 @@ def _kernel_source(n: int, point: str = "q", g=None, d=None, u=None) -> tuple:
     last bits, and by LAPACK above n = 3 or where g is singular or not
     finite (raising ``DegenerateMetricError`` for the point as
     :meth:`ChartMetric.g_inv` does).
+
+    With ``fast``, the source of the fast stages: where the partials are
+    symmetric in ``(i, j)`` by name, ``b_jik`` is ``b_ijk``, the same bits
+    (``x + y`` is ``y + x``), so ``Γ^l_ji`` has the text of ``Γ^l_ij`` and
+    :func:`_pruned` binds it once; the LAPACK branch is that of
+    :func:`_inverse_source`'s fast form.
     """
     r = range(n)
     g = _names("g", n, 2) if g is None else g
     d = _names("d", n, 3) if d is None else d
     u = _names("u", n, 1) if u is None else u
-    lines, i = _inverse_source(n, point, [[g[a * n + e] for e in r] for a in r])
+    lines, i = _inverse_source(n, point, [[g[a * n + e] for e in r] for a in r], fast)
 
     def bound(name, text):
         """``text`` as a literal, or bound to the local ``name``."""
@@ -768,6 +818,8 @@ def _kernel_source(n: int, point: str = "q", g=None, d=None, u=None) -> tuple:
     brackets = {f"b{x}_{y}_{z}": _fold(f"{dk(x, y, z)} + {dk(y, x, z)} - {dk(z, x, y)}")
                 for x in r for y in r for z in r}
     b = {name: name if _const(text) is None else text for name, text in brackets.items()}
+    if fast and all(dk(z, x, y) == dk(z, y, x) for z in r for x in r for y in r):
+        b.update({f"b{x}_{y}_{z}": b[f"b{y}_{x}_{z}"] for x in r for y in r for z in r if x > y})
     c = {(l, x, y): _fold(f"0.5 * ({_sum(_prod(i[l][k], b[f'b{x}_{y}_{k}']) for k in r)})")
          for l in r for x in r for y in r}
     read = set(re.findall(r"\bb\d+_\d+_\d+", " ".join(c.values())))
@@ -856,19 +908,196 @@ def _curvature_source(n: int, i, c, d, d2, u, d2u) -> tuple:
     return kept[::-1], riem, raised
 
 
+_ASSIGN = re.compile(r"([A-Za-z_]\w*) = (.+)")
+_TARGETS = re.compile(r"\s*(?!if |else:|raise |try:|except )([^=]+?) = ")
+_CALL = re.compile(r"(?<![\w.])(?:sin|cos|exp|ln)\((\w+)\)")
+_FINITE_TEST = re.compile(r"if not isfinite\(0\.0((?: \+ 0\.0 \* \w+)+)\):")
+
+
+def _verdict(node, verdict) -> tuple:
+    """Whether the expression ``node`` is free of exceptions where the
+    stage's coordinates are finite, and a bound on its magnitude: inf where
+    it is finite but unbounded, None where it can be inf or NaN without
+    raising.  ``verdict(name)`` gives those of a name."""
+    if isinstance(node, ast.Constant):
+        return True, abs(node.value)
+    if isinstance(node, ast.Name):
+        return verdict(node.id)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        return _verdict(node.operand, verdict)
+    if isinstance(node, ast.BinOp):
+        (free_a, a), (free_b, b) = _verdict(node.left, verdict), _verdict(node.right, verdict)
+        free = free_a and free_b
+        if isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Constant):
+            # a float power to an integer raises where it overflows
+            integer = float(node.right.value).is_integer()
+            return False, _HUGE if integer and a is not None else None
+        if not isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
+            return False, None
+        if a is None or b is None:
+            return free, None
+        if isinstance(node.op, ast.Mult):
+            if a == 0.0 or b == 0.0:
+                return free, 0.0
+            if math.inf in (a, b) and min(a, b) <= 1.0:
+                return free, math.inf
+            bound = a * b
+        else:
+            bound = a + b
+        return free, bound if bound <= _HUGE else None
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        args = [_verdict(a, verdict) for a in node.args]
+        free = all(f for f, _ in args)
+        finite = all(b is not None for _, b in args)
+        if node.func.id in ("sin", "cos"):
+            return free and finite, 1.0 if finite else None
+        if node.func.id in ("exp", "ln"):    # raise where they overflow or are undefined
+            return False, _HUGE if finite else None
+        if node.func.id == "fma":
+            return free, None
+    return False, None
+
+
+def _pruned(lines, returns, coords) -> tuple:
+    """The body ``lines`` and ``returns`` of a fast stage with each value
+    computed once and no line that nothing needs.
+
+    A call of ``sin``, ``cos``, ``exp`` or ``ln`` on a coordinate that
+    occurs more than once is bound to one local before its first use, and
+    an assignment of a text bound before keeps its local.  A line that
+    binds a local nothing reads goes where it cannot raise.  A source's
+    test ``if not isfinite(0.0 + 0.0 * x + ...)`` keeps only its terms x
+    that nothing else reads and that can be inf or NaN without raising:
+    where the others are not finite, so are the outputs, or a line raises.
+    The coordinates ``coords`` are finite wherever a fast stage's step is
+    accepted.  Values and their order of operations are unchanged.
+    """
+    stmts = []
+    for line in lines:
+        if line.startswith(" "):
+            stmts[-1].append(line)
+        else:
+            stmts.append([line])
+    simple = [s for s in stmts if len(s) == 1 and _ASSIGN.fullmatch(s[0])]
+    is_simple = {id(s) for s in simple}
+    calls = {}
+    for text in [*(s[0] for s in simple), *returns]:
+        for m in _CALL.finditer(text):
+            if m.group(1) in coords:
+                calls[m.group()] = calls.get(m.group(), 0) + 1
+    hoisted = {call: call.replace("(", "_")[:-1] for call, count in calls.items() if count > 1}
+    if hoisted:
+        def hoist(text):
+            return _CALL.sub(lambda m: hoisted.get(m.group(), m.group()), text)
+
+        first = {}
+        for j, s in enumerate(stmts):
+            if id(s) in is_simple:
+                for m in _CALL.finditer(s[0]):
+                    first.setdefault(m.group(), j)
+        for s in simple:
+            s[0] = hoist(s[0])
+        returns = [hoist(text) for text in returns]
+        for call in sorted(hoisted, key=lambda c: first.get(c, len(stmts)), reverse=True):
+            stmts.insert(first.get(call, len(stmts)), [f"{hoisted[call]} = {call}"])
+
+    # assignments of a text already bound: the same value
+    assigned = {}
+    for s in stmts:
+        for line in s:
+            m = _TARGETS.match(line)
+            for name in _NAME.findall(m.group(1)) if m else ():
+                assigned[name] = assigned.get(name, 0) + 1
+    available, readers, rename, unique = {}, {}, {}, []
+
+    def renamed(text):
+        return _NAME.sub(lambda m: rename.get(m.group(), m.group()), text) if rename else text
+
+    for s in stmts:
+        s = [renamed(line) for line in s]
+        m = _ASSIGN.fullmatch(s[0]) if len(s) == 1 else None
+        if m and assigned[m.group(1)] == 1:
+            if m.group(2) in available:
+                rename[m.group(1)] = available[m.group(2)]
+                continue
+            available[m.group(2)] = m.group(1)
+            for name in set(_NAME.findall(m.group(2))):
+                readers.setdefault(name, set()).add(m.group(2))
+        else:
+            for line in s:
+                t = _TARGETS.match(line)
+                for name in _NAME.findall(t.group(1)) if t else ():
+                    for text in readers.pop(name, ()):
+                        available.pop(text, None)
+        unique.append(s)
+    returns = [renamed(text) for text in returns]
+
+    # what the outputs read, and what must run; then the tests' terms
+    defs = {m.group(1): m.group(2) for s in unique if len(s) == 1
+            for m in [_ASSIGN.fullmatch(s[0])] if m and assigned[m.group(1)] == 1}
+    verdicts = {}
+
+    def verdict(name):
+        if name not in verdicts:
+            if name in defs:
+                verdicts[name] = _verdict(ast.parse(defs[name], mode="eval").body, verdict)
+            else:       # a coordinate, or a parameter or a local of a branch
+                verdicts[name] = True, math.inf if name in coords else None
+        return verdicts[name]
+
+    tests = {id(s): _FINITE_TEST.fullmatch(s[0]) for s in unique}
+    seeds = set(_NAME.findall(" ".join(returns)))
+    parts = []
+    for s in unique:
+        m = _ASSIGN.fullmatch(s[0]) if len(s) == 1 else None
+        parts.append((m.group(1), set(_NAME.findall(m.group(2)))) if m and m.group(1) in defs
+                     else (None, set(_NAME.findall(" ".join(s)))))
+
+    def sweep(needed_extra):
+        live, needed, kept = set(seeds), set(seeds) | needed_extra, []
+        for s, (name, reads) in zip(reversed(unique), reversed(parts)):
+            if tests[id(s)]:
+                kept.append(s)
+                continue
+            if name and name not in live:
+                if name not in needed and verdict(name)[0]:
+                    continue        # nothing reads it, and it cannot raise
+            else:
+                live |= reads
+            needed |= reads
+            kept.append(s)
+        return live, kept[::-1]
+
+    live, _ = sweep(set())
+    terms = {}
+    for s in unique:
+        if tests[id(s)]:
+            names = re.findall(r"0\.0 \* (\w+)", tests[id(s)].group(1))
+            terms[id(s)] = [x for x in names if x not in live and verdict(x)[1] is None]
+    _, kept = sweep({x for names in terms.values() for x in names})
+    out = []
+    for s in kept:
+        if tests[id(s)]:
+            if not terms[id(s)]:
+                continue
+            s = [f"if not isfinite({_sum(f'0.0 * {x}' for x in terms[id(s)])}):", *s[1:]]
+        out.extend(s)
+    return out, returns
+
+
 def _stage_factory(label: str, params: str, args, lines, returns, **env) -> Callable:
     """Compile generated source into ``make(params)``, which returns
     ``stage(*args)``: it runs ``lines`` and returns the expressions
     ``returns`` as a tuple.  The source sees ``isfinite``, ``sin``,
-    ``cos``, ``exp``, ``ln`` and ``pi`` on floats, ``ChartDomainError``,
-    ``_lapack_inverse`` and ``env``."""
+    ``cos``, ``exp``, ``ln``, ``fma`` (:func:`_fma`) and ``pi`` on floats,
+    ``ChartDomainError``, ``_lapack_inverse`` and ``env``."""
     source = "\n".join([f"def make({params}):",
                          f"    def stage({', '.join(args)}):",
                          *(f"        {line}" for line in lines),
                          f"        return {', '.join(returns)},",
                          "    return stage"]) + "\n"
     scope = {"isfinite": math.isfinite, "sin": math.sin, "cos": math.cos, "exp": math.exp,
-             "ln": math.log, "pi": math.pi, "ChartDomainError": ChartDomainError,
+             "ln": math.log, "fma": _fma, "pi": math.pi, "ChartDomainError": ChartDomainError,
              "_lapack_inverse": _lapack_inverse, **env}
     exec(compile(source, f"<{label}>", "exec"), scope)
     return scope["make"]

@@ -81,8 +81,8 @@ class JacobiMetric:
 def _point_source(metric: PointSource, potential: PointSource, E: float,
                   margin: float) -> PointSource:
     """The point source of h from the point sources of the system: its own
-    sources inlined, then ``h = f g``, ``d_k h_ij = df_k g_ij + f d_k g_ij``
-    and, in the second block,
+    sources inlined (their fast forms in its fast form), then ``h = f g``,
+    ``d_k h_ij = df_k g_ij + f d_k g_ij`` and, in the second block,
     ``d_k d_l h_ij = d2f_kl g_ij + df_k d_l g_ij + df_l d_k g_ij + f d_k d_l g_ij``,
     with ``f = 2(E - U)``, ``df = -2 dU`` and ``d2f = -2 d2U``, formed as
     :func:`~jacobistab.conformal.conformal_rescale` forms them.  The point
@@ -96,25 +96,30 @@ def _point_source(metric: PointSource, potential: PointSource, E: float,
     """
     n = metric.dim
     nn = n * n
-    g_lines, g_lines2, (G, D, D2) = metric.inline("_g", "OUTSIDE")
-    u_lines, u_lines2, (U, dU, d2U) = potential.inline("_u", "OUTSIDE")
-    lines = [*g_lines, *u_lines, f"_w = _E - {_lit(U[0])}", "_f = 2.0 * _w",
-             "if not (isfinite(_f) and _f > 0.0 and _w > _margin):", "    OUTSIDE"]
-    lines2 = [*g_lines2, *u_lines2]
-    h = [None if _const(x) == 0.0 else f"_h{k}" for k, x in enumerate(G)]
-    lines += [f"{name} = _f * {x}" for name, x in zip(h, G) if name]
+    forms = []
+    for fast in (False, True):
+        g_lines, g_lines2, (G, D, D2) = metric.inline("_g", "OUTSIDE", fast)
+        u_lines, u_lines2, (U, dU, d2U) = potential.inline("_u", "OUTSIDE", fast)
+        forms.append(([*g_lines, *u_lines, f"_w = _E - {_lit(U[0])}", "_f = 2.0 * _w",
+                       "if not (isfinite(_f) and _f > 0.0 and _w > _margin):", "    OUTSIDE"],
+                      [*g_lines2, *u_lines2]))
+    lines, lines2, bound = [], [], {}
 
     def rule(out, name, terms):
         """Bind ``name`` to the sum of the products ``terms``, each a pair
         of factors, with the literal 0.0 for a zero one, unless every
-        product has a zero factor; the last product is by f."""
+        product has a zero factor; the last product is by f.  A sum bound
+        before (that of ``h_ji`` for ``h_ij``, say) keeps its local."""
         if all(0.0 in (_const(a), _const(b)) for a, b in terms):
             return None
-        out.append(f"{name} = " + " + ".join(
-            f"{a} * {_lit(b)}" if a == "_f" else f"-2.0 * {_lit(a)} * {_lit(b)}"
-            for a, b in terms))
-        return name
+        text = " + ".join(f"{a} * {_lit(b)}" if a == "_f" else f"-2.0 * {_lit(a)} * {_lit(b)}"
+                          for a, b in terms)
+        if text not in bound:
+            out.append(f"{name} = {text}")
+            bound[text] = name
+        return bound[text]
 
+    h = [rule(lines, f"_h{k}", [("_f", x)]) for k, x in enumerate(G)]
     dh = [rule(lines, f"_dh{k * nn + ij}", [(dU[k], x), ("_f", D[k * nn + ij])])
           for k in range(n) for ij, x in enumerate(G)]
     d2h = [rule(lines2, f"_d2h{(k * n + l) * nn + ij}",
@@ -122,8 +127,11 @@ def _point_source(metric: PointSource, potential: PointSource, E: float,
                  ("_f", D2[(k * n + l) * nn + ij])])
            for k in range(n) for l in range(n) for ij, x in enumerate(G)]
     params = {**metric.bind("_g"), **potential.bind("_u"), "_E": float(E), "_margin": margin}
-    return PointSource(n, metric.shapes, tuple(lines), (tuple(h), tuple(dh), tuple(d2h)),
-                       tuple(lines2), tuple(params.items()))
+    (first, second), (fast, fast2) = forms
+    return PointSource(n, metric.shapes, (*first, *lines), (tuple(h), tuple(dh), tuple(d2h)),
+                       (*second, *lines2), tuple(params.items()),
+                       ((*fast, *lines), (*fast2, *lines2))
+                       if metric.fast or potential.fast else ())
 
 
 def jacobi_metric(sys: MechanicalSystem, E: float) -> JacobiMetric:

@@ -13,7 +13,6 @@ has a closed form or an independent numerical oracle.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,28 +176,13 @@ class SystemSetup:
     step: float = 1e-3
 
 
-def _fma(a: float, b: float, c: float) -> float:
-    """``a*b + c`` on floats rounded once, as the BLAS kernels behind
-    :func:`_dot` add a product: the exact product is split into ``p + e``
-    (Dekker), and ``fsum`` rounds ``p + e + c`` correctly."""
-    p = a * b
-    t = 134217729.0 * a
-    ah = t - (t - a)
-    al = a - ah
-    t = 134217729.0 * b
-    bh = t - (t - b)
-    bl = b - bh
-    return math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, c))
-
-
 # U = |q|^2 / 2 stays hand-written: _dot adds q2*q2 to q1*q1 in one fused
 # multiply-add, which no expression reproduces.
 _HARMONIC = ScalarField(value=lambda q: 0.5 * _dot(q, q), partials=lambda q: q,
                         second_partials=lambda q: np.eye(2),
                         point=point_source(2, ((), (2,), (2, 2)),
-                                           ((("_u", "0.5 * _fma(q1, q1, q0 * q0)"),), ()),
-                                           (("_u",), ("q0", "q1"), ("1.0", None, None, "1.0")),
-                                           params=(("_fma", _fma),)))
+                                           ((("_u", "0.5 * fma(q1, q1, q0 * q0)"),), ()),
+                                           (("_u",), ("q0", "q1"), ("1.0", None, None, "1.0"))))
 
 # name: metric, potential, q0, v0, t_span
 _PRESETS = {

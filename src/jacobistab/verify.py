@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .conformal import conformal_rescale, lemma_residuals
-from .dynamics import (DeviationField, integrate_deviation, integrate_newton,
-                       linearization_against_oracle)
+from .dynamics import (DeviationField, integrate_newton,
+                       integrate_with_deviation, linearization_against_oracle)
 from .expressions import scalar_field_from_expr
 from .geometry import ScalarField, _dot, cov_derivative_along, fd_field, fd_metric
 from .jacobi import (STENCIL_CORE, STENCIL_PAD, jacobi_operator_direct,
@@ -226,9 +226,9 @@ def check_theorems(n_variations: int = 10, system_names=None):
 def check_conjugate_point():
     """First conjugate point of the unit-sphere equator at arc length pi."""
     su = builtin_setup("sphere-free")
-    traj = _orbit(su, (0.0, 3.5))
-    dev = integrate_deviation(traj, np.zeros(2), np.array([1.0, 0.0]))
-    comp = cubic_spline(traj.times, dev.V[:, 0])
+    dev = integrate_with_deviation(su.system, su.q0, su.v0, (0.0, 3.5), su.step, np.zeros(2),
+                                   np.array([1.0, 0.0]))
+    comp = cubic_spline(dev.trajectory.times, dev.V[:, 0])
     zero = brentq(comp, 2.9, 3.3)
     arc_err = abs(zero - np.pi)
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -621,6 +622,14 @@ class TestInputValidation:
     ])
     def test_bad_number_exit_2(self, tmp_path, capsys, command, lines, message):
         self._exits_2(tmp_path, capsys, command, lines, message)
+
+    @pytest.mark.parametrize("command", ["simulate", "geodesic"])
+    def test_energy_not_finite_exit_2(self, tmp_path, capsys, command):
+        # q1^2 + q2^2 overflows: a config error, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._exits_2(tmp_path, capsys, command, "q0 = 1.2e154, 1.2e154\n",
+                          "config error: q0, v0: the initial energy is inf, not finite")
 
     @pytest.mark.parametrize("command, lines, key", [
         ("simulate", "tolerance.theorem1 = 1e-30\n", "tolerance.theorem1"),

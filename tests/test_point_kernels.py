@@ -444,9 +444,11 @@ class TestCompiledOncePerSource:
         low, high = jacobi_metric(sys, 0.5), jacobi_metric(sys, 0.75)
         assert low.h.point == high.h.point and low.h.point.bind("") != high.h.point.bind("")
         stages = [dynamics._stage(jm.free_system) for jm in (low, high)]
-        assert stages[0].__code__ is stages[1].__code__
+        assert stages[0].fast.__code__ is stages[1].fast.__code__
+        assert stages[0].guarded.__code__ is stages[1].guarded.__code__
         q = [1.2, 0.3, 0.4, -0.5]
         assert stages[0](0.0, *q) != stages[1](0.0, *q)
+        assert stages[0].fast(0.0, *q) == stages[0](0.0, *q)
 
 
 def pinned_newton_failure(sys, q0, v0, t_span, step):
@@ -561,6 +563,142 @@ class TestFailuresAsUnfolded:
             integrate_deviation(traj, V0, DV0)
         assert str(exc.value) == (f"linearized flow not finite at sample {sample} "
                                   f"(t={traj.times[sample]:.6g})")
+
+
+HENON_HEILES = ("metric = flat\npotential = 0.5*(q1^2 + q2^2) + q1^2*q2 - q2^3/3\n"
+                "q0 = 0, 0.1\nv0 = 0.48918, 0\n")
+
+
+def guarded_rk4(stage, y0, t0, n_steps, h, check=None):
+    """The RK4 samples of a stage's guarded form alone, by the list loop."""
+    return list_rk4(lambda t, y: list(stage.guarded(t, *y)), y0, t0, n_steps, h, check)
+
+
+def fast_case(name):
+    """The system, q0 and v0 of a built-in preset, CHART3 or Hénon–Heiles."""
+    if name == "chart3":
+        return custom(CHART3)
+    if name == "henon-heiles":
+        return custom(HENON_HEILES)
+    su = SETUPS[name]
+    return su.system, su.q0, su.v0
+
+
+class TestFastStage:
+    """The fast stage that ``_rk4`` runs gives the samples of the guarded
+    stage, and a step it rejects is replayed by the guarded stage, which
+    fails as before."""
+
+    @pytest.mark.parametrize("name", [*BUILTIN_SYSTEMS, "chart3", "henon-heiles"])
+    def test_samples_equal_the_guarded_stage(self, name):
+        sys, q0, v0 = fast_case(name)
+        n, n_steps, h = len(q0), 100, 2e-3
+        V0, W0 = np.random.default_rng(7).uniform(-1.0, 1.0, (2, n))
+        jm = jacobi_metric(sys, float(sys.energy(q0, v0)))
+        u0 = v0 / jm.h.norm(q0, v0)
+        for s, parts in ((sys, (q0, v0)), (jm.free_system, (q0, u0))):
+            for stage, y0 in ((dynamics._stage(s), parts),
+                              (dynamics._deviation_stage(s), (*parts, V0, W0))):
+                y0 = np.concatenate(y0)
+                assert isinstance(stage, dynamics.Stage)
+                ys = dynamics._rk4(stage, y0, 0.0, n_steps, h)
+                assert np.array_equal(ys, guarded_rk4(stage, y0, 0.0, n_steps, h))
+
+    @pytest.mark.parametrize("system, q0, v0, step, n_steps, message", [
+        ("sphere-cos", [0.25, 0.0], [-1.0, 0.0], 0.5, 4,
+         "left chart domain at t=0.25: chart domain: point [0.0, 0.0] outside valid region"),
+        ("sphere-cos", [np.pi - 0.25, 0.0], [1.0, 0.0], 0.5, 4,
+         "left chart domain at t=0.25: chart domain: point [3.141592653589793, 0.0] "
+         "outside valid region"),
+        ("hyperbolic-free", [0.0, 0.25], [0.0, -1.0], 0.5, 4,
+         "left chart domain at t=0.25: chart domain: point [0.0, 0.0] outside valid region"),
+        ("hyperbolic-free", [0.0, 0.01], [0.0, -1.0], 0.05, 20,
+         "left chart domain at t=0.025: chart domain: point [0.0, -0.015000000000000001] "
+         "outside valid region"),
+        ("potential = ln(q1)\nq0 = 0.5, 0\nv0 = -1, 0\n", [0.5, 0.0], [-1.0, 0.0], 1e-3, 2000,
+         "left chart domain at t=0.328: expression 'ln(q1)' undefined: "
+         "invalid value encountered in log"),
+        ("flat-free", [0.0, 0.0], [np.nan, 0.0], 1e-2, 100,
+         "left chart domain at t=0.005: chart domain: point [nan, 0.0] outside valid region"),
+    ], ids=["sphere-theta-0", "sphere-theta-pi", "hyperbolic-y-0", "hyperbolic-y-below-0",
+            "ln-crossing", "velocity-nan"])
+    def test_rejections_fail_as_the_guarded_stage(self, system, q0, v0, step, n_steps, message):
+        sys = SETUPS[system].system if system in SETUPS else custom(system)[0]
+        stage, y0 = dynamics._stage(sys), np.concatenate([q0, v0])
+        with pytest.raises(ChartDomainError) as exc:
+            dynamics._rk4(stage, y0, 0.0, n_steps, step)
+        with pytest.raises(ChartDomainError) as ref:
+            guarded_rk4(stage, y0, 0.0, n_steps, step)
+        assert type(exc.value) is type(ref.value)
+        assert str(exc.value) == str(ref.value) == message
+
+    def test_h_geodesic_truncates_at_the_clearance_margin_as_the_guarded_stage(self):
+        jm = jacobi_metric(SETUPS["uniform-gravity"].system, 0.5)
+        geo = integrate_geodesic(jm, [0.0, 0.0], [1.0, 0.0], (0.0, 0.4), 1e-3)
+        ys = guarded_rk4(dynamics._stage(jm.free_system), [0.0, 0.0, 1.0, 0.0], 0.0, 400, 1e-3,
+                         check=lambda y: jm.check_clear(y[:2]))
+        assert geo.truncated and len(geo) == len(ys) == 334
+        assert np.array_equal(np.hstack([geo.points, geo.tangents]), ys)
+
+
+def test_replays_start_from_the_last_row_at_block_edges():
+    # a fast form that raises or gives NaN at chosen steps: each is replayed
+    # from the state kept as the last row, buffered or already written
+    def guarded(t, *y):
+        return tuple(0.5 * x - 0.01 * t for x in y)
+
+    def fast(t, *y):
+        if t in (0.0, 255.0, 257.0):
+            raise ArithmeticError
+        return (np.nan,) * len(y) if t in (100.0, 256.0, 511.5) else guarded(t, *y)
+
+    y0 = np.array([0.3, -0.2, 0.1])
+    ys = dynamics._rk4(dynamics.Stage(1, lambda: fast, lambda: guarded), y0, 0.0, 600, 1.0)
+    assert np.array_equal(ys, dynamics._rk4(guarded, y0, 0.0, 600, 1.0))
+
+
+class TestGuardedOnlyOnRejection:
+    """The guarded stage runs only to replay a step the fast stage
+    rejected; counted as ``TestNoSilentFallback`` counts batched calls."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        make = dynamics.Stage.guarded.func
+
+        def counted(stage):
+            guarded = make(stage)
+
+            def call(t, *y):
+                calls.append(t)
+                return guarded(t, *y)
+            return call
+
+        monkeypatch.setattr(dynamics.Stage, "guarded", property(counted))
+        return calls
+
+    @pytest.mark.parametrize("name", [*BUILTIN_SYSTEMS, "chart3", "henon-heiles"])
+    def test_no_guarded_call_on_a_preset_orbit(self, calls, name):
+        sys, q0, v0 = fast_case(name)
+        su = SETUPS.get(name)
+        t_span, step = (su.t_span, su.step) if su else ((0.0, 1.0), 2e-3)
+        traj = integrate_newton(sys, q0, v0, t_span, step)
+        integrate_deviation(traj, np.ones(len(q0)), np.zeros(len(q0)))
+        integrate_geodesic(traj.jm, q0, v0, (0.0, 0.2), step)
+        assert calls == []
+
+    def test_guarded_calls_on_the_ln_crossing(self, calls):
+        sys = custom("potential = ln(q1)\nq0 = 0.5, 0\nv0 = -1, 0\n")[0]
+        with pytest.raises(ChartDomainError):
+            integrate_newton(sys, [0.5, 0.0], [-1.0, 0.0], (0.0, 2.0), 1e-3)
+        assert len(calls) >= 1 and calls[-1] == pytest.approx(0.328)
+
+
+def test_fma_overflow_is_inf():
+    # fsum overflows, or meets inf - inf where the product does: an FMA's inf
+    assert geometry._fma(1e154, 1e154, 1e308) == np.inf
+    assert geometry._fma(1e200, 1e200, 0.0) == np.inf
+    assert geometry._fma(3.0, 0.1, 0.7) == 1.0
 
 
 def test_rk45_reads_the_clearance_from_the_point_source(monkeypatch):
