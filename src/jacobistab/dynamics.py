@@ -800,15 +800,15 @@ def linearization_against_oracle(sys: MechanicalSystem, q0, v0, dq, dv, alpha,
     and the sup over all samples of its difference from the oracle of
     :func:`brute_force_deviation`.
 
-    The flow is integrated together with its base orbit, which is bitwise
-    the oracle's base run and is held to ``drift_bound`` as that run is;
-    the oracle then adds its plus and minus runs.  A failing run raises,
-    the base run first.
+    The flow is integrated together with its base orbit
+    (:func:`integrate_with_deviation`), which is bitwise the oracle's base
+    run and is held to ``drift_bound`` as that run is; the oracle then adds
+    its plus and minus runs.  A failing run raises, the joint run first.
     """
     if not alpha > 0:
         raise ValueError("need alpha > 0")
-    initial = linearization_initial_data(sys, q0, v0, dq, dv)
-    base, ys = _integrate(sys, q0, v0, t_span, step, drift_bound, initial)
+    lin = integrate_with_deviation(sys, q0, v0, t_span, step,
+                                   *linearization_initial_data(sys, q0, v0, dq, dv),
+                                   drift_bound=drift_bound)
     V = _central_difference(sys, q0, v0, dq, dv, alpha, t_span, step, drift_bound)
-    lin = _deviation_field(base, ys)
     return lin, float(np.max(np.abs(V - lin.V)))

@@ -719,6 +719,7 @@ def _inverse_source(n: int, point: str, g, fast: bool = False) -> tuple:
     diagonal = all(_const(g[a][e]) == 0.0 for a, e in off)
     test = [_fold(f"{_lit(g[a][e])} == 0.0") for a, e in off]
     test += [_fold(f"{_NORMAL!r} <= {_lit(g[a][a])} <= {_HUGE!r}") for a in r]
+    test = list(dict.fromkeys(test))        # h·δ has one local on the diagonal
     names = np.array(_names("i", n, 2)).reshape(n, n).tolist()
     # where g is diagonal, every branch gives ±0 (or raises) off the diagonal
     inv = [[None if diagonal and a != e else names[a][e] for e in r] for a in r]
@@ -791,11 +792,9 @@ def _kernel_source(n: int, point: str = "q", g=None, d=None, u=None,
     finite (raising ``DegenerateMetricError`` for the point as
     :meth:`ChartMetric.g_inv` does).
 
-    With ``fast``, the source of the fast stages: where the partials are
-    symmetric in ``(i, j)`` by name, ``b_jik`` is ``b_ijk``, the same bits
-    (``x + y`` is ``y + x``), so ``Γ^l_ji`` has the text of ``Γ^l_ij`` and
-    :func:`_pruned` binds it once; the LAPACK branch is that of
-    :func:`_inverse_source`'s fast form.
+    Where the partials are symmetric in ``(i, j)`` by name, ``Γ^l_ji`` is
+    the local of ``Γ^l_ij``.  With ``fast``, the source of the fast stages:
+    the LAPACK branch is that of :func:`_inverse_source`'s fast form.
     """
     r = range(n)
     g = _names("g", n, 2) if g is None else g
@@ -818,13 +817,16 @@ def _kernel_source(n: int, point: str = "q", g=None, d=None, u=None,
     brackets = {f"b{x}_{y}_{z}": _fold(f"{dk(x, y, z)} + {dk(y, x, z)} - {dk(z, x, y)}")
                 for x in r for y in r for z in r}
     b = {name: name if _const(text) is None else text for name, text in brackets.items()}
-    if fast and all(dk(z, x, y) == dk(z, y, x) for z in r for x in r for y in r):
-        b.update({f"b{x}_{y}_{z}": b[f"b{y}_{x}_{z}"] for x in r for y in r for z in r if x > y})
+    # where d_k g_ij is d_k g_ji by name, b_jik is b_ijk bit for bit (x + y
+    # is y + x), so Γ^l_ji is Γ^l_ij and is formed once
+    symmetric = all(dk(z, x, y) == dk(z, y, x) for z in r for x in r for y in r)
     c = {(l, x, y): _fold(f"0.5 * ({_sum(_prod(i[l][k], b[f'b{x}_{y}_{k}']) for k in r)})")
-         for l in r for x in r for y in r}
+         for l in r for x in r for y in r if not (symmetric and x > y)}
     read = set(re.findall(r"\bb\d+_\d+_\d+", " ".join(c.values())))
     lines += [f"{name} = {text}" for name, text in brackets.items() if name in read]
     c = {key: bound("c{}_{}_{}".format(*key), text) for key, text in c.items()}
+    if symmetric:
+        c.update({(l, x, y): c[l, y, x] for l in r for x in r for y in r if x > y})
     accel = [_fold(f"-({_sum(_prod(c[l, x, y], f'v{x}', f'v{y}') for x in r for y in r)})"
                    f" - ({_sum(_prod(i[l][k], u[k]) for k in r)})") for l in r]
     return lines, accel, i, c
@@ -910,7 +912,6 @@ def _curvature_source(n: int, i, c, d, d2, u, d2u) -> tuple:
 
 _ASSIGN = re.compile(r"([A-Za-z_]\w*) = (.+)")
 _TARGETS = re.compile(r"\s*(?!if |else:|raise |try:|except )([^=]+?) = ")
-_CALL = re.compile(r"(?<![\w.])(?:sin|cos|exp|ln)\((\w+)\)")
 _FINITE_TEST = re.compile(r"if not isfinite\(0\.0((?: \+ 0\.0 \* \w+)+)\):")
 
 
@@ -962,9 +963,7 @@ def _pruned(lines, returns, coords) -> tuple:
     """The body ``lines`` and ``returns`` of a fast stage with each value
     computed once and no line that nothing needs.
 
-    A call of ``sin``, ``cos``, ``exp`` or ``ln`` on a coordinate that
-    occurs more than once is bound to one local before its first use, and
-    an assignment of a text bound before keeps its local.  A line that
+    An assignment of a text bound before keeps its local.  A line that
     binds a local nothing reads goes where it cannot raise.  A source's
     test ``if not isfinite(0.0 + 0.0 * x + ...)`` keeps only its terms x
     that nothing else reads and that can be inf or NaN without raising:
@@ -978,28 +977,6 @@ def _pruned(lines, returns, coords) -> tuple:
             stmts[-1].append(line)
         else:
             stmts.append([line])
-    simple = [s for s in stmts if len(s) == 1 and _ASSIGN.fullmatch(s[0])]
-    is_simple = {id(s) for s in simple}
-    calls = {}
-    for text in [*(s[0] for s in simple), *returns]:
-        for m in _CALL.finditer(text):
-            if m.group(1) in coords:
-                calls[m.group()] = calls.get(m.group(), 0) + 1
-    hoisted = {call: call.replace("(", "_")[:-1] for call, count in calls.items() if count > 1}
-    if hoisted:
-        def hoist(text):
-            return _CALL.sub(lambda m: hoisted.get(m.group(), m.group()), text)
-
-        first = {}
-        for j, s in enumerate(stmts):
-            if id(s) in is_simple:
-                for m in _CALL.finditer(s[0]):
-                    first.setdefault(m.group(), j)
-        for s in simple:
-            s[0] = hoist(s[0])
-        returns = [hoist(text) for text in returns]
-        for call in sorted(hoisted, key=lambda c: first.get(c, len(stmts)), reverse=True):
-            stmts.insert(first.get(call, len(stmts)), [f"{hoisted[call]} = {call}"])
 
     # assignments of a text already bound: the same value
     assigned = {}

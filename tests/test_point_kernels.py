@@ -419,11 +419,17 @@ def test_structural_zeros_fold_to_literals():
     lines, accel, _, _ = geometry._kernel_source(2, "q", ["1.0", None, None, "1.0"],
                                                  [None] * 8, ["1.0", None])
     assert lines == [] and accel == ["-1.0", "-0.0"]
-    # the sphere: 3 of 8 Christoffel symbols, one term of each sum
+    # the sphere: 3 of 8 Christoffel symbols, one term of each sum, and
+    # Γ^1_10 is the local of Γ^1_01
     g, d = ["1.0", None, None, "s"], [None, None, None, "e", None, None, None, None]
-    lines, accel, _, _ = geometry._kernel_source(2, "q", g, d, ["u0", "u1"])
-    assert sum(line.startswith("c") for line in lines) == 3
+    lines, accel, _, c = geometry._kernel_source(2, "q", g, d, ["u0", "u1"])
+    assert [line.split(" =")[0] for line in lines if line.startswith("c")] == ["c0_1_1",
+                                                                               "c1_0_1"]
+    assert c[1, 1, 0] == "c1_0_1"
     assert accel[0] == "-(0.0 + c0_1_1 * v1 * v1) - (0.0 + i0_0 * u0)"
+    # h·δ: one local on the diagonal, tested once
+    lines, _ = geometry._inverse_source(2, "q", [["h", None], [None, "h"]])
+    assert lines[0] == "if 2.2250738585072014e-308 <= h <= 1.7976931348623157e+308:"
 
 
 class TestCompiledOncePerSource:
