@@ -31,7 +31,7 @@ from .errors import ForbiddenRegionError
 from .expressions import scalar_field_from_expr
 from .geometry import (ChartMetric, CurveGeometry, PointSource, ScalarField, _apply, _const,
                        _first_point, _lit, cov_derivative_along)
-from .numdiff import apply_stencil, cubic_spline, cumulative_simpson, pchip
+from .numdiff import apply_stencil, cumulative_simpson, hermite
 
 
 @dataclass(frozen=True)
@@ -345,16 +345,14 @@ def jacobi_operator_via_g(traj: Trajectory, dev: DeviationField) -> np.ndarray:
 
 
 def _multiplier(traj: Trajectory, lam_rate) -> np.ndarray:
-    """``lam`` with ``lam(t0) = 0`` and ``lam'`` the cubic spline through
-    ``lam_rate``, by RK4 on the trajectory grid.  The right side has no
-    ``lam`` in it, so each step is Simpson's rule on the spline: it is
-    evaluated once, as arrays, at the stage times of :func:`_rk4`, and the
-    steps are summed in :func:`_rk4`'s order, which gives its bits."""
+    """``lam`` with ``lam(t0) = 0`` and ``lam'`` the cubic Hermite through
+    ``lam_rate`` with the slopes of the trajectory's stencil.  Simpson's
+    rule is exact on each cubic, so step i adds
+    ``h/2 (r_i + r_i+1) + h²/12 (d_i - d_i+1)``, with r the rate and d its
+    slope, and the steps are summed in order."""
     h = traj.step
-    t = traj.times[0] + h * np.arange(len(traj) - 1)
-    rate = cubic_spline(traj.times, lam_rate)
-    r2 = rate(t + 0.5 * h)
-    steps = (h / 6.0) * (rate(t) + 2.0 * r2 + 2.0 * r2 + rate(t + h))
+    d = apply_stencil(traj.curve.stencil, lam_rate)
+    steps = h / 2 * (lam_rate[:-1] + lam_rate[1:]) + h * h / 12 * (d[:-1] - d[1:])
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
@@ -369,7 +367,7 @@ def equal_energy_projection(traj: Trajectory, vperp) -> DeviationField:
 
         lam' = -(<qdot, nabla_dot Vperp> + <grad U, Vperp>) / (2 (E - U)),
 
-    integrated here by RK4 on the trajectory grid (see :func:`_multiplier`).
+    integrated here on the trajectory grid (see :func:`_multiplier`).
     Vperp must pass :func:`_check_orthogonal`.
     """
     vperp = np.asarray(vperp, dtype=float)
@@ -429,14 +427,16 @@ def relation_equal_energy(traj: Trajectory, dev: DeviationField) -> dict:
 def _geodesic_positions_at_times(jm: JacobiMetric, geo: GeodesicRecord, times):
     """Positions of a geodesic record at given dynamical times.
 
-    With dense output available, inverts t(s) by vectorized Newton steps
-    (ds = dt * 2(E-U)); otherwise by monotone interpolation of the
-    recorded pairing.
+    s(t) is the cubic Hermite through the recorded pairing with the slopes
+    ``ds/dt = 2(E - U)``.  With dense output available, it is the first
+    guess of vectorized Newton steps on the recorded t(s); otherwise the
+    positions are the cubic Hermite through the points with the tangents
+    as slopes.
     """
     times = np.asarray(times, dtype=float)
-    s = pchip(geo.t_of_s, geo.s)(times)
+    s = hermite(geo.t_of_s, geo.s, 2.0 * jm.clearance(geo.points))(times)
     if geo.dense is None:
-        return cubic_spline(geo.s, geo.points)(s)
+        return hermite(geo.s, geo.points, geo.tangents)(s)
     n, sol = geo.points.shape[1], geo.dense.sol
     s = np.clip(s, geo.s[0], geo.s[-1])
     for _ in range(6):

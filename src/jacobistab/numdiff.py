@@ -17,21 +17,19 @@ applies them; these two are what the package calls.  A sampled curve,
 parameter grid (its ``stencil``), so every field differentiated along it
 reuses one solve.
 
-Sampled data are integrated and interpolated, and roots are found, by
-ports of scipy 1.17: :func:`simpson`, :func:`cumulative_simpson`
-(Cartwright's unequal-interval Simpson integrals, summed in order),
-:func:`cubic_spline` (the not-a-knot spline, whose tridiagonal system
-:func:`_tridiagonal_solve` solves as LAPACK's ``dgtsv`` does),
-:func:`pchip` (the shape-preserving Hermite cubic, on the spline's
-evaluation) and :func:`brentq` (Brent's root finder on Python floats).
-Each performs scipy's float operations in scipy's order, so it gives
-scipy's bits.  The splines resample records (the round trip's geodesic,
-the conjugate point's deviation component) and integrate the equal-energy
-multiplier; the linearized flow interpolates nothing, since it evaluates
-its coefficients from the second partials at each RK4 stage state (see
+Sampled data are integrated, and roots are found, by ports of scipy
+1.17: :func:`simpson`, :func:`cumulative_simpson` (Cartwright's
+unequal-interval Simpson integrals, summed in order) and :func:`brentq`
+(Brent's root finder on Python floats).  Sampled curves are resampled by
+one interpolant, :func:`hermite`: the cubic Hermite on the slopes a
+record already carries (a geodesic's tangents, ``ds/dt = 2(E - U)``, a
+deviation field's ``DV - C V``), so it needs no solve.  Each performs
+scipy's float operations in scipy's order, so it gives scipy's bits.  The
+linearized flow interpolates nothing, since it evaluates its coefficients
+from the second partials at each RK4 stage state (see
 :func:`jacobistab.dynamics._deviation_stage`).  With the RK45 of
-:mod:`jacobistab.dynamics` they are why no module of the package imports
-scipy: importing ``scipy.integrate``, ``scipy.interpolate`` and
+:mod:`jacobistab.dynamics` these ports are why no module of the package
+imports scipy: importing ``scipy.integrate``, ``scipy.interpolate`` and
 ``scipy.optimize`` costs about 0.4 s and 50 MB, more than most
 subcommands' own work.
 """
@@ -193,140 +191,38 @@ def cumulative_simpson(y, x):
     return np.concatenate((np.zeros(y.shape[:-1] + (1,)), res + 0.0), axis=-1)
 
 
-def _tridiagonal_solve(lower, diag, upper, b):
-    """Solve the tridiagonal system with sub-, main and super-diagonals
-    ``lower``, ``diag`` and ``upper`` (lists of floats, overwritten) for
-    the right-hand sides ``b`` ``(n, m)``; returns the solutions ``(n, m)``.
+def hermite(x, y, dydx):
+    """The piecewise cubic through samples ``y`` ``(N, ...)`` with slopes
+    ``dydx`` (shaped like ``y``) at the strictly increasing nodes ``x``
+    ``(N,)``, ``N >= 2``, as a function that maps points ``(K,)`` to values
+    ``(K, ...)``; points outside the grid take the end cubics.  Raises
+    ``ValueError`` where scipy does: on fewer than 2 nodes, a sample count
+    that is not the node count, slopes not shaped like the samples,
+    non-finite data or a grid that does not increase.
 
-    This is LAPACK ``dgtsv``: Gaussian elimination with a row interchange
-    wherever the sub-diagonal entry is larger in magnitude than the pivot,
-    then back substitution, with its float operations in its order.  The
-    matrix is factored once and each column is swept on Python floats.
+    The cubic on ``[x_i, x_i+1)`` has Hermite coefficients in
+    ``z = t - x_i`` and is summed from the constant term up.  These are the
+    float operations of ``scipy.interpolate.CubicHermiteSpline`` (1.17) and
+    its evaluation in their order, so the same bits.
     """
-    n = len(diag)
-    d, du, dl = diag, upper, lower      # factored in place; dl gains the fill-in
-    fact, swap = [], []
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                raise np.linalg.LinAlgError("singular tridiagonal system")
-            f = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - f * du[i]
-            dl[i] = 0.0
-            swap.append(False)
-        else:
-            f = d[i] / dl[i]
-            d[i], temp = dl[i], d[i + 1]
-            d[i + 1] = du[i] - f * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -f * dl[i]
-            du[i] = temp
-            swap.append(True)
-        fact.append(f)
-    if d[-1] == 0.0:
-        raise np.linalg.LinAlgError("singular tridiagonal system")
-    rdu, rdl, rd = (a[:n - 2][::-1] for a in (du, dl, d))       # back substitution
-    x = np.empty((n, b.shape[1]))
-    for j in range(b.shape[1]):
-        col = b[:, j].tolist()
-        e, acc = [], col[0]
-        for f, s, v in zip(fact, swap, col[1:]):
-            if s:       # rows i and i + 1 traded places
-                e.append(v)
-                acc = acc - f * v
-            else:
-                e.append(acc)
-                acc = v - f * acc
-        e.append(acc)
-        x1 = e[-1] / d[-1]
-        x0 = (e[-2] - du[-1] * x1) / d[-2]
-        sol = [x1, x0]
-        for ei, ui, li, di in zip(reversed(e[:n - 2]), rdu, rdl, rd):
-            x0, x1 = (ei - ui * x0 - li * x1) / di, x0
-            sol.append(x0)
-        x[::-1, j] = sol
-    return x
-
-
-def _cholesky_solve(a, b):
-    """Solve ``a x = b`` for a symmetric positive definite ``a`` ``(n, n)``
-    and ``b`` ``(n, m)`` as LAPACK's ``dposv`` does: ``a = uᵀu``, then a
-    forward and a back substitution that scale by the reciprocal pivots."""
-    u = np.linalg.cholesky(a).T
-    x = np.array(b, dtype=float)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dydx = np.asarray(dydx, dtype=float)
+    if x.ndim != 1 or len(x) < 2 or y.shape[:1] != x.shape or dydx.shape != y.shape:
+        raise ValueError("need one sample and one slope per node of a 1-D grid of "
+                         "at least 2 nodes")
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(dydx).all()):
+        raise ValueError("Hermite nodes, samples and slopes must be finite")
+    dx = np.diff(x)
+    if (dx <= 0.0).any():
+        raise ValueError("Hermite nodes must be strictly increasing")
     n = len(x)
-    for i in range(n):
-        for k in range(i):
-            x[i] = x[i] - u[k, i] * x[k]
-        x[i] = x[i] * (1.0 / u[i, i])
-    for i in reversed(range(n)):
-        for k in range(i + 1, n):
-            x[i] = x[i] - u[i, k] * x[k]
-        x[i] = x[i] * (1.0 / u[i, i])
-    return x
-
-
-def cubic_spline(x, y):
-    """The not-a-knot cubic spline through samples ``y`` ``(N, ...)`` at the
-    strictly increasing nodes ``x`` ``(N,)``, ``N >= 2``, as a function that
-    maps points ``(K,)`` to values ``(K, ...)``; it extrapolates with the end
-    cubics.  Raises ``ValueError`` on non-finite data or a grid that does
-    not increase.
-
-    Every column of ``y`` is a spline of its own.  Its node slopes solve
-    the tridiagonal system with not-a-knot end rows by
-    :func:`_tridiagonal_solve`; N = 3 takes the parabola through the nodes
-    (a dense 3 × 3 solve) and N = 2 the chord.  The cubic on
-    ``[x_i, x_i+1)`` has Hermite coefficients in ``z = t - x_i``, summed
-    from the constant term up.  These are the float operations of
-    ``scipy.interpolate.CubicSpline`` (1.17) and its evaluation in their
-    order, so the same bits.
-    """
-    x, y, dx, slope, dxr = _spline_input(x, y)
-    n = len(x)
-    b = np.empty(y.shape)
-    if n == 3:
-        # the parabola, solved densely as scipy.linalg.solve does: LAPACK's
-        # Cholesky solve where the matrix is symmetric (both spacings 1),
-        # its LU solve (dgesv) elsewhere
-        a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
-        b[0] = 2 * slope[0]
-        b[1] = 3 * (dxr[0] * slope[1] + dxr[1] * slope[0])
-        b[2] = 2 * slope[1]
-        solve = _cholesky_solve if dx[0] == dx[1] == 1.0 else np.linalg.solve
-        s = solve(a, b.reshape(n, -1)).reshape(y.shape)
-    else:
-        if n == 2:
-            lower, diag, upper = [0.0], [1.0, 1.0], [0.0]
-            b[0] = b[1] = slope[0]
-        else:
-            d0, d1 = x[2] - x[0], x[-1] - x[-3]
-            lower = dx[1:].tolist() + [float(d1)]
-            diag = [float(dx[1])] + (2 * (dx[:-1] + dx[1:])).tolist() + [float(dx[-2])]
-            upper = [float(d0)] + dx[:-1].tolist()
-            b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
-            b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-            b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
-        s = _tridiagonal_solve(lower, diag, upper, b.reshape(n, -1)).reshape(y.shape)
-    return _hermite(x, y, s, slope, dxr)
-
-
-def _hermite(x, y, dydx, slope, dxr):
-    """The piecewise cubic through samples ``y`` with node slopes ``dydx``
-    at the nodes ``x``, ``slope`` and ``dxr`` the chord slopes and spacings
-    shaped like ``y[1:]``, as the function :func:`cubic_spline` returns.
-
-    The cubic on ``[x_i, x_i+1)`` has Hermite coefficients in ``z = t - x_i``
-    and is summed from the constant term up; points outside the grid take
-    the end cubics.  These are the float operations of scipy 1.17's
-    ``CubicHermiteSpline`` and its evaluation in their order.
-    """
-    n = len(x)
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
     t = (dydx[:-1] + dydx[1:] - 2 * slope) / dxr
     c = (y[:-1], dydx[:-1], (slope - dydx[:-1]) / dxr - t, t / dxr)
 
-    def spline(points):
+    def cubic(points):
         p = np.asarray(points, dtype=float)
         i = np.clip(np.searchsorted(x, p, side="right") - 1, 0, n - 2)
         z = (p - x[i]).reshape(p.shape + (1,) * (y.ndim - 1))
@@ -339,69 +235,7 @@ def _hermite(x, y, dydx, slope, dxr):
             term *= power
             out += term
         return out
-    return spline
-
-
-def _spline_input(x, y):
-    """``x`` and ``y`` as float arrays, with the spacings ``dx`` of ``x`` and
-    the chord slopes and spacings shaped like ``y[1:]``.  Raises
-    ``ValueError`` where scipy's splines do: on fewer than 2 nodes, a
-    sample count that is not the node count, non-finite data or a grid that
-    does not increase."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or len(x) < 2 or y.shape[:1] != x.shape:
-        raise ValueError("need one sample per node of a 1-D grid of at least 2 nodes")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("spline nodes and samples must be finite")
-    dx = np.diff(x)
-    if (dx <= 0.0).any():
-        raise ValueError("spline nodes must be strictly increasing")
-    dxr = dx.reshape((len(x) - 1,) + (1,) * (y.ndim - 1))
-    return x, y, dx, np.diff(y, axis=0) / dxr, dxr
-
-
-def _pchip_edge(h0, h1, m0, m1):
-    """The end slope of :func:`pchip`: the one-sided three-point estimate,
-    set to 0 where its sign is not the first chord's and to three times the
-    first chord slope where the chords change sign and it exceeds that."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    mask = np.sign(d) != np.sign(m0)
-    mmm = ~mask & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3. * np.abs(m0))
-    d[mask] = 0.
-    d[mmm] = 3. * m0[mmm]
-    return d
-
-
-def pchip(x, y):
-    """The shape-preserving piecewise cubic Hermite interpolant (PCHIP,
-    Fritsch and Carlson; Moler's end slopes) through samples ``y`` ``(N,
-    ...)`` at the strictly increasing nodes ``x`` ``(N,)``, ``N >= 2``, as a
-    function of points ``(K,)`` like :func:`cubic_spline`'s; it extrapolates
-    with the end cubics and raises ``ValueError`` where that does.
-
-    An interior node slope is 0 where the chords on either side differ in
-    sign or one is flat, and their weighted harmonic mean elsewhere; N = 2
-    takes the chord.  These are the float operations of
-    ``scipy.interpolate.PchipInterpolator`` (1.17) in its order, so the
-    same bits.
-    """
-    x, y, dx, slope, dxr = _spline_input(x, y)
-    hk, mk = dxr.reshape(len(x) - 1, -1), slope.reshape(len(x) - 1, -1)
-    dk = np.zeros((len(x), mk.shape[1]))
-    if len(x) == 2:
-        dk[0] = dk[1] = mk[0]
-    else:
-        smk = np.sign(mk)
-        zero = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-        w1 = 2 * hk[1:] + hk[:-1]
-        w2 = hk[1:] + 2 * hk[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):     # masked by zero
-            whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
-        dk[1:-1][~zero] = 1.0 / whmean[~zero]
-        dk[0] = _pchip_edge(hk[0], hk[1], mk[0], mk[1])
-        dk[-1] = _pchip_edge(hk[-1], hk[-2], mk[-1], mk[-2])
-    return _hermite(x, y, dk.reshape(y.shape), slope, dxr)
+    return cubic
 
 
 _EPS4 = 4 * np.finfo(float).eps

@@ -17,11 +17,11 @@ from .conformal import conformal_rescale, lemma_residuals
 from .dynamics import (DeviationField, integrate_newton,
                        integrate_with_deviation, linearization_against_oracle)
 from .expressions import scalar_field_from_expr
-from .geometry import ScalarField, _dot, cov_derivative_along, fd_field, fd_metric
+from .geometry import ScalarField, _apply, _dot, cov_derivative_along, fd_field, fd_metric
 from .jacobi import (STENCIL_CORE, STENCIL_PAD, jacobi_operator_direct,
                      jacobi_operator_via_g, equal_energy_projection,
                      maupertuis_roundtrip, padded_span, relation_equal_energy)
-from .numdiff import brentq, cubic_spline
+from .numdiff import brentq, hermite
 from .systems import SAMPLE_BOXES, all_setups, builtin_setup, metric_by_name
 from .variation import (action_second_difference, functional_sweep,
                         make_proper_variation, second_variation_LJ,
@@ -228,7 +228,9 @@ def check_conjugate_point():
     su = builtin_setup("sphere-free")
     dev = integrate_with_deviation(su.system, su.q0, su.v0, (0.0, 3.5), su.step, np.zeros(2),
                                    np.array([1.0, 0.0]))
-    comp = cubic_spline(dev.trajectory.times, dev.V[:, 0])
+    # dV/dt = DV - C V, with C the connection along the orbit
+    dv_dt = dev.DV - _apply(dev.trajectory.curve.connection, dev.V)
+    comp = hermite(dev.trajectory.times, dev.V[:, 0], dv_dt[:, 0])
     zero = brentq(comp, 2.9, 3.3)
     arc_err = abs(zero - np.pi)
 

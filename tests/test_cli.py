@@ -55,8 +55,8 @@ def test_importing_the_cli_loads_no_scipy_subpackage(tmp_path):
     # scipy.interpolate, scipy.linalg or scipy.optimize is imported.  One
     # fresh interpreter imports the CLI, runs every simulation subcommand on
     # a built-in and on an expression system, then the two verify-all
-    # checks that used to call scipy: the round trip (rk45 and the PCHIP and
-    # spline resampling) and the conjugate point (spline and brentq).
+    # checks that used to call scipy: the round trip (rk45 and the Hermite
+    # resampling) and the conjugate point (Hermite and brentq).
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     argvs = []
     for label, text in (("harmonic", HARMONIC_CFG), ("custom", CUSTOM_CFG)):

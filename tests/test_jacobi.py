@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from jacobistab import dynamics, jacobi
 from jacobistab.dynamics import (CurveGeometry, DeviationField, Trajectory, integrate_deviation,
@@ -16,9 +16,7 @@ from jacobistab.jacobi import (integrate_geodesic, jacobi_metric,
                                equal_energy_projection, maupertuis_roundtrip,
                                relation_equal_energy)
 from jacobistab.systems import all_setups, builtin_setup
-from jacobistab.variation import make_proper_variation
 from jacobistab.verify import DEFAULT_TOLERANCES
-from numpy_reference import numpy_rk4
 
 FREE = builtin_setup("flat-free")
 HARMONIC = builtin_setup("flat-harmonic")
@@ -197,12 +195,11 @@ class TestRk45EqualsScipy:
 
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_roundtrip_resampling_equals_scipy(self, monkeypatch, method):
-        # numdiff's PCHIP and spline in the round trip against scipy's
+        # numdiff's Hermite in the round trip against scipy's
         got = maupertuis_roundtrip(GRAVITY.system, GRAVITY.q0, GRAVITY.v0, (0.0, 0.9),
                                    geodesic_method=method)
-        monkeypatch.setattr(jacobi, "pchip", PchipInterpolator)
-        monkeypatch.setattr(jacobi, "cubic_spline",
-                            lambda x, y: CubicSpline(x, y, axis=0))
+        monkeypatch.setattr(jacobi, "hermite",
+                            lambda x, y, dydx: CubicHermiteSpline(x, y, dydx, axis=0))
         assert got == maupertuis_roundtrip(GRAVITY.system, GRAVITY.q0, GRAVITY.v0,
                                            (0.0, 0.9), geodesic_method=method)
 
@@ -388,26 +385,15 @@ class TestEqualEnergy:
                  + np.einsum('nij,ni,nj->n', cache.g, cache.grad_U, dev.V))
         assert np.max(np.abs(resid)) < 1e-8
 
-    def test_multiplier_equals_rk4(self, monkeypatch):
-        # lam' has no lam in it: the multiplier is RK4 on the spline of its
-        # rate, bit for bit, evaluated at all stage times at once
-        seen = []
-        multiplier = jacobi._multiplier
-
-        def recording(traj, rate):
-            seen.append((rate, multiplier(traj, rate)))
-            return seen[-1][1]
-
-        monkeypatch.setattr(jacobi, "_multiplier", recording)
-        su = builtin_setup("sphere-cos")
-        traj = integrate_newton(su.system, su.q0, su.v0, su.t_span, su.step)
-        equal_energy_projection(traj, make_proper_variation(traj, seed=3, orthogonal=True).values)
-        (rate, lam), = seen
-        spline = CubicSpline(traj.times, rate)
-        want = numpy_rk4(lambda t, y: np.atleast_1d(spline(t)), np.zeros(1), traj.times[0],
-                         len(traj) - 1, traj.step)[:, 0]
-        assert np.max(np.abs(lam)) > 1e-3
-        assert np.array_equal(lam, want)
+    def test_multiplier_integrates_cubic_rates_exactly(self):
+        # the stencil slopes are exact below degree 7 and Simpson's rule on
+        # each Hermite cubic is exact, so a cubic rate integrates to roundoff
+        traj = integrate_newton(HARMONIC.system, HARMONIC.q0, HARMONIC.v0, (0.0, 2.0), 1e-2)
+        t = traj.times
+        lam = jacobi._multiplier(traj, 1.0 + 2.0 * t - 3.0 * t**2 + 0.5 * t**3)
+        want = t + t**2 - t**3 + 0.125 * t**4
+        assert lam[0] == 0.0
+        assert np.max(np.abs(lam - want)) < 1e-13
 
     def test_non_orthogonal_rejected(self):
         traj = integrate_newton(HARMONIC.system, HARMONIC.q0, HARMONIC.v0, (0.0, 1.0), 1e-3)
@@ -462,6 +448,12 @@ class TestRoundtrip:
         rep = maupertuis_roundtrip(HARMONIC.system, HARMONIC.q0, HARMONIC.v0,
                                    (0.0, 2 * np.pi), geodesic_method="rk4")
         assert rep["sup_norm"] < 1e-6
+
+    def test_sphere_cos_rk4_resampled_on_the_tangents(self):
+        # the Hermite on the recorded tangents and on ds/dt = 2(E - U)
+        su = builtin_setup("sphere-cos")
+        rep = maupertuis_roundtrip(su.system, su.q0, su.v0, su.t_span, geodesic_method="rk4")
+        assert rep["sup_norm"] < 1e-12
 
     def test_gravity_parabola_near_turning_point(self):
         rep = maupertuis_roundtrip(GRAVITY.system, GRAVITY.q0, GRAVITY.v0,

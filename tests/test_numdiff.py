@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 from scipy import integrate, interpolate, optimize
-from scipy.linalg import lapack
 
 from jacobistab import geometry, numdiff
 from jacobistab.dynamics import hessian_operator, integrate_deviation, integrate_newton
 from jacobistab.geometry import CurveGeometry
 from jacobistab.jacobi import equal_energy_projection
-from jacobistab.numdiff import (_stencil_index, _tridiagonal_solve, apply_stencil, brentq,
-                                central_diff, cubic_spline, cumulative_simpson, pchip, simpson,
-                                stencil_weights)
+from jacobistab.numdiff import (_stencil_index, apply_stencil, brentq, central_diff,
+                                cumulative_simpson, hermite, simpson, stencil_weights)
 from jacobistab.systems import builtin_setup, flat_metric
 from jacobistab.variation import make_proper_variation
 
@@ -125,8 +123,9 @@ def test_stencil_index_is_built_once_and_read_only():
         index[0, 0] = 1
 
 
-# The quadratures and the spline are ports of scipy 1.17's, float operation
-# for float operation, so they must agree with scipy bit for bit.
+# The quadratures, the interpolant and the root finder are ports of scipy
+# 1.17's, float operation for float operation, so they must agree with
+# scipy bit for bit.
 
 def _bits(a):
     a = np.asarray(a, dtype=float)
@@ -135,7 +134,6 @@ def _bits(a):
 
 def _spline_grid(kind, n):
     if kind == "uniform":
-        # linspace(0, 2, 3) has both spacings 1: scipy's symmetric N = 3 solve
         return np.linspace(0.0, 2.0, n)
     if kind == "offset":
         return 0.25 + 1e-3 * np.arange(n)
@@ -145,102 +143,44 @@ def _spline_grid(kind, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 100, 5001])
 @pytest.mark.parametrize("kind", ["uniform", "offset", "random"])
 @pytest.mark.parametrize("shape", [(), (4,)], ids=["1d", "columns"])
-def test_cubic_spline_equals_scipy(n, kind, shape):
+def test_hermite_equals_scipy(n, kind, shape):
     x = _spline_grid(kind, n)
     rng = np.random.default_rng(7)
-    y = rng.normal(size=(n,) + shape) * np.exp(rng.uniform(-3.0, 3.0, (n,) + shape))
-    # the knots, the right end alone, and the RK4 stage midpoints
-    points = np.concatenate([x, x[-1:], x[:-1] + 0.5 * np.diff(x)])
-    assert _bits(cubic_spline(x, y)(points)) == \
-        _bits(interpolate.CubicSpline(x, y, axis=0)(points))
+    y, dydx = rng.normal(size=(2, n) + shape) * np.exp(rng.uniform(-3.0, 3.0, (2, n) + shape))
+    # the knots, the right end alone, the RK4 stage midpoints, and points
+    # just outside the end knots, as the round trip asks for t up to
+    # t_max + 1e-12
+    points = np.concatenate([x, x[-1:], x[:-1] + 0.5 * np.diff(x),
+                             [x[0] - 0.1, x[0] - 1e-12, x[-1] + 1e-12, x[-1] + 0.1]])
+    assert _bits(hermite(x, y, dydx)(points)) == \
+        _bits(interpolate.CubicHermiteSpline(x, y, dydx, axis=0)(points))
 
 
-def test_cubic_spline_row_interchange_equals_scipy():
-    # the spacing jump after two short intervals puts the sub-diagonal
-    # entry 11 under an eliminated pivot of 0.3, so dgtsv trades those rows
-    # (and again at the second jump)
-    x = np.array([0.0, 0.1, 0.3, 11.3, 11.4, 11.6, 25.0, 25.5])
-    y = np.random.default_rng(3).normal(size=(8, 3))
-    points = np.linspace(-1.0, 26.0, 271)
-    assert _bits(cubic_spline(x, y)(points)) == \
-        _bits(interpolate.CubicSpline(x, y, axis=0)(points))
-
-
-def test_cubic_spline_turns_negative_zero_values_positive():
+def test_hermite_turns_negative_zero_values_positive():
     # every term of the cubic at x = 0 is -0.0; evaluation adds them to 0.0
     x = np.arange(5.0)
-    y = -np.array([0.0, 1.0, 3.0, 7.0, 15.0])
-    got = cubic_spline(x, y)(x)
+    y, dydx = -np.array([0.0, 1.0, 3.0, 7.0, 15.0]), -np.array([1.0, 2.0, 3.0, 5.0, 9.0])
+    got = hermite(x, y, dydx)(x)
     assert np.signbit(y[0]) and not np.signbit(got[0])
-    assert _bits(got) == _bits(interpolate.CubicSpline(x, y)(x))
+    assert _bits(got) == _bits(interpolate.CubicHermiteSpline(x, y, dydx)(x))
 
 
-def test_tridiagonal_solve_equals_lapack_dgtsv():
-    rng = np.random.default_rng(11)
-    for n in (2, 3, 4, 9, 30):
-        for _ in range(20):
-            dl, d, du = rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1)
-            b = rng.normal(size=(n, 3))
-            want = lapack.dgtsv(dl, d, du, b)[3]
-            got = _tridiagonal_solve(dl.tolist(), d.tolist(), du.tolist(), b)
-            assert _bits(got) == _bits(want)
-
-
-@pytest.mark.parametrize("x, y", [
-    ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0]),
-    ([0.0, 1.0, 2.0], [[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]]),
-    ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),
-    ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0]),
-    ([0.0, np.nan, 1.0], [0.0, 1.0, 2.0]),
-], ids=["nan", "inf", "repeated", "decreasing", "nan-node"])
-def test_cubic_spline_rejects_what_scipy_rejects(x, y):
+@pytest.mark.parametrize("x, y, dydx", [
+    ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0], [0.0, 0.0, 0.0]),
+    ([0.0, 1.0, 2.0], [[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]], np.zeros((3, 2))),
+    ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0]),
+    ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+    ([0.0, np.nan, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+    ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.0, np.inf, 0.0]),
+    ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.0, 1.0]),
+    ([0.0], [0.0], [0.0]),
+], ids=["nan", "inf", "repeated", "decreasing", "nan-node", "inf-slope", "slope-shape",
+        "one-node"])
+def test_hermite_rejects_what_scipy_rejects(x, y, dydx):
     with pytest.raises(ValueError):
-        interpolate.CubicSpline(x, y, axis=0)
+        interpolate.CubicHermiteSpline(x, y, dydx, axis=0)
     with pytest.raises(ValueError):
-        cubic_spline(x, y)
-    with pytest.raises(ValueError):
-        interpolate.PchipInterpolator(x, y, axis=0)
-    with pytest.raises(ValueError):
-        pchip(x, y)
-
-
-def _pchip_samples(kind, n, shape, rng):
-    y = rng.normal(size=(n,) + shape)
-    if kind == "monotone":
-        return np.cumsum(np.abs(y), axis=0)
-    if kind == "flat":
-        # runs of equal samples: flat chords, and chords of either sign next
-        # to them
-        return np.round(np.cumsum(y, axis=0))
-    return y
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 200])
-@pytest.mark.parametrize("kind", ["monotone", "flat", "random"])
-@pytest.mark.parametrize("grid", ["uniform", "random"])
-@pytest.mark.parametrize("shape", [(), (3,)], ids=["1d", "columns"])
-def test_pchip_equals_scipy(n, kind, grid, shape):
-    x = _spline_grid(grid, n)
-    rng = np.random.default_rng(n)
-    for _ in range(5):
-        y = _pchip_samples(kind, n, shape, rng)
-        # the knots, the midpoints, and points just outside the end knots,
-        # as the round trip asks for t up to t_max + 1e-12
-        points = np.concatenate([x, x[:-1] + 0.5 * np.diff(x),
-                                 [x[0] - 0.1, x[0] - 1e-12, x[-1] + 1e-12, x[-1] + 0.1]])
-        assert _bits(pchip(x, y)(points)) == \
-            _bits(interpolate.PchipInterpolator(x, y, axis=0)(points))
-
-
-def test_pchip_end_slopes_equal_scipy():
-    # the end slopes: the three-point estimate kept, set to 0 (its sign is
-    # not the first chord's) and clipped to three chords (the chords change
-    # sign and it is larger)
-    x = np.array([0.0, 1.0, 1.1, 3.0])
-    for y in ([0.0, 1.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.5, 0.0],
-              [0.0, 0.2, 0.0, 0.5]):
-        points = np.linspace(-0.5, 3.5, 41)
-        assert _bits(pchip(x, y)(points)) == _bits(interpolate.PchipInterpolator(x, y)(points))
+        hermite(x, y, dydx)
 
 
 def _cubics(seed, count):
@@ -270,18 +210,18 @@ def test_brentq_equals_scipy_on_cubics(tolerances):
         assert isinstance(got, float) and _bits(got) == _bits(want)
 
 
-def test_brentq_equals_scipy_on_the_conjugate_point_spline():
-    # check_conjugate_point's bracket on its own spline, with both
+def test_brentq_equals_scipy_on_the_conjugate_point_hermite():
+    # check_conjugate_point's bracket on its own Hermite, with both
     # tolerance pairs
     su = builtin_setup("sphere-free")
     traj = integrate_newton(su.system, su.q0, su.v0, (0.0, 3.5), su.step)
-    v = integrate_deviation(traj, np.zeros(2), np.array([1.0, 0.0])).V[:, 0]
-    comp = cubic_spline(traj.times, v)
-    assert _bits(comp(np.linspace(2.9, 3.3, 101))) == \
-        _bits(interpolate.CubicSpline(traj.times, v)(np.linspace(2.9, 3.3, 101)))
+    dev = integrate_deviation(traj, np.zeros(2), np.array([1.0, 0.0]))
+    v, dv = dev.V[:, 0], (dev.DV - geometry._apply(traj.curve.connection, dev.V))[:, 0]
+    comp, want = hermite(traj.times, v, dv), interpolate.CubicHermiteSpline(traj.times, v, dv)
+    assert _bits(comp(np.linspace(2.9, 3.3, 101))) == _bits(want(np.linspace(2.9, 3.3, 101)))
     for tol in ({}, {"xtol": 4 * np.finfo(float).eps, "rtol": 4 * np.finfo(float).eps}):
         assert _bits(brentq(comp, 2.9, 3.3, **tol)) == \
-            _bits(optimize.brentq(interpolate.CubicSpline(traj.times, v), 2.9, 3.3, **tol))
+            _bits(optimize.brentq(want, 2.9, 3.3, **tol))
 
 
 def test_brentq_end_values_and_errors_as_scipy(monkeypatch):
