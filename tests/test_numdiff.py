@@ -140,6 +140,12 @@ def _spline_grid(kind, n):
     return np.cumsum(np.random.default_rng(n).uniform(0.05, 1.0, n))
 
 
+def _outside(x):
+    # points just outside the end knots, as the round trip asks for t up to
+    # t_max + 1e-12
+    return [x[0] - 0.1, x[0] - 1e-12, x[-1] + 1e-12, x[-1] + 0.1]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 100, 5001])
 @pytest.mark.parametrize("kind", ["uniform", "offset", "random"])
 @pytest.mark.parametrize("shape", [(), (4,)], ids=["1d", "columns"])
@@ -147,40 +153,131 @@ def test_hermite_equals_scipy(n, kind, shape):
     x = _spline_grid(kind, n)
     rng = np.random.default_rng(7)
     y, dydx = rng.normal(size=(2, n) + shape) * np.exp(rng.uniform(-3.0, 3.0, (2, n) + shape))
-    # the knots, the right end alone, the RK4 stage midpoints, and points
-    # just outside the end knots, as the round trip asks for t up to
-    # t_max + 1e-12
-    points = np.concatenate([x, x[-1:], x[:-1] + 0.5 * np.diff(x),
-                             [x[0] - 0.1, x[0] - 1e-12, x[-1] + 1e-12, x[-1] + 0.1]])
+    # the knots, the right end alone, the RK4 stage midpoints and outside
+    points = np.concatenate([x, x[-1:], x[:-1] + 0.5 * np.diff(x), _outside(x)])
     assert _bits(hermite(x, y, dydx)(points)) == \
         _bits(interpolate.CubicHermiteSpline(x, y, dydx, axis=0)(points))
 
 
-def test_hermite_turns_negative_zero_values_positive():
+def _scipy_slopes(cls, x, y):
+    """scipy's ``cls`` through ``(x, y)`` and the node slopes it hands to
+    its ``CubicHermiteSpline`` base: scipy's not-a-knot spline and PCHIP are
+    that Hermite on their own slopes."""
+    seen = []
+    init = interpolate.CubicHermiteSpline.__init__
+
+    def recording(self, x, y, dydx, *args, **kwargs):
+        seen.append(np.array(dydx, dtype=float))
+        init(self, x, y, dydx, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(interpolate.CubicHermiteSpline, "__init__", recording)
+        spline = cls(x, y, axis=0)
+    (slopes,) = seen
+    return spline, slopes
+
+
+def _assert_hermite_reproduces(cls, x, y, points):
+    spline, slopes = _scipy_slopes(cls, x, y)
+    assert _bits(hermite(x, y, slopes)(points)) == _bits(spline(points))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 100, 5001])
+@pytest.mark.parametrize("kind", ["uniform", "offset", "random"])
+@pytest.mark.parametrize("shape", [(), (4,)], ids=["1d", "columns"])
+def test_cubic_spline_equals_scipy(n, kind, shape):
+    # the Hermite on scipy's not-a-knot slopes is scipy's CubicSpline
+    x = _spline_grid(kind, n)
+    rng = np.random.default_rng(7)
+    y = rng.normal(size=(n,) + shape) * np.exp(rng.uniform(-3.0, 3.0, (n,) + shape))
+    points = np.concatenate([x, x[-1:], x[:-1] + 0.5 * np.diff(x), _outside(x)])
+    _assert_hermite_reproduces(interpolate.CubicSpline, x, y, points)
+
+
+def test_cubic_spline_row_interchange_equals_scipy():
+    # spacing jumps of two orders of magnitude, where scipy's banded solve
+    # trades rows: the Hermite on the slopes it finds is still its spline
+    x = np.array([0.0, 0.1, 0.3, 11.3, 11.4, 11.6, 25.0, 25.5])
+    y = np.random.default_rng(3).normal(size=(8, 3))
+    _assert_hermite_reproduces(interpolate.CubicSpline, x, y, np.linspace(-1.0, 26.0, 271))
+
+
+def test_cubic_spline_turns_negative_zero_values_positive():
     # every term of the cubic at x = 0 is -0.0; evaluation adds them to 0.0
     x = np.arange(5.0)
-    y, dydx = -np.array([0.0, 1.0, 3.0, 7.0, 15.0]), -np.array([1.0, 2.0, 3.0, 5.0, 9.0])
-    got = hermite(x, y, dydx)(x)
-    assert np.signbit(y[0]) and not np.signbit(got[0])
-    assert _bits(got) == _bits(interpolate.CubicHermiteSpline(x, y, dydx)(x))
+    y = -np.array([0.0, 1.0, 3.0, 7.0, 15.0])
+    for dydx in (-np.array([1.0, 2.0, 3.0, 5.0, 9.0]),
+                 _scipy_slopes(interpolate.CubicSpline, x, y)[1]):
+        got = hermite(x, y, dydx)(x)
+        assert np.signbit(y[0]) and not np.signbit(got[0])
+        assert _bits(got) == _bits(interpolate.CubicHermiteSpline(x, y, dydx)(x))
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0]),
+    ([0.0, 1.0, 2.0], [[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]]),
+    ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),
+    ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0]),
+    ([0.0, np.nan, 1.0], [0.0, 1.0, 2.0]),
+], ids=["nan", "inf", "repeated", "decreasing", "nan-node"])
+def test_cubic_spline_rejects_what_scipy_rejects(x, y):
+    # the samples or nodes scipy's splines refuse, the Hermite refuses too
+    dydx = np.zeros_like(np.asarray(y, dtype=float))
+    for cls in (interpolate.CubicSpline, interpolate.PchipInterpolator):
+        with pytest.raises(ValueError):
+            cls(x, y, axis=0)
+    with pytest.raises(ValueError):
+        interpolate.CubicHermiteSpline(x, y, dydx, axis=0)
+    with pytest.raises(ValueError):
+        hermite(x, y, dydx)
 
 
 @pytest.mark.parametrize("x, y, dydx", [
-    ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0], [0.0, 0.0, 0.0]),
-    ([0.0, 1.0, 2.0], [[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]], np.zeros((3, 2))),
-    ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0]),
-    ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
-    ([0.0, np.nan, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
     ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.0, np.inf, 0.0]),
     ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.0, 1.0]),
     ([0.0], [0.0], [0.0]),
-], ids=["nan", "inf", "repeated", "decreasing", "nan-node", "inf-slope", "slope-shape",
-        "one-node"])
+], ids=["inf-slope", "slope-shape", "one-node"])
 def test_hermite_rejects_what_scipy_rejects(x, y, dydx):
     with pytest.raises(ValueError):
         interpolate.CubicHermiteSpline(x, y, dydx, axis=0)
     with pytest.raises(ValueError):
         hermite(x, y, dydx)
+
+
+def _pchip_samples(kind, n, shape, rng):
+    y = rng.normal(size=(n,) + shape)
+    if kind == "monotone":
+        return np.cumsum(np.abs(y), axis=0)
+    if kind == "flat":
+        # runs of equal samples: flat chords, and chords of either sign next
+        # to them
+        return np.round(np.cumsum(y, axis=0))
+    return y
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 200])
+@pytest.mark.parametrize("kind", ["monotone", "flat", "random"])
+@pytest.mark.parametrize("grid", ["uniform", "random"])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["1d", "columns"])
+def test_pchip_equals_scipy(n, kind, grid, shape):
+    # the Hermite on scipy's PCHIP slopes, zero at flats and extrema, is
+    # scipy's PchipInterpolator
+    x = _spline_grid(grid, n)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        y = _pchip_samples(kind, n, shape, rng)
+        points = np.concatenate([x, x[:-1] + 0.5 * np.diff(x), _outside(x)])
+        _assert_hermite_reproduces(interpolate.PchipInterpolator, x, y, points)
+
+
+def test_pchip_end_slopes_equal_scipy():
+    # PCHIP's end slopes: the three-point estimate kept, set to 0 and
+    # clipped to three chords
+    x = np.array([0.0, 1.0, 1.1, 3.0])
+    for y in ([0.0, 1.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.5, 0.0],
+              [0.0, 0.2, 0.0, 0.5]):
+        _assert_hermite_reproduces(interpolate.PchipInterpolator, x, np.array(y),
+                                   np.linspace(-0.5, 3.5, 41))
 
 
 def _cubics(seed, count):
@@ -210,8 +307,8 @@ def test_brentq_equals_scipy_on_cubics(tolerances):
         assert isinstance(got, float) and _bits(got) == _bits(want)
 
 
-def test_brentq_equals_scipy_on_the_conjugate_point_hermite():
-    # check_conjugate_point's bracket on its own Hermite, with both
+def test_brentq_equals_scipy_on_the_conjugate_point_spline():
+    # check_conjugate_point's bracket on its own Hermite spline, with both
     # tolerance pairs
     su = builtin_setup("sphere-free")
     traj = integrate_newton(su.system, su.q0, su.v0, (0.0, 3.5), su.step)
