@@ -24,12 +24,12 @@ import functools
 import math
 import operator
 import re
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ChartDomainError, ConfigError
-from .geometry import ChartMetric, PointSource, ScalarField, _const, point_source
+from .geometry import ChartMetric, PointSource, ScalarField, _const, _finite, point_source
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log}
 _CONSTANTS = {"pi": np.float64(math.pi)}
@@ -304,7 +304,7 @@ def compile_expression(src, dim: int):
     return fn
 
 
-def compile_point(evaluators, dim: int) -> PointSource:
+def compile_point(evaluators, dim: int, guard: str = "") -> PointSource:
     """The point source of tensors compiled by :func:`compile_expression`,
     a value and its first and second partials: a sequence of ``dim``
     floats to one flat row-major tuple of floats per evaluator (a float
@@ -312,6 +312,8 @@ def compile_point(evaluators, dim: int) -> PointSource:
     Each expression tree is one local, a literal tree is its literal, and
     a cell of no tree is a structural zero.  The second partials are the
     source's second block (see :class:`~jacobistab.geometry.PointSource`).
+    Where ``guard``, a condition on ``q0..q{dim-1}``, is false, the point
+    is outside the chart.
 
     It agrees with the evaluators to about 1e-15 relative: ``exp``, ``ln``
     and ``^`` round differently from numpy's in the last bit at some
@@ -341,7 +343,7 @@ def compile_point(evaluators, dim: int) -> PointSource:
                      for ev, v in zip(evaluators[lo:hi], values))
 
     return point_source(dim, [ev.tensor.shape for ev in evaluators], temps, entries,
-                        fallback=fallback, check=check)
+                        guard=guard, fallback=fallback, check=check)
 
 
 def _derived(entries, dim: int) -> tuple:
@@ -375,27 +377,52 @@ def scalar_field_from_expr(src: str, dim: int) -> ScalarField:
                        point=compile_point((value, partials, second_partials), dim))
 
 
-def metric_from_exprs(entries: dict, dim: int, name: str = "custom") -> ChartMetric:
+def _domain(domain: dict) -> tuple:
+    """The batched domain guard and the point source's guard text of a
+    chart domain that maps 1-based coordinates to open intervals
+    ``(lo, hi)``; an infinite end bounds nothing."""
+    ends = [(float(lo), k - 1, float(hi)) for k, (lo, hi) in sorted(domain.items())]
+    text = " and ".join(" < ".join([*([repr(lo)] if lo > -math.inf else []), f"q{k}",
+                                    *([repr(hi)] if hi < math.inf else [])])
+                        for lo, k, hi in ends)
+
+    def guard(p):
+        return functools.reduce(operator.and_, [(lo < p[..., k]) & (p[..., k] < hi)
+                                                for lo, k, hi in ends])
+
+    return guard, text
+
+
+def metric_from_exprs(entries: dict, dim: int, name: str = "custom",
+                      domain: Optional[dict] = None) -> ChartMetric:
     """Chart metric from expression strings for the components ``g_ij``,
     with exact first and second partials.
 
     ``entries`` maps (i, j) 1-based index pairs to expression strings;
     missing symmetric partners are mirrored, missing diagonal entries
-    default to 1 and off-diagonal to 0.
+    default to 1 and off-diagonal to 0.  Equal expressions are one tree,
+    evaluated once.  ``domain`` maps 1-based coordinates to the open
+    interval ``(lo, hi)`` the chart takes them from, for the batched
+    domain guard and the point source alike.
     """
     trees = {}
     for (i, j), src in entries.items():
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise ConfigError(f"metric index ({i},{j}) out of range for dim={dim}")
         trees[(i - 1, j - 1)] = _parse(src, dim)
-    # each tree is evaluated once and fills its missing mirror entry too
-    g_entries = tuple((tree, ((a, b),) + (((b, a),) if (b, a) not in trees else ()))
-                      for (a, b), tree in trees.items())
+    # each tree fills its missing mirror entry too, and equal trees are one
+    cells = {}
+    for (a, b), tree in trees.items():
+        mirror = ((b, a),) if (b, a) not in trees else ()
+        cells.setdefault(ast.dump(tree), (tree, []))[1].extend(((a, b), *mirror))
+    g_entries = tuple((tree, tuple(where)) for tree, where in cells.values())
     g_entries += tuple((ast.Constant(1.0), ((a, a),)) for a in range(dim)
                        if (a, a) not in trees)
     first, second = _derived(g_entries, dim)
     g_eval = compile_expression(Tensor((dim, dim), g_entries, "metric"), dim)
     dg_eval = compile_expression(Tensor((dim,) * 3, first, "metric partials"), dim)
     d2g_eval = compile_expression(Tensor((dim,) * 4, second, "metric second partials"), dim)
-    return ChartMetric(dim=dim, g_eval=g_eval, dg_eval=dg_eval, d2g_eval=d2g_eval, name=name,
-                       point=compile_point((g_eval, dg_eval, d2g_eval), dim))
+    guard, text = _domain(domain) if domain else (_finite, "")
+    return ChartMetric(dim=dim, g_eval=g_eval, dg_eval=dg_eval, d2g_eval=d2g_eval,
+                       domain_guard=guard, name=name,
+                       point=compile_point((g_eval, dg_eval, d2g_eval), dim, text))

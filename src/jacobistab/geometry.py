@@ -74,27 +74,6 @@ def _quad(g, x, y):
     return (x[..., None, :] @ g @ y[..., :, None])[..., 0, 0]
 
 
-def _fma(a: float, b: float, c: float) -> float:
-    """``a*b + c`` on floats rounded once, as the BLAS kernels behind
-    :func:`_dot` add a product: the exact product is split into ``p + e``
-    (Dekker), and ``fsum`` rounds ``p + e + c`` correctly.  Where the
-    product or its split is not finite, or ``fsum`` overflows, it is
-    ``p + c``: ±inf where an FMA overflows.  It never raises on floats.
-    Point sources call it as ``fma``."""
-    p = a * b
-    t = 134217729.0 * a
-    ah = t - (t - a)
-    al = a - ah
-    t = 134217729.0 * b
-    bh = t - (t - b)
-    bl = b - bh
-    try:
-        r = math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, c))
-    except (OverflowError, ValueError):
-        return p + c
-    return r if r == r else p + c
-
-
 def _inverse(gm, p) -> np.ndarray:
     """LAPACK's inverse of the matrices ``gm`` at the points ``p``; raises
     where one is singular or its inverse is not finite."""
@@ -632,8 +611,8 @@ class PointSource:
         return {_LOCAL.sub(prefix + "_", name): value for name, value in self.params}
 
 
-def point_source(dim: int, shapes, temps, entries, guard: str = "", params=(),
-                 fallback=None, check=((), ())) -> PointSource:
+def point_source(dim: int, shapes, temps, entries, guard: str = "", fallback=None,
+                 check=((), ())) -> PointSource:
     """The :class:`PointSource` of an evaluator given by its locals and its
     ``entries``.  ``temps`` holds two sequences of ``(name, expression)``
     pairs computed in order: the locals of all outputs but the last, and
@@ -674,7 +653,7 @@ def point_source(dim: int, shapes, temps, entries, guard: str = "", params=(),
                        "    if _out is None:", "        OUTSIDE",
                        *(f"    {name} = {value}" for name, value in read.items())])
         fast.append([*assigns, f"if not isfinite({total}):", "    OUTSIDE"])
-    params = (*params, ("_fallback", fallback)) if used else tuple(params)
+    params = (("_fallback", fallback),) if used else ()
     return PointSource(dim, tuple(shapes), (*head, *blocks[0]), tuple(map(tuple, entries)),
                        tuple(blocks[1]), params,
                        ((*head, *fast[0]), tuple(fast[1])) if used else ())
@@ -954,8 +933,6 @@ def _verdict(node, verdict) -> tuple:
             return free and finite, 1.0 if finite else None
         if node.func.id in ("exp", "ln"):    # raise where they overflow or are undefined
             return False, _HUGE if finite else None
-        if node.func.id == "fma":
-            return free, None
     return False, None
 
 
@@ -1066,7 +1043,7 @@ def _stage_factory(label: str, params: str, args, lines, returns, **env) -> Call
     """Compile generated source into ``make(params)``, which returns
     ``stage(*args)``: it runs ``lines`` and returns the expressions
     ``returns`` as a tuple.  The source sees ``isfinite``, ``sin``,
-    ``cos``, ``exp``, ``ln``, ``fma`` (:func:`_fma`) and ``pi`` on floats,
+    ``cos``, ``exp``, ``ln`` and ``pi`` on floats,
     ``ChartDomainError``, ``_lapack_inverse`` and ``env``."""
     source = "\n".join([f"def make({params}):",
                          f"    def stage({', '.join(args)}):",
@@ -1074,7 +1051,7 @@ def _stage_factory(label: str, params: str, args, lines, returns, **env) -> Call
                          f"        return {', '.join(returns)},",
                          "    return stage"]) + "\n"
     scope = {"isfinite": math.isfinite, "sin": math.sin, "cos": math.cos, "exp": math.exp,
-             "ln": math.log, "fma": _fma, "pi": math.pi, "ChartDomainError": ChartDomainError,
+             "ln": math.log, "pi": math.pi, "ChartDomainError": ChartDomainError,
              "_lapack_inverse": _lapack_inverse, **env}
     exec(compile(source, f"<{label}>", "exec"), scope)
     return scope["make"]

@@ -17,7 +17,7 @@ from .conformal import conformal_rescale, lemma_residuals
 from .dynamics import (DeviationField, integrate_newton,
                        integrate_with_deviation, linearization_against_oracle)
 from .expressions import scalar_field_from_expr
-from .geometry import ScalarField, _apply, _dot, cov_derivative_along, fd_field, fd_metric
+from .geometry import _apply, cov_derivative_along, fd_field, fd_metric
 from .jacobi import (STENCIL_CORE, STENCIL_PAD, jacobi_operator_direct,
                      jacobi_operator_via_g, equal_energy_projection,
                      maupertuis_roundtrip, padded_span, relation_equal_energy)
@@ -92,16 +92,9 @@ def _orbit(su, t_span=None):
 # Rescaling-formula suite
 # ---------------------------------------------------------------------------
 
-def jacobi_harmonic_factor() -> ScalarField:
-    """Jacobi-style factor ``2(E - U)`` for a harmonic potential at E = 5.
-    Written by hand: ``_dot`` adds a product in one fused multiply-add,
-    which no expression reproduces."""
-
-    def f(p):
-        return 2.0 * (5.0 - 0.5 * _dot(p, p))
-
-    return ScalarField(value=f, partials=lambda p: -2.0 * p,
-                       second_partials=lambda p: -2.0 * np.eye(p.shape[-1]))
+# the conformal factors of the lemma suite: e^{2x}, and the Jacobi-style
+# factor 2(E - U) of the harmonic potential at E = 5
+LEMMA_FACTORS = ("exp(2*q1)", "2*(5 - 0.5*(q1*q1 + q2*q2))")
 
 
 def check_lemma_suite(n_samples: int = 100, fault: Optional[str] = None):
@@ -117,7 +110,7 @@ def check_lemma_suite(n_samples: int = 100, fault: Optional[str] = None):
         worst = {"lemma1": 0.0, "lemma2": 0.0, "lemma3": 0.0}
         for mname in ("flat", "sphere", "hyperbolic"):
             metric = metric_by_name(mname)
-            for factor in (scalar_field_from_expr("exp(2*q1)", 2), jacobi_harmonic_factor()):
+            for factor in (scalar_field_from_expr(src, 2) for src in LEMMA_FACTORS):
                 if path == "fd":
                     metric_used, factor_used = fd_metric(metric), fd_field(factor.value)
                     rescaled = fd_metric(conformal_rescale(metric_used, factor_used))

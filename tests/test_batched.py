@@ -23,7 +23,7 @@ from jacobistab.geometry import (_apply, _second_cov, christoffel, christoffel_p
                                  riemann)
 from jacobistab.jacobi import jacobi_metric
 from jacobistab.systems import SAMPLE_BOXES, all_setups, builtin_setup, metric_by_name
-from jacobistab.verify import jacobi_harmonic_factor
+from jacobistab.verify import LEMMA_FACTORS
 
 BOXES = {
     "flat": ((-1.0, -1.0), (1.0, 1.0)),
@@ -197,7 +197,8 @@ class TestCurveMatrices:
                        np.einsum('...labc,...a,...b,...c->...l', np.abs(riem), at, av, at), 1e-14)
 
 
-FACTORS = {"e2x": scalar_field_from_expr("exp(2*q1)", 2), "jacobi-harmonic": jacobi_harmonic_factor()}
+FACTORS = {key: scalar_field_from_expr(src, 2)
+           for key, src in zip(("e2x", "jacobi-harmonic"), LEMMA_FACTORS)}
 RESCALING_CASES = [(m, f) for m in ("flat", "sphere", "hyperbolic") for f in FACTORS]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -11,7 +12,8 @@ import pytest
 from jacobistab import cli
 from jacobistab.cli import build_parser, main, parse_config_text
 from jacobistab.errors import ConfigError
-from jacobistab.systems import builtin_setup
+from jacobistab.expressions import Tensor
+from jacobistab.systems import BUILTIN_SYSTEMS, builtin_setup
 
 HARMONIC_CFG = """\
 # circular orbit of the isotropic oscillator
@@ -410,9 +412,11 @@ seed = 42
         assert code == 0
         assert custom["operator_identity_sup"] <= 10.0 * builtin["operator_identity_sup"]
 
-    # each built-in preset whose potential is an expression, as a custom system
+    # each built-in preset as a custom system
     PRESETS = {
         "flat-free": "metric = flat\npotential = 0\nq0 = 0, 0\nv0 = 1, 0\nt_span = 0, 2\n",
+        "flat-harmonic": "metric = flat\npotential = 0.5*(q1*q1 + q2*q2)\n"
+                         "q0 = 1, 0\nv0 = 0, 1\nt_span = 0, 6.283185307179586\n",
         "uniform-gravity": "metric = flat\npotential = q1\n"
                            "q0 = 0, 0\nv0 = 1, 0\nt_span = 0, 0.5\n",
         "sphere-free": "metric = sphere\npotential = 0\nq0 = 1.5707963267948966, 0\n"
@@ -442,6 +446,56 @@ seed = 42
                                  if k != "system"}
                                 for f in ("trajectory.json", "compare_operators.json")))
         assert outputs["preset"] == outputs["custom"]
+
+    # each built-in restated with the expression strings it is compiled from
+    EXPRESSIONS = {
+        "flat-free": "potential = 0\n",
+        "flat-harmonic": "potential = 0.5*(q1*q1 + q2*q2)\n",
+        "uniform-gravity": "potential = q1\n",
+        "sphere-free": "metric.g.2.2 = (1 - cos(2*q1))/2\npotential = 0\n",
+        "sphere-cos": "metric.g.2.2 = (1 - cos(2*q1))/2\npotential = cos(q1)\n",
+        "hyperbolic-free": "metric.g.1.1 = 1/(q2*q2)\nmetric.g.2.2 = 1/(q2*q2)\n"
+                           "potential = 0\n",
+    }
+
+    DOMAINS = {"sphere": "0.0 < q0 < 3.141592653589793", "hyperbolic": "0.0 < q1"}
+
+    @pytest.mark.parametrize("name", BUILTIN_SYSTEMS)
+    def test_builtin_is_an_expression_preset(self, tmp_path, name):
+        su = builtin_setup(name)
+        metric, potential = su.system.metric, su.system.potential
+        # every evaluator is compiled from expression trees
+        for ev in (metric.g_eval, metric.dg_eval, metric.d2g_eval,
+                   potential.value, potential.partials, potential.second_partials):
+            assert isinstance(ev.tensor, Tensor)
+        def values(xs):
+            return ", ".join(map(repr, np.asarray(xs, dtype=float).tolist()))
+
+        text = (f"system = custom\n{self.EXPRESSIONS[name]}q0 = {values(su.q0)}\n"
+                f"v0 = {values(su.v0)}\nt_span = {values(su.t_span)}\n")
+        restated = cli.Experiment(parse_config_text(text),
+                                  build_parser().parse_args(["simulate"])).sys
+        # the point sources are the restatement's, but for the chart domain's
+        # guard, which a custom config does not state
+        head = ((f"if not ({self.DOMAINS[metric.name]}):", "    OUTSIDE")
+                if metric.name in self.DOMAINS else ())
+        point, n = metric.point, len(head)
+        if head:
+            assert point.lines[:n] == point.fast[0][:n] == head
+            point = dataclasses.replace(point, lines=point.lines[n:],
+                                        fast=(point.fast[0][n:], point.fast[1]))
+        assert point == restated.metric.point
+        assert potential.point == restated.potential.point
+        # and simulate writes the same trajectory, byte for byte
+        outputs = []
+        for label, cfg_text in (("preset", f"system = {name}\n"), ("custom", text)):
+            cfg = tmp_path / f"{label}.cfg"
+            cfg.write_text(cfg_text)
+            out = tmp_path / label
+            assert main(["simulate", "--config", cfg.as_posix(), "--out", str(out),
+                         "--step", "0.002"]) == 0
+            outputs.append((out / "trajectory.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_conformal_flat_overflow_is_one_line(self, tmp_path, capsys):
         # e^{2 q1} overflows at q1 = 400: a numerical failure, not inf or NaN
@@ -625,11 +679,29 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("command", ["simulate", "geodesic"])
     def test_energy_not_finite_exit_2(self, tmp_path, capsys, command):
-        # q1^2 + q2^2 overflows: a config error, with no overflow warning
+        # |v|^2 overflows: a config error, with no overflow warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            self._exits_2(tmp_path, capsys, command, "q0 = 1.2e154, 1.2e154\n",
+            self._exits_2(tmp_path, capsys, command, "v0 = 1.2e154, 1.2e154\n",
                           "config error: q0, v0: the initial energy is inf, not finite")
+
+    @pytest.mark.parametrize("command", ["simulate", "geodesic"])
+    def test_potential_overflow_exit_3_as_custom(self, tmp_path, capsys, command):
+        # q1*q1 + q2*q2 overflows in U itself: U is undefined there, on the
+        # built-in as on its custom restatement, with no overflow warning
+        errors = []
+        for system in ("flat-harmonic", "custom\npotential = 0.5*(q1*q1 + q2*q2)\nv0 = 0, 1"):
+            cfg = tmp_path / "overflow.cfg"
+            cfg.write_text(f"system = {system}\nq0 = 1.2e154, 1.2e154\n")
+            out = tmp_path / "o"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, "--config", cfg.as_posix(), "--out", str(out)]) == 3
+            errors.append(capsys.readouterr().err.strip().splitlines())
+            assert not out.exists() or not any(out.iterdir())
+        assert errors[0] == errors[1] == [
+            "numerical failure: expression '0.5*(q1*q1 + q2*q2)' undefined: "
+            "overflow encountered in scalar add"]
 
     @pytest.mark.parametrize("command, lines, key", [
         ("simulate", "tolerance.theorem1 = 1e-30\n", "tolerance.theorem1"),

@@ -321,10 +321,10 @@ class TestBuiltins:
 
 
 def _lemma_factors():
-    from jacobistab.verify import jacobi_harmonic_factor
+    from jacobistab.verify import LEMMA_FACTORS
 
-    return {"exp(2*q1)": scalar_field_from_expr("exp(2*q1)", 2),
-            "harmonic": jacobi_harmonic_factor()}
+    return {key: scalar_field_from_expr(src, 2)
+            for key, src in zip(("exp(2*q1)", "harmonic"), LEMMA_FACTORS)}
 
 
 FD_METRICS = ("flat", "sphere", "hyperbolic", "conformal-flat")

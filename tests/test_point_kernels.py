@@ -18,6 +18,7 @@ from jacobistab.cli import Experiment, build_parser, main, parse_config_text
 from jacobistab.dynamics import (MechanicalSystem, brute_force_deviation, integrate_deviation,
                                  integrate_newton)
 from jacobistab.errors import ChartDomainError, GeometryError
+from jacobistab.expressions import metric_from_exprs
 from jacobistab.geometry import ChartMetric, ScalarField, point_source
 from jacobistab.jacobi import RK45_ATOL, RK45_RTOL, integrate_geodesic, jacobi_metric
 from jacobistab.systems import (BUILTIN_SYSTEMS, SAMPLE_BOXES, all_setups, builtin_setup,
@@ -93,7 +94,7 @@ def sampled(name):
 @pytest.mark.parametrize("name", [*BUILTIN_SYSTEMS, "chart3"])
 def test_point_evaluators_equal_batched_at_many_points(name):
     # one rounding step transcribed otherwise shows at a few points in a
-    # thousand: the sphere's sin^2 as s*s differs at 163 of 200000.  CHART3
+    # thousand: sin(q0)^2 as s*s, not C pow, differs at 163 of 200000.  CHART3
     # is compiled: its q^2 is C pow on floats and numpy's power in a batch,
     # so its point evaluators agree to roundoff, and h's with them.  The
     # second partials are pinned wherever the first partials are
@@ -240,8 +241,9 @@ def test_singular_metric_raises_as_batched():
         metric = ChartMetric(dim=2, g_eval=lambda p, g=g: np.reshape(g, (2, 2)),
                              dg_eval=lambda p: np.zeros((2, 2, 2)),
                              d2g_eval=lambda p: np.zeros((2, 2, 2, 2)),
-                             point=point_source(2, ((2, 2), (2, 2, 2), (2,) * 4), ((), ()),
-                                                entries, params=(("_nan", np.nan),)))
+                             point=dataclasses.replace(
+                                 point_source(2, ((2, 2), (2, 2, 2), (2,) * 4), ((), ()), entries),
+                                 params=(("_nan", np.nan),)))
         with pytest.raises(geometry.DegenerateMetricError) as exc:
             dynamics._stage(MechanicalSystem(metric, potential))(0.0, 0.3, 0.4, 1.0, 0.0)
         assert str(exc.value) == "degenerate metric at [0.3, 0.4]"
@@ -430,6 +432,16 @@ def test_structural_zeros_fold_to_literals():
     # h·δ: one local on the diagonal, tested once
     lines, _ = geometry._inverse_source(2, "q", [["h", None], [None, "h"]])
     assert lines[0] == "if 2.2250738585072014e-308 <= h <= 1.7976931348623157e+308:"
+    # the compiled hyperbolic plane: g11 = g22 is one tree, so one local,
+    # whose range its fast Newton stage tests once
+    sys = SETUPS["hyperbolic-free"].system
+    g, d, _ = sys.metric.point.entries
+    assert g == ("_e0", None, None, "_e0") and d == (*(None,) * 4, "_e1", None, None, "_e1")
+    lines, (q, v, a), *_ = dynamics._newton_source(sys.metric.point, sys.potential.point,
+                                                   False, True)
+    lines, _ = geometry._pruned(lines, v + a, q)
+    assert [line for line in lines if "<=" in line] == [
+        "if 2.2250738585072014e-308 <= m_e0 <= 1.7976931348623157e+308:"]
 
 
 class TestCompiledOncePerSource:
@@ -469,6 +481,11 @@ def pinned_newton_failure(sys, q0, v0, t_span, step):
     return str(exc.value)
 
 
+# the hyperbolic plane written with powers, whose partials overflow where
+# the built-in's (products of y) are already undefined
+POWER_HYPERBOLIC = metric_from_exprs({(1, 1): "q2^-2", (2, 2): "q2^-2"}, 2)
+
+
 class TestFailuresAsUnfolded:
     """Leaving the chart, an expression that raises or overflows, and a
     state that is not finite fail as the kernel with nothing folded fails,
@@ -486,24 +503,26 @@ class TestFailuresAsUnfolded:
             "outside valid region")
 
     def test_hyperbolic_partials_overflow_near_y_0(self):
-        # -2/y^3 and the velocity overflow: zero Christoffel symbols times
-        # inf make the NaN in q0 that a folded kernel would not
-        sys = mechanical_system(metric_by_name("hyperbolic"), "0")
+        # on the half-plane as y^-2, -2 y^-3 and the velocity overflow: zero
+        # Christoffel symbols times inf make the NaN in q0 that a folded
+        # kernel would not
+        sys = mechanical_system(POWER_HYPERBOLIC, "0")
         assert pinned_newton_failure(sys, [0.0, 1e-100], [0.0, -1e-100], (0.0, 10.0), 0.5) == (
             "left chart domain at t=6.25: chart domain: point [nan, inf] outside valid region")
 
     def test_hyperbolic_cube_underflow_raises_as_batched(self, tmp_path, capsys):
-        # below y of about 1e-103 the source's cube underflows and -2/y^3
+        # below y of about 1e-81 the source's (y*y)^2 underflows and dg
         # divides by zero in floats; its fallback raises the chart-domain
         # error of the batched evaluators, and the CLI exits 3 with one line
         sys = mechanical_system(metric_by_name("hyperbolic"), "0")
-        messages = []
-        for s in (sys, batched(sys)):
-            with pytest.raises(ChartDomainError) as exc:
-                integrate_newton(s, [0.0, 1e-150], [0.0, -1e-152], (0.0, 1.0), 0.5)
-            messages.append(str(exc.value))
         undefined = "metric partials undefined: divide by zero encountered in scalar divide"
-        assert messages == [f"left chart domain at t=0: {undefined}"] * 2
+        for q0, v0 in (([0.0, 1e-150], [0.0, -1e-152]), ([0.0, 1e-100], [0.0, -1e-100])):
+            messages = []
+            for s in (sys, batched(sys)):
+                with pytest.raises(ChartDomainError) as exc:
+                    integrate_newton(s, q0, v0, (0.0, 1.0), 0.5)
+                messages.append(str(exc.value))
+            assert messages == [f"left chart domain at t=0: {undefined}"] * 2
         cfg = tmp_path / "underflow.cfg"
         cfg.write_text("system = custom\nmetric = hyperbolic\nq0 = 0, 1e-150\nv0 = 0, -1e-152\n")
         assert main(["simulate", "--config", cfg.as_posix(), "--out", str(tmp_path / "o")]) == 3
@@ -534,7 +553,7 @@ class TestFailuresAsUnfolded:
         ([0.0, 1e-100], [0.0, -1.0], (0.0, 10.0), 0.5, 13),      # the tangent overflows
     ])
     def test_h_geodesic_truncates_as_unfolded(self, q0, dir0, span, step, length):
-        metric = metric_by_name("sphere" if q0[1] == 0.0 else "hyperbolic")
+        metric = metric_by_name("sphere") if q0[1] == 0.0 else POWER_HYPERBOLIC
         jm = jacobi_metric(mechanical_system(metric, "0"), 0.5)
         n = 2
         geo = integrate_geodesic(jm, q0, dir0, span, step)
@@ -698,13 +717,6 @@ class TestGuardedOnlyOnRejection:
         with pytest.raises(ChartDomainError):
             integrate_newton(sys, [0.5, 0.0], [-1.0, 0.0], (0.0, 2.0), 1e-3)
         assert len(calls) >= 1 and calls[-1] == pytest.approx(0.328)
-
-
-def test_fma_overflow_is_inf():
-    # fsum overflows, or meets inf - inf where the product does: an FMA's inf
-    assert geometry._fma(1e154, 1e154, 1e308) == np.inf
-    assert geometry._fma(1e200, 1e200, 0.0) == np.inf
-    assert geometry._fma(3.0, 0.1, 0.7) == 1.0
 
 
 def test_rk45_reads_the_clearance_from_the_point_source(monkeypatch):
